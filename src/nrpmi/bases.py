@@ -6,6 +6,7 @@ and temporal (Doppler) bases are plain DFT vectors of length N3 and N4.
 Port-selection codebooks replace the DFT beams with standard basis vectors.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,19 +79,45 @@ def _dft_phases(count: int, index: int, period: int) -> np.ndarray:
     return np.exp(2j * np.pi * k / period)
 
 
+@functools.cache
+def _beam_tables(geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """The geometry's full beam grid and its orthogonal groups, read-only.
+
+    ``beams[l, m]`` is the beam v_{l,m}; ``groups[q1, q2]`` is the
+    (N1*N2, N1*N2) group matrix, gathered from ``beams``.  Both are built
+    once per geometry and shared by every caller.
+    """
+    n = geom.n1 * geom.n2
+    beams = np.empty((geom.beams_h, geom.beams_v, n), dtype=complex)
+    u = [_dft_phases(geom.n2, m, geom.beams_v) for m in range(geom.beams_v)]
+    for l in range(geom.beams_h):
+        a = _dft_phases(geom.n1, l, geom.beams_h)
+        for m in range(geom.beams_v):
+            beams[l, m] = np.kron(a, u[m])
+    # column k of a group holds in-group coordinates x1 = k mod N1,
+    # x2 = k // N1
+    x1, x2 = np.arange(n) % geom.n1, np.arange(n) // geom.n1
+    q1 = np.arange(geom.o1)[:, None, None]
+    q2 = np.arange(geom.o2)[None, :, None]
+    groups = beams[geom.o1 * x1 + q1, geom.o2 * x2 + q2].transpose(0, 1, 3, 2)
+    groups = np.ascontiguousarray(groups)
+    beams.flags.writeable = False
+    groups.flags.writeable = False
+    return beams, groups
+
+
 def dft_beam(geom: ArrayGeometry, l: int, m: int) -> np.ndarray:
     """Oversampled 2-D DFT beam v_{l,m} of length N1*N2.
 
     Layout: the vertical index varies fastest, i.e. entry a*N2 + b carries
-    phase 2*pi*(l*a/(O1*N1) + m*b/(O2*N2)).
+    phase 2*pi*(l*a/(O1*N1) + m*b/(O2*N2)).  The result is a read-only
+    view of a cached grid; copy it before changing it.
     """
     if not 0 <= l < geom.beams_h:
         raise DomainError(f"beam index l={l} outside [0, {geom.beams_h})")
     if not 0 <= m < geom.beams_v:
         raise DomainError(f"beam index m={m} outside [0, {geom.beams_v})")
-    a = _dft_phases(geom.n1, l, geom.beams_h)
-    u = _dft_phases(geom.n2, m, geom.beams_v)
-    return np.kron(a, u)
+    return _beam_tables(geom)[0][l, m]
 
 
 def orthogonal_group(geom: ArrayGeometry, q1: int, q2: int) -> np.ndarray:
@@ -99,17 +126,14 @@ def orthogonal_group(geom: ArrayGeometry, q1: int, q2: int) -> np.ndarray:
     Returns an (N1*N2, N1*N2) matrix whose column k is the beam with
     in-group coordinates x1 = k mod N1, x2 = k // N1 (horizontal fastest,
     matching the flat index convention of the beam-combination decoder).
+    The result is a read-only view of a cached table; copy it before
+    changing it.
     """
     if not 0 <= q1 < geom.o1:
         raise DomainError(f"group offset q1={q1} outside [0, {geom.o1})")
     if not 0 <= q2 < geom.o2:
         raise DomainError(f"group offset q2={q2} outside [0, {geom.o2})")
-    cols = []
-    for k in range(geom.n1 * geom.n2):
-        x1 = k % geom.n1
-        x2 = k // geom.n1
-        cols.append(dft_beam(geom, geom.o1 * x1 + q1, geom.o2 * x2 + q2))
-    return np.column_stack(cols)
+    return _beam_tables(geom)[1][q1, q2]
 
 
 def spectral_basis(n3: int, n3_index: int) -> np.ndarray:

@@ -6,6 +6,8 @@ keeps the beam fixed across the band and lets i2 pick the co-phase per
 subband; mode 2 additionally folds a 4-beam group choice into i2.
 """
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,12 +125,23 @@ def _beam_and_phase(config: Type1Config, pmi: Type1Pmi, subband: int) -> tuple[i
     return l, m, n
 
 
+def _layer_beams(config: Type1Config, pmi: Type1Pmi,
+                 subband: int) -> tuple[int, list[tuple[int, int]]]:
+    """Co-phase index n and each layer's (l, m) beam, before wrapping."""
+    l, m, n = _beam_and_phase(config, pmi, subband)
+    if config.rank == 1:
+        return n, [(l, m)]
+    k1, k2 = k_offsets(pmi.i13, config.geom)
+    return n, [(l, m), (l + k1, m + k2)]
+
+
 def build_rank1(config: Type1Config, pmi: Type1Pmi, subband: int = 0,
                 restriction: np.ndarray | None = None) -> np.ndarray:
     """w = (1/sqrt(P)) [v; phi_n v], a (P, 1) matrix."""
     pmi.validate(config)
-    l, m, n = _beam_and_phase(config, pmi, subband)
-    _check_beams_allowed(restriction, config.geom, [(l, m)])
+    n, beams = _layer_beams(config, pmi, subband)
+    (l, m), = beams
+    _check_beams_allowed(restriction, config.geom, beams)
     v = dft_beam(config.geom, l, m)
     phi = np.exp(1j * np.pi * n / 2)
     p = config.geom.n_ports
@@ -139,10 +152,9 @@ def build_rank2(config: Type1Config, pmi: Type1Pmi, subband: int = 0,
                 restriction: np.ndarray | None = None) -> np.ndarray:
     """W = (1/sqrt(2P)) [[v, v'], [phi_n v, -phi_n v']], a (P, 2) matrix."""
     pmi.validate(config)
-    l, m, n = _beam_and_phase(config, pmi, subband)
-    k1, k2 = k_offsets(pmi.i13, config.geom)
-    lp, mp = l + k1, m + k2
-    _check_beams_allowed(restriction, config.geom, [(l, m), (lp, mp)])
+    n, beams = _layer_beams(config, pmi, subband)
+    (l, m), (lp, mp) = beams
+    _check_beams_allowed(restriction, config.geom, beams)
     v = dft_beam(config.geom, l, m)
     vp = dft_beam(config.geom, lp % config.geom.beams_h, mp % config.geom.beams_v)
     phi = np.exp(1j * np.pi * n / 2)
@@ -159,13 +171,21 @@ def build_precoder(config: Type1Config, pmi: Type1Pmi, subband: int = 0,
     return build_rank2(config, pmi, subband, restriction)
 
 
-def check_beam_restriction(bit_sequence: np.ndarray, geom: ArrayGeometry,
-                           l: int, m: int) -> bool:
-    """Beam (l, m) is allowed iff bit N2*O2*l + m of the sequence is set."""
+def _restriction_bits(bit_sequence, geom: ArrayGeometry) -> np.ndarray:
     seq = np.asarray(bit_sequence)
     if seq.size != geom.beams_h * geom.beams_v:
         raise DomainError(f"restriction needs {geom.beams_h * geom.beams_v} bits")
-    return bool(seq[geom.beams_v * (l % geom.beams_h) + (m % geom.beams_v)])
+    return seq
+
+
+def _beam_bit(geom: ArrayGeometry, l: int, m: int) -> int:
+    return geom.beams_v * (l % geom.beams_h) + (m % geom.beams_v)
+
+
+def check_beam_restriction(bit_sequence: np.ndarray, geom: ArrayGeometry,
+                           l: int, m: int) -> bool:
+    """Beam (l, m) is allowed iff bit N2*O2*l + m of the sequence is set."""
+    return bool(_restriction_bits(bit_sequence, geom)[_beam_bit(geom, l, m)])
 
 
 def _check_beams_allowed(restriction, geom, beams):
@@ -198,6 +218,51 @@ def _subband_rate(h_sub: np.ndarray, w: np.ndarray, noise_power: float) -> float
     return total
 
 
+def _codeword_rates(h_sub: np.ndarray, w: np.ndarray,
+                    noise_power: float) -> np.ndarray:
+    """``_subband_rate`` of every precoder in the (C, P, rank) stack ``w``.
+
+    The operations and their operand order are those of ``_subband_rate``,
+    so every score matches it to the bit (``einsum`` would not).
+    """
+    total = np.zeros(w.shape[0])
+    for h in h_sub:
+        g = np.matmul(h, w)
+        m = np.eye(g.shape[1]) + np.matmul(g.conj().swapaxes(1, 2), g) / noise_power
+        sign, logdet = np.linalg.slogdet(m)
+        total += logdet / np.log(2)
+    return total
+
+
+@dataclass(frozen=True)
+class _Codebook:
+    """Every codeword of one (geometry, mode, rank), in search scan order."""
+
+    groups: tuple[tuple[int, int, int | None], ...]   # (i11, i12, i13)
+    precoders: np.ndarray   # (groups, i2_range, P, rank), read-only
+    beam_bits: np.ndarray   # (groups, i2_range, rank) restriction bit per layer
+
+
+@functools.cache
+def _codebook(geom: ArrayGeometry, mode: int, rank: int) -> _Codebook:
+    config = Type1Config(geom, mode, rank)
+    i13_values = range(i13_range(geom)) if rank == 2 else (None,)
+    groups = tuple(itertools.product(range(config.i11_range),
+                                     range(config.i12_range), i13_values))
+    shape = (len(groups), config.i2_range)
+    precoders = np.empty(shape + (geom.n_ports, rank), dtype=complex)
+    beam_bits = np.empty(shape + (rank,), dtype=np.intp)
+    for g, (i11, i12, i13) in enumerate(groups):
+        for i2 in range(config.i2_range):
+            pmi = Type1Pmi(i11, i12, (i2,), i13)
+            precoders[g, i2] = build_precoder(config, pmi)
+            beam_bits[g, i2] = [_beam_bit(geom, l, m)
+                                for l, m in _layer_beams(config, pmi, 0)[1]]
+    precoders.flags.writeable = False
+    beam_bits.flags.writeable = False
+    return _Codebook(groups, precoders, beam_bits)
+
+
 def search_type1(channel: np.ndarray, config: Type1Config,
                  restriction: np.ndarray | None = None,
                  rank_restriction=None, noise_power: float = 1.0) -> Type1Pmi:
@@ -205,7 +270,9 @@ def search_type1(channel: np.ndarray, config: Type1Config,
 
     ``channel`` has shape (M, Nr, P); subcarriers are split evenly over the
     configured subbands.  Ties break toward the smallest flat PMI encoding
-    (scan order), making the result reproducible.
+    (scan order), making the result reproducible.  Every codeword of the
+    configuration is scored at once; the stack is built once per
+    (geometry, mode, rank) and kept.
     """
     h = np.asarray(channel)
     if h.ndim != 3 or h.shape[2] != config.geom.n_ports:
@@ -216,38 +283,37 @@ def search_type1(channel: np.ndarray, config: Type1Config,
             rank_restriction, config.rank):
         raise RestrictionError(f"rank {config.rank} is prohibited")
 
+    book = _codebook(config.geom, config.mode, config.rank)
+    n_groups, n_i2 = book.beam_bits.shape[:2]
+    allowed = np.ones((n_groups, n_i2), dtype=bool)
+    if restriction is not None:
+        bits = _restriction_bits(restriction, config.geom).ravel().astype(bool)
+        allowed = bits[book.beam_bits].all(axis=2)
+
     n_sb = config.subband_count
     edges = np.linspace(0, h.shape[0], n_sb + 1).astype(int)
-    i13_values = range(i13_range(config.geom)) if config.rank == 2 else (None,)
+    w = book.precoders.reshape(n_groups * n_i2, *book.precoders.shape[2:])
+    # a group with no admissible i2 in some subband totals -inf, never kept
+    total = np.zeros(n_groups)
+    picks = []
+    for sb in range(n_sb):
+        rates = _codeword_rates(h[edges[sb]:edges[sb + 1]], w, noise_power)
+        rates = rates.reshape(n_groups, n_i2)
+        # first strict maximum over the admissible i2, in scan order
+        sb_rate = np.full(n_groups, -np.inf)
+        sb_pick = np.full(n_groups, -1)
+        for i2 in range(n_i2):
+            better = allowed[:, i2] & (rates[:, i2] > sb_rate)
+            sb_rate[better] = rates[better, i2]
+            sb_pick[better] = i2
+        total += sb_rate
+        picks.append(sb_pick)
 
-    best = None
-    best_rate = -np.inf
-    for i11 in range(config.i11_range):
-        for i12 in range(config.i12_range):
-            for i13 in i13_values:
-                i2_pick = []
-                total = 0.0
-                for sb in range(n_sb):
-                    h_sub = h[edges[sb]:edges[sb + 1]]
-                    sb_best, sb_rate = None, -np.inf
-                    for i2 in range(config.i2_range):
-                        pmi = Type1Pmi(i11, i12, (i2,) * n_sb, i13)
-                        try:
-                            w = build_precoder(config, pmi, sb, restriction)
-                        except RestrictionError:
-                            continue
-                        r = _subband_rate(h_sub, w, noise_power)
-                        if r > sb_rate:
-                            sb_best, sb_rate = i2, r
-                    if sb_best is None:
-                        break  # every beam choice restricted for this subband
-                    i2_pick.append(sb_best)
-                    total += sb_rate
-                if len(i2_pick) < n_sb:
-                    continue
-                if total > best_rate + 1e-12:
-                    best_rate = total
-                    best = Type1Pmi(i11, i12, tuple(i2_pick), i13)
+    best, best_rate = None, -np.inf
+    for g, rate in enumerate(total.tolist()):
+        if rate > best_rate + 1e-12:
+            best, best_rate = g, rate
     if best is None:
         raise RestrictionError("no admissible PMI under the given restriction")
-    return best
+    i11, i12, i13 = book.groups[best]
+    return Type1Pmi(i11, i12, tuple(int(p[best]) for p in picks), i13)

@@ -93,6 +93,54 @@ def test_orthogonal_group_offset_range():
         orthogonal_group(g, 0, 1)
 
 
+GEOMETRIES = [ArrayGeometry(n1, n2, *o) for (n1, n2), o in SUPPORTED_GEOMETRIES.items()]
+
+
+def kron_beam(g, l, m):
+    # the uncached formula: DFT phase vectors reduced mod their period
+    a = np.exp(2j * np.pi * ((l * np.arange(g.n1)) % g.beams_h) / g.beams_h)
+    u = np.exp(2j * np.pi * ((m * np.arange(g.n2)) % g.beams_v) / g.beams_v)
+    return np.kron(a, u)
+
+
+@pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: f"{g.n1}x{g.n2}")
+def test_cached_beams_match_kron_formula(g):
+    for l in range(g.beams_h):
+        for m in range(g.beams_v):
+            assert np.array_equal(dft_beam(g, l, m), kron_beam(g, l, m))
+    for q1 in range(g.o1):
+        for q2 in range(g.o2):
+            cols = [kron_beam(g, g.o1 * (k % g.n1) + q1, g.o2 * (k // g.n1) + q2)
+                    for k in range(g.n1 * g.n2)]
+            assert np.array_equal(orthogonal_group(g, q1, q2), np.column_stack(cols))
+
+
+@pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: f"{g.n1}x{g.n2}")
+def test_cached_beams_are_read_only(g):
+    v = dft_beam(g, g.beams_h - 1, g.beams_v - 1)
+    grp = orthogonal_group(g, g.o1 - 1, g.o2 - 1)
+    with pytest.raises(ValueError):
+        v[0] = 0
+    with pytest.raises(ValueError):
+        grp[0, 0] = 0
+    with pytest.raises(ValueError):
+        grp[:, 0] *= 2
+    # a copy is writable and leaves the cache untouched
+    c = grp.copy()
+    c[0, 0] = 0
+    assert orthogonal_group(g, g.o1 - 1, g.o2 - 1)[0, 0] != 0
+
+
+@pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: f"{g.n1}x{g.n2}")
+def test_cached_beams_range_checks(g):
+    for l, m in [(g.beams_h, 0), (-1, 0), (0, g.beams_v), (0, -1)]:
+        with pytest.raises(DomainError):
+            dft_beam(g, l, m)
+    for q1, q2 in [(g.o1, 0), (-1, 0), (0, g.o2), (0, -1)]:
+        with pytest.raises(DomainError):
+            orthogonal_group(g, q1, q2)
+
+
 def test_spectral_basis_values():
     np.testing.assert_allclose(spectral_basis(4, 0), np.ones(4))
     np.testing.assert_allclose(spectral_basis(4, 2), [1, -1, 1, -1], atol=1e-15)
