@@ -17,15 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import type2_r16, type2_r17, type2_r18
+from . import enhanced, type2_r16, type2_r17, type2_r18
 from .bases import ArrayGeometry, orthogonal_group
 from .combinadics import encode_combination
 from .errors import DomainError
 from .quantization import amp_r15_wideband
 
 _R15_WB_AMPS = np.array([amp_r15_wideband(k) for k in range(8)])
-_R16_WB_AMPS = type2_r16._WB_AMPS
-_R16_SB_AMPS = type2_r16._SB_AMPS
 
 
 @dataclass(frozen=True)
@@ -177,21 +175,20 @@ def _group_candidates(targets: np.ndarray, geom: ArrayGeometry, l: int):
             if score >= top * (1 - 1e-9)]
 
 
-def _quantize_r16_grid(coef: np.ndarray, l: int, k0: int, budget_left: int,
-                       wb_amps: np.ndarray, sb_amps: np.ndarray,
-                       n_psk: int, star_slots: np.ndarray | None = None):
-    """Quantize one layer's coefficient grid (2L, ...) against the Rel-16
+def _quantize_grid(coef: np.ndarray, l: int, k0: int, budget_left: int,
+                   star_slots: np.ndarray):
+    """Quantize one layer's coefficient grid (K, ...) against the Rel-16
     amplitude tables; returns (bitmap, k1, k2, c, strongest multi-index).
 
-    ``star_slots`` restricts which tail slots may host the normalization
-    reference (the strongest tap's coefficients); None allows every slot.
+    ``star_slots`` marks the tail slots that may host the normalization
+    reference (the strongest coefficient).
     """
+    wb_amps, sb_amps, n_psk = enhanced.WB_AMPS, enhanced.SB_AMPS, 16
     shape = coef.shape
     flat_tail = coef.reshape(2 * l, -1)
     mag = np.abs(flat_tail)
     star_mag = np.round(mag, 12).copy()
-    if star_slots is not None:
-        star_mag[:, ~star_slots] = -1.0
+    star_mag[:, ~star_slots] = -1.0
     star = np.unravel_index(int(np.argmax(star_mag)), mag.shape)
     scale = mag[star]
     if scale == 0:
@@ -234,9 +231,32 @@ def _quantize_r16_grid(coef: np.ndarray, l: int, k0: int, budget_left: int,
             star)
 
 
-def _window_raw(rel: int, m_init: int, mv: int, n3: int) -> int:
-    """Pre-adjustment value of a relative tap inside the i15 window."""
-    return rel if rel <= m_init + 2 * mv - 1 else rel - (n3 - 2 * mv)
+def _quantize_layers(config, coefs):
+    """Quantize each layer's (K, Mv, Q) grid under the report's budget;
+    returns (i18, bitmap, k1, k2, c) with arrays of ``config.coef_shape``."""
+    rank = config.rank
+    bitmap = np.zeros(config.coef_shape, dtype=np.int8)
+    k1 = np.ones((rank, 2), dtype=int)
+    k2 = np.zeros(config.coef_shape, dtype=int)
+    c = np.zeros(config.coef_shape, dtype=int)
+    # the (Mv, Q) slots that may hold the strongest coefficient
+    slots = np.zeros(coefs[0].shape[1:], dtype=bool)
+    slots[enhanced.strongest_cell(config, 0, slice(None))[1:]] = True
+    budget_left = 2 * config.k0
+    i18 = []
+    for layer, coef in enumerate(coefs):
+        bm, kk1, kk2, cc, star = _quantize_grid(coef, config.l, config.k0,
+                                                budget_left, slots.reshape(-1))
+        budget_left -= int(bm.sum())
+        enhanced.grid(bitmap)[layer] = bm
+        enhanced.grid(k2)[layer] = kk2
+        enhanced.grid(c)[layer] = cc
+        k1[layer] = kk1
+        # star multi-index over the (Mv*Q) tail: tail order is (f, tau)
+        s_star = np.unravel_index(star[1], slots.shape)[config.strongest_axis - 1]
+        i18.append(enhanced.encode_strongest(config, bitmap[layer], star[0],
+                                             s_star))
+    return tuple(i18), bitmap, k1, k2, c
 
 
 def _pick_taps(ref_metric: np.ndarray, energy: np.ndarray, mv: int, n3: int,
@@ -272,7 +292,8 @@ def _pick_taps(ref_metric: np.ndarray, energy: np.ndarray, mv: int, n3: int,
             chosen.append(rel)
             lo, hi = new_lo, new_hi
     m_init = min(0, lo)
-    rels = [0] + sorted(chosen, key=lambda rel: _window_raw(rel, m_init, mv, n3))
+    rels = [0] + sorted(chosen,
+                        key=lambda rel: enhanced.window_raw(rel, m_init, mv, n3))
     return ref, tuple(rels), m_init
 
 
@@ -282,110 +303,121 @@ def _refit_window(ref: int, energy: np.ndarray, mv: int, n3: int,
     rel_energy = np.roll(energy, -ref)
     allowed = [s % n3 for s in range(m_init, m_init + 2 * mv) if s % n3 != 0]
     picks = sorted(allowed, key=lambda rel: -rel_energy[rel])[:mv - 1]
-    return (0,) + tuple(sorted(picks,
-                               key=lambda rel: _window_raw(rel, m_init, mv, n3)))
+    return (0,) + tuple(sorted(
+        picks, key=lambda rel: enhanced.window_raw(rel, m_init, mv, n3)))
+
+
+def _check_channel(h: np.ndarray, n3: int, n_ports: int) -> None:
+    if h.shape[1] != n3:
+        raise DomainError(f"need one frequency unit per subcarrier: "
+                          f"M={h.shape[1]} vs N3={n3}")
+    if h.shape[-1] != n_ports:
+        raise DomainError(f"channel must have {n_ports} ports")
 
 
 def search_r16(channel: ChannelRealization, config: type2_r16.R16Config
                ) -> type2_r16.R16Pmi:
     """UE-side Enhanced Type II report selection."""
     h = channel.flat[None]  # (1, M, Nr, P)
-    if h.shape[1] != config.n3:
-        raise DomainError(f"need one frequency unit per subcarrier: "
-                          f"M={h.shape[1]} vs N3={config.n3}")
-    if h.shape[-1] != config.n_ports:
-        raise DomainError(f"channel must have {config.n_ports} ports")
+    _check_channel(h, config.n3, config.n_ports)
     targets = _targets(h, config.rank)
+    if config.variant == enhanced.REGULAR:
+        return _search_groups(config, targets, type2_r16)
+    half = config.p_csirs // 2
     l = config.l
-    if config.variant == type2_r16.REGULAR:
-        g = config.geom
-        best_pmi, best_fit = None, -1.0
-        for q, flats, basis in _group_candidates(targets, g, l):
-            i12 = encode_combination(flats, g.n1 * g.n2, l)
-            pmi = _finish_r16_search(config, targets, q, i12, basis,
-                                     g.n1 * g.n2)
-            fit = _fit_r16(config, pmi, targets)
-            if fit > best_fit + 1e-12:
-                best_pmi, best_fit = pmi, fit
-        return best_pmi
-    else:
-        half = config.p_csirs // 2
-        max_start = half - l
-        energy = (np.abs(targets) ** 2).sum(axis=(0, 1, 2))
-        per_port = energy[:half] + energy[half:]
-        blocks = [sum(per_port[b * config.d + i] for i in range(l))
-                  for b in range(max_start // config.d + 1)]
-        i11 = int(np.argmax(blocks))
-        cols = np.zeros((half, l))
-        for i in range(l):
-            cols[i11 * config.d + i, i] = 1.0
-        return _finish_r16_search(config, targets, i11, None, cols, 1)
+    max_start = half - l
+    energy = (np.abs(targets) ** 2).sum(axis=(0, 1, 2))
+    per_port = energy[:half] + energy[half:]
+    blocks = [sum(per_port[b * config.d + i] for i in range(l))
+              for b in range(max_start // config.d + 1)]
+    i11 = int(np.argmax(blocks))
+    start = i11 * config.d
+    basis = enhanced.port_beams(config.p_csirs, range(start, start + l))
+    return _finish(config, targets, i11, None, basis, 1)
 
 
-def _fit_r16(config, pmi, targets) -> float:
-    ws = type2_r16.reconstruct_all(config, pmi)  # (N3, P, rank)
-    unit = targets[:, 0] / np.linalg.norm(targets[:, 0], axis=-1,
-                                          keepdims=True)
-    corr = np.einsum("ltp,tpl->tl", unit.conj(), ws)
-    return float((np.abs(corr) ** 2).sum())
+def search_r18(channel: ChannelRealization, config: type2_r18.R18Config
+               ) -> type2_r18.R18Pmi:
+    """UE-side predicted-PMI report over N4 slot intervals."""
+    h = channel.h
+    if h.shape[0] != config.n4:
+        raise DomainError(f"channel must cover N4={config.n4} intervals")
+    _check_channel(h, config.n3, config.n_ports)
+    return _search_groups(config, _targets(h, config.rank), type2_r18)
 
 
-def _finish_r16_search(config, targets, i11, i12, basis, gain):
-    """Tap selection and coefficient quantization for a fixed beam set."""
-    l = config.l
-    proj = _beam_projections(targets, basis, gain)[:, 0]  # (rank, M, 2L)
-    spectrum = np.fft.fft(proj, axis=1) / config.n3       # (rank, N3, 2L)
+def _search_groups(config, targets, release):
+    """Finish every tied beam group and keep the first best fit, scored by
+    ``release.reconstruct_all``."""
+    g, l = config.geom, config.l
+    unit = targets / np.linalg.norm(targets, axis=-1, keepdims=True)
+    best_pmi, best_fit = None, -1.0
+    for q, flats, basis in _group_candidates(targets, g, l):
+        i12 = encode_combination(flats, g.n1 * g.n2, l)
+        pmi = _finish(config, targets, q, i12, basis, g.n1 * g.n2)
+        ws = release.reconstruct_all(config, pmi)
+        if ws.ndim == 3:
+            ws = ws[:, None]                   # Rel-16: one slot interval
+        corr = np.einsum("lntp,tnpl->tnl", unit.conj(), ws)
+        fit = float((np.abs(corr) ** 2).sum())
+        if fit > best_fit + 1e-12:
+            best_pmi, best_fit = pmi, fit
+    return best_pmi
 
-    mv = config.mv
-    two_l = 2 * l
-    bitmap = np.zeros((config.rank, two_l, mv), dtype=np.int8)
-    k1 = np.ones((config.rank, 2), dtype=int)
-    k2 = np.zeros((config.rank, two_l, mv), dtype=int)
-    c = np.zeros((config.rank, two_l, mv), dtype=int)
-    i16 = []
-    i18 = []
-    i15_common: int | None = None
-    budget_left = 2 * config.k0
-    star_slots = np.zeros(mv, dtype=bool)
-    star_slots[0] = True  # the reference lives on the remapped tap 0
+
+def _finish(config, targets, i11, i12, basis, gain):
+    """Shift, tap and coefficient selection for a fixed beam set.
+
+    Works on the (2L, Mv, Q) grid of Rel-18; Rel-16 is the case of one slot
+    interval and one shift.
+    """
+    n3, mv = config.n3, config.mv
+    proj = _beam_projections(targets, basis, gain)      # (rank, N4, M, 2L)
+    n4 = proj.shape[1]
+    # 2-D DFT: frequency units -> taps, intervals -> shifts
+    spectrum = np.fft.fft(proj, axis=2) / n3
+    spectrum = np.fft.fft(spectrum, axis=1) / n4        # (rank, N4, N3, 2L)
+    i15 = None
+    i16, i110, coefs = [], [], []
     for layer in range(config.rank):
-        energy = (np.abs(spectrum[layer]) ** 2).sum(axis=1)
-        peak = np.abs(spectrum[layer]).max(axis=1)
-        ref, rels, m_init = _pick_taps(peak, energy, mv, config.n3,
+        if n4 > 1:
+            shift_energy = (np.abs(spectrum[layer]) ** 2).sum(axis=(1, 2))
+            second = 1 + int(np.argmax(shift_energy[1:]))
+            shifts = (0, second)
+            i110.append(second - 1)
+        else:
+            shifts = (0,)
+        sub = spectrum[layer][list(shifts)]               # (Q, N3, 2L)
+        tap_energy = (np.abs(sub) ** 2).sum(axis=(0, 2))
+        tap_peak = np.abs(sub).max(axis=(0, 2))
+        ref, rels, m_init = _pick_taps(tap_peak, tap_energy, mv, n3,
                                        config.window_mode)
-        if config.window_mode and i15_common is not None:
+        if config.window_mode and i15 is not None:
             # one i15 field serves the whole report: refit later layers
             # inside the window fixed by the first layer
-            fixed = 0 if i15_common == 0 else i15_common - 2 * mv
+            fixed = 0 if i15 == 0 else i15 - 2 * mv
             if m_init != fixed:
                 m_init = fixed
-                rels = _refit_window(ref, energy, mv, config.n3, m_init)
-        idx, i15 = type2_r16.encode_taps(config, rels, m_init)
-        if config.window_mode and i15_common is None:
-            i15_common = i15
+                rels = _refit_window(ref, tap_energy, mv, n3, m_init)
+        idx, layer_i15 = enhanced.encode_taps(config, rels, m_init)
+        if config.window_mode and i15 is None:
+            i15 = layer_i15
         i16.append(idx)
-        abs_taps = [(ref + rel) % config.n3 for rel in rels]
-        coef = spectrum[layer][abs_taps].T                # (2L, Mv)
-        bm, kk1, kk2, cc, star = _quantize_r16_grid(
-            coef, l, config.k0, budget_left, _R16_WB_AMPS, _R16_SB_AMPS, 16,
-            star_slots)
-        budget_left -= int(bm.sum())
-        bitmap[layer], k1[layer], k2[layer], c[layer] = bm, kk1, kk2, cc
-        i18.append(type2_r16.encode_strongest(config, bitmap[layer], star[0]))
-    i15_field = (i15_common if config.window_mode else None)
-    return type2_r16.R16Pmi(i11, i12, i15_field, tuple(i16), tuple(i18),
-                            bitmap, k1, k2, c)
+        abs_taps = [(ref + rel) % n3 for rel in rels]
+        # coefficient tensor (2L, Mv, Q): tap index then shift index
+        coefs.append(np.stack([s[abs_taps].T for s in sub], axis=-1))
+    i18, *arrays = _quantize_layers(config, coefs)
+    if len(config.coef_shape) == 4:
+        return type2_r18.R18Pmi(i11, i12, i15, tuple(i16), i18,
+                                tuple(i110) if n4 > 1 else None, *arrays)
+    return type2_r16.R16Pmi(i11, i12, i15, tuple(i16), i18, *arrays)
 
 
 def search_r17(channel: ChannelRealization, config: type2_r17.R17Config
                ) -> type2_r17.R17Pmi:
     """UE-side Further Enhanced port-selection report (beam-domain channel)."""
     h = channel.flat[None]
-    if h.shape[1] != config.n3:
-        raise DomainError(f"need one frequency unit per subcarrier: "
-                          f"M={h.shape[1]} vs N3={config.n3}")
-    if h.shape[-1] != config.p_csirs:
-        raise DomainError(f"channel must have {config.p_csirs} ports")
+    _check_channel(h, config.n3, config.p_csirs)
     targets = _targets(h, config.rank)
     half = config.p_csirs // 2
     l = config.l
@@ -396,130 +428,20 @@ def search_r17(channel: ChannelRealization, config: type2_r17.R17Config
     else:
         ports = tuple(int(v) for v in np.sort(np.argsort(per_port)[-l:]))
     i12 = type2_r17.encode_ports(config, ports)
-    basis = np.zeros((half, l))
-    for j, d in enumerate(ports):
-        basis[d, j] = 1.0
+    basis = enhanced.port_beams(config.p_csirs, ports)
     proj = _beam_projections(targets, basis, 1.0)[:, 0]   # (rank, M, K1)
     spectrum = np.fft.fft(proj, axis=1) / config.n3
 
-    taps: tuple[int, ...]
-    if config.m == 1:
-        taps = (0,)
-        i16 = None
-    elif not config.i16_reported:
-        taps = (0, 1)
-        i16 = None
-    else:
-        window = config.window
-        tap_energy = (np.abs(spectrum) ** 2).sum(axis=(0, 2))[:window]
-        second = 1 + int(np.argmax(tap_energy[1:]))
-        taps = (0, second)
-        i16 = second - 1
-
-    k1b, m = config.k1_beams, config.m
-    bitmap = np.zeros((config.rank, k1b, m), dtype=np.int8)
-    k1 = np.ones((config.rank, 2), dtype=int)
-    k2 = np.zeros((config.rank, k1b, m), dtype=int)
-    c = np.zeros((config.rank, k1b, m), dtype=int)
-    i18 = []
-    budget_left = 2 * config.k0
-    for layer in range(config.rank):
-        coef = spectrum[layer][list(taps)].T              # (K1, M)
-        bm, kk1, kk2, cc, star = _quantize_r16_grid(
-            coef, l, config.k0, budget_left, _R16_WB_AMPS, _R16_SB_AMPS, 16)
-        budget_left -= int(bm.sum())
-        bitmap[layer], k1[layer], k2[layer], c[layer] = bm, kk1, kk2, cc
-        i18.append(k1b * star[1] + star[0])
-    return type2_r17.R17Pmi(i12, i16, tuple(i18), bitmap, k1, k2, c)
-
-
-def search_r18(channel: ChannelRealization, config: type2_r18.R18Config
-               ) -> type2_r18.R18Pmi:
-    """UE-side predicted-PMI report over N4 slot intervals."""
-    h = channel.h
-    if h.shape[0] != config.n4:
-        raise DomainError(f"channel must cover N4={config.n4} intervals")
-    if h.shape[1] != config.n3:
-        raise DomainError(f"need one frequency unit per subcarrier: "
-                          f"M={h.shape[1]} vs N3={config.n3}")
-    if h.shape[-1] != config.n_ports:
-        raise DomainError(f"channel must have {config.n_ports} ports")
-    targets = _targets(h, config.rank)
-    g = config.geom
-    l = config.l
-    best_pmi, best_fit = None, -1.0
-    for q, flats, basis in _group_candidates(targets, g, l):
-        i12 = encode_combination(flats, g.n1 * g.n2, l)
-        pmi = _finish_r18_search(config, targets, q, i12, basis)
-        ws = type2_r18.reconstruct_all(config, pmi)  # (N3, N4, P, rank)
-        unit = targets / np.linalg.norm(targets, axis=-1, keepdims=True)
-        corr = np.einsum("lntp,tnpl->tnl", unit.conj(), ws)
-        fit = float((np.abs(corr) ** 2).sum())
-        if fit > best_fit + 1e-12:
-            best_pmi, best_fit = pmi, fit
-    return best_pmi
-
-
-def _finish_r18_search(config, targets, i11, i12, basis):
-    g = config.geom
-    l = config.l
-    proj = _beam_projections(targets, basis, g.n1 * g.n2)  # (rank, N4, M, 2L)
-    # 2-D DFT: frequency units -> taps, intervals -> shifts
-    spectrum = np.fft.fft(proj, axis=2) / config.n3
-    spectrum = np.fft.fft(spectrum, axis=1) / config.n4    # (rank,N4,N3,2L)
-
-    mv, n_q = config.mv, config.q
-    two_l = 2 * l
-    bitmap = np.zeros((config.rank, two_l, mv, n_q), dtype=np.int8)
-    k1 = np.ones((config.rank, 2), dtype=int)
-    k2 = np.zeros((config.rank, two_l, mv, n_q), dtype=int)
-    c = np.zeros((config.rank, two_l, mv, n_q), dtype=int)
-    i16 = []
-    i18 = []
-    i110 = []
-    i15_common: int | None = None
-    budget_left = 2 * config.k0
-    star_slots = np.zeros((mv, n_q), dtype=bool)
-    star_slots[0, :] = True  # reference on the remapped tap 0, either shift
-    for layer in range(config.rank):
-        if config.n4 > 1:
-            shift_energy = (np.abs(spectrum[layer]) ** 2).sum(axis=(1, 2))
-            second = 1 + int(np.argmax(shift_energy[1:]))
-            shifts = (0, second)
-            i110.append(second - 1)
-        else:
-            shifts = (0,)
-        sub = spectrum[layer][list(shifts)]               # (Q, N3, 2L)
-        tap_energy = (np.abs(sub) ** 2).sum(axis=(0, 2))
-        tap_peak = np.abs(sub).max(axis=(0, 2))
-        ref, rels, m_init = _pick_taps(tap_peak, tap_energy, mv, config.n3,
-                                       config.window_mode)
-        if config.window_mode and i15_common is not None:
-            fixed = 0 if i15_common == 0 else i15_common - 2 * mv
-            if m_init != fixed:
-                m_init = fixed
-                rels = _refit_window(ref, tap_energy, mv, config.n3, m_init)
-        idx, i15 = type2_r18.encode_taps(config, rels, m_init)
-        if config.window_mode and i15_common is None:
-            i15_common = i15
-        i16.append(idx)
-        abs_taps = [(ref + rel) % config.n3 for rel in rels]
-        # coefficient tensor (2L, Mv, Q): tap index then shift index
-        coef = np.stack([sub[tau][abs_taps].T for tau in range(len(shifts))],
-                        axis=-1)
-        bm, kk1, kk2, cc, star = _quantize_r16_grid(
-            coef, l, config.k0, budget_left, _R16_WB_AMPS, _R16_SB_AMPS, 16,
-            star_slots[:, :len(shifts)].reshape(-1))
-        budget_left -= int(bm.sum())
-        bitmap[layer], k1[layer], k2[layer], c[layer] = bm, kk1, kk2, cc
-        # star multi-index over the (Mv*Q) tail: tail order is (f, tau)
-        _, tau_star = np.unravel_index(star[1], (mv, len(shifts)))
-        i18.append(type2_r18.encode_strongest(config, bitmap[layer], star[0],
-                                              int(tau_star)))
-    i15_field = (i15_common if config.window_mode else None)
-    return type2_r18.R18Pmi(i11, i12, i15_field, tuple(i16), tuple(i18),
-                            tuple(i110) if config.n4 > 1 else None,
-                            bitmap, k1, k2, c)
+    # M = 1 keeps tap 0, a window of 2 fixes the taps to (0, 1); a wider
+    # window reports the strongest second tap in i16
+    taps, i16 = tuple(range(config.m)), None
+    if config.i16_reported:
+        tap_energy = (np.abs(spectrum) ** 2).sum(axis=(0, 2))[:config.window]
+        i16 = int(np.argmax(tap_energy[1:]))
+        taps = (0, i16 + 1)
+    coefs = [spectrum[layer][list(taps)].T[..., None]    # (K1, M, 1)
+             for layer in range(config.rank)]
+    return type2_r17.R17Pmi(i12, i16, *_quantize_layers(config, coefs))
 
 
 # ---------------------------------------------------------------------------

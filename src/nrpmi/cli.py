@@ -13,17 +13,19 @@ Exit codes: 0 success, 1 validation failure, 2 usage or configuration error.
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel_sim, overhead, type1, type2_r15, type2_r16, type2_r17, type2_r18
 from .bases import ArrayGeometry
 from .beamforming import mu_beamformer, user_rates
+from .enhanced import PORT_SELECTION, REGULAR
 from .errors import CodebookError
-
-RELEASES = ("r15-type1", "r15-type2", "r15-ps", "r16", "r16-ps", "r17-ps", "r18")
 
 VECTOR_TOLERANCE = 1e-9
 
@@ -37,51 +39,27 @@ def _geom(cfg: dict) -> ArrayGeometry:
     return ArrayGeometry(cfg["n1"], cfg["n2"], cfg["o1"], cfg["o2"])
 
 
-def build_release_config(release: str, cfg: dict):
-    """Instantiate the release's config object from the flat key set."""
-    if release == "r15-type1":
-        return type1.Type1Config(_geom(cfg), mode=cfg.get("mode", 1),
-                                 rank=cfg.get("rank", 1),
-                                 subband_count=cfg.get("subband_count", 1))
-    if release == "r15-type2":
-        return type2_r15.T2R15Config(
-            l=cfg.get("l", 2), n_psk=cfg.get("n_psk", 8),
-            subband_amplitude=cfg.get("subband_amplitude", True),
-            rank=cfg.get("rank", 1),
-            subband_count=cfg.get("subband_count", 1),
-            variant=type2_r15.REGULAR, geom=_geom(cfg))
-    if release == "r15-ps":
-        return type2_r15.T2R15Config(
-            l=cfg.get("l", 2), n_psk=cfg.get("n_psk", 8),
-            subband_amplitude=cfg.get("subband_amplitude", True),
-            rank=cfg.get("rank", 1),
-            subband_count=cfg.get("subband_count", 1),
-            variant=type2_r15.PORT_SELECTION,
-            p_csirs=cfg["p_csirs"], d=cfg.get("d", 1))
-    if release == "r16":
-        return type2_r16.R16Config(
-            param_combination=cfg["param_combination"], r=cfg.get("r", 1),
-            n3=cfg["n3"], rank=cfg.get("rank", 1),
-            variant=type2_r16.REGULAR, geom=_geom(cfg))
-    if release == "r16-ps":
-        return type2_r16.R16Config(
-            param_combination=cfg["param_combination"], r=cfg.get("r", 1),
-            n3=cfg["n3"], rank=cfg.get("rank", 1),
-            variant=type2_r16.PORT_SELECTION,
-            p_csirs=cfg["p_csirs"], d=cfg.get("d", 1))
-    if release == "r17-ps":
-        return type2_r17.R17Config(
-            p_csirs=cfg["p_csirs"],
-            param_combination=cfg.get("alpha_combo",
-                                      cfg.get("param_combination")),
-            n3=cfg["n3"], n_threshold=cfg.get("n_threshold", 2),
-            rank=cfg.get("rank", 1))
-    if release == "r18":
-        return type2_r18.R18Config(
-            geom=_geom(cfg), param_combination=cfg["param_combination"],
-            r=cfg.get("r", 1), n3=cfg["n3"], n4=cfg.get("n4", 1),
-            rank=cfg.get("rank", 1), d_slots=cfg.get("d_slots", 1))
-    raise CodebookError(f"unknown release {release!r}")
+def _array(cfg: dict) -> dict:
+    return {"variant": REGULAR, "geom": _geom(cfg)}
+
+
+def _ports(cfg: dict) -> dict:
+    return {"variant": PORT_SELECTION, "p_csirs": cfg["p_csirs"],
+            "d": cfg.get("d", 1)}
+
+
+def _r15_config(spatial):
+    return lambda cfg: type2_r15.T2R15Config(
+        l=cfg.get("l", 2), n_psk=cfg.get("n_psk", 8),
+        subband_amplitude=cfg.get("subband_amplitude", True),
+        rank=cfg.get("rank", 1), subband_count=cfg.get("subband_count", 1),
+        **spatial(cfg))
+
+
+def _r16_config(spatial):
+    return lambda cfg: type2_r16.R16Config(
+        param_combination=cfg["param_combination"], r=cfg.get("r", 1),
+        n3=cfg["n3"], rank=cfg.get("rank", 1), **spatial(cfg))
 
 
 def _random_type1_pmi(config, rng):
@@ -95,33 +73,93 @@ def _random_type1_pmi(config, rng):
         i13=i13)
 
 
+def _per_subband(precoder, config, pmi) -> np.ndarray:
+    """Subband precoders as (subband, 1, port, layer)."""
+    return np.stack([precoder(config, pmi, sb)
+                     for sb in range(config.subband_count)])[:, None]
+
+
+@dataclass(frozen=True)
+class Release:
+    """How the CLI handles one codebook.  The callables look the codebook's
+    functions up when called, so a wrapped module function is seen."""
+
+    build: Callable      # flat config keys -> config object
+    pmi: type            # report dataclass, rebuilt from its JSON fields
+    sample: Callable     # (config, rng) -> random valid report
+    precoders: Callable  # (config, report) -> (t, iota, port, layer)
+    serialize: Callable | None = None   # (config, report) -> bit string
+
+
+_R15 = dict(
+    pmi=type2_r15.T2R15Pmi,
+    sample=lambda config, rng: type2_r15.random_valid_pmi(config, rng),
+    precoders=lambda config, pmi: _per_subband(type2_r15.reconstruct,
+                                               config, pmi),
+    serialize=lambda config, pmi: type2_r15.serialize_pmi(config, pmi))
+_R16 = dict(
+    pmi=type2_r16.R16Pmi,
+    sample=lambda config, rng: type2_r16.random_valid_pmi(config, rng),
+    precoders=lambda config, pmi: type2_r16.reconstruct_all(config,
+                                                            pmi)[:, None],
+    serialize=lambda config, pmi: type2_r16.serialize_pmi(config, pmi))
+
+RELEASES = {
+    "r15-type1": Release(
+        build=lambda cfg: type1.Type1Config(
+            _geom(cfg), mode=cfg.get("mode", 1), rank=cfg.get("rank", 1),
+            subband_count=cfg.get("subband_count", 1)),
+        pmi=type1.Type1Pmi,
+        sample=_random_type1_pmi,
+        precoders=lambda config, pmi: _per_subband(type1.build_precoder,
+                                                   config, pmi)),
+    "r15-type2": Release(build=_r15_config(_array), **_R15),
+    "r15-ps": Release(build=_r15_config(_ports), **_R15),
+    "r16": Release(build=_r16_config(_array), **_R16),
+    "r16-ps": Release(build=_r16_config(_ports), **_R16),
+    "r17-ps": Release(
+        build=lambda cfg: type2_r17.R17Config(
+            p_csirs=cfg["p_csirs"],
+            param_combination=cfg.get("alpha_combo",
+                                      cfg.get("param_combination")),
+            n3=cfg["n3"], n_threshold=cfg.get("n_threshold", 2),
+            rank=cfg.get("rank", 1)),
+        pmi=type2_r17.R17Pmi,
+        sample=lambda config, rng: type2_r17.random_valid_pmi(config, rng),
+        precoders=lambda config, pmi: type2_r17.reconstruct_all(config,
+                                                                pmi)[:, None],
+        serialize=lambda config, pmi: type2_r17.serialize_pmi(config, pmi)),
+    "r18": Release(
+        build=lambda cfg: type2_r18.R18Config(
+            geom=_geom(cfg), param_combination=cfg["param_combination"],
+            r=cfg.get("r", 1), n3=cfg["n3"], n4=cfg.get("n4", 1),
+            rank=cfg.get("rank", 1)),
+        pmi=type2_r18.R18Pmi,
+        sample=lambda config, rng: type2_r18.random_valid_pmi(config, rng),
+        precoders=lambda config, pmi: type2_r18.reconstruct_all(config, pmi),
+        serialize=lambda config, pmi: type2_r18.serialize_pmi(config, pmi)),
+}
+
+
+def _release(name: str) -> Release:
+    try:
+        return RELEASES[name]
+    except KeyError:
+        raise CodebookError(f"unknown release {name!r}") from None
+
+
+def build_release_config(release: str, cfg: dict):
+    """Instantiate the release's config object from the flat key set."""
+    return _release(release).build(cfg)
+
+
 def sample_pmi(release: str, config, rng):
-    if release == "r15-type1":
-        return _random_type1_pmi(config, rng)
-    if release in ("r15-type2", "r15-ps"):
-        return type2_r15.random_valid_pmi(config, rng)
-    if release in ("r16", "r16-ps"):
-        return type2_r16.random_valid_pmi(config, rng)
-    if release == "r17-ps":
-        return type2_r17.random_valid_pmi(config, rng)
-    return type2_r18.random_valid_pmi(config, rng)
+    return _release(release).sample(config, rng)
 
 
 def expected_precoders(release: str, config, pmi) -> np.ndarray:
     """Precoders indexed (t, iota, port, layer)."""
-    if release == "r15-type1":
-        ws = np.stack([type1.build_precoder(config, pmi, sb)
-                       for sb in range(config.subband_count)])
-        return ws[:, None]
-    if release in ("r15-type2", "r15-ps"):
-        ws = np.stack([type2_r15.reconstruct(config, pmi, sb)
-                       for sb in range(config.subband_count)])
-        return ws[:, None]
-    if release in ("r16", "r16-ps"):
-        return type2_r16.reconstruct_all(config, pmi)[:, None]
-    if release == "r17-ps":
-        return type2_r17.reconstruct_all(config, pmi)[:, None]
-    return type2_r18.reconstruct_all(config, pmi)
+    return _release(release).precoders(config, pmi)
 
 
 def pmi_to_fields(pmi) -> dict:
@@ -138,171 +176,25 @@ def pmi_to_fields(pmi) -> dict:
 
 
 def fields_to_pmi(release: str, fields: dict):
-    def arr(key):
-        return np.asarray(fields[key], dtype=int)
-
-    if release == "r15-type1":
-        return type1.Type1Pmi(i11=fields["i11"], i12=fields["i12"],
-                              i2=tuple(fields["i2"]), i13=fields["i13"])
-    if release in ("r15-type2", "r15-ps"):
-        i11 = fields["i11"]
-        return type2_r15.T2R15Pmi(
-            i11=tuple(i11) if isinstance(i11, list) else i11,
-            i12=fields["i12"], i13=tuple(fields["i13"]),
-            k1=arr("k1"), k2=arr("k2"), c=arr("c"))
-    if release in ("r16", "r16-ps"):
-        i11 = fields["i11"]
-        return type2_r16.R16Pmi(
-            i11=tuple(i11) if isinstance(i11, list) else i11,
-            i12=fields["i12"], i15=fields["i15"], i16=tuple(fields["i16"]),
-            i18=tuple(fields["i18"]), bitmap=arr("bitmap").astype(np.int8),
-            k1=arr("k1"), k2=arr("k2"), c=arr("c"))
-    if release == "r17-ps":
-        return type2_r17.R17Pmi(
-            i12=fields["i12"], i16=fields["i16"], i18=tuple(fields["i18"]),
-            bitmap=arr("bitmap").astype(np.int8), k1=arr("k1"), k2=arr("k2"),
-            c=arr("c"))
-    return type2_r18.R18Pmi(
-        i11=tuple(fields["i11"]), i12=fields["i12"], i15=fields["i15"],
-        i16=tuple(fields["i16"]), i18=tuple(fields["i18"]),
-        i110=tuple(fields["i110"]) if fields["i110"] is not None else None,
-        bitmap=arr("bitmap").astype(np.int8), k1=arr("k1"), k2=arr("k2"),
-        c=arr("c"))
+    """Inverse of pmi_to_fields: coefficient arrays back to integer arrays
+    (the bitmap as int8), lists back to tuples."""
+    pmi_type = _release(release).pmi
+    values = {}
+    for field in dataclasses.fields(pmi_type):
+        value = fields[field.name]
+        if field.name in ("bitmap", "k1", "k2", "c"):
+            value = np.asarray(value, dtype=int)
+            if field.name == "bitmap":
+                value = value.astype(np.int8)
+        elif isinstance(value, list):
+            value = tuple(value)
+        values[field.name] = value
+    return pmi_type(**values)
 
 
 def _complex_to_pairs(ws: np.ndarray) -> list:
     stacked = np.stack([ws.real, ws.imag], axis=-1)
     return stacked.tolist()
-
-
-# ---------------------------------------------------------------------------
-# PMI bit serialization (overhead cross-checks)
-
-def _bits(value: int, width: int) -> str:
-    if width == 0:
-        return ""
-    if not 0 <= value < (1 << width):
-        raise CodebookError(f"value {value} does not fit in {width} bits")
-    return format(value, f"0{width}b")
-
-
-def _clog2(x: int) -> int:
-    import math
-    return math.ceil(math.log2(x)) if x > 1 else 0
-
-
-def serialize_pmi(release: str, config, pmi) -> str:
-    """Concatenate the report's fields MSB-first, i1 elements then i2.
-
-    Field widths follow the reporting rules (unreported coefficients carry
-    no bits); reported coefficient lists run over taps (and shifts) in the
-    bitmap order, skipping the strongest coefficient.
-    """
-    from .combinadics import binomial
-
-    out = []
-    if release in ("r15-type2", "r15-ps"):
-        two_l = 2 * config.l
-        if release == "r15-type2":
-            g = config.geom
-            out.append(_bits(pmi.i11[0] * g.o2 + pmi.i11[1],
-                             _clog2(g.o1 * g.o2)))
-            out.append(_bits(pmi.i12, _clog2(binomial(g.n1 * g.n2, config.l))))
-        else:
-            out.append(_bits(pmi.i11, _clog2(config.i11_count)))
-        for layer in range(config.rank):
-            out.append(_bits(pmi.i13[layer], _clog2(two_l)))
-            for i in range(two_l):
-                if i != pmi.i13[layer]:
-                    out.append(_bits(int(pmi.k1[layer, i]), 3))
-        for layer in range(config.rank):
-            mask = type2_r15.reporting_mask(config, pmi, layer)
-            for sb in range(config.subband_count):
-                for i in range(two_l):
-                    a = int(mask.phase_alphabet[i])
-                    if a:
-                        out.append(_bits(int(pmi.c[layer, sb, i]), _clog2(a)))
-            if config.subband_amplitude:
-                for sb in range(config.subband_count):
-                    for i in range(two_l):
-                        if mask.k2_reported[i]:
-                            out.append(_bits(int(pmi.k2[layer, sb, i]), 1))
-        return "".join(out)
-
-    if release in ("r16", "r16-ps", "r18"):
-        two_l = 2 * config.l
-        g = config.geom if release != "r16-ps" else None
-        if release == "r16-ps":
-            out.append(_bits(pmi.i11, _clog2(-(-config.p_csirs
-                                               // (2 * config.d)))))
-        else:
-            out.append(_bits(pmi.i11[0] * g.o2 + pmi.i11[1],
-                             _clog2(g.o1 * g.o2)))
-            out.append(_bits(pmi.i12, _clog2(binomial(g.n1 * g.n2, config.l))))
-        if config.window_mode:
-            out.append(_bits(pmi.i15, _clog2(2 * config.mv)))
-        for layer in range(config.rank):
-            out.append(_bits(pmi.i16[layer], _clog2(config.i16_count)))
-        for layer in range(config.rank):
-            # bitmap: tap-major (and shift-major for r18), beams ascending
-            flat = pmi.bitmap[layer].transpose(*range(1, pmi.bitmap[layer].ndim),
-                                               0).reshape(-1)
-            out.append("".join(str(int(b)) for b in flat))
-        i18_width = _clog2(two_l * (config.q if release == "r18" else 1))
-        for layer in range(config.rank):
-            out.append(_bits(pmi.i18[layer], i18_width))
-        if release == "r18" and config.n4 > 1:
-            for layer in range(config.rank):
-                out.append(_bits(pmi.i110[layer], _clog2(config.n4 - 1)))
-        _serialize_r16_style_i2(out, config, pmi, release)
-        return "".join(out)
-
-    if release == "r17-ps":
-        if config.alpha < 1.0:
-            out.append(_bits(pmi.i12,
-                             _clog2(binomial(config.p_csirs // 2, config.l))))
-        if config.i16_reported:
-            out.append(_bits(pmi.i16, _clog2(config.window - 1)))
-        for layer in range(config.rank):
-            flat = pmi.bitmap[layer].T.reshape(-1)
-            out.append("".join(str(int(b)) for b in flat))
-        for layer in range(config.rank):
-            out.append(_bits(pmi.i18[layer],
-                             _clog2(config.k1_beams * config.m)))
-        _serialize_r16_style_i2(out, config, pmi, "r17-ps")
-        return "".join(out)
-    raise CodebookError(f"unknown release {release!r}")
-
-
-def _serialize_r16_style_i2(out: list, config, pmi, release: str) -> None:
-    if release == "r17-ps":
-        star = [type2_r17.strongest_position(config, pmi, layer)
-                for layer in range(config.rank)]
-    elif release == "r18":
-        star = [type2_r18.strongest_coefficient(config, pmi, layer)
-                for layer in range(config.rank)]
-    else:
-        star = [(type2_r16.strongest_beam(config, pmi, layer),)
-                for layer in range(config.rank)]
-    for layer in range(config.rank):
-        p_star = star[layer][0] // config.l
-        out.append(_bits(int(pmi.k1[layer, 1 - p_star]), 4))
-    for field, width in (("k2", 3), ("c", 4)):
-        for layer in range(config.rank):
-            values = getattr(pmi, field)[layer]
-            bitmap = pmi.bitmap[layer]
-            star_idx = _star_cell(release, star[layer], config)
-            for cell in np.ndindex(*bitmap.shape):
-                if bitmap[cell] and cell != star_idx:
-                    out.append(_bits(int(values[cell]), width))
-
-
-def _star_cell(release: str, star, config):
-    if release == "r17-ps":
-        return (star[0], star[1])
-    if release == "r18":
-        return (star[0], 0, star[1])
-    return (star[0], 0)
 
 
 def cmd_gen_vectors(args) -> int:
@@ -363,10 +255,10 @@ def cmd_overhead(args) -> int:
     releases = [args.release] if args.release else \
         ["r15-type2", "r16", "r18"]
     rows = []
-    for release in releases:
+    for name in releases:
         for l in (1, 2, 3, 4):
             cfg = overhead.OverheadConfig(
-                release=release, l=l, rank=2, n1n2=16, o1o2=4, n3=18,
+                release=name, l=l, rank=2, n1n2=16, o1o2=4, n3=18,
                 subband_count=18, n4=4, q=2, mv=5, n_psk=4, k2_cap=6, k_nz=20)
             rows.extend(overhead.overhead_rows(cfg))
     with open(args.out, "w", newline="") as fh:

@@ -16,6 +16,22 @@ from collections.abc import Sequence
 from .errors import DomainError, FormatError
 
 
+def clog2(x: int) -> int:
+    """Bit width ceil(log2(x)) of a field taking x values (0 for one value)."""
+    if x < 1:
+        raise DomainError(f"cannot take log2 of {x}")
+    return math.ceil(math.log2(x)) if x > 1 else 0
+
+
+def field_bits(value: int, width: int) -> str:
+    """``value`` as ``width`` bits, MSB first."""
+    if width == 0:
+        return ""
+    if not 0 <= value < (1 << width):
+        raise FormatError(f"value {value} does not fit in {width} bits")
+    return format(value, f"0{width}b")
+
+
 def binomial(x: int, y: int) -> int:
     """C(x, y), extended with C(x, y) = 0 whenever x < y.
 

@@ -1,0 +1,527 @@
+"""Enhanced Type II core shared by the Rel-16, Rel-17 and Rel-18 codebooks.
+
+All three compress a layer's combination weights into a coefficient grid of
+shape (K, Mv, Q): K = 2L beams (or K1 ports) over both polarizations, Mv
+delay taps and, for Rel-18, Q Doppler shifts.  A bitmap marks the reported
+entries; each carries a 3-bit amplitude and a 4-bit phase, scaled by one
+wideband amplitude per polarization.  The strongest coefficient is the
+normalization reference (k1 = 15, k2 = 7, c = 0) and i_1,8 locates it.
+
+Rel-16 and Rel-17 reports store the grid without its shift axis (Q = 1);
+``grid`` restores it.  A release module decodes its own index fields into
+the spatial basis, the taps and the shifts, and ``synthesize`` combines
+them.  Two synthesis kernels keep every release bit-exact with its own
+arithmetic: a space-frequency product for reports without a shift axis and
+a Tucker contraction for Rel-18 (N4 = 1 included).
+
+The spatial-basis part (``SpatialConfig``, ``selected_beams``,
+``draw_beams``, ``beam_fields``) also serves the Rel-15 Type II codebook,
+whose beam selection the enhanced releases inherit.
+"""
+
+import itertools
+import math
+
+import numpy as np
+
+from . import quantization as qt
+from .bases import orthogonal_group, port_selection_basis
+from .combinadics import (
+    binomial,
+    clog2,
+    decode_combination,
+    encode_combination,
+    field_bits,
+    split_beam_index,
+)
+from .errors import (
+    BudgetError,
+    ConsistencyError,
+    DegenerateReportError,
+    DomainError,
+    FormatError,
+)
+
+REGULAR = "regular"
+PORT_SELECTION = "port-selection"
+
+# grid axis along which the strongest coefficient may move: any tap at
+# shift 0 (Rel-17), or any shift at the remapped tap 0 (Rel-16/18)
+TAP_AXIS, SHIFT_AXIS = 1, 2
+
+N_PSK16 = 16
+WB_AMPS = np.array([0.0] + [qt.amp_r16_wideband(k) for k in range(1, 16)])
+SB_AMPS = np.array([qt.amp_r16_subband(k) for k in range(8)])
+
+
+def compute_mv(p_v: float, n3: int, r: int) -> int:
+    """Number of selected delay taps Mv = ceil(p_v * N3 / R)."""
+    return math.ceil(p_v * n3 / r)
+
+
+class SpatialConfig:
+    """The spatial basis of a Type II config: ``variant`` with ``geom``
+    (regular DFT beams) or with ``p_csirs`` and ``d`` (port selection)."""
+
+    def check_variant(self) -> None:
+        if self.variant == REGULAR:
+            if self.geom is None:
+                raise DomainError("regular variant requires an array geometry")
+        elif self.variant == PORT_SELECTION:
+            if self.p_csirs is None or self.d is None:
+                raise DomainError("port-selection variant requires p_csirs and d")
+            if not 1 <= self.d <= min(self.p_csirs // 2, self.l):
+                raise DomainError(
+                    f"portSelectionSamplingSize d={self.d} outside "
+                    f"[1, min(P/2, L)={min(self.p_csirs // 2, self.l)}]")
+        else:
+            raise DomainError(f"unknown variant {self.variant!r}")
+
+    @property
+    def n_ports(self) -> int:
+        return self.geom.n_ports if self.variant == REGULAR else self.p_csirs
+
+
+class CompressedConfig(SpatialConfig):
+    """Sizes derived from a parameter table of (L, p_v for ranks 1-2, p_v
+    for ranks 3-4, beta) rows, shared by the Rel-16 and Rel-18 configs.
+
+    A subclass sets ``PARAMS`` and ``PARAM_NAME`` and has the fields
+    ``param_combination``, ``r``, ``n3`` and ``rank``.
+    """
+
+    strongest_axis = SHIFT_AXIS
+
+    def check_params(self) -> None:
+        if self.param_combination not in self.PARAMS:
+            raise DomainError(f"{self.PARAM_NAME} {self.param_combination} "
+                              f"outside [1, {len(self.PARAMS)}]")
+        if self.r not in (1, 2):
+            raise DomainError(f"R={self.r} not in {{1, 2}}")
+        if not 3 <= self.n3 <= 36:
+            raise DomainError(f"N3={self.n3} outside [3, 36]")
+        if not 1 <= self.rank <= 4:
+            raise DomainError(f"rank {self.rank} outside [1, 4]")
+        if self.rank > 2 and self.PARAMS[self.param_combination][2] is None:
+            raise DomainError(f"{self.PARAM_NAME} {self.param_combination} "
+                              "forbids rank > 2")
+
+    @property
+    def l(self) -> int:
+        return self.PARAMS[self.param_combination][0]
+
+    @property
+    def beta(self) -> float:
+        return self.PARAMS[self.param_combination][3]
+
+    def p_v(self, rank: int | None = None) -> float:
+        rank = self.rank if rank is None else rank
+        value = self.PARAMS[self.param_combination][1 if rank <= 2 else 2]
+        if value is None:
+            raise DomainError("rank > 2 not supported by this combination")
+        return value
+
+    @property
+    def mv(self) -> int:
+        return compute_mv(self.p_v(), self.n3, self.r)
+
+    @property
+    def m1(self) -> int:
+        return compute_mv(self.p_v(1), self.n3, self.r)
+
+    @property
+    def window_mode(self) -> bool:
+        """True when the two-level (i15 + window) tap indication applies."""
+        return self.n3 > 19
+
+    @property
+    def i16_count(self) -> int:
+        if self.mv == 1:
+            return 1
+        if self.window_mode:
+            return binomial(2 * self.mv - 1, self.mv - 1)
+        return binomial(self.n3 - 1, self.mv - 1)
+
+
+def grid(a: np.ndarray) -> np.ndarray:
+    """View a report array (rank, K, Mv[, Q]) as (rank, K, Mv, Q)."""
+    return a if a.ndim == 4 else a[..., None]
+
+
+# ---------------------------------------------------------------------------
+# spatial basis: i11/i12 (regular) or a block of ports (port selection)
+
+def port_beams(p_csirs: int, ports) -> np.ndarray:
+    """The selected ports as a (P/2, L) matrix of standard basis vectors."""
+    return np.column_stack([port_selection_basis(p_csirs, d) for d in ports])
+
+
+def selected_beams(config, pmi) -> np.ndarray:
+    """The L spatial basis vectors as a (P/2, L) matrix."""
+    if config.variant == REGULAR:
+        g = config.geom
+        q1, q2 = pmi.i11
+        group = orthogonal_group(g, q1, q2)
+        return group[:, list(decode_combination(pmi.i12, g.n1 * g.n2,
+                                                config.l))]
+    start = pmi.i11 * config.d
+    return port_beams(config.p_csirs, range(start, start + config.l))
+
+
+def beam_grid_indices(config, pmi) -> list[tuple[int, int]]:
+    """Oversampled grid coordinates (l, m) of the L regular beams."""
+    g = config.geom
+    q1, q2 = pmi.i11
+    out = []
+    for flat in decode_combination(pmi.i12, g.n1 * g.n2, config.l):
+        x1, x2 = split_beam_index(flat, g.n1)
+        out.append((g.o1 * x1 + q1, g.o2 * x2 + q2))
+    return out
+
+
+def spatial_gain(config) -> int:
+    """Squared norm of a spatial basis vector: N1*N2 for DFT beams."""
+    return config.geom.n1 * config.geom.n2 if config.variant == REGULAR else 1
+
+
+def draw_beams(config, rng: np.random.Generator):
+    """Random (i11, i12) for the regular or the port-selection variant."""
+    if config.variant == REGULAR:
+        g = config.geom
+        i11 = (int(rng.integers(g.o1)), int(rng.integers(g.o2)))
+        return i11, int(rng.integers(binomial(g.n1 * g.n2, config.l)))
+    max_start = config.p_csirs // 2 - config.l
+    return int(rng.integers(max_start // config.d + 1)), None
+
+
+def beam_fields(config, pmi) -> list[tuple[int, int]]:
+    """(value, bit width) of i11 and i12."""
+    if config.variant == REGULAR:
+        g = config.geom
+        return [(pmi.i11[0] * g.o2 + pmi.i11[1], clog2(g.o1 * g.o2)),
+                (pmi.i12, clog2(binomial(g.n1 * g.n2, config.l)))]
+    return [(pmi.i11, clog2(-(-config.p_csirs // (2 * config.d))))]
+
+
+# ---------------------------------------------------------------------------
+# two-level tap indication: i15 (window start) and i16 (taps per layer)
+
+def m_initial(config, pmi) -> int:
+    """Window start M_initial decoded from i15; 0 unless N3 > 19."""
+    if not config.window_mode:
+        if pmi.i15 is not None:
+            raise FormatError("i_1,5 must be absent when N3 <= 19")
+        return 0
+    if pmi.i15 is None or not 0 <= pmi.i15 < 2 * config.mv:
+        raise FormatError(f"i_1,5={pmi.i15} outside [0, {2 * config.mv})")
+    return 0 if pmi.i15 == 0 else pmi.i15 - 2 * config.mv
+
+
+def decode_taps(config, pmi, layer: int) -> tuple[int, ...]:
+    """Tap indices n3^(0..Mv-1); n3^(0) = 0 is the (remapped) strongest tap."""
+    mv = config.mv
+    m_init = m_initial(config, pmi)
+    i16 = pmi.i16[layer]
+    if not 0 <= i16 < config.i16_count:
+        raise FormatError(f"i_1,6={i16} outside [0, {config.i16_count})")
+    if mv == 1:
+        return (0,)
+    if not config.window_mode:
+        rest = decode_combination(i16, config.n3 - 1, mv - 1)
+        return (0,) + tuple(t + 1 for t in rest)
+    rest = decode_combination(i16, 2 * mv - 1, mv - 1)
+    taps = [0]
+    for t in rest:
+        n = t + 1
+        taps.append(n if n <= m_init + 2 * mv - 1 else n + config.n3 - 2 * mv)
+    return tuple(taps)
+
+
+def encode_taps(config, taps, m_init: int = 0) -> tuple[int, int | None]:
+    """Inverse of decode_taps: (i16, i15); taps[0] must be 0."""
+    mv = config.mv
+    taps = list(taps)
+    if len(taps) != mv or taps[0] != 0:
+        raise DomainError(f"need {mv} taps starting at 0, got {taps}")
+    if mv == 1:
+        return 0, (0 if config.window_mode else None)
+    if not config.window_mode:
+        return encode_combination([t - 1 for t in taps[1:]], config.n3 - 1,
+                                  mv - 1), None
+    raw = []
+    for t in taps[1:]:
+        n = window_raw(t, m_init, mv, config.n3)
+        if not 1 <= n <= 2 * mv - 1:
+            raise DomainError(f"tap {t} outside the window at M_initial={m_init}")
+        raw.append(n - 1)
+    i15 = 0 if m_init == 0 else m_init + 2 * mv
+    return encode_combination(sorted(raw), 2 * mv - 1, mv - 1), i15
+
+
+def window_raw(tap: int, m_init: int, mv: int, n3: int) -> int:
+    """Pre-adjustment value n of a tap inside the i15 window."""
+    return tap if tap <= m_init + 2 * mv - 1 else tap - (n3 - 2 * mv)
+
+
+def remap_taps(taps, f_star: int, n3: int) -> tuple[int, ...]:
+    """Renumber taps so the strongest (position f_star) becomes tap 0 at f=0."""
+    mv = len(taps)
+    out = [0] * mv
+    for f, t in enumerate(taps):
+        out[(f - f_star) % mv] = (t - taps[f_star]) % n3
+    return tuple(out)
+
+
+def draw_taps(config, rng: np.random.Generator):
+    """Random (i15, i16)."""
+    mv = config.mv
+    i15 = int(rng.integers(2 * mv)) if config.window_mode and mv > 1 else (
+        0 if config.window_mode else None)
+    return i15, tuple(int(rng.integers(config.i16_count))
+                      for _ in range(config.rank))
+
+
+def tap_fields(config, pmi) -> list[tuple[int, int]]:
+    """(value, bit width) of i15 (window mode only) and each layer's i16."""
+    head = [(pmi.i15, clog2(2 * config.mv))] if config.window_mode else []
+    return head + [(i16, clog2(config.i16_count)) for i16 in pmi.i16]
+
+
+# ---------------------------------------------------------------------------
+# the strongest coefficient: i_1,8
+
+def _plane(config, layer_grid: np.ndarray) -> np.ndarray:
+    """The (K, S) cells that may hold the strongest coefficient."""
+    g = layer_grid.reshape(layer_grid.shape[:2] + (-1,))
+    return g[:, :, 0] if config.strongest_axis == TAP_AXIS else g[:, 0, :]
+
+
+def strongest_cell(config, i: int, s: int) -> tuple:
+    """Grid cell (i, f, tau) of the strongest coefficient (i*, s*)."""
+    return (i, s, 0) if config.strongest_axis == TAP_AXIS else (i, 0, s)
+
+
+def _prefix_coded(config) -> bool:
+    # with the strongest tap pinned to 0, rank 1 sends i18 as a position
+    # among the reported coefficients of that plane, in (s, i) order
+    return config.rank == 1 and config.strongest_axis == SHIFT_AXIS
+
+
+def strongest(config, pmi, layer: int) -> tuple[int, int]:
+    """Decode i_1,8 into (i*, s*): the beam and the tap (Rel-17) or the
+    shift (Rel-16/18, s* = 0 without a shift axis) of the strongest
+    coefficient."""
+    i18 = pmi.i18[layer]
+    plane = _plane(config, pmi.bitmap[layer])
+    if _prefix_coded(config):
+        col = np.flatnonzero(plane.T)
+        if not 0 <= i18 < col.size:
+            raise FormatError(f"i_1,8={i18} has no matching set bit at tap 0")
+        i18 = int(col[i18])
+    elif not 0 <= i18 < plane.size:
+        raise FormatError(f"i_1,8={i18} outside [0, {plane.size})")
+    return i18 % plane.shape[0], i18 // plane.shape[0]
+
+
+def encode_strongest(config, bitmap_layer: np.ndarray, i_star: int,
+                     s_star: int = 0) -> int:
+    """i_1,8 for one layer whose strongest coefficient is (i*, s*)."""
+    flat = bitmap_layer.shape[0] * s_star + i_star
+    if not _prefix_coded(config):
+        return flat
+    return int(_plane(config, bitmap_layer).T.reshape(-1)[:flat + 1].sum()) - 1
+
+
+# ---------------------------------------------------------------------------
+# validation, coefficients, synthesis
+
+def validate_budget(config, pmi, layer_fields) -> None:
+    """Reject a report whose per-layer fields (named by ``layer_fields``)
+    or coefficient arrays are malformed, out of range, inconsistent with
+    the strongest coefficient, or over the nonzero-coefficient budget."""
+    rank = config.rank
+    for name in layer_fields:
+        value = getattr(pmi, name)
+        if value is not None and (not isinstance(value, tuple)
+                                  or len(value) != rank):
+            raise FormatError(f"{name} must hold one entry per layer")
+    shape = config.coef_shape
+    for name in ("bitmap", "k2", "c"):
+        if np.shape(getattr(pmi, name)) != shape:
+            raise FormatError(f"{name} must have shape {shape}")
+    if np.shape(pmi.k1) != (rank, 2):
+        raise FormatError(f"k1 must have shape ({rank}, 2)")
+    on = pmi.bitmap == 1
+    off = pmi.bitmap == 0
+    if not (on | off).all():
+        raise FormatError("bitmap entries must be 0 or 1")
+    k0 = config.k0
+    k_nz = on.reshape(rank, -1).sum(axis=1)
+    if (k_nz > k0).any():
+        layer = int(np.argmax(k_nz > k0))
+        raise BudgetError(f"layer {layer}: K_NZ={k_nz[layer]} exceeds K0={k0}")
+    if k_nz.sum() > 2 * k0:
+        raise BudgetError(f"total K_NZ={k_nz.sum()} exceeds 2*K0={2 * k0}")
+    if ((pmi.k1 < 1) | (pmi.k1 > 15)).any():
+        raise DomainError("k1 outside [1, 15]")
+    if (on & ((pmi.k2 < 0) | (pmi.k2 > 7))).any():
+        raise DomainError("k2 outside [0, 7]")
+    if (on & ((pmi.c < 0) | (pmi.c >= N_PSK16))).any():
+        raise DomainError(f"phase index outside [0, {N_PSK16})")
+    if (off & ((pmi.k2 != 0) | (pmi.c != 0))).any():
+        raise ConsistencyError("unreported coefficients must be zero")
+    bitmap, k2, c = grid(pmi.bitmap), grid(pmi.k2), grid(pmi.c)
+    for layer in range(rank):
+        i_star, s_star = strongest(config, pmi, layer)
+        cell = (layer,) + strongest_cell(config, i_star, s_star)
+        if not bitmap[cell]:
+            raise ConsistencyError("strongest coefficient must be reported")
+        if k2[cell] != 7 or c[cell] != 0:
+            raise ConsistencyError("strongest coefficient must carry k2=7, c=0")
+        if pmi.k1[layer, i_star // config.l] != 15:
+            raise ConsistencyError("strongest polarization must carry k1=15")
+
+
+def layer_coefficients(config, pmi, layer: int) -> np.ndarray:
+    """Complex coefficient grid (K, Mv[, Q]): p1 * p2 * phi, zeros where
+    unreported."""
+    p1 = WB_AMPS[pmi.k1[layer]]          # (2,)
+    p2 = SB_AMPS[pmi.k2[layer]]          # (K, Mv[, Q])
+    phi = np.exp(2j * np.pi * pmi.c[layer] / N_PSK16)
+    pol = np.repeat(p1, config.l).reshape((-1,) + (1,) * (p2.ndim - 1))
+    return pol * p2 * phi * pmi.bitmap[layer]
+
+
+def _dft(n: int, indices) -> np.ndarray:
+    return np.exp(2j * np.pi * np.outer(np.arange(n), indices) / n)
+
+
+def synthesize(config, pmi, v: np.ndarray, taps, shifts=None) -> np.ndarray:
+    """Precoders from the spatial basis ``v`` (P/2, L) and each layer's taps
+    (and shifts).
+
+    Returns (N3, P, rank), or (N3, N4, P, rank) when the report has a shift
+    axis.
+    """
+    l, n3, gain = config.l, config.n3, spatial_gain(config)
+    doppler = pmi.bitmap.ndim == 4
+    points = (n3, config.n4) if doppler else (n3,)
+    out = np.empty(points + (2 * v.shape[0], config.rank), dtype=complex)
+    for layer in range(config.rank):
+        y = _dft(n3, taps[layer])                                  # (N3, Mv)
+        coef = layer_coefficients(config, pmi, layer)
+        if doppler:
+            z = _dft(config.n4, shifts[layer])                     # (N4, Q)
+            ct = np.einsum("ifq,tf,nq->itn", coef, y, z)           # (K,N3,N4)
+        else:
+            ct = coef @ y.T                                        # (K, N3)
+        gamma = (np.abs(ct) ** 2).sum(axis=0)
+        if np.any(gamma <= 1e-12 * gamma.max()):
+            raise DegenerateReportError(
+                f"layer {layer} has zero energy at some frequency unit")
+        if doppler:
+            halves = np.concatenate([np.einsum("pl,ltn->ptn", v, ct[:l]),
+                                     np.einsum("pl,ltn->ptn", v, ct[l:])])
+        else:
+            halves = np.vstack([v @ ct[:l], v @ ct[l:]])           # (P, N3)
+        normed = halves / np.sqrt(gain * gamma)
+        out[..., layer] = normed.transpose(*range(1, normed.ndim), 0)
+    return out / np.sqrt(config.rank)
+
+
+def check_point(config, t: int, iota: int | None = None) -> None:
+    """Range-check a frequency unit (and slot interval)."""
+    if not 0 <= t < config.n3:
+        raise DomainError(f"frequency unit {t} outside [0, {config.n3})")
+    if iota is not None and not 0 <= iota < config.n4:
+        raise DomainError(f"slot interval {iota} outside [0, {config.n4})")
+
+
+# ---------------------------------------------------------------------------
+# random reports
+
+def draw_coefficients(config, rng: np.random.Generator):
+    """Random (i18, bitmap, k1, k2, c) within the budget.
+
+    Per layer: K_NZ, the strongest coefficient (i*, then s* along its free
+    axis; a length-1 axis draws nothing), the other reported cells, then
+    k2 and c per reported cell and the weaker polarization's k1.
+    """
+    rank, k0 = config.rank, config.k0
+    if 2 * k0 < rank:
+        raise BudgetError("budget cannot host one coefficient per layer")
+    shape = config.coef_shape
+    bitmap = np.zeros(shape, dtype=np.int8)
+    k1 = np.ones((rank, 2), dtype=int)
+    k2 = np.zeros(shape, dtype=int)
+    c = np.zeros(shape, dtype=int)
+    g_bitmap, g_k2, g_c = grid(bitmap), grid(k2), grid(c)
+    sizes = g_bitmap.shape[1:]
+    budget_total = 2 * k0
+    i18 = []
+    for layer in range(rank):
+        cap = min(k0, budget_total - (rank - layer - 1))
+        k_nz = int(rng.integers(1, max(2, cap + 1)))
+        budget_total -= k_nz
+        i_star = int(rng.integers(sizes[0]))
+        s_star = int(rng.integers(sizes[config.strongest_axis]))
+        star = strongest_cell(config, i_star, s_star)
+        cells = [cell for cell in itertools.product(*map(range, sizes))
+                 if cell != star]
+        rng.shuffle(cells)
+        for cell in [star] + cells[:k_nz - 1]:
+            g_bitmap[layer][cell] = 1
+            g_k2[layer][cell] = int(rng.integers(8))
+            g_c[layer][cell] = int(rng.integers(N_PSK16))
+        p_star = i_star // config.l
+        k1[layer, p_star] = 15
+        k1[layer, 1 - p_star] = int(rng.integers(1, 16))
+        g_k2[layer][star] = 7
+        g_c[layer][star] = 0
+        i18.append(encode_strongest(config, bitmap[layer], i_star, s_star))
+    return tuple(i18), bitmap, k1, k2, c
+
+
+def redraw(config, draw, reconstruct_all):
+    """Call ``draw()`` until its report is not degenerate (its coefficients
+    cancel at no frequency unit, which would leave the precoder undefined)."""
+    for _ in range(100):
+        pmi = draw()
+        try:
+            reconstruct_all(config, pmi)
+        except DegenerateReportError:
+            continue
+        return pmi
+    raise DegenerateReportError("could not draw a non-degenerate report")
+
+
+# ---------------------------------------------------------------------------
+# bit serialization
+
+def serialize(config, pmi, head, tail=()) -> str:
+    """Report bits, MSB first: the ``head`` fields, each layer's bitmap
+    (tap-major, then shift, beams ascending), each layer's i18, the
+    ``tail`` fields, then i2: the weaker polarization's k1 per layer and
+    the k2, then c, of every reported coefficient but the strongest.
+
+    ``head`` and ``tail`` are the release's other i1 fields as (value, bit
+    width) pairs.
+    """
+    rank = config.rank
+    bitmap, k2, c = grid(pmi.bitmap), grid(pmi.k2), grid(pmi.c)
+    stars = [strongest(config, pmi, layer) for layer in range(rank)]
+    i18_width = clog2(_plane(config, bitmap[0]).size)
+    out = [field_bits(v, w) for v, w in head]
+    out += ["".join(str(int(b)) for b in bitmap[layer].transpose(1, 2, 0).flat)
+            for layer in range(rank)]
+    out += [field_bits(i18, i18_width) for i18 in pmi.i18]
+    out += [field_bits(v, w) for v, w in tail]
+    out += [field_bits(int(pmi.k1[layer, 1 - i // config.l]), 4)
+            for layer, (i, _) in enumerate(stars)]
+    for values, width in ((k2, 3), (c, 4)):
+        for layer, star in enumerate(stars):
+            skip = strongest_cell(config, *star)
+            out += [field_bits(int(values[layer][cell]), width)
+                    for cell in zip(*np.nonzero(bitmap[layer]))
+                    if cell != skip]
+    return "".join(out)

@@ -14,7 +14,7 @@ take the number of priced entries from the subband count.
 import math
 from dataclasses import dataclass, field
 
-from .combinadics import binomial
+from .combinadics import binomial, clog2
 from .errors import DomainError
 
 RELEASES = ("r15-type2", "r15-ps", "r16", "r16-ps", "r17-ps", "r18")
@@ -24,12 +24,6 @@ I1_FIELDS = ("i11", "i12", "i13l", "i14l", "i15", "i16l", "i17l", "i18l",
 I2_FIELDS = ("i21l", "i22l", "i23l", "i24l", "i25l")
 LAYER_FIELDS = {"i13l", "i14l", "i16l", "i17l", "i18l", "i110l", "i21l",
                 "i22l", "i23l"}
-
-
-def _clog2(x: int) -> int:
-    if x < 1:
-        raise DomainError(f"cannot take log2 of {x}")
-    return math.ceil(math.log2(x)) if x > 1 else 0
 
 
 @dataclass(frozen=True)
@@ -65,31 +59,31 @@ def _field_bits_i1(cfg: OverheadConfig, fld: str) -> int | None:
     r = cfg.release
     if fld == "i11":
         if r in ("r15-type2", "r16", "r18"):
-            return _clog2(cfg.o1o2)
+            return clog2(cfg.o1o2)
         if r in ("r15-ps", "r16-ps"):
-            return _clog2(math.ceil(cfg.p_csirs / (2 * cfg.d)))
+            return clog2(math.ceil(cfg.p_csirs / (2 * cfg.d)))
         return None
     if fld == "i12":
         if r in ("r15-type2", "r16", "r18"):
-            return _clog2(binomial(cfg.n1n2, cfg.l))
+            return clog2(binomial(cfg.n1n2, cfg.l))
         if r == "r17-ps":
-            return _clog2(binomial(cfg.p_csirs // 2, cfg.k1_beams // 2))
+            return clog2(binomial(cfg.p_csirs // 2, cfg.k1_beams // 2))
         return None
     if fld == "i13l":
-        return _clog2(2 * cfg.l) if r in ("r15-type2", "r15-ps") else None
+        return clog2(2 * cfg.l) if r in ("r15-type2", "r15-ps") else None
     if fld == "i14l":
         return 3 * (2 * cfg.l - 1) if r in ("r15-type2", "r15-ps") else None
     if fld == "i15":
         if r in ("r16", "r16-ps", "r18"):
-            return _clog2(2 * cfg.mv) if cfg.n3 > 19 else 0
+            return clog2(2 * cfg.mv) if cfg.n3 > 19 else 0
         return None
     if fld == "i16l":
         if r in ("r16", "r16-ps", "r18"):
             if cfg.n3 > 19:
-                return _clog2(binomial(2 * cfg.mv - 1, cfg.mv - 1))
-            return _clog2(binomial(cfg.n3 - 1, cfg.mv - 1))
+                return clog2(binomial(2 * cfg.mv - 1, cfg.mv - 1))
+            return clog2(binomial(cfg.n3 - 1, cfg.mv - 1))
         if r == "r17-ps":
-            return 0 if cfg.m_taps == 1 else _clog2(cfg.n_window - 1)
+            return 0 if cfg.m_taps == 1 else clog2(cfg.n_window - 1)
         return None
     if fld == "i17l":
         if r in ("r16", "r16-ps"):
@@ -101,15 +95,15 @@ def _field_bits_i1(cfg: OverheadConfig, fld: str) -> int | None:
         return None
     if fld == "i18l":
         if r in ("r16", "r16-ps"):
-            return _clog2(2 * cfg.l)
+            return clog2(2 * cfg.l)
         if r == "r17-ps":
-            return _clog2(cfg.k1_beams * cfg.m_taps)
+            return clog2(cfg.k1_beams * cfg.m_taps)
         if r == "r18":
-            return _clog2(2 * cfg.l * cfg.q)
+            return clog2(2 * cfg.l * cfg.q)
         return None
     if fld == "i110l":
         if r == "r18":
-            return _clog2(cfg.n4 - 1) if cfg.n4 > 1 else 0
+            return clog2(cfg.n4 - 1) if cfg.n4 > 1 else 0
         return None
     raise DomainError(f"unknown i1 field {fld!r}")
 
@@ -152,35 +146,27 @@ class BitBudget:
         return sum(v for (f, _), v in self.entries.items() if f == fld)
 
 
-def bits_i1(cfg: OverheadConfig) -> BitBudget:
-    """i1 bit budget for one report; N/A fields contribute nothing."""
+def _budget(cfg: OverheadConfig, fields, field_bits) -> BitBudget:
     budget = BitBudget()
-    for fld in I1_FIELDS:
-        bits = _field_bits_i1(cfg, fld)
+    for fld in fields:
+        bits = field_bits(cfg, fld)
         if bits is None:
             continue
-        if fld in LAYER_FIELDS:
-            for layer in range(1, cfg.rank + 1):
-                budget.add(fld, layer, bits)
-        else:
-            budget.add(fld, None, bits)
+        # K_NZ-priced i2 fields already count every layer's coefficients
+        layers = range(1, cfg.rank + 1) if fld in LAYER_FIELDS else (None,)
+        for layer in layers:
+            budget.add(fld, layer, bits)
     return budget
+
+
+def bits_i1(cfg: OverheadConfig) -> BitBudget:
+    """i1 bit budget for one report; N/A fields contribute nothing."""
+    return _budget(cfg, I1_FIELDS, _field_bits_i1)
 
 
 def bits_i2(cfg: OverheadConfig) -> BitBudget:
     """i2 bit budget for one report (one subband's worth for Rel-15)."""
-    budget = BitBudget()
-    for fld in I2_FIELDS:
-        bits = _field_bits_i2(cfg, fld)
-        if bits is None:
-            continue
-        if fld in LAYER_FIELDS:
-            for layer in range(1, cfg.rank + 1):
-                budget.add(fld, layer, bits)
-        else:
-            # K_NZ-priced fields already count every layer's coefficients
-            budget.add(fld, None, bits)
-    return budget
+    return _budget(cfg, I2_FIELDS, _field_bits_i2)
 
 
 def total_bits(cfg: OverheadConfig) -> int:

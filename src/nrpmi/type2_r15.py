@@ -11,13 +11,25 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import quantization as qt
-from .bases import ArrayGeometry, orthogonal_group, port_selection_basis
+from .bases import ArrayGeometry, orthogonal_group
 from .combinadics import (
     binomial,
-    decode_combination,
+    clog2,
     decode_group_restriction,
     encode_combination,
+    field_bits,
     split_beam_index,
+)
+from .enhanced import (  # noqa: F401 (PORT_SELECTION: a variant name)
+    PORT_SELECTION,
+    REGULAR,
+    SpatialConfig,
+    beam_fields,
+    beam_grid_indices,
+    draw_beams,
+    port_beams,
+    selected_beams,
+    spatial_gain,
 )
 from .errors import (
     ConsistencyError,
@@ -26,9 +38,6 @@ from .errors import (
     FormatError,
     RestrictionError,
 )
-
-REGULAR = "regular"
-PORT_SELECTION = "port-selection"
 
 _R15_WB_AMPS = np.array([qt.amp_r15_wideband(k) for k in range(8)])
 _R15_SB_AMPS = np.array([qt.amp_r15_subband(k) for k in range(2)])
@@ -40,7 +49,7 @@ def k2_cap(l: int) -> int:
 
 
 @dataclass(frozen=True)
-class T2R15Config:
+class T2R15Config(SpatialConfig):
     l: int
     n_psk: int = 8
     subband_amplitude: bool = True
@@ -60,22 +69,7 @@ class T2R15Config:
             raise DomainError(f"rank {self.rank} not supported (1 or 2)")
         if self.subband_count < 1:
             raise DomainError("subband_count must be positive")
-        if self.variant == REGULAR:
-            if self.geom is None:
-                raise DomainError("regular variant requires an array geometry")
-        elif self.variant == PORT_SELECTION:
-            if self.p_csirs is None or self.d is None:
-                raise DomainError("port-selection variant requires p_csirs and d")
-            if not 1 <= self.d <= min(self.p_csirs // 2, self.l):
-                raise DomainError(
-                    f"portSelectionSamplingSize d={self.d} outside "
-                    f"[1, min(P/2, L)={min(self.p_csirs // 2, self.l)}]")
-        else:
-            raise DomainError(f"unknown variant {self.variant!r}")
-
-    @property
-    def n_ports(self) -> int:
-        return self.geom.n_ports if self.variant == REGULAR else self.p_csirs
+        self.check_variant()
 
     @property
     def i11_count(self) -> int:
@@ -112,34 +106,6 @@ class LayerMask:
     nonzero: np.ndarray          # (2L,) bool, wideband amplitude > 0
     k2_reported: np.ndarray      # (2L,) bool
     phase_alphabet: np.ndarray   # (2L,) int, 0 where the phase is defaulted
-
-
-def selected_beams(config: T2R15Config, pmi: T2R15Pmi) -> np.ndarray:
-    """The L spatial basis vectors as a (P/2, L) matrix."""
-    if config.variant == REGULAR:
-        g = config.geom
-        q1, q2 = pmi.i11
-        if not (0 <= q1 < g.o1 and 0 <= q2 < g.o2):
-            raise DomainError(f"group offsets {pmi.i11} out of range")
-        group = orthogonal_group(g, q1, q2)
-        flats = decode_combination(pmi.i12, g.n1 * g.n2, config.l)
-        return group[:, list(flats)]
-    if not 0 <= pmi.i11 < config.i11_count:
-        raise DomainError(f"i_1,1={pmi.i11} outside [0, {config.i11_count})")
-    cols = [port_selection_basis(config.p_csirs, pmi.i11 * config.d + i)
-            for i in range(config.l)]
-    return np.column_stack(cols)
-
-
-def beam_grid_indices(config: T2R15Config, pmi: T2R15Pmi) -> list[tuple[int, int]]:
-    """(m1, m2) grid coordinates of the selected beams (regular variant)."""
-    g = config.geom
-    q1, q2 = pmi.i11
-    out = []
-    for flat in decode_combination(pmi.i12, g.n1 * g.n2, config.l):
-        x1, x2 = split_beam_index(flat, g.n1)
-        out.append((g.o1 * x1 + q1, g.o2 * x2 + q2))
-    return out
 
 
 def reporting_mask(config: T2R15Config, pmi: T2R15Pmi, layer: int) -> LayerMask:
@@ -248,16 +214,37 @@ def reconstruct(config: T2R15Config, pmi: T2R15Pmi, subband: int = 0) -> np.ndar
     """Precoding matrix (P, rank) for one subband."""
     validate(config, pmi)
     v = selected_beams(config, pmi)
-    spatial_gain = config.geom.n1 * config.geom.n2 if config.variant == REGULAR else 1
     cols = []
     for layer in range(config.rank):
         a = layer_coefficients(config, pmi, layer, subband)
-        beta = spatial_gain * float(np.sum(np.abs(a) ** 2))
+        beta = spatial_gain(config) * float(np.sum(np.abs(a) ** 2))
         if beta == 0:
             raise DegenerateReportError(f"layer {layer} has all-zero amplitudes")
         w = np.concatenate([v @ a[:config.l], v @ a[config.l:]]) / np.sqrt(beta)
         cols.append(w)
     return np.column_stack(cols) / np.sqrt(config.rank)
+
+
+def serialize_pmi(config: T2R15Config, pmi: T2R15Pmi) -> str:
+    """Report bits, MSB first: i11, i12 (regular), then per layer i13 and
+    the k1 of every beam but the strongest; then per layer the reported
+    phases and (with subband amplitudes) k2 of every subband."""
+    two_l = 2 * config.l
+    out = [field_bits(v, w) for v, w in beam_fields(config, pmi)]
+    for layer in range(config.rank):
+        out.append(field_bits(pmi.i13[layer], clog2(two_l)))
+        out += [field_bits(int(pmi.k1[layer, i]), 3) for i in range(two_l)
+                if i != pmi.i13[layer]]
+    for layer in range(config.rank):
+        mask = reporting_mask(config, pmi, layer)
+        for sb in range(config.subband_count):
+            out += [field_bits(int(pmi.c[layer, sb, i]), clog2(int(a)))
+                    for i, a in enumerate(mask.phase_alphabet) if a]
+        if config.subband_amplitude:
+            for sb in range(config.subband_count):
+                out += [field_bits(int(pmi.k2[layer, sb, i]), 1)
+                        for i in range(two_l) if mask.k2_reported[i]]
+    return "".join(out)
 
 
 def subset_restriction(b1_bits, b2_bits, geom: ArrayGeometry) -> np.ndarray:
@@ -309,15 +296,7 @@ def random_valid_pmi(config: T2R15Config, rng: np.random.Generator,
     """Draw a uniformly random internally consistent report."""
     two_l = 2 * config.l
     n_sb = config.subband_count
-    if config.variant == REGULAR:
-        g = config.geom
-        i11 = (int(rng.integers(g.o1)), int(rng.integers(g.o2)))
-        i12 = int(rng.integers(binomial(g.n1 * g.n2, config.l)))
-    else:
-        # keep the selected port block within [0, P/2)
-        max_start = config.p_csirs // 2 - config.l
-        i11 = int(rng.integers(max_start // config.d + 1))
-        i12 = None
+    i11, i12 = draw_beams(config, rng)
     i13 = tuple(int(rng.integers(two_l)) for _ in range(config.rank))
     k1 = rng.integers(0, 8, size=(config.rank, two_l))
     k2 = rng.integers(0, 2, size=(config.rank, n_sb, two_l))
@@ -415,8 +394,7 @@ def search_t2_r15(channel: np.ndarray, config: T2R15Config,
             energies.append(float(e))
         i11 = int(np.argmax(energies))
         i12 = None
-        beams = np.column_stack([port_selection_basis(p, i11 * config.d + i)
-                                 for i in range(config.l)])
+        beams = port_beams(p, range(i11 * config.d, i11 * config.d + config.l))
         coef = _project_targets(config, targets, beams, half, gain=1)
         return _quantize_report(config, coef, i11, i12, None)
 

@@ -12,24 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quantization as qt
-from .bases import ArrayGeometry, orthogonal_group, port_selection_basis
-from .combinadics import (
-    binomial,
-    decode_combination,
-    encode_combination,
-    split_beam_index,
-)
-from .errors import (
-    BudgetError,
-    ConsistencyError,
-    DegenerateReportError,
-    DomainError,
-    FormatError,
-)
-
-REGULAR = "regular"
-PORT_SELECTION = "port-selection"
+from . import enhanced
+from .bases import ArrayGeometry
+from .enhanced import PORT_SELECTION, REGULAR  # noqa: F401 (variant names)
+from .errors import DomainError
 
 # paramCombination-r16 -> (L, p_v for ranks 1-2, p_v for ranks 3-4, beta)
 PARAM_COMBINATIONS: dict[int, tuple[int, float, float | None, float]] = {
@@ -50,10 +36,6 @@ SUBBAND_SIZES = (
     ((145, 275), (16, 32)),
 )
 
-N_PSK16 = 16
-_WB_AMPS = np.array([0.0] + [qt.amp_r16_wideband(k) for k in range(1, 16)])
-_SB_AMPS = np.array([qt.amp_r16_subband(k) for k in range(8)])
-
 
 def derive_n3(bwp_rbs: int, subband_size: int, r: int) -> int:
     """Number of frequency units N3 = R * ceil(BWP / subband size)."""
@@ -69,13 +51,8 @@ def derive_n3(bwp_rbs: int, subband_size: int, r: int) -> int:
     raise DomainError(f"bandwidth part of {bwp_rbs} RBs outside [24, 275]")
 
 
-def compute_mv(p_v: float, n3: int, r: int) -> int:
-    """Number of selected delay taps Mv = ceil(p_v * N3 / R)."""
-    return math.ceil(p_v * n3 / r)
-
-
 @dataclass(frozen=True)
-class R16Config:
+class R16Config(enhanced.CompressedConfig):
     param_combination: int
     r: int
     n3: int
@@ -85,74 +62,20 @@ class R16Config:
     p_csirs: int | None = None
     d: int | None = None
 
+    PARAMS = PARAM_COMBINATIONS
+    PARAM_NAME = "paramCombination-r16"
+
     def __post_init__(self):
-        if self.param_combination not in PARAM_COMBINATIONS:
-            raise DomainError(f"paramCombination-r16 {self.param_combination} "
-                              "outside [1, 8]")
-        if self.r not in (1, 2):
-            raise DomainError(f"R={self.r} not in {{1, 2}}")
-        if not 3 <= self.n3 <= 36:
-            raise DomainError(f"N3={self.n3} outside [3, 36]")
-        if not 1 <= self.rank <= 4:
-            raise DomainError(f"rank {self.rank} outside [1, 4]")
-        if self.rank > 2 and PARAM_COMBINATIONS[self.param_combination][2] is None:
-            raise DomainError(
-                f"paramCombination-r16 {self.param_combination} forbids rank > 2")
-        if self.variant == REGULAR:
-            if self.geom is None:
-                raise DomainError("regular variant requires an array geometry")
-        elif self.variant == PORT_SELECTION:
-            if self.p_csirs is None or self.d is None:
-                raise DomainError("port-selection variant requires p_csirs and d")
-            if not 1 <= self.d <= min(self.p_csirs // 2, self.l):
-                raise DomainError(f"portSelectionSamplingSize d={self.d} invalid")
-        else:
-            raise DomainError(f"unknown variant {self.variant!r}")
-
-    @property
-    def l(self) -> int:
-        return PARAM_COMBINATIONS[self.param_combination][0]
-
-    @property
-    def beta(self) -> float:
-        return PARAM_COMBINATIONS[self.param_combination][3]
-
-    def p_v(self, rank: int | None = None) -> float:
-        rank = self.rank if rank is None else rank
-        col = 1 if rank <= 2 else 2
-        value = PARAM_COMBINATIONS[self.param_combination][col]
-        if value is None:
-            raise DomainError("rank > 2 not supported by this combination")
-        return value
-
-    @property
-    def mv(self) -> int:
-        return compute_mv(self.p_v(), self.n3, self.r)
-
-    @property
-    def m1(self) -> int:
-        return compute_mv(self.p_v(1), self.n3, self.r)
+        self.check_params()
+        self.check_variant()
 
     @property
     def k0(self) -> int:
         return math.ceil(self.beta * 2 * self.l * self.m1)
 
     @property
-    def n_ports(self) -> int:
-        return self.geom.n_ports if self.variant == REGULAR else self.p_csirs
-
-    @property
-    def window_mode(self) -> bool:
-        """True when the two-level (i15 + window) tap indication applies."""
-        return self.n3 > 19
-
-    @property
-    def i16_count(self) -> int:
-        if self.mv == 1:
-            return 1
-        if self.window_mode:
-            return binomial(2 * self.mv - 1, self.mv - 1)
-        return binomial(self.n3 - 1, self.mv - 1)
+    def coef_shape(self) -> tuple[int, int, int]:
+        return (self.rank, 2 * self.l, self.mv)
 
 
 @dataclass(frozen=True)
@@ -176,176 +99,23 @@ class R16Pmi:
     c: np.ndarray
 
 
-def m_initial(config: R16Config, pmi: R16Pmi) -> int:
-    if not config.window_mode:
-        return 0
-    if pmi.i15 is None or not 0 <= pmi.i15 < 2 * config.mv:
-        raise FormatError(f"i_1,5={pmi.i15} outside [0, {2 * config.mv})")
-    return 0 if pmi.i15 == 0 else pmi.i15 - 2 * config.mv
-
-
-def decode_taps(config: R16Config, pmi: R16Pmi, layer: int) -> tuple[int, ...]:
-    """Tap indices n3^(0..Mv-1); n3^(0) = 0 is the (remapped) strongest tap."""
-    mv = config.mv
-    if mv == 1:
-        return (0,)
-    i16 = pmi.i16[layer]
-    if not 0 <= i16 < config.i16_count:
-        raise FormatError(f"i_1,6={i16} outside [0, {config.i16_count})")
-    if not config.window_mode:
-        rest = decode_combination(i16, config.n3 - 1, mv - 1)
-        return (0,) + tuple(t + 1 for t in rest)
-    m_init = m_initial(config, pmi)
-    rest = decode_combination(i16, 2 * mv - 1, mv - 1)
-    taps = [0]
-    for t in rest:
-        n = t + 1
-        taps.append(n if n <= m_init + 2 * mv - 1 else n + config.n3 - 2 * mv)
-    return tuple(taps)
-
-
-def encode_taps(config: R16Config, taps, m_init: int = 0) -> tuple[int, int | None]:
-    """Inverse of decode_taps: (i16, i15); taps[0] must be 0."""
-    mv = config.mv
-    taps = list(taps)
-    if len(taps) != mv or taps[0] != 0:
-        raise DomainError(f"need {mv} taps starting at 0, got {taps}")
-    if mv == 1:
-        return 0, (0 if config.window_mode else None)
-    if not config.window_mode:
-        return encode_combination([t - 1 for t in taps[1:]], config.n3 - 1,
-                                  mv - 1), None
-    raw = []
-    for t in taps[1:]:
-        n = t if t <= m_init + 2 * mv - 1 else t - (config.n3 - 2 * mv)
-        if not 1 <= n <= 2 * mv - 1:
-            raise DomainError(f"tap {t} outside the window at M_initial={m_init}")
-        raw.append(n - 1)
-    i15 = 0 if m_init == 0 else m_init + 2 * mv
-    return encode_combination(sorted(raw), 2 * mv - 1, mv - 1), i15
-
-
-def remap_taps(taps, f_star: int, n3: int) -> tuple[int, ...]:
-    """Renumber taps so the strongest (position f_star) becomes tap 0 at f=0."""
-    mv = len(taps)
-    out = [0] * mv
-    for f, t in enumerate(taps):
-        out[(f - f_star) % mv] = (t - taps[f_star]) % n3
-    return tuple(out)
-
-
-def selected_beams(config: R16Config, pmi: R16Pmi) -> np.ndarray:
-    """The L spatial basis vectors as a (P/2, L) matrix."""
-    if config.variant == REGULAR:
-        g = config.geom
-        q1, q2 = pmi.i11
-        group = orthogonal_group(g, q1, q2)
-        flats = decode_combination(pmi.i12, g.n1 * g.n2, config.l)
-        return group[:, list(flats)]
-    cols = [port_selection_basis(config.p_csirs, pmi.i11 * config.d + i)
-            for i in range(config.l)]
-    return np.column_stack(cols)
-
-
-def beam_grid_indices(config: R16Config, pmi: R16Pmi) -> list[tuple[int, int]]:
-    g = config.geom
-    q1, q2 = pmi.i11
-    out = []
-    for flat in decode_combination(pmi.i12, g.n1 * g.n2, config.l):
-        x1, x2 = split_beam_index(flat, g.n1)
-        out.append((g.o1 * x1 + q1, g.o2 * x2 + q2))
-    return out
-
-
-def strongest_beam(config: R16Config, pmi: R16Pmi, layer: int) -> int:
-    """Decode i_1,8 to the coefficient index i* at the strongest tap."""
-    i18 = pmi.i18[layer]
-    if config.rank > 1:
-        if not 0 <= i18 < 2 * config.l:
-            raise FormatError(f"i_1,8={i18} outside [0, {2 * config.l})")
-        return i18
-    col = np.flatnonzero(pmi.bitmap[layer, :, 0])
-    if not 0 <= i18 < col.size:
-        raise FormatError(f"i_1,8={i18} has no matching set bit at tap 0")
-    return int(col[i18])
-
-
-def encode_strongest(config: R16Config, bitmap_layer: np.ndarray, i_star: int) -> int:
-    """i_1,8 for one layer: prefix count for rank 1, the index itself otherwise."""
-    if config.rank > 1:
-        return i_star
-    return int(bitmap_layer[:i_star + 1, 0].sum()) - 1
-
-
 def validate_budget(config: R16Config, pmi: R16Pmi) -> None:
-    """Enforce the nonzero-coefficient budget and structural consistency."""
-    two_l = 2 * config.l
-    mv = config.mv
-    if pmi.bitmap.shape != (config.rank, two_l, mv):
-        raise FormatError("bitmap must have shape (rank, 2L, Mv)")
-    k0 = config.k0
-    total = 0
-    for layer in range(config.rank):
-        k_nz = int(pmi.bitmap[layer].sum())
-        if k_nz > k0:
-            raise BudgetError(f"layer {layer}: K_NZ={k_nz} exceeds K0={k0}")
-        total += k_nz
-        i_star = strongest_beam(config, pmi, layer)
-        if not pmi.bitmap[layer, i_star, 0]:
-            raise ConsistencyError("strongest coefficient must be reported")
-        if pmi.k2[layer, i_star, 0] != 7 or pmi.c[layer, i_star, 0] != 0:
-            raise ConsistencyError("strongest coefficient must carry k2=7, c=0")
-        if pmi.k1[layer, i_star // config.l] != 15:
-            raise ConsistencyError("strongest polarization must carry k1=15")
-        off = pmi.bitmap[layer] == 0
-        if np.any(pmi.k2[layer][off] != 0) or np.any(pmi.c[layer][off] != 0):
-            raise ConsistencyError("unreported coefficients must be zero")
-        if np.any((pmi.k1[layer] < 1) | (pmi.k1[layer] > 15)):
-            raise DomainError("k1 outside [1, 15]")
-        on = pmi.bitmap[layer] == 1
-        if np.any((pmi.k2[layer][on] < 0) | (pmi.k2[layer][on] > 7)):
-            raise DomainError("k2 outside [0, 7]")
-        if np.any((pmi.c[layer][on] < 0) | (pmi.c[layer][on] >= N_PSK16)):
-            raise DomainError(f"phase index outside [0, {N_PSK16})")
-    if total > 2 * k0:
-        raise BudgetError(f"total K_NZ={total} exceeds 2*K0={2 * k0}")
-
-
-def layer_coefficients(config: R16Config, pmi: R16Pmi, layer: int) -> np.ndarray:
-    """Complex coefficient grid (2L, Mv): p1 * p2 * phi, zeros where unreported."""
-    p1 = _WB_AMPS[pmi.k1[layer]]          # (2,)
-    p2 = _SB_AMPS[pmi.k2[layer]]          # (2L, Mv)
-    phi = np.exp(2j * np.pi * pmi.c[layer] / N_PSK16)
-    pol = np.repeat(p1, config.l)[:, None]
-    return pol * p2 * phi * pmi.bitmap[layer]
+    """Enforce the nonzero-coefficient budget, ranges and consistency."""
+    enhanced.validate_budget(config, pmi, ("i16", "i18"))
 
 
 def reconstruct_all(config: R16Config, pmi: R16Pmi) -> np.ndarray:
     """Precoders for every frequency unit, shape (N3, P, rank)."""
     validate_budget(config, pmi)
-    v = selected_beams(config, pmi)                     # (P/2, L)
-    spatial_gain = (config.geom.n1 * config.geom.n2
-                    if config.variant == REGULAR else 1)
-    n3 = config.n3
-    out = np.empty((n3, config.n_ports, config.rank), dtype=complex)
-    for layer in range(config.rank):
-        taps = decode_taps(config, pmi, layer)
-        y = np.exp(2j * np.pi * np.outer(np.arange(n3), taps) / n3)  # (N3, Mv)
-        coef = layer_coefficients(config, pmi, layer)                # (2L, Mv)
-        ct = coef @ y.T                                              # (2L, N3)
-        gamma = (np.abs(ct) ** 2).sum(axis=0)                        # (N3,)
-        if np.any(gamma <= 1e-12 * gamma.max()):
-            raise DegenerateReportError(
-                f"layer {layer} has zero energy at some frequency unit")
-        halves = np.vstack([v @ ct[:config.l], v @ ct[config.l:]])   # (P, N3)
-        out[:, :, layer] = (halves / np.sqrt(spatial_gain * gamma)).T
-    return out / np.sqrt(config.rank)
+    taps = [enhanced.decode_taps(config, pmi, layer)
+            for layer in range(config.rank)]
+    return enhanced.synthesize(config, pmi, enhanced.selected_beams(config, pmi),
+                               taps)
 
 
 def reconstruct(config: R16Config, pmi: R16Pmi, t: int) -> np.ndarray:
     """Precoding matrix (P, rank) for frequency unit t."""
-    if not 0 <= t < config.n3:
-        raise DomainError(f"frequency unit {t} outside [0, {config.n3})")
+    enhanced.check_point(config, t)
     return reconstruct_all(config, pmi)[t]
 
 
@@ -355,59 +125,13 @@ def random_valid_pmi(config: R16Config, rng: np.random.Generator) -> R16Pmi:
     Redraws the rare reports whose coefficients cancel exactly at some
     frequency unit (zero gamma), which would make the precoder undefined.
     """
-    for _ in range(100):
-        pmi = _draw_pmi(config, rng)
-        try:
-            reconstruct_all(config, pmi)
-        except DegenerateReportError:
-            continue
-        return pmi
-    raise DegenerateReportError("could not draw a non-degenerate report")
+    return enhanced.redraw(config, lambda: R16Pmi(
+        *enhanced.draw_beams(config, rng), *enhanced.draw_taps(config, rng),
+        *enhanced.draw_coefficients(config, rng)), reconstruct_all)
 
 
-def _draw_pmi(config: R16Config, rng: np.random.Generator) -> R16Pmi:
-    two_l = 2 * config.l
-    mv = config.mv
-    if 2 * config.k0 < config.rank:
-        raise BudgetError("budget cannot host one coefficient per layer")
-    if config.variant == REGULAR:
-        g = config.geom
-        i11 = (int(rng.integers(g.o1)), int(rng.integers(g.o2)))
-        i12 = int(rng.integers(binomial(g.n1 * g.n2, config.l)))
-    else:
-        max_start = config.p_csirs // 2 - config.l
-        i11 = int(rng.integers(max_start // config.d + 1))
-        i12 = None
-    i15 = int(rng.integers(2 * mv)) if config.window_mode and mv > 1 else (
-        0 if config.window_mode else None)
-    i16 = tuple(int(rng.integers(config.i16_count)) for _ in range(config.rank))
-
-    k0 = config.k0
-    budget_total = 2 * k0
-    bitmap = np.zeros((config.rank, two_l, mv), dtype=np.int8)
-    k1 = np.ones((config.rank, 2), dtype=int)
-    k2 = np.zeros((config.rank, two_l, mv), dtype=int)
-    c = np.zeros((config.rank, two_l, mv), dtype=int)
-    i18 = []
-    i_stars = []
-    for layer in range(config.rank):
-        cap = min(k0, budget_total - (config.rank - layer - 1))
-        k_nz = int(rng.integers(1, max(2, cap + 1)))
-        budget_total -= k_nz
-        i_star = int(rng.integers(two_l))
-        cells = [(i, f) for i in range(two_l) for f in range(mv)
-                 if (i, f) != (i_star, 0)]
-        rng.shuffle(cells)
-        chosen = [(i_star, 0)] + cells[:k_nz - 1]
-        for i, f in chosen:
-            bitmap[layer, i, f] = 1
-            k2[layer, i, f] = int(rng.integers(8))
-            c[layer, i, f] = int(rng.integers(N_PSK16))
-        p_star = i_star // config.l
-        k1[layer, p_star] = 15
-        k1[layer, 1 - p_star] = int(rng.integers(1, 16))
-        k2[layer, i_star, 0] = 7
-        c[layer, i_star, 0] = 0
-        i_stars.append(i_star)
-        i18.append(encode_strongest(config, bitmap[layer], i_star))
-    return R16Pmi(i11, i12, i15, i16, tuple(i18), bitmap, k1, k2, c)
+def serialize_pmi(config: R16Config, pmi: R16Pmi) -> str:
+    """Report bits, MSB first: i11, i12, i15, i16 per layer, then the rest
+    as in ``enhanced.serialize``."""
+    return enhanced.serialize(config, pmi, enhanced.beam_fields(config, pmi)
+                              + enhanced.tap_fields(config, pmi))

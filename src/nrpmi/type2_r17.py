@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quantization as qt
-from .bases import port_selection_basis
-from .combinadics import binomial, decode_combination, encode_combination
-from .errors import BudgetError, ConsistencyError, DomainError, FormatError
+from . import enhanced
+from .combinadics import binomial, clog2, decode_combination, encode_combination
+from .errors import DomainError, FormatError
 
 # paraCombination-r17 -> (M, alpha, beta)
 PARAM_COMBINATIONS: dict[int, tuple[int, float, float]] = {
@@ -29,10 +28,6 @@ PARAM_COMBINATIONS: dict[int, tuple[int, float, float]] = {
     8: (2, 1.0, 3 / 4),
 }
 
-N_PSK16 = 16
-_WB_AMPS = np.array([0.0] + [qt.amp_r16_wideband(k) for k in range(1, 16)])
-_SB_AMPS = np.array([qt.amp_r16_subband(k) for k in range(8)])
-
 
 @dataclass(frozen=True)
 class R17Config:
@@ -41,6 +36,10 @@ class R17Config:
     n3: int
     n_threshold: int = 2  # tap window bound N
     rank: int = 1
+
+    variant = enhanced.PORT_SELECTION
+    # the strongest coefficient may sit on either tap: i18 = K1 * f* + i*
+    strongest_axis = enhanced.TAP_AXIS
 
     def __post_init__(self):
         if self.p_csirs not in (4, 8, 12, 16, 24, 32):
@@ -92,6 +91,10 @@ class R17Config:
     @property
     def i16_reported(self) -> bool:
         return self.m == 2 and self.window > 2
+
+    @property
+    def coef_shape(self) -> tuple[int, int, int]:
+        return (self.rank, self.k1_beams, self.m)
 
 
 @dataclass(frozen=True)
@@ -148,120 +151,41 @@ def decode_tap_offset(config: R17Config, pmi: R17Pmi) -> tuple[int, ...]:
     return (0, pmi.i16 + 1)
 
 
-def strongest_position(config: R17Config, pmi: R17Pmi, layer: int) -> tuple[int, int]:
-    """Decode i_1,8 = K1*f* + i* into (i*, f*)."""
-    i18 = pmi.i18[layer]
-    if not 0 <= i18 < config.k1_beams * config.m:
-        raise FormatError(f"i_1,8={i18} outside [0, {config.k1_beams * config.m})")
-    return i18 % config.k1_beams, i18 // config.k1_beams
-
-
 def validate_budget(config: R17Config, pmi: R17Pmi) -> None:
-    k1b, m = config.k1_beams, config.m
-    if pmi.bitmap.shape != (config.rank, k1b, m):
-        raise FormatError("bitmap must have shape (rank, K1, M)")
-    k0 = config.k0
-    total = 0
-    for layer in range(config.rank):
-        k_nz = int(pmi.bitmap[layer].sum())
-        if k_nz > k0:
-            raise BudgetError(f"layer {layer}: K_NZ={k_nz} exceeds K0={k0}")
-        total += k_nz
-        i_star, f_star = strongest_position(config, pmi, layer)
-        if not pmi.bitmap[layer, i_star, f_star]:
-            raise ConsistencyError("strongest coefficient must be reported")
-        if pmi.k2[layer, i_star, f_star] != 7 or pmi.c[layer, i_star, f_star] != 0:
-            raise ConsistencyError("strongest coefficient must carry k2=7, c=0")
-        if pmi.k1[layer, i_star // config.l] != 15:
-            raise ConsistencyError("strongest polarization must carry k1=15")
-        off = pmi.bitmap[layer] == 0
-        if np.any(pmi.k2[layer][off] != 0) or np.any(pmi.c[layer][off] != 0):
-            raise ConsistencyError("unreported coefficients must be zero")
-    if total > 2 * k0:
-        raise BudgetError(f"total K_NZ={total} exceeds 2*K0={2 * k0}")
-
-
-def layer_coefficients(config: R17Config, pmi: R17Pmi, layer: int) -> np.ndarray:
-    p1 = _WB_AMPS[pmi.k1[layer]]
-    p2 = _SB_AMPS[pmi.k2[layer]]
-    phi = np.exp(2j * np.pi * pmi.c[layer] / N_PSK16)
-    pol = np.repeat(p1, config.l)[:, None]
-    return pol * p2 * phi * pmi.bitmap[layer]
+    """Enforce the nonzero-coefficient budget, ranges and consistency."""
+    enhanced.validate_budget(config, pmi, ("i18",))
 
 
 def reconstruct_all(config: R17Config, pmi: R17Pmi) -> np.ndarray:
     """Precoders for every frequency unit, shape (N3, P, rank)."""
     validate_budget(config, pmi)
-    ports = decode_ports(config, pmi)
+    v = enhanced.port_beams(config.p_csirs, decode_ports(config, pmi))
     taps = decode_tap_offset(config, pmi)
-    v = np.column_stack([port_selection_basis(config.p_csirs, d) for d in ports])
-    n3 = config.n3
-    y = np.exp(2j * np.pi * np.outer(np.arange(n3), taps) / n3)
-    out = np.empty((n3, config.p_csirs, config.rank), dtype=complex)
-    for layer in range(config.rank):
-        coef = layer_coefficients(config, pmi, layer)   # (K1, M)
-        ct = coef @ y.T                                  # (K1, N3)
-        gamma = (np.abs(ct) ** 2).sum(axis=0)
-        if np.any(gamma <= 1e-12 * gamma.max()):
-            raise ConsistencyError(
-                f"layer {layer} has zero energy at some frequency unit")
-        halves = np.vstack([v @ ct[:config.l], v @ ct[config.l:]])
-        out[:, :, layer] = (halves / np.sqrt(gamma)).T
-    return out / np.sqrt(config.rank)
+    return enhanced.synthesize(config, pmi, v, [taps] * config.rank)
 
 
 def reconstruct(config: R17Config, pmi: R17Pmi, t: int) -> np.ndarray:
-    if not 0 <= t < config.n3:
-        raise DomainError(f"frequency unit {t} outside [0, {config.n3})")
+    enhanced.check_point(config, t)
     return reconstruct_all(config, pmi)[t]
 
 
 def random_valid_pmi(config: R17Config, rng: np.random.Generator) -> R17Pmi:
     """Draw a random internally consistent report."""
-    from .errors import DegenerateReportError
-
-    for _ in range(100):
-        pmi = _draw_pmi(config, rng)
-        try:
-            reconstruct_all(config, pmi)
-        except ConsistencyError:
-            continue
-        return pmi
-    raise DegenerateReportError("could not draw a non-degenerate report")
+    def draw():
+        i12 = (None if config.alpha == 1.0
+               else int(rng.integers(binomial(config.p_csirs // 2, config.l))))
+        i16 = (int(rng.integers(config.window - 1)) if config.i16_reported
+               else None)
+        return R17Pmi(i12, i16, *enhanced.draw_coefficients(config, rng))
+    return enhanced.redraw(config, draw, reconstruct_all)
 
 
-def _draw_pmi(config: R17Config, rng: np.random.Generator) -> R17Pmi:
-    half = config.p_csirs // 2
-    k1b, m = config.k1_beams, config.m
-    if config.alpha == 1.0:
-        i12 = None
-    else:
-        i12 = int(rng.integers(binomial(half, config.l)))
-    i16 = int(rng.integers(config.window - 1)) if config.i16_reported else None
-    k0 = config.k0
-    budget_total = 2 * k0
-    bitmap = np.zeros((config.rank, k1b, m), dtype=np.int8)
-    k1 = np.ones((config.rank, 2), dtype=int)
-    k2 = np.zeros((config.rank, k1b, m), dtype=int)
-    c = np.zeros((config.rank, k1b, m), dtype=int)
-    i18 = []
-    for layer in range(config.rank):
-        cap = min(k0, budget_total - (config.rank - layer - 1))
-        k_nz = int(rng.integers(1, max(2, cap + 1)))
-        budget_total -= k_nz
-        i_star = int(rng.integers(k1b))
-        f_star = int(rng.integers(m))
-        cells = [(i, f) for i in range(k1b) for f in range(m)
-                 if (i, f) != (i_star, f_star)]
-        rng.shuffle(cells)
-        for i, f in [(i_star, f_star)] + cells[:k_nz - 1]:
-            bitmap[layer, i, f] = 1
-            k2[layer, i, f] = int(rng.integers(8))
-            c[layer, i, f] = int(rng.integers(N_PSK16))
-        p_star = i_star // config.l
-        k1[layer, p_star] = 15
-        k1[layer, 1 - p_star] = int(rng.integers(1, 16))
-        k2[layer, i_star, f_star] = 7
-        c[layer, i_star, f_star] = 0
-        i18.append(k1b * f_star + i_star)
-    return R17Pmi(i12, i16, tuple(i18), bitmap, k1, k2, c)
+def serialize_pmi(config: R17Config, pmi: R17Pmi) -> str:
+    """Report bits, MSB first: i12 (alpha < 1), i16 (when reported), then
+    the rest as in ``enhanced.serialize``."""
+    head = []
+    if config.alpha < 1.0:
+        head.append((pmi.i12, clog2(binomial(config.p_csirs // 2, config.l))))
+    if config.i16_reported:
+        head.append((pmi.i16, clog2(config.window - 1)))
+    return enhanced.serialize(config, pmi, head)

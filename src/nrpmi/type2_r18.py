@@ -11,18 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quantization as qt
-from .bases import ArrayGeometry, orthogonal_group
-from .combinadics import binomial, decode_combination, split_beam_index
-from .errors import (
-    BudgetError,
-    ConsistencyError,
-    DegenerateReportError,
-    DomainError,
-    FormatError,
-    RestrictionError,
-)
-from .type2_r16 import encode_taps as _encode_taps_r16  # shared tap machinery
+from . import enhanced
+from .bases import ArrayGeometry
+from .combinadics import clog2
+from .errors import DomainError, FormatError, RestrictionError
 
 Q_SHIFTS = 2  # frozen by the protocol
 
@@ -39,10 +31,6 @@ PARAM_COMBINATIONS: dict[int, tuple[int, float, float | None, float]] = {
     9: (6, 1 / 4, None, 3 / 4),
 }
 
-N_PSK16 = 16
-_WB_AMPS = np.array([0.0] + [qt.amp_r16_wideband(k) for k in range(1, 16)])
-_SB_AMPS = np.array([qt.amp_r16_subband(k) for k in range(8)])
-
 
 def check_ri_restriction(bits, rank: int) -> bool:
     """typeII-Doppler-RI-Restriction: bit r_{rank-1} = 0 prohibits the rank.
@@ -58,53 +46,22 @@ def check_ri_restriction(bits, rank: int) -> bool:
 
 
 @dataclass(frozen=True)
-class R18Config:
+class R18Config(enhanced.CompressedConfig):
     geom: ArrayGeometry
     param_combination: int
     r: int
     n3: int
     n4: int
     rank: int = 1
-    d_slots: int = 1  # interval duration; report metadata only
+
+    PARAMS = PARAM_COMBINATIONS
+    PARAM_NAME = "paramCombination-Doppler-r18"
+    variant = enhanced.REGULAR
 
     def __post_init__(self):
-        if self.param_combination not in PARAM_COMBINATIONS:
-            raise DomainError(f"paramCombination-Doppler-r18 "
-                              f"{self.param_combination} outside [1, 9]")
-        if self.r not in (1, 2):
-            raise DomainError(f"R={self.r} not in {{1, 2}}")
-        if not 3 <= self.n3 <= 36:
-            raise DomainError(f"N3={self.n3} outside [3, 36]")
+        self.check_params()
         if self.n4 not in (1, 2, 4, 8):
             raise DomainError(f"N4={self.n4} not in {{1, 2, 4, 8}}")
-        if not 1 <= self.rank <= 4:
-            raise DomainError(f"rank {self.rank} outside [1, 4]")
-        if self.rank > 2 and PARAM_COMBINATIONS[self.param_combination][2] is None:
-            raise DomainError(f"paramCombination-Doppler-r18 "
-                              f"{self.param_combination} forbids rank > 2")
-
-    @property
-    def l(self) -> int:
-        return PARAM_COMBINATIONS[self.param_combination][0]
-
-    @property
-    def beta(self) -> float:
-        return PARAM_COMBINATIONS[self.param_combination][3]
-
-    def p_v(self, rank: int | None = None) -> float:
-        rank = self.rank if rank is None else rank
-        value = PARAM_COMBINATIONS[self.param_combination][1 if rank <= 2 else 2]
-        if value is None:
-            raise DomainError("rank > 2 not supported by this combination")
-        return value
-
-    @property
-    def mv(self) -> int:
-        return math.ceil(self.p_v() * self.n3 / self.r)
-
-    @property
-    def m1(self) -> int:
-        return math.ceil(self.p_v(1) * self.n3 / self.r)
 
     @property
     def q(self) -> int:
@@ -115,20 +72,8 @@ class R18Config:
         return math.ceil(2 * self.beta * self.l * self.m1 * Q_SHIFTS)
 
     @property
-    def n_ports(self) -> int:
-        return self.geom.n_ports
-
-    @property
-    def window_mode(self) -> bool:
-        return self.n3 > 19
-
-    @property
-    def i16_count(self) -> int:
-        if self.mv == 1:
-            return 1
-        if self.window_mode:
-            return binomial(2 * self.mv - 1, self.mv - 1)
-        return binomial(self.n3 - 1, self.mv - 1)
+    def coef_shape(self) -> tuple[int, int, int, int]:
+        return (self.rank, 2 * self.l, self.mv, self.q)
 
 
 @dataclass(frozen=True)
@@ -167,158 +112,24 @@ def decode_shifts(config: R18Config, pmi: R18Pmi, layer: int) -> tuple[int, ...]
     return (0, i110 + 1)
 
 
-def m_initial(config: R18Config, pmi: R18Pmi) -> int:
-    if not config.window_mode:
-        return 0
-    if pmi.i15 is None or not 0 <= pmi.i15 < 2 * config.mv:
-        raise FormatError(f"i_1,5={pmi.i15} outside [0, {2 * config.mv})")
-    return 0 if pmi.i15 == 0 else pmi.i15 - 2 * config.mv
-
-
-def decode_taps(config: R18Config, pmi: R18Pmi, layer: int) -> tuple[int, ...]:
-    """Identical two-level tap indication as the Rel-16 codebook."""
-    mv = config.mv
-    if mv == 1:
-        return (0,)
-    i16 = pmi.i16[layer]
-    if not 0 <= i16 < config.i16_count:
-        raise FormatError(f"i_1,6={i16} outside [0, {config.i16_count})")
-    if not config.window_mode:
-        rest = decode_combination(i16, config.n3 - 1, mv - 1)
-        return (0,) + tuple(t + 1 for t in rest)
-    m_init = m_initial(config, pmi)
-    rest = decode_combination(i16, 2 * mv - 1, mv - 1)
-    taps = [0]
-    for t in rest:
-        n = t + 1
-        taps.append(n if n <= m_init + 2 * mv - 1 else n + config.n3 - 2 * mv)
-    return tuple(taps)
-
-
-def encode_taps(config: R18Config, taps, m_init: int = 0):
-    """Reuses the Rel-16 window encoding (same structure and ranges)."""
-    proxy = _TapProxy(config.n3, config.mv, config.window_mode)
-    return _encode_taps_r16(proxy, taps, m_init)
-
-
-class _TapProxy:
-    # minimal duck-typed config for the shared Rel-16 tap encoder
-    def __init__(self, n3, mv, window_mode):
-        self.n3, self.mv, self.window_mode = n3, mv, window_mode
-
-
-def selected_beams(config: R18Config, pmi: R18Pmi) -> np.ndarray:
-    g = config.geom
-    q1, q2 = pmi.i11
-    group = orthogonal_group(g, q1, q2)
-    flats = decode_combination(pmi.i12, g.n1 * g.n2, config.l)
-    return group[:, list(flats)]
-
-
-def beam_grid_indices(config: R18Config, pmi: R18Pmi) -> list[tuple[int, int]]:
-    g = config.geom
-    q1, q2 = pmi.i11
-    out = []
-    for flat in decode_combination(pmi.i12, g.n1 * g.n2, config.l):
-        x1, x2 = split_beam_index(flat, g.n1)
-        out.append((g.o1 * x1 + q1, g.o2 * x2 + q2))
-    return out
-
-
-def strongest_coefficient(config: R18Config, pmi: R18Pmi,
-                          layer: int) -> tuple[int, int]:
-    """Decode i_1,8 into (i*, tau*) at the strongest tap (f = 0)."""
-    i18 = pmi.i18[layer]
-    two_l = 2 * config.l
-    if config.rank > 1:
-        if not 0 <= i18 < two_l * config.q:
-            raise FormatError(f"i_1,8={i18} outside [0, {two_l * config.q})")
-        return i18 % two_l, i18 // two_l
-    # rank 1: prefix count across the concatenated (tau, i) order at tap 0
-    concat = np.concatenate([pmi.bitmap[layer, :, 0, tau]
-                             for tau in range(config.q)])
-    col = np.flatnonzero(concat)
-    if not 0 <= i18 < col.size:
-        raise FormatError(f"i_1,8={i18} has no matching set bit at tap 0")
-    flat = int(col[i18])
-    return flat % two_l, flat // two_l
-
-
-def encode_strongest(config: R18Config, bitmap_layer: np.ndarray,
-                     i_star: int, tau_star: int) -> int:
-    two_l = 2 * config.l
-    if config.rank > 1:
-        return two_l * tau_star + i_star
-    concat = np.concatenate([bitmap_layer[:, 0, tau] for tau in range(config.q)])
-    return int(concat[:two_l * tau_star + i_star + 1].sum()) - 1
-
-
 def validate_budget(config: R18Config, pmi: R18Pmi) -> None:
-    two_l, mv, q = 2 * config.l, config.mv, config.q
-    if pmi.bitmap.shape != (config.rank, two_l, mv, q):
-        raise FormatError("bitmap must have shape (rank, 2L, Mv, Q)")
-    k0 = config.k0
-    total = 0
-    for layer in range(config.rank):
-        k_nz = int(pmi.bitmap[layer].sum())
-        if k_nz > k0:
-            raise BudgetError(f"layer {layer}: K_NZ={k_nz} exceeds K0={k0}")
-        total += k_nz
-        i_star, tau_star = strongest_coefficient(config, pmi, layer)
-        if not pmi.bitmap[layer, i_star, 0, tau_star]:
-            raise ConsistencyError("strongest coefficient must be reported")
-        if (pmi.k2[layer, i_star, 0, tau_star] != 7
-                or pmi.c[layer, i_star, 0, tau_star] != 0):
-            raise ConsistencyError("strongest coefficient must carry k2=7, c=0")
-        if pmi.k1[layer, i_star // config.l] != 15:
-            raise ConsistencyError("strongest polarization must carry k1=15")
-        off = pmi.bitmap[layer] == 0
-        if np.any(pmi.k2[layer][off] != 0) or np.any(pmi.c[layer][off] != 0):
-            raise ConsistencyError("unreported coefficients must be zero")
-    if total > 2 * k0:
-        raise BudgetError(f"total K_NZ={total} exceeds 2*K0={2 * k0}")
-
-
-def layer_coefficients(config: R18Config, pmi: R18Pmi, layer: int) -> np.ndarray:
-    """Complex coefficient grid (2L, Mv, Q); zeros where unreported."""
-    p1 = _WB_AMPS[pmi.k1[layer]]
-    p2 = _SB_AMPS[pmi.k2[layer]]
-    phi = np.exp(2j * np.pi * pmi.c[layer] / N_PSK16)
-    pol = np.repeat(p1, config.l)[:, None, None]
-    return pol * p2 * phi * pmi.bitmap[layer]
+    """Enforce the nonzero-coefficient budget, ranges and consistency."""
+    enhanced.validate_budget(config, pmi, ("i16", "i18", "i110"))
 
 
 def reconstruct_all(config: R18Config, pmi: R18Pmi) -> np.ndarray:
     """Precoders for every (t, iota), shape (N3, N4, P, rank)."""
     validate_budget(config, pmi)
-    v = selected_beams(config, pmi)
-    gain = config.geom.n1 * config.geom.n2
-    n3, n4 = config.n3, config.n4
-    out = np.empty((n3, n4, config.n_ports, config.rank), dtype=complex)
-    for layer in range(config.rank):
-        taps = decode_taps(config, pmi, layer)
-        shifts = decode_shifts(config, pmi, layer)
-        y = np.exp(2j * np.pi * np.outer(np.arange(n3), taps) / n3)   # (N3, Mv)
-        z = np.exp(2j * np.pi * np.outer(np.arange(n4), shifts) / n4)  # (N4, Q)
-        coef = layer_coefficients(config, pmi, layer)                  # (2L,Mv,Q)
-        ct = np.einsum("ifq,tf,nq->itn", coef, y, z)                   # (2L,N3,N4)
-        gamma = (np.abs(ct) ** 2).sum(axis=0)                          # (N3, N4)
-        if np.any(gamma <= 1e-12 * gamma.max()):
-            raise DegenerateReportError(
-                f"layer {layer} has zero energy at some (t, iota)")
-        top = np.einsum("pl,ltn->ptn", v, ct[:config.l])
-        bottom = np.einsum("pl,ltn->ptn", v, ct[config.l:])
-        halves = np.concatenate([top, bottom], axis=0)                 # (P,N3,N4)
-        out[:, :, :, layer] = (halves / np.sqrt(gain * gamma)).transpose(1, 2, 0)
-    return out / np.sqrt(config.rank)
+    layers = range(config.rank)
+    taps = [enhanced.decode_taps(config, pmi, layer) for layer in layers]
+    shifts = [decode_shifts(config, pmi, layer) for layer in layers]
+    return enhanced.synthesize(config, pmi, enhanced.selected_beams(config, pmi),
+                               taps, shifts)
 
 
 def reconstruct(config: R18Config, pmi: R18Pmi, t: int, iota: int) -> np.ndarray:
     """Precoding matrix (P, rank) for frequency unit t and slot interval iota."""
-    if not 0 <= t < config.n3:
-        raise DomainError(f"frequency unit {t} outside [0, {config.n3})")
-    if not 0 <= iota < config.n4:
-        raise DomainError(f"slot interval {iota} outside [0, {config.n4})")
+    enhanced.check_point(config, t, iota)
     return reconstruct_all(config, pmi)[t, iota]
 
 
@@ -328,53 +139,21 @@ def random_valid_pmi(config: R18Config, rng: np.random.Generator,
     if ri_restriction is not None and not check_ri_restriction(
             ri_restriction, config.rank):
         raise RestrictionError(f"rank {config.rank} is prohibited")
-    for _ in range(100):
-        pmi = _draw_pmi(config, rng)
-        try:
-            reconstruct_all(config, pmi)
-        except DegenerateReportError:
-            continue
-        return pmi
-    raise DegenerateReportError("could not draw a non-degenerate report")
+
+    def draw():
+        beams = enhanced.draw_beams(config, rng)
+        taps = enhanced.draw_taps(config, rng)
+        i110 = (tuple(int(rng.integers(config.n4 - 1))
+                      for _ in range(config.rank)) if config.n4 > 1 else None)
+        i18, *coefficients = enhanced.draw_coefficients(config, rng)
+        return R18Pmi(*beams, *taps, i18, i110, *coefficients)
+    return enhanced.redraw(config, draw, reconstruct_all)
 
 
-def _draw_pmi(config: R18Config, rng: np.random.Generator) -> R18Pmi:
-    g = config.geom
-    two_l, mv, q = 2 * config.l, config.mv, config.q
-    if 2 * config.k0 < config.rank:
-        raise BudgetError("budget cannot host one coefficient per layer")
-    i11 = (int(rng.integers(g.o1)), int(rng.integers(g.o2)))
-    i12 = int(rng.integers(binomial(g.n1 * g.n2, config.l)))
-    i15 = int(rng.integers(2 * mv)) if config.window_mode and mv > 1 else (
-        0 if config.window_mode else None)
-    i16 = tuple(int(rng.integers(config.i16_count)) for _ in range(config.rank))
-    i110 = (tuple(int(rng.integers(config.n4 - 1)) for _ in range(config.rank))
-            if config.n4 > 1 else None)
-
-    k0 = config.k0
-    budget_total = 2 * k0
-    bitmap = np.zeros((config.rank, two_l, mv, q), dtype=np.int8)
-    k1 = np.ones((config.rank, 2), dtype=int)
-    k2 = np.zeros((config.rank, two_l, mv, q), dtype=int)
-    c = np.zeros((config.rank, two_l, mv, q), dtype=int)
-    i18 = []
-    for layer in range(config.rank):
-        cap = min(k0, budget_total - (config.rank - layer - 1))
-        k_nz = int(rng.integers(1, max(2, cap + 1)))
-        budget_total -= k_nz
-        i_star = int(rng.integers(two_l))
-        tau_star = int(rng.integers(q))
-        cells = [(i, f, tau) for i in range(two_l) for f in range(mv)
-                 for tau in range(q) if (i, f, tau) != (i_star, 0, tau_star)]
-        rng.shuffle(cells)
-        for i, f, tau in [(i_star, 0, tau_star)] + cells[:k_nz - 1]:
-            bitmap[layer, i, f, tau] = 1
-            k2[layer, i, f, tau] = int(rng.integers(8))
-            c[layer, i, f, tau] = int(rng.integers(N_PSK16))
-        p_star = i_star // config.l
-        k1[layer, p_star] = 15
-        k1[layer, 1 - p_star] = int(rng.integers(1, 16))
-        k2[layer, i_star, 0, tau_star] = 7
-        c[layer, i_star, 0, tau_star] = 0
-        i18.append(encode_strongest(config, bitmap[layer], i_star, tau_star))
-    return R18Pmi(i11, i12, i15, i16, tuple(i18), i110, bitmap, k1, k2, c)
+def serialize_pmi(config: R18Config, pmi: R18Pmi) -> str:
+    """Report bits, MSB first: i11, i12, i15, i16 per layer, then as in
+    ``enhanced.serialize`` with i110 per layer (N4 > 1) after i18."""
+    tail = ([(i110, clog2(config.n4 - 1)) for i110 in pmi.i110]
+            if config.n4 > 1 else [])
+    return enhanced.serialize(config, pmi, enhanced.beam_fields(config, pmi)
+                              + enhanced.tap_fields(config, pmi), tail)

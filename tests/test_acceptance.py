@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from nrpmi import compact, type1, type2_r15, type2_r16, type2_r17, type2_r18
+from nrpmi import compact, enhanced, type1, type2_r15, type2_r16, type2_r17, type2_r18
 from nrpmi.bases import ArrayGeometry, orthogonal_group
 from nrpmi.channel_sim import (
     search_r16,
@@ -233,10 +233,10 @@ def test_06_compact_model_equivalence():
     for _ in range(n):
         pmi = type2_r16.random_valid_pmi(cfg16, rng)
         beams = decode_combination(pmi.i12, half, cfg16.l)
-        taps = type2_r16.decode_taps(cfg16, pmi, 0)
+        taps = enhanced.decode_taps(cfg16, pmi, 0)
         eff_s = compact.spatial_effective_regular(GEOM, *pmi.i11, beams)
         eff_f = compact.frequency_effective(cfg16.n3, taps)
-        w_c = type2_r16.layer_coefficients(cfg16, pmi, 0)
+        w_c = enhanced.layer_coefficients(cfg16, pmi, 0)
         wa = compact.compact_r16(eff_s, w_c, eff_f)
         wb = compact.compact_r16(
             compact.spatial_full_regular(GEOM, *pmi.i11),
@@ -255,7 +255,7 @@ def test_06_compact_model_equivalence():
         taps = type2_r17.decode_tap_offset(cfg17, pmi)
         eff_s = compact.spatial_effective_ps(cfg17.p_csirs, ports)
         eff_f = compact.frequency_effective(cfg17.n3, taps)
-        w_c = type2_r17.layer_coefficients(cfg17, pmi, 0)
+        w_c = enhanced.layer_coefficients(cfg17, pmi, 0)
         wa = compact.compact_r16(eff_s, w_c, eff_f)
         wb = compact.compact_r16(
             compact.spatial_full_ps(cfg17.p_csirs),
@@ -272,12 +272,12 @@ def test_06_compact_model_equivalence():
     for _ in range(n):
         pmi = type2_r18.random_valid_pmi(cfg18, rng)
         beams = decode_combination(pmi.i12, half, cfg18.l)
-        taps = type2_r18.decode_taps(cfg18, pmi, 0)
+        taps = enhanced.decode_taps(cfg18, pmi, 0)
         shifts = type2_r18.decode_shifts(cfg18, pmi, 0)
         eff_s = compact.spatial_effective_regular(GEOM, *pmi.i11, beams)
         eff_f = compact.frequency_effective(cfg18.n3, taps)
         eff_t = compact.temporal_effective(cfg18.n4, shifts)
-        core = type2_r18.layer_coefficients(cfg18, pmi, 0)
+        core = enhanced.layer_coefficients(cfg18, pmi, 0)
         wa = compact.compact_r18_tucker(core, eff_s, eff_f, eff_t)
         sparse = compact.embed_sparse_r18(core, beams, taps, shifts, half,
                                           cfg18.n3, cfg18.n4)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nrpmi import compact, type2_r16, type2_r17, type2_r18
+from nrpmi import compact, enhanced, type2_r16, type2_r17, type2_r18
 from nrpmi.bases import ArrayGeometry
 from nrpmi.channel_sim import (
     ChannelModel,
@@ -82,9 +82,9 @@ def plant_r16(cfg, pmi, sigmas=None):
     eff = compact.spatial_effective_regular(cfg.geom, *pmi.i11, beams)
     h = np.zeros((1, cfg.n3, nr, cfg.n_ports), dtype=complex)
     for layer in range(cfg.rank):
-        taps = type2_r16.decode_taps(cfg, pmi, layer)
+        taps = enhanced.decode_taps(cfg, pmi, layer)
         freq = compact.frequency_effective(cfg.n3, taps)
-        w = compact.compact_r16(eff, type2_r16.layer_coefficients(cfg, pmi, layer),
+        w = compact.compact_r16(eff, enhanced.layer_coefficients(cfg, pmi, layer),
                                 freq)  # (P, N3), unnormalized
         w = w * (sigmas[layer] / np.linalg.norm(w))
         for t in range(cfg.n3):
@@ -139,7 +139,7 @@ def test_search_r16_plant_and_recover(rank):
             for i_star, layer in stars:
                 k1[layer] = np.maximum(k1[layer], 1)
                 k1[layer, i_star // cfg.l] = 15
-                i18.append(type2_r16.encode_strongest(cfg, bitmap[layer],
+                i18.append(enhanced.encode_strongest(cfg, bitmap[layer],
                                                       i_star))
             pmi = type2_r16.R16Pmi(pmi.i11, pmi.i12, pmi.i15, pmi.i16,
                                    tuple(i18), bitmap, k1, k2, c)
@@ -164,8 +164,8 @@ def test_search_r16_flat_channel_taps():
     a = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     h = np.repeat(a[None, None, None, :], 8, axis=1)
     found = search_r16(ChannelRealization(h=h), cfg)
-    taps = type2_r16.decode_taps(cfg, found, 0)
-    coef = type2_r16.layer_coefficients(cfg, found, 0)
+    taps = enhanced.decode_taps(cfg, found, 0)
+    coef = enhanced.layer_coefficients(cfg, found, 0)
     energy = np.abs(coef) ** 2
     assert energy[:, 0].sum() > 0.99 * energy.sum()
     assert taps[0] == 0
@@ -203,7 +203,7 @@ def plant_r17(cfg, pmi, nr=2):
     sigmas = [1.0 - 0.35 * i for i in range(cfg.rank)]
     for layer in range(cfg.rank):
         freq = compact.frequency_effective(cfg.n3, taps)
-        w = compact.compact_r16(eff, type2_r17.layer_coefficients(cfg, pmi, layer),
+        w = compact.compact_r16(eff, enhanced.layer_coefficients(cfg, pmi, layer),
                                 freq)
         w = w * (sigmas[layer] / np.linalg.norm(w))
         for t in range(cfg.n3):
@@ -239,11 +239,11 @@ def plant_r18(cfg, pmi, nr=2):
     h = np.zeros((cfg.n4, cfg.n3, nr, cfg.n_ports), dtype=complex)
     sigmas = [1.0 - 0.35 * i for i in range(cfg.rank)]
     for layer in range(cfg.rank):
-        taps = type2_r18.decode_taps(cfg, pmi, layer)
+        taps = enhanced.decode_taps(cfg, pmi, layer)
         shifts = type2_r18.decode_shifts(cfg, pmi, layer)
         freq = compact.frequency_effective(cfg.n3, taps)
         time = compact.temporal_effective(cfg.n4, shifts)
-        core = type2_r18.layer_coefficients(cfg, pmi, layer)[:, :, :len(shifts)]
+        core = enhanced.layer_coefficients(cfg, pmi, layer)[:, :, :len(shifts)]
         w = compact.compact_r18_tucker(core, eff, freq, time)  # (P, N3, N4)
         w = w * (sigmas[layer] / np.linalg.norm(w))
         for t in range(cfg.n3):
@@ -269,7 +269,7 @@ def test_search_r18_plant_and_recover(rank):
             for i_star, layer in stars:
                 k1[layer] = np.maximum(k1[layer], 1)
                 k1[layer, i_star // cfg.l] = 15
-                i18.append(type2_r18.encode_strongest(cfg, bitmap[layer],
+                i18.append(enhanced.encode_strongest(cfg, bitmap[layer],
                                                       i_star, 0))
             pmi = type2_r18.R18Pmi(pmi.i11, pmi.i12, pmi.i15, pmi.i16,
                                    tuple(i18), pmi.i110, bitmap, k1, k2, c)
@@ -296,7 +296,7 @@ def test_search_r18_static_channel():
     a = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     h = np.repeat(np.repeat(a[None, None, None, :], 8, axis=1), 4, axis=0)
     found = search_r18(ChannelRealization(h=h), cfg)
-    coef = type2_r18.layer_coefficients(cfg, found, 0)
+    coef = enhanced.layer_coefficients(cfg, found, 0)
     shift1_energy = float((np.abs(coef[:, :, 1]) ** 2).sum())
     total = float((np.abs(coef) ** 2).sum())
     assert shift1_energy < 1e-9 * total
@@ -326,9 +326,9 @@ def test_search_r16_port_selection_plant():
         pmi = type2_r16.random_valid_pmi(cfg, rng)
         ports = [pmi.i11 * cfg.d + i for i in range(cfg.l)]
         eff = compact.spatial_effective_ps(cfg.p_csirs, ports)
-        taps = type2_r16.decode_taps(cfg, pmi, 0)
+        taps = enhanced.decode_taps(cfg, pmi, 0)
         freq = compact.frequency_effective(cfg.n3, taps)
-        w = compact.compact_r16(eff, type2_r16.layer_coefficients(cfg, pmi, 0),
+        w = compact.compact_r16(eff, enhanced.layer_coefficients(cfg, pmi, 0),
                                 freq)
         u = np.array([1.0, 1j]) / np.sqrt(2)
         h = np.zeros((1, cfg.n3, 2, cfg.p_csirs), dtype=complex)

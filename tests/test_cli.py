@@ -84,6 +84,37 @@ def test_validate_detects_tap_and_shift_perturbations(tmp_path):
     assert main(["validate", bad2]) == 1
 
 
+def test_validate_reports_short_i16_as_failure(tmp_path, capsys):
+    config = write_config(tmp_path, R18_CONFIG)
+    out = str(tmp_path / "vectors.jsonl")
+    main(["gen-vectors", "--release", "r18", "--config", config,
+          "--seed", "4", "--samples", "1", "--out", out])
+    record = json.loads(open(out).read())
+    record["pmi"]["i16"] = record["pmi"]["i16"][:1]  # rank 2, one entry
+    bad = tmp_path / "short.jsonl"
+    bad.write_text(json.dumps(record) + "\n")
+    capsys.readouterr()
+    assert main(["validate", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert "line 1: FAIL (reconstruction error: " in captured.out
+    assert "0/1 records passed" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_r18_config_ignores_d_slots(tmp_path, capsys):
+    from dataclasses import fields
+
+    from nrpmi.type2_r18 import R18Config
+
+    assert "d_slots" not in {f.name for f in fields(R18Config)}
+    config = write_config(tmp_path, {**R18_CONFIG, "d_slots": 2})
+    out = str(tmp_path / "vectors.jsonl")
+    assert main(["gen-vectors", "--release", "r18", "--config", config,
+                 "--seed", "3", "--samples", "2", "--out", out]) == 0
+    assert main(["validate", out]) == 0
+    assert "2/2 records passed" in capsys.readouterr().out
+
+
 def test_validate_malformed_record(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"release": "r16"}\n')
@@ -150,7 +181,6 @@ def test_serialize_pmi_lengths():
     import numpy as np
     from nrpmi import type2_r15, type2_r16, type2_r17, type2_r18
     from nrpmi.bases import ArrayGeometry
-    from nrpmi.cli import serialize_pmi
     from nrpmi.combinadics import binomial
     from math import ceil, log2
 
@@ -160,7 +190,7 @@ def test_serialize_pmi_lengths():
 
     cfg = type2_r16.R16Config(param_combination=2, r=1, n3=8, rank=2, geom=geom)
     pmi = type2_r16.random_valid_pmi(cfg, rng)
-    bits = serialize_pmi("r16", cfg, pmi)
+    bits = type2_r16.serialize_pmi(cfg, pmi)
     assert set(bits) <= {"0", "1"}
     knz = int(pmi.bitmap.sum())
     expected = (clog2(16) + clog2(binomial(8, 2))            # i11, i12
@@ -171,7 +201,7 @@ def test_serialize_pmi_lengths():
                 + (3 + 4) * (knz - cfg.rank))                # i24/i25 reported
     assert len(bits) == expected
     # deterministic
-    assert bits == serialize_pmi("r16", cfg, pmi)
+    assert bits == type2_r16.serialize_pmi(cfg, pmi)
 
     cfg15 = type2_r15.T2R15Config(l=2, n_psk=8, rank=1, subband_count=2,
                                   variant=type2_r15.REGULAR, geom=geom)
@@ -180,7 +210,7 @@ def test_serialize_pmi_lengths():
     n_phase_bits = sum(clog2(int(a)) for a in mask.phase_alphabet if a)
     expected15 = (clog2(16) + clog2(binomial(8, 2)) + clog2(4) + 3 * 3
                   + 2 * n_phase_bits + 2 * int(mask.k2_reported.sum()))
-    assert len(serialize_pmi("r15-type2", cfg15, pmi15)) == expected15
+    assert len(type2_r15.serialize_pmi(cfg15, pmi15)) == expected15
 
     cfg17 = type2_r17.R17Config(p_csirs=16, param_combination=6, n3=6,
                                 n_threshold=4, rank=1)
@@ -190,7 +220,7 @@ def test_serialize_pmi_lengths():
                   + cfg17.k1_beams * cfg17.m
                   + clog2(cfg17.k1_beams * cfg17.m) + 4
                   + (3 + 4) * (knz17 - 1))
-    assert len(serialize_pmi("r17-ps", cfg17, pmi17)) == expected17
+    assert len(type2_r17.serialize_pmi(cfg17, pmi17)) == expected17
 
     cfg18 = type2_r18.R18Config(geom=geom, param_combination=2, r=1, n3=8,
                                 n4=4, rank=1)
@@ -199,20 +229,19 @@ def test_serialize_pmi_lengths():
     expected18 = (clog2(16) + clog2(binomial(8, 2)) + clog2(binomial(7, 1))
                   + 2 * cfg18.l * cfg18.mv * 2 + clog2(2 * cfg18.l * 2)
                   + clog2(3) + 4 + (3 + 4) * (knz18 - 1))
-    assert len(serialize_pmi("r18", cfg18, pmi18)) == expected18
+    assert len(type2_r18.serialize_pmi(cfg18, pmi18)) == expected18
 
 
 def test_serialize_pmi_msb_first():
     import numpy as np
     from nrpmi import type2_r16
     from nrpmi.bases import ArrayGeometry
-    from nrpmi.cli import serialize_pmi
 
     geom = ArrayGeometry(4, 2, 4, 4)
     cfg = type2_r16.R16Config(param_combination=2, r=1, n3=8, rank=1, geom=geom)
     rng = np.random.default_rng(1)
     pmi = type2_r16.random_valid_pmi(cfg, rng)
-    bits = serialize_pmi("r16", cfg, pmi)
+    bits = type2_r16.serialize_pmi(cfg, pmi)
     # leading field: i11 = q1*O2 + q2 in 4 bits, MSB first
     q1, q2 = pmi.i11
     assert bits[:4] == format(q1 * 4 + q2, "04b")

@@ -2,7 +2,7 @@ import numpy as np
 
 from nrpmi.bases import ArrayGeometry
 from nrpmi.combinadics import decode_combination
-from nrpmi import type2_r15, type2_r16, type2_r17, type2_r18
+from nrpmi import enhanced, type2_r15, type2_r16, type2_r17, type2_r18
 from nrpmi.compact import (
     compact_r15,
     compact_r16,
@@ -148,10 +148,10 @@ def test_protocol_equivalence_r16():
     for _ in range(20):
         pmi = type2_r16.random_valid_pmi(cfg, rng)
         beams = decode_combination(pmi.i12, half, cfg.l)
-        taps = type2_r16.decode_taps(cfg, pmi, 0)
+        taps = enhanced.decode_taps(cfg, pmi, 0)
         eff_s = spatial_effective_regular(GEOM, *pmi.i11, beams)
         eff_f = frequency_effective(cfg.n3, taps)
-        w_c = type2_r16.layer_coefficients(cfg, pmi, 0)
+        w_c = enhanced.layer_coefficients(cfg, pmi, 0)
         w_cmp = compact_r16(eff_s, w_c, eff_f)
         w_proto = type2_r16.reconstruct_all(cfg, pmi)
         for t in range(cfg.n3):
@@ -169,7 +169,7 @@ def test_protocol_equivalence_r17():
         taps = type2_r17.decode_tap_offset(cfg, pmi)
         eff_s = spatial_effective_ps(cfg.p_csirs, ports)
         eff_f = frequency_effective(cfg.n3, taps)
-        w_c = type2_r17.layer_coefficients(cfg, pmi, 0)
+        w_c = enhanced.layer_coefficients(cfg, pmi, 0)
         w_cmp = compact_r16(eff_s, w_c, eff_f)
         w_proto = type2_r17.reconstruct_all(cfg, pmi)
         for t in range(cfg.n3):
@@ -190,12 +190,12 @@ def test_protocol_equivalence_r18_tucker():
     for _ in range(20):
         pmi = type2_r18.random_valid_pmi(cfg, rng)
         beams = decode_combination(pmi.i12, half, cfg.l)
-        taps = type2_r18.decode_taps(cfg, pmi, 0)
+        taps = enhanced.decode_taps(cfg, pmi, 0)
         shifts = type2_r18.decode_shifts(cfg, pmi, 0)
         eff_s = spatial_effective_regular(GEOM, *pmi.i11, beams)
         eff_f = frequency_effective(cfg.n3, taps)
         eff_t = temporal_effective(cfg.n4, shifts)
-        core = type2_r18.layer_coefficients(cfg, pmi, 0)[:, :, :len(shifts)]
+        core = enhanced.layer_coefficients(cfg, pmi, 0)[:, :, :len(shifts)]
         w_cmp = compact_r18_tucker(core, eff_s, eff_f, eff_t)
         w_proto = type2_r18.reconstruct_all(cfg, pmi)
         for t in range(cfg.n3):

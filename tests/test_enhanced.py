@@ -1,0 +1,179 @@
+"""The Enhanced Type II core: total validation of Rel-16/17/18 reports."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nrpmi import cli, enhanced
+from nrpmi.bases import dft_beam
+from nrpmi.errors import (
+    CodebookError,
+    DegenerateReportError,
+    DomainError,
+    FormatError,
+)
+from nrpmi.type2_r17 import R17Config, R17Pmi, reconstruct_all as r17_reconstruct_all
+
+_ARRAY = {"n1": 4, "n2": 2, "o1": 4, "o2": 4}
+CONFIGS = {
+    "r16": {**_ARRAY, "param_combination": 4, "r": 1, "n3": 18, "rank": 2},
+    "r16-window": {**_ARRAY, "param_combination": 4, "r": 1, "n3": 24,
+                   "rank": 1},
+    "r16-ps": {"p_csirs": 16, "param_combination": 2, "r": 1, "n3": 8,
+               "rank": 1, "d": 1},
+    "r17-ps": {"p_csirs": 16, "param_combination": 6, "n3": 12,
+               "n_threshold": 4, "rank": 2},
+    "r18": {**_ARRAY, "param_combination": 2, "r": 1, "n3": 12, "n4": 4,
+            "rank": 2},
+}
+
+
+def release_of(name):
+    return name.split("-window")[0]
+
+
+def sample(name, seed=0):
+    """A config and a random report whose layer 0 reports a coefficient
+    besides the strongest one; returns (config, report, that cell)."""
+    release = release_of(name)
+    config = cli.build_release_config(release, CONFIGS[name])
+    rng = np.random.default_rng(seed)
+    while True:
+        pmi = cli.sample_pmi(release, config, rng)
+        i_star, s_star = enhanced.strongest(config, pmi, 0)
+        star = enhanced.strongest_cell(config, i_star, s_star)
+        cells = [tuple(int(i) for i in cell) for cell in
+                 zip(*np.nonzero(enhanced.grid(pmi.bitmap)[0]))
+                 if cell != star]
+        if cells:
+            return config, pmi, cells[0]
+
+
+def _coefficient(name, value):
+    """Set ``name`` at a reported coefficient other than the strongest."""
+    def mutate(config, pmi, cell):
+        arr = np.array(getattr(pmi, name))
+        enhanced.grid(arr)[(0,) + cell] = value
+        return dataclasses.replace(pmi, **{name: arr})
+    return mutate
+
+
+def _weak_k1(value):
+    """Set the k1 of the polarization without the strongest coefficient."""
+    def mutate(config, pmi, cell):
+        k1 = np.array(pmi.k1)
+        i_star, _ = enhanced.strongest(config, pmi, 0)
+        k1[0, 1 - i_star // config.l] = value
+        return dataclasses.replace(pmi, k1=k1)
+    return mutate
+
+
+def _shorten(name):
+    def mutate(config, pmi, cell):
+        return dataclasses.replace(pmi, **{name: getattr(pmi, name)[:-1]})
+    return mutate
+
+
+@pytest.mark.parametrize("name,mutate,error", [
+    ("r16", _weak_k1(-3), DomainError),
+    ("r16", _coefficient("k2", 9), DomainError),
+    ("r16", _coefficient("c", 40), DomainError),
+    ("r16", _coefficient("bitmap", 2), FormatError),
+    ("r16", _shorten("i16"), FormatError),
+    ("r16", _shorten("i18"), FormatError),
+    ("r16-ps", _coefficient("bitmap", 2), FormatError),
+    ("r17-ps", _weak_k1(-3), DomainError),
+    ("r17-ps", _coefficient("c", 40), DomainError),
+    ("r17-ps", _coefficient("k2", 9), DomainError),
+    ("r17-ps", _coefficient("bitmap", 2), FormatError),
+    ("r17-ps", _shorten("i18"), FormatError),
+    ("r18", _weak_k1(-2), DomainError),
+    ("r18", _coefficient("c", -5), DomainError),
+    ("r18", _coefficient("c", 40), DomainError),
+    ("r18", _coefficient("k2", -1), DomainError),
+    ("r18", _coefficient("k2", 9), DomainError),
+    ("r18", _coefficient("bitmap", 2), FormatError),
+    ("r18", _shorten("i16"), FormatError),
+    ("r18", _shorten("i18"), FormatError),
+    ("r18", _shorten("i110"), FormatError),
+])
+def test_malformed_field_is_rejected(name, mutate, error):
+    config, pmi, cell = sample(name)
+    cli.expected_precoders(release_of(name), config, pmi)
+    with pytest.raises(error):
+        cli.expected_precoders(release_of(name), config,
+                               mutate(config, pmi, cell))
+
+
+def test_i15_and_i16_checked_even_when_unused():
+    # N3 <= 19 leaves no room for i15; Mv = 1 leaves i16 a single value
+    config, pmi, _ = sample("r16")
+    with pytest.raises(FormatError):
+        cli.expected_precoders("r16", config, dataclasses.replace(pmi, i15=0))
+    config = cli.build_release_config("r16", {**CONFIGS["r16"], "n3": 4})
+    pmi = cli.sample_pmi("r16", config, np.random.default_rng(0))
+    assert config.mv == 1 and pmi.i16 == (0, 0)
+    with pytest.raises(FormatError):
+        cli.expected_precoders("r16", config,
+                               dataclasses.replace(pmi, i16=(0, 1)))
+
+
+def test_cancelling_r17_report_is_degenerate():
+    # one beam on taps 0 and 1 with equal weights cancels at t = N3/2
+    cfg = R17Config(p_csirs=8, param_combination=7, n3=8, n_threshold=2)
+    assert cfg.m == 2 and cfg.alpha == 1.0
+    bitmap = np.zeros((1, cfg.k1_beams, 2), dtype=np.int8)
+    bitmap[0, 1, :] = 1
+    k2 = 7 * bitmap.astype(int)
+    c = np.zeros_like(k2)
+    pmi = R17Pmi(None, None, (1,), bitmap, np.array([[15, 1]]), k2, c)
+    with pytest.raises(DegenerateReportError):
+        r17_reconstruct_all(cfg, pmi)
+
+
+def test_beam_grid_indices_name_the_selected_beams():
+    config, pmi, _ = sample("r16")
+    v = enhanced.selected_beams(config, pmi)
+    for j, (l, m) in enumerate(enhanced.beam_grid_indices(config, pmi)):
+        assert np.array_equal(v[:, j], dft_beam(config.geom, l, m))
+
+
+FUZZ = [(name, cli.build_release_config(release_of(name), CONFIGS[name]))
+        for name in ("r16", "r16-window", "r16-ps", "r17-ps", "r18")]
+MUTABLE = ("i15", "i16", "i18", "i110", "bitmap", "k1", "k2", "c")
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_malformed_reports_raise_codebook_errors(data):
+    """Any one field element set to any small int, or any per-layer tuple
+    cut short: reconstruction returns unit-norm layers or raises a
+    CodebookError, and nothing else."""
+    name, config = data.draw(st.sampled_from(FUZZ))
+    release = release_of(name)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    pmi = cli.sample_pmi(release, config, rng)
+    field = data.draw(st.sampled_from(
+        [f for f in MUTABLE if getattr(pmi, f, None) is not None]))
+    value = getattr(pmi, field)
+    new = data.draw(st.integers(-64, 64))
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value[tuple(data.draw(st.integers(0, n - 1))
+                    for n in value.shape)] = new
+    elif isinstance(value, tuple):
+        i = data.draw(st.integers(0, len(value) - 1))
+        value = (value[:-1] if data.draw(st.booleans())
+                 else value[:i] + (new,) + value[i + 1:])
+    else:
+        value = new
+    try:
+        ws = cli.expected_precoders(release, config,
+                                    dataclasses.replace(pmi, **{field: value}))
+    except CodebookError:
+        return
+    np.testing.assert_allclose(np.linalg.norm(ws, axis=-2),
+                               1 / np.sqrt(config.rank), atol=1e-9)

@@ -1,0 +1,106 @@
+"""Golden bytes: seeded CLI vectors and report bit strings must never change.
+
+A change that loses a byte of a conformance vector or a bit of a serialized
+report fails here, not only in the benchmark's gate.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from nrpmi import cli
+
+_ARRAY = {"n1": 4, "n2": 2, "o1": 4, "o2": 4}
+# the conformance benchmark's configurations (perfbench/workloads.py)
+CONF_CONFIGS = {
+    "r15-type1": {**_ARRAY, "mode": 1, "rank": 2, "subband_count": 4},
+    "r15-type2": {**_ARRAY, "l": 4, "n_psk": 8, "subband_amplitude": True,
+                  "rank": 2, "subband_count": 4},
+    "r15-ps": {"p_csirs": 16, "l": 2, "n_psk": 4, "subband_amplitude": True,
+               "rank": 1, "subband_count": 2, "d": 2},
+    "r16": {**_ARRAY, "param_combination": 4, "r": 1, "n3": 18, "rank": 2},
+    "r16-ps": {"p_csirs": 16, "param_combination": 2, "r": 1, "n3": 8,
+               "rank": 1, "d": 1},
+    "r17-ps": {"p_csirs": 16, "param_combination": 6, "n3": 12,
+               "n_threshold": 4, "rank": 2},
+    "r18": {**_ARRAY, "param_combination": 2, "r": 1, "n3": 12, "n4": 4,
+            "rank": 2},
+}
+
+GEN_VECTORS_SHA256 = {
+    ("r15-type1", 0): "0f31def3ed7907dcc8bdeb6925727b74aa5752403c57dcb4ded17619a03bc64b",
+    ("r15-type1", 1): "3fd9b2c40a87f3b1ba88ab5c0ea4a9322f6b86b9c5213081b0c0fcf48361d11a",
+    ("r15-type2", 0): "4b355d3ff2ea75a82fdb189be9e28eb7d23ec5ad47357293fa54d2d050eb3efc",
+    ("r15-type2", 1): "0ea761df61bdee17388ed0e303e9852a4432744bfc132f676880a0d4b25b20bd",
+    ("r15-ps", 0): "486d6299aec24e3d47bc154b8f39760ac975d52727a541dab6e9bf6768f13e17",
+    ("r15-ps", 1): "8b926cdb033600fb64740ff0912348541baca39a3d668ff6b82a04b67e7a4471",
+    ("r16", 0): "8b9cd35aca5e8a062ed5e973f8e09528236810d90c7e6863f4d1dab687bd5ec4",
+    ("r16", 1): "f7f4b3877452d5bfdfff8db087994d999581660c1b1d7a0cac69a02cf0335c68",
+    ("r16-ps", 0): "aba3117d9d28316dfdd131445256dcc64bde7bd9fa27abcbc0e852ce2909e48d",
+    ("r16-ps", 1): "133a8eb29566cfa8f06d837c9ab947eaa542de8b0a7c10c467dac27aa933d2ec",
+    ("r17-ps", 0): "9b8f68aba11d4f83e514f174750b7bfadcc405a58f508d5ee5c7f4e4695edd71",
+    ("r17-ps", 1): "03e82fbb9ce5f6d2b595bf1a405360e1ebbf91c9c15ef367d2615fb3de15aeb7",
+    ("r18", 0): "88af27ed35e960033566daeba3a4a2ff233094b4e41a63647d96ad16279dbc95",
+    ("r18", 1): "588374577041c647f116c827be1eb878e99ecf093aba6199cbd6823ebb137403",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("release", list(CONF_CONFIGS))
+def test_gen_vectors_golden(tmp_path, capsys, release, seed):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONF_CONFIGS[release]))
+    out = tmp_path / "vectors.jsonl"
+    assert cli.main(["gen-vectors", "--release", release, "--config",
+                     str(config), "--seed", str(seed), "--samples", "8",
+                     "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GEN_VECTORS_SHA256[release, seed]
+
+
+# beyond the conformance set: the i15 window and rank-1 prefix i18 (r16),
+# all ports with one tap (r17) and the N4 = 1 degenerate case (r18)
+SERIALIZE_CONFIGS = [
+    ("r15-type2", CONF_CONFIGS["r15-type2"]),
+    ("r15-ps", CONF_CONFIGS["r15-ps"]),
+    ("r16", CONF_CONFIGS["r16"]),
+    ("r16", {**_ARRAY, "param_combination": 6, "r": 1, "n3": 24, "rank": 1}),
+    ("r16-ps", CONF_CONFIGS["r16-ps"]),
+    ("r16-ps", {"p_csirs": 32, "param_combination": 5, "r": 2, "n3": 36,
+                "rank": 3, "d": 2}),
+    ("r17-ps", CONF_CONFIGS["r17-ps"]),
+    ("r17-ps", {"p_csirs": 8, "param_combination": 3, "n3": 6, "rank": 1}),
+    ("r18", CONF_CONFIGS["r18"]),
+    ("r18", {**_ARRAY, "param_combination": 4, "r": 1, "n3": 24, "n4": 1,
+             "rank": 1}),
+    ("r18", {**_ARRAY, "param_combination": 7, "r": 2, "n3": 20, "n4": 8,
+             "rank": 3}),
+]
+
+SERIALIZE_SHA256 = [
+    "bf02951ee9aac573c502cfb3932da1e91e245253e13e16d27dc9735de1b870bb",
+    "da707f7b5998983385ab0b394034a0e896db85f2a4226542673fca050cd2fbd5",
+    "c5c862ec27d33a6f11db5ecc52c44cf95479a020b43444cb3dc40437c256ca20",
+    "cf54a792be194861fd96ff2503cf042aef1659b09cc07180f7a4523d9c767ce7",
+    "c6ef6b739e96319e6b43c8df250a8a6d26c61a953b13a06fdc234df5e17c27a0",
+    "61c76ae6d8107434c5408872e7c76807b49de2a15b624af0d5ac05af44c88dc7",
+    "13ed0307b6f6eccef659e3bd0369cced327ad31f9b4ad4e4d52a1033f12e356b",
+    "4d663b21b1b392ba6b324eae9d16edcf472b5bd05328dd8b447b3dc6de10141b",
+    "c04fb66c7d52894f9f97d78fe308c36b2c7758a0ce106b5376580235f66ebf73",
+    "abee90af589d2c5c0406078b7542ab58b6cd612a98612f49b6f9e5a7cf18ce8b",
+    "63412944893161a7cc70bb4f0bd667f3d3a36f8a184ed793b927b490848fbf3a",
+]
+
+
+@pytest.mark.parametrize("case", range(len(SERIALIZE_CONFIGS)))
+def test_serialize_pmi_golden(case):
+    release, cfg = SERIALIZE_CONFIGS[case]
+    config = cli.build_release_config(release, cfg)
+    rng = np.random.default_rng(case)
+    serialize = cli.RELEASES[release].serialize
+    reports = [serialize(config, cli.sample_pmi(release, config, rng))
+               for _ in range(8)]
+    digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
+    assert digest == SERIALIZE_SHA256[case]

@@ -5,6 +5,14 @@ import pytest
 
 from nrpmi.bases import ArrayGeometry
 from nrpmi.combinadics import binomial
+from nrpmi.enhanced import (
+    compute_mv,
+    decode_taps,
+    encode_strongest,
+    encode_taps,
+    remap_taps,
+    strongest,
+)
 from nrpmi.errors import BudgetError, ConsistencyError, DomainError, FormatError
 from nrpmi.type2_r16 import (
     PARAM_COMBINATIONS,
@@ -12,16 +20,10 @@ from nrpmi.type2_r16 import (
     REGULAR,
     R16Config,
     R16Pmi,
-    compute_mv,
-    decode_taps,
     derive_n3,
-    encode_strongest,
-    encode_taps,
     random_valid_pmi,
     reconstruct,
     reconstruct_all,
-    remap_taps,
-    strongest_beam,
     validate_budget,
 )
 
@@ -206,7 +208,7 @@ def test_strongest_indicator_branches():
     cfg = make_config(rank=2)
     pmi = minimal_pmi(cfg, i_star=3)
     assert pmi.i18 == (3, 3)
-    assert strongest_beam(cfg, pmi, 0) == 3
+    assert strongest(cfg, pmi, 0) == (3, 0)
     # rank 1: prefix count over the tap-0 bitmap column
     cfg1 = make_config(rank=1)
     pmi1 = minimal_pmi(cfg1, i_star=2)
@@ -216,7 +218,7 @@ def test_strongest_indicator_branches():
     pmi1 = R16Pmi(pmi1.i11, pmi1.i12, pmi1.i15, pmi1.i16, (1,),
                   bitmap, pmi1.k1,
                   _with(pmi1.k2, (0, 0, 0), 3), _with(pmi1.c, (0, 0, 0), 5))
-    assert strongest_beam(cfg1, pmi1, 0) == 2
+    assert strongest(cfg1, pmi1, 0) == (2, 0)
     validate_budget(cfg1, pmi1)
 
 
@@ -254,7 +256,7 @@ def test_defaults_after_generation():
         pmi = random_valid_pmi(cfg, rng)
         validate_budget(cfg, pmi)
         for layer in range(2):
-            i_star = strongest_beam(cfg, pmi, layer)
+            i_star, _ = strongest(cfg, pmi, layer)
             assert pmi.k1[layer, i_star // cfg.l] == 15
             assert pmi.k2[layer, i_star, 0] == 7
             assert pmi.c[layer, i_star, 0] == 0

@@ -5,13 +5,10 @@ import pytest
 
 from nrpmi.bases import ArrayGeometry, orthogonal_group
 from nrpmi.combinadics import binomial
+from nrpmi.enhanced import encode_strongest, strongest
 from nrpmi.errors import BudgetError, DomainError, FormatError
-from nrpmi.type2_r16 import (
-    R16Config,
-    R16Pmi,
-    encode_strongest as r16_encode_strongest,
-    reconstruct_all as r16_reconstruct_all,
-)
+from nrpmi.type2_r16 import R16Config, R16Pmi
+from nrpmi.type2_r16 import reconstruct_all as r16_reconstruct_all
 from nrpmi.type2_r17 import (
     PARAM_COMBINATIONS,
     R17Config,
@@ -22,7 +19,6 @@ from nrpmi.type2_r17 import (
     random_valid_pmi,
     reconstruct,
     reconstruct_all,
-    strongest_position,
     validate_budget,
 )
 
@@ -129,7 +125,7 @@ def test_m1_frequency_flat():
 def test_strongest_indicator():
     cfg = make_config(param_combination=7)
     pmi = random_valid_pmi(cfg, np.random.default_rng(6))
-    i_star, f_star = strongest_position(cfg, pmi, 0)
+    i_star, f_star = strongest(cfg, pmi, 0)
     assert pmi.i18[0] == cfg.k1_beams * f_star + i_star
     assert pmi.bitmap[0, i_star, f_star] == 1
     assert pmi.k2[0, i_star, f_star] == 7
@@ -161,7 +157,7 @@ def test_r16_subspace_equivalence():
     # with a DFT port-external beamformer, the R17 reconstruction spans the
     # same direction as an R16 regular reconstruction on the matched beams
     from nrpmi.combinadics import encode_combination
-    from nrpmi.type2_r16 import encode_taps
+    from nrpmi.enhanced import encode_taps
 
     geom = ArrayGeometry(4, 2, 4, 4)
     p = geom.n_ports
@@ -193,7 +189,7 @@ def test_r16_subspace_equivalence():
         i12 = encode_combination(ports, geom.n1 * geom.n2, cfg16.l)
         i16, _ = encode_taps(cfg16, decode_tap_offset(cfg17, pmi17))
         pmi16 = R16Pmi((0, 0), i12, None, (i16,),
-                       (r16_encode_strongest(cfg16, bitmap[0], i_star),),
+                       (encode_strongest(cfg16, bitmap[0], i_star),),
                        bitmap, k1, k2, c)
         w17 = reconstruct_all(cfg17, pmi17)
         w16 = r16_reconstruct_all(cfg16, pmi16)

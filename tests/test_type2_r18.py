@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nrpmi.bases import ArrayGeometry
+from nrpmi.enhanced import encode_strongest, strongest
 from nrpmi.errors import BudgetError, DomainError, FormatError
 from nrpmi.type2_r16 import R16Config, R16Pmi
 from nrpmi.type2_r16 import reconstruct_all as r16_reconstruct_all
@@ -11,11 +12,9 @@ from nrpmi.type2_r18 import (
     R18Pmi,
     check_ri_restriction,
     decode_shifts,
-    encode_strongest,
     random_valid_pmi,
     reconstruct,
     reconstruct_all,
-    strongest_coefficient,
     validate_budget,
 )
 
@@ -108,7 +107,7 @@ def test_static_coefficients_constant_over_intervals():
     bitmap[:, :, :, 1] = 0
     k2[:, :, :, 1] = 0
     c[:, :, :, 1] = 0
-    i_star, tau_star = strongest_coefficient(cfg, pmi, 0)
+    i_star, tau_star = strongest(cfg, pmi, 0)
     if tau_star == 1:
         bitmap[0, i_star, 0, 0] = 1
         k2[0, i_star, 0, 0] = 7
@@ -137,12 +136,12 @@ def test_strongest_indicator_branches():
     cfg = make_config(rank=2, n4=4)
     pmi = random_valid_pmi(cfg, np.random.default_rng(6))
     for layer in range(2):
-        i_star, tau_star = strongest_coefficient(cfg, pmi, layer)
+        i_star, tau_star = strongest(cfg, pmi, layer)
         assert pmi.i18[layer] == 2 * cfg.l * tau_star + i_star
     # rank 1: prefix count across the concatenated (tau, beam) order at tap 0
     cfg1 = make_config(rank=1, n4=4)
     pmi1 = random_valid_pmi(cfg1, np.random.default_rng(7))
-    i_star, tau_star = strongest_coefficient(cfg1, pmi1, 0)
+    i_star, tau_star = strongest(cfg1, pmi1, 0)
     concat = np.concatenate([pmi1.bitmap[0, :, 0, tau] for tau in range(2)])
     expected = int(concat[:2 * cfg1.l * tau_star + i_star + 1].sum()) - 1
     assert pmi1.i18[0] == expected
