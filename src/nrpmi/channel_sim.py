@@ -21,9 +21,7 @@ from . import enhanced, type2_r16, type2_r17, type2_r18
 from .bases import ArrayGeometry, orthogonal_group
 from .combinadics import encode_combination
 from .errors import DomainError
-from .quantization import amp_r15_wideband
-
-_R15_WB_AMPS = np.array([amp_r15_wideband(k) for k in range(8)])
+from .quantization import R15_WB_AMPS, quantize_nearest, quantize_phase
 
 
 @dataclass(frozen=True)
@@ -201,12 +199,12 @@ def _quantize_grid(coef: np.ndarray, l: int, k0: int, budget_left: int,
     k1[p_star] = 15
     other = 1 - p_star
     other_max = float(mag[other * l:other * l + l].max())
-    k1[other] = (int(np.abs(wb_amps[1:] - min(other_max, 1.0)).argmin()) + 1
+    k1[other] = (int(quantize_nearest(min(other_max, 1.0), wb_amps[1:])) + 1
                  if other_max > 0 else 1)
     pol_amp = np.repeat(wb_amps[k1], l)[:, None]
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(pol_amp > 0, mag / pol_amp, 0.0)
-    k2 = np.abs(np.minimum(ratio, 1.0)[..., None] - sb_amps).argmin(axis=-1)
+    k2 = quantize_nearest(np.minimum(ratio, 1.0), sb_amps)
     keep = ratio >= sb_amps[0] / 2
     keep[star] = True
     # budget: strongest first, then by magnitude
@@ -221,7 +219,7 @@ def _quantize_grid(coef: np.ndarray, l: int, k0: int, budget_left: int,
                 allowed.add(int(pos))
         keep = np.zeros_like(keep)
         keep.flat[list(allowed)] = True
-    phases = np.round(np.angle(flat_tail) / (2 * np.pi) * n_psk).astype(int) % n_psk
+    phases = quantize_phase(np.angle(flat_tail), n_psk)
     bitmap = keep.astype(np.int8)
     k2 = np.where(bitmap > 0, k2, 0)
     c = np.where(bitmap > 0, phases, 0)
@@ -476,9 +474,9 @@ def _type2_single_pol_rate(h: np.ndarray, geom: ArrayGeometry, snr: float,
     coef = proj[picks]
     scale = np.abs(coef).max()
     rel = coef / (scale * np.exp(1j * np.angle(coef[np.abs(coef).argmax()])))
-    amp_idx = np.abs(np.abs(rel)[:, None] - _R15_WB_AMPS).argmin(axis=1)
-    phase_idx = np.round(np.angle(rel) / (2 * np.pi) * n_psk).astype(int) % n_psk
-    a_hat = _R15_WB_AMPS[amp_idx] * np.exp(2j * np.pi * phase_idx / n_psk)
+    amp_idx = quantize_nearest(np.abs(rel), R15_WB_AMPS)
+    phase_idx = quantize_phase(np.angle(rel), n_psk)
+    a_hat = R15_WB_AMPS[amp_idx] * np.exp(2j * np.pi * phase_idx / n_psk)
     w = best_group[:, picks] @ a_hat
     norm = np.linalg.norm(w)
     if norm == 0:

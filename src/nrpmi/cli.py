@@ -16,6 +16,8 @@ import csv
 import dataclasses
 import json
 import sys
+import types
+import typing
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -175,20 +177,37 @@ def pmi_to_fields(pmi) -> dict:
     return out
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _field_value(name: str, value, hint):
+    """A JSON field value as the report field's annotated type: a list as
+    an integer array or a tuple of ints, an int or None as itself.  Raises
+    TypeError when no member of the annotation fits."""
+    union = isinstance(hint, types.UnionType)
+    for option in typing.get_args(hint) if union else (hint,):
+        if option is np.ndarray and isinstance(value, list):
+            return np.asarray(value, dtype=int)
+        if typing.get_origin(option) is tuple and isinstance(value, list) \
+                and all(map(_is_int, value)):
+            return tuple(value)
+        if (option is int and _is_int(value)
+                or option is type(None) and value is None):
+            return value
+    raise TypeError(f"field {name} must be {hint}, got {value!r}")
+
+
 def fields_to_pmi(release: str, fields: dict):
-    """Inverse of pmi_to_fields: coefficient arrays back to integer arrays
-    (the bitmap as int8), lists back to tuples."""
+    """Inverse of pmi_to_fields, typed by the report dataclass: coefficient
+    arrays back to integer arrays (the bitmap as int8), lists back to
+    tuples."""
     pmi_type = _release(release).pmi
     values = {}
     for field in dataclasses.fields(pmi_type):
-        value = fields[field.name]
-        if field.name in ("bitmap", "k1", "k2", "c"):
-            value = np.asarray(value, dtype=int)
-            if field.name == "bitmap":
-                value = value.astype(np.int8)
-        elif isinstance(value, list):
-            value = tuple(value)
-        values[field.name] = value
+        value = _field_value(field.name, fields[field.name], field.type)
+        values[field.name] = (value.astype(np.int8) if field.name == "bitmap"
+                              else value)
     return pmi_type(**values)
 
 

@@ -13,6 +13,8 @@ All arithmetic is exact integer arithmetic.
 import math
 from collections.abc import Sequence
 
+import numpy as np
+
 from .errors import DomainError, FormatError
 
 
@@ -30,6 +32,21 @@ def field_bits(value: int, width: int) -> str:
     if not 0 <= value < (1 << width):
         raise FormatError(f"value {value} does not fit in {width} bits")
     return format(value, f"0{width}b")
+
+
+def array_bits(values, widths) -> str:
+    """Each of ``values`` as its ``widths`` bits (``widths`` broadcasts
+    against ``values``), MSB first, concatenated in C order."""
+    values, widths = (a.ravel() for a in np.broadcast_arrays(
+        np.asarray(values, dtype=int), np.asarray(widths, dtype=int)))
+    bad = (values < 0) | (values >= np.left_shift(1, widths))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise FormatError(f"value {values[i]} does not fit in {widths[i]} bits")
+    top = int(widths.max(initial=0))
+    bits = (values[:, None] >> np.arange(top - 1, -1, -1)) & 1
+    keep = np.arange(top) >= top - widths[:, None]
+    return (bits[keep] + ord("0")).astype(np.uint8).tobytes().decode()
 
 
 def binomial(x: int, y: int) -> int:

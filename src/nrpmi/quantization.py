@@ -55,8 +55,23 @@ def phase(c: int, n_psk: int) -> complex:
     return complex(np.exp(2j * np.pi * (c % n_psk) / n_psk))
 
 
+def quantize_nearest(values, table: np.ndarray) -> np.ndarray:
+    """Index of the ``table`` entry nearest each value (first on ties)."""
+    return np.abs(np.asarray(values)[..., None] - table).argmin(axis=-1)
+
+
+def quantize_phase(angles, alphabet) -> np.ndarray:
+    """Index of the nearest PSK phase for each angle (radians); ``alphabet``
+    broadcasts against ``angles``."""
+    return np.round(angles / (2 * np.pi) * alphabet).astype(int) % alphabet
+
+
 def max_amp_restriction(two_bits: int) -> float:
     """Maximum allowed wideband amplitude for a restricted beam (2 bits)."""
     if not 0 <= two_bits <= 3:
         raise DomainError(f"restriction bits {two_bits} outside [0, 3]")
     return 0.0 if two_bits == 0 else float(2.0 ** ((two_bits - 3) / 2))
+
+
+R15_WB_AMPS = np.array([amp_r15_wideband(k) for k in range(8)])
+R15_SB_AMPS = np.array([amp_r15_subband(k) for k in range(2)])

@@ -13,12 +13,12 @@ import numpy as np
 from . import quantization as qt
 from .bases import ArrayGeometry, orthogonal_group
 from .combinadics import (
+    array_bits,
     binomial,
     clog2,
     decode_group_restriction,
     encode_combination,
     field_bits,
-    split_beam_index,
 )
 from .enhanced import (  # noqa: F401 (PORT_SELECTION: a variant name)
     PORT_SELECTION,
@@ -38,9 +38,6 @@ from .errors import (
     FormatError,
     RestrictionError,
 )
-
-_R15_WB_AMPS = np.array([qt.amp_r15_wideband(k) for k in range(8)])
-_R15_SB_AMPS = np.array([qt.amp_r15_subband(k) for k in range(2)])
 
 
 def k2_cap(l: int) -> int:
@@ -97,117 +94,118 @@ class T2R15Pmi:
     c: np.ndarray
 
 
-@dataclass(frozen=True)
-class LayerMask:
-    """Reported/defaulted classification for one layer's coefficients."""
+def reporting_mask(config: T2R15Config, k1, i13) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the reporting reduction rules to every layer at once.
 
-    strongest: int
-    ml: int
-    nonzero: np.ndarray          # (2L,) bool, wideband amplitude > 0
-    k2_reported: np.ndarray      # (2L,) bool
-    phase_alphabet: np.ndarray   # (2L,) int, 0 where the phase is defaulted
-
-
-def reporting_mask(config: T2R15Config, pmi: T2R15Pmi, layer: int) -> LayerMask:
-    """Apply the per-layer reporting reduction rules.
-
-    The min(Ml, K2)-1 strongest nonzero coefficients (largest wideband
+    Returns ``(k2_reported, phase_alphabet)``, both (rank, 2L): per layer,
+    the min(Ml, K2)-1 strongest nonzero coefficients (largest wideband
     amplitude, ties toward the lowest beam index, strongest excluded) carry
     subband amplitude and an N_PSK phase; the remaining nonzero ones carry a
-    QPSK phase only; zero-amplitude positions carry nothing.
+    QPSK phase only (alphabet 4); zero-amplitude positions and the
+    strongest carry nothing (alphabet 0).
     """
-    two_l = 2 * config.l
-    k1 = np.asarray(pmi.k1[layer])
-    s = pmi.i13[layer]
+    k1 = np.asarray(k1)
+    rank, two_l = k1.shape
     nonzero = k1 > 0
-    ml = int(nonzero.sum())
-    order = sorted((i for i in range(two_l) if nonzero[i] and i != s),
-                   key=lambda i: (-k1[i], i))
-    n_fine = min(ml, k2_cap(config.l)) - 1
-    k2_reported = np.zeros(two_l, dtype=bool)
-    alphabet = np.zeros(two_l, dtype=int)
-    if config.subband_amplitude:
-        for i in order[:n_fine]:
-            k2_reported[i] = True
-            alphabet[i] = config.n_psk
-        for i in order[n_fine:]:
-            alphabet[i] = 4
-    else:
-        for i in order:
-            alphabet[i] = config.n_psk
-    return LayerMask(strongest=s, ml=ml, nonzero=nonzero,
-                     k2_reported=k2_reported, phase_alphabet=alphabet)
+    others = nonzero.copy()
+    others[np.arange(rank), list(i13)] = False
+    if not config.subband_amplitude:
+        return np.zeros_like(others), np.where(others, config.n_psk, 0)
+    # the (-k1, beam index) order, positions that report nothing last;
+    # its first n_fine entries carry subband amplitudes
+    order = np.argsort(np.where(others, -k1, 1), axis=1, kind="stable")
+    n_fine = np.minimum(nonzero.sum(axis=1), k2_cap(config.l)) - 1
+    k2_reported = np.zeros_like(others)
+    np.put_along_axis(k2_reported, order,
+                      np.arange(two_l) < n_fine[:, None], axis=1)
+    k2_reported &= others
+    return k2_reported, np.where(k2_reported, config.n_psk,
+                                 np.where(others, 4, 0))
 
 
 def canonicalize(config: T2R15Config, pmi: T2R15Pmi) -> T2R15Pmi:
     """Force every unreported field to its default value."""
     k1 = np.array(pmi.k1, dtype=int)
-    k2 = np.array(pmi.k2, dtype=int)
-    c = np.array(pmi.c, dtype=int)
-    for layer in range(config.rank):
-        s = pmi.i13[layer]
-        k1[layer, s] = 7
-        mask = reporting_mask(config, replace(pmi, k1=k1, k2=k2, c=c), layer)
-        for i in range(2 * config.l):
-            if not mask.k2_reported[i]:
-                k2[layer, :, i] = 1
-            if mask.phase_alphabet[i] == 0:
-                c[layer, :, i] = 0
-            elif mask.phase_alphabet[i] == 4:
-                c[layer, :, i] %= 4
+    k1[np.arange(config.rank), list(pmi.i13)] = 7
+    k2_reported, alphabet = reporting_mask(config, k1, pmi.i13)
+    a = alphabet[:, None]
+    k2 = np.where(k2_reported[:, None], np.asarray(pmi.k2, dtype=int), 1)
+    c = np.asarray(pmi.c, dtype=int)
+    c = np.where(a == 0, 0, np.where(a == 4, c % 4, c))
     return replace(pmi, k1=k1, k2=k2, c=c)
 
 
+def _is_index(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_indices(value, count: int) -> bool:
+    return (isinstance(value, tuple) and len(value) == count
+            and all(map(_is_index, value)))
+
+
 def validate(config: T2R15Config, pmi: T2R15Pmi) -> None:
-    two_l = 2 * config.l
-    n_sb = config.subband_count
-    if np.asarray(pmi.k1).shape != (config.rank, two_l):
-        raise FormatError("k1 must have shape (rank, 2L)")
-    if np.asarray(pmi.k2).shape != (config.rank, n_sb, two_l):
-        raise FormatError("k2 must have shape (rank, subbands, 2L)")
-    if np.asarray(pmi.c).shape != (config.rank, n_sb, two_l):
-        raise FormatError("c must have shape (rank, subbands, 2L)")
+    """Reject a malformed, out-of-range or inconsistent report."""
+    rank, two_l = config.rank, 2 * config.l
     if config.variant == REGULAR:
-        if pmi.i12 is None or not 0 <= pmi.i12 < binomial(
-                config.geom.n1 * config.geom.n2, config.l):
+        if not _is_indices(pmi.i11, 2):
+            raise FormatError(f"i_1,1={pmi.i11} must be a pair (q1, q2)")
+        if not (_is_index(pmi.i12) and 0 <= pmi.i12 < binomial(
+                config.geom.n1 * config.geom.n2, config.l)):
             raise FormatError(f"i_1,2={pmi.i12} out of range")
-    if len(pmi.i13) != config.rank:
-        raise FormatError("one strongest-coefficient index per layer required")
-    for layer in range(config.rank):
-        s = pmi.i13[layer]
-        if not 0 <= s < two_l:
-            raise DomainError(f"i_1,3={s} outside [0, {two_l})")
-        if pmi.k1[layer, s] != 7:
-            raise ConsistencyError("strongest coefficient must carry k1=7")
-        if np.any(pmi.k2[layer, :, s] != 1) or np.any(pmi.c[layer, :, s] != 0):
-            raise ConsistencyError("strongest coefficient must carry k2=1, c=0")
-        mask = reporting_mask(config, pmi, layer)
-        for i in range(two_l):
-            if not mask.k2_reported[i] and np.any(pmi.k2[layer, :, i] != 1):
-                raise ConsistencyError(f"k2 reported at defaulted position {i}")
-            a = mask.phase_alphabet[i]
-            if a == 0 and np.any(pmi.c[layer, :, i] != 0):
-                raise ConsistencyError(f"phase reported at defaulted position {i}")
-            if a > 0 and np.any(pmi.c[layer, :, i] >= a):
-                raise DomainError(f"phase index at position {i} exceeds alphabet {a}")
-        if np.any(pmi.k1[layer] < 0) or np.any(pmi.k1[layer] > 7):
-            raise DomainError("k1 outside [0, 7]")
-        if np.any(pmi.k2[layer] < 0) or np.any(pmi.k2[layer] > 1):
-            raise DomainError("k2 outside [0, 1]")
+    else:
+        if not _is_index(pmi.i11):
+            raise FormatError(f"i_1,1={pmi.i11} must be one block index")
+        if pmi.i12 is not None:
+            raise FormatError("i_1,2 must be absent for port selection")
+    if not _is_indices(pmi.i13, rank):
+        raise FormatError("i_1,3 must hold one strongest-coefficient index "
+                          "per layer")
+    for name, shape in (("k1", (rank, two_l)),
+                        ("k2", (rank, config.subband_count, two_l)),
+                        ("c", (rank, config.subband_count, two_l))):
+        if np.shape(getattr(pmi, name)) != shape:
+            raise FormatError(f"{name} must have shape {shape}")
+    k1, k2, c = np.asarray(pmi.k1), np.asarray(pmi.k2), np.asarray(pmi.c)
+    i13 = np.array(pmi.i13)
+    if ((i13 < 0) | (i13 >= two_l)).any():
+        raise DomainError(f"i_1,3={pmi.i13} outside [0, {two_l})")
+    if ((k1 < 0) | (k1 > 7)).any():
+        raise DomainError("k1 outside [0, 7]")
+    if ((k2 < 0) | (k2 > 1)).any():
+        raise DomainError("k2 outside [0, 1]")
+    rows = np.arange(rank)
+    if (k1[rows, i13] != 7).any():
+        raise ConsistencyError("strongest coefficient must carry k1=7")
+    if (k2[rows, :, i13] != 1).any() or (c[rows, :, i13] != 0).any():
+        raise ConsistencyError("strongest coefficient must carry k2=1, c=0")
+    k2_reported, alphabet = reporting_mask(config, k1, pmi.i13)
+    a = alphabet[:, None]
+    if (~k2_reported[:, None] & (k2 != 1)).any():
+        raise ConsistencyError("k2 reported at a defaulted position")
+    if ((a == 0) & (c != 0)).any():
+        raise ConsistencyError("phase reported at a defaulted position")
+    if ((a > 0) & ((c < 0) | (c >= a))).any():
+        raise DomainError("phase index c outside its alphabet")
+
+
+def _coefficients(config: T2R15Config, pmi: T2R15Pmi,
+                  subband: int) -> np.ndarray:
+    """Complex combination weights p1*p2*phi of every layer, (rank, 2L)."""
+    _, alphabet = reporting_mask(config, pmi.k1, pmi.i13)
+    a = np.where(alphabet > 0, alphabet, config.n_psk)
+    k2 = np.asarray(pmi.k2)[:, subband]
+    p1 = qt.R15_WB_AMPS[pmi.k1]
+    p2 = (qt.R15_SB_AMPS[k2] if config.subband_amplitude
+          else np.ones(k2.shape))
+    phi = np.exp(2j * np.pi * (np.asarray(pmi.c)[:, subband] % a) / a)
+    return p1 * p2 * phi
 
 
 def layer_coefficients(config: T2R15Config, pmi: T2R15Pmi, layer: int,
                        subband: int) -> np.ndarray:
     """Complex combination weights p1*p2*phi for one layer and subband (2L,)."""
-    mask = reporting_mask(config, pmi, layer)
-    p1 = _R15_WB_AMPS[pmi.k1[layer]]
-    p2 = (_R15_SB_AMPS[pmi.k2[layer, subband]]
-          if config.subband_amplitude else np.ones(2 * config.l))
-    phi = np.ones(2 * config.l, dtype=complex)
-    for i in range(2 * config.l):
-        alphabet = mask.phase_alphabet[i] or config.n_psk
-        phi[i] = qt.phase(int(pmi.c[layer, subband, i]) % alphabet, alphabet)
-    return p1 * p2 * phi
+    return _coefficients(config, pmi, subband)[layer]
 
 
 def reconstruct(config: T2R15Config, pmi: T2R15Pmi, subband: int = 0) -> np.ndarray:
@@ -215,8 +213,7 @@ def reconstruct(config: T2R15Config, pmi: T2R15Pmi, subband: int = 0) -> np.ndar
     validate(config, pmi)
     v = selected_beams(config, pmi)
     cols = []
-    for layer in range(config.rank):
-        a = layer_coefficients(config, pmi, layer, subband)
+    for layer, a in enumerate(_coefficients(config, pmi, subband)):
         beta = spatial_gain(config) * float(np.sum(np.abs(a) ** 2))
         if beta == 0:
             raise DegenerateReportError(f"layer {layer} has all-zero amplitudes")
@@ -230,20 +227,18 @@ def serialize_pmi(config: T2R15Config, pmi: T2R15Pmi) -> str:
     the k1 of every beam but the strongest; then per layer the reported
     phases and (with subband amplitudes) k2 of every subband."""
     two_l = 2 * config.l
+    k1 = np.asarray(pmi.k1)
     out = [field_bits(v, w) for v, w in beam_fields(config, pmi)]
-    for layer in range(config.rank):
-        out.append(field_bits(pmi.i13[layer], clog2(two_l)))
-        out += [field_bits(int(pmi.k1[layer, i]), 3) for i in range(two_l)
-                if i != pmi.i13[layer]]
-    for layer in range(config.rank):
-        mask = reporting_mask(config, pmi, layer)
-        for sb in range(config.subband_count):
-            out += [field_bits(int(pmi.c[layer, sb, i]), clog2(int(a)))
-                    for i, a in enumerate(mask.phase_alphabet) if a]
+    for layer, s in enumerate(pmi.i13):
+        out += [field_bits(s, clog2(two_l)),
+                array_bits(np.delete(k1[layer], s), 3)]
+    k2_reported, alphabet = reporting_mask(config, k1, pmi.i13)
+    for layer, a in enumerate(alphabet):
+        out.append(array_bits(np.asarray(pmi.c)[layer][:, a > 0],
+                              np.log2(a[a > 0]).astype(int)))
         if config.subband_amplitude:
-            for sb in range(config.subband_count):
-                out += [field_bits(int(pmi.k2[layer, sb, i]), 1)
-                        for i in range(two_l) if mask.k2_reported[i]]
+            out.append(array_bits(
+                np.asarray(pmi.k2)[layer][:, k2_reported[layer]], 1))
     return "".join(out)
 
 
@@ -279,16 +274,22 @@ def subset_restriction(b1_bits, b2_bits, geom: ArrayGeometry) -> np.ndarray:
     return caps
 
 
+def _beam_caps(config: T2R15Config, pmi: T2R15Pmi, caps: np.ndarray) -> np.ndarray:
+    """The cap of each coefficient's beam, (2L,)."""
+    cap = caps[tuple(np.array(beam_grid_indices(config, pmi)).T)]
+    return np.tile(cap, 2)
+
+
 def check_restriction(config: T2R15Config, pmi: T2R15Pmi, caps: np.ndarray) -> None:
     """Raise if any reported wideband amplitude exceeds its beam cap."""
-    for layer in range(config.rank):
-        for i, (m1, m2) in enumerate(beam_grid_indices(config, pmi)):
-            cap = caps[m1, m2]
-            for pol in (0, 1):
-                amp = _R15_WB_AMPS[pmi.k1[layer, i + pol * config.l]]
-                if amp > cap + 1e-12:
-                    raise RestrictionError(
-                        f"beam ({m1},{m2}) amplitude {amp:.4f} exceeds cap {cap:.4f}")
+    cap = _beam_caps(config, pmi, caps)
+    amp = qt.R15_WB_AMPS[pmi.k1]
+    over = amp > cap + 1e-12
+    if over.any():
+        layer, i = np.argwhere(over)[0]
+        m1, m2 = beam_grid_indices(config, pmi)[i % config.l]
+        raise RestrictionError(f"beam ({m1},{m2}) amplitude "
+                               f"{amp[layer, i]:.4f} exceeds cap {cap[i]:.4f}")
 
 
 def random_valid_pmi(config: T2R15Config, rng: np.random.Generator,
@@ -301,28 +302,13 @@ def random_valid_pmi(config: T2R15Config, rng: np.random.Generator,
     k1 = rng.integers(0, 8, size=(config.rank, two_l))
     k2 = rng.integers(0, 2, size=(config.rank, n_sb, two_l))
     c = rng.integers(0, config.n_psk, size=(config.rank, n_sb, two_l))
-    pmi = T2R15Pmi(i11, i12, i13, k1, k2, c)
-    pmi = canonicalize(config, pmi)
+    pmi = canonicalize(config, T2R15Pmi(i11, i12, i13, k1, k2, c))
     if caps is not None and config.variant == REGULAR:
-        k1 = np.array(pmi.k1)
-        for i, (m1, m2) in enumerate(beam_grid_indices(config, pmi)):
-            max_k = int(np.searchsorted(_R15_WB_AMPS, caps[m1, m2] + 1e-12) - 1)
-            for layer in range(config.rank):
-                for pol in (0, 1):
-                    pos = i + pol * config.l
-                    if pos == pmi.i13[layer]:
-                        continue
-                    k1[layer, pos] = min(k1[layer, pos], max_k)
-        pmi = canonicalize(config, replace(pmi, k1=k1))
+        # cap every coefficient but the strongest, which keeps k1 = 7
+        max_k = np.searchsorted(qt.R15_WB_AMPS,
+                                _beam_caps(config, pmi, caps) + 1e-12) - 1
+        pmi = canonicalize(config, replace(pmi, k1=np.minimum(pmi.k1, max_k)))
     return pmi
-
-
-def _quantize_nearest(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    return np.abs(values[..., None] - table).argmin(axis=-1)
-
-
-def _quantize_phase(angles: np.ndarray, alphabet: int) -> np.ndarray:
-    return np.round(angles / (2 * np.pi) * alphabet).astype(int) % alphabet
 
 
 def _subband_targets(channel: np.ndarray, n_sb: int, rank: int) -> np.ndarray:
@@ -341,8 +327,8 @@ def _subband_targets(channel: np.ndarray, n_sb: int, rank: int) -> np.ndarray:
 
 def search_t2_r15(channel: np.ndarray, config: T2R15Config,
                   caps: np.ndarray | None = None) -> T2R15Pmi:
-    """UE-side report selection: beam group by projected energy, orthogonal
-    matching pursuit for the L beams, least-squares weights, quantization.
+    """UE-side report selection: beam group by projected energy, the L
+    beams of highest energy in it, least-squares weights, quantization.
 
     ``channel`` has shape (M, Nr, P); for the port-selection variant it is
     the effective (beam-domain) channel.
@@ -358,23 +344,25 @@ def search_t2_r15(channel: np.ndarray, config: T2R15Config,
 
     if config.variant == REGULAR:
         g = config.geom
-        scores = {}
+        energy = {}
         for q1 in range(g.o1):
             for q2 in range(g.o2):
                 grp = orthogonal_group(g, q1, q2)
-                # every group spans the full space, so score the energy the
-                # best L beams of the group would capture
-                proj = (np.abs(grp.conj().T @ wide[:, :half].T) ** 2
-                        + np.abs(grp.conj().T @ wide[:, half:].T) ** 2).sum(axis=1)
-                scores[(q1, q2)] = float(np.sort(proj)[-config.l:].sum())
+                # per-beam energy; the beams of a group are orthogonal, so
+                # its best L beams capture its L largest energies
+                energy[q1, q2] = (
+                    np.abs(grp.conj().T @ wide[:, :half].T) ** 2
+                    + np.abs(grp.conj().T @ wide[:, half:].T) ** 2).sum(axis=1)
+        scores = {q: float(np.sort(e)[-config.l:].sum())
+                  for q, e in energy.items()}
         top = max(scores.values())
         # degenerate beam combinations can be represented in several groups
         # (equal projected energy); evaluate every tied candidate end to end
-        candidates = [q for q, e in scores.items() if e >= top * (1 - 1e-9)]
         best_pmi, best_fit = None, -1.0
-        for q1, q2 in candidates:
-            pmi = _finish_regular_search(config, targets, wide, half,
-                                         q1, q2, caps)
+        for q, e in energy.items():
+            if scores[q] < top * (1 - 1e-9):
+                continue
+            pmi = _finish_regular_search(config, targets, half, q, e, caps)
             if pmi is None:
                 continue
             fit = _report_fit(config, pmi, targets)
@@ -396,7 +384,8 @@ def search_t2_r15(channel: np.ndarray, config: T2R15Config,
         i12 = None
         beams = port_beams(p, range(i11 * config.d, i11 * config.d + config.l))
         coef = _project_targets(config, targets, beams, half, gain=1)
-        return _quantize_report(config, coef, i11, i12, None)
+        return _quantize_report(config, coef, i11, i12,
+                                np.full(2 * config.l, 7))
 
 
 def _project_targets(config, targets, beams, half, gain):
@@ -411,25 +400,32 @@ def _project_targets(config, targets, beams, half, gain):
     return coef
 
 
-def _finish_regular_search(config, targets, wide, half, q1, q2, caps):
+def _pick_beams(l: int, energy: np.ndarray, beam_cap: np.ndarray):
+    """The L beams of highest energy (ties toward the lowest index), those
+    with a zero cap last.  The strongest coefficient needs a cap-free beam:
+    when no pick has one, the best cap-free beam replaces the weakest."""
+    order = np.argsort(-np.where(beam_cap == 0, -1.0, energy), kind="stable")
+    free = order[beam_cap[order] == 1]
+    if (beam_cap[order[:l]] < 1).all() and free.size:
+        return np.append(order[:l - 1], free[0])
+    return order[:l]
+
+
+def _finish_regular_search(config, targets, half, q, energy, caps):
     """Beam selection, projection, and quantization for one beam group."""
     g = config.geom
-    grp = orthogonal_group(g, q1, q2)
-    flats = _omp_select(grp, wide, half, config.l, caps, g, q1, q2)
-    i12 = encode_combination(sorted(flats), g.n1 * g.n2, config.l)
-    beams = grp[:, sorted(flats)]
-    if caps is not None:
-        max_k = np.empty(2 * config.l, dtype=int)
-        for i, flat in enumerate(sorted(flats)):
-            x1, x2 = split_beam_index(flat, g.n1)
-            cap = caps[g.o1 * x1 + q1, g.o2 * x2 + q2]
-            limit = int(np.searchsorted(_R15_WB_AMPS, cap + 1e-12) - 1)
-            max_k[i] = max_k[i + config.l] = limit
-    else:
-        max_k = None
+    q1, q2 = q
+    flat = np.arange(g.n1 * g.n2)
+    beam_cap = (np.ones(flat.size) if caps is None else
+                caps[g.o1 * (flat % g.n1) + q1, g.o2 * (flat // g.n1) + q2])
+    flats = np.sort(_pick_beams(config.l, energy, beam_cap))
+    i12 = encode_combination(flats.tolist(), g.n1 * g.n2, config.l)
+    max_k = np.tile(
+        np.searchsorted(qt.R15_WB_AMPS, beam_cap[flats] + 1e-12) - 1, 2)
+    beams = orthogonal_group(g, q1, q2)[:, flats]
     coef = _project_targets(config, targets, beams, half, gain=g.n1 * g.n2)
     try:
-        return _quantize_report(config, coef, (q1, q2), i12, max_k)
+        return _quantize_report(config, coef, q, i12, max_k)
     except RestrictionError:
         return None
 
@@ -445,95 +441,39 @@ def _report_fit(config, pmi, targets) -> float:
     return total
 
 
-def _omp_select(group: np.ndarray, wide_targets: np.ndarray, half: int, l: int,
-                caps, geom, q1, q2) -> list[int]:
-    """Orthogonal matching pursuit over an orthogonal beam dictionary."""
-    n_beams = group.shape[1]
-    banned = set()
-    beam_cap = np.ones(n_beams)
-    if caps is not None:
-        for flat in range(n_beams):
-            x1, x2 = split_beam_index(flat, geom.n1)
-            beam_cap[flat] = caps[geom.o1 * x1 + q1, geom.o2 * x2 + q2]
-            if beam_cap[flat] == 0:
-                banned.add(flat)
-    residual = [t.copy() for t in wide_targets]
-    chosen: list[int] = []
-    last_scores = np.zeros(n_beams)
-    for _ in range(l):
-        scores = np.zeros(n_beams)
-        for r in residual:
-            scores += np.abs(group.conj().T @ r[:half]) ** 2
-            scores += np.abs(group.conj().T @ r[half:]) ** 2
-        last_scores = scores.copy()
-        for b in chosen:
-            scores[b] = -1.0
-        for b in banned:
-            scores[b] = -1.0
-        pick = int(np.argmax(scores))
-        chosen.append(pick)
-        # beams are orthogonal: the LS refit is the projection update
-        v = group[:, pick]
-        norm2 = float(np.real(np.vdot(v, v)))
-        for r in residual:
-            r[:half] -= v * (np.vdot(v, r[:half]) / norm2)
-            r[half:] -= v * (np.vdot(v, r[half:]) / norm2)
-    if caps is not None and all(beam_cap[b] < 1 for b in chosen):
-        # the strongest coefficient needs an unrestricted beam: swap the
-        # weakest pick for the best cap-free beam, if the group has one
-        free = [b for b in range(n_beams) if beam_cap[b] == 1 and b not in chosen]
-        if free:
-            weakest = min(chosen, key=lambda b: last_scores[b])
-            best_free = max(free, key=lambda b: last_scores[b])
-            chosen[chosen.index(weakest)] = best_free
-    return chosen
-
-
 def _quantize_report(config: T2R15Config, coef: np.ndarray, i11, i12,
-                     max_k: np.ndarray | None) -> T2R15Pmi:
-    two_l = 2 * config.l
-    n_sb = config.subband_count
-    mag = np.abs(coef)
-    i13 = []
-    k1 = np.zeros((config.rank, two_l), dtype=int)
-    k2 = np.ones((config.rank, n_sb, two_l), dtype=int)
-    c = np.zeros((config.rank, n_sb, two_l), dtype=int)
-    for layer in range(config.rank):
-        rms = np.round(np.sqrt((mag[layer] ** 2).mean(axis=0)), 12)
-        if max_k is not None:
-            # the strongest coefficient carries an implicit amplitude of 1,
-            # so it must sit on an unrestricted beam
-            admissible = np.flatnonzero(max_k == 7)
-            if admissible.size == 0:
-                raise RestrictionError("restriction leaves no admissible "
-                                       "strongest coefficient")
-            s = int(admissible[np.argmax(rms[admissible])])
-        else:
-            s = int(np.argmax(rms))
-        i13.append(s)
-        ref = mag[layer, :, s]
-        if not np.all(ref > 0):
-            # degenerate layer: keep the strongest position only
-            k1[layer, :] = 0
-            k1[layer, s] = 7
-            continue
-        ratio = mag[layer] / ref[:, None]           # (n_sb, 2L)
-        p1_hat = ratio.max(axis=0)                  # per-position wideband amp
-        k1[layer] = _quantize_nearest(p1_hat, _R15_WB_AMPS)
-        if max_k is not None:
-            k1[layer] = np.minimum(k1[layer], max_k)
-        k1[layer, s] = 7
+                     max_k: np.ndarray) -> T2R15Pmi:
+    """Quantize every layer's (subband, 2L) weights against the reference,
+    the coefficient of largest RMS magnitude; ``max_k`` is the largest k1
+    each coefficient's beam admits."""
+    rows = np.arange(config.rank)
+    mag = np.abs(coef)                                # (rank, n_sb, 2L)
+    rms = np.round(np.sqrt((mag ** 2).mean(axis=1)), 12)
+    # the strongest coefficient carries an implicit amplitude of 1, so it
+    # must sit on an unrestricted beam
+    admissible = np.flatnonzero(max_k == 7)
+    if admissible.size == 0:
+        raise RestrictionError("restriction leaves no admissible "
+                               "strongest coefficient")
+    i13 = admissible[rms[:, admissible].argmax(axis=1)]
+    ref = mag[rows, :, i13]                           # (rank, n_sb)
+    # a layer with a zero reference keeps the strongest position only
+    degenerate = ~(ref > 0).all(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = mag / ref[:, :, None]
+        p1_hat = ratio.max(axis=1)                    # per-position wideband amp
+        k1 = np.minimum(qt.quantize_nearest(p1_hat, qt.R15_WB_AMPS), max_k)
+        k2 = np.ones(coef.shape, dtype=int)
         if config.subband_amplitude:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                p2_hat = np.where(p1_hat > 0, ratio / p1_hat, 1.0)
-            k2[layer] = _quantize_nearest(np.nan_to_num(p2_hat, nan=1.0),
-                                          _R15_SB_AMPS)
-        rel = np.angle(coef[layer]) - np.angle(coef[layer, :, s])[:, None]
-        mask_dummy = T2R15Pmi(i11, i12, tuple(i13 + [0] * (config.rank - layer - 1)),
-                              k1, k2, c)
-        lm = reporting_mask(config, mask_dummy, layer)
-        for i in range(two_l):
-            alphabet = lm.phase_alphabet[i]
-            if alphabet:
-                c[layer, :, i] = _quantize_phase(rel[:, i], alphabet)
-    return canonicalize(config, T2R15Pmi(i11, i12, tuple(i13), k1, k2, c))
+            p2_hat = np.where(p1_hat[:, None] > 0, ratio / p1_hat[:, None], 1.0)
+            k2 = qt.quantize_nearest(np.nan_to_num(p2_hat, nan=1.0),
+                                     qt.R15_SB_AMPS)
+    k1[degenerate] = 0
+    k1[rows, i13] = 7
+    k2[degenerate] = 1
+    rel = np.angle(coef) - np.angle(coef[rows, :, i13])[:, :, None]
+    _, alphabet = reporting_mask(config, k1, i13)
+    a = alphabet[:, None]
+    c = np.where(a > 0, qt.quantize_phase(rel, np.maximum(a, 1)), 0)
+    return canonicalize(config, T2R15Pmi(i11, i12, tuple(i13.tolist()),
+                                         k1, k2, c))

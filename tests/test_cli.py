@@ -101,6 +101,32 @@ def test_validate_reports_short_i16_as_failure(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("release,cfg,field,value", [
+    ("r16", {**R16_CONFIG, "n3": 24}, "i15", [1]),
+    ("r15-type1", T1_CONFIG, "i11", [0]),
+    ("r15-type2", R15_CONFIG, "i13", 0),
+    ("r15-type2", R15_CONFIG, "k1", 3),
+])
+def test_validate_reports_mistyped_field_as_malformed(tmp_path, capsys,
+                                                      release, cfg, field,
+                                                      value):
+    # a list where an index belongs, or the reverse, is a malformed record
+    config = write_config(tmp_path, cfg)
+    out = str(tmp_path / "vectors.jsonl")
+    main(["gen-vectors", "--release", release, "--config", config,
+          "--seed", "4", "--samples", "1", "--out", out])
+    record = json.loads(open(out).read())
+    record["pmi"][field] = value
+    bad = tmp_path / "mistyped.jsonl"
+    bad.write_text(json.dumps(record) + "\n")
+    capsys.readouterr()
+    assert main(["validate", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("line 1: malformed record: ")
+    assert field in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_r18_config_ignores_d_slots(tmp_path, capsys):
     from dataclasses import fields
 
@@ -206,10 +232,11 @@ def test_serialize_pmi_lengths():
     cfg15 = type2_r15.T2R15Config(l=2, n_psk=8, rank=1, subband_count=2,
                                   variant=type2_r15.REGULAR, geom=geom)
     pmi15 = type2_r15.random_valid_pmi(cfg15, rng)
-    mask = type2_r15.reporting_mask(cfg15, pmi15, 0)
-    n_phase_bits = sum(clog2(int(a)) for a in mask.phase_alphabet if a)
+    k2_reported, alphabet = type2_r15.reporting_mask(cfg15, pmi15.k1,
+                                                     pmi15.i13)
+    n_phase_bits = sum(clog2(int(a)) for a in alphabet[0] if a)
     expected15 = (clog2(16) + clog2(binomial(8, 2)) + clog2(4) + 3 * 3
-                  + 2 * n_phase_bits + 2 * int(mask.k2_reported.sum()))
+                  + 2 * n_phase_bits + 2 * int(k2_reported[0].sum()))
     assert len(type2_r15.serialize_pmi(cfg15, pmi15)) == expected15
 
     cfg17 = type2_r17.R17Config(p_csirs=16, param_combination=6, n3=6,

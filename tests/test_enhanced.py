@@ -1,4 +1,5 @@
-"""The Enhanced Type II core: total validation of Rel-16/17/18 reports."""
+"""The Enhanced Type II core: total validation of Rel-16/17/18 reports
+(and, in the fuzz, of Rel-15 Type II reports)."""
 
 import dataclasses
 
@@ -141,9 +142,19 @@ def test_beam_grid_indices_name_the_selected_beams():
         assert np.array_equal(v[:, j], dft_beam(config.geom, l, m))
 
 
-FUZZ = [(name, cli.build_release_config(release_of(name), CONFIGS[name]))
+R15_CONFIGS = {
+    "r15-type2": {**_ARRAY, "l": 3, "n_psk": 8, "rank": 2,
+                  "subband_count": 2},
+    "r15-ps": {"p_csirs": 16, "l": 2, "d": 2, "n_psk": 4, "rank": 2,
+               "subband_count": 3},
+}
+ENHANCED_FIELDS = ("i15", "i16", "i18", "i110", "bitmap", "k1", "k2", "c")
+R15_FIELDS = ("i11", "i12", "i13", "k1", "k2", "c")
+FUZZ = [(name, cli.build_release_config(release_of(name), CONFIGS[name]),
+         ENHANCED_FIELDS)
         for name in ("r16", "r16-window", "r16-ps", "r17-ps", "r18")]
-MUTABLE = ("i15", "i16", "i18", "i110", "bitmap", "k1", "k2", "c")
+FUZZ += [(name, cli.build_release_config(name, cfg), R15_FIELDS)
+         for name, cfg in R15_CONFIGS.items()]
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -152,12 +163,12 @@ def test_malformed_reports_raise_codebook_errors(data):
     """Any one field element set to any small int, or any per-layer tuple
     cut short: reconstruction returns unit-norm layers or raises a
     CodebookError, and nothing else."""
-    name, config = data.draw(st.sampled_from(FUZZ))
+    name, config, mutable = data.draw(st.sampled_from(FUZZ))
     release = release_of(name)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
     pmi = cli.sample_pmi(release, config, rng)
     field = data.draw(st.sampled_from(
-        [f for f in MUTABLE if getattr(pmi, f, None) is not None]))
+        [f for f in mutable if getattr(pmi, f, None) is not None]))
     value = getattr(pmi, field)
     new = data.draw(st.integers(-64, 64))
     if isinstance(value, np.ndarray):

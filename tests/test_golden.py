@@ -10,7 +10,8 @@ import json
 import numpy as np
 import pytest
 
-from nrpmi import cli
+from nrpmi import channel_sim, cli, type2_r15
+from nrpmi.bases import ArrayGeometry
 
 _ARRAY = {"n1": 4, "n2": 2, "o1": 4, "o2": 4}
 # the conformance benchmark's configurations (perfbench/workloads.py)
@@ -104,3 +105,42 @@ def test_serialize_pmi_golden(case):
                for _ in range(8)]
     digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
     assert digest == SERIALIZE_SHA256[case]
+
+
+# UE-side Rel-15 Type II search over drawn channels, without caps
+SEARCH_CONFIGS = [
+    {**_ARRAY, "l": 2, "n_psk": 8, "rank": 1, "subband_count": 2},
+    {**_ARRAY, "l": 4, "n_psk": 8, "rank": 2, "subband_count": 4},
+    {**_ARRAY, "l": 3, "n_psk": 4, "subband_amplitude": False, "rank": 2,
+     "subband_count": 3},
+    {**_ARRAY, "l": 4, "n_psk": 4, "rank": 1, "subband_count": 1},
+    {"p_csirs": 16, "l": 2, "d": 2, "n_psk": 4, "rank": 1,
+     "subband_count": 2},
+    {"p_csirs": 16, "l": 4, "d": 1, "n_psk": 8, "rank": 2,
+     "subband_count": 3},
+]
+
+SEARCH_SHA256 = [
+    "37143027ae2856093834237368bf8f61c8e77f8d62baf81f4c1d29263fcce739",
+    "eb7f6580d0820142874941c408dcce8f1897bbcdaed07095b834662a2b077575",
+    "c2678229628ea23c74a05a873f3fbc2f4c11ac173e8d8a6b3d90ce6dc3a1941e",
+    "e4d8399ac3d66363a6950ab4a0267e42564d4400db773850a377c0fab1013bac",
+    "f38552188d19ee4a71eae7cfd0f30c91e8c86f4df69b342d00cc613aa5a07e3b",
+    "7c3defc563aba99ec747cc74176fb6ee017c707a0150d8357d22399645b910a6",
+]
+
+
+@pytest.mark.parametrize("case", range(len(SEARCH_CONFIGS)))
+def test_search_t2_r15_golden(case):
+    cfg = SEARCH_CONFIGS[case]
+    release = "r15-ps" if "p_csirs" in cfg else "r15-type2"
+    config = cli.build_release_config(release, cfg)
+    model = channel_sim.ChannelModel(n_paths=4, n_subcarriers=12, seed=case)
+    geom = ArrayGeometry(**_ARRAY)
+    reports = []
+    for trial in range(8):
+        h = channel_sim.draw_channel(model, geom, nr=2, trial=trial).flat
+        pmi = type2_r15.search_t2_r15(h, config)
+        reports.append(json.dumps(cli.pmi_to_fields(pmi)))
+    digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
+    assert digest == SEARCH_SHA256[case]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from nrpmi.type2_r15 import (
     beam_grid_indices,
     canonicalize,
     check_restriction,
+    k2_cap,
     layer_coefficients,
     random_valid_pmi,
     reconstruct,
@@ -85,24 +88,55 @@ def test_reporting_mask_counts():
     pmi = zeros_pmi(cfg)
     pmi = canonicalize(cfg, T2R15Pmi(pmi.i11, pmi.i12, (0,),
                                      np.full((1, 8), 3), pmi.k2, pmi.c))
-    m = reporting_mask(cfg, pmi, 0)
-    assert m.ml == 8
-    assert m.k2_reported.sum() == 5
+    k2_reported, alphabet = reporting_mask(cfg, pmi.k1, pmi.i13)
+    assert (pmi.k1[0] > 0).sum() == 8
+    assert k2_reported[0].sum() == 5
     # the two weakest nonzero coefficients fall back to the QPSK alphabet
-    assert (m.phase_alphabet == 4).sum() == 2
-    assert (m.phase_alphabet == 8).sum() == 5
+    assert (alphabet[0] == 4).sum() == 2
+    assert (alphabet[0] == 8).sum() == 5
     # zero wideband amplitude contributes nothing
     k1 = np.full((1, 8), 3)
     k1[0, 1] = 0
     pmi2 = canonicalize(cfg, T2R15Pmi(pmi.i11, pmi.i12, (0,), k1, pmi.k2, pmi.c))
-    m2 = reporting_mask(cfg, pmi2, 0)
-    assert m2.ml == 7
-    assert m2.phase_alphabet[1] == 0
-    assert not m2.k2_reported[1]
+    k2_reported2, alphabet2 = reporting_mask(cfg, pmi2.k1, pmi2.i13)
+    assert (pmi2.k1[0] > 0).sum() == 7
+    assert alphabet2[0, 1] == 0
+    assert not k2_reported2[0, 1]
+
+
+def reference_mask(cfg, k1_layer, s):
+    """The reporting rule of one layer, coefficient by coefficient."""
+    order = sorted((i for i in range(2 * cfg.l) if k1_layer[i] > 0 and i != s),
+                   key=lambda i: (-k1_layer[i], i))
+    n_fine = min(int((k1_layer > 0).sum()), k2_cap(cfg.l)) - 1
+    k2_reported = np.zeros(2 * cfg.l, dtype=bool)
+    alphabet = np.zeros(2 * cfg.l, dtype=int)
+    for place, i in enumerate(order):
+        fine = not cfg.subband_amplitude or place < n_fine
+        k2_reported[i] = cfg.subband_amplitude and fine
+        alphabet[i] = cfg.n_psk if fine else 4
+    return k2_reported, alphabet
+
+
+@pytest.mark.parametrize("l", [2, 3, 4])
+@pytest.mark.parametrize("n_psk", [4, 8])
+@pytest.mark.parametrize("subband_amplitude", [True, False])
+def test_reporting_mask_matches_the_per_layer_rule(l, n_psk,
+                                                   subband_amplitude):
+    cfg = simple_config(l=l, n_psk=n_psk, subband_amplitude=subband_amplitude,
+                        rank=2)
+    rng = np.random.default_rng(l)
+    for _ in range(100):
+        k1 = rng.integers(0, 8, size=(2, 2 * l))
+        i13 = tuple(int(s) for s in rng.integers(2 * l, size=2))
+        k2_reported, alphabet = reporting_mask(cfg, k1, i13)
+        for layer in range(2):
+            want_k2, want_alphabet = reference_mask(cfg, k1[layer], i13[layer])
+            assert np.array_equal(k2_reported[layer], want_k2)
+            assert np.array_equal(alphabet[layer], want_alphabet)
 
 
 def test_k2_cap_by_l():
-    from nrpmi.type2_r15 import k2_cap
     assert k2_cap(2) == 4 and k2_cap(3) == 4 and k2_cap(4) == 6
 
 
@@ -113,6 +147,36 @@ def test_validate_rejects_inconsistent():
     bad_k1[0, pmi.i13[0]] = 5
     with pytest.raises(ConsistencyError):
         reconstruct(cfg, T2R15Pmi(pmi.i11, pmi.i12, pmi.i13, bad_k1, pmi.k2, pmi.c))
+
+
+PS = {"variant": PORT_SELECTION, "geom": None, "p_csirs": 16, "d": 2}
+
+
+def _negative_phase(cfg, pmi):
+    # layer 0's first nonzero coefficient besides the strongest reports a
+    # phase; -1 would wrap to the last phase of its alphabet
+    i = np.flatnonzero((pmi.k1[0] > 0) & (np.arange(2 * cfg.l) != pmi.i13[0]))[0]
+    c = np.array(pmi.c)
+    c[0, 0, i] = -1
+    return replace(pmi, c=c)
+
+
+@pytest.mark.parametrize("extra,mutate,error", [
+    ({}, _negative_phase, DomainError),
+    ({}, lambda cfg, pmi: replace(pmi, i13=0), FormatError),
+    ({}, lambda cfg, pmi: replace(pmi, i13=pmi.i13[:1]), FormatError),
+    ({}, lambda cfg, pmi: replace(pmi, i11=pmi.i11[:1]), FormatError),
+    (PS, _negative_phase, DomainError),
+    (PS, lambda cfg, pmi: replace(pmi, i12=0), FormatError),
+    (PS, lambda cfg, pmi: replace(pmi, i11=(pmi.i11, 0)), FormatError),
+], ids=["negative-c", "scalar-i13", "short-i13", "short-i11",
+        "ps-negative-c", "ps-i12", "ps-pair-i11"])
+def test_validate_rejects_malformed_fields(extra, mutate, error):
+    cfg = simple_config(l=3, rank=2, subband_count=2, **extra)
+    pmi = random_valid_pmi(cfg, np.random.default_rng(4))
+    reconstruct(cfg, pmi)
+    with pytest.raises(error):
+        reconstruct(cfg, mutate(cfg, pmi))
 
 
 @pytest.mark.parametrize("variant,extra", [
@@ -238,6 +302,42 @@ def test_search_respects_caps():
         h = (rng.standard_normal((2, 2, 16)) + 1j * rng.standard_normal((2, 2, 16)))
         found = search_t2_r15(h, cfg, caps=caps)
         check_restriction(cfg, found, caps)  # must not raise
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_cap_swap_keeps_the_strongest_picks(l):
+    # a rank-1 channel on beams of group (0, 0) with falling weights; caps
+    # below 1 on the l strongest leave the next one the best cap-free beam,
+    # which must replace the weakest pick, not a stronger one
+    flats, weights = [5, 2, 7, 0][:l + 1], [1.0, 0.7, 0.5, 0.3][:l + 1]
+    grp = orthogonal_group(GEOM, 0, 0)
+    w = sum(a * grp[:, f] for f, a in zip(flats, weights))
+    h = np.concatenate([w, 0.5 * w]).conj()[None, None, :]
+    beams = [(GEOM.o1 * (f % GEOM.n1), GEOM.o2 * (f // GEOM.n1)) for f in flats]
+    caps = np.ones((GEOM.beams_h, GEOM.beams_v))
+    for beam in beams[:l]:
+        caps[beam] = 0.5
+    cfg = simple_config(l=l)
+    found = search_t2_r15(h, cfg, caps=caps)
+    check_restriction(cfg, found, caps)
+    assert set(beam_grid_indices(cfg, found)) == set(beams[:l - 1] + beams[l:])
+
+
+def test_search_reports_with_zero_caps_in_the_group():
+    # every group of a 2x1 array has L = 2 beams; a zero cap on beam (4, 0)
+    # leaves group (0, 0) one usable beam, which the report pairs with the
+    # capped one at zero amplitude
+    geom = ArrayGeometry.from_antennas(2, 1)
+    cfg = simple_config(geom=geom)
+    caps = np.ones((geom.beams_h, geom.beams_v))
+    caps[4, 0] = 0.0
+    rng = np.random.default_rng(2)
+    v = dft_beam(geom, 0, 0)
+    h = (np.concatenate([v, 0.5 * v]).conj()
+         + 0.1 * rng.standard_normal((2, 2, 4)))
+    found = search_t2_r15(h, cfg, caps=caps)
+    check_restriction(cfg, found, caps)
+    assert (0, 0) in beam_grid_indices(cfg, found)
 
 
 def test_regular_vs_port_selection_equivalence():
