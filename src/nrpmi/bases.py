@@ -136,6 +136,15 @@ def orthogonal_group(geom: ArrayGeometry, q1: int, q2: int) -> np.ndarray:
     return _beam_tables(geom)[1][q1, q2]
 
 
+def orthogonal_groups(geom: ArrayGeometry) -> np.ndarray:
+    """Every orthogonal group at once, shape (O1, O2, N1*N2, N1*N2).
+
+    Entry [q1, q2] is ``orthogonal_group(geom, q1, q2)``.  The result is a
+    read-only view of a cached table; copy it before changing it.
+    """
+    return _beam_tables(geom)[1]
+
+
 def spectral_basis(n3: int, n3_index: int) -> np.ndarray:
     """Delay-domain DFT vector of length N3; entry t = exp(j*2pi*t*n/N3)."""
     if not 0 <= n3_index < n3:

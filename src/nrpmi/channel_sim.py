@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import enhanced, type2_r16, type2_r17, type2_r18
-from .bases import ArrayGeometry, orthogonal_group
+from .bases import ArrayGeometry, orthogonal_groups
 from .combinadics import encode_combination
 from .errors import DomainError
 from .quantization import R15_WB_AMPS, quantize_nearest, quantize_phase
@@ -144,33 +144,63 @@ def _targets(h: np.ndarray, rank: int) -> np.ndarray:
 
 def _beam_projections(targets: np.ndarray, basis: np.ndarray,
                       gain: float) -> np.ndarray:
-    """Coefficients of both polarization halves, shape (rank, N4, M, 2L)."""
+    """Coefficients of both polarization halves, shape (..., 2L) for
+    targets (..., P)."""
     half = targets.shape[-1] // 2
-    b1 = np.einsum("pl,knmp->knml", basis.conj(), targets[..., :half]) / gain
-    b2 = np.einsum("pl,knmp->knml", basis.conj(), targets[..., half:]) / gain
+    b1 = np.einsum("pl,...p->...l", basis.conj(), targets[..., :half]) / gain
+    b2 = np.einsum("pl,...p->...l", basis.conj(), targets[..., half:]) / gain
     return np.concatenate([b1, b2], axis=-1)
 
 
-def _group_candidates(targets: np.ndarray, geom: ArrayGeometry, l: int):
-    """Groups whose best-L beams capture (close to) the maximum energy.
+def _group_energy(targets: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
+    """The group scan: the energy of targets (..., P) on every beam of every
+    orthogonal group, both polarization halves summed, (O1, O2, N1*N2).
+
+    The beams of a group are orthogonal, so its best L beams capture its L
+    largest energies.
+    """
+    rows = targets.reshape(-1, geom.n1 * geom.n2)
+    return (np.abs(rows @ orthogonal_groups(geom).conj()) ** 2).sum(axis=-2)
+
+
+def _group_scores(energy: np.ndarray, l: int) -> np.ndarray:
+    """Each group's score: the energy of its L strongest beams, (O1, O2)."""
+    return np.sort(energy, axis=-1)[..., -l:].sum(axis=-1)
+
+
+def _tied_groups(energy: np.ndarray, l: int) -> list[tuple[int, int]]:
+    """Tie rule: every group (q1, q2), in order, whose score is within 1e-9
+    (relative) of the best.
 
     Degenerate beam combinations are exactly representable in several
-    groups, so ties are real; every tied candidate is returned for a full
-    evaluation.
+    groups, so ties are real; every tied group gets a full evaluation.
     """
-    entries = []
-    for q1 in range(geom.o1):
-        for q2 in range(geom.o2):
-            grp = orthogonal_group(geom, q1, q2)
-            proj = _beam_projections(targets, grp, geom.n1 * geom.n2)
-            energy = (np.abs(proj) ** 2).sum(axis=(0, 1, 2))
-            per_beam = energy[:grp.shape[1]] + energy[grp.shape[1]:]
-            flats = np.sort(np.argsort(per_beam)[-l:])
-            score = float(per_beam[flats].sum())
-            entries.append((score, (q1, q2), tuple(int(v) for v in flats), grp))
-    top = max(e[0] for e in entries)
-    return [(q, flats, grp[:, list(flats)]) for score, q, flats, grp in entries
-            if score >= top * (1 - 1e-9)]
+    score = _group_scores(energy, l)
+    return [(int(q1), int(q2))
+            for q1, q2 in np.argwhere(score >= score.max() * (1 - 1e-9))]
+
+
+def _first_best(candidates, fit):
+    """Fit rule: the first candidate whose fit beats every earlier one by
+    more than 1e-12; None candidates are skipped (None if all are)."""
+    best, best_fit = None, -1.0
+    for candidate in candidates:
+        if candidate is None:
+            continue
+        value = fit(candidate)
+        if value > best_fit + 1e-12:
+            best, best_fit = candidate, value
+    return best
+
+
+def _pick_port_block(targets: np.ndarray, p_csirs: int, l: int,
+                     d: int) -> int:
+    """Port-selection i11: the block of L ports, starting at a multiple of
+    d, that carries the most energy of targets (..., P) in both halves."""
+    half = p_csirs // 2
+    per_port = (np.abs(targets.reshape(-1, half)) ** 2).sum(axis=0)
+    starts = np.arange(0, half - l + 1, d)
+    return int(np.argmax(per_port[starts[:, None] + np.arange(l)].sum(axis=1)))
 
 
 def _quantize_grid(coef: np.ndarray, l: int, k0: int, budget_left: int,
@@ -266,11 +296,10 @@ def _pick_taps(ref_metric: np.ndarray, energy: np.ndarray, mv: int, n3: int,
     rel_energy = np.roll(energy, -ref)
     if mv == 1:
         return ref, (0,), 0
-    if not window_mode:
+    if not window_mode or 2 * mv >= n3:
+        # a window of 2Mv >= N3 taps at M_initial = 0 covers every tap
         rest = np.sort(np.argsort(rel_energy[1:])[::-1][:mv - 1] + 1)
         return ref, (0,) + tuple(int(t) for t in rest), 0
-    if 2 * mv >= n3:
-        raise DomainError(f"window of {2 * mv} taps is ambiguous for N3={n3}")
     # signed relative position; the window [M_init, M_init + 2Mv - 1] must
     # cover every pick and contain 0
     signed = {}
@@ -321,16 +350,9 @@ def search_r16(channel: ChannelRealization, config: type2_r16.R16Config
     targets = _targets(h, config.rank)
     if config.variant == enhanced.REGULAR:
         return _search_groups(config, targets, type2_r16)
-    half = config.p_csirs // 2
-    l = config.l
-    max_start = half - l
-    energy = (np.abs(targets) ** 2).sum(axis=(0, 1, 2))
-    per_port = energy[:half] + energy[half:]
-    blocks = [sum(per_port[b * config.d + i] for i in range(l))
-              for b in range(max_start // config.d + 1)]
-    i11 = int(np.argmax(blocks))
+    i11 = _pick_port_block(targets, config.p_csirs, config.l, config.d)
     start = i11 * config.d
-    basis = enhanced.port_beams(config.p_csirs, range(start, start + l))
+    basis = enhanced.port_beams(config.p_csirs, range(start, start + config.l))
     return _finish(config, targets, i11, None, basis, 1)
 
 
@@ -345,22 +367,28 @@ def search_r18(channel: ChannelRealization, config: type2_r18.R18Config
 
 
 def _search_groups(config, targets, release):
-    """Finish every tied beam group and keep the first best fit, scored by
+    """Finish every tied beam group, each with its L beams of highest
+    energy, and keep the first best fit, scored by
     ``release.reconstruct_all``."""
     g, l = config.geom, config.l
+    n = g.n1 * g.n2
+    energy = _group_energy(targets, g)
     unit = targets / np.linalg.norm(targets, axis=-1, keepdims=True)
-    best_pmi, best_fit = None, -1.0
-    for q, flats, basis in _group_candidates(targets, g, l):
-        i12 = encode_combination(flats, g.n1 * g.n2, l)
-        pmi = _finish(config, targets, q, i12, basis, g.n1 * g.n2)
+
+    def finish(q):
+        flats = np.sort(np.argsort(energy[q])[-l:])
+        i12 = encode_combination(flats.tolist(), n, l)
+        return _finish(config, targets, q, i12,
+                       orthogonal_groups(g)[q][:, flats], n)
+
+    def fit(pmi):
         ws = release.reconstruct_all(config, pmi)
         if ws.ndim == 3:
             ws = ws[:, None]                   # Rel-16: one slot interval
         corr = np.einsum("lntp,tnpl->tnl", unit.conj(), ws)
-        fit = float((np.abs(corr) ** 2).sum())
-        if fit > best_fit + 1e-12:
-            best_pmi, best_fit = pmi, fit
-    return best_pmi
+        return float((np.abs(corr) ** 2).sum())
+
+    return _first_best(map(finish, _tied_groups(energy, l)), fit)
 
 
 def _finish(config, targets, i11, i12, basis, gain):
@@ -461,14 +489,9 @@ def _type2_single_pol_rate(h: np.ndarray, geom: ArrayGeometry, snr: float,
                            l_beams: int = 4, n_psk: int = 4) -> float:
     n = geom.n1 * geom.n2
     target = h.conj()  # the matched beamformer direction
-    best_group, best_energy = None, -1.0
-    for q1 in range(geom.o1):
-        for q2 in range(geom.o2):
-            grp = orthogonal_group(geom, q1, q2)
-            proj = np.abs(grp.conj().T @ target) ** 2
-            energy = float(np.sort(proj)[-l_beams:].sum())
-            if energy > best_energy + 1e-12:
-                best_group, best_energy = grp, energy
+    score = _group_scores(_group_energy(target, geom), l_beams)
+    best_group = orthogonal_groups(geom)[
+        _first_best(np.ndindex(score.shape), score.__getitem__)]
     proj = best_group.conj().T @ target / n
     picks = np.argsort(np.abs(proj))[-l_beams:]
     coef = proj[picks]

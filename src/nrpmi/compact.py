@@ -65,47 +65,23 @@ def _blockdiag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def embed_sparse_r15(w_c: np.ndarray, beams, half_dim: int) -> np.ndarray:
-    """Sparse coefficient vector: w_c entries at the selected beam rows."""
-    l = len(beams)
-    if w_c.shape != (2 * l,):
-        raise DomainError(f"w_c must have length 2L={2 * l}")
-    w_pmi = np.zeros(2 * half_dim, dtype=complex)
-    for j, b in enumerate(beams):
-        w_pmi[b] = w_c[j]
-        w_pmi[half_dim + b] = w_c[l + j]
-    return w_pmi
+def embed_sparse(core: np.ndarray, beams, half_dim: int,
+                 *axes) -> np.ndarray:
+    """Sparse coefficient container for the full bases: the core's entries
+    at the selected beam rows of both polarizations and, for each trailing
+    axis given as an (indices, size) pair, at the selected positions.
 
-
-def embed_sparse_r16(w_c: np.ndarray, beams, taps, half_dim: int,
-                     n3: int) -> np.ndarray:
-    """Sparse (P, N3) coefficient matrix with 2L active rows, Mv columns."""
-    l = len(beams)
-    mv = len(taps)
-    if w_c.shape != (2 * l, mv):
-        raise DomainError(f"w_c must be (2L, Mv) = ({2 * l}, {mv})")
-    w_pmi = np.zeros((2 * half_dim, n3), dtype=complex)
-    for j, b in enumerate(beams):
-        for f, t in enumerate(taps):
-            w_pmi[b, t] = w_c[j, f]
-            w_pmi[half_dim + b, t] = w_c[l + j, f]
-    return w_pmi
-
-
-def embed_sparse_r18(core: np.ndarray, beams, taps, shifts, half_dim: int,
-                     n3: int, n4: int) -> np.ndarray:
-    """Sparse (P, N3, N4) coefficient tensor."""
-    l = len(beams)
-    mv, q = len(taps), len(shifts)
-    if core.shape != (2 * l, mv, q):
-        raise DomainError(f"core must be (2L, Mv, Q) = ({2 * l}, {mv}, {q})")
-    w_pmi = np.zeros((2 * half_dim, n3, n4), dtype=complex)
-    for j, b in enumerate(beams):
-        for f, t in enumerate(taps):
-            for s, n in enumerate(shifts):
-                w_pmi[b, t, n] = core[j, f, s]
-                w_pmi[half_dim + b, t, n] = core[l + j, f, s]
-    return w_pmi
+    Rel-15 has no trailing axis (a (P,) vector), Rel-16/17 one (taps, N3)
+    and Rel-18 two (taps, N3) and (shifts, N4).
+    """
+    shape = (2 * len(beams),) + tuple(len(idx) for idx, _ in axes)
+    if core.shape != shape:
+        raise DomainError(f"core must have shape {shape}, got {core.shape}")
+    out = np.zeros((2 * half_dim,) + tuple(size for _, size in axes),
+                   dtype=complex)
+    rows = [*beams, *(half_dim + b for b in beams)]
+    out[np.ix_(rows, *(list(idx) for idx, _ in axes))] = core
+    return out
 
 
 def compact_r15(spatial: np.ndarray, w_c: np.ndarray) -> np.ndarray:

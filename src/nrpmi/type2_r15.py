@@ -11,7 +11,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import quantization as qt
-from .bases import ArrayGeometry, orthogonal_group
+from .bases import ArrayGeometry, orthogonal_groups
+from .channel_sim import (
+    _beam_projections,
+    _first_best,
+    _group_energy,
+    _pick_port_block,
+    _tied_groups,
+)
 from .combinadics import (
     array_bits,
     binomial,
@@ -292,36 +299,48 @@ def check_restriction(config: T2R15Config, pmi: T2R15Pmi, caps: np.ndarray) -> N
                                f"{amp[layer, i]:.4f} exceeds cap {cap[i]:.4f}")
 
 
+def _max_k(cap: np.ndarray) -> np.ndarray:
+    """The largest k1 each beam cap admits; 7 only on a cap-free beam."""
+    return np.searchsorted(qt.R15_WB_AMPS, cap + 1e-12) - 1
+
+
 def random_valid_pmi(config: T2R15Config, rng: np.random.Generator,
                      caps: np.ndarray | None = None) -> T2R15Pmi:
-    """Draw a uniformly random internally consistent report."""
+    """Draw a uniformly random internally consistent report.
+
+    Under ``caps`` (regular variant), each layer's strongest coefficient
+    sits on a cap-free beam and every other k1 is capped; a beam draw with
+    no cap-free beam raises ``RestrictionError``.
+    """
     two_l = 2 * config.l
     n_sb = config.subband_count
     i11, i12 = draw_beams(config, rng)
-    i13 = tuple(int(rng.integers(two_l)) for _ in range(config.rank))
-    k1 = rng.integers(0, 8, size=(config.rank, two_l))
+    max_k = np.full(two_l, 7)
+    if caps is not None and config.variant == REGULAR:
+        beams = T2R15Pmi(i11, i12, (), None, None, None)  # i11/i12 only
+        max_k = _max_k(_beam_caps(config, beams, caps))
+    free = np.flatnonzero(max_k == 7)
+    if free.size == 0:
+        raise RestrictionError("restriction leaves no admissible "
+                               "strongest coefficient")
+    i13 = tuple(int(free[rng.integers(free.size)])
+                for _ in range(config.rank))
+    k1 = np.minimum(rng.integers(0, 8, size=(config.rank, two_l)), max_k)
     k2 = rng.integers(0, 2, size=(config.rank, n_sb, two_l))
     c = rng.integers(0, config.n_psk, size=(config.rank, n_sb, two_l))
-    pmi = canonicalize(config, T2R15Pmi(i11, i12, i13, k1, k2, c))
-    if caps is not None and config.variant == REGULAR:
-        # cap every coefficient but the strongest, which keeps k1 = 7
-        max_k = np.searchsorted(qt.R15_WB_AMPS,
-                                _beam_caps(config, pmi, caps) + 1e-12) - 1
-        pmi = canonicalize(config, replace(pmi, k1=np.minimum(pmi.k1, max_k)))
-    return pmi
+    return canonicalize(config, T2R15Pmi(i11, i12, i13, k1, k2, c))
 
 
 def _subband_targets(channel: np.ndarray, n_sb: int, rank: int) -> np.ndarray:
-    """Per-subband dominant eigenvectors of H^H H, shape (n_sb, rank, P)."""
+    """Per-subband dominant eigenvectors of H^H H, shape (rank, n_sb, P)."""
     m, _, p = channel.shape
     edges = np.linspace(0, m, n_sb + 1).astype(int)
-    targets = np.empty((n_sb, rank, p), dtype=complex)
+    targets = np.empty((rank, n_sb, p), dtype=complex)
     for sb in range(n_sb):
         h = channel[edges[sb]:edges[sb + 1]]
         cov = np.einsum("mrp,mrq->pq", h.conj(), h)
         _, vecs = np.linalg.eigh(cov)
-        for layer in range(rank):
-            targets[sb, layer] = vecs[:, -1 - layer]
+        targets[:, sb] = vecs[:, ::-1][:, :rank].T
     return targets
 
 
@@ -337,67 +356,22 @@ def search_t2_r15(channel: np.ndarray, config: T2R15Config,
     p = config.n_ports
     if h.ndim != 3 or h.shape[2] != p:
         raise DomainError(f"channel must be (M, Nr, {p})")
-    half = p // 2
-    n_sb = config.subband_count
-    targets = _subband_targets(h, n_sb, config.rank)
-    wide = _subband_targets(h, 1, config.rank)[0]  # (rank, P)
+    targets = _subband_targets(h, config.subband_count, config.rank)
+    wide = _subband_targets(h, 1, config.rank)  # (rank, 1, P)
 
     if config.variant == REGULAR:
-        g = config.geom
-        energy = {}
-        for q1 in range(g.o1):
-            for q2 in range(g.o2):
-                grp = orthogonal_group(g, q1, q2)
-                # per-beam energy; the beams of a group are orthogonal, so
-                # its best L beams capture its L largest energies
-                energy[q1, q2] = (
-                    np.abs(grp.conj().T @ wide[:, :half].T) ** 2
-                    + np.abs(grp.conj().T @ wide[:, half:].T) ** 2).sum(axis=1)
-        scores = {q: float(np.sort(e)[-config.l:].sum())
-                  for q, e in energy.items()}
-        top = max(scores.values())
-        # degenerate beam combinations can be represented in several groups
-        # (equal projected energy); evaluate every tied candidate end to end
-        best_pmi, best_fit = None, -1.0
-        for q, e in energy.items():
-            if scores[q] < top * (1 - 1e-9):
-                continue
-            pmi = _finish_regular_search(config, targets, half, q, e, caps)
-            if pmi is None:
-                continue
-            fit = _report_fit(config, pmi, targets)
-            if fit > best_fit + 1e-12:
-                best_pmi, best_fit = pmi, fit
-        if best_pmi is None:
+        energy = _group_energy(wide, config.geom)
+        best = _first_best(
+            (_finish_regular_search(config, targets, q, energy[q], caps)
+             for q in _tied_groups(energy, config.l)),
+            lambda pmi: _report_fit(config, pmi, targets))
+        if best is None:
             raise RestrictionError("no admissible report under the caps")
-        return best_pmi
-    else:
-        max_start = config.p_csirs // 2 - config.l
-        blocks = range(max_start // config.d + 1)
-        energies = []
-        for b in blocks:
-            ports = [b * config.d + i for i in range(config.l)]
-            e = np.sum(np.abs(wide[:, ports]) ** 2) + np.sum(
-                np.abs(wide[:, [half + q for q in ports]]) ** 2)
-            energies.append(float(e))
-        i11 = int(np.argmax(energies))
-        i12 = None
-        beams = port_beams(p, range(i11 * config.d, i11 * config.d + config.l))
-        coef = _project_targets(config, targets, beams, half, gain=1)
-        return _quantize_report(config, coef, i11, i12,
-                                np.full(2 * config.l, 7))
-
-
-def _project_targets(config, targets, beams, half, gain):
-    """Least-squares weights: projection onto the (scaled) orthogonal beams."""
-    n_sb = config.subband_count
-    coef = np.empty((config.rank, n_sb, 2 * config.l), dtype=complex)
-    for layer in range(config.rank):
-        for sb in range(n_sb):
-            u = targets[sb, layer]
-            coef[layer, sb, :config.l] = beams.conj().T @ u[:half] / gain
-            coef[layer, sb, config.l:] = beams.conj().T @ u[half:] / gain
-    return coef
+        return best
+    i11 = _pick_port_block(wide, config.p_csirs, config.l, config.d)
+    beams = port_beams(p, range(i11 * config.d, i11 * config.d + config.l))
+    return _quantize_report(config, _beam_projections(targets, beams, 1), i11,
+                            None, np.full(2 * config.l, 7))
 
 
 def _pick_beams(l: int, energy: np.ndarray, beam_cap: np.ndarray):
@@ -411,8 +385,9 @@ def _pick_beams(l: int, energy: np.ndarray, beam_cap: np.ndarray):
     return order[:l]
 
 
-def _finish_regular_search(config, targets, half, q, energy, caps):
-    """Beam selection, projection, and quantization for one beam group."""
+def _finish_regular_search(config, targets, q, energy, caps):
+    """Beam selection, projection, and quantization for one beam group;
+    None when the caps leave no admissible strongest coefficient."""
     g = config.geom
     q1, q2 = q
     flat = np.arange(g.n1 * g.n2)
@@ -420,12 +395,11 @@ def _finish_regular_search(config, targets, half, q, energy, caps):
                 caps[g.o1 * (flat % g.n1) + q1, g.o2 * (flat // g.n1) + q2])
     flats = np.sort(_pick_beams(config.l, energy, beam_cap))
     i12 = encode_combination(flats.tolist(), g.n1 * g.n2, config.l)
-    max_k = np.tile(
-        np.searchsorted(qt.R15_WB_AMPS, beam_cap[flats] + 1e-12) - 1, 2)
-    beams = orthogonal_group(g, q1, q2)[:, flats]
-    coef = _project_targets(config, targets, beams, half, gain=g.n1 * g.n2)
+    beams = orthogonal_groups(g)[q][:, flats]
+    coef = _beam_projections(targets, beams, g.n1 * g.n2)
     try:
-        return _quantize_report(config, coef, q, i12, max_k)
+        return _quantize_report(config, coef, q, i12,
+                                np.tile(_max_k(beam_cap[flats]), 2))
     except RestrictionError:
         return None
 
@@ -436,7 +410,7 @@ def _report_fit(config, pmi, targets) -> float:
     for sb in range(config.subband_count):
         w = reconstruct(config, pmi, sb)
         for layer in range(config.rank):
-            u = targets[sb, layer]
+            u = targets[layer, sb]
             total += abs(np.vdot(u / np.linalg.norm(u), w[:, layer])) ** 2
     return total
 

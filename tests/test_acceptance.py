@@ -222,7 +222,7 @@ def test_06_compact_model_equivalence():
             w_c = type2_r15.layer_coefficients(cfg15, pmi, 0, sb)
             wa = compact.compact_r15(eff, w_c)
             wb = compact.compact_r15(
-                full, compact.embed_sparse_r15(w_c, beams, half))
+                full, compact.embed_sparse(w_c, beams, half))
             worst = max(worst, float(np.abs(wa - wb).max()))
             proto = type2_r15.reconstruct(cfg15, pmi, sb)[:, 0]
             diff = _aligned_diff(wa, proto)
@@ -240,7 +240,7 @@ def test_06_compact_model_equivalence():
         wa = compact.compact_r16(eff_s, w_c, eff_f)
         wb = compact.compact_r16(
             compact.spatial_full_regular(GEOM, *pmi.i11),
-            compact.embed_sparse_r16(w_c, beams, taps, half, cfg16.n3),
+            compact.embed_sparse(w_c, beams, half, (taps, cfg16.n3)),
             compact.frequency_full(cfg16.n3))
         worst = max(worst, float(np.abs(wa - wb).max()))
         proto = type2_r16.reconstruct_all(cfg16, pmi)
@@ -259,8 +259,8 @@ def test_06_compact_model_equivalence():
         wa = compact.compact_r16(eff_s, w_c, eff_f)
         wb = compact.compact_r16(
             compact.spatial_full_ps(cfg17.p_csirs),
-            compact.embed_sparse_r16(w_c, ports, taps, cfg17.p_csirs // 2,
-                                     cfg17.n3),
+            compact.embed_sparse(w_c, ports, cfg17.p_csirs // 2,
+                                 (taps, cfg17.n3)),
             compact.frequency_full(cfg17.n3))
         worst = max(worst, float(np.abs(wa - wb).max()))
         proto = type2_r17.reconstruct_all(cfg17, pmi)
@@ -279,8 +279,8 @@ def test_06_compact_model_equivalence():
         eff_t = compact.temporal_effective(cfg18.n4, shifts)
         core = enhanced.layer_coefficients(cfg18, pmi, 0)
         wa = compact.compact_r18_tucker(core, eff_s, eff_f, eff_t)
-        sparse = compact.embed_sparse_r18(core, beams, taps, shifts, half,
-                                          cfg18.n3, cfg18.n4)
+        sparse = compact.embed_sparse(core, beams, half, (taps, cfg18.n3),
+                                      (shifts, cfg18.n4))
         wb = compact.compact_r18_tucker(
             sparse, compact.spatial_full_regular(GEOM, *pmi.i11),
             compact.frequency_full(cfg18.n3), compact.temporal_full(cfg18.n4))

@@ -6,6 +6,7 @@ from nrpmi.bases import (
     ArrayGeometry,
     dft_beam,
     orthogonal_group,
+    orthogonal_groups,
     port_selection_basis,
     spectral_basis,
     temporal_basis,
@@ -113,6 +114,18 @@ def test_cached_beams_match_kron_formula(g):
             cols = [kron_beam(g, g.o1 * (k % g.n1) + q1, g.o2 * (k // g.n1) + q2)
                     for k in range(g.n1 * g.n2)]
             assert np.array_equal(orthogonal_group(g, q1, q2), np.column_stack(cols))
+
+
+@pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: f"{g.n1}x{g.n2}")
+def test_orthogonal_groups_stack_every_group(g):
+    groups = orthogonal_groups(g)
+    n = g.n1 * g.n2
+    assert groups.shape == (g.o1, g.o2, n, n)
+    for q1 in range(g.o1):
+        for q2 in range(g.o2):
+            assert np.array_equal(groups[q1, q2], orthogonal_group(g, q1, q2))
+    with pytest.raises(ValueError):
+        groups[0, 0, 0, 0] = 0
 
 
 @pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: f"{g.n1}x{g.n2}")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nrpmi import compact, enhanced, type2_r16, type2_r17, type2_r18
-from nrpmi.bases import ArrayGeometry
+from nrpmi import channel_sim, compact, enhanced, type2_r16, type2_r17, type2_r18
+from nrpmi.bases import ArrayGeometry, orthogonal_group
 from nrpmi.channel_sim import (
     ChannelModel,
     ChannelRealization,
@@ -155,6 +155,60 @@ def test_search_r16_plant_and_recover(rank):
                    for t in range(cfg.n3) for l in range(rank))
         ok += corr > 0.99
     assert ok >= 0.9 * trials
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (2, 1), (3, 2), (8, 1)])
+def test_group_scan_matches_the_per_group_loop(shape):
+    geom = ArrayGeometry.from_antennas(*shape)
+    rng = np.random.default_rng(sum(shape))
+    targets = (rng.standard_normal((2, 3, geom.n_ports))
+               + 1j * rng.standard_normal((2, 3, geom.n_ports)))
+    half = geom.n_ports // 2
+    energy = channel_sim._group_energy(targets, geom)
+    for q1 in range(geom.o1):
+        for q2 in range(geom.o2):
+            grp = orthogonal_group(geom, q1, q2)
+            ref = sum((np.abs(t[:half] @ grp.conj()) ** 2
+                       + np.abs(t[half:] @ grp.conj()) ** 2)
+                      for t in targets.reshape(-1, geom.n_ports))
+            np.testing.assert_allclose(energy[q1, q2], ref, rtol=1e-12)
+    # the port-block picker against the block loop, blocks d ports apart
+    per_port = (np.abs(targets.reshape(-1, half)) ** 2).sum(axis=0)
+    for l in range(1, half + 1):
+        for d in range(1, l + 1):
+            blocks = [per_port[b:b + l].sum()
+                      for b in range(0, half - l + 1, d)]
+            assert channel_sim._pick_port_block(
+                targets, geom.n_ports, l, d) == int(np.argmax(blocks))
+
+
+@pytest.mark.parametrize("n3", [20, 21, 24, 30, 36])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_search_r16_window_covering_every_tap(monkeypatch, n3, rank):
+    # paramCombination 6 with R = 1: Mv = ceil(N3/2), so the i15 window of
+    # 2Mv taps at M_initial = 0 already covers all N3 taps
+    cfg = type2_r16.R16Config(param_combination=6, r=1, n3=n3, rank=rank,
+                              geom=GEOM)
+    assert cfg.window_mode and 2 * cfg.mv >= n3
+    picks = []
+
+    def recording(*args):
+        picked = pick_taps(*args)
+        picks.append(picked[1])
+        return picked
+
+    pick_taps = channel_sim._pick_taps
+    monkeypatch.setattr(channel_sim, "_pick_taps", recording)
+    model = ChannelModel(n_paths=4, n_subcarriers=n3, seed=n3)
+    for trial in range(3):
+        picks.clear()
+        found = search_r16(draw_channel(model, GEOM, nr=2, trial=trial), cfg)
+        assert found.i15 == 0
+        ws = type2_r16.reconstruct_all(cfg, found)
+        np.testing.assert_allclose(np.linalg.norm(ws, axis=-2),
+                                   1 / np.sqrt(rank), atol=1e-9)
+        assert [enhanced.decode_taps(cfg, found, layer)
+                for layer in range(rank)] == picks[-rank:]
 
 
 def test_search_r16_flat_channel_taps():

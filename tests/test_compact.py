@@ -1,15 +1,15 @@
 import numpy as np
+import pytest
 
 from nrpmi.bases import ArrayGeometry
 from nrpmi.combinadics import decode_combination
+from nrpmi.errors import DomainError
 from nrpmi import enhanced, type2_r15, type2_r16, type2_r17, type2_r18
 from nrpmi.compact import (
     compact_r15,
     compact_r16,
     compact_r18_tucker,
-    embed_sparse_r15,
-    embed_sparse_r16,
-    embed_sparse_r18,
+    embed_sparse,
     frequency_effective,
     frequency_full,
     spatial_effective_ps,
@@ -37,10 +37,18 @@ def test_r15_forms_agree():
     half = GEOM.n1 * GEOM.n2
     for _ in range(50):
         w_c = random_core(rng, 2 * l)
-        w_pmi = embed_sparse_r15(w_c, beams, half)
+        w_pmi = embed_sparse(w_c, beams, half)
         assert np.count_nonzero(w_pmi) == 2 * l  # sparsity 2L
         np.testing.assert_allclose(compact_r15(eff, w_c),
                                    compact_r15(full, w_pmi), atol=1e-12)
+
+
+def test_embed_sparse_rejects_a_core_of_the_wrong_shape():
+    half = GEOM.n1 * GEOM.n2
+    with pytest.raises(DomainError):
+        embed_sparse(np.ones(3), [0, 2], half)
+    with pytest.raises(DomainError):
+        embed_sparse(np.ones((4, 2)), [0, 2], half, (range(3), 9))
 
 
 def test_r15_single_nonzero_is_one_beam():
@@ -67,7 +75,7 @@ def test_r16_forms_agree():
     half = GEOM.n1 * GEOM.n2
     for _ in range(50):
         w_c = random_core(rng, 2 * l, mv)
-        w_pmi = embed_sparse_r16(w_c, beams, taps, half, n3)
+        w_pmi = embed_sparse(w_c, beams, half, (taps, n3))
         a = compact_r16(eff_s, w_c, eff_f)
         b = compact_r16(full_s, w_pmi, full_f)
         np.testing.assert_allclose(a, b, atol=1e-12)
@@ -99,7 +107,7 @@ def test_r18_tucker_forms_and_flattening():
     for _ in range(20):
         core = random_core(rng, 2 * l, mv, q)
         w_a = compact_r18_tucker(core, eff_s, eff_f, eff_t)
-        sparse = embed_sparse_r18(core, beams, taps, shifts, half, n3, n4)
+        sparse = embed_sparse(core, beams, half, (taps, n3), (shifts, n4))
         w_b = compact_r18_tucker(sparse, full_s, full_f, full_t)
         np.testing.assert_allclose(w_a, w_b, atol=1e-12)
         flat = tucker_flatten_identity(core, eff_s, eff_f, eff_t)
@@ -176,7 +184,7 @@ def test_protocol_equivalence_r17():
             np.testing.assert_allclose(normalized(w_cmp[:, t]),
                                        normalized(w_proto[t, :, 0]), atol=1e-9)
         # full-bases form agrees too
-        sparse = embed_sparse_r16(w_c, ports, taps, cfg.p_csirs // 2, cfg.n3)
+        sparse = embed_sparse(w_c, ports, cfg.p_csirs // 2, (taps, cfg.n3))
         w_full = compact_r16(spatial_full_ps(cfg.p_csirs), sparse,
                              frequency_full(cfg.n3))
         np.testing.assert_allclose(w_full, w_cmp, atol=1e-12)

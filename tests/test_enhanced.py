@@ -1,5 +1,5 @@
 """The Enhanced Type II core: total validation of Rel-16/17/18 reports
-(and, in the fuzz, of Rel-15 Type II reports)."""
+(and, in the fuzz, of Rel-15 Type I and Type II reports)."""
 
 import dataclasses
 
@@ -150,11 +150,18 @@ R15_CONFIGS = {
 }
 ENHANCED_FIELDS = ("i15", "i16", "i18", "i110", "bitmap", "k1", "k2", "c")
 R15_FIELDS = ("i11", "i12", "i13", "k1", "k2", "c")
-FUZZ = [(name, cli.build_release_config(release_of(name), CONFIGS[name]),
+TYPE1_FIELDS = ("i11", "i12", "i2", "i13")
+# (release, config, fields to mutate)
+FUZZ = [(release_of(name), cli.build_release_config(release_of(name),
+                                                    CONFIGS[name]),
          ENHANCED_FIELDS)
         for name in ("r16", "r16-window", "r16-ps", "r17-ps", "r18")]
 FUZZ += [(name, cli.build_release_config(name, cfg), R15_FIELDS)
          for name, cfg in R15_CONFIGS.items()]
+FUZZ += [("r15-type1", cli.build_release_config(
+              "r15-type1", {**_ARRAY, "mode": mode, "rank": rank,
+                            "subband_count": 3}), TYPE1_FIELDS)
+         for mode in (1, 2) for rank in (1, 2)]
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -163,8 +170,7 @@ def test_malformed_reports_raise_codebook_errors(data):
     """Any one field element set to any small int, or any per-layer tuple
     cut short: reconstruction returns unit-norm layers or raises a
     CodebookError, and nothing else."""
-    name, config, mutable = data.draw(st.sampled_from(FUZZ))
-    release = release_of(name)
+    release, config, mutable = data.draw(st.sampled_from(FUZZ))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
     pmi = cli.sample_pmi(release, config, rng)
     field = data.draw(st.sampled_from(

@@ -144,3 +144,61 @@ def test_search_t2_r15_golden(case):
         reports.append(json.dumps(cli.pmi_to_fields(pmi)))
     digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
     assert digest == SEARCH_SHA256[case]
+
+
+# UE-side Enhanced Type II searches over drawn channels: regular, the i15
+# window (N3 = 24) and port selection (r16), the beam-domain r17 search,
+# and r18 with N4 = 4 and the degenerate N4 = 1
+ENHANCED_SEARCH_CONFIGS = [
+    ("r16", {**_ARRAY, "param_combination": 4, "r": 1, "n3": 18}),
+    ("r16", {**_ARRAY, "param_combination": 4, "r": 1, "n3": 24}),
+    ("r16-ps", {"p_csirs": 16, "param_combination": 2, "r": 1, "n3": 8,
+                "d": 1}),
+    ("r17-ps", {"p_csirs": 16, "param_combination": 6, "n3": 12,
+                "n_threshold": 4}),
+    ("r18", {**_ARRAY, "param_combination": 2, "r": 1, "n3": 12, "n4": 4}),
+    ("r18", {**_ARRAY, "param_combination": 4, "r": 1, "n3": 12, "n4": 1}),
+]
+ENHANCED_SEARCHES = {"r16": "search_r16", "r16-ps": "search_r16",
+                     "r17-ps": "search_r17", "r18": "search_r18"}
+
+ENHANCED_SEARCH_SHA256 = [
+    "b68c01702d83db2d409e032ec0991c844b45780fd13f74b9b34e51ead164f7b1",
+    "bb6df03614dde121afcb4fbec02b0160abd8f9f1062cb016d64ca3d27486e977",
+    "9757c0f04f3ba70f1212d71658effffdc967e4f675747b0839f5c7e6f56d904a",
+    "bc0f0999f6d23d3b0126276357872d7fe52a804c5d96714e2338f41660cc92f5",
+    "0739d1911271909d7b4dc3073502fcfd6905a84d38044a04919be549fe4f3368",
+    "d61b63ca53476487793df1030ba0cc9051d77b8f9da6d39a6f94d78dafe6cbb3",
+]
+
+
+@pytest.mark.parametrize("case", range(len(ENHANCED_SEARCH_CONFIGS)))
+def test_enhanced_search_golden(case):
+    release, cfg = ENHANCED_SEARCH_CONFIGS[case]
+    search = getattr(channel_sim, ENHANCED_SEARCHES[release])
+    n4 = cfg.get("n4", 1)
+    model = channel_sim.ChannelModel(n_paths=4, n_subcarriers=cfg["n3"],
+                                     doppler_max=200.0, seed=case)
+    geom = ArrayGeometry(**_ARRAY)
+    reports = []
+    for rank in (1, 2):
+        config = cli.build_release_config(release, {**cfg, "rank": rank})
+        for trial in range(6):
+            ch = channel_sim.draw_channel(model, geom, nr=2, trial=trial,
+                                          n4=n4)
+            pmi = search(ch, config)
+            reports.append(json.dumps(cli.pmi_to_fields(pmi), default=int))
+    digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
+    assert digest == ENHANCED_SEARCH_SHA256[case]
+
+
+SIMULATE_SHA256 = (
+    "fdea20b79435b65d52da1408d3a990bdfdd1f189186889c49be965a047062b99")
+
+
+def test_simulate_golden(tmp_path, capsys):
+    """Both single-polarization searches of the spectral-efficiency CSV."""
+    out = tmp_path / "simulate.csv"
+    assert cli.main(["simulate", "--trials", "50", "--seed", "0",
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_SHA256

@@ -5,7 +5,12 @@ import pytest
 
 from nrpmi.bases import ArrayGeometry, dft_beam, orthogonal_group
 from nrpmi.combinadics import encode_group_restriction
-from nrpmi.errors import ConsistencyError, DomainError, FormatError
+from nrpmi.errors import (
+    ConsistencyError,
+    DomainError,
+    FormatError,
+    RestrictionError,
+)
 from nrpmi.quantization import amp_r15_wideband
 from nrpmi.type2_r15 import (
     PORT_SELECTION,
@@ -302,6 +307,28 @@ def test_search_respects_caps():
         h = (rng.standard_normal((2, 2, 16)) + 1j * rng.standard_normal((2, 2, 16)))
         found = search_t2_r15(h, cfg, caps=caps)
         check_restriction(cfg, found, caps)  # must not raise
+
+
+@pytest.mark.parametrize("capped_share", [0.5, 1.0])
+@pytest.mark.parametrize("l, rank", [(2, 1), (3, 2)])
+def test_random_valid_pmi_respects_caps(capped_share, l, rank):
+    # every draw meets the caps or raises; with every beam capped, none
+    # can host the strongest coefficient
+    cfg = simple_config(l=l, rank=rank, subband_count=2)
+    rng = np.random.default_rng(3)
+    drawn = 0
+    for _ in range(100):
+        caps = np.where(rng.random((GEOM.beams_h, GEOM.beams_v)) < capped_share,
+                        rng.choice([0.0, 0.5, np.sqrt(0.5)],
+                                   size=(GEOM.beams_h, GEOM.beams_v)), 1.0)
+        try:
+            pmi = random_valid_pmi(cfg, rng, caps=caps)
+        except RestrictionError:
+            continue
+        check_restriction(cfg, pmi, caps)
+        reconstruct(cfg, pmi)
+        drawn += 1
+    assert drawn > 0 if capped_share < 1 else drawn == 0
 
 
 @pytest.mark.parametrize("l", [2, 3])
