@@ -106,6 +106,15 @@ def _beam_tables(geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:
     return beams, groups
 
 
+def beam_grid(geom: ArrayGeometry) -> np.ndarray:
+    """Every beam at once, shape (N1*O1, N2*O2, N1*N2).
+
+    Entry [l, m] is ``dft_beam(geom, l, m)``.  The result is a read-only
+    view of a cached table; copy it before changing it.
+    """
+    return _beam_tables(geom)[0]
+
+
 def dft_beam(geom: ArrayGeometry, l: int, m: int) -> np.ndarray:
     """Oversampled 2-D DFT beam v_{l,m} of length N1*N2.
 
@@ -117,7 +126,7 @@ def dft_beam(geom: ArrayGeometry, l: int, m: int) -> np.ndarray:
         raise DomainError(f"beam index l={l} outside [0, {geom.beams_h})")
     if not 0 <= m < geom.beams_v:
         raise DomainError(f"beam index m={m} outside [0, {geom.beams_v})")
-    return _beam_tables(geom)[0][l, m]
+    return beam_grid(geom)[l, m]
 
 
 def orthogonal_group(geom: ArrayGeometry, q1: int, q2: int) -> np.ndarray:

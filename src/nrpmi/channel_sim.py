@@ -473,8 +473,8 @@ def search_r17(channel: ChannelRealization, config: type2_r17.R17Config
 # ---------------------------------------------------------------------------
 # spectral efficiency experiment (Type I vs Type II, single polarization)
 
-def _type1_single_pol_rate(h: np.ndarray, geom: ArrayGeometry,
-                           snr: float) -> float:
+def _type1_single_pol_gain(h: np.ndarray, geom: ArrayGeometry) -> float:
+    """Beamforming gain of the best single oversampled beam."""
     best = 0.0
     n = geom.n1 * geom.n2
     for l in range(geom.beams_h):
@@ -482,11 +482,12 @@ def _type1_single_pol_rate(h: np.ndarray, geom: ArrayGeometry,
             v = _tx_response(geom, l, m_v) / math.sqrt(n)
             gain = abs(np.vdot(h.conj(), v)) ** 2
             best = max(best, gain)
-    return math.log2(1 + snr * best)
+    return best
 
 
-def _type2_single_pol_rate(h: np.ndarray, geom: ArrayGeometry, snr: float,
+def _type2_single_pol_gain(h: np.ndarray, geom: ArrayGeometry,
                            l_beams: int = 4, n_psk: int = 4) -> float:
+    """Beamforming gain of the quantized combination of the best L beams."""
     n = geom.n1 * geom.n2
     target = h.conj()  # the matched beamformer direction
     score = _group_scores(_group_energy(target, geom), l_beams)
@@ -504,8 +505,7 @@ def _type2_single_pol_rate(h: np.ndarray, geom: ArrayGeometry, snr: float,
     norm = np.linalg.norm(w)
     if norm == 0:
         return 0.0
-    gain = abs(np.vdot(h.conj(), w / norm)) ** 2
-    return math.log2(1 + snr * gain)
+    return abs(np.vdot(h.conj(), w / norm)) ** 2
 
 
 def spectral_efficiency_experiment(antenna_configs=((4, 1), (16, 1)),
@@ -529,11 +529,12 @@ def spectral_efficiency_experiment(antenna_configs=((4, 1), (16, 1)),
         for trial in range(trials):
             ch = draw_channel(model, geom, nr=1, trial=trial)
             h = ch.h1[0, 0, 0]  # single polarization slice, (N1*N2,)
+            gain1 = _type1_single_pol_gain(h, geom)
+            gain2 = _type2_single_pol_gain(h, geom, l_beams)
             for si, s in enumerate(snr_db):
                 snr = 10 ** (s / 10)
-                rates1[si, trial] = _type1_single_pol_rate(h, geom, snr)
-                rates2[si, trial] = _type2_single_pol_rate(h, geom, snr,
-                                                           l_beams)
+                rates1[si, trial] = math.log2(1 + snr * gain1)
+                rates2[si, trial] = math.log2(1 + snr * gain2)
         for si, s in enumerate(snr_db):
             for name, r in (("type1", rates1[si]), ("type2", rates2[si])):
                 rows.append({

@@ -64,17 +64,6 @@ def _r16_config(spatial):
         n3=cfg["n3"], rank=cfg.get("rank", 1), **spatial(cfg))
 
 
-def _random_type1_pmi(config, rng):
-    i13 = (int(rng.integers(type1.i13_range(config.geom)))
-           if config.rank == 2 else None)
-    return type1.Type1Pmi(
-        i11=int(rng.integers(config.i11_range)),
-        i12=int(rng.integers(config.i12_range)),
-        i2=tuple(int(rng.integers(config.i2_range))
-                 for _ in range(config.subband_count)),
-        i13=i13)
-
-
 def _per_subband(precoder, config, pmi) -> np.ndarray:
     """Subband precoders as (subband, 1, port, layer)."""
     return np.stack([precoder(config, pmi, sb)
@@ -112,7 +101,7 @@ RELEASES = {
             _geom(cfg), mode=cfg.get("mode", 1), rank=cfg.get("rank", 1),
             subband_count=cfg.get("subband_count", 1)),
         pmi=type1.Type1Pmi,
-        sample=_random_type1_pmi,
+        sample=lambda config, rng: type1.random_valid_pmi(config, rng),
         precoders=lambda config, pmi: _per_subband(type1.build_precoder,
                                                    config, pmi)),
     "r15-type2": Release(build=_r15_config(_array), **_R15),
@@ -270,6 +259,15 @@ def cmd_validate(args) -> int:
     return 0 if failures == 0 and count > 0 else 1
 
 
+def _write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> int:
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
+    print(f"wrote {len(rows)} rows to {path}")
+    return 0
+
+
 def cmd_overhead(args) -> int:
     releases = [args.release] if args.release else \
         ["r15-type2", "r16", "r18"]
@@ -280,26 +278,16 @@ def cmd_overhead(args) -> int:
                 release=name, l=l, rank=2, n1n2=16, o1o2=4, n3=18,
                 subband_count=18, n4=4, q=2, mv=5, n_psk=4, k2_cap=6, k_nz=20)
             rows.extend(overhead.overhead_rows(cfg))
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["release", "L", "field",
-                                                "bits", "total"])
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    return _write_csv(args.out, ["release", "L", "field", "bits", "total"],
+                      rows)
 
 
 def cmd_simulate(args) -> int:
     snrs = [float(s) for s in args.snr.split(",")]
     rows = channel_sim.spectral_efficiency_experiment(
         snr_db=snrs, trials=args.trials, seed=args.seed)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["antennas", "snr_db",
-                                                "scheme", "mean_rate", "ci95"])
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    return _write_csv(args.out, ["antennas", "snr_db", "scheme",
+                                 "mean_rate", "ci95"], rows)
 
 
 def cmd_baselines(args) -> int:
@@ -333,13 +321,8 @@ def cmd_baselines(args) -> int:
                          "mean_rate": float(vals.mean()),
                          "ci95": float(1.96 * vals.std(ddof=1)
                                        / np.sqrt(len(vals)))})
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["snr_db", "scheme",
-                                                "mean_rate", "ci95"])
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    return _write_csv(args.out, ["snr_db", "scheme", "mean_rate", "ci95"],
+                      rows)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -328,7 +328,7 @@ def encode_strongest(config, bitmap_layer: np.ndarray, i_star: int,
     """i_1,8 for one layer whose strongest coefficient is (i*, s*)."""
     flat = bitmap_layer.shape[0] * s_star + i_star
     if not _prefix_coded(config):
-        return flat
+        return int(flat)
     return int(_plane(config, bitmap_layer).T.reshape(-1)[:flat + 1].sum()) - 1
 
 

@@ -52,6 +52,11 @@ class OverheadConfig:
     def __post_init__(self):
         if self.release not in RELEASES:
             raise DomainError(f"release {self.release!r} not in {RELEASES}")
+        # K_NZ counts every layer's strongest coefficient, and i_2,4/i_2,5
+        # price K_NZ - 2 entries: below max(2, rank) no report exists
+        if self.k_nz < max(2, self.rank):
+            raise DomainError(f"k_nz={self.k_nz} below max(2, rank="
+                              f"{self.rank})")
 
 
 def _field_bits_i1(cfg: OverheadConfig, fld: str) -> int | None:

@@ -7,51 +7,40 @@ subband; mode 2 additionally folds a 4-beam group choice into i2.
 """
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import ArrayGeometry, dft_beam
+from .bases import ArrayGeometry, beam_grid
 from .errors import DomainError, RestrictionError
 
-# i_{1,3} -> (k1, k2) offsets for rank 2, by geometry regime
-# (TS 38.214 Tables 5.2.2.2.1-3/-4)
-_K_OFFSETS = {
-    "n1>n2>1": [(0, 0), ("o1", 0), (0, "o2"), ("2o1", 0)],
-    "n1==n2": [(0, 0), ("o1", 0), (0, "o2"), ("o1", "o2")],
-    "n1>2,n2==1": [(0, 0), ("o1", 0), ("2o1", 0), ("3o1", 0)],
-    # (N1, N2) = (2, 1): only two distinct horizontal offsets exist
-    "n1==2,n2==1": [(0, 0), ("o1", 0)],
-}
 
-
-def _regime(geom: ArrayGeometry) -> str:
-    n1, n2 = geom.n1, geom.n2
+def _offset_table(geom: ArrayGeometry) -> list[tuple[int, int]]:
+    """(k1, k2) of the second layer for every i_1,3, by geometry regime
+    (TS 38.214 Tables 5.2.2.2.1-3/-4)."""
+    n1, n2, o1, o2 = geom.n1, geom.n2, geom.o1, geom.o2
     if n1 > n2 > 1:
-        return "n1>n2>1"
+        return [(0, 0), (o1, 0), (0, o2), (2 * o1, 0)]
     if n1 == n2:
-        return "n1==n2"
+        return [(0, 0), (o1, 0), (0, o2), (o1, o2)]
     if n1 > 2 and n2 == 1:
-        return "n1>2,n2==1"
+        return [(0, 0), (o1, 0), (2 * o1, 0), (3 * o1, 0)]
     if n1 == 2 and n2 == 1:
-        return "n1==2,n2==1"
+        # only two distinct horizontal offsets exist
+        return [(0, 0), (o1, 0)]
     raise DomainError(f"no i_1,3 offset regime for (N1,N2)=({n1},{n2})")
 
 
 def k_offsets(i13: int, geom: ArrayGeometry) -> tuple[int, int]:
     """Beam-index offsets (k1, k2) of the second layer relative to the first."""
-    table = _K_OFFSETS[_regime(geom)]
+    table = _offset_table(geom)
     if not 0 <= i13 < len(table):
         raise DomainError(f"i_1,3={i13} invalid for (N1,N2)=({geom.n1},{geom.n2})")
-    scale = {"o1": geom.o1, "2o1": 2 * geom.o1, "3o1": 3 * geom.o1, "o2": geom.o2}
-    k1, k2 = table[i13]
-    return (scale.get(k1, 0) if isinstance(k1, str) else k1,
-            scale.get(k2, 0) if isinstance(k2, str) else k2)
+    return table[i13]
 
 
 def i13_range(geom: ArrayGeometry) -> int:
-    return len(_K_OFFSETS[_regime(geom)])
+    return len(_offset_table(geom))
 
 
 @dataclass(frozen=True)
@@ -110,65 +99,60 @@ class Type1Pmi:
             raise DomainError("i_1,3 present in a rank-1 report")
 
 
-def _beam_and_phase(config: Type1Config, pmi: Type1Pmi, subband: int) -> tuple[int, int, int]:
-    """Resolve (l, m, n) of the first layer for one subband."""
-    i2 = pmi.i2[subband]
+def _codewords(config: Type1Config, i11, i12, i13, i2):
+    """Codewords of broadcast index arrays: precoders (..., P, rank) and
+    each layer's restriction bit (..., rank).
+
+    W = [[v, v'], [phi_n v, -phi_n v']] / sqrt(rank*P), where v' is v moved
+    by the i_1,3 offsets (rank 2 only).  Mode 1 reads the beam from i11 and
+    i12 and the co-phase n from i2; mode 2 folds the beam within a 2x2 group
+    into i2, whose pairs pick the beam and whose parity picks n.
+    """
+    geom = config.geom
+    i11, i12, i13, i2 = np.broadcast_arrays(i11, i12, i13, i2)
     if config.mode == 1:
-        l, m = pmi.i11, pmi.i12
-        n = i2
+        l, m, n = i11, i12, i2
     else:
-        # i2 in {0..7}: pairs select the beam within the 2x2 group, parity
-        # selects the co-phase
-        l = 2 * pmi.i11 + ((i2 // 2) % 2)
-        m = 2 * pmi.i12 + (i2 // 4)
-        n = i2 % 2
-    return l, m, n
-
-
-def _layer_beams(config: Type1Config, pmi: Type1Pmi,
-                 subband: int) -> tuple[int, list[tuple[int, int]]]:
-    """Co-phase index n and each layer's (l, m) beam, before wrapping."""
-    l, m, n = _beam_and_phase(config, pmi, subband)
-    if config.rank == 1:
-        return n, [(l, m)]
-    k1, k2 = k_offsets(pmi.i13, config.geom)
-    return n, [(l, m), (l + k1, m + k2)]
-
-
-def build_rank1(config: Type1Config, pmi: Type1Pmi, subband: int = 0,
-                restriction: np.ndarray | None = None) -> np.ndarray:
-    """w = (1/sqrt(P)) [v; phi_n v], a (P, 1) matrix."""
-    pmi.validate(config)
-    n, beams = _layer_beams(config, pmi, subband)
-    (l, m), = beams
-    _check_beams_allowed(restriction, config.geom, beams)
-    v = dft_beam(config.geom, l, m)
+        l, m, n = 2 * i11 + (i2 // 2) % 2, 2 * i12 + i2 // 4, i2 % 2
     phi = np.exp(1j * np.pi * n / 2)
-    p = config.geom.n_ports
-    return (np.concatenate([v, phi * v]) / np.sqrt(p)).reshape(p, 1)
-
-
-def build_rank2(config: Type1Config, pmi: Type1Pmi, subband: int = 0,
-                restriction: np.ndarray | None = None) -> np.ndarray:
-    """W = (1/sqrt(2P)) [[v, v'], [phi_n v, -phi_n v']], a (P, 2) matrix."""
-    pmi.validate(config)
-    n, beams = _layer_beams(config, pmi, subband)
-    (l, m), (lp, mp) = beams
-    _check_beams_allowed(restriction, config.geom, beams)
-    v = dft_beam(config.geom, l, m)
-    vp = dft_beam(config.geom, lp % config.geom.beams_h, mp % config.geom.beams_v)
-    phi = np.exp(1j * np.pi * n / 2)
-    p = config.geom.n_ports
-    w1 = np.concatenate([v, phi * v])
-    w2 = np.concatenate([vp, -phi * vp])
-    return np.column_stack([w1, w2]) / np.sqrt(2 * p)
+    # layer 1 keeps the beam; layer 2 moves it by the i_1,3 offsets
+    k = np.array([[(0, 0), k12] for k12 in _offset_table(geom)])[i13, :config.rank]
+    l = (l[..., None] + k[..., 0]) % geom.beams_h               # (..., rank)
+    m = (m[..., None] + k[..., 1]) % geom.beams_v
+    cophase = np.stack([phi, -phi], axis=-1)[..., :config.rank]
+    v = beam_grid(geom)[l, m]                                   # (..., rank, N)
+    w = np.concatenate([v, cophase[..., None] * v], axis=-1)
+    return (w.swapaxes(-1, -2) / np.sqrt(config.rank * geom.n_ports),
+            _beam_bit(geom, l, m))
 
 
 def build_precoder(config: Type1Config, pmi: Type1Pmi, subband: int = 0,
                    restriction: np.ndarray | None = None) -> np.ndarray:
-    if config.rank == 1:
-        return build_rank1(config, pmi, subband, restriction)
-    return build_rank2(config, pmi, subband, restriction)
+    """The (P, rank) precoder of one subband: a writable copy of its
+    codeword in the cached stack."""
+    pmi.validate(config)
+    book = _codebook(config.geom, config.mode, config.rank)
+    n13 = i13_range(config.geom) if config.rank == 2 else 1
+    row = (pmi.i11 * config.i12_range + pmi.i12) * n13 + (pmi.i13 or 0)
+    i2 = pmi.i2[subband]
+    if restriction is not None:
+        bits = _restriction_bits(restriction, config.geom)
+        for bit in book.beam_bits[row, i2].tolist():
+            if not bits[bit]:
+                raise RestrictionError(
+                    f"beam {divmod(bit, config.geom.beams_v)} is restricted")
+    return book.precoders[row, i2].copy()
+
+
+def random_valid_pmi(config: Type1Config, rng: np.random.Generator) -> Type1Pmi:
+    """Draw a uniformly random valid report (i_1,3 first, rank 2 only)."""
+    i13 = int(rng.integers(i13_range(config.geom))) if config.rank == 2 else None
+    return Type1Pmi(
+        i11=int(rng.integers(config.i11_range)),
+        i12=int(rng.integers(config.i12_range)),
+        i2=tuple(int(rng.integers(config.i2_range))
+                 for _ in range(config.subband_count)),
+        i13=i13)
 
 
 def _restriction_bits(bit_sequence, geom: ArrayGeometry) -> np.ndarray:
@@ -186,15 +170,6 @@ def check_beam_restriction(bit_sequence: np.ndarray, geom: ArrayGeometry,
                            l: int, m: int) -> bool:
     """Beam (l, m) is allowed iff bit N2*O2*l + m of the sequence is set."""
     return bool(_restriction_bits(bit_sequence, geom)[_beam_bit(geom, l, m)])
-
-
-def _check_beams_allowed(restriction, geom, beams):
-    if restriction is None:
-        return
-    for l, m in beams:
-        if not check_beam_restriction(restriction, geom, l, m):
-            raise RestrictionError(f"beam ({l % geom.beams_h}, {m % geom.beams_v}) "
-                                   "is restricted")
 
 
 def check_rank_restriction(r_bits, rank: int) -> bool:
@@ -246,18 +221,13 @@ class _Codebook:
 @functools.cache
 def _codebook(geom: ArrayGeometry, mode: int, rank: int) -> _Codebook:
     config = Type1Config(geom, mode, rank)
-    i13_values = range(i13_range(geom)) if rank == 2 else (None,)
-    groups = tuple(itertools.product(range(config.i11_range),
-                                     range(config.i12_range), i13_values))
-    shape = (len(groups), config.i2_range)
-    precoders = np.empty(shape + (geom.n_ports, rank), dtype=complex)
-    beam_bits = np.empty(shape + (rank,), dtype=np.intp)
-    for g, (i11, i12, i13) in enumerate(groups):
-        for i2 in range(config.i2_range):
-            pmi = Type1Pmi(i11, i12, (i2,), i13)
-            precoders[g, i2] = build_precoder(config, pmi)
-            beam_bits[g, i2] = [_beam_bit(geom, l, m)
-                                for l, m in _layer_beams(config, pmi, 0)[1]]
+    shape = (config.i11_range, config.i12_range,
+             i13_range(geom) if rank == 2 else 1)
+    groups = tuple((i11, i12, i13 if rank == 2 else None)
+                   for i11, i12, i13 in np.ndindex(shape))
+    i11, i12, i13 = (a.reshape(-1, 1) for a in np.indices(shape))
+    precoders, beam_bits = _codewords(config, i11, i12, i13,
+                                      np.arange(config.i2_range))
     precoders.flags.writeable = False
     beam_bits.flags.writeable = False
     return _Codebook(groups, precoders, beam_bits)
@@ -298,16 +268,11 @@ def search_type1(channel: np.ndarray, config: Type1Config,
     picks = []
     for sb in range(n_sb):
         rates = _codeword_rates(h[edges[sb]:edges[sb + 1]], w, noise_power)
-        rates = rates.reshape(n_groups, n_i2)
-        # first strict maximum over the admissible i2, in scan order
-        sb_rate = np.full(n_groups, -np.inf)
-        sb_pick = np.full(n_groups, -1)
-        for i2 in range(n_i2):
-            better = allowed[:, i2] & (rates[:, i2] > sb_rate)
-            sb_rate[better] = rates[better, i2]
-            sb_pick[better] = i2
-        total += sb_rate
-        picks.append(sb_pick)
+        rates = np.where(allowed, rates.reshape(n_groups, n_i2), -np.inf)
+        # the first maximum over the admissible i2, in scan order
+        pick = rates.argmax(axis=1)
+        total += rates[np.arange(n_groups), pick]
+        picks.append(pick)
 
     best, best_rate = None, -np.inf
     for g, rate in enumerate(total.tolist()):

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from nrpmi import channel_sim, compact, enhanced, type2_r16, type2_r17, type2_r18
+from nrpmi import channel_sim, cli, compact, enhanced, type2_r16, type2_r17, type2_r18
 from nrpmi.bases import ArrayGeometry, orthogonal_group
 from nrpmi.channel_sim import (
     ChannelModel,
@@ -357,6 +359,29 @@ def test_search_r18_static_channel():
     ws = type2_r18.reconstruct_all(cfg, found)
     for n in range(1, 4):
         np.testing.assert_allclose(ws[:, n], ws[:, 0], atol=1e-9)
+
+
+_ARRAY = {"n1": 4, "n2": 2, "o1": 4, "o2": 4}
+
+
+@pytest.mark.parametrize("release,cfg,search", [
+    ("r16", {**_ARRAY, "param_combination": 4, "r": 1, "n3": 12}, search_r16),
+    ("r17-ps", {"p_csirs": 16, "param_combination": 6, "n3": 12,
+                "n_threshold": 4}, search_r17),
+    ("r18", {**_ARRAY, "param_combination": 2, "r": 1, "n3": 12, "n4": 4},
+     search_r18),
+], ids=["r16", "r17", "r18"])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_searched_report_dumps_as_json(release, cfg, search, rank):
+    """A searched report is JSON-ready, as ``pmi_to_fields`` documents, and
+    reads back to the same fields."""
+    config = cli.build_release_config(release, {**cfg, "rank": rank})
+    model = ChannelModel(n_paths=4, n_subcarriers=cfg["n3"], seed=rank)
+    ch = draw_channel(model, GEOM, nr=2, trial=0, n4=cfg.get("n4", 1))
+    fields = cli.pmi_to_fields(search(ch, config))
+    text = json.dumps(fields)
+    back = cli.fields_to_pmi(release, json.loads(text))
+    assert cli.pmi_to_fields(back) == fields
 
 
 def test_spectral_efficiency_experiment_shape():

@@ -202,3 +202,24 @@ def test_simulate_golden(tmp_path, capsys):
     assert cli.main(["simulate", "--trials", "50", "--seed", "0",
                      "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_SHA256
+
+
+OVERHEAD_SHA256 = (
+    "84dbc0827fe63265ab91de9f8ac76f39f4fb1ef06e8bbf7523c954edd546b583")
+BASELINES_SHA256 = (
+    "8d19e303815b6c098bdd18643c7b14438008bd02a1158b980825b034db368d5a")
+
+
+def test_overhead_golden(tmp_path, capsys):
+    """The feedback bit table of every release in ``nrpmi overhead``."""
+    out = tmp_path / "overhead.csv"
+    assert cli.main(["overhead", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == OVERHEAD_SHA256
+
+
+def test_baselines_golden(tmp_path, capsys):
+    """The multi-user beamforming sum rates of ``nrpmi baselines``."""
+    out = tmp_path / "baselines.csv"
+    assert cli.main(["baselines", "--trials", "5", "--seed", "0",
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BASELINES_SHA256

@@ -1,0 +1,20 @@
+import pytest
+
+from nrpmi.errors import DomainError
+from nrpmi.overhead import OverheadConfig, bits_i2
+
+
+@pytest.mark.parametrize("release", ["r15-type2", "r16", "r17-ps", "r18"])
+@pytest.mark.parametrize("rank,k_nz", [(1, 1), (1, 0), (2, 1), (3, 2),
+                                       (4, 3)])
+def test_impossible_k_nz_rejected(release, rank, k_nz):
+    # every layer reports its strongest coefficient, and i_2,4/i_2,5 price
+    # K_NZ - 2 entries, so K_NZ below max(2, rank) has no report
+    with pytest.raises(DomainError, match="k_nz"):
+        OverheadConfig(release=release, rank=rank, k_nz=k_nz)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_smallest_k_nz_prices_no_negative_field(rank):
+    cfg = OverheadConfig(release="r16", rank=rank, k_nz=max(2, rank))
+    assert all(bits >= 0 for bits in bits_i2(cfg).entries.values())

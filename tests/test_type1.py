@@ -12,8 +12,6 @@ from nrpmi.type1 import (
     Type1Config,
     Type1Pmi,
     build_precoder,
-    build_rank1,
-    build_rank2,
     check_beam_restriction,
     check_rank_restriction,
     i13_range,
@@ -56,12 +54,12 @@ def test_mode2_requires_n2():
 def test_rank1_known_precoders():
     g = ArrayGeometry(2, 1, 4, 1)
     cfg = Type1Config(g, rank=1)
-    w = build_rank1(cfg, Type1Pmi(0, 0, (0,)))
+    w = build_precoder(cfg, Type1Pmi(0, 0, (0,)))
     np.testing.assert_allclose(w[:, 0], 0.5 * np.ones(4))
-    w = build_rank1(cfg, Type1Pmi(0, 0, (1,)))
+    w = build_precoder(cfg, Type1Pmi(0, 0, (1,)))
     np.testing.assert_allclose(w[:, 0], 0.5 * np.array([1, 1, 1j, 1j]), atol=1e-15)
     # i11 = 2 -> v = [1, j]
-    w = build_rank1(cfg, Type1Pmi(2, 0, (1,)))
+    w = build_precoder(cfg, Type1Pmi(2, 0, (1,)))
     phi = np.exp(1j * np.pi / 2)
     np.testing.assert_allclose(w[:, 0], 0.5 * np.array([1, 1j, phi, phi * 1j]),
                                atol=1e-15)
@@ -70,7 +68,7 @@ def test_rank1_known_precoders():
 def test_rank2_same_beam_when_i13_zero():
     g = ArrayGeometry(4, 1, 4, 1)
     cfg = Type1Config(g, rank=2)
-    w = build_rank2(cfg, Type1Pmi(3, 0, (0,), 0))
+    w = build_precoder(cfg, Type1Pmi(3, 0, (0,), 0))
     v = dft_beam(g, 3, 0)
     np.testing.assert_allclose(np.sqrt(16) * w[:4, 0], v / np.sqrt(1), atol=1e-12)
     np.testing.assert_allclose(w[:4, 0], w[:4, 1], atol=1e-15)
@@ -80,7 +78,7 @@ def test_mode2_beam_selection():
     g = ArrayGeometry(2, 2, 4, 4)
     cfg = Type1Config(g, mode=2, rank=2)
     # i2 = 2 -> first beam horizontal index 2*i11 + 1
-    w = build_rank2(cfg, Type1Pmi(1, 0, (2,), 0))
+    w = build_precoder(cfg, Type1Pmi(1, 0, (2,), 0))
     v = dft_beam(g, 3, 0)
     np.testing.assert_allclose(w[:4, 0] * np.sqrt(2 * 8), v, atol=1e-12)
 
@@ -105,7 +103,7 @@ def test_combining_identity():
     h1 = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
     h2 = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
     pmi = Type1Pmi(5, 0, (3,))
-    w = build_rank1(cfg, pmi)
+    w = build_precoder(cfg, pmi)
     v = dft_beam(g, 5, 0)
     phi = np.exp(1j * np.pi * 3 / 2)
     lhs = np.hstack([h1, h2]) @ w[:, 0] * np.sqrt(g.n_ports)
@@ -171,6 +169,42 @@ SEARCH_CASES = [pytest.param(n1, n2, mode, id=f"{n1}x{n2}-mode{mode}")
                 for n1, n2, mode in [(2, 1, 1), (4, 1, 1), (2, 2, 1), (2, 2, 2),
                                      (3, 2, 1), (4, 2, 2)]]
 RANKS = pytest.mark.parametrize("rank", [1, 2], ids=["rank1", "rank2"])
+
+
+def oracle_codeword(config, pmi, subband=0):
+    """One codeword, rebuilt from ``dft_beam`` with the per-codeword
+    rank-1 and rank-2 expressions of TS 38.214 Tables 5.2.2.2.1-5/-6."""
+    g = config.geom
+    i2 = pmi.i2[subband]
+    if config.mode == 1:
+        l, m, n = pmi.i11, pmi.i12, i2
+    else:
+        l, m, n = 2 * pmi.i11 + (i2 // 2) % 2, 2 * pmi.i12 + i2 // 4, i2 % 2
+    v = dft_beam(g, l, m)
+    phi = np.exp(1j * np.pi * n / 2)
+    p = g.n_ports
+    if config.rank == 1:
+        return (np.concatenate([v, phi * v]) / np.sqrt(p)).reshape(p, 1)
+    k1, k2 = k_offsets(pmi.i13, g)
+    vp = dft_beam(g, (l + k1) % g.beams_h, (m + k2) % g.beams_v)
+    w1 = np.concatenate([v, phi * v])
+    w2 = np.concatenate([vp, -phi * vp])
+    return np.column_stack([w1, w2]) / np.sqrt(2 * p)
+
+
+@pytest.mark.parametrize("n1,n2,mode", SEARCH_CASES)
+@RANKS
+def test_every_codeword_matches_the_oracle(n1, n2, mode, rank):
+    cfg = Type1Config(ArrayGeometry.from_antennas(n1, n2), mode=mode,
+                      rank=rank, subband_count=2)
+    for pmi in all_pmis(cfg):
+        # the second subband reads its own i2
+        pmi = Type1Pmi(pmi.i11, pmi.i12, (0, pmi.i2[1]), pmi.i13)
+        w = build_precoder(cfg, pmi, 1)
+        expected = oracle_codeword(cfg, pmi, 1)
+        assert np.array_equal(w, expected)
+        assert w.tobytes() == expected.tobytes()   # signed zeros too
+        assert w.shape == (cfg.geom.n_ports, rank)
 
 
 def _search_case(n1, n2, mode, rank, seed=3):
