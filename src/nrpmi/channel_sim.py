@@ -48,7 +48,6 @@ class ChannelRealization:
     """Per-interval, per-subcarrier channels h with shape (N4, M, Nr, P)."""
 
     h: np.ndarray
-    f: np.ndarray | None = None  # optional port-external beamforming matrix
 
     @property
     def h1(self) -> np.ndarray:
@@ -178,6 +177,17 @@ def _tied_groups(energy: np.ndarray, l: int) -> list[tuple[int, int]]:
     score = _group_scores(energy, l)
     return [(int(q1), int(q2))
             for q1, q2 in np.argwhere(score >= score.max() * (1 - 1e-9))]
+
+
+def _fit(unit: np.ndarray, ws: np.ndarray) -> float:
+    """A report's fit: the summed squared correlations between unit-norm
+    targets (rank, N4, T, P) and the layers of its precoders (T, N4, P,
+    rank), where T counts subbands or frequency units.  Precoders
+    (T, P, rank) have one slot interval."""
+    if ws.ndim == 3:
+        ws = ws[:, None]
+    corr = np.einsum("lntp,tnpl->tnl", unit.conj(), ws)
+    return float((np.abs(corr) ** 2).sum())
 
 
 def _first_best(candidates, fit):
@@ -381,14 +391,9 @@ def _search_groups(config, targets, release):
         return _finish(config, targets, q, i12,
                        orthogonal_groups(g)[q][:, flats], n)
 
-    def fit(pmi):
-        ws = release.reconstruct_all(config, pmi)
-        if ws.ndim == 3:
-            ws = ws[:, None]                   # Rel-16: one slot interval
-        corr = np.einsum("lntp,tnpl->tnl", unit.conj(), ws)
-        return float((np.abs(corr) ** 2).sum())
-
-    return _first_best(map(finish, _tied_groups(energy, l)), fit)
+    return _first_best(
+        map(finish, _tied_groups(energy, l)),
+        lambda pmi: _fit(unit, release.reconstruct_all(config, pmi)))
 
 
 def _finish(config, targets, i11, i12, basis, gain):
@@ -473,16 +478,9 @@ def search_r17(channel: ChannelRealization, config: type2_r17.R17Config
 # ---------------------------------------------------------------------------
 # spectral efficiency experiment (Type I vs Type II, single polarization)
 
-def _type1_single_pol_gain(h: np.ndarray, geom: ArrayGeometry) -> float:
-    """Beamforming gain of the best single oversampled beam."""
-    best = 0.0
-    n = geom.n1 * geom.n2
-    for l in range(geom.beams_h):
-        for m_v in range(geom.beams_v):
-            v = _tx_response(geom, l, m_v) / math.sqrt(n)
-            gain = abs(np.vdot(h.conj(), v)) ** 2
-            best = max(best, gain)
-    return best
+def _type1_single_pol_gain(h: np.ndarray, beams: list[np.ndarray]) -> float:
+    """Beamforming gain of the best single beam of ``beams``."""
+    return max(abs(np.vdot(h.conj(), v)) ** 2 for v in beams)
 
 
 def _type2_single_pol_gain(h: np.ndarray, geom: ArrayGeometry,
@@ -522,6 +520,9 @@ def spectral_efficiency_experiment(antenna_configs=((4, 1), (16, 1)),
     rows = []
     for n1, n2 in antenna_configs:
         geom = ArrayGeometry.from_antennas(n1, n2)
+        # every unit-norm oversampled beam, built once per geometry
+        beams = [_tx_response(geom, l, m_v) / math.sqrt(geom.n1 * geom.n2)
+                 for l in range(geom.beams_h) for m_v in range(geom.beams_v)]
         model = ChannelModel(n_paths=n_paths, n_subcarriers=1,
                              cross_pol=0.0, seed=seed)
         rates1 = np.zeros((len(snr_db), trials))
@@ -529,7 +530,7 @@ def spectral_efficiency_experiment(antenna_configs=((4, 1), (16, 1)),
         for trial in range(trials):
             ch = draw_channel(model, geom, nr=1, trial=trial)
             h = ch.h1[0, 0, 0]  # single polarization slice, (N1*N2,)
-            gain1 = _type1_single_pol_gain(h, geom)
+            gain1 = _type1_single_pol_gain(h, beams)
             gain2 = _type2_single_pol_gain(h, geom, l_beams)
             for si, s in enumerate(snr_db):
                 snr = 10 ** (s / 10)

@@ -64,71 +64,45 @@ def _r16_config(spatial):
         n3=cfg["n3"], rank=cfg.get("rank", 1), **spatial(cfg))
 
 
-def _per_subband(precoder, config, pmi) -> np.ndarray:
-    """Subband precoders as (subband, 1, port, layer)."""
-    return np.stack([precoder(config, pmi, sb)
-                     for sb in range(config.subband_count)])[:, None]
-
-
 @dataclass(frozen=True)
 class Release:
-    """How the CLI handles one codebook.  The callables look the codebook's
-    functions up when called, so a wrapped module function is seen."""
+    """How the CLI handles one codebook.  Its module's functions are looked
+    up when called, so a wrapped module function is seen."""
 
-    build: Callable      # flat config keys -> config object
-    pmi: type            # report dataclass, rebuilt from its JSON fields
-    sample: Callable     # (config, rng) -> random valid report
-    precoders: Callable  # (config, report) -> (t, iota, port, layer)
-    serialize: Callable | None = None   # (config, report) -> bit string
+    build: Callable           # flat config keys -> config object
+    module: types.ModuleType  # the codebook module
+    pmi: type                 # report dataclass, rebuilt from its JSON fields
 
+    @property
+    def serialize(self) -> Callable | None:
+        """(config, report) -> bit string; None for Type I."""
+        return getattr(self.module, "serialize_pmi", None)
 
-_R15 = dict(
-    pmi=type2_r15.T2R15Pmi,
-    sample=lambda config, rng: type2_r15.random_valid_pmi(config, rng),
-    precoders=lambda config, pmi: _per_subband(type2_r15.reconstruct,
-                                               config, pmi),
-    serialize=lambda config, pmi: type2_r15.serialize_pmi(config, pmi))
-_R16 = dict(
-    pmi=type2_r16.R16Pmi,
-    sample=lambda config, rng: type2_r16.random_valid_pmi(config, rng),
-    precoders=lambda config, pmi: type2_r16.reconstruct_all(config,
-                                                            pmi)[:, None],
-    serialize=lambda config, pmi: type2_r16.serialize_pmi(config, pmi))
 
 RELEASES = {
     "r15-type1": Release(
-        build=lambda cfg: type1.Type1Config(
+        lambda cfg: type1.Type1Config(
             _geom(cfg), mode=cfg.get("mode", 1), rank=cfg.get("rank", 1),
             subband_count=cfg.get("subband_count", 1)),
-        pmi=type1.Type1Pmi,
-        sample=lambda config, rng: type1.random_valid_pmi(config, rng),
-        precoders=lambda config, pmi: _per_subband(type1.build_precoder,
-                                                   config, pmi)),
-    "r15-type2": Release(build=_r15_config(_array), **_R15),
-    "r15-ps": Release(build=_r15_config(_ports), **_R15),
-    "r16": Release(build=_r16_config(_array), **_R16),
-    "r16-ps": Release(build=_r16_config(_ports), **_R16),
+        type1, type1.Type1Pmi),
+    "r15-type2": Release(_r15_config(_array), type2_r15, type2_r15.T2R15Pmi),
+    "r15-ps": Release(_r15_config(_ports), type2_r15, type2_r15.T2R15Pmi),
+    "r16": Release(_r16_config(_array), type2_r16, type2_r16.R16Pmi),
+    "r16-ps": Release(_r16_config(_ports), type2_r16, type2_r16.R16Pmi),
     "r17-ps": Release(
-        build=lambda cfg: type2_r17.R17Config(
+        lambda cfg: type2_r17.R17Config(
             p_csirs=cfg["p_csirs"],
             param_combination=cfg.get("alpha_combo",
                                       cfg.get("param_combination")),
             n3=cfg["n3"], n_threshold=cfg.get("n_threshold", 2),
             rank=cfg.get("rank", 1)),
-        pmi=type2_r17.R17Pmi,
-        sample=lambda config, rng: type2_r17.random_valid_pmi(config, rng),
-        precoders=lambda config, pmi: type2_r17.reconstruct_all(config,
-                                                                pmi)[:, None],
-        serialize=lambda config, pmi: type2_r17.serialize_pmi(config, pmi)),
+        type2_r17, type2_r17.R17Pmi),
     "r18": Release(
-        build=lambda cfg: type2_r18.R18Config(
+        lambda cfg: type2_r18.R18Config(
             geom=_geom(cfg), param_combination=cfg["param_combination"],
             r=cfg.get("r", 1), n3=cfg["n3"], n4=cfg.get("n4", 1),
             rank=cfg.get("rank", 1)),
-        pmi=type2_r18.R18Pmi,
-        sample=lambda config, rng: type2_r18.random_valid_pmi(config, rng),
-        precoders=lambda config, pmi: type2_r18.reconstruct_all(config, pmi),
-        serialize=lambda config, pmi: type2_r18.serialize_pmi(config, pmi)),
+        type2_r18, type2_r18.R18Pmi),
 }
 
 
@@ -145,12 +119,14 @@ def build_release_config(release: str, cfg: dict):
 
 
 def sample_pmi(release: str, config, rng):
-    return _release(release).sample(config, rng)
+    return _release(release).module.random_valid_pmi(config, rng)
 
 
 def expected_precoders(release: str, config, pmi) -> np.ndarray:
-    """Precoders indexed (t, iota, port, layer)."""
-    return _release(release).precoders(config, pmi)
+    """Precoders indexed (t, iota, port, layer); t is the subband or the
+    frequency unit, and only Rel-18 has more than one slot interval."""
+    ws = _release(release).module.reconstruct_all(config, pmi)
+    return ws if ws.ndim == 4 else ws[:, None]
 
 
 def pmi_to_fields(pmi) -> dict:

@@ -156,6 +156,11 @@ def port_beams(p_csirs: int, ports) -> np.ndarray:
     return np.column_stack([port_selection_basis(p_csirs, d) for d in ports])
 
 
+def port_blocks(config) -> int:
+    """Number of port-selection i_1,1 values: blocks of L ports within P/2."""
+    return (config.p_csirs // 2 - config.l) // config.d + 1
+
+
 def selected_beams(config, pmi) -> np.ndarray:
     """The L spatial basis vectors as a (P/2, L) matrix."""
     if config.variant == REGULAR:
@@ -164,6 +169,9 @@ def selected_beams(config, pmi) -> np.ndarray:
         group = orthogonal_group(g, q1, q2)
         return group[:, list(decode_combination(pmi.i12, g.n1 * g.n2,
                                                 config.l))]
+    if not 0 <= pmi.i11 < port_blocks(config):
+        raise DomainError(f"i_1,1={pmi.i11} outside [0, {port_blocks(config)})"
+                          f": its {config.l} ports must fit in P/2")
     start = pmi.i11 * config.d
     return port_beams(config.p_csirs, range(start, start + config.l))
 
@@ -190,8 +198,7 @@ def draw_beams(config, rng: np.random.Generator):
         g = config.geom
         i11 = (int(rng.integers(g.o1)), int(rng.integers(g.o2)))
         return i11, int(rng.integers(binomial(g.n1 * g.n2, config.l)))
-    max_start = config.p_csirs // 2 - config.l
-    return int(rng.integers(max_start // config.d + 1)), None
+    return int(rng.integers(port_blocks(config))), None
 
 
 def beam_fields(config, pmi) -> list[tuple[int, int]]:

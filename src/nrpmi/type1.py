@@ -126,14 +126,29 @@ def _codewords(config: Type1Config, i11, i12, i13, i2):
             _beam_bit(geom, l, m))
 
 
+def _lookup(config: Type1Config, pmi: Type1Pmi) -> tuple["_Codebook", int]:
+    """Validate the report; return the cached stack and the report's row."""
+    pmi.validate(config)
+    n13 = i13_range(config.geom) if config.rank == 2 else 1
+    return (_codebook(config.geom, config.mode, config.rank),
+            (pmi.i11 * config.i12_range + pmi.i12) * n13 + (pmi.i13 or 0))
+
+
+def reconstruct_all(config: Type1Config, pmi: Type1Pmi) -> np.ndarray:
+    """Precoders for every subband, shape (subbands, P, rank): a copy of
+    the report's codewords in the cached stack."""
+    book, row = _lookup(config, pmi)
+    return book.precoders[row, list(pmi.i2)]
+
+
 def build_precoder(config: Type1Config, pmi: Type1Pmi, subband: int = 0,
                    restriction: np.ndarray | None = None) -> np.ndarray:
     """The (P, rank) precoder of one subband: a writable copy of its
     codeword in the cached stack."""
-    pmi.validate(config)
-    book = _codebook(config.geom, config.mode, config.rank)
-    n13 = i13_range(config.geom) if config.rank == 2 else 1
-    row = (pmi.i11 * config.i12_range + pmi.i12) * n13 + (pmi.i13 or 0)
+    if not 0 <= subband < config.subband_count:
+        raise DomainError(
+            f"subband {subband} outside [0, {config.subband_count})")
+    book, row = _lookup(config, pmi)
     i2 = pmi.i2[subband]
     if restriction is not None:
         bits = _restriction_bits(restriction, config.geom)

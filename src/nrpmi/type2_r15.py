@@ -15,6 +15,7 @@ from .bases import ArrayGeometry, orthogonal_groups
 from .channel_sim import (
     _beam_projections,
     _first_best,
+    _fit,
     _group_energy,
     _pick_port_block,
     _tied_groups,
@@ -74,12 +75,6 @@ class T2R15Config(SpatialConfig):
         if self.subband_count < 1:
             raise DomainError("subband_count must be positive")
         self.check_variant()
-
-    @property
-    def i11_count(self) -> int:
-        if self.variant == REGULAR:
-            return self.geom.o1 * self.geom.o2
-        return -(-self.p_csirs // (2 * self.d))  # ceil(P / 2d)
 
 
 @dataclass(frozen=True)
@@ -151,8 +146,9 @@ def _is_indices(value, count: int) -> bool:
             and all(map(_is_index, value)))
 
 
-def validate(config: T2R15Config, pmi: T2R15Pmi) -> None:
-    """Reject a malformed, out-of-range or inconsistent report."""
+def validate(config: T2R15Config, pmi: T2R15Pmi) -> np.ndarray:
+    """Reject a malformed, out-of-range or inconsistent report; return its
+    phase alphabet (rank, 2L) as ``reporting_mask`` gives it."""
     rank, two_l = config.rank, 2 * config.l
     if config.variant == REGULAR:
         if not _is_indices(pmi.i11, 2):
@@ -194,33 +190,36 @@ def validate(config: T2R15Config, pmi: T2R15Pmi) -> None:
         raise ConsistencyError("phase reported at a defaulted position")
     if ((a > 0) & ((c < 0) | (c >= a))).any():
         raise DomainError("phase index c outside its alphabet")
+    return alphabet
 
 
-def _coefficients(config: T2R15Config, pmi: T2R15Pmi,
-                  subband: int) -> np.ndarray:
-    """Complex combination weights p1*p2*phi of every layer, (rank, 2L)."""
-    _, alphabet = reporting_mask(config, pmi.k1, pmi.i13)
+def _coefficients(config: T2R15Config, pmi: T2R15Pmi, subbands: int | slice,
+                  alphabet: np.ndarray) -> np.ndarray:
+    """Complex combination weights p1*p2*phi of every layer: (rank, 2L) for
+    one subband, (subbands, rank, 2L) for a slice of them."""
     a = np.where(alphabet > 0, alphabet, config.n_psk)
-    k2 = np.asarray(pmi.k2)[:, subband]
+    k2 = np.asarray(pmi.k2).swapaxes(0, 1)[subbands]
     p1 = qt.R15_WB_AMPS[pmi.k1]
     p2 = (qt.R15_SB_AMPS[k2] if config.subband_amplitude
           else np.ones(k2.shape))
-    phi = np.exp(2j * np.pi * (np.asarray(pmi.c)[:, subband] % a) / a)
+    c = np.asarray(pmi.c).swapaxes(0, 1)[subbands]
+    phi = np.exp(2j * np.pi * (c % a) / a)
     return p1 * p2 * phi
 
 
 def layer_coefficients(config: T2R15Config, pmi: T2R15Pmi, layer: int,
                        subband: int) -> np.ndarray:
     """Complex combination weights p1*p2*phi for one layer and subband (2L,)."""
-    return _coefficients(config, pmi, subband)[layer]
+    _, alphabet = reporting_mask(config, pmi.k1, pmi.i13)
+    return _coefficients(config, pmi, subband, alphabet)[layer]
 
 
-def reconstruct(config: T2R15Config, pmi: T2R15Pmi, subband: int = 0) -> np.ndarray:
-    """Precoding matrix (P, rank) for one subband."""
-    validate(config, pmi)
-    v = selected_beams(config, pmi)
+def _precoder(config: T2R15Config, v: np.ndarray,
+              coef: np.ndarray) -> np.ndarray:
+    """Precoding matrix (P, rank) of one subband's weights (rank, 2L) on
+    the beams ``v``."""
     cols = []
-    for layer, a in enumerate(_coefficients(config, pmi, subband)):
+    for layer, a in enumerate(coef):
         beta = spatial_gain(config) * float(np.sum(np.abs(a) ** 2))
         if beta == 0:
             raise DegenerateReportError(f"layer {layer} has all-zero amplitudes")
@@ -229,10 +228,30 @@ def reconstruct(config: T2R15Config, pmi: T2R15Pmi, subband: int = 0) -> np.ndar
     return np.column_stack(cols) / np.sqrt(config.rank)
 
 
+def reconstruct_all(config: T2R15Config, pmi: T2R15Pmi) -> np.ndarray:
+    """Precoders for every subband, shape (subbands, P, rank)."""
+    alphabet = validate(config, pmi)
+    v = selected_beams(config, pmi)
+    return np.stack([_precoder(config, v, coef) for coef in
+                     _coefficients(config, pmi, slice(None), alphabet)])
+
+
+def reconstruct(config: T2R15Config, pmi: T2R15Pmi, subband: int = 0) -> np.ndarray:
+    """Precoding matrix (P, rank) for one subband."""
+    if not 0 <= subband < config.subband_count:
+        raise DomainError(
+            f"subband {subband} outside [0, {config.subband_count})")
+    alphabet = validate(config, pmi)
+    return _precoder(config, selected_beams(config, pmi),
+                     _coefficients(config, pmi, subband, alphabet))
+
+
 def serialize_pmi(config: T2R15Config, pmi: T2R15Pmi) -> str:
     """Report bits, MSB first: i11, i12 (regular), then per layer i13 and
     the k1 of every beam but the strongest; then per layer the reported
-    phases and (with subband amplitudes) k2 of every subband."""
+    phases and (with subband amplitudes) k2 of every subband.
+    Rejects what ``reconstruct_all`` rejects."""
+    reconstruct_all(config, pmi)
     two_l = 2 * config.l
     k1 = np.asarray(pmi.k1)
     out = [field_bits(v, w) for v, w in beam_fields(config, pmi)]
@@ -361,10 +380,13 @@ def search_t2_r15(channel: np.ndarray, config: T2R15Config,
 
     if config.variant == REGULAR:
         energy = _group_energy(wide, config.geom)
+        # one slot interval: (rank, 1, subbands, P)
+        unit = (targets / np.linalg.norm(targets, axis=-1,
+                                         keepdims=True))[:, None]
         best = _first_best(
             (_finish_regular_search(config, targets, q, energy[q], caps)
              for q in _tied_groups(energy, config.l)),
-            lambda pmi: _report_fit(config, pmi, targets))
+            lambda pmi: _fit(unit, reconstruct_all(config, pmi)))
         if best is None:
             raise RestrictionError("no admissible report under the caps")
         return best
@@ -402,17 +424,6 @@ def _finish_regular_search(config, targets, q, energy, caps):
                                 np.tile(_max_k(beam_cap[flats]), 2))
     except RestrictionError:
         return None
-
-
-def _report_fit(config, pmi, targets) -> float:
-    """Sum of squared correlations between the report and the targets."""
-    total = 0.0
-    for sb in range(config.subband_count):
-        w = reconstruct(config, pmi, sb)
-        for layer in range(config.rank):
-            u = targets[layer, sb]
-            total += abs(np.vdot(u / np.linalg.norm(u), w[:, layer])) ** 2
-    return total
 
 
 def _quantize_report(config: T2R15Config, coef: np.ndarray, i11, i12,

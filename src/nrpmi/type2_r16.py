@@ -132,6 +132,8 @@ def random_valid_pmi(config: R16Config, rng: np.random.Generator) -> R16Pmi:
 
 def serialize_pmi(config: R16Config, pmi: R16Pmi) -> str:
     """Report bits, MSB first: i11, i12, i15, i16 per layer, then the rest
-    as in ``enhanced.serialize``."""
+    as in ``enhanced.serialize``.
+    Rejects what ``reconstruct_all`` rejects."""
+    reconstruct_all(config, pmi)
     return enhanced.serialize(config, pmi, enhanced.beam_fields(config, pmi)
                               + enhanced.tap_fields(config, pmi))

@@ -182,7 +182,9 @@ def random_valid_pmi(config: R17Config, rng: np.random.Generator) -> R17Pmi:
 
 def serialize_pmi(config: R17Config, pmi: R17Pmi) -> str:
     """Report bits, MSB first: i12 (alpha < 1), i16 (when reported), then
-    the rest as in ``enhanced.serialize``."""
+    the rest as in ``enhanced.serialize``.
+    Rejects what ``reconstruct_all`` rejects."""
+    reconstruct_all(config, pmi)
     head = []
     if config.alpha < 1.0:
         head.append((pmi.i12, clog2(binomial(config.p_csirs // 2, config.l))))

@@ -152,7 +152,9 @@ def random_valid_pmi(config: R18Config, rng: np.random.Generator,
 
 def serialize_pmi(config: R18Config, pmi: R18Pmi) -> str:
     """Report bits, MSB first: i11, i12, i15, i16 per layer, then as in
-    ``enhanced.serialize`` with i110 per layer (N4 > 1) after i18."""
+    ``enhanced.serialize`` with i110 per layer (N4 > 1) after i18.
+    Rejects what ``reconstruct_all`` rejects."""
+    reconstruct_all(config, pmi)
     tail = ([(i110, clog2(config.n4 - 1)) for i110 in pmi.i110]
             if config.n4 > 1 else [])
     return enhanced.serialize(config, pmi, enhanced.beam_fields(config, pmi)

@@ -272,3 +272,57 @@ def test_serialize_pmi_msb_first():
     # leading field: i11 = q1*O2 + q2 in 4 bits, MSB first
     q1, q2 = pmi.i11
     assert bits[:4] == format(q1 * 4 + q2, "04b")
+
+
+# one small config per release; the rank is set per case
+PER_POINT_CONFIGS = {
+    "r15-type1": {**T1_CONFIG, "n2": 2, "o2": 4, "mode": 2,
+                  "subband_count": 3},
+    "r15-type2": {**R15_CONFIG, "subband_count": 3},
+    "r15-ps": {"p_csirs": 8, "l": 2, "d": 1, "n_psk": 4,
+               "subband_count": 3},
+    "r16": {**R16_CONFIG, "n3": 24},
+    "r16-ps": {"p_csirs": 16, "param_combination": 2, "r": 1, "n3": 8,
+               "d": 2},
+    "r17-ps": R17_CONFIG,
+    "r18": R18_CONFIG,
+}
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("release", list(PER_POINT_CONFIGS))
+def test_expected_precoders_stack_the_per_point_calls(release, rank):
+    import numpy as np
+    from nrpmi import cli, type1, type2_r15, type2_r16, type2_r17, type2_r18
+
+    assert set(PER_POINT_CONFIGS) == set(cli.RELEASES)
+    config = cli.build_release_config(
+        release, {**PER_POINT_CONFIGS[release], "rank": rank})
+    module = {"r16": type2_r16, "r16-ps": type2_r16, "r17-ps": type2_r17,
+              "r18": type2_r18}.get(release)
+    rng = np.random.default_rng(rank)
+    for _ in range(3):
+        pmi = cli.sample_pmi(release, config, rng)
+        if release == "r15-type1":
+            points = [[type1.build_precoder(config, pmi, sb)]
+                      for sb in range(config.subband_count)]
+        elif release.startswith("r15"):
+            points = [[type2_r15.reconstruct(config, pmi, sb)]
+                      for sb in range(config.subband_count)]
+        elif release == "r18":
+            points = [[module.reconstruct(config, pmi, t, iota)
+                       for iota in range(config.n4)]
+                      for t in range(config.n3)]
+        else:
+            points = [[module.reconstruct(config, pmi, t)]
+                      for t in range(config.n3)]
+        assert np.array_equal(cli.expected_precoders(release, config, pmi),
+                              np.array(points))
+
+
+def test_release_serializer_is_the_module_function():
+    from nrpmi import cli, type2_r15, type2_r18
+
+    assert cli.RELEASES["r15-type1"].serialize is None
+    assert cli.RELEASES["r15-ps"].serialize is type2_r15.serialize_pmi
+    assert cli.RELEASES["r18"].serialize is type2_r18.serialize_pmi

@@ -187,10 +187,46 @@ def test_malformed_reports_raise_codebook_errors(data):
                  else value[:i] + (new,) + value[i + 1:])
     else:
         value = new
+    bad = dataclasses.replace(pmi, **{field: value})
     try:
-        ws = cli.expected_precoders(release, config,
-                                    dataclasses.replace(pmi, **{field: value}))
+        ws = cli.expected_precoders(release, config, bad)
     except CodebookError:
+        # a report reconstruction rejects must not serialize either
+        serialize = cli.RELEASES[release].serialize
+        if serialize is not None:
+            with pytest.raises(CodebookError):
+                serialize(config, bad)
         return
     np.testing.assert_allclose(np.linalg.norm(ws, axis=-2),
                                1 / np.sqrt(config.rank), atol=1e-9)
+
+
+@pytest.mark.parametrize("release,cfg,i11,alias", [
+    # q2 = 5 at O2 = 4 would write the bits of (1, 1); 4 those of (1, 0)
+    ("r16", CONFIGS["r16"], (0, 5), (1, 1)),
+    ("r15-type2", R15_CONFIGS["r15-type2"], (0, 4), (1, 0)),
+])
+def test_out_of_range_i11_does_not_serialize_as_another_report(
+        release, cfg, i11, alias):
+    config = cli.build_release_config(release, cfg)
+    pmi = cli.sample_pmi(release, config, np.random.default_rng(0))
+    serialize = cli.RELEASES[release].serialize
+    serialize(config, dataclasses.replace(pmi, i11=alias))
+    with pytest.raises(DomainError):
+        serialize(config, dataclasses.replace(pmi, i11=i11))
+
+
+@pytest.mark.parametrize("release,cfg", [
+    ("r15-ps", R15_CONFIGS["r15-ps"]),
+    ("r16-ps", CONFIGS["r16-ps"]),
+])
+def test_port_block_past_half_names_i11(release, cfg):
+    config = cli.build_release_config(release, cfg)
+    pmi = cli.sample_pmi(release, config, np.random.default_rng(0))
+    blocks = (config.p_csirs // 2 - config.l) // config.d + 1
+    cli.expected_precoders(release, config,
+                           dataclasses.replace(pmi, i11=blocks - 1))
+    for i11 in (blocks, -1):
+        with pytest.raises(DomainError, match="i_1,1"):
+            cli.expected_precoders(release, config,
+                                   dataclasses.replace(pmi, i11=i11))

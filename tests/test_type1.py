@@ -16,6 +16,7 @@ from nrpmi.type1 import (
     check_rank_restriction,
     i13_range,
     k_offsets,
+    random_valid_pmi,
     search_type1,
 )
 
@@ -313,3 +314,12 @@ def test_search_rank_restricted():
     h = np.ones((1, 2, 4), dtype=complex)
     with pytest.raises(RestrictionError):
         search_type1(h, cfg, rank_restriction=[1, 0, 1, 1, 1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("subband", [2, -1])
+def test_subband_outside_the_report_is_rejected(subband):
+    cfg = Type1Config(ArrayGeometry(4, 2, 4, 4), rank=2, subband_count=2)
+    pmi = random_valid_pmi(cfg, np.random.default_rng(0))
+    with pytest.raises(DomainError, match=f"subband {subband} outside"):
+        build_precoder(cfg, pmi, subband)
+

@@ -208,6 +208,14 @@ def test_port_selection_block_out_of_range():
         reconstruct(cfg, pmi)  # ports 1..4 exceed P/2 - 1 = 3
 
 
+@pytest.mark.parametrize("subband", [2, -1])
+def test_subband_outside_the_report_is_rejected(subband):
+    cfg = simple_config(subband_count=2)
+    pmi = random_valid_pmi(cfg, np.random.default_rng(0))
+    with pytest.raises(DomainError, match=f"subband {subband} outside"):
+        reconstruct(cfg, pmi, subband)
+
+
 def test_subset_restriction_decode():
     caps = subset_restriction("1" * 11 if False else format(1819, "011b"),
                               "1" * (8 * 8), GEOM)
