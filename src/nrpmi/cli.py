@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 validation failure, 2 usage or configuration error.
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 import types
@@ -27,41 +28,9 @@ from . import channel_sim, overhead, type1, type2_r15, type2_r16, type2_r17, typ
 from .bases import ArrayGeometry
 from .beamforming import mu_beamformer, user_rates
 from .enhanced import PORT_SELECTION, REGULAR
-from .errors import CodebookError
+from .errors import CodebookError, FormatError
 
 VECTOR_TOLERANCE = 1e-9
-
-
-def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _geom(cfg: dict) -> ArrayGeometry:
-    return ArrayGeometry(cfg["n1"], cfg["n2"], cfg["o1"], cfg["o2"])
-
-
-def _array(cfg: dict) -> dict:
-    return {"variant": REGULAR, "geom": _geom(cfg)}
-
-
-def _ports(cfg: dict) -> dict:
-    return {"variant": PORT_SELECTION, "p_csirs": cfg["p_csirs"],
-            "d": cfg.get("d", 1)}
-
-
-def _r15_config(spatial):
-    return lambda cfg: type2_r15.T2R15Config(
-        l=cfg.get("l", 2), n_psk=cfg.get("n_psk", 8),
-        subband_amplitude=cfg.get("subband_amplitude", True),
-        rank=cfg.get("rank", 1), subband_count=cfg.get("subband_count", 1),
-        **spatial(cfg))
-
-
-def _r16_config(spatial):
-    return lambda cfg: type2_r16.R16Config(
-        param_combination=cfg["param_combination"], r=cfg.get("r", 1),
-        n3=cfg["n3"], rank=cfg.get("rank", 1), **spatial(cfg))
 
 
 @dataclass(frozen=True)
@@ -69,9 +38,12 @@ class Release:
     """How the CLI handles one codebook.  Its module's functions are looked
     up when called, so a wrapped module function is seen."""
 
-    build: Callable           # flat config keys -> config object
     module: types.ModuleType  # the codebook module
+    config: type              # config dataclass, built from flat JSON keys
     pmi: type                 # report dataclass, rebuilt from its JSON fields
+    # CLI defaults of config fields; the variant (regular if absent) is
+    # fixed here, never read from a key
+    defaults: dict = dataclasses.field(default_factory=dict)
 
     @property
     def serialize(self) -> Callable | None:
@@ -79,30 +51,21 @@ class Release:
         return getattr(self.module, "serialize_pmi", None)
 
 
+_PORTS = {"variant": PORT_SELECTION, "d": 1}
 RELEASES = {
-    "r15-type1": Release(
-        lambda cfg: type1.Type1Config(
-            _geom(cfg), mode=cfg.get("mode", 1), rank=cfg.get("rank", 1),
-            subband_count=cfg.get("subband_count", 1)),
-        type1, type1.Type1Pmi),
-    "r15-type2": Release(_r15_config(_array), type2_r15, type2_r15.T2R15Pmi),
-    "r15-ps": Release(_r15_config(_ports), type2_r15, type2_r15.T2R15Pmi),
-    "r16": Release(_r16_config(_array), type2_r16, type2_r16.R16Pmi),
-    "r16-ps": Release(_r16_config(_ports), type2_r16, type2_r16.R16Pmi),
-    "r17-ps": Release(
-        lambda cfg: type2_r17.R17Config(
-            p_csirs=cfg["p_csirs"],
-            param_combination=cfg.get("alpha_combo",
-                                      cfg.get("param_combination")),
-            n3=cfg["n3"], n_threshold=cfg.get("n_threshold", 2),
-            rank=cfg.get("rank", 1)),
-        type2_r17, type2_r17.R17Pmi),
-    "r18": Release(
-        lambda cfg: type2_r18.R18Config(
-            geom=_geom(cfg), param_combination=cfg["param_combination"],
-            r=cfg.get("r", 1), n3=cfg["n3"], n4=cfg.get("n4", 1),
-            rank=cfg.get("rank", 1)),
-        type2_r18, type2_r18.R18Pmi),
+    "r15-type1": Release(type1, type1.Type1Config, type1.Type1Pmi),
+    "r15-type2": Release(type2_r15, type2_r15.T2R15Config, type2_r15.T2R15Pmi,
+                         {"l": 2}),
+    "r15-ps": Release(type2_r15, type2_r15.T2R15Config, type2_r15.T2R15Pmi,
+                      {**_PORTS, "l": 2}),
+    "r16": Release(type2_r16, type2_r16.R16Config, type2_r16.R16Pmi,
+                   {"r": 1}),
+    "r16-ps": Release(type2_r16, type2_r16.R16Config, type2_r16.R16Pmi,
+                      {**_PORTS, "r": 1}),
+    "r17-ps": Release(type2_r17, type2_r17.R17Config, type2_r17.R17Pmi,
+                      {"variant": PORT_SELECTION}),
+    "r18": Release(type2_r18, type2_r18.R18Config, type2_r18.R18Pmi,
+                   {"r": 1, "n4": 1}),
 }
 
 
@@ -113,9 +76,74 @@ def _release(name: str) -> Release:
         raise CodebookError(f"unknown release {name!r}") from None
 
 
+class _Field(typing.NamedTuple):
+    name: str
+    hint: object
+    options: tuple  # the annotation's member types, generics as their origin
+    required: bool
+
+
+@functools.cache
+def _typed_fields(cls: type) -> tuple[_Field, ...]:
+    """A dataclass's fields with the member types of their annotations."""
+    out = []
+    for f in dataclasses.fields(cls):
+        union = isinstance(f.type, types.UnionType)
+        options = typing.get_args(f.type) if union else (f.type,)
+        out.append(_Field(f.name, f.type,
+                          tuple(typing.get_origin(o) or o for o in options),
+                          f.default is dataclasses.MISSING))
+    return tuple(out)
+
+
+def _field_value(field: _Field, value):
+    """A JSON value as the field's annotated type: a list as an integer
+    array or a tuple of ints, an int, bool or None as itself.  Raises
+    FormatError when no member of the annotation fits."""
+    for option in field.options:
+        if type(value) is option:
+            return value
+        if option is np.ndarray and isinstance(value, list):
+            return np.asarray(value, dtype=int)
+        if option is tuple and isinstance(value, list) \
+                and all(type(v) is int for v in value):
+            return tuple(value)
+    raise FormatError(f"field {field.name} must be {field.hint}, "
+                      f"got {value!r}")
+
+
+def _read_fields(cls: type, obj, what: str, defaults: dict,
+                 fixed: tuple = ()) -> dict:
+    """Keyword arguments of dataclass ``cls`` from a JSON object: each field
+    from its key, else from ``defaults``; a field with a dataclass default
+    may be left out.  The fields named in ``fixed`` read no key."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} must be a JSON object, "
+                          f"got {type(obj).__name__}")
+    values = {}
+    for field in _typed_fields(cls):
+        name = field.name
+        if name in obj and name not in fixed:
+            values[name] = _field_value(field, obj[name])
+        elif name in defaults:
+            values[name] = defaults[name]
+        elif field.required:
+            raise FormatError(f"{what} key {name!r} missing")
+    return values
+
+
 def build_release_config(release: str, cfg: dict):
-    """Instantiate the release's config object from the flat key set."""
-    return _release(release).build(cfg)
+    """The release's config object from a flat JSON object: each field from
+    its key, typed by its annotation, else from the release's defaults.  A
+    regular array's ``geom`` comes from n1/n2/o1/o2; no key sets ``geom``
+    or ``variant``."""
+    rel = _release(release)
+    defaults = rel.defaults
+    if defaults.get("variant", REGULAR) == REGULAR:
+        geom = ArrayGeometry(**_read_fields(ArrayGeometry, cfg, "config", {}))
+        defaults = {**defaults, "geom": geom}
+    return rel.config(**_read_fields(rel.config, cfg, "config", defaults,
+                                     ("variant", "geom")))
 
 
 def sample_pmi(release: str, config, rng):
@@ -142,47 +170,20 @@ def pmi_to_fields(pmi) -> dict:
     return out
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _field_value(name: str, value, hint):
-    """A JSON field value as the report field's annotated type: a list as
-    an integer array or a tuple of ints, an int or None as itself.  Raises
-    TypeError when no member of the annotation fits."""
-    union = isinstance(hint, types.UnionType)
-    for option in typing.get_args(hint) if union else (hint,):
-        if option is np.ndarray and isinstance(value, list):
-            return np.asarray(value, dtype=int)
-        if typing.get_origin(option) is tuple and isinstance(value, list) \
-                and all(map(_is_int, value)):
-            return tuple(value)
-        if (option is int and _is_int(value)
-                or option is type(None) and value is None):
-            return value
-    raise TypeError(f"field {name} must be {hint}, got {value!r}")
-
-
 def fields_to_pmi(release: str, fields: dict):
     """Inverse of pmi_to_fields, typed by the report dataclass: coefficient
     arrays back to integer arrays (the bitmap as int8), lists back to
     tuples."""
     pmi_type = _release(release).pmi
-    values = {}
-    for field in dataclasses.fields(pmi_type):
-        value = _field_value(field.name, fields[field.name], field.type)
-        values[field.name] = (value.astype(np.int8) if field.name == "bitmap"
-                              else value)
+    values = _read_fields(pmi_type, fields, "report", {})
+    if "bitmap" in values:
+        values["bitmap"] = values["bitmap"].astype(np.int8)
     return pmi_type(**values)
 
 
-def _complex_to_pairs(ws: np.ndarray) -> list:
-    stacked = np.stack([ws.real, ws.imag], axis=-1)
-    return stacked.tolist()
-
-
 def cmd_gen_vectors(args) -> int:
-    cfg_dict = _load_config(args.config)
+    with open(args.config) as fh:
+        cfg_dict = json.load(fh)
     config = build_release_config(args.release, cfg_dict)
     rng = np.random.default_rng(args.seed)
     with open(args.out, "w") as fh:
@@ -193,7 +194,7 @@ def cmd_gen_vectors(args) -> int:
                 "release": args.release,
                 "config": cfg_dict,
                 "pmi": pmi_to_fields(pmi),
-                "expected": _complex_to_pairs(ws),
+                "expected": np.stack([ws.real, ws.imag], -1).tolist(),
                 "tolerance": VECTOR_TOLERANCE,
             }
             fh.write(json.dumps(record) + "\n")
@@ -216,7 +217,7 @@ def cmd_validate(args) -> int:
                 expected = np.asarray(record["expected"])
                 expected = expected[..., 0] + 1j * expected[..., 1]
                 tolerance = float(record["tolerance"])
-            except (KeyError, ValueError, TypeError) as exc:
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
                 print(f"line {line_no}: malformed record: {exc}",
                       file=sys.stderr)
                 return 2
@@ -227,7 +228,8 @@ def cmd_validate(args) -> int:
                 print(f"line {line_no}: FAIL (reconstruction error: {exc})")
                 failures += 1
                 continue
-            err = float(np.max(np.abs(ws - expected)))
+            err = (float(np.max(np.abs(ws - expected)))
+                   if ws.shape == expected.shape else np.inf)
             if err > tolerance:
                 print(f"line {line_no}: FAIL (max error {err:.3e})")
                 failures += 1
@@ -259,19 +261,17 @@ def cmd_overhead(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    snrs = [float(s) for s in args.snr.split(",")]
     rows = channel_sim.spectral_efficiency_experiment(
-        snr_db=snrs, trials=args.trials, seed=args.seed)
+        snr_db=args.snr, trials=args.trials, seed=args.seed)
     return _write_csv(args.out, ["antennas", "snr_db", "scheme",
                                  "mean_rate", "ci95"], rows)
 
 
 def cmd_baselines(args) -> int:
-    snrs = [float(s) for s in args.snr.split(",")]
     schemes = ("zf", "rzf", "mmse", "wmmse")
     k_users, nr, nt = 3, 2, 8
     rows = []
-    for snr_db in snrs:
+    for snr_db in args.snr:
         snr = 10 ** (snr_db / 10)
         pt, noise = snr, 1.0
         sums = {s: [] for s in schemes}
@@ -301,17 +301,32 @@ def cmd_baselines(args) -> int:
                       rows)
 
 
+def _integer(low: int) -> Callable[[str], int]:
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text} is below {low}")
+        return int(text)
+    return integer
+
+
+def floats(text: str) -> list[float]:
+    """A comma-separated list of numbers, as ``--snr`` takes them."""
+    return [float(s) for s in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nrpmi",
         description="5G NR PMI codebook conformance vectors and simulations")
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = {"type": _integer(0), "default": 0}
+    trials = {"type": _integer(2)}  # a 95% interval needs two trials
 
     gen = sub.add_parser("gen-vectors", help="emit reconstruction records")
     gen.add_argument("--release", required=True, choices=RELEASES)
     gen.add_argument("--config", required=True)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--samples", type=int, default=10)
+    gen.add_argument("--seed", **seed)
+    gen.add_argument("--samples", type=_integer(1), default=10)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen_vectors)
 
@@ -325,16 +340,16 @@ def build_parser() -> argparse.ArgumentParser:
     ovh.set_defaults(func=cmd_overhead)
 
     sim = sub.add_parser("simulate", help="Type I/II spectral efficiency CSV")
-    sim.add_argument("--snr", default="-10,0,10,20")
-    sim.add_argument("--trials", type=int, default=500)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--snr", type=floats, default="-10,0,10,20")
+    sim.add_argument("--trials", default=500, **trials)
+    sim.add_argument("--seed", **seed)
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=cmd_simulate)
 
     base = sub.add_parser("baselines", help="multi-user beamforming CSV")
-    base.add_argument("--snr", default="0,10,20")
-    base.add_argument("--trials", type=int, default=100)
-    base.add_argument("--seed", type=int, default=0)
+    base.add_argument("--snr", type=floats, default="0,10,20")
+    base.add_argument("--trials", default=100, **trials)
+    base.add_argument("--seed", **seed)
     base.add_argument("--out", required=True)
     base.set_defaults(func=cmd_baselines)
     return parser
@@ -348,7 +363,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (CodebookError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (CodebookError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

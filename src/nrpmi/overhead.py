@@ -1,29 +1,88 @@
 """Feedback bit accounting for the i1/i2 information elements per release.
 
-Each field cost follows the published per-element bit formulas (stated for
-rank 2; layer-indexed fields scale linearly with rank).  Totals follow the
-reporting structure: Rel-15 repeats its i2 slice for every subband, Rel-15
-through Rel-17 repeat the whole report for every slot interval, and Rel-18
-sends a single predictive report covering all intervals.
+Each release is one row of ``ROWS``: the fields it reports, each with its
+published bit formula (stated for rank 2; layer-indexed fields scale
+linearly with rank), and its reporting structure.  Rel-15 repeats its i2
+slice for every subband, Rel-15 through Rel-17 repeat the whole report for
+every slot interval, and Rel-18 sends a single predictive report covering
+all intervals.
 
-The i2 rows (i_2,3/4/5) price every release alike, with the nonzero
-coefficient count K_NZ counted over all layers; the Rel-15 i_2,1/i_2,2 rows
-take the number of priced entries from the subband count.
+The i2 coefficient fields (i_2,3/4/5) price every release alike, with the
+nonzero coefficient count K_NZ counted over all layers; the Rel-15
+i_2,1/i_2,2 fields take the number of priced entries from the subband count.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .combinadics import binomial, clog2
 from .errors import DomainError
 
-RELEASES = ("r15-type2", "r15-ps", "r16", "r16-ps", "r17-ps", "r18")
-
-I1_FIELDS = ("i11", "i12", "i13l", "i14l", "i15", "i16l", "i17l", "i18l",
-             "i110l")
-I2_FIELDS = ("i21l", "i22l", "i23l", "i24l", "i25l")
+# fields priced once per layer; the K_NZ-priced i24l/i25l count all layers
 LAYER_FIELDS = {"i13l", "i14l", "i16l", "i17l", "i18l", "i110l", "i21l",
                 "i22l", "i23l"}
+
+
+def _r15_i21(c) -> int:
+    m = min(c.subband_count, c.k2_cap)
+    log_psk = int(math.log2(c.n_psk))
+    return m * log_psk - log_psk + 2 * (c.subband_count - m)
+
+
+def _bitmap(grid) -> tuple:
+    """i_1,7 and i_1,8 of a layer's coefficient grid: ``grid(cfg)`` gives its
+    rows, its columns and the columns the strongest coefficient may take."""
+    return (("i17l", lambda c: 2 * grid(c)[0] * grid(c)[1]),
+            ("i18l", lambda c: clog2(grid(c)[0] * grid(c)[2])))
+
+
+# (field, bit formula) groups the release rows share
+REGULAR_BEAMS = (("i11", lambda c: clog2(c.o1o2)),
+                 ("i12", lambda c: clog2(binomial(c.n1n2, c.l))))
+PORT_BLOCK = (("i11", lambda c: clog2(math.ceil(c.p_csirs / (2 * c.d)))),)
+R15_I1 = (("i13l", lambda c: clog2(2 * c.l)),
+          ("i14l", lambda c: 3 * (2 * c.l - 1)))
+R15_I2 = (("i21l", _r15_i21),
+          ("i22l", lambda c: min(c.subband_count, c.k2_cap) - 1))
+# N3 > 19 switches to the window start i15 and the windowed tap formula
+TAPS = (("i15", lambda c: clog2(2 * c.mv) if c.n3 > 19 else 0),
+        ("i16l", lambda c: clog2(binomial(2 * c.mv - 1, c.mv - 1))
+         if c.n3 > 19 else clog2(binomial(c.n3 - 1, c.mv - 1))))
+R16_BITMAP = _bitmap(lambda c: (2 * c.l, c.mv, 1))
+COEFFICIENTS = (("i23l", lambda c: 4),
+                ("i24l", lambda c: 3 * (c.k_nz - 2)),
+                ("i25l", lambda c: 4 * (c.k_nz - 2)))
+
+
+@dataclass(frozen=True)
+class ReleaseRow:
+    """The fields one release reports and how often it reports them."""
+
+    i1: tuple[tuple[str, Callable], ...]
+    i2: tuple[tuple[str, Callable], ...]
+    i2_per_subband: bool = False  # Rel-15: one i2 slice per subband
+    one_report: bool = False      # Rel-18: one report for all N4 intervals
+
+
+ROWS = {
+    "r15-type2": ReleaseRow(REGULAR_BEAMS + R15_I1, R15_I2 + COEFFICIENTS,
+                            i2_per_subband=True),
+    "r15-ps": ReleaseRow(PORT_BLOCK + R15_I1, R15_I2 + COEFFICIENTS,
+                         i2_per_subband=True),
+    "r16": ReleaseRow(REGULAR_BEAMS + TAPS + R16_BITMAP, COEFFICIENTS),
+    "r16-ps": ReleaseRow(PORT_BLOCK + TAPS + R16_BITMAP, COEFFICIENTS),
+    "r17-ps": ReleaseRow(
+        (("i12", lambda c: clog2(binomial(c.p_csirs // 2, c.k1_beams // 2))),
+         ("i16l", lambda c: 0 if c.m_taps == 1 else clog2(c.n_window - 1)))
+        + _bitmap(lambda c: (c.k1_beams, c.m_taps, c.m_taps)),
+        COEFFICIENTS),
+    "r18": ReleaseRow(
+        REGULAR_BEAMS + TAPS + _bitmap(lambda c: (2 * c.l, c.mv * c.q, c.q))
+        + (("i110l", lambda c: clog2(c.n4 - 1) if c.n4 > 1 else 0),),
+        COEFFICIENTS, one_report=True),
+}
+RELEASES = tuple(ROWS)
 
 
 @dataclass(frozen=True)
@@ -50,88 +109,13 @@ class OverheadConfig:
     n_window: int = 2     # N (Rel-17)
 
     def __post_init__(self):
-        if self.release not in RELEASES:
+        if self.release not in ROWS:
             raise DomainError(f"release {self.release!r} not in {RELEASES}")
         # K_NZ counts every layer's strongest coefficient, and i_2,4/i_2,5
         # price K_NZ - 2 entries: below max(2, rank) no report exists
         if self.k_nz < max(2, self.rank):
             raise DomainError(f"k_nz={self.k_nz} below max(2, rank="
                               f"{self.rank})")
-
-
-def _field_bits_i1(cfg: OverheadConfig, fld: str) -> int | None:
-    """Per-layer (or per-report) bit cost of one i1 element; None = N/A."""
-    r = cfg.release
-    if fld == "i11":
-        if r in ("r15-type2", "r16", "r18"):
-            return clog2(cfg.o1o2)
-        if r in ("r15-ps", "r16-ps"):
-            return clog2(math.ceil(cfg.p_csirs / (2 * cfg.d)))
-        return None
-    if fld == "i12":
-        if r in ("r15-type2", "r16", "r18"):
-            return clog2(binomial(cfg.n1n2, cfg.l))
-        if r == "r17-ps":
-            return clog2(binomial(cfg.p_csirs // 2, cfg.k1_beams // 2))
-        return None
-    if fld == "i13l":
-        return clog2(2 * cfg.l) if r in ("r15-type2", "r15-ps") else None
-    if fld == "i14l":
-        return 3 * (2 * cfg.l - 1) if r in ("r15-type2", "r15-ps") else None
-    if fld == "i15":
-        if r in ("r16", "r16-ps", "r18"):
-            return clog2(2 * cfg.mv) if cfg.n3 > 19 else 0
-        return None
-    if fld == "i16l":
-        if r in ("r16", "r16-ps", "r18"):
-            if cfg.n3 > 19:
-                return clog2(binomial(2 * cfg.mv - 1, cfg.mv - 1))
-            return clog2(binomial(cfg.n3 - 1, cfg.mv - 1))
-        if r == "r17-ps":
-            return 0 if cfg.m_taps == 1 else clog2(cfg.n_window - 1)
-        return None
-    if fld == "i17l":
-        if r in ("r16", "r16-ps"):
-            return 4 * cfg.l * cfg.mv
-        if r == "r17-ps":
-            return 2 * cfg.k1_beams * cfg.m_taps
-        if r == "r18":
-            return 4 * cfg.l * cfg.mv * cfg.q
-        return None
-    if fld == "i18l":
-        if r in ("r16", "r16-ps"):
-            return clog2(2 * cfg.l)
-        if r == "r17-ps":
-            return clog2(cfg.k1_beams * cfg.m_taps)
-        if r == "r18":
-            return clog2(2 * cfg.l * cfg.q)
-        return None
-    if fld == "i110l":
-        if r == "r18":
-            return clog2(cfg.n4 - 1) if cfg.n4 > 1 else 0
-        return None
-    raise DomainError(f"unknown i1 field {fld!r}")
-
-
-def _field_bits_i2(cfg: OverheadConfig, fld: str) -> int | None:
-    r = cfg.release
-    log_psk = int(math.log2(cfg.n_psk))
-    if fld == "i21l":
-        if r in ("r15-type2", "r15-ps"):
-            m = min(cfg.subband_count, cfg.k2_cap)
-            return m * log_psk - log_psk + 2 * (cfg.subband_count - m)
-        return None
-    if fld == "i22l":
-        if r in ("r15-type2", "r15-ps"):
-            return min(cfg.subband_count, cfg.k2_cap) - 1
-        return None
-    if fld == "i23l":
-        return 4
-    if fld == "i24l":
-        return 3 * (cfg.k_nz - 2)
-    if fld == "i25l":
-        return 4 * (cfg.k_nz - 2)
-    raise DomainError(f"unknown i2 field {fld!r}")
 
 
 @dataclass
@@ -151,44 +135,31 @@ class BitBudget:
         return sum(v for (f, _), v in self.entries.items() if f == fld)
 
 
-def _budget(cfg: OverheadConfig, fields, field_bits) -> BitBudget:
+def _budget(cfg: OverheadConfig, fields) -> BitBudget:
     budget = BitBudget()
-    for fld in fields:
-        bits = field_bits(cfg, fld)
-        if bits is None:
-            continue
-        # K_NZ-priced i2 fields already count every layer's coefficients
-        layers = range(1, cfg.rank + 1) if fld in LAYER_FIELDS else (None,)
-        for layer in layers:
+    for fld, formula in fields:
+        bits = formula(cfg)
+        for layer in range(1, cfg.rank + 1) if fld in LAYER_FIELDS else (None,):
             budget.add(fld, layer, bits)
     return budget
 
 
 def bits_i1(cfg: OverheadConfig) -> BitBudget:
-    """i1 bit budget for one report; N/A fields contribute nothing."""
-    return _budget(cfg, I1_FIELDS, _field_bits_i1)
+    """i1 bit budget for one report; fields the release lacks are absent."""
+    return _budget(cfg, ROWS[cfg.release].i1)
 
 
 def bits_i2(cfg: OverheadConfig) -> BitBudget:
     """i2 bit budget for one report (one subband's worth for Rel-15)."""
-    return _budget(cfg, I2_FIELDS, _field_bits_i2)
+    return _budget(cfg, ROWS[cfg.release].i2)
 
 
 def total_bits(cfg: OverheadConfig) -> int:
-    """Feedback bits to supply precoders for all subbands and intervals.
-
-    Rel-15 reports its i2 slice per subband; Rel-15/16/17 repeat the full
-    report for each of the n4 intervals; Rel-18 predicts all intervals from
-    a single report.
-    """
-    i1 = bits_i1(cfg).total
-    i2 = bits_i2(cfg).total
-    if cfg.release in ("r15-type2", "r15-ps"):
-        per_interval = i1 + cfg.subband_count * i2
-    else:
-        per_interval = i1 + i2
-    intervals = 1 if cfg.release == "r18" else cfg.n4
-    return intervals * per_interval
+    """Feedback bits to supply precoders for all subbands and intervals."""
+    row = ROWS[cfg.release]
+    i2_reports = cfg.subband_count if row.i2_per_subband else 1
+    per_report = bits_i1(cfg).total + i2_reports * bits_i2(cfg).total
+    return per_report * (1 if row.one_report else cfg.n4)
 
 
 def overhead_rows(cfg: OverheadConfig) -> list[dict]:

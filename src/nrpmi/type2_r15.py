@@ -153,8 +153,12 @@ def validate(config: T2R15Config, pmi: T2R15Pmi) -> np.ndarray:
     if config.variant == REGULAR:
         if not _is_indices(pmi.i11, 2):
             raise FormatError(f"i_1,1={pmi.i11} must be a pair (q1, q2)")
-        if not (_is_index(pmi.i12) and 0 <= pmi.i12 < binomial(
-                config.geom.n1 * config.geom.n2, config.l)):
+        g = config.geom
+        if not (0 <= pmi.i11[0] < g.o1 and 0 <= pmi.i11[1] < g.o2):
+            raise DomainError(f"i_1,1={pmi.i11} outside [0, {g.o1}) x "
+                              f"[0, {g.o2})")
+        if not (_is_index(pmi.i12)
+                and 0 <= pmi.i12 < binomial(g.n1 * g.n2, config.l)):
             raise FormatError(f"i_1,2={pmi.i12} out of range")
     else:
         if not _is_index(pmi.i11):

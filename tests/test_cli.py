@@ -141,6 +141,25 @@ def test_r18_config_ignores_d_slots(tmp_path, capsys):
     assert "2/2 records passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mutate,code", [
+    (lambda expected: 5, 2),                     # no (real, imag) pairs
+    (lambda expected: expected[:1] * 3, 1),      # not broadcast: a FAIL
+], ids=["scalar", "wrong-shape"])
+def test_validate_checks_the_expected_shape(tmp_path, capsys, mutate, code):
+    config = write_config(tmp_path, R16_CONFIG)
+    out = str(tmp_path / "vectors.jsonl")
+    main(["gen-vectors", "--release", "r16", "--config", config,
+          "--seed", "1", "--samples", "1", "--out", out])
+    record = json.loads(open(out).read())
+    record["expected"] = mutate(record["expected"])
+    bad = tmp_path / "expected.jsonl"
+    bad.write_text(json.dumps(record) + "\n")
+    capsys.readouterr()
+    assert main(["validate", str(bad)]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_validate_malformed_record(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"release": "r16"}\n')
@@ -158,6 +177,88 @@ def test_invalid_config_exit_code(tmp_path):
                  "--out", out]) == 2
     assert main(["gen-vectors", "--release", "bogus", "--config", config,
                  "--out", out]) == 2
+
+
+ARRAY = {"n1": 4, "n2": 2, "o1": 4, "o2": 4}
+R15_DEFAULTS = {"l": 2, "n_psk": 8, "subband_amplitude": True, "rank": 1,
+                "subband_count": 1}
+# per release: the keys a config must give, and the defaults it may omit
+CONFIG_DEFAULTS = {
+    "r15-type1": (ARRAY, {"mode": 1, "rank": 1, "subband_count": 1}),
+    "r15-type2": (ARRAY, R15_DEFAULTS),
+    "r15-ps": ({"p_csirs": 8}, {**R15_DEFAULTS, "d": 1}),
+    "r16": ({**ARRAY, "param_combination": 2, "n3": 8}, {"r": 1, "rank": 1}),
+    "r16-ps": ({"p_csirs": 16, "param_combination": 2, "n3": 8},
+               {"r": 1, "d": 1, "rank": 1}),
+    "r17-ps": ({"p_csirs": 16, "param_combination": 6, "n3": 6},
+               {"n_threshold": 2, "rank": 1}),
+    "r18": ({**ARRAY, "param_combination": 2, "n3": 8},
+            {"r": 1, "n4": 1, "rank": 1}),
+}
+
+
+@pytest.mark.parametrize("release", list(CONFIG_DEFAULTS))
+def test_config_defaults_are_the_explicit_values(release):
+    from nrpmi import cli
+
+    assert set(CONFIG_DEFAULTS) == set(cli.RELEASES)
+    required, defaults = CONFIG_DEFAULTS[release]
+    assert (cli.build_release_config(release, required)
+            == cli.build_release_config(release, {**required, **defaults}))
+
+
+@pytest.mark.parametrize("command", ["gen-vectors", "validate"])
+@pytest.mark.parametrize("config,named", [
+    ({k: v for k, v in R16_CONFIG.items() if k != "n3"}, "n3"),
+    ({**R16_CONFIG, "rank": "x"}, "rank"),
+    ({**R16_CONFIG, "rank": 2.0}, "rank"),
+    ([R16_CONFIG], "config"),
+], ids=["missing-key", "string-rank", "float-rank", "non-object"])
+def test_malformed_config_exit_code(tmp_path, capsys, command, config, named):
+    out = str(tmp_path / "vectors.jsonl")
+    if command == "gen-vectors":
+        argv = ["gen-vectors", "--release", "r16", "--config",
+                write_config(tmp_path, config), "--out", out]
+    else:
+        main(["gen-vectors", "--release", "r16", "--config",
+              write_config(tmp_path, R16_CONFIG), "--samples", "1",
+              "--out", out])
+        record = json.loads(open(out).read())
+        record["config"] = config
+        bad = tmp_path / "malformed.jsonl"
+        bad.write_text(json.dumps(record) + "\n")
+        argv = ["validate", str(bad)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-vectors", "--release", "r16", "--config", "{config}",
+     "--seed", "-1", "--out", "{out}"],
+    ["gen-vectors", "--release", "r16", "--config", "{config}",
+     "--samples", "0", "--out", "{out}"],
+    ["simulate", "--seed", "-1", "--out", "{out}"],
+    ["simulate", "--snr", "abc", "--out", "{out}"],
+    ["baselines", "--snr", "0,,10", "--out", "{out}"],
+    ["simulate", "--trials", "-3", "--out", "{out}"],
+    ["simulate", "--trials", "0", "--out", "{out}"],
+    ["baselines", "--trials", "1", "--out", "{out}"],
+    ["gen-vectors", "--release", "r16", "--config", "{dir}",
+     "--out", "{out}"],
+    ["validate", "{dir}"],
+], ids=["gen-seed", "gen-samples", "sim-seed", "sim-snr", "base-snr", "sim-trials-neg",
+        "sim-trials-0", "base-trials-1", "config-dir", "vectors-dir"])
+def test_bad_arguments_exit_code(tmp_path, capsys, argv):
+    names = {"config": write_config(tmp_path, R16_CONFIG),
+             "out": str(tmp_path / "out.csv"), "dir": str(tmp_path)}
+    capsys.readouterr()
+    assert main([arg.format(**names) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err or err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_byte_identical_outputs(tmp_path):

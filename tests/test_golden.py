@@ -217,6 +217,27 @@ def test_overhead_golden(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == OVERHEAD_SHA256
 
 
+# ``nrpmi overhead --release X``: the port-selection rows and their 0-bit
+# i15/i16l/i110l entries appear only here
+OVERHEAD_RELEASE_SHA256 = {
+    "r15-type2": "97cae610f2b32d50039396a7eb7b3d737c1bc30b8d4267382d55ea5ce694ead5",
+    "r15-ps": "d6517897318a050e52a09cb5e52a1ac623143180a4257ede3b35b51f6c341854",
+    "r16": "794e4071734fa9e5391ede372d90ce28c1a91a7f93b846f219d7bedb7efb7556",
+    "r16-ps": "301d7874be00fa30d4582e89c800c31aaf92657742080bfb42de506d3a57e3bf",
+    "r17-ps": "5a766117579b097cb4afc7f1a63c4e69fbbd19b121eb83467096f4c9ce054667",
+    "r18": "9f1f11c7f853af2c545c88f277930fb9d8e579409bdfcafbc6e94be1876d794b",
+}
+
+
+@pytest.mark.parametrize("release", list(OVERHEAD_RELEASE_SHA256))
+def test_overhead_release_golden(tmp_path, capsys, release):
+    out = tmp_path / "overhead.csv"
+    assert cli.main(["overhead", "--release", release, "--out",
+                     str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == OVERHEAD_RELEASE_SHA256[release]
+
+
 def test_baselines_golden(tmp_path, capsys):
     """The multi-user beamforming sum rates of ``nrpmi baselines``."""
     out = tmp_path / "baselines.csv"

@@ -27,6 +27,7 @@ from nrpmi.type2_r15 import (
     reporting_mask,
     search_t2_r15,
     subset_restriction,
+    validate,
 )
 
 GEOM = ArrayGeometry(4, 2, 4, 4)
@@ -182,6 +183,15 @@ def test_validate_rejects_malformed_fields(extra, mutate, error):
     reconstruct(cfg, pmi)
     with pytest.raises(error):
         reconstruct(cfg, mutate(cfg, pmi))
+
+
+@pytest.mark.parametrize("i11", [(0, 4), (4, 0), (-1, 0)], ids=str)
+def test_validate_names_i11_outside_the_oversampling(i11):
+    # O1 = O2 = 4: each group offset lies in [0, 4)
+    cfg = simple_config()
+    pmi = random_valid_pmi(cfg, np.random.default_rng(0))
+    with pytest.raises(DomainError, match="i_1,1"):
+        validate(cfg, replace(pmi, i11=i11))
 
 
 @pytest.mark.parametrize("variant,extra", [
