@@ -203,6 +203,44 @@ def _first_best(candidates, fit):
     return best
 
 
+def _pick_beams(l: int, energy: np.ndarray, beam_cap=None) -> np.ndarray:
+    """Beam rule: the L beams of highest energy, ties toward the lowest
+    index, zero caps last.  The strongest coefficient needs a cap-free beam:
+    when no pick has one, the best cap-free beam replaces the weakest."""
+    if beam_cap is None:
+        return np.argsort(-energy, kind="stable")[:l]
+    order = np.argsort(-np.where(beam_cap == 0, -1.0, energy), kind="stable")
+    free = order[beam_cap[order] == 1]
+    if (beam_cap[order[:l]] < 1).all() and free.size:
+        return np.append(order[:l - 1], free[0])
+    return order[:l]
+
+
+def _search_groups(config, scan, targets, finish, reconstruct_all,
+                   caps=None):
+    """The spatial stage W1 of every regular Type II search: scan the groups
+    with ``scan``, pick L beams in each tied group q (under ``caps``, an
+    (O1N1, O2N2) grid), ``finish(q, i12, beams, beam_caps)`` each pick into
+    a report or None, and keep the first best fit to ``targets``."""
+    g, l = config.geom, config.l
+    n = g.n1 * g.n2
+    energy = _group_energy(scan, g)
+    unit = targets / np.linalg.norm(targets, axis=-1, keepdims=True)
+    flat = np.arange(n)
+
+    def candidate(q):
+        beam_cap = (None if caps is None else
+                    caps[g.o1 * (flat % g.n1) + q[0],
+                         g.o2 * (flat // g.n1) + q[1]])
+        flats = np.sort(_pick_beams(l, energy[q], beam_cap))
+        return finish(q, encode_combination(flats.tolist(), n, l),
+                      orthogonal_groups(g)[q][:, flats],
+                      None if caps is None else beam_cap[flats])
+
+    return _first_best(map(candidate, _tied_groups(energy, l)),
+                       lambda pmi: _fit(unit, reconstruct_all(config, pmi)))
+
+
 def _pick_port_block(targets: np.ndarray, p_csirs: int, l: int,
                      d: int) -> int:
     """Port-selection i11: the block of L ports, starting at a multiple of
@@ -359,11 +397,12 @@ def search_r16(channel: ChannelRealization, config: type2_r16.R16Config
     _check_channel(h, config.n3, config.n_ports)
     targets = _targets(h, config.rank)
     if config.variant == enhanced.REGULAR:
-        return _search_groups(config, targets, type2_r16)
+        return _search_groups(
+            config, targets, targets,
+            lambda q, i12, beams, _: _finish(config, targets, q, i12, beams),
+            type2_r16.reconstruct_all)
     i11 = _pick_port_block(targets, config.p_csirs, config.l, config.d)
-    start = i11 * config.d
-    basis = enhanced.port_beams(config.p_csirs, range(start, start + config.l))
-    return _finish(config, targets, i11, None, basis, 1)
+    return _finish(config, targets, i11, None, enhanced.port_block(config, i11))
 
 
 def search_r18(channel: ChannelRealization, config: type2_r18.R18Config
@@ -373,38 +412,22 @@ def search_r18(channel: ChannelRealization, config: type2_r18.R18Config
     if h.shape[0] != config.n4:
         raise DomainError(f"channel must cover N4={config.n4} intervals")
     _check_channel(h, config.n3, config.n_ports)
-    return _search_groups(config, _targets(h, config.rank), type2_r18)
+    targets = _targets(h, config.rank)
+    return _search_groups(
+        config, targets, targets,
+        lambda q, i12, beams, _: _finish(config, targets, q, i12, beams),
+        type2_r18.reconstruct_all)
 
 
-def _search_groups(config, targets, release):
-    """Finish every tied beam group, each with its L beams of highest
-    energy, and keep the first best fit, scored by
-    ``release.reconstruct_all``."""
-    g, l = config.geom, config.l
-    n = g.n1 * g.n2
-    energy = _group_energy(targets, g)
-    unit = targets / np.linalg.norm(targets, axis=-1, keepdims=True)
-
-    def finish(q):
-        flats = np.sort(np.argsort(energy[q])[-l:])
-        i12 = encode_combination(flats.tolist(), n, l)
-        return _finish(config, targets, q, i12,
-                       orthogonal_groups(g)[q][:, flats], n)
-
-    return _first_best(
-        map(finish, _tied_groups(energy, l)),
-        lambda pmi: _fit(unit, release.reconstruct_all(config, pmi)))
-
-
-def _finish(config, targets, i11, i12, basis, gain):
+def _finish(config, targets, i11, i12, basis):
     """Shift, tap and coefficient selection for a fixed beam set.
 
     Works on the (2L, Mv, Q) grid of Rel-18; Rel-16 is the case of one slot
     interval and one shift.
     """
     n3, mv = config.n3, config.mv
-    proj = _beam_projections(targets, basis, gain)      # (rank, N4, M, 2L)
-    n4 = proj.shape[1]
+    proj = _beam_projections(targets, basis, enhanced.spatial_gain(config))
+    n4 = proj.shape[1]                                  # (rank, N4, M, 2L)
     # 2-D DFT: frequency units -> taps, intervals -> shifts
     spectrum = np.fft.fft(proj, axis=2) / n3
     spectrum = np.fft.fft(spectrum, axis=1) / n4        # (rank, N4, N3, 2L)

@@ -161,19 +161,53 @@ def port_blocks(config) -> int:
     return (config.p_csirs // 2 - config.l) // config.d + 1
 
 
-def selected_beams(config, pmi) -> np.ndarray:
-    """The L spatial basis vectors as a (P/2, L) matrix."""
+def _is_index(value) -> bool:
+    return type(value) is int or isinstance(value, np.integer)
+
+
+def _is_indices(value, count: int) -> bool:
+    return (isinstance(value, tuple) and len(value) == count
+            and all(map(_is_index, value)))
+
+
+def check_beams(config, pmi) -> None:
+    """Reject a malformed or out-of-range i11 or i12: a group pair and a
+    beam combination, or a port block inside P/2 and no i12."""
     if config.variant == REGULAR:
+        if not _is_indices(pmi.i11, 2):
+            raise FormatError(f"i_1,1={pmi.i11} must be a pair (q1, q2)")
         g = config.geom
-        q1, q2 = pmi.i11
-        group = orthogonal_group(g, q1, q2)
-        return group[:, list(decode_combination(pmi.i12, g.n1 * g.n2,
-                                                config.l))]
+        if not (0 <= pmi.i11[0] < g.o1 and 0 <= pmi.i11[1] < g.o2):
+            raise DomainError(f"i_1,1={pmi.i11} outside [0, {g.o1}) x "
+                              f"[0, {g.o2})")
+        if not (_is_index(pmi.i12)
+                and 0 <= pmi.i12 < binomial(g.n1 * g.n2, config.l)):
+            raise FormatError(f"i_1,2={pmi.i12} out of range")
+        return
+    if not _is_index(pmi.i11):
+        raise FormatError(f"i_1,1={pmi.i11} must be one block index")
     if not 0 <= pmi.i11 < port_blocks(config):
         raise DomainError(f"i_1,1={pmi.i11} outside [0, {port_blocks(config)})"
                           f": its {config.l} ports must fit in P/2")
-    start = pmi.i11 * config.d
+    if pmi.i12 is not None:
+        raise FormatError("i_1,2 must be absent for port selection")
+
+
+def port_block(config, i11: int) -> np.ndarray:
+    """Port block i11: the L ports from i11 * d, as a (P/2, L) matrix."""
+    start = i11 * config.d
     return port_beams(config.p_csirs, range(start, start + config.l))
+
+
+def selected_beams(config, pmi, checked: bool = False) -> np.ndarray:
+    """The (P/2, L) spatial basis; runs ``check_beams`` unless ``checked``."""
+    if not checked:
+        check_beams(config, pmi)
+    if config.variant != REGULAR:
+        return port_block(config, pmi.i11)
+    g = config.geom
+    group = orthogonal_group(g, *pmi.i11)
+    return group[:, list(decode_combination(pmi.i12, g.n1 * g.n2, config.l))]
 
 
 def beam_grid_indices(config, pmi) -> list[tuple[int, int]]:
@@ -219,7 +253,7 @@ def m_initial(config, pmi) -> int:
         if pmi.i15 is not None:
             raise FormatError("i_1,5 must be absent when N3 <= 19")
         return 0
-    if pmi.i15 is None or not 0 <= pmi.i15 < 2 * config.mv:
+    if not (_is_index(pmi.i15) and 0 <= pmi.i15 < 2 * config.mv):
         raise FormatError(f"i_1,5={pmi.i15} outside [0, {2 * config.mv})")
     return 0 if pmi.i15 == 0 else pmi.i15 - 2 * config.mv
 
@@ -348,10 +382,8 @@ def validate_budget(config, pmi, layer_fields) -> None:
     the strongest coefficient, or over the nonzero-coefficient budget."""
     rank = config.rank
     for name in layer_fields:
-        value = getattr(pmi, name)
-        if value is not None and (not isinstance(value, tuple)
-                                  or len(value) != rank):
-            raise FormatError(f"{name} must hold one entry per layer")
+        if not _is_indices(getattr(pmi, name), rank):
+            raise FormatError(f"{name} must hold one index per layer")
     shape = config.coef_shape
     for name in ("bitmap", "k2", "c"):
         if np.shape(getattr(pmi, name)) != shape:

@@ -11,31 +11,25 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import quantization as qt
-from .bases import ArrayGeometry, orthogonal_groups
-from .channel_sim import (
-    _beam_projections,
-    _first_best,
-    _fit,
-    _group_energy,
-    _pick_port_block,
-    _tied_groups,
-)
+from .bases import ArrayGeometry
+from .channel_sim import _beam_projections, _pick_port_block, _search_groups
 from .combinadics import (
     array_bits,
     binomial,
     clog2,
     decode_group_restriction,
-    encode_combination,
     field_bits,
 )
 from .enhanced import (  # noqa: F401 (PORT_SELECTION: a variant name)
     PORT_SELECTION,
     REGULAR,
     SpatialConfig,
+    _is_indices,
     beam_fields,
     beam_grid_indices,
+    check_beams,
     draw_beams,
-    port_beams,
+    port_block,
     selected_beams,
     spatial_gain,
 )
@@ -137,34 +131,11 @@ def canonicalize(config: T2R15Config, pmi: T2R15Pmi) -> T2R15Pmi:
     return replace(pmi, k1=k1, k2=k2, c=c)
 
 
-def _is_index(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_indices(value, count: int) -> bool:
-    return (isinstance(value, tuple) and len(value) == count
-            and all(map(_is_index, value)))
-
-
-def validate(config: T2R15Config, pmi: T2R15Pmi) -> np.ndarray:
+def validate(config: T2R15Config, pmi: T2R15Pmi) -> tuple[np.ndarray, np.ndarray]:
     """Reject a malformed, out-of-range or inconsistent report; return its
-    phase alphabet (rank, 2L) as ``reporting_mask`` gives it."""
+    ``reporting_mask``: (k2_reported, phase alphabet), both (rank, 2L)."""
     rank, two_l = config.rank, 2 * config.l
-    if config.variant == REGULAR:
-        if not _is_indices(pmi.i11, 2):
-            raise FormatError(f"i_1,1={pmi.i11} must be a pair (q1, q2)")
-        g = config.geom
-        if not (0 <= pmi.i11[0] < g.o1 and 0 <= pmi.i11[1] < g.o2):
-            raise DomainError(f"i_1,1={pmi.i11} outside [0, {g.o1}) x "
-                              f"[0, {g.o2})")
-        if not (_is_index(pmi.i12)
-                and 0 <= pmi.i12 < binomial(g.n1 * g.n2, config.l)):
-            raise FormatError(f"i_1,2={pmi.i12} out of range")
-    else:
-        if not _is_index(pmi.i11):
-            raise FormatError(f"i_1,1={pmi.i11} must be one block index")
-        if pmi.i12 is not None:
-            raise FormatError("i_1,2 must be absent for port selection")
+    check_beams(config, pmi)
     if not _is_indices(pmi.i13, rank):
         raise FormatError("i_1,3 must hold one strongest-coefficient index "
                           "per layer")
@@ -194,7 +165,7 @@ def validate(config: T2R15Config, pmi: T2R15Pmi) -> np.ndarray:
         raise ConsistencyError("phase reported at a defaulted position")
     if ((a > 0) & ((c < 0) | (c >= a))).any():
         raise DomainError("phase index c outside its alphabet")
-    return alphabet
+    return k2_reported, alphabet
 
 
 def _coefficients(config: T2R15Config, pmi: T2R15Pmi, subbands: int | slice,
@@ -234,8 +205,8 @@ def _precoder(config: T2R15Config, v: np.ndarray,
 
 def reconstruct_all(config: T2R15Config, pmi: T2R15Pmi) -> np.ndarray:
     """Precoders for every subband, shape (subbands, P, rank)."""
-    alphabet = validate(config, pmi)
-    v = selected_beams(config, pmi)
+    _, alphabet = validate(config, pmi)
+    v = selected_beams(config, pmi, checked=True)
     return np.stack([_precoder(config, v, coef) for coef in
                      _coefficients(config, pmi, slice(None), alphabet)])
 
@@ -245,8 +216,8 @@ def reconstruct(config: T2R15Config, pmi: T2R15Pmi, subband: int = 0) -> np.ndar
     if not 0 <= subband < config.subband_count:
         raise DomainError(
             f"subband {subband} outside [0, {config.subband_count})")
-    alphabet = validate(config, pmi)
-    return _precoder(config, selected_beams(config, pmi),
+    _, alphabet = validate(config, pmi)
+    return _precoder(config, selected_beams(config, pmi, checked=True),
                      _coefficients(config, pmi, subband, alphabet))
 
 
@@ -255,14 +226,13 @@ def serialize_pmi(config: T2R15Config, pmi: T2R15Pmi) -> str:
     the k1 of every beam but the strongest; then per layer the reported
     phases and (with subband amplitudes) k2 of every subband.
     Rejects what ``reconstruct_all`` rejects."""
-    reconstruct_all(config, pmi)
+    k2_reported, alphabet = validate(config, pmi)
     two_l = 2 * config.l
     k1 = np.asarray(pmi.k1)
     out = [field_bits(v, w) for v, w in beam_fields(config, pmi)]
     for layer, s in enumerate(pmi.i13):
         out += [field_bits(s, clog2(two_l)),
                 array_bits(np.delete(k1[layer], s), 3)]
-    k2_reported, alphabet = reporting_mask(config, k1, pmi.i13)
     for layer, a in enumerate(alphabet):
         out.append(array_bits(np.asarray(pmi.c)[layer][:, a > 0],
                               np.log2(a[a > 0]).astype(int)))
@@ -382,59 +352,31 @@ def search_t2_r15(channel: np.ndarray, config: T2R15Config,
     targets = _subband_targets(h, config.subband_count, config.rank)
     wide = _subband_targets(h, 1, config.rank)  # (rank, 1, P)
 
-    if config.variant == REGULAR:
-        energy = _group_energy(wide, config.geom)
-        # one slot interval: (rank, 1, subbands, P)
-        unit = (targets / np.linalg.norm(targets, axis=-1,
-                                         keepdims=True))[:, None]
-        best = _first_best(
-            (_finish_regular_search(config, targets, q, energy[q], caps)
-             for q in _tied_groups(energy, config.l)),
-            lambda pmi: _fit(unit, reconstruct_all(config, pmi)))
-        if best is None:
-            raise RestrictionError("no admissible report under the caps")
-        return best
-    i11 = _pick_port_block(wide, config.p_csirs, config.l, config.d)
-    beams = port_beams(p, range(i11 * config.d, i11 * config.d + config.l))
-    return _quantize_report(config, _beam_projections(targets, beams, 1), i11,
-                            None, np.full(2 * config.l, 7))
+    n = spatial_gain(config)
+    if config.variant != REGULAR:
+        i11 = _pick_port_block(wide, config.p_csirs, config.l, config.d)
+        return _quantize_report(config, _beam_projections(
+            targets, port_block(config, i11), n), i11, None)
 
+    def finish(q, i12, beams, beam_caps):
+        return _quantize_report(config, _beam_projections(targets, beams, n),
+                                q, i12, beam_caps)
 
-def _pick_beams(l: int, energy: np.ndarray, beam_cap: np.ndarray):
-    """The L beams of highest energy (ties toward the lowest index), those
-    with a zero cap last.  The strongest coefficient needs a cap-free beam:
-    when no pick has one, the best cap-free beam replaces the weakest."""
-    order = np.argsort(-np.where(beam_cap == 0, -1.0, energy), kind="stable")
-    free = order[beam_cap[order] == 1]
-    if (beam_cap[order[:l]] < 1).all() and free.size:
-        return np.append(order[:l - 1], free[0])
-    return order[:l]
-
-
-def _finish_regular_search(config, targets, q, energy, caps):
-    """Beam selection, projection, and quantization for one beam group;
-    None when the caps leave no admissible strongest coefficient."""
-    g = config.geom
-    q1, q2 = q
-    flat = np.arange(g.n1 * g.n2)
-    beam_cap = (np.ones(flat.size) if caps is None else
-                caps[g.o1 * (flat % g.n1) + q1, g.o2 * (flat // g.n1) + q2])
-    flats = np.sort(_pick_beams(config.l, energy, beam_cap))
-    i12 = encode_combination(flats.tolist(), g.n1 * g.n2, config.l)
-    beams = orthogonal_groups(g)[q][:, flats]
-    coef = _beam_projections(targets, beams, g.n1 * g.n2)
-    try:
-        return _quantize_report(config, coef, q, i12,
-                                np.tile(_max_k(beam_cap[flats]), 2))
-    except RestrictionError:
-        return None
+    # the fit reads one slot interval: (rank, 1, subbands, P)
+    best = _search_groups(config, wide, targets[:, None], finish,
+                          reconstruct_all, caps)
+    if best is None:
+        raise RestrictionError("no admissible report under the caps")
+    return best
 
 
 def _quantize_report(config: T2R15Config, coef: np.ndarray, i11, i12,
-                     max_k: np.ndarray) -> T2R15Pmi:
+                     beam_caps: np.ndarray | None = None) -> T2R15Pmi | None:
     """Quantize every layer's (subband, 2L) weights against the reference,
-    the coefficient of largest RMS magnitude; ``max_k`` is the largest k1
-    each coefficient's beam admits."""
+    the coefficient of largest RMS magnitude, under the caps of the L beams
+    (if any); None when the caps leave no admissible reference."""
+    max_k = (np.full(2 * config.l, 7) if beam_caps is None
+             else np.tile(_max_k(beam_caps), 2))
     rows = np.arange(config.rank)
     mag = np.abs(coef)                                # (rank, n_sb, 2L)
     rms = np.round(np.sqrt((mag ** 2).mean(axis=1)), 12)
@@ -442,8 +384,7 @@ def _quantize_report(config: T2R15Config, coef: np.ndarray, i11, i12,
     # must sit on an unrestricted beam
     admissible = np.flatnonzero(max_k == 7)
     if admissible.size == 0:
-        raise RestrictionError("restriction leaves no admissible "
-                               "strongest coefficient")
+        return None
     i13 = admissible[rms[:, admissible].argmax(axis=1)]
     ref = mag[rows, :, i13]                           # (rank, n_sb)
     # a layer with a zero reference keeps the strongest position only

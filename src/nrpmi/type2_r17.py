@@ -123,7 +123,7 @@ def decode_ports(config: R17Config, pmi: R17Pmi) -> tuple[int, ...]:
             raise FormatError("i_1,2 must be absent when alpha = 1")
         return tuple(range(config.l))
     count = binomial(half, config.l)
-    if pmi.i12 is None or not 0 <= pmi.i12 < count:
+    if not (enhanced._is_index(pmi.i12) and 0 <= pmi.i12 < count):
         raise FormatError(f"i_1,2={pmi.i12} outside [0, {count})")
     return decode_combination(pmi.i12, half, config.l)
 
@@ -146,7 +146,7 @@ def decode_tap_offset(config: R17Config, pmi: R17Pmi) -> tuple[int, ...]:
         if pmi.i16 is not None:
             raise FormatError("i_1,6 must be absent when the window is 2")
         return (0, 1)
-    if pmi.i16 is None or not 0 <= pmi.i16 < config.window - 1:
+    if not (enhanced._is_index(pmi.i16) and 0 <= pmi.i16 < config.window - 1):
         raise FormatError(f"i_1,6={pmi.i16} outside [0, {config.window - 1})")
     return (0, pmi.i16 + 1)
 

@@ -114,7 +114,8 @@ def decode_shifts(config: R18Config, pmi: R18Pmi, layer: int) -> tuple[int, ...]
 
 def validate_budget(config: R18Config, pmi: R18Pmi) -> None:
     """Enforce the nonzero-coefficient budget, ranges and consistency."""
-    enhanced.validate_budget(config, pmi, ("i16", "i18", "i110"))
+    enhanced.validate_budget(config, pmi, ("i16", "i18") + (
+        ("i110",) if config.n4 > 1 else ()))
 
 
 def reconstruct_all(config: R18Config, pmi: R18Pmi) -> np.ndarray:

@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from nrpmi import channel_sim, cli, compact, enhanced, type2_r16, type2_r17, type2_r18
+from nrpmi import (
+    channel_sim,
+    cli,
+    compact,
+    enhanced,
+    type2_r15,
+    type2_r16,
+    type2_r17,
+    type2_r18,
+)
 from nrpmi.bases import ArrayGeometry, orthogonal_group
 from nrpmi.channel_sim import (
     ChannelModel,
@@ -182,6 +191,30 @@ def test_group_scan_matches_the_per_group_loop(shape):
                       for b in range(0, half - l + 1, d)]
             assert channel_sim._pick_port_block(
                 targets, geom.n_ports, l, d) == int(np.argmax(blocks))
+
+
+def test_tied_beams_pick_the_lowest_index_in_every_release(monkeypatch):
+    # beams 1, 2 and 3 of every group carry the same energy, the others
+    # none: every group ties, and the beam rule keeps beams 1 and 2
+    def tied_energy(targets, geom):
+        energy = np.zeros((geom.o1, geom.o2, geom.n1 * geom.n2))
+        energy[..., 1:4] = 1.0
+        return energy
+
+    monkeypatch.setattr(channel_sim, "_group_energy", tied_energy)
+    model = ChannelModel(n_paths=3, seed=4, n_subcarriers=8)
+    ch = draw_channel(model, GEOM, nr=2, trial=0, n4=2)
+    flat = ChannelRealization(h=ch.h[:1])
+    found = [
+        type2_r15.search_t2_r15(flat.flat, type2_r15.T2R15Config(
+            l=2, geom=GEOM, subband_count=2)),
+        search_r16(flat, type2_r16.R16Config(param_combination=2, r=1, n3=8,
+                                             geom=GEOM)),
+        search_r18(ch, type2_r18.R18Config(geom=GEOM, param_combination=2,
+                                           r=1, n3=8, n4=2)),
+    ]
+    for pmi in found:
+        assert decode_combination(pmi.i12, 8, 2) == (1, 2)
 
 
 @pytest.mark.parametrize("n3", [20, 21, 24, 30, 36])

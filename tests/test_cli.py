@@ -127,6 +127,38 @@ def test_validate_reports_mistyped_field_as_malformed(tmp_path, capsys,
     assert "Traceback" not in captured.out + captured.err
 
 
+R16_PS_CONFIG = {"p_csirs": 16, "param_combination": 2, "n3": 8}
+
+
+@pytest.mark.parametrize("release,cfg,field,value,name", [
+    ("r16", R16_CONFIG, "i11", 5, "i_1,1"),
+    ("r16", R16_CONFIG, "i11", [0], "i_1,1"),
+    ("r16", R16_CONFIG, "i11", [0, 0, 0], "i_1,1"),
+    ("r16", R16_CONFIG, "i12", None, "i_1,2"),
+    ("r16-ps", R16_PS_CONFIG, "i11", [0, 1], "i_1,1"),
+    ("r16-ps", R16_PS_CONFIG, "i12", 3, "i_1,2"),
+])
+def test_validate_reports_malformed_beam_fields_as_failures(
+        tmp_path, capsys, release, cfg, field, value, name):
+    # well-typed JSON, but no valid i11/i12 for the variant: a FAIL that
+    # names the field
+    config = write_config(tmp_path, cfg)
+    out = str(tmp_path / "vectors.jsonl")
+    main(["gen-vectors", "--release", release, "--config", config,
+          "--seed", "4", "--samples", "1", "--out", out])
+    record = json.loads(open(out).read())
+    record["pmi"][field] = value
+    bad = tmp_path / "beams.jsonl"
+    bad.write_text(json.dumps(record) + "\n")
+    capsys.readouterr()
+    assert main(["validate", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert "line 1: FAIL (reconstruction error: " in captured.out
+    assert name in captured.out
+    assert "0/1 records passed" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_r18_config_ignores_d_slots(tmp_path, capsys):
     from dataclasses import fields
 

@@ -148,7 +148,8 @@ R15_CONFIGS = {
     "r15-ps": {"p_csirs": 16, "l": 2, "d": 2, "n_psk": 4, "rank": 2,
                "subband_count": 3},
 }
-ENHANCED_FIELDS = ("i15", "i16", "i18", "i110", "bitmap", "k1", "k2", "c")
+ENHANCED_FIELDS = ("i11", "i12", "i15", "i16", "i18", "i110", "bitmap", "k1",
+                   "k2", "c")
 R15_FIELDS = ("i11", "i12", "i13", "k1", "k2", "c")
 TYPE1_FIELDS = ("i11", "i12", "i2", "i13")
 # (release, config, fields to mutate)
@@ -167,20 +168,24 @@ FUZZ += [("r15-type1", cli.build_release_config(
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(data=st.data())
 def test_malformed_reports_raise_codebook_errors(data):
-    """Any one field element set to any small int, or any per-layer tuple
-    cut short: reconstruction returns unit-norm layers or raises a
-    CodebookError, and nothing else."""
+    """Any one field element set to any small int, any per-layer tuple cut
+    short, or any index or per-layer field (absent ones too) set to None, a
+    float or a tuple of the wrong length: reconstruction returns unit-norm
+    layers or raises a CodebookError, and nothing else; serialization
+    accepts and rejects the same reports."""
     release, config, mutable = data.draw(st.sampled_from(FUZZ))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
     pmi = cli.sample_pmi(release, config, rng)
-    field = data.draw(st.sampled_from(
-        [f for f in mutable if getattr(pmi, f, None) is not None]))
+    field = data.draw(st.sampled_from([f for f in mutable if hasattr(pmi, f)]))
     value = getattr(pmi, field)
     new = data.draw(st.integers(-64, 64))
     if isinstance(value, np.ndarray):
         value = value.copy()
         value[tuple(data.draw(st.integers(0, n - 1))
                     for n in value.shape)] = new
+    elif data.draw(st.booleans()):
+        n = len(value) if isinstance(value, tuple) else 1
+        value = data.draw(st.sampled_from([None, 2.0, -0.5, (0,) * (n + 1)]))
     elif isinstance(value, tuple):
         i = data.draw(st.integers(0, len(value) - 1))
         value = (value[:-1] if data.draw(st.booleans())
@@ -199,6 +204,9 @@ def test_malformed_reports_raise_codebook_errors(data):
         return
     np.testing.assert_allclose(np.linalg.norm(ws, axis=-2),
                                1 / np.sqrt(config.rank), atol=1e-9)
+    serialize = cli.RELEASES[release].serialize
+    if serialize is not None:
+        serialize(config, bad)
 
 
 @pytest.mark.parametrize("release,cfg,i11,alias", [
@@ -230,3 +238,14 @@ def test_port_block_past_half_names_i11(release, cfg):
         with pytest.raises(DomainError, match="i_1,1"):
             cli.expected_precoders(release, config,
                                    dataclasses.replace(pmi, i11=i11))
+
+
+@pytest.mark.parametrize("release", ["r16", "r18"])
+@pytest.mark.parametrize("i11", [(0, 4), (4, 0), (-1, 0)], ids=str)
+def test_reconstruction_names_i11_outside_the_oversampling(release, i11):
+    # O1 = O2 = 4: each group offset lies in [0, 4), as for Rel-15
+    config = cli.build_release_config(release, CONFIGS[release])
+    pmi = cli.sample_pmi(release, config, np.random.default_rng(0))
+    with pytest.raises(DomainError, match="i_1,1"):
+        cli.expected_precoders(release, config,
+                               dataclasses.replace(pmi, i11=i11))
