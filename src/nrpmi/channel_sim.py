@@ -203,12 +203,10 @@ def _first_best(candidates, fit):
     return best
 
 
-def _pick_beams(l: int, energy: np.ndarray, beam_cap=None) -> np.ndarray:
+def _pick_beams(l: int, energy: np.ndarray, beam_cap: np.ndarray) -> np.ndarray:
     """Beam rule: the L beams of highest energy, ties toward the lowest
     index, zero caps last.  The strongest coefficient needs a cap-free beam:
     when no pick has one, the best cap-free beam replaces the weakest."""
-    if beam_cap is None:
-        return np.argsort(-energy, kind="stable")[:l]
     order = np.argsort(-np.where(beam_cap == 0, -1.0, energy), kind="stable")
     free = order[beam_cap[order] == 1]
     if (beam_cap[order[:l]] < 1).all() and free.size:
@@ -220,22 +218,23 @@ def _search_groups(config, scan, targets, finish, reconstruct_all,
                    caps=None):
     """The spatial stage W1 of every regular Type II search: scan the groups
     with ``scan``, pick L beams in each tied group q (under ``caps``, an
-    (O1N1, O2N2) grid), ``finish(q, i12, beams, beam_caps)`` each pick into
-    a report or None, and keep the first best fit to ``targets``."""
+    (O1N1, O2N2) grid, all ones when None), ``finish(q, i12, beams,
+    beam_caps)`` each pick into a report or None, and keep the first best
+    fit to ``targets``."""
     g, l = config.geom, config.l
     n = g.n1 * g.n2
     energy = _group_energy(scan, g)
     unit = targets / np.linalg.norm(targets, axis=-1, keepdims=True)
     flat = np.arange(n)
+    if caps is None:
+        caps = np.ones((g.beams_h, g.beams_v))
 
     def candidate(q):
-        beam_cap = (None if caps is None else
-                    caps[g.o1 * (flat % g.n1) + q[0],
-                         g.o2 * (flat // g.n1) + q[1]])
+        beam_cap = caps[g.o1 * (flat % g.n1) + q[0],
+                        g.o2 * (flat // g.n1) + q[1]]
         flats = np.sort(_pick_beams(l, energy[q], beam_cap))
         return finish(q, encode_combination(flats.tolist(), n, l),
-                      orthogonal_groups(g)[q][:, flats],
-                      None if caps is None else beam_cap[flats])
+                      orthogonal_groups(g)[q][:, flats], beam_cap[flats])
 
     return _first_best(map(candidate, _tied_groups(energy, l)),
                        lambda pmi: _fit(unit, reconstruct_all(config, pmi)))

@@ -18,6 +18,17 @@ import numpy as np
 from .errors import DomainError, FormatError
 
 
+def is_index(value) -> bool:
+    """True for a Python or numpy integer: a well-typed report field."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
+def is_indices(value, count: int) -> bool:
+    """True for a tuple of ``count`` integers: a per-layer or per-subband field."""
+    return (isinstance(value, tuple) and len(value) == count
+            and all(map(is_index, value)))
+
+
 def clog2(x: int) -> int:
     """Bit width ceil(log2(x)) of a field taking x values (0 for one value)."""
     if x < 1:

@@ -32,6 +32,8 @@ from .combinadics import (
     decode_combination,
     encode_combination,
     field_bits,
+    is_index,
+    is_indices,
     split_beam_index,
 )
 from .errors import (
@@ -161,30 +163,21 @@ def port_blocks(config) -> int:
     return (config.p_csirs // 2 - config.l) // config.d + 1
 
 
-def _is_index(value) -> bool:
-    return type(value) is int or isinstance(value, np.integer)
-
-
-def _is_indices(value, count: int) -> bool:
-    return (isinstance(value, tuple) and len(value) == count
-            and all(map(_is_index, value)))
-
-
 def check_beams(config, pmi) -> None:
     """Reject a malformed or out-of-range i11 or i12: a group pair and a
     beam combination, or a port block inside P/2 and no i12."""
     if config.variant == REGULAR:
-        if not _is_indices(pmi.i11, 2):
+        if not is_indices(pmi.i11, 2):
             raise FormatError(f"i_1,1={pmi.i11} must be a pair (q1, q2)")
         g = config.geom
         if not (0 <= pmi.i11[0] < g.o1 and 0 <= pmi.i11[1] < g.o2):
             raise DomainError(f"i_1,1={pmi.i11} outside [0, {g.o1}) x "
                               f"[0, {g.o2})")
-        if not (_is_index(pmi.i12)
+        if not (is_index(pmi.i12)
                 and 0 <= pmi.i12 < binomial(g.n1 * g.n2, config.l)):
             raise FormatError(f"i_1,2={pmi.i12} out of range")
         return
-    if not _is_index(pmi.i11):
+    if not is_index(pmi.i11):
         raise FormatError(f"i_1,1={pmi.i11} must be one block index")
     if not 0 <= pmi.i11 < port_blocks(config):
         raise DomainError(f"i_1,1={pmi.i11} outside [0, {port_blocks(config)})"
@@ -199,10 +192,8 @@ def port_block(config, i11: int) -> np.ndarray:
     return port_beams(config.p_csirs, range(start, start + config.l))
 
 
-def selected_beams(config, pmi, checked: bool = False) -> np.ndarray:
-    """The (P/2, L) spatial basis; runs ``check_beams`` unless ``checked``."""
-    if not checked:
-        check_beams(config, pmi)
+def selected_beams(config, pmi) -> np.ndarray:
+    """The (P/2, L) spatial basis of a report that passed ``check_beams``."""
     if config.variant != REGULAR:
         return port_block(config, pmi.i11)
     g = config.geom
@@ -253,7 +244,7 @@ def m_initial(config, pmi) -> int:
         if pmi.i15 is not None:
             raise FormatError("i_1,5 must be absent when N3 <= 19")
         return 0
-    if not (_is_index(pmi.i15) and 0 <= pmi.i15 < 2 * config.mv):
+    if not (is_index(pmi.i15) and 0 <= pmi.i15 < 2 * config.mv):
         raise FormatError(f"i_1,5={pmi.i15} outside [0, {2 * config.mv})")
     return 0 if pmi.i15 == 0 else pmi.i15 - 2 * config.mv
 
@@ -381,9 +372,9 @@ def validate_budget(config, pmi, layer_fields) -> None:
     or coefficient arrays are malformed, out of range, inconsistent with
     the strongest coefficient, or over the nonzero-coefficient budget."""
     rank = config.rank
-    for name in layer_fields:
-        if not _is_indices(getattr(pmi, name), rank):
-            raise FormatError(f"{name} must hold one index per layer")
+    for name in layer_fields:  # "i16" is i_1,6, ..., "i110" is i_1,10
+        if not is_indices(getattr(pmi, name), rank):
+            raise FormatError(f"i_1,{name[2:]} must hold one index per layer")
     shape = config.coef_shape
     for name in ("bitmap", "k2", "c"):
         if np.shape(getattr(pmi, name)) != shape:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import ArrayGeometry, beam_grid
-from .enhanced import _is_index, _is_indices
+from .combinadics import is_index, is_indices
 from .errors import DomainError, RestrictionError
 
 
@@ -84,17 +84,17 @@ class Type1Pmi:
     i13: int | None = None  # rank 2 only
 
     def validate(self, config: Type1Config) -> None:
-        if not (_is_index(self.i11) and 0 <= self.i11 < config.i11_range):
+        if not (is_index(self.i11) and 0 <= self.i11 < config.i11_range):
             raise DomainError(f"i_1,1={self.i11} outside [0, {config.i11_range})")
-        if not (_is_index(self.i12) and 0 <= self.i12 < config.i12_range):
+        if not (is_index(self.i12) and 0 <= self.i12 < config.i12_range):
             raise DomainError(f"i_1,2={self.i12} outside [0, {config.i12_range})")
-        if not _is_indices(self.i2, config.subband_count):
+        if not is_indices(self.i2, config.subband_count):
             raise DomainError("one i_2 value per subband required")
         for v in self.i2:
             if not 0 <= v < config.i2_range:
                 raise DomainError(f"i_2={v} outside [0, {config.i2_range})")
         if config.rank == 2:
-            if not (_is_index(self.i13)
+            if not (is_index(self.i13)
                     and 0 <= self.i13 < i13_range(config.geom)):
                 raise DomainError(f"i_1,3={self.i13} invalid for this geometry")
         elif self.i13 is not None:

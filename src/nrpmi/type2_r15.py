@@ -19,12 +19,12 @@ from .combinadics import (
     clog2,
     decode_group_restriction,
     field_bits,
+    is_indices,
 )
 from .enhanced import (  # noqa: F401 (PORT_SELECTION: a variant name)
     PORT_SELECTION,
     REGULAR,
     SpatialConfig,
-    _is_indices,
     beam_fields,
     beam_grid_indices,
     check_beams,
@@ -136,7 +136,7 @@ def validate(config: T2R15Config, pmi: T2R15Pmi) -> tuple[np.ndarray, np.ndarray
     ``reporting_mask``: (k2_reported, phase alphabet), both (rank, 2L)."""
     rank, two_l = config.rank, 2 * config.l
     check_beams(config, pmi)
-    if not _is_indices(pmi.i13, rank):
+    if not is_indices(pmi.i13, rank):
         raise FormatError("i_1,3 must hold one strongest-coefficient index "
                           "per layer")
     for name, shape in (("k1", (rank, two_l)),
@@ -206,7 +206,7 @@ def _precoder(config: T2R15Config, v: np.ndarray,
 def reconstruct_all(config: T2R15Config, pmi: T2R15Pmi) -> np.ndarray:
     """Precoders for every subband, shape (subbands, P, rank)."""
     _, alphabet = validate(config, pmi)
-    v = selected_beams(config, pmi, checked=True)
+    v = selected_beams(config, pmi)
     return np.stack([_precoder(config, v, coef) for coef in
                      _coefficients(config, pmi, slice(None), alphabet)])
 
@@ -217,7 +217,7 @@ def reconstruct(config: T2R15Config, pmi: T2R15Pmi, subband: int = 0) -> np.ndar
         raise DomainError(
             f"subband {subband} outside [0, {config.subband_count})")
     _, alphabet = validate(config, pmi)
-    return _precoder(config, selected_beams(config, pmi, checked=True),
+    return _precoder(config, selected_beams(config, pmi),
                      _coefficients(config, pmi, subband, alphabet))
 
 
@@ -356,7 +356,7 @@ def search_t2_r15(channel: np.ndarray, config: T2R15Config,
     if config.variant != REGULAR:
         i11 = _pick_port_block(wide, config.p_csirs, config.l, config.d)
         return _quantize_report(config, _beam_projections(
-            targets, port_block(config, i11), n), i11, None)
+            targets, port_block(config, i11), n), i11, None, np.ones(config.l))
 
     def finish(q, i12, beams, beam_caps):
         return _quantize_report(config, _beam_projections(targets, beams, n),
@@ -371,12 +371,11 @@ def search_t2_r15(channel: np.ndarray, config: T2R15Config,
 
 
 def _quantize_report(config: T2R15Config, coef: np.ndarray, i11, i12,
-                     beam_caps: np.ndarray | None = None) -> T2R15Pmi | None:
+                     beam_caps: np.ndarray) -> T2R15Pmi | None:
     """Quantize every layer's (subband, 2L) weights against the reference,
-    the coefficient of largest RMS magnitude, under the caps of the L beams
-    (if any); None when the caps leave no admissible reference."""
-    max_k = (np.full(2 * config.l, 7) if beam_caps is None
-             else np.tile(_max_k(beam_caps), 2))
+    the coefficient of largest RMS magnitude, under the caps of the L beams;
+    None when the caps leave no admissible reference."""
+    max_k = np.tile(_max_k(beam_caps), 2)
     rows = np.arange(config.rank)
     mag = np.abs(coef)                                # (rank, n_sb, 2L)
     rms = np.round(np.sqrt((mag ** 2).mean(axis=1)), 12)

@@ -101,6 +101,7 @@ class R16Pmi:
 
 def validate_budget(config: R16Config, pmi: R16Pmi) -> None:
     """Enforce the nonzero-coefficient budget, ranges and consistency."""
+    enhanced.check_beams(config, pmi)
     enhanced.validate_budget(config, pmi, ("i16", "i18"))
 
 

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import enhanced
-from .combinadics import binomial, clog2, decode_combination, encode_combination
+from .combinadics import (
+    binomial,
+    clog2,
+    decode_combination,
+    encode_combination,
+    is_index,
+)
 from .errors import DomainError, FormatError
 
 # paraCombination-r17 -> (M, alpha, beta)
@@ -123,7 +129,7 @@ def decode_ports(config: R17Config, pmi: R17Pmi) -> tuple[int, ...]:
             raise FormatError("i_1,2 must be absent when alpha = 1")
         return tuple(range(config.l))
     count = binomial(half, config.l)
-    if not (enhanced._is_index(pmi.i12) and 0 <= pmi.i12 < count):
+    if not (is_index(pmi.i12) and 0 <= pmi.i12 < count):
         raise FormatError(f"i_1,2={pmi.i12} outside [0, {count})")
     return decode_combination(pmi.i12, half, config.l)
 
@@ -146,7 +152,7 @@ def decode_tap_offset(config: R17Config, pmi: R17Pmi) -> tuple[int, ...]:
         if pmi.i16 is not None:
             raise FormatError("i_1,6 must be absent when the window is 2")
         return (0, 1)
-    if not (enhanced._is_index(pmi.i16) and 0 <= pmi.i16 < config.window - 1):
+    if not (is_index(pmi.i16) and 0 <= pmi.i16 < config.window - 1):
         raise FormatError(f"i_1,6={pmi.i16} outside [0, {config.window - 1})")
     return (0, pmi.i16 + 1)
 

@@ -114,6 +114,7 @@ def decode_shifts(config: R18Config, pmi: R18Pmi, layer: int) -> tuple[int, ...]
 
 def validate_budget(config: R18Config, pmi: R18Pmi) -> None:
     """Enforce the nonzero-coefficient budget, ranges and consistency."""
+    enhanced.check_beams(config, pmi)
     enhanced.validate_budget(config, pmi, ("i16", "i18") + (
         ("i110",) if config.n4 > 1 else ()))
 

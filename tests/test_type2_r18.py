@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,14 @@ def test_n4_1_rejects_i110():
                  pmi.bitmap, pmi.k1, pmi.k2, pmi.c)
     with pytest.raises(FormatError):
         decode_shifts(cfg, bad, 0)
+
+
+def test_missing_per_layer_fields_are_named_by_their_spec_names():
+    cfg = make_config(n4=4)
+    pmi = random_valid_pmi(cfg, np.random.default_rng(2))
+    for field, name in (("i16", "i_1,6"), ("i18", "i_1,8"), ("i110", "i_1,10")):
+        with pytest.raises(FormatError, match=name):
+            reconstruct_all(cfg, dataclasses.replace(pmi, **{field: None}))
 
 
 def test_ri_restriction():
