@@ -24,35 +24,74 @@ def user_rates(channels, beamformers, noise_powers) -> np.ndarray:
 
     ``channels[k]`` is (Nr, Nt) or (M, Nr, Nt); ``beamformers[k]`` is
     (Nt, v_k) or (M, Nt, v_k); ``noise_powers`` is a scalar or one value per
-    user.  Interference from other users' beams is treated as noise.
+    user.  Every 3-D channel and beamformer must hold the same M subcarriers;
+    a 2-D one is shared across all M (M = 1 when every array is 2-D).
+    Interference from other users' beams is treated as noise.
+
+    Raises ``DomainError`` naming the bad argument when there is no user,
+    the beamformer count differs from the user count, an array is neither
+    2-D nor 3-D, the subcarrier counts or Nt disagree, or ``noise_powers``
+    has the wrong length or a value that is not positive and finite.
+
+    Each user's subcarriers are solved as one stack; their log-dets are
+    added to the rate one by one in subcarrier order, so the result is bit
+    for bit that of a per-subcarrier loop (``np.sum`` would not be).
     """
     k_users = len(channels)
+    if k_users == 0:
+        raise DomainError("channels must hold at least one user")
     if len(beamformers) != k_users:
-        raise DomainError("one beamformer block per user required")
-    noise = np.broadcast_to(np.asarray(noise_powers, dtype=float), (k_users,))
-    hs = [np.asarray(h) for h in channels]
-    hs = [h[None] if h.ndim == 2 else h for h in hs]
-    m_carriers = hs[0].shape[0]
-    ws = []
-    for w in beamformers:
-        w = np.asarray(w)
-        ws.append(np.broadcast_to(w[None], (m_carriers,) + w.shape)
-                  if w.ndim == 2 else w)
+        raise DomainError(f"beamformers must hold one block per user, "
+                          f"{len(beamformers)} for {k_users} users")
+    try:
+        noise = np.broadcast_to(np.asarray(noise_powers, dtype=float),
+                                (k_users,))
+    except ValueError:
+        raise DomainError(f"noise_powers must be a scalar or {k_users} "
+                          f"values, one per user") from None
+    if not (np.isfinite(noise) & (noise > 0)).all():
+        raise DomainError(f"noise_powers must be positive and finite, "
+                          f"got {noise.tolist()}")
+    # (name, array, axis of Nt) for every channel, then every beamformer
+    arrays = [(f"channels[{k}]", np.asarray(h), -1)
+              for k, h in enumerate(channels)]
+    arrays += [(f"beamformers[{k}]", np.asarray(w), -2)
+               for k, w in enumerate(beamformers)]
+    m_carriers = nt = None
+    for name, a, nt_axis in arrays:
+        if a.ndim not in (2, 3):
+            raise DomainError(f"{name} must be 2-D or 3-D, not {a.ndim}-D")
+        if nt is None:
+            nt = a.shape[nt_axis]
+        elif a.shape[nt_axis] != nt:
+            raise DomainError(f"{name} has Nt = {a.shape[nt_axis]}, "
+                              f"channels[0] has {nt}")
+        if a.ndim == 3 and m_carriers is None:
+            m_carriers, m_name = a.shape[0], name
+        elif a.ndim == 3 and a.shape[0] != m_carriers:
+            raise DomainError(f"{name} has {a.shape[0]} subcarriers, "
+                              f"{m_name} has {m_carriers}")
+    if m_carriers is None:
+        m_carriers = 1
+    stacks = [np.broadcast_to(a, (m_carriers,) + a.shape[-2:])
+              for _, a, _ in arrays]
+    hs, ws = stacks[:k_users], stacks[k_users:]
     rates = np.zeros(k_users)
     for k in range(k_users):
         nr = hs[k].shape[1]
-        for m in range(m_carriers):
-            cov = noise[k] * np.eye(nr, dtype=complex)
-            for i in range(k_users):
-                if i == k:
-                    continue
-                g = hs[k][m] @ ws[i][m]
-                cov += g @ g.conj().T
-            g = hs[k][m] @ ws[k][m]
-            sig = g @ g.conj().T
-            sign, logdet = np.linalg.slogdet(
-                np.eye(nr) + np.linalg.solve(cov, sig))
-            rates[k] += logdet / math.log(2)
+        cov = np.broadcast_to(noise[k] * np.eye(nr, dtype=complex),
+                              (m_carriers, nr, nr))
+        for i in range(k_users):
+            if i != k:
+                g = hs[k] @ ws[i]
+                cov = cov + g @ g.conj().swapaxes(1, 2)
+        g = hs[k] @ ws[k]
+        sig = g @ g.conj().swapaxes(1, 2)
+        _, logdets = np.linalg.slogdet(np.eye(nr) + np.linalg.solve(cov, sig))
+        rate = 0.0
+        for logdet in (logdets / math.log(2)).tolist():
+            rate += logdet  # subcarrier order: np.sum would change the bits
+        rates[k] = rate
     return rates
 
 

@@ -514,7 +514,9 @@ def _type2_single_pol_gain(h: np.ndarray, geom: ArrayGeometry,
     best_group = orthogonal_groups(geom)[
         _first_best(np.ndindex(score.shape), score.__getitem__)]
     proj = best_group.conj().T @ target / n
-    picks = np.argsort(np.abs(proj))[-l_beams:]
+    # the searches' beam rule, reversed: weakest first is the order in which
+    # best_group[:, picks] @ a_hat has always summed the beams
+    picks = _pick_beams(l_beams, np.abs(proj), np.ones(n))[::-1]
     coef = proj[picks]
     scale = np.abs(coef).max()
     rel = coef / (scale * np.exp(1j * np.angle(coef[np.abs(coef).argmax()])))

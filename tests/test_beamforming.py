@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,81 @@ def test_rate_zf_interference_free():
         g = channels[k] @ blocks[k]
         solo = np.log2(np.abs(1 + g @ g.conj().T)).item()
         assert abs(rates[k] - solo) < 1e-10
+
+
+def rates_oracle(channels, beamformers, noise_powers):
+    """One solve and one slogdet per (user, subcarrier), each 2-D array
+    shared across the M subcarriers of the 3-D ones."""
+    k_users = len(channels)
+    noise = np.broadcast_to(np.asarray(noise_powers, dtype=float), (k_users,))
+    arrays = [np.asarray(a) for a in list(channels) + list(beamformers)]
+    m_carriers = max([a.shape[0] for a in arrays if a.ndim == 3], default=1)
+    arrays = [np.broadcast_to(a, (m_carriers,) + a.shape[-2:]) for a in arrays]
+    hs, ws = arrays[:k_users], arrays[k_users:]
+    rates = np.zeros(k_users)
+    for k in range(k_users):
+        nr = hs[k].shape[1]
+        for m in range(m_carriers):
+            cov = noise[k] * np.eye(nr, dtype=complex)
+            for i in range(k_users):
+                if i == k:
+                    continue
+                g = hs[k][m] @ ws[i][m]
+                cov += g @ g.conj().T
+            g = hs[k][m] @ ws[k][m]
+            sig = g @ g.conj().T
+            sign, logdet = np.linalg.slogdet(
+                np.eye(nr) + np.linalg.solve(cov, sig))
+            rates[k] += logdet / math.log(2)
+    return rates
+
+
+def test_rates_match_the_per_subcarrier_oracle_bit_for_bit():
+    rng = np.random.default_rng(10)
+    for _ in range(300):
+        k_users = int(rng.integers(1, 4))
+        m_carriers = int(rng.integers(1, 49))
+        nt = int(rng.integers(1, 17))
+        channels, beamformers = [], []
+        for _ in range(k_users):
+            nr, v = (int(x) for x in rng.integers(1, 5, size=2))
+            lead = (m_carriers,) if rng.random() < 0.6 else ()
+            channels.append(crandn(rng, *lead, nr, nt))
+            lead = (m_carriers,) if rng.random() < 0.5 else ()
+            beamformers.append(crandn(rng, *lead, nt, v))
+        noise = (rng.uniform(0.01, 2.0) if rng.random() < 0.5
+                 else rng.uniform(0.01, 2.0, size=k_users))
+        assert np.array_equal(user_rates(channels, beamformers, noise),
+                              rates_oracle(channels, beamformers, noise))
+
+
+@pytest.mark.parametrize("channels, beamformers, noise, named", [
+    pytest.param([], [], 1.0, "channels", id="no-user"),
+    pytest.param([(2, 4)], [(4, 1), (4, 1)], 1.0, "beamformers",
+                 id="more-beamformers-than-users"),
+    pytest.param([(2, 2, 4)], [(3, 4, 1)], 1.0, "beamformers[0]",
+                 id="beamformer-has-more-subcarriers"),
+    pytest.param([(3, 2, 4)], [(2, 4, 1)], 1.0, "beamformers[0]",
+                 id="beamformer-has-fewer-subcarriers"),
+    pytest.param([(3, 2, 4), (2, 2, 4)], [(4, 1), (4, 1)], 1.0,
+                 "channels[1]", id="users-differ-in-subcarriers"),
+    pytest.param([(2, 4), (2, 4)], [(4, 1), (4, 1)], [1.0, 1.0, 1.0],
+                 "noise_powers", id="noise-of-wrong-length"),
+    pytest.param([(1, 3, 2, 4)], [(4, 1)], 1.0, "channels[0]",
+                 id="4-d-channel"),
+    pytest.param([(2, 4)], [(3, 1)], 1.0, "beamformers[0]",
+                 id="beamformer-of-wrong-nt"),
+    pytest.param([(2, 4)], [(4, 1)], 0.0, "noise_powers", id="zero-noise"),
+    pytest.param([(2, 4), (2, 4)], [(4, 1), (4, 1)], [1.0, -0.5],
+                 "noise_powers", id="negative-noise"),
+])
+def test_malformed_rate_inputs_name_the_bad_argument(channels, beamformers,
+                                                     noise, named):
+    rng = np.random.default_rng(11)
+    channels = [crandn(rng, *shape) for shape in channels]
+    beamformers = [crandn(rng, *shape) for shape in beamformers]
+    with pytest.raises(DomainError, match=re.escape(named)):
+        user_rates(channels, beamformers, noise)
 
 
 def test_su_svd_and_mrt():
