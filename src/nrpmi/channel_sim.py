@@ -14,13 +14,14 @@ under the nonzero-coefficient budget.
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from . import enhanced, type2_r16, type2_r17, type2_r18
 from .bases import ArrayGeometry, orthogonal_groups
-from .combinadics import encode_combination
-from .errors import DomainError
+from .combinadics import encode_combination, is_index
+from .errors import DegenerateReportError, DomainError
 from .quantization import R15_WB_AMPS, quantize_nearest, quantize_phase
 
 
@@ -37,10 +38,32 @@ class ChannelModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise DomainError("at least one path required")
-        if self.delay_spread < 0:
-            raise DomainError("delays must be nonnegative")
+        _check_int("n_paths", self.n_paths, 1)
+        _check_int("n_subcarriers", self.n_subcarriers, 1)
+        _check_int("seed", self.seed, 0)
+        for name in ("delay_spread", "doppler_max", "subcarrier_spacing",
+                     "cross_pol"):
+            _check_real(name, getattr(self, name))
+
+
+def _check_int(name: str, value, low: int) -> None:
+    if not (is_index(value) and value >= low):
+        raise DomainError(f"{name}={value!r} must be an integer >= {low}")
+
+
+def _check_real(name: str, value) -> None:
+    if not (isinstance(value, Real) and math.isfinite(value) and value >= 0):
+        raise DomainError(f"{name}={value!r} must be a finite nonnegative "
+                          "number")
+
+
+def _check_draw(nr, trial, n4, interval_duration) -> None:
+    """Reject draw_channel arguments that would give an empty or
+    meaningless channel, naming the bad one."""
+    _check_int("nr", nr, 1)
+    _check_int("n4", n4, 1)
+    _check_int("trial", trial, 0)
+    _check_real("interval_duration", interval_duration)
 
 
 @dataclass(frozen=True)
@@ -65,45 +88,64 @@ class ChannelRealization:
         return self.h[0]
 
 
-def _tx_response(geom: ArrayGeometry, x1: float, x2: float) -> np.ndarray:
-    """Array response at continuous beam coordinates (vertical fastest)."""
+def _tx_response(geom: ArrayGeometry, x1, x2) -> np.ndarray:
+    """Array responses at continuous beam coordinates, vertical fastest:
+    shape S + (N1*N2,) for coordinates x1, x2 of one shape S."""
+    x1, x2 = np.asarray(x1)[..., None], np.asarray(x2)[..., None]
     a = np.exp(2j * np.pi * x1 * np.arange(geom.n1) / geom.beams_h)
     u = np.exp(2j * np.pi * x2 * np.arange(geom.n2) / geom.beams_v)
-    return np.kron(a, u)
+    return (a[..., :, None] * u[..., None, :]).reshape(x1.shape[:-1] + (-1,))
 
 
 def draw_channel(model: ChannelModel, geom: ArrayGeometry, nr: int,
                  trial: int = 0, n4: int = 1,
                  interval_duration: float = 5e-4) -> ChannelRealization:
-    """Deterministic channel draw for (seed, trial); see the module model."""
+    """Deterministic channel draw for (seed, trial); see the module model.
+
+    Each path draws, in this order: 4 uniforms (x1, x2, delay, Doppler),
+    2Nr + 2 normals (the receive signature's real then imaginary parts,
+    then the gain g1) and 1 uniform (the phase of g2).  The paths' terms
+    are added to a zero channel in draw order.
+    """
+    _check_draw(nr, trial, n4, interval_duration)
     rng = np.random.default_rng([model.seed, trial])
-    p = geom.n_ports
-    half = p // 2
-    m = model.n_subcarriers
+    n_paths, half, m = model.n_paths, geom.n_ports // 2, model.n_subcarriers
+    uniforms = np.empty((n_paths, 4))
+    normals = np.empty((n_paths, 2 * nr + 2))
+    phases = np.empty(n_paths)
+    for k in range(n_paths):
+        uniforms[k] = rng.random(4)
+        normals[k] = rng.standard_normal(2 * nr + 2)
+        phases[k] = rng.random()
+    low = np.array([0.0, 0.0, 0.0, -model.doppler_max])
+    high = np.array([geom.beams_h, geom.beams_v, model.delay_spread,
+                     model.doppler_max])
+    # the arithmetic of rng.uniform(low, high), for every path at once
+    x1, x2, delay, doppler = (low + (high - low) * uniforms).T
+    a_rx = normals[:, :nr] + 1j * normals[:, nr:2 * nr]
+    # one norm per signature: a norm along an axis rounds differently
+    a_rx /= np.array([np.linalg.norm(r) for r in a_rx])[:, None]
     # normalized so the expected squared Frobenius norm per unit is Nt*Nr
-    gain_var = 2 * nr / ((1 + model.cross_pol**2) * model.n_paths)
-    h = np.zeros((n4, m, nr, p), dtype=complex)
-    for _ in range(model.n_paths):
-        x1 = rng.uniform(0, geom.beams_h)
-        x2 = rng.uniform(0, geom.beams_v)
-        delay = rng.uniform(0, model.delay_spread)
-        doppler = rng.uniform(-model.doppler_max, model.doppler_max)
-        a_tx = _tx_response(geom, x1, x2)
-        a_rx = rng.standard_normal(nr) + 1j * rng.standard_normal(nr)
-        a_rx /= np.linalg.norm(a_rx)
-        g1 = math.sqrt(gain_var / 2) * complex(rng.standard_normal(),
-                                               rng.standard_normal())
-        g2 = model.cross_pol * abs(g1) * np.exp(2j * np.pi * rng.random())
-        freq_phase = np.exp(-2j * np.pi * delay
-                            * model.subcarrier_spacing * np.arange(m))
-        time_phase = np.exp(2j * np.pi * doppler
-                            * interval_duration * np.arange(n4))
-        outer = np.outer(a_rx, a_tx.conj())
-        for iota in range(n4):
-            phases = (time_phase[iota] * freq_phase)[:, None, None]
-            h[iota, :, :, :half] += g1 * phases * outer
-            h[iota, :, :, half:] += g2 * phases * outer
-    return ChannelRealization(h=h)
+    gain_var = 2 * nr / ((1 + model.cross_pol**2) * n_paths)
+    # Python-scalar gains: numpy's complex loops round differently
+    gains = []
+    for (re, im), phase in zip(normals[:, -2:].tolist(), phases.tolist()):
+        g1 = math.sqrt(gain_var / 2) * complex(re, im)
+        gains.append((g1, model.cross_pol * abs(g1)
+                      * np.exp(2j * np.pi * phase)))
+    freq_phase = np.exp(-2j * np.pi * delay[:, None]
+                        * model.subcarrier_spacing * np.arange(m))
+    time_phase = np.exp(2j * np.pi * doppler[:, None] * interval_duration
+                        * np.arange(n4))
+    # (path, N4, M, pol) weights times (path, Nr, P/2) outer products
+    weights = (np.array(gains)[:, None, None, :]
+               * (time_phase[:, :, None] * freq_phase[:, None, :])[..., None])
+    outer = a_rx[:, :, None] * _tx_response(geom, x1, x2).conj()[:, None]
+    terms = weights[..., None, :, None] * outer[:, None, None, :, None, :]
+    h = np.zeros((n4, m, nr, 2, half), dtype=complex)
+    for term in terms:
+        h += term
+    return ChannelRealization(h=h.reshape(n4, m, nr, 2 * half))
 
 
 def effective_channel(h1: np.ndarray, h2: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -192,12 +234,17 @@ def _fit(unit: np.ndarray, ws: np.ndarray) -> float:
 
 def _first_best(candidates, fit):
     """Fit rule: the first candidate whose fit beats every earlier one by
-    more than 1e-12; None candidates are skipped (None if all are)."""
+    more than 1e-12; None candidates, and those whose fit raises
+    DegenerateReportError (a report the codebook rejects), are skipped
+    (None if all are)."""
     best, best_fit = None, -1.0
     for candidate in candidates:
         if candidate is None:
             continue
-        value = fit(candidate)
+        try:
+            value = fit(candidate)
+        except DegenerateReportError:
+            continue
         if value > best_fit + 1e-12:
             best, best_fit = candidate, value
     return best

@@ -66,12 +66,21 @@ class SpatialConfig:
     (regular DFT beams) or with ``p_csirs`` and ``d`` (port selection)."""
 
     def check_variant(self) -> None:
+        """Reject an unknown variant, a missing field of it, or more beams
+        L per polarization than it offers."""
         if self.variant == REGULAR:
             if self.geom is None:
                 raise DomainError("regular variant requires an array geometry")
+            n = self.geom.n1 * self.geom.n2
+            if self.l > n:
+                raise DomainError(f"L={self.l} exceeds the N1*N2={n} beams "
+                                  "of a group")
         elif self.variant == PORT_SELECTION:
             if self.p_csirs is None or self.d is None:
                 raise DomainError("port-selection variant requires p_csirs and d")
+            if self.l > self.p_csirs // 2:
+                raise DomainError(f"L={self.l} exceeds the P/2="
+                                  f"{self.p_csirs // 2} ports per polarization")
             if not 1 <= self.d <= min(self.p_csirs // 2, self.l):
                 raise DomainError(
                     f"portSelectionSamplingSize d={self.d} outside "
@@ -412,51 +421,54 @@ def validate_budget(config, pmi, layer_fields) -> None:
             raise ConsistencyError("strongest polarization must carry k1=15")
 
 
-def layer_coefficients(config, pmi, layer: int) -> np.ndarray:
-    """Complex coefficient grid (K, Mv[, Q]): p1 * p2 * phi, zeros where
+def layer_coefficients(config, pmi, layer: int | slice = slice(None)
+                       ) -> np.ndarray:
+    """Complex coefficient grid (K, Mv[, Q]) of one layer, or (rank, K,
+    Mv[, Q]) of every layer by default: p1 * p2 * phi, zeros where
     unreported."""
-    p1 = WB_AMPS[pmi.k1[layer]]          # (2,)
-    p2 = SB_AMPS[pmi.k2[layer]]          # (K, Mv[, Q])
+    p1 = WB_AMPS[pmi.k1[layer]]          # ([rank,] 2)
+    p2 = SB_AMPS[pmi.k2[layer]]          # ([rank,] K, Mv[, Q])
     phi = np.exp(2j * np.pi * pmi.c[layer] / N_PSK16)
-    pol = np.repeat(p1, config.l).reshape((-1,) + (1,) * (p2.ndim - 1))
+    pol = np.repeat(p1, config.l, axis=-1)
+    pol = pol.reshape(pol.shape + (1,) * (p2.ndim - pol.ndim))
     return pol * p2 * phi * pmi.bitmap[layer]
 
 
 def _dft(n: int, indices) -> np.ndarray:
-    return np.exp(2j * np.pi * np.outer(np.arange(n), indices) / n)
+    """DFT columns exp(2j pi t k / n) for each layer's indices k: (rank, n,
+    K) for ``indices`` (rank, K)."""
+    return np.exp(2j * np.pi * (np.arange(n)[:, None]
+                                * np.asarray(indices)[:, None, :]) / n)
 
 
 def synthesize(config, pmi, v: np.ndarray, taps, shifts=None) -> np.ndarray:
     """Precoders from the spatial basis ``v`` (P/2, L) and each layer's taps
-    (and shifts).
+    (and shifts), all layers in one pass.
 
-    Returns (N3, P, rank), or (N3, N4, P, rank) when the report has a shift
-    axis.
+    Returns (N3, P, rank), or (N3, N4, P, rank) when shifts are given (the
+    report has a shift axis).
     """
-    l, n3, gain = config.l, config.n3, spatial_gain(config)
-    doppler = pmi.bitmap.ndim == 4
-    points = (n3, config.n4) if doppler else (n3,)
-    out = np.empty(points + (2 * v.shape[0], config.rank), dtype=complex)
-    for layer in range(config.rank):
-        y = _dft(n3, taps[layer])                                  # (N3, Mv)
-        coef = layer_coefficients(config, pmi, layer)
-        if doppler:
-            z = _dft(config.n4, shifts[layer])                     # (N4, Q)
-            ct = np.einsum("ifq,tf,nq->itn", coef, y, z)           # (K,N3,N4)
-        else:
-            ct = coef @ y.T                                        # (K, N3)
-        gamma = (np.abs(ct) ** 2).sum(axis=0)
-        if np.any(gamma <= 1e-12 * gamma.max()):
-            raise DegenerateReportError(
-                f"layer {layer} has zero energy at some frequency unit")
-        if doppler:
-            halves = np.concatenate([np.einsum("pl,ltn->ptn", v, ct[:l]),
-                                     np.einsum("pl,ltn->ptn", v, ct[l:])])
-        else:
-            halves = np.vstack([v @ ct[:l], v @ ct[l:]])           # (P, N3)
-        normed = halves / np.sqrt(gain * gamma)
-        out[..., layer] = normed.transpose(*range(1, normed.ndim), 0)
-    return out / np.sqrt(config.rank)
+    l, gain = config.l, spatial_gain(config)
+    coef = layer_coefficients(config, pmi)                 # (rank, K, Mv[, Q])
+    y = _dft(config.n3, taps)                              # (rank, N3, Mv)
+    if shifts is None:
+        ct = coef @ y.swapaxes(1, 2)                       # (rank, K, N3)
+        halves = [v @ ct[:, :l], v @ ct[:, l:]]
+    else:
+        z = _dft(config.n4, shifts)                        # (rank, N4, Q)
+        ct = np.einsum("kifq,ktf,knq->kitn", coef, y, z)   # (rank, K, N3, N4)
+        halves = [np.einsum("pl,kltn->kptn", v, ct[:, :l]),
+                  np.einsum("pl,kltn->kptn", v, ct[:, l:])]
+    gamma = (np.abs(ct) ** 2).sum(axis=1)                  # (rank, N3[, N4])
+    points = tuple(range(1, gamma.ndim))
+    bad = (gamma <= 1e-12 * gamma.max(axis=points, keepdims=True)).any(
+        axis=points)
+    if bad.any():
+        raise DegenerateReportError(f"layer {int(np.argmax(bad))} has zero "
+                                    "energy at some frequency unit")
+    normed = (np.concatenate(halves, axis=1) / np.sqrt(gain * gamma)[:, None]
+              / np.sqrt(config.rank))                  # (rank, P, N3[, N4])
+    return np.ascontiguousarray(np.moveaxis(normed, (0, 1), (-1, -2)))
 
 
 def check_point(config, t: int, iota: int | None = None) -> None:

@@ -189,26 +189,26 @@ def layer_coefficients(config: T2R15Config, pmi: T2R15Pmi, layer: int,
     return _coefficients(config, pmi, subband, alphabet)[layer]
 
 
-def _precoder(config: T2R15Config, v: np.ndarray,
-              coef: np.ndarray) -> np.ndarray:
-    """Precoding matrix (P, rank) of one subband's weights (rank, 2L) on
-    the beams ``v``."""
-    cols = []
-    for layer, a in enumerate(coef):
-        beta = spatial_gain(config) * float(np.sum(np.abs(a) ** 2))
-        if beta == 0:
-            raise DegenerateReportError(f"layer {layer} has all-zero amplitudes")
-        w = np.concatenate([v @ a[:config.l], v @ a[config.l:]]) / np.sqrt(beta)
-        cols.append(w)
-    return np.column_stack(cols) / np.sqrt(config.rank)
+def _precoders(config: T2R15Config, v: np.ndarray,
+               coef: np.ndarray) -> np.ndarray:
+    """Precoding matrices (..., P, rank) of weights (..., rank, 2L) on the
+    beams ``v``, every subband and layer in one pass."""
+    l = config.l
+    beta = spatial_gain(config) * (np.abs(coef) ** 2).sum(axis=-1)
+    if (beta == 0).any():
+        layer = np.argwhere(beta == 0)[0][-1]
+        raise DegenerateReportError(f"layer {layer} has all-zero amplitudes")
+    w = np.concatenate([np.matmul(v, coef[..., :l, None]),
+                        np.matmul(v, coef[..., l:, None])], axis=-2)[..., 0]
+    w = w / np.sqrt(beta)[..., None] / np.sqrt(config.rank)  # (..., rank, P)
+    return np.ascontiguousarray(np.swapaxes(w, -1, -2))
 
 
 def reconstruct_all(config: T2R15Config, pmi: T2R15Pmi) -> np.ndarray:
     """Precoders for every subband, shape (subbands, P, rank)."""
     _, alphabet = validate(config, pmi)
-    v = selected_beams(config, pmi)
-    return np.stack([_precoder(config, v, coef) for coef in
-                     _coefficients(config, pmi, slice(None), alphabet)])
+    return _precoders(config, selected_beams(config, pmi),
+                      _coefficients(config, pmi, slice(None), alphabet))
 
 
 def reconstruct(config: T2R15Config, pmi: T2R15Pmi, subband: int = 0) -> np.ndarray:
@@ -217,8 +217,8 @@ def reconstruct(config: T2R15Config, pmi: T2R15Pmi, subband: int = 0) -> np.ndar
         raise DomainError(
             f"subband {subband} outside [0, {config.subband_count})")
     _, alphabet = validate(config, pmi)
-    return _precoder(config, selected_beams(config, pmi),
-                     _coefficients(config, pmi, subband, alphabet))
+    return _precoders(config, selected_beams(config, pmi),
+                      _coefficients(config, pmi, subband, alphabet))
 
 
 def serialize_pmi(config: T2R15Config, pmi: T2R15Pmi) -> str:

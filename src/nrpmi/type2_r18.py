@@ -60,6 +60,7 @@ class R18Config(enhanced.CompressedConfig):
 
     def __post_init__(self):
         self.check_params()
+        self.check_variant()
         if self.n4 not in (1, 2, 4, 8):
             raise DomainError(f"N4={self.n4} not in {{1, 2, 4, 8}}")
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from nrpmi.channel_sim import (
     search_r18,
     spectral_efficiency_experiment,
 )
-from nrpmi.combinadics import decode_combination
-from nrpmi.errors import DomainError
+from nrpmi.combinadics import decode_combination, encode_combination
+from nrpmi.errors import DegenerateReportError, DomainError
 
 GEOM = ArrayGeometry(4, 2, 4, 4)
 
@@ -65,6 +66,93 @@ def test_two_orthogonal_paths_rank2():
 def test_zero_paths_rejected():
     with pytest.raises(DomainError):
         ChannelModel(n_paths=0)
+
+
+def draw_oracle(model, geom, nr, trial=0, n4=1, interval_duration=5e-4):
+    """The per-path, per-interval draw that ``draw_channel`` batches."""
+    rng = np.random.default_rng([model.seed, trial])
+    p = geom.n_ports
+    half = p // 2
+    m = model.n_subcarriers
+    gain_var = 2 * nr / ((1 + model.cross_pol**2) * model.n_paths)
+    h = np.zeros((n4, m, nr, p), dtype=complex)
+    for _ in range(model.n_paths):
+        x1 = rng.uniform(0, geom.beams_h)
+        x2 = rng.uniform(0, geom.beams_v)
+        delay = rng.uniform(0, model.delay_spread)
+        doppler = rng.uniform(-model.doppler_max, model.doppler_max)
+        a_tx = np.kron(np.exp(2j * np.pi * x1 * np.arange(geom.n1)
+                              / geom.beams_h),
+                       np.exp(2j * np.pi * x2 * np.arange(geom.n2)
+                              / geom.beams_v))
+        a_rx = rng.standard_normal(nr) + 1j * rng.standard_normal(nr)
+        a_rx /= np.linalg.norm(a_rx)
+        g1 = math.sqrt(gain_var / 2) * complex(rng.standard_normal(),
+                                               rng.standard_normal())
+        g2 = model.cross_pol * abs(g1) * np.exp(2j * np.pi * rng.random())
+        freq_phase = np.exp(-2j * np.pi * delay
+                            * model.subcarrier_spacing * np.arange(m))
+        time_phase = np.exp(2j * np.pi * doppler
+                            * interval_duration * np.arange(n4))
+        outer = np.outer(a_rx, a_tx.conj())
+        for iota in range(n4):
+            phases = (time_phase[iota] * freq_phase)[:, None, None]
+            h[iota, :, :, :half] += g1 * phases * outer
+            h[iota, :, :, half:] += g2 * phases * outer
+    return h
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("cross_pol", [0.0, 0.5, 1.3])
+@pytest.mark.parametrize("doppler_max", [0.0, 200.0])
+def test_draw_matches_the_per_path_oracle_bit_for_bit(cross_pol, doppler_max):
+    # cross_pol = 0 makes signed zeros in the second polarization, which
+    # only a draw that adds every path to a zero channel reproduces
+    rng = np.random.default_rng(int(cross_pol * 10 + doppler_max))
+    geoms = [GEOM, ArrayGeometry(2, 1, 4, 1), ArrayGeometry(8, 1, 4, 1),
+             ArrayGeometry(4, 4, 4, 4)]
+    for case in range(12):
+        model = ChannelModel(
+            n_paths=case % 6 + 1,
+            delay_spread=float(rng.choice([0.0, 3e-7, 1e-6])),
+            doppler_max=doppler_max,
+            subcarrier_spacing=float(rng.choice([15e3, 180e3])),
+            n_subcarriers=int(rng.integers(1, 25)), cross_pol=cross_pol,
+            seed=int(rng.integers(100)))
+        geom = geoms[case % len(geoms)]
+        nr = case % 4 + 1
+        n4 = int(rng.choice([1, 2, 4]))
+        trial = int(rng.integers(50))
+        assert same_bits(draw_channel(model, geom, nr, trial, n4).h,
+                         draw_oracle(model, geom, nr, trial, n4))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_paths", 0), ("n_paths", 2.5), ("n_subcarriers", 0),
+    ("n_subcarriers", 2.5), ("delay_spread", -1e-6),
+    ("delay_spread", float("nan")), ("doppler_max", -5.0),
+    ("subcarrier_spacing", -15e3), ("subcarrier_spacing", float("inf")),
+    ("cross_pol", -0.5), ("cross_pol", float("inf")), ("seed", -1),
+    ("seed", "7"),
+])
+def test_malformed_channel_model_names_the_field(field, value):
+    with pytest.raises(DomainError, match=field):
+        ChannelModel(**{field: value})
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(nr=0), "nr"), (dict(nr=1.5), "nr"), (dict(n4=0), "n4"),
+    (dict(trial=-1), "trial"), (dict(trial=0.5), "trial"),
+    (dict(interval_duration=-5e-4), "interval_duration"),
+])
+def test_malformed_draw_arguments_name_the_argument(kwargs, field):
+    args = dict(nr=2, trial=0, n4=1, interval_duration=5e-4) | kwargs
+    with pytest.raises(DomainError, match=field):
+        draw_channel(ChannelModel(), GEOM, **args)
 
 
 def test_effective_channel():
@@ -215,6 +303,36 @@ def test_tied_beams_pick_the_lowest_index_in_every_release(monkeypatch):
     ]
     for pmi in found:
         assert decode_combination(pmi.i12, 8, 2) == (1, 2)
+
+
+def test_search_skips_a_tied_degenerate_candidate(monkeypatch):
+    # beams (0, 5) of group (1, 2) finish into a report whose three taps
+    # cancel at one frequency unit; tied ahead of the best group, the
+    # candidate must be skipped, not raised
+    cfg = type2_r16.R16Config(param_combination=1, r=1, n3=12, geom=GEOM)
+    model = ChannelModel(n_paths=6, delay_spread=1e-6,
+                         subcarrier_spacing=180e3, n_subcarriers=12, seed=5)
+    ch = draw_channel(model, GEOM, nr=2, trial=5)
+    targets = channel_sim._targets(ch.flat[None], cfg.rank)
+    degenerate = channel_sim._finish(
+        cfg, targets, (1, 2), encode_combination([0, 5], 8, 2),
+        orthogonal_group(GEOM, 1, 2)[:, [0, 5]])
+    with pytest.raises(DegenerateReportError):
+        type2_r16.reconstruct_all(cfg, degenerate)
+    expected = search_r16(ch, cfg)
+    assert expected.i11 == (1, 1)
+
+    pick_beams = channel_sim._pick_beams
+    forced = [np.array([0, 5])]      # the first pick, for group (1, 2)
+
+    def pick(*args):
+        return forced.pop() if forced else pick_beams(*args)
+
+    monkeypatch.setattr(channel_sim, "_tied_groups",
+                        lambda energy, l: [(1, 2), (1, 1)])
+    monkeypatch.setattr(channel_sim, "_pick_beams", pick)
+    found = search_r16(ch, cfg)
+    assert cli.pmi_to_fields(found) == cli.pmi_to_fields(expected)
 
 
 @pytest.mark.parametrize("n3", [20, 21, 24, 30, 36])

@@ -267,6 +267,25 @@ def test_malformed_config_exit_code(tmp_path, capsys, command, config, named):
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("release,config", [
+    ("r15-type2", {"n1": 2, "n2": 1, "o1": 4, "o2": 1, "l": 4}),
+    ("r15-ps", {"p_csirs": 4, "l": 3}),
+    ("r16", {"n1": 2, "n2": 2, "o1": 4, "o2": 4, "param_combination": 7,
+             "n3": 8}),
+    ("r16-ps", {"p_csirs": 4, "param_combination": 3, "n3": 8}),
+    ("r18", {"n1": 2, "n2": 2, "o1": 4, "o2": 4, "param_combination": 8,
+             "n3": 8}),
+])
+def test_more_beams_than_the_array_exit_code(tmp_path, capsys, release,
+                                             config):
+    capsys.readouterr()
+    assert main(["gen-vectors", "--release", release, "--config",
+                 write_config(tmp_path, config), "--out",
+                 str(tmp_path / "out.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: L=") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["gen-vectors", "--release", "r16", "--config", "{config}",
      "--seed", "-1", "--out", "{out}"],

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrpmi import cli, enhanced
+from nrpmi import cli, enhanced, type2_r17, type2_r18
 from nrpmi.bases import dft_beam
 from nrpmi.errors import (
     CodebookError,
@@ -249,3 +249,105 @@ def test_reconstruction_names_i11_outside_the_oversampling(release, i11):
     with pytest.raises(DomainError, match="i_1,1"):
         cli.expected_precoders(release, config,
                                dataclasses.replace(pmi, i11=i11))
+
+
+def synthesize_oracle(config, pmi, v, taps, shifts=None):
+    """The per-layer synthesis that ``enhanced.synthesize`` batches."""
+    def dft(n, indices):
+        return np.exp(2j * np.pi * np.outer(np.arange(n), indices) / n)
+
+    l, n3, gain = config.l, config.n3, enhanced.spatial_gain(config)
+    doppler = pmi.bitmap.ndim == 4
+    points = (n3, config.n4) if doppler else (n3,)
+    out = np.empty(points + (2 * v.shape[0], config.rank), dtype=complex)
+    for layer in range(config.rank):
+        y = dft(n3, taps[layer])
+        p2 = enhanced.SB_AMPS[pmi.k2[layer]]
+        pol = np.repeat(enhanced.WB_AMPS[pmi.k1[layer]], config.l)
+        coef = (pol.reshape((-1,) + (1,) * (p2.ndim - 1)) * p2
+                * np.exp(2j * np.pi * pmi.c[layer] / enhanced.N_PSK16)
+                * pmi.bitmap[layer])
+        if doppler:
+            z = dft(config.n4, shifts[layer])
+            ct = np.einsum("ifq,tf,nq->itn", coef, y, z)
+        else:
+            ct = coef @ y.T
+        gamma = (np.abs(ct) ** 2).sum(axis=0)
+        if np.any(gamma <= 1e-12 * gamma.max()):
+            raise DegenerateReportError(
+                f"layer {layer} has zero energy at some frequency unit")
+        if doppler:
+            halves = np.concatenate([np.einsum("pl,ltn->ptn", v, ct[:l]),
+                                     np.einsum("pl,ltn->ptn", v, ct[l:])])
+        else:
+            halves = np.vstack([v @ ct[:l], v @ ct[l:]])
+        normed = halves / np.sqrt(gain * gamma)
+        out[..., layer] = normed.transpose(*range(1, normed.ndim), 0)
+    return out / np.sqrt(config.rank)
+
+
+def synthesis_inputs(release, config, pmi):
+    """The (v, taps, shifts) that ``release``'s reconstruct_all decodes."""
+    layers = range(config.rank)
+    if release == "r17-ps":
+        v = enhanced.port_beams(config.p_csirs,
+                                type2_r17.decode_ports(config, pmi))
+        return v, [type2_r17.decode_tap_offset(config, pmi)] * config.rank, \
+            None
+    taps = [enhanced.decode_taps(config, pmi, layer) for layer in layers]
+    shifts = ([type2_r18.decode_shifts(config, pmi, layer) for layer in layers]
+              if release == "r18" else None)
+    return enhanced.selected_beams(config, pmi), taps, shifts
+
+
+ORACLE_CASES = [
+    ("r16", {**_ARRAY, "param_combination": pc, "r": r, "n3": n3,
+             "rank": rank})
+    for pc, r, n3, rank in [(1, 1, 8, 1), (4, 1, 18, 2), (4, 2, 24, 3),
+                            (6, 1, 36, 4), (8, 2, 13, 2), (2, 1, 20, 1)]
+] + [
+    ("r16-ps", {"p_csirs": p, "param_combination": pc, "r": 1, "n3": n3,
+                "rank": rank, "d": d})
+    for p, pc, n3, rank, d in [(16, 2, 8, 1, 1), (32, 6, 21, 4, 2),
+                               (8, 3, 5, 2, 1)]
+] + [
+    ("r17-ps", {"p_csirs": p, "param_combination": pc, "n3": 12,
+                "n_threshold": nt, "rank": rank})
+    for p, pc, nt, rank in [(16, 6, 4, 2), (8, 1, 2, 1), (32, 7, 2, 4),
+                            (4, 5, 4, 3)]
+] + [
+    ("r18", {**_ARRAY, "param_combination": pc, "r": 1, "n3": n3, "n4": n4,
+             "rank": rank})
+    for pc, n3, n4, rank in [(2, 12, 4, 2), (1, 4, 1, 1), (7, 21, 8, 4),
+                             (3, 12, 2, 3)]
+]
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("release, cfg", ORACLE_CASES)
+def test_synthesis_matches_the_per_layer_oracle_bit_for_bit(release, cfg):
+    config = cli.build_release_config(release, cfg)
+    module = cli.RELEASES[release].module
+    rng = np.random.default_rng(len(ORACLE_CASES))
+    for _ in range(8):
+        pmi = module.random_valid_pmi(config, rng)
+        inputs = synthesis_inputs(release, config, pmi)
+        assert same_bits(module.reconstruct_all(config, pmi),
+                         synthesize_oracle(config, pmi, *inputs))
+        if config.rank == 1:
+            continue
+        # silence every layer from one on: both name that layer
+        layer = int(rng.integers(config.rank))
+        bitmap = np.array(pmi.bitmap)
+        bitmap[layer:] = 0
+        silent = dataclasses.replace(pmi, bitmap=bitmap)
+        with pytest.raises(DegenerateReportError) as expected:
+            synthesize_oracle(config, silent, *inputs)
+        with pytest.raises(DegenerateReportError) as found:
+            enhanced.synthesize(config, silent, *inputs)
+        assert str(found.value) == str(expected.value) \
+            == f"layer {layer} has zero energy at some frequency unit"

@@ -7,6 +7,7 @@ from nrpmi.bases import ArrayGeometry, dft_beam, orthogonal_group
 from nrpmi.combinadics import encode_group_restriction
 from nrpmi.errors import (
     ConsistencyError,
+    DegenerateReportError,
     DomainError,
     FormatError,
     RestrictionError,
@@ -17,6 +18,7 @@ from nrpmi.type2_r15 import (
     REGULAR,
     T2R15Config,
     T2R15Pmi,
+    _precoders,
     beam_grid_indices,
     canonicalize,
     check_restriction,
@@ -24,8 +26,11 @@ from nrpmi.type2_r15 import (
     layer_coefficients,
     random_valid_pmi,
     reconstruct,
+    reconstruct_all,
     reporting_mask,
     search_t2_r15,
+    selected_beams,
+    spatial_gain,
     subset_restriction,
     validate,
 )
@@ -208,6 +213,60 @@ def test_layer_norms_random(variant, extra, rank):
             w = reconstruct(cfg, pmi, sb)
             for col in range(rank):
                 assert abs(np.linalg.norm(w[:, col]) * np.sqrt(rank) - 1) < 1e-9
+
+
+def precoder_oracle(config, v, coef):
+    """The per-layer precoder of one subband's weights (rank, 2L) that
+    ``_precoders`` batches over subbands and layers."""
+    cols = []
+    for layer, a in enumerate(coef):
+        beta = spatial_gain(config) * float(np.sum(np.abs(a) ** 2))
+        if beta == 0:
+            raise DegenerateReportError(f"layer {layer} has all-zero amplitudes")
+        cols.append(np.concatenate([v @ a[:config.l], v @ a[config.l:]])
+                    / np.sqrt(beta))
+    return np.column_stack(cols) / np.sqrt(config.rank)
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("variant,extra", [
+    (REGULAR, {}),
+    (REGULAR, {"geom": ArrayGeometry(2, 2, 4, 4)}),
+    (PORT_SELECTION, {"geom": None, "p_csirs": 16, "d": 2}),
+    (PORT_SELECTION, {"geom": None, "p_csirs": 32, "d": 1}),
+])
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_reconstruction_matches_the_per_subband_oracle_bit_for_bit(
+        variant, extra, rank, l):
+    rng = np.random.default_rng(10 * l + rank)
+    for n_sb, amplitude in ((1, True), (4, False), (13, True)):
+        cfg = simple_config(l=l, rank=rank, subband_count=n_sb,
+                            subband_amplitude=amplitude, variant=variant,
+                            **extra)
+        for _ in range(4):
+            pmi = random_valid_pmi(cfg, rng)
+            v = selected_beams(cfg, pmi)
+            expected = [precoder_oracle(cfg, v, np.array(
+                [layer_coefficients(cfg, pmi, layer, sb)
+                 for layer in range(rank)])) for sb in range(n_sb)]
+            assert same_bits(reconstruct_all(cfg, pmi), np.stack(expected))
+            sb = int(rng.integers(n_sb))
+            assert same_bits(reconstruct(cfg, pmi, sb), expected[sb])
+        # zero weights of one (subband, layer): both name that layer
+        coef = rng.standard_normal((n_sb, rank, 2 * l)) + 0j
+        sb, layer = int(rng.integers(n_sb)), int(rng.integers(rank))
+        coef[sb, layer] = 0
+        with pytest.raises(DegenerateReportError) as expected_error:
+            np.stack([precoder_oracle(cfg, v, c) for c in coef])
+        with pytest.raises(DegenerateReportError) as found:
+            _precoders(cfg, v, coef)
+        assert str(found.value) == str(expected_error.value) \
+            == f"layer {layer} has all-zero amplitudes"
 
 
 def test_port_selection_block_out_of_range():
