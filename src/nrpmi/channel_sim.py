@@ -443,10 +443,7 @@ def search_r16(channel: ChannelRealization, config: type2_r16.R16Config
     _check_channel(h, config.n3, config.n_ports)
     targets = _targets(h, config.rank)
     if config.variant == enhanced.REGULAR:
-        return _search_groups(
-            config, targets, targets,
-            lambda q, i12, beams, _: _finish(config, targets, q, i12, beams),
-            type2_r16.reconstruct_all)
+        return _search_enhanced(config, targets, type2_r16.reconstruct_all)
     i11 = _pick_port_block(targets, config.p_csirs, config.l, config.d)
     return _finish(config, targets, i11, None, enhanced.port_block(config, i11))
 
@@ -459,10 +456,20 @@ def search_r18(channel: ChannelRealization, config: type2_r18.R18Config
         raise DomainError(f"channel must cover N4={config.n4} intervals")
     _check_channel(h, config.n3, config.n_ports)
     targets = _targets(h, config.rank)
-    return _search_groups(
+    return _search_enhanced(config, targets, type2_r18.reconstruct_all)
+
+
+def _search_enhanced(config, targets, reconstruct_all):
+    """The regular Rel-16/Rel-18 search: ``_finish`` on every tied
+    candidate, then the first best fit; raises DegenerateReportError when
+    every candidate report is degenerate."""
+    best = _search_groups(
         config, targets, targets,
         lambda q, i12, beams, _: _finish(config, targets, q, i12, beams),
-        type2_r18.reconstruct_all)
+        reconstruct_all)
+    if best is None:
+        raise DegenerateReportError("every candidate report is degenerate")
+    return best
 
 
 def _finish(config, targets, i11, i12, basis):

@@ -333,6 +333,12 @@ def test_search_skips_a_tied_degenerate_candidate(monkeypatch):
     monkeypatch.setattr(channel_sim, "_pick_beams", pick)
     found = search_r16(ch, cfg)
     assert cli.pmi_to_fields(found) == cli.pmi_to_fields(expected)
+    # with no other candidate, the search names the cause, never None
+    forced.append(np.array([0, 5]))
+    monkeypatch.setattr(channel_sim, "_tied_groups",
+                        lambda energy, l: [(1, 2)])
+    with pytest.raises(DegenerateReportError, match="every candidate"):
+        search_r16(ch, cfg)
 
 
 @pytest.mark.parametrize("n3", [20, 21, 24, 30, 36])
