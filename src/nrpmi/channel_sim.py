@@ -21,7 +21,7 @@ import numpy as np
 from . import enhanced, type2_r16, type2_r17, type2_r18
 from .bases import ArrayGeometry, orthogonal_groups
 from .combinadics import encode_combination, is_index
-from .errors import DegenerateReportError, DomainError
+from .errors import BudgetError, DegenerateReportError, DomainError
 from .quantization import R15_WB_AMPS, quantize_nearest, quantize_phase
 
 
@@ -234,20 +234,27 @@ def _fit(unit: np.ndarray, ws: np.ndarray) -> float:
 
 def _first_best(candidates, fit):
     """Fit rule: the first candidate whose fit beats every earlier one by
-    more than 1e-12; None candidates, and those whose fit raises
-    DegenerateReportError (a report the codebook rejects), are skipped
-    (None if all are)."""
+    more than 1e-12 (None if there is none)."""
     best, best_fit = None, -1.0
     for candidate in candidates:
-        if candidate is None:
-            continue
-        try:
-            value = fit(candidate)
-        except DegenerateReportError:
-            continue
+        value = fit(candidate)
         if value > best_fit + 1e-12:
             best, best_fit = candidate, value
     return best
+
+
+def _choose(candidates, targets):
+    """The report of the best candidate, each None (skipped) or (report,
+    precoders) where ``precoders()`` builds the report's precoders from the
+    parts the search already holds.  A lone candidate is returned without a
+    fit; among several, ``_first_best`` keeps the best fit to ``targets``.
+    None when no candidate remains."""
+    found = [c for c in candidates if c is not None]
+    if len(found) < 2:
+        return found[0][0] if found else None
+    unit = targets / np.linalg.norm(targets, axis=-1, keepdims=True)
+    best = _first_best(found, lambda c: _fit(unit, c[1]()))
+    return None if best is None else best[0]
 
 
 def _pick_beams(l: int, energy: np.ndarray, beam_cap: np.ndarray) -> np.ndarray:
@@ -261,30 +268,26 @@ def _pick_beams(l: int, energy: np.ndarray, beam_cap: np.ndarray) -> np.ndarray:
     return order[:l]
 
 
-def _search_groups(config, scan, targets, finish, reconstruct_all,
-                   caps=None):
+def _search_groups(config, scan, targets, finish, caps=None):
     """The spatial stage W1 of every regular Type II search: scan the groups
     with ``scan``, pick L beams in each tied group q (under ``caps``, an
     (O1N1, O2N2) grid, all ones when None), ``finish(q, i12, beams,
-    beam_caps)`` each pick into a report or None, and keep the first best
-    fit to ``targets``."""
+    beam_caps)`` each pick into a candidate for ``_choose`` (None for a
+    report the codebook rejects), and keep the best fit to ``targets``."""
     g, l = config.geom, config.l
     n = g.n1 * g.n2
     energy = _group_energy(scan, g)
-    unit = targets / np.linalg.norm(targets, axis=-1, keepdims=True)
     flat = np.arange(n)
     if caps is None:
         caps = np.ones((g.beams_h, g.beams_v))
 
     def candidate(q):
-        beam_cap = caps[g.o1 * (flat % g.n1) + q[0],
-                        g.o2 * (flat // g.n1) + q[1]]
+        beam_cap = caps[enhanced.grid_coordinates(g, q, flat)]
         flats = np.sort(_pick_beams(l, energy[q], beam_cap))
         return finish(q, encode_combination(flats.tolist(), n, l),
                       orthogonal_groups(g)[q][:, flats], beam_cap[flats])
 
-    return _first_best(map(candidate, _tied_groups(energy, l)),
-                       lambda pmi: _fit(unit, reconstruct_all(config, pmi)))
+    return _choose(map(candidate, _tied_groups(energy, l)), targets)
 
 
 def _pick_port_block(targets: np.ndarray, p_csirs: int, l: int,
@@ -297,88 +300,79 @@ def _pick_port_block(targets: np.ndarray, p_csirs: int, l: int,
     return int(np.argmax(per_port[starts[:, None] + np.arange(l)].sum(axis=1)))
 
 
-def _quantize_grid(coef: np.ndarray, l: int, k0: int, budget_left: int,
-                   star_slots: np.ndarray):
-    """Quantize one layer's coefficient grid (K, ...) against the Rel-16
-    amplitude tables; returns (bitmap, k1, k2, c, strongest multi-index).
-
-    ``star_slots`` marks the tail slots that may host the normalization
-    reference (the strongest coefficient).
-    """
-    wb_amps, sb_amps, n_psk = enhanced.WB_AMPS, enhanced.SB_AMPS, 16
-    shape = coef.shape
-    flat_tail = coef.reshape(2 * l, -1)
-    mag = np.abs(flat_tail)
-    star_mag = np.round(mag, 12).copy()
-    star_mag[:, ~star_slots] = -1.0
-    star = np.unravel_index(int(np.argmax(star_mag)), mag.shape)
-    scale = mag[star]
-    if scale == 0:
-        raise DomainError("no usable coefficient at the reference tap")
-    coef = coef * np.exp(-1j * np.angle(flat_tail[star]))
-    flat_tail = coef.reshape(2 * l, -1)
-    mag = np.abs(flat_tail) / scale
-    p_star = star[0] // l
-    k1 = np.ones(2, dtype=int)
-    k1[p_star] = 15
-    other = 1 - p_star
-    other_max = float(mag[other * l:other * l + l].max())
-    k1[other] = (int(quantize_nearest(min(other_max, 1.0), wb_amps[1:])) + 1
-                 if other_max > 0 else 1)
-    pol_amp = np.repeat(wb_amps[k1], l)[:, None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(pol_amp > 0, mag / pol_amp, 0.0)
-    k2 = quantize_nearest(np.minimum(ratio, 1.0), sb_amps)
-    keep = ratio >= sb_amps[0] / 2
-    keep[star] = True
-    # budget: strongest first, then by magnitude
-    cap = min(k0, budget_left)
-    if keep.sum() > cap:
-        order = np.argsort(mag, axis=None)[::-1]
-        allowed = {int(np.ravel_multi_index(star, mag.shape))}
-        for pos in order:
-            if len(allowed) >= cap:
-                break
-            if keep.flat[pos]:
-                allowed.add(int(pos))
-        keep = np.zeros_like(keep)
-        keep.flat[list(allowed)] = True
-    phases = quantize_phase(np.angle(flat_tail), n_psk)
-    bitmap = keep.astype(np.int8)
-    k2 = np.where(bitmap > 0, k2, 0)
-    c = np.where(bitmap > 0, phases, 0)
-    k2[star] = 7
-    c[star] = 0
-    return (bitmap.reshape(shape), k1, k2.reshape(shape), c.reshape(shape),
-            star)
-
-
 def _quantize_layers(config, coefs):
-    """Quantize each layer's (K, Mv, Q) grid under the report's budget;
-    returns (i18, bitmap, k1, k2, c) with arrays of ``config.coef_shape``."""
-    rank = config.rank
-    bitmap = np.zeros(config.coef_shape, dtype=np.int8)
-    k1 = np.ones((rank, 2), dtype=int)
-    k2 = np.zeros(config.coef_shape, dtype=int)
-    c = np.zeros(config.coef_shape, dtype=int)
+    """Quantize every layer's (K, Mv, Q) coefficient grid against the
+    Rel-16 amplitude tables, all layers in one array pass; returns (i18,
+    bitmap, k1, k2, c) with arrays of ``config.coef_shape``.
+
+    Per layer, the largest coefficient in the slots that may hold the
+    strongest one is the reference: the grid is turned by its phase and
+    scaled by its magnitude.  Budget: each layer reports at most min(K0,
+    what earlier layers left), the reference first, then by magnitude;
+    raises the BudgetError ``reconstruct_all`` would when the layers still
+    overrun 2*K0.
+    """
+    rank, l, k0 = config.rank, config.l, config.k0
+    rows = np.arange(rank)
+    tail = np.stack(coefs).reshape(rank, 2 * l, -1)    # (rank, K, Mv*Q)
     # the (Mv, Q) slots that may hold the strongest coefficient
     slots = np.zeros(coefs[0].shape[1:], dtype=bool)
     slots[enhanced.strongest_cell(config, 0, slice(None))[1:]] = True
-    budget_left = 2 * config.k0
-    i18 = []
-    for layer, coef in enumerate(coefs):
-        bm, kk1, kk2, cc, star = _quantize_grid(coef, config.l, config.k0,
-                                                budget_left, slots.reshape(-1))
-        budget_left -= int(bm.sum())
-        enhanced.grid(bitmap)[layer] = bm
-        enhanced.grid(k2)[layer] = kk2
-        enhanced.grid(c)[layer] = cc
-        k1[layer] = kk1
-        # star multi-index over the (Mv*Q) tail: tail order is (f, tau)
-        s_star = np.unravel_index(star[1], slots.shape)[config.strongest_axis - 1]
-        i18.append(enhanced.encode_strongest(config, bitmap[layer], star[0],
-                                             s_star))
-    return tuple(i18), bitmap, k1, k2, c
+    mag = np.abs(tail)
+    star_mag = np.round(mag, 12)
+    star_mag[:, :, ~slots.reshape(-1)] = -1.0
+    star = star_mag.reshape(rank, -1).argmax(axis=1)   # flat (K, Mv*Q) cell
+    scale = mag.reshape(rank, -1)[rows, star]
+    if (scale == 0).any():
+        raise DomainError("no usable coefficient at the reference tap")
+    turn = np.exp(-1j * np.angle(tail.reshape(rank, -1)[rows, star]))
+    tail = tail * turn[:, None, None]
+    mag = np.abs(tail) / scale[:, None, None]
+    i_star, t_star = np.divmod(star, tail.shape[2])
+    p_star = i_star // l
+    k1 = np.ones((rank, 2), dtype=int)
+    k1[rows, p_star] = 15
+    other = 1 - p_star
+    other_max = mag.reshape(rank, 2, -1).max(axis=2)[rows, other]
+    k1[rows, other] = np.where(
+        other_max > 0, quantize_nearest(np.minimum(other_max, 1.0),
+                                        enhanced.WB_AMPS[1:]) + 1, 1)
+    ratio = mag / np.repeat(enhanced.WB_AMPS[k1], l, axis=1)[:, :, None]
+    k2 = quantize_nearest(np.minimum(ratio, 1.0), enhanced.SB_AMPS)
+    keep = (ratio >= enhanced.SB_AMPS[0] / 2).reshape(rank, -1)
+    keep[rows, star] = True
+    # budget: each layer's limit, from what the earlier layers report
+    kept, left = keep.sum(axis=1), 2 * k0
+    limit = np.empty(rank, dtype=int)
+    for layer in rows:
+        limit[layer] = min(k0, left)
+        left -= (kept[layer] if kept[layer] <= limit[layer]
+                 else max(limit[layer], 1))
+    if left < 0:
+        # every layer reports its reference even with no budget left
+        raise BudgetError(f"total K_NZ={2 * k0 - left} exceeds 2*K0={2 * k0}")
+    over = np.flatnonzero(kept > limit)
+    if over.size:
+        # a layer over its limit keeps the reference and the limit - 1
+        # largest other kept cells
+        at = over[:, None]
+        order = np.argsort(mag.reshape(rank, -1)[over], axis=1)[:, ::-1]
+        ranked = keep[at, order] & (order != star[at])
+        ranked &= np.cumsum(ranked, axis=1) < limit[at]
+        keep[at, order] = ranked
+        keep[over, star[over]] = True
+    phases = quantize_phase(np.angle(tail), enhanced.N_PSK16).reshape(rank, -1)
+    k2 = np.where(keep, k2.reshape(rank, -1), 0)
+    c = np.where(keep, phases, 0)
+    k2[rows, star] = 7
+    c[rows, star] = 0
+    shape = config.coef_shape
+    bitmap = keep.astype(np.int8).reshape(shape)
+    # the strongest coefficient's position along its free axis
+    s_star = np.unravel_index(t_star, slots.shape)[config.strongest_axis - 1]
+    i18 = tuple(enhanced.encode_strongest(config, bitmap[layer], i_star[layer],
+                                          s_star[layer]) for layer in rows)
+    return i18, bitmap, k1, k2.reshape(shape), c.reshape(shape)
 
 
 def _pick_taps(ref_metric: np.ndarray, energy: np.ndarray, mv: int, n3: int,
@@ -441,11 +435,7 @@ def search_r16(channel: ChannelRealization, config: type2_r16.R16Config
     """UE-side Enhanced Type II report selection."""
     h = channel.flat[None]  # (1, M, Nr, P)
     _check_channel(h, config.n3, config.n_ports)
-    targets = _targets(h, config.rank)
-    if config.variant == enhanced.REGULAR:
-        return _search_enhanced(config, targets, type2_r16.reconstruct_all)
-    i11 = _pick_port_block(targets, config.p_csirs, config.l, config.d)
-    return _finish(config, targets, i11, None, enhanced.port_block(config, i11))
+    return _search_enhanced(config, _targets(h, config.rank))
 
 
 def search_r18(channel: ChannelRealization, config: type2_r18.R18Config
@@ -455,25 +445,43 @@ def search_r18(channel: ChannelRealization, config: type2_r18.R18Config
     if h.shape[0] != config.n4:
         raise DomainError(f"channel must cover N4={config.n4} intervals")
     _check_channel(h, config.n3, config.n_ports)
-    targets = _targets(h, config.rank)
-    return _search_enhanced(config, targets, type2_r18.reconstruct_all)
+    return _search_enhanced(config, _targets(h, config.rank))
 
 
-def _search_enhanced(config, targets, reconstruct_all):
-    """The regular Rel-16/Rel-18 search: ``_finish`` on every tied
-    candidate, then the first best fit; raises DegenerateReportError when
-    every candidate report is degenerate."""
-    best = _search_groups(
-        config, targets, targets,
-        lambda q, i12, beams, _: _finish(config, targets, q, i12, beams),
-        reconstruct_all)
+def _search_enhanced(config, targets):
+    """The Rel-16/Rel-18 search: ``_candidate`` on every tied group (or on
+    the one port block), then ``_choose``; raises DegenerateReportError
+    when every candidate report is degenerate."""
+    if config.variant == enhanced.REGULAR:
+        best = _search_groups(
+            config, targets, targets,
+            lambda q, i12, beams, _: _candidate(config, targets, q, i12,
+                                                beams))
+    else:
+        i11 = _pick_port_block(targets, config.p_csirs, config.l, config.d)
+        best = _choose([_candidate(config, targets, i11, None,
+                                   enhanced.port_block(config, i11))], targets)
     if best is None:
         raise DegenerateReportError("every candidate report is degenerate")
     return best
 
 
+def _candidate(config, targets, i11, i12, basis):
+    """``_finish``'s report on the beams ``basis`` as a ``_choose``
+    candidate, its precoders synthesized from the basis, taps and shifts
+    the search chose; None when the report is degenerate."""
+    pmi, taps, shifts = _finish(config, targets, i11, i12, basis)
+    try:
+        ct, gamma = enhanced.tap_stage(config, pmi, taps, shifts)
+    except DegenerateReportError:
+        return None
+    return pmi, lambda: enhanced.basis_stage(config, basis, ct, gamma)
+
+
 def _finish(config, targets, i11, i12, basis):
-    """Shift, tap and coefficient selection for a fixed beam set.
+    """Shift, tap and coefficient selection for a fixed beam set; returns
+    the report with each layer's taps, and shifts (None for Rel-16), as
+    the report's i16 and i110 decode to.
 
     Works on the (2L, Mv, Q) grid of Rel-18; Rel-16 is the case of one slot
     interval and one shift.
@@ -485,16 +493,16 @@ def _finish(config, targets, i11, i12, basis):
     spectrum = np.fft.fft(proj, axis=2) / n3
     spectrum = np.fft.fft(spectrum, axis=1) / n4        # (rank, N4, N3, 2L)
     i15 = None
-    i16, i110, coefs = [], [], []
+    i16, i110, coefs, taps, shifts = [], [], [], [], []
     for layer in range(config.rank):
         if n4 > 1:
             shift_energy = (np.abs(spectrum[layer]) ** 2).sum(axis=(1, 2))
             second = 1 + int(np.argmax(shift_energy[1:]))
-            shifts = (0, second)
+            shifts.append((0, second))
             i110.append(second - 1)
         else:
-            shifts = (0,)
-        sub = spectrum[layer][list(shifts)]               # (Q, N3, 2L)
+            shifts.append((0,))
+        sub = spectrum[layer][list(shifts[-1])]           # (Q, N3, 2L)
         tap_energy = (np.abs(sub) ** 2).sum(axis=(0, 2))
         tap_peak = np.abs(sub).max(axis=(0, 2))
         ref, rels, m_init = _pick_taps(tap_peak, tap_energy, mv, n3,
@@ -510,14 +518,17 @@ def _finish(config, targets, i11, i12, basis):
         if config.window_mode and i15 is None:
             i15 = layer_i15
         i16.append(idx)
+        taps.append(rels)
         abs_taps = [(ref + rel) % n3 for rel in rels]
         # coefficient tensor (2L, Mv, Q): tap index then shift index
         coefs.append(np.stack([s[abs_taps].T for s in sub], axis=-1))
     i18, *arrays = _quantize_layers(config, coefs)
     if len(config.coef_shape) == 4:
         return type2_r18.R18Pmi(i11, i12, i15, tuple(i16), i18,
-                                tuple(i110) if n4 > 1 else None, *arrays)
-    return type2_r16.R16Pmi(i11, i12, i15, tuple(i16), i18, *arrays)
+                                tuple(i110) if n4 > 1 else None,
+                                *arrays), taps, shifts
+    return (type2_r16.R16Pmi(i11, i12, i15, tuple(i16), i18, *arrays), taps,
+            None)
 
 
 def search_r17(channel: ChannelRealization, config: type2_r17.R17Config

@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import sys
 import types
 import typing
@@ -216,7 +217,12 @@ def cmd_validate(args) -> int:
                 pmi = fields_to_pmi(release, record["pmi"])
                 expected = np.asarray(record["expected"])
                 expected = expected[..., 0] + 1j * expected[..., 1]
+                if not np.isfinite(expected).all():
+                    raise ValueError("expected holds a non-finite entry")
                 tolerance = float(record["tolerance"])
+                if not (math.isfinite(tolerance) and tolerance >= 0):
+                    raise ValueError(f"tolerance {record['tolerance']!r} must "
+                                     "be a finite number >= 0")
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 print(f"line {line_no}: malformed record: {exc}",
                       file=sys.stderr)
@@ -230,7 +236,7 @@ def cmd_validate(args) -> int:
                 continue
             err = (float(np.max(np.abs(ws - expected)))
                    if ws.shape == expected.shape else np.inf)
-            if err > tolerance:
+            if not err <= tolerance:
                 print(f"line {line_no}: FAIL (max error {err:.3e})")
                 failures += 1
     print(f"{count - failures}/{count} records passed")

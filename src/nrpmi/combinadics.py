@@ -104,9 +104,10 @@ def encode_combination(subset: Sequence[int], n: int, k: int) -> int:
     return sum(binomial(n - 1 - v, k - i) for i, v in enumerate(subset))
 
 
-def split_beam_index(flat: int, n1: int) -> tuple[int, int]:
-    """Split a flat in-group beam index into (horizontal, vertical) parts."""
-    if flat < 0:
+def split_beam_index(flat, n1: int):
+    """Split a flat in-group beam index (or an array of them) into
+    (horizontal, vertical) parts."""
+    if np.any(np.asarray(flat) < 0):
         raise DomainError(f"flat beam index {flat} negative")
     return flat % n1, flat // n1
 

@@ -10,9 +10,11 @@ normalization reference (k1 = 15, k2 = 7, c = 0) and i_1,8 locates it.
 Rel-16 and Rel-17 reports store the grid without its shift axis (Q = 1);
 ``grid`` restores it.  A release module decodes its own index fields into
 the spatial basis, the taps and the shifts, and ``synthesize`` combines
-them.  Two synthesis kernels keep every release bit-exact with its own
-arithmetic: a space-frequency product for reports without a shift axis and
-a Tucker contraction for Rel-18 (N4 = 1 included).
+them in two stages: ``tap_stage`` (coefficients to frequency units, and the
+degeneracy check) and ``basis_stage`` (onto the beams).  Two synthesis
+kernels keep every release bit-exact with its own arithmetic: a
+space-frequency product for reports without a shift axis and a Tucker
+contraction for Rel-18 (N4 = 1 included).
 
 The spatial-basis part (``SpatialConfig``, ``selected_beams``,
 ``draw_beams``, ``beam_fields``) also serves the Rel-15 Type II codebook,
@@ -54,6 +56,24 @@ TAP_AXIS, SHIFT_AXIS = 1, 2
 N_PSK16 = 16
 WB_AMPS = np.array([0.0] + [qt.amp_r16_wideband(k) for k in range(1, 16)])
 SB_AMPS = np.array([qt.amp_r16_subband(k) for k in range(8)])
+
+
+class derived:
+    """A config property computed on its first read and then kept on the
+    instance, whose ``__dict__`` shadows this descriptor (a frozen
+    dataclass included).  ``functools.cached_property`` does the same but,
+    before Python 3.12, takes a lock on that first read, which made
+    reading a config built per record slower than computing its sizes
+    each time."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, config, owner=None):
+        if config is None:
+            return self
+        value = config.__dict__[self.name] = self.fn(config)
+        return value
 
 
 def compute_mv(p_v: float, n3: int, r: int) -> int:
@@ -98,7 +118,8 @@ class CompressedConfig(SpatialConfig):
     for ranks 3-4, beta) rows, shared by the Rel-16 and Rel-18 configs.
 
     A subclass sets ``PARAMS`` and ``PARAM_NAME`` and has the fields
-    ``param_combination``, ``r``, ``n3`` and ``rank``.
+    ``param_combination``, ``r``, ``n3`` and ``rank``.  Each derived size
+    is computed once per config.
     """
 
     strongest_axis = SHIFT_AXIS
@@ -117,11 +138,11 @@ class CompressedConfig(SpatialConfig):
             raise DomainError(f"{self.PARAM_NAME} {self.param_combination} "
                               "forbids rank > 2")
 
-    @property
+    @derived
     def l(self) -> int:
         return self.PARAMS[self.param_combination][0]
 
-    @property
+    @derived
     def beta(self) -> float:
         return self.PARAMS[self.param_combination][3]
 
@@ -132,20 +153,20 @@ class CompressedConfig(SpatialConfig):
             raise DomainError("rank > 2 not supported by this combination")
         return value
 
-    @property
+    @derived
     def mv(self) -> int:
         return compute_mv(self.p_v(), self.n3, self.r)
 
-    @property
+    @derived
     def m1(self) -> int:
         return compute_mv(self.p_v(1), self.n3, self.r)
 
-    @property
+    @derived
     def window_mode(self) -> bool:
         """True when the two-level (i15 + window) tap indication applies."""
         return self.n3 > 19
 
-    @property
+    @derived
     def i16_count(self) -> int:
         if self.mv == 1:
             return 1
@@ -205,20 +226,28 @@ def selected_beams(config, pmi) -> np.ndarray:
     """The (P/2, L) spatial basis of a report that passed ``check_beams``."""
     if config.variant != REGULAR:
         return port_block(config, pmi.i11)
+    group = orthogonal_group(config.geom, *pmi.i11)
+    return group[:, list(selected_flats(config, pmi))]
+
+
+def grid_coordinates(geom, q, flats) -> tuple[np.ndarray, np.ndarray]:
+    """Oversampled grid coordinates (O1*x1 + q1, O2*x2 + q2) of the beams of
+    group q = (q1, q2) at in-group flat indices ``flats`` (x1 + N1*x2), as
+    an (l, m) pair of index arrays."""
+    x1, x2 = split_beam_index(np.asarray(flats), geom.n1)
+    return geom.o1 * x1 + q[0], geom.o2 * x2 + q[1]
+
+
+def selected_flats(config, pmi) -> tuple[int, ...]:
+    """In-group flat indices of the L regular beams, decoded from i12."""
     g = config.geom
-    group = orthogonal_group(g, *pmi.i11)
-    return group[:, list(decode_combination(pmi.i12, g.n1 * g.n2, config.l))]
+    return decode_combination(pmi.i12, g.n1 * g.n2, config.l)
 
 
 def beam_grid_indices(config, pmi) -> list[tuple[int, int]]:
     """Oversampled grid coordinates (l, m) of the L regular beams."""
-    g = config.geom
-    q1, q2 = pmi.i11
-    out = []
-    for flat in decode_combination(pmi.i12, g.n1 * g.n2, config.l):
-        x1, x2 = split_beam_index(flat, g.n1)
-        out.append((g.o1 * x1 + q1, g.o2 * x2 + q2))
-    return out
+    l, m = grid_coordinates(config.geom, pmi.i11, selected_flats(config, pmi))
+    return list(zip(l.tolist(), m.tolist()))
 
 
 def spatial_gain(config) -> int:
@@ -443,22 +472,27 @@ def _dft(n: int, indices) -> np.ndarray:
 
 def synthesize(config, pmi, v: np.ndarray, taps, shifts=None) -> np.ndarray:
     """Precoders from the spatial basis ``v`` (P/2, L) and each layer's taps
-    (and shifts), all layers in one pass.
+    (and shifts), all layers in one pass: ``tap_stage``, then
+    ``basis_stage``.
 
     Returns (N3, P, rank), or (N3, N4, P, rank) when shifts are given (the
     report has a shift axis).
     """
-    l, gain = config.l, spatial_gain(config)
+    return basis_stage(config, v, *tap_stage(config, pmi, taps, shifts))
+
+
+def tap_stage(config, pmi, taps, shifts=None):
+    """The report's coefficients carried to every frequency unit (and slot
+    interval): ``ct`` (rank, K, N3[, N4]) and each layer's energy ``gamma``
+    (rank, N3[, N4]).  Raises DegenerateReportError when a layer has no
+    energy at some point, which leaves its precoder undefined."""
     coef = layer_coefficients(config, pmi)                 # (rank, K, Mv[, Q])
     y = _dft(config.n3, taps)                              # (rank, N3, Mv)
     if shifts is None:
         ct = coef @ y.swapaxes(1, 2)                       # (rank, K, N3)
-        halves = [v @ ct[:, :l], v @ ct[:, l:]]
     else:
         z = _dft(config.n4, shifts)                        # (rank, N4, Q)
         ct = np.einsum("kifq,ktf,knq->kitn", coef, y, z)   # (rank, K, N3, N4)
-        halves = [np.einsum("pl,kltn->kptn", v, ct[:, :l]),
-                  np.einsum("pl,kltn->kptn", v, ct[:, l:])]
     gamma = (np.abs(ct) ** 2).sum(axis=1)                  # (rank, N3[, N4])
     points = tuple(range(1, gamma.ndim))
     bad = (gamma <= 1e-12 * gamma.max(axis=points, keepdims=True)).any(
@@ -466,6 +500,20 @@ def synthesize(config, pmi, v: np.ndarray, taps, shifts=None) -> np.ndarray:
     if bad.any():
         raise DegenerateReportError(f"layer {int(np.argmax(bad))} has zero "
                                     "energy at some frequency unit")
+    return ct, gamma
+
+
+def basis_stage(config, v: np.ndarray, ct: np.ndarray,
+                gamma: np.ndarray) -> np.ndarray:
+    """Precoders from the spatial basis ``v`` (P/2, L) and ``tap_stage``'s
+    ``ct`` and ``gamma``: each polarization's beams, normalized per point
+    and layer."""
+    l, gain = config.l, spatial_gain(config)
+    if ct.ndim == 3:
+        halves = [v @ ct[:, :l], v @ ct[:, l:]]
+    else:
+        halves = [np.einsum("pl,kltn->kptn", v, ct[:, :l]),
+                  np.einsum("pl,kltn->kptn", v, ct[:, l:])]
     normed = (np.concatenate(halves, axis=1) / np.sqrt(gain * gamma)[:, None]
               / np.sqrt(config.rank))                  # (rank, P, N3[, N4])
     return np.ascontiguousarray(np.moveaxis(normed, (0, 1), (-1, -2)))

@@ -6,13 +6,19 @@ wideband amplitude, subband amplitude, and subband phase per coefficient
 and all layers; only the combination weights differ.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import quantization as qt
 from .bases import ArrayGeometry
-from .channel_sim import _beam_projections, _pick_port_block, _search_groups
+from .channel_sim import (
+    _beam_projections,
+    _choose,
+    _pick_port_block,
+    _search_groups,
+)
 from .combinadics import (
     array_bits,
     binomial,
@@ -29,8 +35,10 @@ from .enhanced import (  # noqa: F401 (PORT_SELECTION: a variant name)
     beam_grid_indices,
     check_beams,
     draw_beams,
+    grid_coordinates,
     port_block,
     selected_beams,
+    selected_flats,
     spatial_gain,
 )
 from .errors import (
@@ -189,15 +197,23 @@ def layer_coefficients(config: T2R15Config, pmi: T2R15Pmi, layer: int,
     return _coefficients(config, pmi, subband, alphabet)[layer]
 
 
+def _beta(config: T2R15Config, coef: np.ndarray) -> np.ndarray:
+    """Each layer's squared precoder norm before normalization, (...,
+    rank) for weights (..., rank, 2L); raises DegenerateReportError when
+    one is zero."""
+    beta = spatial_gain(config) * (np.abs(coef) ** 2).sum(axis=-1)
+    if (beta == 0).any():
+        layer = np.argwhere(beta == 0)[0][-1]
+        raise DegenerateReportError(f"layer {layer} has all-zero amplitudes")
+    return beta
+
+
 def _precoders(config: T2R15Config, v: np.ndarray,
                coef: np.ndarray) -> np.ndarray:
     """Precoding matrices (..., P, rank) of weights (..., rank, 2L) on the
     beams ``v``, every subband and layer in one pass."""
     l = config.l
-    beta = spatial_gain(config) * (np.abs(coef) ** 2).sum(axis=-1)
-    if (beta == 0).any():
-        layer = np.argwhere(beta == 0)[0][-1]
-        raise DegenerateReportError(f"layer {layer} has all-zero amplitudes")
+    beta = _beta(config, coef)
     w = np.concatenate([np.matmul(v, coef[..., :l, None]),
                         np.matmul(v, coef[..., l:, None])], axis=-2)[..., 0]
     w = w / np.sqrt(beta)[..., None] / np.sqrt(config.rank)  # (..., rank, P)
@@ -276,7 +292,8 @@ def subset_restriction(b1_bits, b2_bits, geom: ArrayGeometry) -> np.ndarray:
 
 def _beam_caps(config: T2R15Config, pmi: T2R15Pmi, caps: np.ndarray) -> np.ndarray:
     """The cap of each coefficient's beam, (2L,)."""
-    cap = caps[tuple(np.array(beam_grid_indices(config, pmi)).T)]
+    cap = caps[grid_coordinates(config.geom, pmi.i11,
+                                selected_flats(config, pmi))]
     return np.tile(cap, 2)
 
 
@@ -352,29 +369,46 @@ def search_t2_r15(channel: np.ndarray, config: T2R15Config,
     targets = _subband_targets(h, config.subband_count, config.rank)
     wide = _subband_targets(h, 1, config.rank)  # (rank, 1, P)
 
-    n = spatial_gain(config)
-    if config.variant != REGULAR:
+    if config.variant == REGULAR:
+        # the fit reads one slot interval: (rank, 1, subbands, P)
+        best = _search_groups(config, wide, targets[:, None],
+                              functools.partial(_candidate, config, targets),
+                              caps)
+    else:
         i11 = _pick_port_block(wide, config.p_csirs, config.l, config.d)
-        return _quantize_report(config, _beam_projections(
-            targets, port_block(config, i11), n), i11, None, np.ones(config.l))
-
-    def finish(q, i12, beams, beam_caps):
-        return _quantize_report(config, _beam_projections(targets, beams, n),
-                                q, i12, beam_caps)
-
-    # the fit reads one slot interval: (rank, 1, subbands, P)
-    best = _search_groups(config, wide, targets[:, None], finish,
-                          reconstruct_all, caps)
+        found = _candidate(config, targets, i11, None,
+                           port_block(config, i11), np.ones(config.l))
+        best = _choose([found], targets[:, None])
     if best is None:
         raise RestrictionError("no admissible report under the caps")
     return best
 
 
+def _candidate(config: T2R15Config, targets: np.ndarray, i11, i12,
+               beams: np.ndarray, beam_caps: np.ndarray):
+    """The quantized report of ``targets`` (rank, subbands, P) on ``beams``
+    as a ``_choose`` candidate, its precoders built from the beams and the
+    quantized weights; None when the caps leave no admissible reference or
+    a layer's amplitudes are all zero."""
+    quantized = _quantize_report(config, _beam_projections(
+        targets, beams, spatial_gain(config)), i11, i12, beam_caps)
+    if quantized is None:
+        return None
+    pmi, alphabet = quantized
+    weights = _coefficients(config, pmi, slice(None), alphabet)
+    try:
+        _beta(config, weights)
+    except DegenerateReportError:
+        return None
+    return pmi, lambda: _precoders(config, beams, weights)
+
+
 def _quantize_report(config: T2R15Config, coef: np.ndarray, i11, i12,
-                     beam_caps: np.ndarray) -> T2R15Pmi | None:
+                     beam_caps: np.ndarray):
     """Quantize every layer's (subband, 2L) weights against the reference,
     the coefficient of largest RMS magnitude, under the caps of the L beams;
-    None when the caps leave no admissible reference."""
+    returns the report and its phase alphabet (``reporting_mask``), or None
+    when the caps leave no admissible reference."""
     max_k = np.tile(_max_k(beam_caps), 2)
     rows = np.arange(config.rank)
     mag = np.abs(coef)                                # (rank, n_sb, 2L)
@@ -401,8 +435,9 @@ def _quantize_report(config: T2R15Config, coef: np.ndarray, i11, i12,
     k1[rows, i13] = 7
     k2[degenerate] = 1
     rel = np.angle(coef) - np.angle(coef[rows, :, i13])[:, :, None]
-    _, alphabet = reporting_mask(config, k1, i13)
+    k2_reported, alphabet = reporting_mask(config, k1, i13)
     a = alphabet[:, None]
+    # unreported fields hold their defaults, as ``canonicalize`` sets them
+    k2 = np.where(k2_reported[:, None], k2, 1)
     c = np.where(a > 0, qt.quantize_phase(rel, np.maximum(a, 1)), 0)
-    return canonicalize(config, T2R15Pmi(i11, i12, tuple(i13.tolist()),
-                                         k1, k2, c))
+    return T2R15Pmi(i11, i12, tuple(i13.tolist()), k1, k2, c), alphabet

@@ -69,11 +69,11 @@ class R16Config(enhanced.CompressedConfig):
         self.check_params()
         self.check_variant()
 
-    @property
+    @enhanced.derived
     def k0(self) -> int:
         return math.ceil(self.beta * 2 * self.l * self.m1)
 
-    @property
+    @enhanced.derived
     def coef_shape(self) -> tuple[int, int, int]:
         return (self.rank, 2 * self.l, self.mv)
 

@@ -66,39 +66,39 @@ class R17Config:
         if self.l > self.p_csirs // 2:
             raise DomainError(f"L={self.l} exceeds P/2={self.p_csirs // 2}")
 
-    @property
+    @enhanced.derived
     def m(self) -> int:
         return PARAM_COMBINATIONS[self.param_combination][0]
 
-    @property
+    @enhanced.derived
     def alpha(self) -> float:
         return PARAM_COMBINATIONS[self.param_combination][1]
 
-    @property
+    @enhanced.derived
     def beta(self) -> float:
         return PARAM_COMBINATIONS[self.param_combination][2]
 
-    @property
+    @enhanced.derived
     def k1_beams(self) -> int:
         return int(self.alpha * self.p_csirs)
 
-    @property
+    @enhanced.derived
     def l(self) -> int:
         return self.k1_beams // 2
 
-    @property
+    @enhanced.derived
     def k0(self) -> int:
         return math.ceil(self.beta * self.k1_beams * self.m)
 
-    @property
+    @enhanced.derived
     def window(self) -> int:
         return min(self.n_threshold, self.n3)
 
-    @property
+    @enhanced.derived
     def i16_reported(self) -> bool:
         return self.m == 2 and self.window > 2
 
-    @property
+    @enhanced.derived
     def coef_shape(self) -> tuple[int, int, int]:
         return (self.rank, self.k1_beams, self.m)
 

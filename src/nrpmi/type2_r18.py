@@ -64,15 +64,15 @@ class R18Config(enhanced.CompressedConfig):
         if self.n4 not in (1, 2, 4, 8):
             raise DomainError(f"N4={self.n4} not in {{1, 2, 4, 8}}")
 
-    @property
+    @enhanced.derived
     def q(self) -> int:
         return Q_SHIFTS if self.n4 > 1 else 1
 
-    @property
+    @enhanced.derived
     def k0(self) -> int:
         return math.ceil(2 * self.beta * self.l * self.m1 * Q_SHIFTS)
 
-    @property
+    @enhanced.derived
     def coef_shape(self) -> tuple[int, int, int, int]:
         return (self.rank, 2 * self.l, self.mv, self.q)
 

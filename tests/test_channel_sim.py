@@ -26,7 +26,7 @@ from nrpmi.channel_sim import (
     spectral_efficiency_experiment,
 )
 from nrpmi.combinadics import decode_combination, encode_combination
-from nrpmi.errors import DegenerateReportError, DomainError
+from nrpmi.errors import BudgetError, DegenerateReportError, DomainError
 
 GEOM = ArrayGeometry(4, 2, 4, 4)
 
@@ -314,7 +314,7 @@ def test_search_skips_a_tied_degenerate_candidate(monkeypatch):
                          subcarrier_spacing=180e3, n_subcarriers=12, seed=5)
     ch = draw_channel(model, GEOM, nr=2, trial=5)
     targets = channel_sim._targets(ch.flat[None], cfg.rank)
-    degenerate = channel_sim._finish(
+    degenerate, _, _ = channel_sim._finish(
         cfg, targets, (1, 2), encode_combination([0, 5], 8, 2),
         orthogonal_group(GEOM, 1, 2)[:, [0, 5]])
     with pytest.raises(DegenerateReportError):
@@ -576,3 +576,38 @@ def test_search_r16_port_selection_plant():
         ok += all(abs(np.vdot(w0[t, :, 0], w1[t, :, 0])) > 0.99
                   for t in range(cfg.n3))
     assert ok >= 0.9 * trials
+
+
+@pytest.mark.parametrize("trial", [43, 113])
+def test_search_r16_port_selection_rejects_a_degenerate_report(trial):
+    # the one port-block candidate finishes into a report whose taps cancel
+    # at a frequency unit: the search raises, as the regular path does,
+    # instead of returning a report reconstruct_all rejects
+    cfg = type2_r16.R16Config(param_combination=1, r=1, n3=8, rank=1,
+                              variant=type2_r16.PORT_SELECTION,
+                              p_csirs=16, d=1)
+    model = ChannelModel(n_paths=6, delay_spread=1e-6,
+                         subcarrier_spacing=180e3, n_subcarriers=8, seed=5)
+    ch = draw_channel(model, GEOM, nr=2, trial=trial)
+    targets = channel_sim._targets(ch.flat[None], cfg.rank)
+    i11 = channel_sim._pick_port_block(targets, cfg.p_csirs, cfg.l, cfg.d)
+    report, _, _ = channel_sim._finish(cfg, targets, i11, None,
+                                       enhanced.port_block(cfg, i11))
+    with pytest.raises(DegenerateReportError, match="zero energy"):
+        type2_r16.reconstruct_all(cfg, report)
+    with pytest.raises(DegenerateReportError,
+                       match="every candidate report is degenerate"):
+        search_r16(ch, cfg)
+
+
+def test_search_over_the_total_budget_raises():
+    # rank 4 on a rich channel: the first two layers spend 2*K0, and each
+    # later layer still reports its strongest coefficient, so the report
+    # is over budget; the search raises the error reconstruct_all would
+    cfg = type2_r17.R17Config(p_csirs=16, param_combination=6, n3=12,
+                              n_threshold=4, rank=4)
+    model = ChannelModel(n_paths=6, delay_spread=1e-6,
+                         subcarrier_spacing=180e3, n_subcarriers=12, seed=2)
+    ch = draw_channel(model, GEOM, nr=4, trial=0)
+    with pytest.raises(BudgetError, match=rf"exceeds 2\*K0={2 * cfg.k0}"):
+        search_r17(ch, cfg)

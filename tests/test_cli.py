@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from nrpmi.cli import main
@@ -189,6 +190,40 @@ def test_validate_checks_the_expected_shape(tmp_path, capsys, mutate, code):
     capsys.readouterr()
     assert main(["validate", str(bad)]) == code
     captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("tolerance", float("nan"), "tolerance nan must be a finite number >= 0"),
+    ("tolerance", float("inf"), "tolerance inf must be a finite number >= 0"),
+    ("tolerance", -1e-9, "tolerance -1e-09 must be a finite number >= 0"),
+    ("expected", float("nan"), "expected holds a non-finite entry"),
+    ("expected", float("inf"), "expected holds a non-finite entry"),
+], ids=["nan-tolerance", "inf-tolerance", "negative-tolerance",
+        "nan-expected", "inf-expected"])
+def test_validate_rejects_a_non_finite_record(tmp_path, capsys, field, value,
+                                              message):
+    # a record no comparison can pass or fail honestly is malformed (exit
+    # 2), even when every other record passes
+    config = write_config(tmp_path, R16_CONFIG)
+    out = str(tmp_path / "vectors.jsonl")
+    main(["gen-vectors", "--release", "r16", "--config", config,
+          "--seed", "1", "--samples", "2", "--out", out])
+    good, record = (json.loads(line) for line in open(out))
+    expected = np.array(record["expected"])
+    if field == "tolerance":
+        expected.flat[0] += 5.0         # a pass would hide this error
+        record["tolerance"] = value
+    else:
+        expected.flat[0] = value
+    record["expected"] = expected.tolist()
+    bad = tmp_path / "non_finite.jsonl"
+    bad.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+    capsys.readouterr()
+    assert main(["validate", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"line 2: malformed record: {message}\n"
+    assert "records passed" not in captured.out
     assert "Traceback" not in captured.out + captured.err
 
 

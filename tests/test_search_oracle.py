@@ -1,0 +1,445 @@
+"""Oracle tests for the Type II searches' candidate stage.
+
+The searches fit each tied candidate from the basis, taps and shifts they
+already hold, skip the fit when one candidate remains, and quantize every
+layer of a candidate in one array pass.  The reference copies below are the
+earlier forms: a candidate loop that fits every candidate through its
+release's ``reconstruct_all``, and a quantizer that works one layer at a
+time, trimming the budget with a loop over positions.  Every report must
+match them bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from nrpmi import (
+    channel_sim,
+    enhanced,
+    type2_r15,
+    type2_r16,
+    type2_r17,
+    type2_r18,
+)
+from nrpmi.bases import ArrayGeometry, orthogonal_groups
+from nrpmi.combinadics import encode_combination
+from nrpmi.errors import (
+    BudgetError,
+    CodebookError,
+    DegenerateReportError,
+    DomainError,
+    RestrictionError,
+)
+from nrpmi.quantization import quantize_nearest, quantize_phase
+
+GEOM = ArrayGeometry(4, 2, 4, 4)
+LINK_MODEL = dict(n_paths=6, delay_spread=1e-6, doppler_max=200.0,
+                  subcarrier_spacing=180e3, n_subcarriers=24)
+
+
+# ---------------------------------------------------------------------------
+# reference copies
+
+def quantize_grid_oracle(coef, l, k0, budget_left, star_slots):
+    """One layer's grid (K, ...), the budget trimmed position by position."""
+    wb_amps, sb_amps, n_psk = enhanced.WB_AMPS, enhanced.SB_AMPS, 16
+    shape = coef.shape
+    flat_tail = coef.reshape(2 * l, -1)
+    mag = np.abs(flat_tail)
+    star_mag = np.round(mag, 12).copy()
+    star_mag[:, ~star_slots] = -1.0
+    star = np.unravel_index(int(np.argmax(star_mag)), mag.shape)
+    scale = mag[star]
+    if scale == 0:
+        raise DomainError("no usable coefficient at the reference tap")
+    coef = coef * np.exp(-1j * np.angle(flat_tail[star]))
+    flat_tail = coef.reshape(2 * l, -1)
+    mag = np.abs(flat_tail) / scale
+    p_star = star[0] // l
+    k1 = np.ones(2, dtype=int)
+    k1[p_star] = 15
+    other = 1 - p_star
+    other_max = float(mag[other * l:other * l + l].max())
+    k1[other] = (int(quantize_nearest(min(other_max, 1.0), wb_amps[1:])) + 1
+                 if other_max > 0 else 1)
+    pol_amp = np.repeat(wb_amps[k1], l)[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(pol_amp > 0, mag / pol_amp, 0.0)
+    k2 = quantize_nearest(np.minimum(ratio, 1.0), sb_amps)
+    keep = ratio >= sb_amps[0] / 2
+    keep[star] = True
+    cap = min(k0, budget_left)
+    if keep.sum() > cap:
+        order = np.argsort(mag, axis=None)[::-1]
+        allowed = {int(np.ravel_multi_index(star, mag.shape))}
+        for pos in order:
+            if len(allowed) >= cap:
+                break
+            if keep.flat[pos]:
+                allowed.add(int(pos))
+        keep = np.zeros_like(keep)
+        keep.flat[list(allowed)] = True
+    phases = quantize_phase(np.angle(flat_tail), n_psk)
+    bitmap = keep.astype(np.int8)
+    k2 = np.where(bitmap > 0, k2, 0)
+    c = np.where(bitmap > 0, phases, 0)
+    k2[star] = 7
+    c[star] = 0
+    return (bitmap.reshape(shape), k1, k2.reshape(shape), c.reshape(shape),
+            star)
+
+
+def quantize_layers_oracle(config, coefs):
+    """``_quantize_layers`` one layer at a time."""
+    rank = config.rank
+    bitmap = np.zeros(config.coef_shape, dtype=np.int8)
+    k1 = np.ones((rank, 2), dtype=int)
+    k2 = np.zeros(config.coef_shape, dtype=int)
+    c = np.zeros(config.coef_shape, dtype=int)
+    slots = np.zeros(coefs[0].shape[1:], dtype=bool)
+    slots[enhanced.strongest_cell(config, 0, slice(None))[1:]] = True
+    budget_left = 2 * config.k0
+    i18 = []
+    for layer, coef in enumerate(coefs):
+        bm, kk1, kk2, cc, star = quantize_grid_oracle(
+            coef, config.l, config.k0, budget_left, slots.reshape(-1))
+        budget_left -= int(bm.sum())
+        enhanced.grid(bitmap)[layer] = bm
+        enhanced.grid(k2)[layer] = kk2
+        enhanced.grid(c)[layer] = cc
+        k1[layer] = kk1
+        s_star = np.unravel_index(star[1],
+                                  slots.shape)[config.strongest_axis - 1]
+        i18.append(enhanced.encode_strongest(config, bitmap[layer], star[0],
+                                             s_star))
+    return tuple(i18), bitmap, k1, k2, c
+
+
+def search_groups_oracle(config, scan, targets, finish, reconstruct_all,
+                         caps=None):
+    """The candidate loop that fits every candidate report through
+    ``reconstruct_all``, skipping None and degenerate ones."""
+    g, l = config.geom, config.l
+    n = g.n1 * g.n2
+    energy = channel_sim._group_energy(scan, g)
+    unit = targets / np.linalg.norm(targets, axis=-1, keepdims=True)
+    flat = np.arange(n)
+    if caps is None:
+        caps = np.ones((g.beams_h, g.beams_v))
+    best, best_fit = None, -1.0
+    for q in channel_sim._tied_groups(energy, l):
+        beam_cap = caps[g.o1 * (flat % g.n1) + q[0],
+                        g.o2 * (flat // g.n1) + q[1]]
+        flats = np.sort(channel_sim._pick_beams(l, energy[q], beam_cap))
+        pmi = finish(q, encode_combination(flats.tolist(), n, l),
+                     orthogonal_groups(g)[q][:, flats], beam_cap[flats])
+        if pmi is None:
+            continue
+        try:
+            value = channel_sim._fit(unit, reconstruct_all(config, pmi))
+        except DegenerateReportError:
+            continue
+        if value > best_fit + 1e-12:
+            best, best_fit = pmi, value
+    return best
+
+
+def enhanced_oracle(monkeypatch, channel, config):
+    """The regular Rel-16/Rel-18 search through the reference copies."""
+    h = channel.h if isinstance(config, type2_r18.R18Config) else channel.h[:1]
+    targets = channel_sim._targets(h, config.rank)
+    release = (type2_r18 if isinstance(config, type2_r18.R18Config)
+               else type2_r16)
+    with monkeypatch.context() as m:
+        m.setattr(channel_sim, "_quantize_layers", quantize_layers_oracle)
+        best = search_groups_oracle(
+            config, targets, targets,
+            lambda q, i12, beams, _: channel_sim._finish(
+                config, targets, q, i12, beams)[0],
+            release.reconstruct_all)
+    if best is None:
+        raise DegenerateReportError("every candidate report is degenerate")
+    return best
+
+
+def r15_oracle(h, config, caps=None):
+    """The regular Rel-15 search through the reference loop, each report
+    passed through ``canonicalize``."""
+    targets = type2_r15._subband_targets(h, config.subband_count, config.rank)
+    wide = type2_r15._subband_targets(h, 1, config.rank)
+    gain = enhanced.spatial_gain(config)
+
+    def finish(q, i12, beams, beam_caps):
+        coef = channel_sim._beam_projections(targets, beams, gain)
+        found = type2_r15._quantize_report(config, coef, q, i12, beam_caps)
+        if found is None:
+            return None
+        return type2_r15.canonicalize(config, found[0])
+
+    best = search_groups_oracle(config, wide, targets[:, None], finish,
+                                type2_r15.reconstruct_all, caps)
+    if best is None:
+        raise RestrictionError("no admissible report under the caps")
+    return best
+
+
+def assert_same_report(found, expected):
+    assert type(found) is type(expected)
+    for name, value in vars(expected).items():
+        got = getattr(found, name)
+        if isinstance(value, np.ndarray):
+            assert got.dtype == value.dtype, name
+            assert np.array_equal(got, value), name
+        else:
+            assert got == value, name
+
+
+def outcome(search, *args):
+    """A search's report, or the type and message of its error."""
+    try:
+        return search(*args)
+    except CodebookError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(found, expected):
+    if isinstance(expected, tuple):
+        assert found == expected
+    else:
+        assert_same_report(found, expected)
+
+
+# ---------------------------------------------------------------------------
+# the quantizer
+
+def quantizer_configs():
+    for combo, rank in ((1, 1), (2, 2), (4, 2), (5, 3), (6, 4), (8, 2)):
+        yield type2_r16.R16Config(param_combination=combo, r=1, n3=13,
+                                  rank=rank, geom=GEOM)
+    for n4, rank in ((1, 2), (2, 1), (4, 3), (8, 4)):
+        yield type2_r18.R18Config(geom=GEOM, param_combination=4, r=1,
+                                  n3=12, n4=n4, rank=rank)
+    yield type2_r17.R17Config(p_csirs=16, param_combination=6, n3=12,
+                              n_threshold=4, rank=2)
+    yield type2_r17.R17Config(p_csirs=8, param_combination=2, n3=8, rank=4)
+
+
+@pytest.mark.parametrize("config", list(quantizer_configs()),
+                         ids=lambda c: f"{type(c).__name__}-rank{c.rank}")
+def test_quantizer_matches_the_per_layer_oracle(config):
+    rng = np.random.default_rng(config.rank)
+    shape = config.coef_shape[1:]
+    shape = shape if len(shape) == 3 else shape + (1,)
+    size = (config.rank,) + shape
+    for trial in range(40):
+        if trial % 4 == 3:
+            # a few magnitudes on the axes: exact ties in the budget
+            # trim's order
+            axes = np.array([1, 1j, -1, -1j])[rng.integers(4, size=size)]
+            coefs = list(rng.integers(1, 4, size=size) / 4 * axes)
+        else:
+            mags = np.abs(rng.standard_normal(size))
+            mags *= rng.random(size) > trial % 3 / 4
+            coefs = list(mags * np.exp(2j * np.pi * rng.random(size)))
+        found = outcome(channel_sim._quantize_layers, config, coefs)
+        expected = outcome(quantize_layers_oracle, config, coefs)
+        if isinstance(expected[0], type):
+            # no usable reference: the same error
+            assert found == expected
+            continue
+        total = int(expected[1].sum())
+        if total > 2 * config.k0:
+            # the oracle's report, which reconstruct_all rejects
+            assert found == (BudgetError, f"total K_NZ={total} exceeds "
+                             f"2*K0={2 * config.k0}")
+            continue
+        assert found[0] == expected[0]
+        for got, value in zip(found[1:], expected[1:]):
+            assert got.dtype == value.dtype
+            assert np.array_equal(got, value)
+
+
+def test_quantizer_trims_the_total_budget():
+    # K0 = 12 per layer, 24 in all: a sparse first layer of 5 leaves the
+    # third layer 7 of its 16 cells
+    config = type2_r16.R16Config(param_combination=5, r=1, n3=8, rank=3,
+                                 geom=GEOM)
+    assert config.k0 == 12
+    rng = np.random.default_rng(3)
+    mags = rng.uniform(0.5, 1.0, size=(3, 8, 2, 1))
+    mags[0, 5:] = 0.0
+    mags[0, :, 1] = 0.0
+    coefs = list(mags * np.exp(2j * np.pi * rng.random(mags.shape)))
+    _, bitmap, *_ = channel_sim._quantize_layers(config, coefs)
+    assert bitmap.reshape(3, -1).sum(axis=1).tolist() == [5, 12, 7]
+    assert np.array_equal(bitmap, quantize_layers_oracle(config, coefs)[1])
+    # a dense first layer leaves the third nothing, not even its reference
+    mags[0] = 1.0
+    coefs = list(mags * np.exp(2j * np.pi * rng.random(mags.shape)))
+    with pytest.raises(BudgetError, match="total K_NZ=25 exceeds 2"):
+        channel_sim._quantize_layers(config, coefs)
+
+
+# ---------------------------------------------------------------------------
+# the searches
+
+def r15_cases():
+    rng = np.random.default_rng(15)
+    caps = rng.choice([0.0, 0.5, 2 ** -0.5, 1.0], p=[0.2, 0.2, 0.2, 0.4],
+                      size=(GEOM.beams_h, GEOM.beams_v))
+    for l, n_psk, rank, sb, amp in ((2, 4, 1, 1, True), (3, 8, 2, 4, False),
+                                    (4, 8, 2, 4, True), (4, 4, 1, 2, True)):
+        config = type2_r15.T2R15Config(l=l, n_psk=n_psk, rank=rank,
+                                       subband_count=sb, subband_amplitude=amp,
+                                       geom=GEOM)
+        for with_caps in (False, True):
+            yield pytest.param(config, caps if with_caps else None,
+                               id=f"l{l}-rank{rank}-sb{sb}"
+                               + ("-caps" if with_caps else ""))
+
+
+@pytest.mark.parametrize("config, caps", list(r15_cases()))
+def test_r15_search_matches_the_reconstruct_all_oracle(config, caps):
+    model = channel_sim.ChannelModel(n_paths=5, n_subcarriers=8, seed=15)
+    for trial in range(6):
+        h = channel_sim.draw_channel(model, GEOM, 2, trial=trial).flat
+        assert_same_outcome(outcome(type2_r15.search_t2_r15, h, config, caps),
+                            outcome(r15_oracle, h, config, caps))
+
+
+def enhanced_cases():
+    for combo, r, n3, ranks in ((1, 1, 8, (1, 3)), (2, 2, 9, (2,)),
+                                (4, 1, 18, (1, 2, 3)), (6, 1, 24, (1, 2, 4)),
+                                (5, 1, 30, (3,)), (6, 1, 8, (4,)),
+                                (8, 1, 36, (1, 2))):
+        for rank in ranks:
+            yield type2_r16.R16Config(param_combination=combo, r=r, n3=n3,
+                                      rank=rank, geom=GEOM)
+    for n4, combo, ranks in ((1, 2, (1, 2)), (2, 4, (1, 3)), (4, 2, (2,)),
+                             (8, 7, (1, 4))):
+        for rank in ranks:
+            yield type2_r18.R18Config(geom=GEOM, param_combination=combo,
+                                      r=1, n3=12, n4=n4, rank=rank)
+
+
+def enhanced_search(channel, config):
+    if isinstance(config, type2_r18.R18Config):
+        return channel_sim.search_r18(channel, config)
+    return channel_sim.search_r16(channel_sim.ChannelRealization(
+        h=channel.h[:1]), config)
+
+
+@pytest.mark.parametrize("config", list(enhanced_cases()),
+                         ids=lambda c: f"{type(c).__name__}-rank{c.rank}")
+def test_enhanced_search_matches_the_reconstruct_all_oracle(monkeypatch,
+                                                            config):
+    # few, short paths: sparse grids that leave ranks 3-4 within budget
+    n4 = getattr(config, "n4", 1)
+    model = channel_sim.ChannelModel(n_paths=3, delay_spread=1e-7,
+                                     doppler_max=200.0,
+                                     subcarrier_spacing=180e3,
+                                     n_subcarriers=config.n3, seed=config.n3)
+    for trial in range(6):
+        ch = channel_sim.draw_channel(model, GEOM, 4, trial=trial, n4=n4)
+        assert_same_outcome(outcome(enhanced_search, ch, config),
+                            outcome(enhanced_oracle, monkeypatch, ch, config))
+
+
+LINK_R16 = type2_r16.R16Config(param_combination=4, r=1, n3=18, rank=2,
+                               geom=GEOM)
+LINK_R18 = type2_r18.R18Config(geom=GEOM, param_combination=2, r=1, n3=12,
+                               n4=4, rank=2)
+
+
+@pytest.mark.parametrize("config, trial", [(LINK_R16, 11), (LINK_R18, 4)],
+                         ids=["r16", "r18"])
+def test_four_way_tie_matches_the_oracle(monkeypatch, config, trial):
+    model = channel_sim.ChannelModel(seed=7, **LINK_MODEL)
+    ch = channel_sim.draw_channel(model, GEOM, 2, trial=trial, n4=4)
+    ch = channel_sim.ChannelRealization(
+        h=ch.h[:getattr(config, "n4", 1), :config.n3])
+    targets = channel_sim._targets(ch.h, config.rank)
+    energy = channel_sim._group_energy(targets, GEOM)
+    assert len(channel_sim._tied_groups(energy, config.l)) == 4
+    assert_same_report(enhanced_search(ch, config),
+                       enhanced_oracle(monkeypatch, ch, config))
+
+
+RELEASES = {type2_r15.T2R15Config: type2_r15, type2_r16.R16Config: type2_r16,
+            type2_r18.R18Config: type2_r18}
+
+
+def test_fit_from_parts_is_reconstruct_all(monkeypatch):
+    # every candidate's precoders, from the search's own basis, taps and
+    # shifts, equal its report's reconstruct_all bit for bit
+    seen = []
+    choose = channel_sim._choose
+
+    def checking(candidates, targets):
+        # ``config`` is the configuration of the search under way
+        candidates = list(candidates)
+        for c in candidates:
+            if c is not None:
+                release = RELEASES[type(config)]
+                assert np.array_equal(c[1](), release.reconstruct_all(
+                    config, c[0]))
+                seen.append(c[0])
+        return choose(candidates, targets)
+
+    monkeypatch.setattr(channel_sim, "_choose", checking)
+    monkeypatch.setattr(type2_r15, "_choose", checking)
+    model = channel_sim.ChannelModel(seed=7, **LINK_MODEL)
+    r15 = type2_r15.T2R15Config(l=4, n_psk=8, rank=2, subband_count=4,
+                                geom=GEOM)
+    ps = type2_r16.R16Config(param_combination=2, r=1, n3=8, rank=1,
+                             variant="port-selection", p_csirs=16, d=1)
+    window = type2_r16.R16Config(param_combination=4, r=1, n3=24, rank=2,
+                                 geom=GEOM)
+    for trial in (4, 11, 12):
+        ch = channel_sim.draw_channel(model, GEOM, 2, trial=trial, n4=4)
+        for config in (LINK_R16, window, LINK_R18, ps):
+            n4 = getattr(config, "n4", 1)
+            enhanced_search(channel_sim.ChannelRealization(
+                h=ch.h[:n4, :config.n3]), config)
+        config = r15
+        type2_r15.search_t2_r15(ch.h[0], r15)
+    # the four-way ties of trials 4 and 11 give more than one per search
+    assert len(seen) > 3 * 5
+
+
+def searched_reports():
+    model = channel_sim.ChannelModel(seed=3, **LINK_MODEL)
+    r17 = type2_r17.R17Config(p_csirs=16, param_combination=6, n3=12,
+                              n_threshold=4, rank=2)
+    r16_ps = type2_r16.R16Config(param_combination=2, r=1, n3=8, rank=2,
+                                 variant="port-selection", p_csirs=16, d=2)
+    r15_ps = type2_r15.T2R15Config(l=2, rank=2, subband_count=2,
+                                   variant="port-selection", p_csirs=16, d=1)
+    for trial in range(12):
+        ch = channel_sim.draw_channel(model, GEOM, 2, trial=trial, n4=4)
+        one = channel_sim.ChannelRealization(h=ch.h[:1])
+        for config in (type2_r15.T2R15Config(l=4, rank=2, subband_count=4,
+                                             geom=GEOM), r15_ps):
+            yield type2_r15, config, type2_r15.search_t2_r15(ch.h[0], config)
+        for config in (LINK_R16, r16_ps, type2_r16.R16Config(
+                param_combination=6, r=1, n3=24, rank=2, geom=GEOM)):
+            yield type2_r16, config, channel_sim.search_r16(
+                channel_sim.ChannelRealization(h=one.h[:, :config.n3]), config)
+        yield type2_r17, r17, channel_sim.search_r17(
+            channel_sim.ChannelRealization(h=one.h[:, :12]), r17)
+        yield type2_r18, LINK_R18, channel_sim.search_r18(
+            channel_sim.ChannelRealization(h=ch.h[:, :12]), LINK_R18)
+
+
+def test_every_searched_report_passes_validation():
+    # the fits no longer validate the candidates: each returned report
+    # must pass its release's checks and reconstruct
+    count = 0
+    for release, config, pmi in searched_reports():
+        if release is type2_r15:
+            release.validate(config, pmi)
+            assert_same_report(type2_r15.canonicalize(config, pmi), pmi)
+        else:
+            release.validate_budget(config, pmi)
+        release.reconstruct_all(config, pmi)
+        count += 1
+    assert count == 12 * 7
