@@ -21,7 +21,7 @@ import numpy as np
 from . import enhanced, type2_r16, type2_r17, type2_r18
 from .bases import ArrayGeometry, orthogonal_groups
 from .combinadics import encode_combination, is_index
-from .errors import BudgetError, DegenerateReportError, DomainError
+from .errors import DegenerateReportError, DomainError
 from .quantization import R15_WB_AMPS, quantize_nearest, quantize_phase
 
 
@@ -269,11 +269,17 @@ def _pick_beams(l: int, energy: np.ndarray, beam_cap: np.ndarray) -> np.ndarray:
 
 
 def _search_groups(config, scan, targets, finish, caps=None):
-    """The spatial stage W1 of every regular Type II search: scan the groups
-    with ``scan``, pick L beams in each tied group q (under ``caps``, an
-    (O1N1, O2N2) grid, all ones when None), ``finish(q, i12, beams,
-    beam_caps)`` each pick into a candidate for ``_choose`` (None for a
-    report the codebook rejects), and keep the best fit to ``targets``."""
+    """The spatial stage W1 of every Type II search: scan the groups with
+    ``scan``, pick L beams in each tied group q (under ``caps``, an (O1N1,
+    O2N2) grid, all ones when None), ``finish(q, i12, beams, beam_caps)``
+    each pick into a candidate for ``_choose`` (None for a report the
+    codebook rejects), and keep the best fit to ``targets``.  A
+    port-selection config has one candidate: the port block that carries
+    the most energy of ``scan``, with no i12 and no caps."""
+    if config.variant != enhanced.REGULAR:
+        i11 = _pick_port_block(scan, config.p_csirs, config.l, config.d)
+        return _choose([finish(i11, None, enhanced.port_block(config, i11),
+                               np.ones(config.l))], targets)
     g, l = config.geom, config.l
     n = g.n1 * g.n2
     energy = _group_energy(scan, g)
@@ -307,12 +313,11 @@ def _quantize_layers(config, coefs):
 
     Per layer, the largest coefficient in the slots that may hold the
     strongest one is the reference: the grid is turned by its phase and
-    scaled by its magnitude.  Budget: each layer reports at most min(K0,
-    what earlier layers left), the reference first, then by magnitude;
-    raises the BudgetError ``reconstruct_all`` would when the layers still
-    overrun 2*K0.
+    scaled by its magnitude.  Budget: each layer reports at most
+    ``enhanced.layer_cap`` coefficients, the reference first, then by
+    magnitude.
     """
-    rank, l, k0 = config.rank, config.l, config.k0
+    rank, l = config.rank, config.l
     rows = np.arange(rank)
     tail = np.stack(coefs).reshape(rank, 2 * l, -1)    # (rank, K, Mv*Q)
     # the (Mv, Q) slots that may hold the strongest coefficient
@@ -342,15 +347,11 @@ def _quantize_layers(config, coefs):
     keep = (ratio >= enhanced.SB_AMPS[0] / 2).reshape(rank, -1)
     keep[rows, star] = True
     # budget: each layer's limit, from what the earlier layers report
-    kept, left = keep.sum(axis=1), 2 * k0
+    kept, left = keep.sum(axis=1), 2 * config.k0
     limit = np.empty(rank, dtype=int)
     for layer in rows:
-        limit[layer] = min(k0, left)
-        left -= (kept[layer] if kept[layer] <= limit[layer]
-                 else max(limit[layer], 1))
-    if left < 0:
-        # every layer reports its reference even with no budget left
-        raise BudgetError(f"total K_NZ={2 * k0 - left} exceeds 2*K0={2 * k0}")
+        limit[layer] = enhanced.layer_cap(config, layer, left)
+        left -= min(kept[layer], limit[layer])
     over = np.flatnonzero(kept > limit)
     if over.size:
         # a layer over its limit keeps the reference and the limit - 1
@@ -450,17 +451,12 @@ def search_r18(channel: ChannelRealization, config: type2_r18.R18Config
 
 def _search_enhanced(config, targets):
     """The Rel-16/Rel-18 search: ``_candidate`` on every tied group (or on
-    the one port block), then ``_choose``; raises DegenerateReportError
-    when every candidate report is degenerate."""
-    if config.variant == enhanced.REGULAR:
-        best = _search_groups(
-            config, targets, targets,
-            lambda q, i12, beams, _: _candidate(config, targets, q, i12,
-                                                beams))
-    else:
-        i11 = _pick_port_block(targets, config.p_csirs, config.l, config.d)
-        best = _choose([_candidate(config, targets, i11, None,
-                                   enhanced.port_block(config, i11))], targets)
+    the one port block) through ``_search_groups``; raises
+    DegenerateReportError when every candidate report is degenerate."""
+    best = _search_groups(
+        config, targets, targets,
+        lambda i11, i12, basis, _: _candidate(config, targets, i11, i12,
+                                              basis))
     if best is None:
         raise DegenerateReportError("every candidate report is degenerate")
     return best
@@ -492,7 +488,7 @@ def _finish(config, targets, i11, i12, basis):
     # 2-D DFT: frequency units -> taps, intervals -> shifts
     spectrum = np.fft.fft(proj, axis=2) / n3
     spectrum = np.fft.fft(spectrum, axis=1) / n4        # (rank, N4, N3, 2L)
-    i15 = None
+    m_first = None
     i16, i110, coefs, taps, shifts = [], [], [], [], []
     for layer in range(config.rank):
         if n4 > 1:
@@ -507,16 +503,15 @@ def _finish(config, targets, i11, i12, basis):
         tap_peak = np.abs(sub).max(axis=(0, 2))
         ref, rels, m_init = _pick_taps(tap_peak, tap_energy, mv, n3,
                                        config.window_mode)
-        if config.window_mode and i15 is not None:
+        if m_first is None:
+            m_first = m_init
+        elif m_init != m_first:
             # one i15 field serves the whole report: refit later layers
-            # inside the window fixed by the first layer
-            fixed = 0 if i15 == 0 else i15 - 2 * mv
-            if m_init != fixed:
-                m_init = fixed
-                rels = _refit_window(ref, tap_energy, mv, n3, m_init)
-        idx, layer_i15 = enhanced.encode_taps(config, rels, m_init)
-        if config.window_mode and i15 is None:
-            i15 = layer_i15
+            # inside the window fixed by the first layer (M_init is 0
+            # outside window mode)
+            m_init = m_first
+            rels = _refit_window(ref, tap_energy, mv, n3, m_init)
+        idx, i15 = enhanced.encode_taps(config, rels, m_init)
         i16.append(idx)
         taps.append(rels)
         abs_taps = [(ref + rel) % n3 for rel in rels]
@@ -538,13 +533,11 @@ def search_r17(channel: ChannelRealization, config: type2_r17.R17Config
     _check_channel(h, config.n3, config.p_csirs)
     targets = _targets(h, config.rank)
     half = config.p_csirs // 2
-    l = config.l
     energy = (np.abs(targets) ** 2).sum(axis=(0, 1, 2))
     per_port = energy[:half] + energy[half:]
-    if config.alpha == 1.0:
-        ports = tuple(range(l))
-    else:
-        ports = tuple(int(v) for v in np.sort(np.argsort(per_port)[-l:]))
+    # the searches' beam rule; alpha = 1 (L = P/2) keeps every port
+    ports = tuple(np.sort(_pick_beams(config.l, per_port,
+                                      np.ones(half))).tolist())
     i12 = type2_r17.encode_ports(config, ports)
     basis = enhanced.port_beams(config.p_csirs, ports)
     proj = _beam_projections(targets, basis, 1.0)[:, 0]   # (rank, M, K1)
@@ -570,24 +563,27 @@ def _type1_single_pol_gain(h: np.ndarray, beams: list[np.ndarray]) -> float:
     return max(abs(np.vdot(h.conj(), v)) ** 2 for v in beams)
 
 
-def _type2_single_pol_gain(h: np.ndarray, geom: ArrayGeometry,
-                           l_beams: int = 4, n_psk: int = 4) -> float:
+# the experiment's channel paths, and its Type II beams and phase alphabet
+SE_PATHS, SE_BEAMS, SE_PSK = 4, 4, 4
+
+
+def _type2_single_pol_gain(h: np.ndarray, geom: ArrayGeometry) -> float:
     """Beamforming gain of the quantized combination of the best L beams."""
     n = geom.n1 * geom.n2
     target = h.conj()  # the matched beamformer direction
-    score = _group_scores(_group_energy(target, geom), l_beams)
+    score = _group_scores(_group_energy(target, geom), SE_BEAMS)
     best_group = orthogonal_groups(geom)[
         _first_best(np.ndindex(score.shape), score.__getitem__)]
     proj = best_group.conj().T @ target / n
     # the searches' beam rule, reversed: weakest first is the order in which
     # best_group[:, picks] @ a_hat has always summed the beams
-    picks = _pick_beams(l_beams, np.abs(proj), np.ones(n))[::-1]
+    picks = _pick_beams(SE_BEAMS, np.abs(proj), np.ones(n))[::-1]
     coef = proj[picks]
     scale = np.abs(coef).max()
     rel = coef / (scale * np.exp(1j * np.angle(coef[np.abs(coef).argmax()])))
     amp_idx = quantize_nearest(np.abs(rel), R15_WB_AMPS)
-    phase_idx = quantize_phase(np.angle(rel), n_psk)
-    a_hat = R15_WB_AMPS[amp_idx] * np.exp(2j * np.pi * phase_idx / n_psk)
+    phase_idx = quantize_phase(np.angle(rel), SE_PSK)
+    a_hat = R15_WB_AMPS[amp_idx] * np.exp(2j * np.pi * phase_idx / SE_PSK)
     w = best_group[:, picks] @ a_hat
     norm = np.linalg.norm(w)
     if norm == 0:
@@ -597,14 +593,13 @@ def _type2_single_pol_gain(h: np.ndarray, geom: ArrayGeometry,
 
 def spectral_efficiency_experiment(antenna_configs=((4, 1), (16, 1)),
                                    snr_db=(-10, 0, 10, 20), trials: int = 500,
-                                   n_paths: int = 4, seed: int = 0,
-                                   l_beams: int = 4) -> list[dict]:
+                                   seed: int = 0) -> list[dict]:
     """Monte-Carlo single-stream, single-polarization comparison.
 
-    Type I feeds back the single best oversampled beam; Type II combines
-    the best L beams of the best group with 3-bit amplitudes, QPSK phases,
-    and no subband amplitude.  Returns rows of snr_db, scheme, mean_rate,
-    ci95.
+    The channel has ``SE_PATHS`` paths.  Type I feeds back the single best
+    oversampled beam; Type II combines the best L = ``SE_BEAMS`` beams of
+    the best group with 3-bit amplitudes, QPSK phases, and no subband
+    amplitude.  Returns rows of snr_db, scheme, mean_rate, ci95.
     """
     rows = []
     for n1, n2 in antenna_configs:
@@ -612,7 +607,7 @@ def spectral_efficiency_experiment(antenna_configs=((4, 1), (16, 1)),
         # every unit-norm oversampled beam, built once per geometry
         beams = [_tx_response(geom, l, m_v) / math.sqrt(geom.n1 * geom.n2)
                  for l in range(geom.beams_h) for m_v in range(geom.beams_v)]
-        model = ChannelModel(n_paths=n_paths, n_subcarriers=1,
+        model = ChannelModel(n_paths=SE_PATHS, n_subcarriers=1,
                              cross_pol=0.0, seed=seed)
         rates1 = np.zeros((len(snr_db), trials))
         rates2 = np.zeros((len(snr_db), trials))
@@ -620,7 +615,7 @@ def spectral_efficiency_experiment(antenna_configs=((4, 1), (16, 1)),
             ch = draw_channel(model, geom, nr=1, trial=trial)
             h = ch.h1[0, 0, 0]  # single polarization slice, (N1*N2,)
             gain1 = _type1_single_pol_gain(h, beams)
-            gain2 = _type2_single_pol_gain(h, geom, l_beams)
+            gain2 = _type2_single_pol_gain(h, geom)
             for si, s in enumerate(snr_db):
                 snr = 10 ** (s / 10)
                 rates1[si, trial] = math.log2(1 + snr * gain1)

@@ -27,7 +27,11 @@ import math
 import numpy as np
 
 from . import quantization as qt
-from .bases import orthogonal_group, port_selection_basis
+from .bases import (
+    SUPPORTED_PORT_COUNTS,
+    orthogonal_group,
+    port_selection_basis,
+)
 from .combinadics import (
     binomial,
     clog2,
@@ -98,6 +102,9 @@ class SpatialConfig:
         elif self.variant == PORT_SELECTION:
             if self.p_csirs is None or self.d is None:
                 raise DomainError("port-selection variant requires p_csirs and d")
+            if self.p_csirs not in SUPPORTED_PORT_COUNTS:
+                raise DomainError(f"p_csirs={self.p_csirs!r} not in "
+                                  f"{SUPPORTED_PORT_COUNTS}")
             if self.l > self.p_csirs // 2:
                 raise DomainError(f"L={self.l} exceeds the P/2="
                                   f"{self.p_csirs // 2} ports per polarization")
@@ -450,6 +457,16 @@ def validate_budget(config, pmi, layer_fields) -> None:
             raise ConsistencyError("strongest polarization must carry k1=15")
 
 
+def layer_cap(config, layer: int, left: int) -> int:
+    """The budget rule: the most coefficients layer ``layer`` may report
+    when the earlier layers left ``left`` of the 2*K0 total, K0 at most
+    and one kept back for each later layer's strongest coefficient."""
+    cap = min(config.k0, left - (config.rank - layer - 1))
+    if cap < 1:
+        raise BudgetError("budget cannot host one coefficient per layer")
+    return cap
+
+
 def layer_coefficients(config, pmi, layer: int | slice = slice(None)
                        ) -> np.ndarray:
     """Complex coefficient grid (K, Mv[, Q]) of one layer, or (rank, K,
@@ -537,9 +554,7 @@ def draw_coefficients(config, rng: np.random.Generator):
     axis; a length-1 axis draws nothing), the other reported cells, then
     k2 and c per reported cell and the weaker polarization's k1.
     """
-    rank, k0 = config.rank, config.k0
-    if 2 * k0 < rank:
-        raise BudgetError("budget cannot host one coefficient per layer")
+    rank = config.rank
     shape = config.coef_shape
     bitmap = np.zeros(shape, dtype=np.int8)
     k1 = np.ones((rank, 2), dtype=int)
@@ -547,12 +562,11 @@ def draw_coefficients(config, rng: np.random.Generator):
     c = np.zeros(shape, dtype=int)
     g_bitmap, g_k2, g_c = grid(bitmap), grid(k2), grid(c)
     sizes = g_bitmap.shape[1:]
-    budget_total = 2 * k0
+    left = 2 * config.k0
     i18 = []
     for layer in range(rank):
-        cap = min(k0, budget_total - (rank - layer - 1))
-        k_nz = int(rng.integers(1, max(2, cap + 1)))
-        budget_total -= k_nz
+        k_nz = int(rng.integers(1, layer_cap(config, layer, left) + 1))
+        left -= k_nz
         i_star = int(rng.integers(sizes[0]))
         s_star = int(rng.integers(sizes[config.strongest_axis]))
         star = strongest_cell(config, i_star, s_star)

@@ -13,12 +13,7 @@ import numpy as np
 
 from . import quantization as qt
 from .bases import ArrayGeometry
-from .channel_sim import (
-    _beam_projections,
-    _choose,
-    _pick_port_block,
-    _search_groups,
-)
+from .channel_sim import _beam_projections, _search_groups
 from .combinadics import (
     array_bits,
     binomial,
@@ -36,7 +31,6 @@ from .enhanced import (  # noqa: F401 (PORT_SELECTION: a variant name)
     check_beams,
     draw_beams,
     grid_coordinates,
-    port_block,
     selected_beams,
     selected_flats,
     spatial_gain,
@@ -356,8 +350,9 @@ def _subband_targets(channel: np.ndarray, n_sb: int, rank: int) -> np.ndarray:
 
 def search_t2_r15(channel: np.ndarray, config: T2R15Config,
                   caps: np.ndarray | None = None) -> T2R15Pmi:
-    """UE-side report selection: beam group by projected energy, the L
-    beams of highest energy in it, least-squares weights, quantization.
+    """UE-side report selection: beam group (or port block) by projected
+    energy, the L beams of highest energy in it, least-squares weights,
+    quantization.
 
     ``channel`` has shape (M, Nr, P); for the port-selection variant it is
     the effective (beam-domain) channel.
@@ -369,16 +364,9 @@ def search_t2_r15(channel: np.ndarray, config: T2R15Config,
     targets = _subband_targets(h, config.subband_count, config.rank)
     wide = _subband_targets(h, 1, config.rank)  # (rank, 1, P)
 
-    if config.variant == REGULAR:
-        # the fit reads one slot interval: (rank, 1, subbands, P)
-        best = _search_groups(config, wide, targets[:, None],
-                              functools.partial(_candidate, config, targets),
-                              caps)
-    else:
-        i11 = _pick_port_block(wide, config.p_csirs, config.l, config.d)
-        found = _candidate(config, targets, i11, None,
-                           port_block(config, i11), np.ones(config.l))
-        best = _choose([found], targets[:, None])
+    # the fit reads one slot interval: (rank, 1, subbands, P)
+    best = _search_groups(config, wide, targets[:, None],
+                          functools.partial(_candidate, config, targets), caps)
     if best is None:
         raise RestrictionError("no admissible report under the caps")
     return best

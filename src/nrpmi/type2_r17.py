@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import enhanced
+from .bases import SUPPORTED_PORT_COUNTS
 from .combinadics import (
     binomial,
     clog2,
@@ -48,7 +49,7 @@ class R17Config:
     strongest_axis = enhanced.TAP_AXIS
 
     def __post_init__(self):
-        if self.p_csirs not in (4, 8, 12, 16, 24, 32):
+        if self.p_csirs not in SUPPORTED_PORT_COUNTS:
             raise DomainError(f"nrofPorts {self.p_csirs} unsupported")
         if self.param_combination not in PARAM_COMBINATIONS:
             raise DomainError(f"paraCombination-r17 {self.param_combination} "

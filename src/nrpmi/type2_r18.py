@@ -14,7 +14,7 @@ import numpy as np
 from . import enhanced
 from .bases import ArrayGeometry
 from .combinadics import clog2
-from .errors import DomainError, FormatError, RestrictionError
+from .errors import DomainError, FormatError
 
 Q_SHIFTS = 2  # frozen by the protocol
 
@@ -136,13 +136,8 @@ def reconstruct(config: R18Config, pmi: R18Pmi, t: int, iota: int) -> np.ndarray
     return reconstruct_all(config, pmi)[t, iota]
 
 
-def random_valid_pmi(config: R18Config, rng: np.random.Generator,
-                     ri_restriction=None) -> R18Pmi:
+def random_valid_pmi(config: R18Config, rng: np.random.Generator) -> R18Pmi:
     """Draw a random internally consistent report."""
-    if ri_restriction is not None and not check_ri_restriction(
-            ri_restriction, config.rank):
-        raise RestrictionError(f"rank {config.rank} is prohibited")
-
     def draw():
         beams = enhanced.draw_beams(config, rng)
         taps = enhanced.draw_taps(config, rng)

@@ -600,14 +600,44 @@ def test_search_r16_port_selection_rejects_a_degenerate_report(trial):
         search_r16(ch, cfg)
 
 
-def test_search_over_the_total_budget_raises():
-    # rank 4 on a rich channel: the first two layers spend 2*K0, and each
-    # later layer still reports its strongest coefficient, so the report
-    # is over budget; the search raises the error reconstruct_all would
+def test_search_keeps_every_layer_within_the_budget():
+    # rank 4 on a rich channel: the first two layers alone could spend
+    # 2*K0, but each keeps one coefficient back for every later layer's
+    # strongest one, so the report stays within budget and reconstructs
     cfg = type2_r17.R17Config(p_csirs=16, param_combination=6, n3=12,
                               n_threshold=4, rank=4)
     model = ChannelModel(n_paths=6, delay_spread=1e-6,
                          subcarrier_spacing=180e3, n_subcarriers=12, seed=2)
     ch = draw_channel(model, GEOM, nr=4, trial=0)
-    with pytest.raises(BudgetError, match=rf"exceeds 2\*K0={2 * cfg.k0}"):
-        search_r17(ch, cfg)
+    pmi = search_r17(ch, cfg)
+    type2_r17.reconstruct_all(cfg, pmi)
+    k_nz = pmi.bitmap.reshape(cfg.rank, -1).sum(axis=1)
+    assert k_nz.tolist() == [cfg.k0, cfg.k0 - 2, 1, 1]
+
+
+def test_search_r17_tied_ports_pick_the_lowest_index():
+    # every port carries exactly the same energy: the beam rule keeps
+    # ports 0..L-1, as it keeps the lowest beams of a group
+    cfg = type2_r17.R17Config(p_csirs=16, param_combination=6, n3=6,
+                              n_threshold=4)
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((cfg.n3, 2)) + 1j * rng.standard_normal((cfg.n3, 2))
+    h = np.repeat(a[None, :, :, None], cfg.p_csirs, axis=-1)
+    energy = (np.abs(channel_sim._targets(h, 1)) ** 2).sum(axis=(0, 1, 2))
+    assert (energy == energy[0]).all()
+    pmi = search_r17(ChannelRealization(h=h), cfg)
+    assert type2_r17.decode_ports(cfg, pmi) == tuple(range(cfg.l))
+
+
+def test_budget_rule_is_one_for_draw_and_search():
+    # K0 = 1: a budget of 2 cannot give three layers a reference each, and
+    # the draw and the search's quantizer refuse it alike
+    cfg = type2_r16.R16Config(param_combination=1, r=1, n3=4, rank=3,
+                              geom=GEOM)
+    assert 2 * cfg.k0 < cfg.rank
+    coefs = list(np.ones((cfg.rank, 2 * cfg.l, cfg.mv, 1), dtype=complex))
+    message = "budget cannot host one coefficient per layer"
+    with pytest.raises(BudgetError, match=message):
+        enhanced.draw_coefficients(cfg, np.random.default_rng(0))
+    with pytest.raises(BudgetError, match=message):
+        channel_sim._quantize_layers(cfg, coefs)

@@ -321,6 +321,22 @@ def test_more_beams_than_the_array_exit_code(tmp_path, capsys, release,
     assert err.startswith("error: L=") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("p_csirs", [6, 7, 10])
+@pytest.mark.parametrize("release,config", [
+    ("r15-ps", {}),
+    ("r16-ps", {"param_combination": 1, "n3": 8}),
+])
+def test_unsupported_port_count_exit_code(tmp_path, capsys, release, config,
+                                          p_csirs):
+    capsys.readouterr()
+    assert main(["gen-vectors", "--release", release, "--config",
+                 write_config(tmp_path, {**config, "p_csirs": p_csirs}),
+                 "--out", str(tmp_path / "out.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert f"p_csirs={p_csirs}" in err and "Traceback" not in err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["gen-vectors", "--release", "r16", "--config", "{config}",
      "--seed", "-1", "--out", "{out}"],

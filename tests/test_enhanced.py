@@ -240,6 +240,17 @@ def test_port_block_past_half_names_i11(release, cfg):
                                    dataclasses.replace(pmi, i11=i11))
 
 
+@pytest.mark.parametrize("p_csirs", [6, 7, 10])
+@pytest.mark.parametrize("release,cfg", [
+    ("r15-ps", R15_CONFIGS["r15-ps"]),
+    ("r16-ps", CONFIGS["r16-ps"]),
+])
+def test_port_selection_rejects_an_unsupported_port_count(release, cfg,
+                                                          p_csirs):
+    with pytest.raises(DomainError, match="p_csirs=%d" % p_csirs):
+        cli.build_release_config(release, {**cfg, "p_csirs": p_csirs})
+
+
 @pytest.mark.parametrize("release", ["r16", "r18"])
 @pytest.mark.parametrize("i11", [(0, 4), (4, 0), (-1, 0)], ids=str)
 def test_reconstruction_names_i11_outside_the_oversampling(release, i11):

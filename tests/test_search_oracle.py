@@ -6,7 +6,10 @@ layer of a candidate in one array pass.  The reference copies below are the
 earlier forms: a candidate loop that fits every candidate through its
 release's ``reconstruct_all``, and a quantizer that works one layer at a
 time, trimming the budget with a loop over positions.  Every report must
-match them bit for bit.
+match them bit for bit, except where the reference overruns the 2*K0
+budget at ranks 3-4 (it keeps nothing back for the later layers' strongest
+coefficients): there the search must return a report within the budget
+rule, ``enhanced.layer_cap``.
 """
 
 import numpy as np
@@ -182,6 +185,22 @@ def r15_oracle(h, config, caps=None):
     return best
 
 
+def assert_within_budget(config, pmi, release):
+    """A report that reconstructs, each layer's K_NZ within the budget
+    rule given what the earlier layers report."""
+    release.reconstruct_all(config, pmi)
+    assert_layer_caps(config, pmi.bitmap)
+
+
+def assert_layer_caps(config, bitmap):
+    """Each layer's K_NZ within ``enhanced.layer_cap`` of what the earlier
+    layers left."""
+    left = 2 * config.k0
+    for layer, k_nz in enumerate(bitmap.reshape(config.rank, -1).sum(axis=1)):
+        assert 1 <= k_nz <= enhanced.layer_cap(config, layer, left)
+        left -= int(k_nz)
+
+
 def assert_same_report(found, expected):
     assert type(found) is type(expected)
     for name, value in vars(expected).items():
@@ -246,11 +265,15 @@ def test_quantizer_matches_the_per_layer_oracle(config):
             # no usable reference: the same error
             assert found == expected
             continue
-        total = int(expected[1].sum())
-        if total > 2 * config.k0:
-            # the oracle's report, which reconstruct_all rejects
-            assert found == (BudgetError, f"total K_NZ={total} exceeds "
-                             f"2*K0={2 * config.k0}")
+        if int(expected[1].sum()) > 2 * config.k0:
+            # the oracle's report, which reconstruct_all rejects: the same
+            # references, each layer within its cap and keeping a prefix of
+            # the oracle's magnitude order, or the oracle's cells and more
+            assert found[0] == expected[0]
+            assert np.array_equal(found[2], expected[2])
+            assert_layer_caps(config, found[1])
+            for got, value in zip(found[1], expected[1]):
+                assert (got <= value).all() or (value <= got).all()
             continue
         assert found[0] == expected[0]
         for got, value in zip(found[1:], expected[1:]):
@@ -272,11 +295,15 @@ def test_quantizer_trims_the_total_budget():
     _, bitmap, *_ = channel_sim._quantize_layers(config, coefs)
     assert bitmap.reshape(3, -1).sum(axis=1).tolist() == [5, 12, 7]
     assert np.array_equal(bitmap, quantize_layers_oracle(config, coefs)[1])
-    # a dense first layer leaves the third nothing, not even its reference
+    # a dense first layer takes K0, and the second keeps one coefficient
+    # back for the third layer's reference
     mags[0] = 1.0
     coefs = list(mags * np.exp(2j * np.pi * rng.random(mags.shape)))
-    with pytest.raises(BudgetError, match="total K_NZ=25 exceeds 2"):
-        channel_sim._quantize_layers(config, coefs)
+    _, bitmap, *_ = channel_sim._quantize_layers(config, coefs)
+    assert bitmap.reshape(3, -1).sum(axis=1).tolist() == [12, 11, 1]
+    expected = quantize_layers_oracle(config, coefs)[1]
+    assert expected.reshape(3, -1).sum(axis=1).tolist() == [12, 12, 1]
+    assert np.array_equal(bitmap[0], expected[0])
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +367,13 @@ def test_enhanced_search_matches_the_reconstruct_all_oracle(monkeypatch,
                                      n_subcarriers=config.n3, seed=config.n3)
     for trial in range(6):
         ch = channel_sim.draw_channel(model, GEOM, 4, trial=trial, n4=n4)
-        assert_same_outcome(outcome(enhanced_search, ch, config),
-                            outcome(enhanced_oracle, monkeypatch, ch, config))
+        found = outcome(enhanced_search, ch, config)
+        expected = outcome(enhanced_oracle, monkeypatch, ch, config)
+        if isinstance(expected, tuple) and expected[0] is BudgetError:
+            # the oracle overran 2*K0: the search stays within the budget
+            assert_within_budget(config, found, RELEASES[type(config)])
+            continue
+        assert_same_outcome(found, expected)
 
 
 LINK_R16 = type2_r16.R16Config(param_combination=4, r=1, n3=18, rank=2,
@@ -386,7 +418,6 @@ def test_fit_from_parts_is_reconstruct_all(monkeypatch):
         return choose(candidates, targets)
 
     monkeypatch.setattr(channel_sim, "_choose", checking)
-    monkeypatch.setattr(type2_r15, "_choose", checking)
     model = channel_sim.ChannelModel(seed=7, **LINK_MODEL)
     r15 = type2_r15.T2R15Config(l=4, n_psk=8, rank=2, subband_count=4,
                                 geom=GEOM)
@@ -443,3 +474,31 @@ def test_every_searched_report_passes_validation():
         release.reconstruct_all(config, pmi)
         count += 1
     assert count == 12 * 7
+
+
+def high_rank_configs():
+    for combo in (1, 3, 5, 6):
+        for n3 in (8, 24):
+            for rank in (3, 4):
+                yield type2_r16.R16Config(param_combination=combo, r=1,
+                                          n3=n3, rank=rank, geom=GEOM)
+                yield type2_r18.R18Config(geom=GEOM, param_combination=combo,
+                                          r=1, n3=n3, n4=4, rank=rank)
+
+
+@pytest.mark.parametrize("config", list(high_rank_configs()),
+                         ids=lambda c: f"{type(c).__name__}-pc"
+                         f"{c.param_combination}-n3{c.n3}-rank{c.rank}")
+def test_high_rank_searches_report_within_the_budget(config):
+    # ranks 3-4 on rich and on single-path channels: every layer keeps
+    # back one coefficient for each later layer's strongest one, so the
+    # searches report where the 2*K0 budget used to overrun
+    n4 = getattr(config, "n4", 1)
+    for n_paths in (1, 6):
+        model = channel_sim.ChannelModel(
+            n_paths=n_paths, delay_spread=1e-6, doppler_max=300.0,
+            subcarrier_spacing=180e3, n_subcarriers=config.n3, seed=n_paths)
+        for trial in range(3):
+            ch = channel_sim.draw_channel(model, GEOM, 4, trial=trial, n4=n4)
+            assert_within_budget(config, enhanced_search(ch, config),
+                                 RELEASES[type(config)])
