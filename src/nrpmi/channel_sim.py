@@ -376,16 +376,16 @@ def _quantize_layers(config, coefs):
     return i18, bitmap, k1, k2.reshape(shape), c.reshape(shape)
 
 
-def _pick_taps(ref_metric: np.ndarray, energy: np.ndarray, mv: int, n3: int,
-               window_mode: bool):
+def _pick_taps(ref_metric: np.ndarray, energy: np.ndarray, config):
     """Reference tap (strongest coefficient) plus the best representable
     companions by energy; returns (ref, relative taps in decode order,
     M_init)."""
+    mv, n3 = config.mv, config.n3
     ref = int(np.argmax(np.round(ref_metric, 12)))
     rel_energy = np.roll(energy, -ref)
     if mv == 1:
         return ref, (0,), 0
-    if not window_mode or 2 * mv >= n3:
+    if not config.window_mode or 2 * mv >= n3:
         # a window of 2Mv >= N3 taps at M_initial = 0 covers every tap
         rest = np.sort(np.argsort(rel_energy[1:])[::-1][:mv - 1] + 1)
         return ref, (0,) + tuple(int(t) for t in rest), 0
@@ -408,19 +408,18 @@ def _pick_taps(ref_metric: np.ndarray, energy: np.ndarray, mv: int, n3: int,
             chosen.append(rel)
             lo, hi = new_lo, new_hi
     m_init = min(0, lo)
-    rels = [0] + sorted(chosen,
-                        key=lambda rel: enhanced.window_raw(rel, m_init, mv, n3))
-    return ref, tuple(rels), m_init
+    choices = enhanced.tap_choices(config, m_init)
+    return ref, (0,) + tuple(sorted(chosen, key=choices.index)), m_init
 
 
-def _refit_window(ref: int, energy: np.ndarray, mv: int, n3: int,
-                  m_init: int):
-    """Best companion taps inside a fixed window [M_init, M_init+2Mv-1]."""
+def _refit_window(ref: int, energy: np.ndarray, config, m_init: int):
+    """Best companion taps among ``enhanced.tap_choices`` at M_init, ties
+    toward the window start M_init."""
     rel_energy = np.roll(energy, -ref)
-    allowed = [s % n3 for s in range(m_init, m_init + 2 * mv) if s % n3 != 0]
-    picks = sorted(allowed, key=lambda rel: -rel_energy[rel])[:mv - 1]
-    return (0,) + tuple(sorted(
-        picks, key=lambda rel: enhanced.window_raw(rel, m_init, mv, n3)))
+    choices = enhanced.tap_choices(config, m_init)
+    picks = sorted(choices, key=lambda rel: (-rel_energy[rel],
+                                             (rel - m_init) % config.n3))
+    return (0,) + tuple(sorted(picks[:config.mv - 1], key=choices.index))
 
 
 def _check_channel(h: np.ndarray, n3: int, n_ports: int) -> None:
@@ -450,28 +449,32 @@ def search_r18(channel: ChannelRealization, config: type2_r18.R18Config
 
 
 def _search_enhanced(config, targets):
-    """The Rel-16/Rel-18 search: ``_candidate`` on every tied group (or on
-    the one port block) through ``_search_groups``; raises
-    DegenerateReportError when every candidate report is degenerate."""
-    best = _search_groups(
+    """The Rel-16/Rel-18 search: ``_finish`` on every tied group (or on the
+    one port block) through ``_search_groups``, each report checked by
+    ``_candidate``."""
+    return _chosen(_search_groups(
         config, targets, targets,
-        lambda i11, i12, basis, _: _candidate(config, targets, i11, i12,
-                                              basis))
-    if best is None:
-        raise DegenerateReportError("every candidate report is degenerate")
-    return best
+        lambda i11, i12, basis, _: _candidate(
+            config, basis, *_finish(config, targets, i11, i12, basis))))
 
 
-def _candidate(config, targets, i11, i12, basis):
-    """``_finish``'s report on the beams ``basis`` as a ``_choose``
-    candidate, its precoders synthesized from the basis, taps and shifts
-    the search chose; None when the report is degenerate."""
-    pmi, taps, shifts = _finish(config, targets, i11, i12, basis)
+def _candidate(config, basis, pmi, taps, shifts=None):
+    """A finished report on the beams ``basis`` as a ``_choose`` candidate,
+    its precoders synthesized from the basis and the taps (and shifts) the
+    report decodes to; None when the report is degenerate."""
     try:
         ct, gamma = enhanced.tap_stage(config, pmi, taps, shifts)
     except DegenerateReportError:
         return None
     return pmi, lambda: enhanced.basis_stage(config, basis, ct, gamma)
+
+
+def _chosen(best):
+    """The report ``_choose`` kept; raises DegenerateReportError when every
+    candidate report was degenerate."""
+    if best is None:
+        raise DegenerateReportError("every candidate report is degenerate")
+    return best
 
 
 def _finish(config, targets, i11, i12, basis):
@@ -482,7 +485,7 @@ def _finish(config, targets, i11, i12, basis):
     Works on the (2L, Mv, Q) grid of Rel-18; Rel-16 is the case of one slot
     interval and one shift.
     """
-    n3, mv = config.n3, config.mv
+    n3 = config.n3
     proj = _beam_projections(targets, basis, enhanced.spatial_gain(config))
     n4 = proj.shape[1]                                  # (rank, N4, M, 2L)
     # 2-D DFT: frequency units -> taps, intervals -> shifts
@@ -501,8 +504,7 @@ def _finish(config, targets, i11, i12, basis):
         sub = spectrum[layer][list(shifts[-1])]           # (Q, N3, 2L)
         tap_energy = (np.abs(sub) ** 2).sum(axis=(0, 2))
         tap_peak = np.abs(sub).max(axis=(0, 2))
-        ref, rels, m_init = _pick_taps(tap_peak, tap_energy, mv, n3,
-                                       config.window_mode)
+        ref, rels, m_init = _pick_taps(tap_peak, tap_energy, config)
         if m_first is None:
             m_first = m_init
         elif m_init != m_first:
@@ -510,7 +512,7 @@ def _finish(config, targets, i11, i12, basis):
             # inside the window fixed by the first layer (M_init is 0
             # outside window mode)
             m_init = m_first
-            rels = _refit_window(ref, tap_energy, mv, n3, m_init)
+            rels = _refit_window(ref, tap_energy, config, m_init)
         idx, i15 = enhanced.encode_taps(config, rels, m_init)
         i16.append(idx)
         taps.append(rels)
@@ -552,7 +554,9 @@ def search_r17(channel: ChannelRealization, config: type2_r17.R17Config
         taps = (0, i16 + 1)
     coefs = [spectrum[layer][list(taps)].T[..., None]    # (K1, M, 1)
              for layer in range(config.rank)]
-    return type2_r17.R17Pmi(i12, i16, *_quantize_layers(config, coefs))
+    pmi = type2_r17.R17Pmi(i12, i16, *_quantize_layers(config, coefs))
+    return _chosen(_choose([_candidate(config, basis, pmi,
+                                       [taps] * config.rank)], targets))
 
 
 # ---------------------------------------------------------------------------

@@ -98,14 +98,17 @@ def _typed_fields(cls: type) -> tuple[_Field, ...]:
 
 
 def _field_value(field: _Field, value):
-    """A JSON value as the field's annotated type: a list as an integer
-    array or a tuple of ints, an int, bool or None as itself.  Raises
-    FormatError when no member of the annotation fits."""
+    """A JSON value as the field's annotated type: a list as an array that
+    numpy reads with an integer dtype (no float, bool or overflowing entry)
+    or a tuple of ints, an int, bool or None as itself.  Raises FormatError
+    when no member of the annotation fits."""
     for option in field.options:
         if type(value) is option:
             return value
         if option is np.ndarray and isinstance(value, list):
-            return np.asarray(value, dtype=int)
+            array = np.asarray(value)
+            if np.issubdtype(array.dtype, np.integer):
+                return array
         if option is tuple and isinstance(value, list) \
                 and all(type(v) is int for v in value):
             return tuple(value)
@@ -173,13 +176,11 @@ def pmi_to_fields(pmi) -> dict:
 
 def fields_to_pmi(release: str, fields: dict):
     """Inverse of pmi_to_fields, typed by the report dataclass: coefficient
-    arrays back to integer arrays (the bitmap as int8), lists back to
-    tuples."""
+    arrays back to integer arrays, each entry as written (a bitmap entry
+    other than 0 or 1 is left for the release's check to reject), lists
+    back to tuples."""
     pmi_type = _release(release).pmi
-    values = _read_fields(pmi_type, fields, "report", {})
-    if "bitmap" in values:
-        values["bitmap"] = values["bitmap"].astype(np.int8)
-    return pmi_type(**values)
+    return pmi_type(**_read_fields(pmi_type, fields, "report", {}))
 
 
 def cmd_gen_vectors(args) -> int:

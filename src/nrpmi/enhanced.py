@@ -175,11 +175,7 @@ class CompressedConfig(SpatialConfig):
 
     @derived
     def i16_count(self) -> int:
-        if self.mv == 1:
-            return 1
-        if self.window_mode:
-            return binomial(2 * self.mv - 1, self.mv - 1)
-        return binomial(self.n3 - 1, self.mv - 1)
+        return binomial(len(tap_choices(self)), self.mv - 1)
 
 
 def grid(a: np.ndarray) -> np.ndarray:
@@ -294,50 +290,44 @@ def m_initial(config, pmi) -> int:
     return 0 if pmi.i15 == 0 else pmi.i15 - 2 * config.mv
 
 
+def tap_choices(config, m_init: int = 0) -> list[int]:
+    """The nonzero taps that i16 picks Mv - 1 of, in i16 order: 1..N3-1,
+    or with N3 > 19 the window of raw values n = 1..2Mv-1 at M_initial
+    ``m_init``, each n above M_initial + 2Mv - 1 wrapped by N3 - 2Mv."""
+    mv, n3 = config.mv, config.n3
+    if not config.window_mode:
+        return list(range(1, n3))
+    return [n if n <= m_init + 2 * mv - 1 else n + n3 - 2 * mv
+            for n in range(1, 2 * mv)]
+
+
 def decode_taps(config, pmi, layer: int) -> tuple[int, ...]:
     """Tap indices n3^(0..Mv-1); n3^(0) = 0 is the (remapped) strongest tap."""
-    mv = config.mv
-    m_init = m_initial(config, pmi)
+    choices = tap_choices(config, m_initial(config, pmi))
     i16 = pmi.i16[layer]
     if not 0 <= i16 < config.i16_count:
         raise FormatError(f"i_1,6={i16} outside [0, {config.i16_count})")
-    if mv == 1:
-        return (0,)
-    if not config.window_mode:
-        rest = decode_combination(i16, config.n3 - 1, mv - 1)
-        return (0,) + tuple(t + 1 for t in rest)
-    rest = decode_combination(i16, 2 * mv - 1, mv - 1)
-    taps = [0]
-    for t in rest:
-        n = t + 1
-        taps.append(n if n <= m_init + 2 * mv - 1 else n + config.n3 - 2 * mv)
-    return tuple(taps)
+    return (0,) + tuple(choices[t] for t in decode_combination(
+        i16, len(choices), config.mv - 1))
 
 
 def encode_taps(config, taps, m_init: int = 0) -> tuple[int, int | None]:
-    """Inverse of decode_taps: (i16, i15); taps[0] must be 0."""
+    """Inverse of decode_taps: (i16, i15); taps[0] must be 0 and every other
+    tap one of ``tap_choices`` at ``m_init``."""
     mv = config.mv
     taps = list(taps)
     if len(taps) != mv or taps[0] != 0:
         raise DomainError(f"need {mv} taps starting at 0, got {taps}")
-    if mv == 1:
-        return 0, (0 if config.window_mode else None)
+    choices = tap_choices(config, m_init)
+    outside = [t for t in taps[1:] if t not in choices]
+    if outside:
+        raise DomainError(f"tap {outside[0]} outside the taps i_1,6 can pick "
+                          f"at M_initial={m_init}")
+    i16 = encode_combination(sorted(map(choices.index, taps[1:])),
+                             len(choices), mv - 1)
     if not config.window_mode:
-        return encode_combination([t - 1 for t in taps[1:]], config.n3 - 1,
-                                  mv - 1), None
-    raw = []
-    for t in taps[1:]:
-        n = window_raw(t, m_init, mv, config.n3)
-        if not 1 <= n <= 2 * mv - 1:
-            raise DomainError(f"tap {t} outside the window at M_initial={m_init}")
-        raw.append(n - 1)
-    i15 = 0 if m_init == 0 else m_init + 2 * mv
-    return encode_combination(sorted(raw), 2 * mv - 1, mv - 1), i15
-
-
-def window_raw(tap: int, m_init: int, mv: int, n3: int) -> int:
-    """Pre-adjustment value n of a tap inside the i15 window."""
-    return tap if tap <= m_init + 2 * mv - 1 else tap - (n3 - 2 * mv)
+        return i16, None
+    return i16, 0 if m_init == 0 else m_init + 2 * mv
 
 
 def remap_taps(taps, f_star: int, n3: int) -> tuple[int, ...]:

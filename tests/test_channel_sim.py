@@ -629,6 +629,21 @@ def test_search_r17_tied_ports_pick_the_lowest_index():
     assert type2_r17.decode_ports(cfg, pmi) == tuple(range(cfg.l))
 
 
+def test_search_r17_rejects_a_degenerate_report():
+    # layer 1's two reported taps cancel at one frequency unit: the report
+    # fails the candidate check every Enhanced Type II search runs, so the
+    # search raises instead of returning a report reconstruct_all rejects
+    geom = ArrayGeometry(n1=2, n2=1, o1=4, o2=1)
+    cfg = type2_r17.R17Config(p_csirs=4, param_combination=5, n3=8,
+                              n_threshold=4, rank=2)
+    model = ChannelModel(n_paths=6, delay_spread=1e-6, doppler_max=300,
+                         subcarrier_spacing=180e3, n_subcarriers=8, seed=1)
+    ch = draw_channel(model, geom, nr=4, trial=1)
+    with pytest.raises(DegenerateReportError,
+                       match="every candidate report is degenerate"):
+        search_r17(ch, cfg)
+
+
 def test_budget_rule_is_one_for_draw_and_search():
     # K0 = 1: a budget of 2 cannot give three layers a reference each, and
     # the draw and the search's quantizer refuse it alike

@@ -102,11 +102,33 @@ def test_validate_reports_short_i16_as_failure(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def first_nonzero(value):
+    """An edit of an array field: its first nonzero entry becomes ``value``."""
+    def edit(nested):
+        array = np.asarray(nested)
+        out = array.astype(object)
+        out.flat[np.flatnonzero(array)[0]] = value
+        return out.tolist()
+    return edit
+
+
+def edited(record, field, value):
+    """The record with report field ``field`` set to ``value``, or passed
+    through ``value`` when it is an edit."""
+    pmi = record["pmi"]
+    pmi[field] = value(pmi[field]) if callable(value) else value
+    return record
+
+
 @pytest.mark.parametrize("release,cfg,field,value", [
     ("r16", {**R16_CONFIG, "n3": 24}, "i15", [1]),
     ("r15-type1", T1_CONFIG, "i11", [0]),
     ("r15-type2", R15_CONFIG, "i13", 0),
     ("r15-type2", R15_CONFIG, "k1", 3),
+    # an array entry numpy reads as no integer: never truncated or overflowed
+    ("r16", R16_CONFIG, "k2", first_nonzero(3.5)),
+    ("r16", R16_CONFIG, "k1", first_nonzero(10**30)),
+    ("r16", R16_CONFIG, "bitmap", first_nonzero(1.0)),
 ])
 def test_validate_reports_mistyped_field_as_malformed(tmp_path, capsys,
                                                       release, cfg, field,
@@ -116,8 +138,7 @@ def test_validate_reports_mistyped_field_as_malformed(tmp_path, capsys,
     out = str(tmp_path / "vectors.jsonl")
     main(["gen-vectors", "--release", release, "--config", config,
           "--seed", "4", "--samples", "1", "--out", out])
-    record = json.loads(open(out).read())
-    record["pmi"][field] = value
+    record = edited(json.loads(open(out).read()), field, value)
     bad = tmp_path / "mistyped.jsonl"
     bad.write_text(json.dumps(record) + "\n")
     capsys.readouterr()
@@ -138,17 +159,20 @@ R16_PS_CONFIG = {"p_csirs": 16, "param_combination": 2, "n3": 8}
     ("r16", R16_CONFIG, "i12", None, "i_1,2"),
     ("r16-ps", R16_PS_CONFIG, "i11", [0, 1], "i_1,1"),
     ("r16-ps", R16_PS_CONFIG, "i12", 3, "i_1,2"),
+    # a reported bitmap entry is never wrapped to 1 (257 and -255 are 1
+    # modulo 256)
+    ("r16", R16_CONFIG, "bitmap", first_nonzero(257), "bitmap entries"),
+    ("r16", R16_CONFIG, "bitmap", first_nonzero(-255), "bitmap entries"),
 ])
 def test_validate_reports_malformed_beam_fields_as_failures(
         tmp_path, capsys, release, cfg, field, value, name):
-    # well-typed JSON, but no valid i11/i12 for the variant: a FAIL that
-    # names the field
+    # well-typed JSON, but no valid i11/i12 for the variant, or a bitmap
+    # entry other than 0 or 1: a FAIL that names the field
     config = write_config(tmp_path, cfg)
     out = str(tmp_path / "vectors.jsonl")
     main(["gen-vectors", "--release", release, "--config", config,
           "--seed", "4", "--samples", "1", "--out", out])
-    record = json.loads(open(out).read())
-    record["pmi"][field] = value
+    record = edited(json.loads(open(out).read()), field, value)
     bad = tmp_path / "beams.jsonl"
     bad.write_text(json.dumps(record) + "\n")
     capsys.readouterr()

@@ -12,6 +12,7 @@ from nrpmi.enhanced import (
     encode_taps,
     remap_taps,
     strongest,
+    tap_choices,
 )
 from nrpmi.errors import BudgetError, ConsistencyError, DomainError, FormatError
 from nrpmi.type2_r16 import (
@@ -159,6 +160,27 @@ def test_window_adjustment_example():
     assert taps[0] == 0
     # M_initial = 1 - 10 = -9: every decoded raw tap 1..9 > 0 wraps up
     assert all(t == 0 or t >= 27 for t in taps)
+
+
+def test_tap_choices_are_the_taps_i16_picks_from():
+    # N3 <= 19: any nonzero tap; N3 = 36, Mv = 5: raw n = 1..9, those above
+    # M_initial + 9 wrapped by N3 - 2Mv = 26
+    assert tap_choices(make_config(n3=8)) == list(range(1, 8))
+    cfg = make_config(param_combination=3, n3=36, r=2)
+    assert tap_choices(cfg) == list(range(1, 10))
+    assert tap_choices(cfg, -3) == [1, 2, 3, 4, 5, 6, 33, 34, 35]
+    assert tap_choices(cfg, -9) == list(range(27, 36))
+
+
+def test_encode_taps_rejects_a_tap_outside_the_window():
+    # N3 = 24, Mv = 3, M_initial = 0: the window holds taps 1..5, so tap 19
+    # has no i16 (it used to encode to taps (0, 1, 4))
+    cfg = make_config(param_combination=1, n3=24, r=2)
+    assert cfg.mv == 3 and tap_choices(cfg) == [1, 2, 3, 4, 5]
+    with pytest.raises(DomainError, match="tap 19 outside"):
+        encode_taps(cfg, (0, 4, 19))
+    with pytest.raises(DomainError, match="tap 8 outside"):
+        encode_taps(make_config(n3=8), (0, 8))
 
 
 def test_remap():
