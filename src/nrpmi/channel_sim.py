@@ -233,9 +233,9 @@ def _fit(unit: np.ndarray, ws: np.ndarray) -> float:
 
 
 def _first_best(candidates, fit):
-    """Fit rule: the first candidate whose fit beats every earlier one by
-    more than 1e-12 (None if there is none)."""
-    best, best_fit = None, -1.0
+    """Tie rule of every search: the first candidate whose fit beats the
+    best so far, from -inf, by more than 1e-12 (None if there is none)."""
+    best, best_fit = None, -np.inf
     for candidate in candidates:
         value = fit(candidate)
         if value > best_fit + 1e-12:
@@ -422,29 +422,36 @@ def _refit_window(ref: int, energy: np.ndarray, config, m_init: int):
     return (0,) + tuple(sorted(picks[:config.mv - 1], key=choices.index))
 
 
-def _check_channel(h: np.ndarray, n3: int, n_ports: int) -> None:
-    if h.shape[1] != n3:
-        raise DomainError(f"need one frequency unit per subcarrier: "
-                          f"M={h.shape[1]} vs N3={n3}")
-    if h.shape[-1] != n_ports:
-        raise DomainError(f"channel must have {n_ports} ports")
+def _search_channel(channel, n_ports, n4=1, n3=None, subbands=1):
+    """A search's channel, an array or ``ChannelRealization``, as (N4, M, Nr,
+    P); (M, Nr, P) is one interval.  DomainError names a bad shape, P, N4,
+    M (not N3, or below the subbands), non-finite entry or all-zero channel."""
+    h = np.asarray(getattr(channel, "h", channel))
+    h = h[None] if h.ndim == 3 else h
+    if h.ndim != 4 or h.shape[0] != n4 or h.shape[-1] != n_ports:
+        raise DomainError(f"channel {h.shape} is not (N4={n4}, M, Nr, {n_ports})")
+    if n3 not in (None, h.shape[1]):
+        raise DomainError(f"M={h.shape[1]} subcarriers, N3={n3} frequency units")
+    if h.shape[1] < subbands:
+        raise DomainError(f"M={h.shape[1]} subcarriers < {subbands} subbands")
+    if h.dtype.kind not in "iufc" or not np.isfinite(h).all():
+        raise DomainError("channel has a non-finite or non-numeric entry")
+    if not h.any():
+        raise DomainError("channel is all zero")
+    return h
 
 
 def search_r16(channel: ChannelRealization, config: type2_r16.R16Config
                ) -> type2_r16.R16Pmi:
     """UE-side Enhanced Type II report selection."""
-    h = channel.flat[None]  # (1, M, Nr, P)
-    _check_channel(h, config.n3, config.n_ports)
+    h = _search_channel(channel, config.n_ports, n3=config.n3)
     return _search_enhanced(config, _targets(h, config.rank))
 
 
 def search_r18(channel: ChannelRealization, config: type2_r18.R18Config
                ) -> type2_r18.R18Pmi:
     """UE-side predicted-PMI report over N4 slot intervals."""
-    h = channel.h
-    if h.shape[0] != config.n4:
-        raise DomainError(f"channel must cover N4={config.n4} intervals")
-    _check_channel(h, config.n3, config.n_ports)
+    h = _search_channel(channel, config.n_ports, config.n4, config.n3)
     return _search_enhanced(config, _targets(h, config.rank))
 
 
@@ -531,8 +538,7 @@ def _finish(config, targets, i11, i12, basis):
 def search_r17(channel: ChannelRealization, config: type2_r17.R17Config
                ) -> type2_r17.R17Pmi:
     """UE-side Further Enhanced port-selection report (beam-domain channel)."""
-    h = channel.flat[None]
-    _check_channel(h, config.n3, config.p_csirs)
+    h = _search_channel(channel, config.p_csirs, n3=config.n3)
     targets = _targets(h, config.rank)
     half = config.p_csirs // 2
     energy = (np.abs(targets) ** 2).sum(axis=(0, 1, 2))

@@ -120,6 +120,18 @@ class SpatialConfig:
         return self.geom.n_ports if self.variant == REGULAR else self.p_csirs
 
 
+def check_table(config) -> None:
+    """Reject a ``config.PARAMS`` key, N3 or rank outside the Rel-16 to
+    Rel-18 tables, naming the table by ``config.PARAM_NAME``."""
+    if config.param_combination not in config.PARAMS:
+        raise DomainError(f"{config.PARAM_NAME} {config.param_combination} "
+                          f"outside [1, {len(config.PARAMS)}]")
+    if not 3 <= config.n3 <= 36:
+        raise DomainError(f"N3={config.n3} outside [3, 36]")
+    if not 1 <= config.rank <= 4:
+        raise DomainError(f"rank {config.rank} outside [1, 4]")
+
+
 class CompressedConfig(SpatialConfig):
     """Sizes derived from a parameter table of (L, p_v for ranks 1-2, p_v
     for ranks 3-4, beta) rows, shared by the Rel-16 and Rel-18 configs.
@@ -132,15 +144,9 @@ class CompressedConfig(SpatialConfig):
     strongest_axis = SHIFT_AXIS
 
     def check_params(self) -> None:
-        if self.param_combination not in self.PARAMS:
-            raise DomainError(f"{self.PARAM_NAME} {self.param_combination} "
-                              f"outside [1, {len(self.PARAMS)}]")
+        check_table(self)
         if self.r not in (1, 2):
             raise DomainError(f"R={self.r} not in {{1, 2}}")
-        if not 3 <= self.n3 <= 36:
-            raise DomainError(f"N3={self.n3} outside [3, 36]")
-        if not 1 <= self.rank <= 4:
-            raise DomainError(f"rank {self.rank} outside [1, 4]")
         if self.rank > 2 and self.PARAMS[self.param_combination][2] is None:
             raise DomainError(f"{self.PARAM_NAME} {self.param_combination} "
                               "forbids rank > 2")

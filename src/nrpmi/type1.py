@@ -8,10 +8,12 @@ subband; mode 2 additionally folds a 4-beam group choice into i2.
 
 import functools
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .bases import ArrayGeometry, beam_grid
+from .channel_sim import _first_best, _search_channel
 from .combinadics import is_index, is_indices
 from .errors import DomainError, RestrictionError
 
@@ -255,17 +257,17 @@ def search_type1(channel: np.ndarray, config: Type1Config,
                  rank_restriction=None, noise_power: float = 1.0) -> Type1Pmi:
     """Exhaustive PMI scan maximizing the wideband single-user rate.
 
-    ``channel`` has shape (M, Nr, P); subcarriers are split evenly over the
-    configured subbands.  Ties break toward the smallest flat PMI encoding
-    (scan order), making the result reproducible.  Every codeword of the
-    configuration is scored at once; the stack is built once per
+    ``channel`` is read by ``_search_channel`` as one interval (M, Nr, P),
+    its subcarriers split evenly over the subbands.  ``_first_best`` breaks
+    ties toward the smallest flat PMI encoding (scan order).  Every codeword
+    of the configuration is scored at once; the stack is built once per
     (geometry, mode, rank) and kept.
     """
-    h = np.asarray(channel)
-    if h.ndim != 3 or h.shape[2] != config.geom.n_ports:
-        raise DomainError(f"channel must be (M, Nr, {config.geom.n_ports})")
-    if not np.any(np.abs(h) > 0):
-        raise DomainError("zero channel")
+    h = _search_channel(channel, config.geom.n_ports,
+                        subbands=config.subband_count)[0]
+    if not (isinstance(noise_power, Real) and 0 < noise_power < np.inf):
+        raise DomainError(f"noise_power={noise_power!r} must be positive "
+                          "and finite")
     if rank_restriction is not None and not check_rank_restriction(
             rank_restriction, config.rank):
         raise RestrictionError(f"rank {config.rank} is prohibited")
@@ -291,10 +293,7 @@ def search_type1(channel: np.ndarray, config: Type1Config,
         total += rates[np.arange(n_groups), pick]
         picks.append(pick)
 
-    best, best_rate = None, -np.inf
-    for g, rate in enumerate(total.tolist()):
-        if rate > best_rate + 1e-12:
-            best, best_rate = g, rate
+    best = _first_best(range(n_groups), total.tolist().__getitem__)
     if best is None:
         raise RestrictionError("no admissible PMI under the given restriction")
     i11, i12, i13 = book.groups[best]

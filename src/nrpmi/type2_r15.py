@@ -13,7 +13,7 @@ import numpy as np
 
 from . import quantization as qt
 from .bases import ArrayGeometry
-from .channel_sim import _beam_projections, _search_groups
+from .channel_sim import _beam_projections, _search_channel, _search_groups
 from .combinadics import (
     array_bits,
     binomial,
@@ -170,16 +170,16 @@ def validate(config: T2R15Config, pmi: T2R15Pmi) -> tuple[np.ndarray, np.ndarray
     return k2_reported, alphabet
 
 
-def _coefficients(config: T2R15Config, pmi: T2R15Pmi, subbands: int | slice,
+def _coefficients(config: T2R15Config, pmi: T2R15Pmi,
                   alphabet: np.ndarray) -> np.ndarray:
-    """Complex combination weights p1*p2*phi of every layer: (rank, 2L) for
-    one subband, (subbands, rank, 2L) for a slice of them."""
+    """Complex combination weights p1*p2*phi of every subband and layer,
+    (subbands, rank, 2L)."""
     a = np.where(alphabet > 0, alphabet, config.n_psk)
-    k2 = np.asarray(pmi.k2).swapaxes(0, 1)[subbands]
+    k2 = np.asarray(pmi.k2).swapaxes(0, 1)
     p1 = qt.R15_WB_AMPS[pmi.k1]
     p2 = (qt.R15_SB_AMPS[k2] if config.subband_amplitude
           else np.ones(k2.shape))
-    c = np.asarray(pmi.c).swapaxes(0, 1)[subbands]
+    c = np.asarray(pmi.c).swapaxes(0, 1)
     phi = np.exp(2j * np.pi * (c % a) / a)
     return p1 * p2 * phi
 
@@ -188,7 +188,7 @@ def layer_coefficients(config: T2R15Config, pmi: T2R15Pmi, layer: int,
                        subband: int) -> np.ndarray:
     """Complex combination weights p1*p2*phi for one layer and subband (2L,)."""
     _, alphabet = reporting_mask(config, pmi.k1, pmi.i13)
-    return _coefficients(config, pmi, subband, alphabet)[layer]
+    return _coefficients(config, pmi, alphabet)[subband, layer]
 
 
 def _beta(config: T2R15Config, coef: np.ndarray) -> np.ndarray:
@@ -218,17 +218,16 @@ def reconstruct_all(config: T2R15Config, pmi: T2R15Pmi) -> np.ndarray:
     """Precoders for every subband, shape (subbands, P, rank)."""
     _, alphabet = validate(config, pmi)
     return _precoders(config, selected_beams(config, pmi),
-                      _coefficients(config, pmi, slice(None), alphabet))
+                      _coefficients(config, pmi, alphabet))
 
 
 def reconstruct(config: T2R15Config, pmi: T2R15Pmi, subband: int = 0) -> np.ndarray:
-    """Precoding matrix (P, rank) for one subband."""
+    """Precoding matrix (P, rank) for one subband: its slice of
+    ``reconstruct_all``."""
     if not 0 <= subband < config.subband_count:
         raise DomainError(
             f"subband {subband} outside [0, {config.subband_count})")
-    _, alphabet = validate(config, pmi)
-    return _precoders(config, selected_beams(config, pmi),
-                      _coefficients(config, pmi, subband, alphabet))
+    return reconstruct_all(config, pmi)[subband]
 
 
 def serialize_pmi(config: T2R15Config, pmi: T2R15Pmi) -> str:
@@ -284,10 +283,25 @@ def subset_restriction(b1_bits, b2_bits, geom: ArrayGeometry) -> np.ndarray:
     return caps
 
 
-def _beam_caps(config: T2R15Config, pmi: T2R15Pmi, caps: np.ndarray) -> np.ndarray:
-    """The cap of each coefficient's beam, (2L,)."""
-    cap = caps[grid_coordinates(config.geom, pmi.i11,
-                                selected_flats(config, pmi))]
+def _check_caps(config: T2R15Config, caps) -> np.ndarray:
+    """Caps as an (O1N1, O2N2) array of finite entries in [0, 1]; caps on a
+    port-selection config raise, since the B1/B2 amplitude restriction
+    belongs to the regular codebook."""
+    if config.variant != REGULAR:
+        raise DomainError("caps apply to the regular variant only")
+    caps, shape = np.asarray(caps), (config.geom.beams_h, config.geom.beams_v)
+    if caps.shape != shape or caps.dtype.kind not in "biuf":
+        raise DomainError(f"caps of shape {caps.shape} must be an "
+                          f"(O1N1, O2N2) = {shape} array")
+    if not ((caps >= 0) & (caps <= 1)).all():
+        raise DomainError("caps must be finite entries in [0, 1]")
+    return caps
+
+
+def _beam_caps(config: T2R15Config, pmi: T2R15Pmi, caps) -> np.ndarray:
+    """The cap of each coefficient's beam, (2L,), under checked ``caps``."""
+    cap = _check_caps(config, caps)[grid_coordinates(
+        config.geom, pmi.i11, selected_flats(config, pmi))]
     return np.tile(cap, 2)
 
 
@@ -312,7 +326,7 @@ def random_valid_pmi(config: T2R15Config, rng: np.random.Generator,
                      caps: np.ndarray | None = None) -> T2R15Pmi:
     """Draw a uniformly random internally consistent report.
 
-    Under ``caps`` (regular variant), each layer's strongest coefficient
+    Under ``caps`` (``_check_caps``), each layer's strongest coefficient
     sits on a cap-free beam and every other k1 is capped; a beam draw with
     no cap-free beam raises ``RestrictionError``.
     """
@@ -320,7 +334,7 @@ def random_valid_pmi(config: T2R15Config, rng: np.random.Generator,
     n_sb = config.subband_count
     i11, i12 = draw_beams(config, rng)
     max_k = np.full(two_l, 7)
-    if caps is not None and config.variant == REGULAR:
+    if caps is not None:
         beams = T2R15Pmi(i11, i12, (), None, None, None)  # i11/i12 only
         max_k = _max_k(_beam_caps(config, beams, caps))
     free = np.flatnonzero(max_k == 7)
@@ -354,13 +368,13 @@ def search_t2_r15(channel: np.ndarray, config: T2R15Config,
     energy, the L beams of highest energy in it, least-squares weights,
     quantization.
 
-    ``channel`` has shape (M, Nr, P); for the port-selection variant it is
-    the effective (beam-domain) channel.
+    ``channel`` is read by ``_search_channel`` as (M, Nr, P); for port
+    selection it is the effective (beam-domain) channel.
     """
-    h = np.asarray(channel)
-    p = config.n_ports
-    if h.ndim != 3 or h.shape[2] != p:
-        raise DomainError(f"channel must be (M, Nr, {p})")
+    h = _search_channel(channel, config.n_ports,
+                        subbands=config.subband_count)[0]
+    if caps is not None:
+        caps = _check_caps(config, caps)
     targets = _subband_targets(h, config.subband_count, config.rank)
     wide = _subband_targets(h, 1, config.rank)  # (rank, 1, P)
 
@@ -383,7 +397,7 @@ def _candidate(config: T2R15Config, targets: np.ndarray, i11, i12,
     if quantized is None:
         return None
     pmi, alphabet = quantized
-    weights = _coefficients(config, pmi, slice(None), alphabet)
+    weights = _coefficients(config, pmi, alphabet)
     try:
         _beta(config, weights)
     except DegenerateReportError:

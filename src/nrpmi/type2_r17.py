@@ -44,6 +44,8 @@ class R17Config:
     n_threshold: int = 2  # tap window bound N
     rank: int = 1
 
+    PARAMS = PARAM_COMBINATIONS
+    PARAM_NAME = "paraCombination-r17"
     variant = enhanced.PORT_SELECTION
     # the strongest coefficient may sit on either tap: i18 = K1 * f* + i*
     strongest_axis = enhanced.TAP_AXIS
@@ -51,21 +53,13 @@ class R17Config:
     def __post_init__(self):
         if self.p_csirs not in SUPPORTED_PORT_COUNTS:
             raise DomainError(f"nrofPorts {self.p_csirs} unsupported")
-        if self.param_combination not in PARAM_COMBINATIONS:
-            raise DomainError(f"paraCombination-r17 {self.param_combination} "
-                              "outside [1, 8]")
+        enhanced.check_table(self)
         if self.n_threshold not in (2, 4):
             raise DomainError(f"tap window bound N={self.n_threshold} not in {{2,4}}")
-        if not 3 <= self.n3 <= 36:
-            raise DomainError(f"N3={self.n3} outside [3, 36]")
-        if not 1 <= self.rank <= 4:
-            raise DomainError(f"rank {self.rank} outside [1, 4]")
         k1 = PARAM_COMBINATIONS[self.param_combination][1] * self.p_csirs
         if k1 != int(k1) or int(k1) % 2 or k1 <= 0:
             raise DomainError(
                 f"K1 = alpha * P = {k1} must be a positive even integer")
-        if self.l > self.p_csirs // 2:
-            raise DomainError(f"L={self.l} exceeds P/2={self.p_csirs // 2}")
 
     @enhanced.derived
     def m(self) -> int:

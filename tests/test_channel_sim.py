@@ -27,6 +27,7 @@ from nrpmi.channel_sim import (
 )
 from nrpmi.combinadics import decode_combination, encode_combination
 from nrpmi.errors import BudgetError, DegenerateReportError, DomainError
+from nrpmi.type1 import Type1Config, search_type1
 
 GEOM = ArrayGeometry(4, 2, 4, 4)
 
@@ -656,3 +657,79 @@ def test_budget_rule_is_one_for_draw_and_search():
         enhanced.draw_coefficients(cfg, np.random.default_rng(0))
     with pytest.raises(BudgetError, match=message):
         channel_sim._quantize_layers(cfg, coefs)
+
+
+def _r15_config(**kw):
+    return type2_r15.T2R15Config(l=2, geom=GEOM, **kw)
+
+
+def _channel(m, n4=1, fill=None):
+    """A drawn (N4, M, 2, 16) channel, or one filled with ``fill``."""
+    model = ChannelModel(n_subcarriers=max(m, 1), seed=3)
+    h = draw_channel(model, GEOM, nr=2, n4=n4).h[:, :m]
+    if fill is not None:
+        h = np.full_like(h, fill)
+    return h
+
+
+R16_CFG = type2_r16.R16Config(param_combination=1, r=1, n3=8, geom=GEOM)
+R17_CFG = type2_r17.R17Config(p_csirs=16, param_combination=5, n3=8)
+R18_CFG = type2_r18.R18Config(geom=GEOM, param_combination=1, r=1, n3=8,
+                              n4=2)
+
+
+# each case returned a report or raised another error before the searches
+# shared one channel check
+@pytest.mark.parametrize("search, cfg, h, match", [
+    (type2_r15.search_t2_r15, _r15_config(), _channel(4, fill=0)[0],
+     "all zero"),
+    (type2_r15.search_t2_r15, _r15_config(subband_count=4), _channel(2)[0],
+     "M=2 subcarriers < 4 subbands"),
+    (type2_r15.search_t2_r15, _r15_config(subband_count=4), _channel(0)[0],
+     "M=0 subcarriers < 4 subbands"),
+    (search_type1, Type1Config(GEOM, subband_count=4), _channel(2)[0],
+     "M=2 subcarriers < 4 subbands"),
+    (search_r16, R16_CFG, ChannelRealization(_channel(8, fill=np.nan)),
+     "non-finite"),
+    (search_type1, Type1Config(GEOM), _channel(4, fill=np.nan)[0],
+     "non-finite"),
+    (search_r16, R16_CFG, ChannelRealization(_channel(8, fill=0)),
+     "all zero"),
+    (search_r17, R17_CFG, ChannelRealization(_channel(8, fill=0)),
+     "all zero"),
+    (search_r18, R18_CFG, ChannelRealization(_channel(8, n4=2, fill=0)),
+     "all zero"),
+], ids=["r15-zero", "r15-M2", "r15-M0", "type1-M2", "r16-nan", "type1-nan",
+        "r16-zero", "r17-zero", "r18-zero"])
+def test_every_search_rejects_a_malformed_channel(search, cfg, h, match):
+    with pytest.raises(DomainError, match=match):
+        search(h, cfg)
+
+
+def test_search_r16_reads_an_array_as_a_channel():
+    h = _channel(8)
+    assert (cli.pmi_to_fields(search_r16(h, R16_CFG))
+            == cli.pmi_to_fields(search_r16(ChannelRealization(h), R16_CFG)))
+
+
+@pytest.mark.parametrize("h, kw, match", [
+    (np.ones((2, 16)), {}, r"\(2, 16\) is not \(N4=1, M, Nr, 16\)"),
+    (np.ones((1, 1, 2, 2, 16)), {}, "is not"),
+    (np.ones((2, 2, 8)), {}, r"\(1, 2, 2, 8\) is not \(N4=1, M, Nr, 16"),
+    (np.full((2, 2, 16), "x"), {}, "non-numeric"),
+    (np.ones((2, 2, 16)), {"n4": 2}, r"is not \(N4=2"),
+    (np.ones((2, 2, 16)), {"n3": 8}, "M=2 subcarriers, N3=8"),
+    (np.ones((2, 2, 16)), {"subbands": 3}, "< 3 subbands"),
+    (np.full((2, 2, 16), np.inf), {}, "non-finite"),
+    (np.zeros((2, 2, 16)), {}, "all zero"),
+])
+def test_search_channel_names_the_problem(h, kw, match):
+    with pytest.raises(DomainError, match=match):
+        channel_sim._search_channel(h, 16, **kw)
+
+
+def test_search_channel_reads_one_interval_as_n4_1():
+    h = _channel(4)
+    for channel in (h, h[0], ChannelRealization(h)):
+        read = channel_sim._search_channel(channel, 16, n3=4, subbands=4)
+        assert read.shape == (1, 4, 2, 16) and np.array_equal(read, h)

@@ -323,3 +323,22 @@ def test_subband_outside_the_report_is_rejected(subband):
     with pytest.raises(DomainError, match=f"subband {subband} outside"):
         build_precoder(cfg, pmi, subband)
 
+
+
+@pytest.mark.parametrize("noise_power", [0, -1, 0.0, np.nan, np.inf, "1"])
+def test_search_rejects_noise_power_outside_zero_inf(noise_power):
+    cfg = Type1Config(ArrayGeometry(2, 1, 4, 1))
+    h = np.ones((1, 2, 4), dtype=complex)
+    with pytest.raises(DomainError, match="noise_power"):
+        search_type1(h, cfg, noise_power=noise_power)
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"mode": 3}, "codebook mode 3"),
+    ({"mode": 2, "geom": ArrayGeometry(4, 1, 4, 1)}, "mode 2 requires N2"),
+    ({"rank": 3}, "rank 3"),
+    ({"subband_count": 0}, "subband_count"),
+])
+def test_config_rejections_name_the_field(kw, match):
+    with pytest.raises(DomainError, match=match):
+        Type1Config(**{"geom": ArrayGeometry(2, 2, 4, 4), **kw})

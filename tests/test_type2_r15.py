@@ -468,3 +468,52 @@ def test_regular_vs_port_selection_equivalence():
         y_reg = sum(a[i] * (h1 @ f[:, d]) + a[l + i] * (h2 @ f[:, d])
                     for i, d in enumerate(ports))
         np.testing.assert_allclose(y_ps, y_reg, atol=1e-10)
+
+
+# the three calls that read Rel-15 caps, on one caps grid
+CAPS_CALLS = {
+    "check_restriction": lambda cfg, caps: check_restriction(
+        cfg, random_valid_pmi(cfg, np.random.default_rng(0)), caps),
+    "random_valid_pmi": lambda cfg, caps: random_valid_pmi(
+        cfg, np.random.default_rng(0), caps=caps),
+    "search_t2_r15": lambda cfg, caps: search_t2_r15(
+        np.ones((2, 2, cfg.n_ports), dtype=complex), cfg, caps=caps),
+}
+
+
+@pytest.mark.parametrize("call", CAPS_CALLS)
+def test_caps_of_another_shape_are_rejected(call):
+    # (O1N1, O2N2) = (16, 8) on a 4x2 array with O1 = O2 = 4
+    with pytest.raises(DomainError, match=r"caps of shape \(4, 4\)"):
+        CAPS_CALLS[call](simple_config(), np.ones((4, 4)))
+
+
+@pytest.mark.parametrize("call", CAPS_CALLS)
+def test_caps_on_port_selection_are_rejected(call):
+    cfg = simple_config(**PS)
+    with pytest.raises(DomainError, match="caps apply to the regular"):
+        CAPS_CALLS[call](cfg, np.ones((GEOM.beams_h, GEOM.beams_v)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -0.5, 2.0])
+@pytest.mark.parametrize("call", CAPS_CALLS)
+def test_caps_outside_zero_one_are_rejected(call, value):
+    caps = np.ones((GEOM.beams_h, GEOM.beams_v))
+    caps[0, 0] = value
+    with pytest.raises(DomainError, match=r"caps must be finite .* \[0, 1\]"):
+        CAPS_CALLS[call](simple_config(), caps)
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"l": 5}, "numberOfBeams L=5"),
+    ({"n_psk": 2}, "phaseAlphabetSize 2"),
+    ({"rank": 3}, "rank 3"),
+    ({"subband_count": 0}, "subband_count"),
+    ({"geom": None}, "regular variant requires an array geometry"),
+    ({"variant": "other"}, "unknown variant 'other'"),
+    ({**PS, "d": None}, "requires p_csirs and d"),
+    ({**PS, "l": 3, "d": 4}, "portSelectionSamplingSize d=4"),
+])
+def test_config_rejections_name_the_field(kw, match):
+    with pytest.raises(DomainError, match=match):
+        simple_config(**kw)

@@ -292,3 +292,27 @@ def test_i16_out_of_range():
                  pmi.bitmap, pmi.k1, pmi.k2, pmi.c)
     with pytest.raises(FormatError):
         decode_taps(cfg, bad, 0)
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"param_combination": 9}, r"paramCombination-r16 9 outside \[1, 8\]"),
+    ({"r": 3}, "R=3"),
+    ({"n3": 2}, "N3=2"),
+    ({"n3": 37}, "N3=37"),
+    ({"rank": 5}, "rank 5"),
+    ({"param_combination": 7, "rank": 3}, "paramCombination-r16 7 forbids "
+                                          "rank > 2"),
+])
+def test_config_rejections_name_the_field(kw, match):
+    with pytest.raises(DomainError, match=match):
+        make_config(**kw)
+
+
+def test_p_v_rejects_a_rank_its_row_lacks():
+    with pytest.raises(DomainError, match="rank > 2"):
+        make_config(param_combination=7).p_v(3)
+
+
+def test_derive_n3_rejects_r():
+    with pytest.raises(DomainError, match="R=3"):
+        derive_n3(273, 16, 3)

@@ -197,3 +197,16 @@ def test_r16_subspace_equivalence():
             a = np.concatenate([f @ w17[t, :half, 0], f @ w17[t, half:, 0]])
             a = a / np.linalg.norm(a)
             assert abs(abs(np.vdot(a, w16[t, :, 0])) - 1) < 1e-9
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"p_csirs": 6}, "nrofPorts 6"),
+    ({"param_combination": 9}, r"paraCombination-r17 9 outside \[1, 8\]"),
+    ({"n_threshold": 3}, "N=3"),
+    ({"n3": 2}, "N3=2"),
+    ({"rank": 5}, "rank 5"),
+    ({"p_csirs": 12, "param_combination": 6}, r"K1 = alpha \* P = 9.0"),
+])
+def test_config_rejections_name_the_field(kw, match):
+    with pytest.raises(DomainError, match=match):
+        make_config(**kw)

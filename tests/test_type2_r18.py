@@ -177,3 +177,17 @@ def test_reconstruct_single_point():
         reconstruct(cfg, pmi, cfg.n3, 0)
     with pytest.raises(DomainError):
         reconstruct(cfg, pmi, 0, cfg.n4)
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"param_combination": 10},
+     r"paramCombination-Doppler-r18 10 outside \[1, 9\]"),
+    ({"r": 0}, "R=0"),
+    ({"n3": 40}, "N3=40"),
+    ({"rank": 0}, "rank 0"),
+    ({"param_combination": 8, "rank": 4}, "forbids rank > 2"),
+    ({"n4": 3}, "N4=3"),
+])
+def test_config_rejections_name_the_field(kw, match):
+    with pytest.raises(DomainError, match=match):
+        make_config(**kw)
