@@ -307,9 +307,10 @@ def _pick_port_block(targets: np.ndarray, p_csirs: int, l: int,
 
 
 def _quantize_layers(config, coefs):
-    """Quantize every layer's (K, Mv, Q) coefficient grid against the
-    Rel-16 amplitude tables, all layers in one array pass; returns (i18,
-    bitmap, k1, k2, c) with arrays of ``config.coef_shape``.
+    """Quantize every layer's (K, Mv, Q) coefficient grid, ``coefs`` of
+    shape (rank, K, Mv, Q), against the Rel-16 amplitude tables in one array
+    pass; returns (i18, bitmap, k1, k2, c) with arrays of
+    ``config.coef_shape``.
 
     Per layer, the largest coefficient in the slots that may hold the
     strongest one is the reference: the grid is turned by its phase and
@@ -319,29 +320,31 @@ def _quantize_layers(config, coefs):
     """
     rank, l = config.rank, config.l
     rows = np.arange(rank)
-    tail = np.stack(coefs).reshape(rank, 2 * l, -1)    # (rank, K, Mv*Q)
-    # the (Mv, Q) slots that may hold the strongest coefficient
-    slots = np.zeros(coefs[0].shape[1:], dtype=bool)
-    slots[enhanced.strongest_cell(config, 0, slice(None))[1:]] = True
+    cells = coefs.shape[2] * coefs.shape[3]
+    tail = coefs.reshape(rank, 2 * l, cells)
     mag = np.abs(tail)
-    star_mag = np.round(mag, 12)
-    star_mag[:, :, ~slots.reshape(-1)] = -1.0
-    star = star_mag.reshape(rank, -1).argmax(axis=1)   # flat (K, Mv*Q) cell
+    # the reference: the first largest coefficient, in (K, Mv*Q) order, of
+    # the columns that may hold the strongest one
+    cols = np.arange(cells).reshape(coefs.shape[2:])[
+        enhanced.strongest_cell(config, 0, slice(None))[1:]]
+    i_star, s_star = np.divmod(
+        mag[:, :, cols].round(12).reshape(rank, -1).argmax(axis=1),
+        cols.size)                 # beam, and position along the free axis
+    star = i_star * cells + cols[s_star]                 # flat (K, Mv*Q) cell
+    ref = tail.reshape(rank, -1)[rows, star]
     scale = mag.reshape(rank, -1)[rows, star]
-    if (scale == 0).any():
+    if not scale.all():
         raise DomainError("no usable coefficient at the reference tap")
-    turn = np.exp(-1j * np.angle(tail.reshape(rank, -1)[rows, star]))
-    tail = tail * turn[:, None, None]
+    tail = tail * np.exp(-1j * np.angle(ref))[:, None, None]
     mag = np.abs(tail) / scale[:, None, None]
-    i_star, t_star = np.divmod(star, tail.shape[2])
     p_star = i_star // l
     k1 = np.ones((rank, 2), dtype=int)
     k1[rows, p_star] = 15
     other = 1 - p_star
     other_max = mag.reshape(rank, 2, -1).max(axis=2)[rows, other]
-    k1[rows, other] = np.where(
-        other_max > 0, quantize_nearest(np.minimum(other_max, 1.0),
-                                        enhanced.WB_AMPS[1:]) + 1, 1)
+    # a zero maximum is nearest the smallest amplitude, k1 = 1
+    k1[rows, other] = quantize_nearest(np.minimum(other_max, 1.0),
+                                       enhanced.WB_AMPS[1:]) + 1
     ratio = mag / np.repeat(enhanced.WB_AMPS[k1], l, axis=1)[:, :, None]
     k2 = quantize_nearest(np.minimum(ratio, 1.0), enhanced.SB_AMPS)
     keep = (ratio >= enhanced.SB_AMPS[0] / 2).reshape(rank, -1)
@@ -349,9 +352,9 @@ def _quantize_layers(config, coefs):
     # budget: each layer's limit, from what the earlier layers report
     kept, left = keep.sum(axis=1), 2 * config.k0
     limit = np.empty(rank, dtype=int)
-    for layer in rows:
+    for layer, count in enumerate(kept.tolist()):
         limit[layer] = enhanced.layer_cap(config, layer, left)
-        left -= min(kept[layer], limit[layer])
+        left -= min(count, limit[layer])
     over = np.flatnonzero(kept > limit)
     if over.size:
         # a layer over its limit keeps the reference and the limit - 1
@@ -369,26 +372,32 @@ def _quantize_layers(config, coefs):
     c[rows, star] = 0
     shape = config.coef_shape
     bitmap = keep.astype(np.int8).reshape(shape)
-    # the strongest coefficient's position along its free axis
-    s_star = np.unravel_index(t_star, slots.shape)[config.strongest_axis - 1]
-    i18 = tuple(enhanced.encode_strongest(config, bitmap[layer], i_star[layer],
-                                          s_star[layer]) for layer in rows)
+    i18 = tuple(enhanced.encode_strongest(config, bitmap[layer], i, s)
+                for layer, (i, s) in enumerate(zip(i_star.tolist(),
+                                                   s_star.tolist())))
     return i18, bitmap, k1, k2.reshape(shape), c.reshape(shape)
 
 
-def _pick_taps(ref_metric: np.ndarray, energy: np.ndarray, config):
-    """Reference tap (strongest coefficient) plus the best representable
-    companions by energy; returns (ref, relative taps in decode order,
-    M_init)."""
-    mv, n3 = config.mv, config.n3
-    ref = int(np.argmax(np.round(ref_metric, 12)))
-    rel_energy = np.roll(energy, -ref)
+def _pick_taps(rel_energy: np.ndarray, config):
+    """Each layer's taps in decode order, (rank, Mv), and the report's
+    M_initial, from tap energies ``rel_energy`` (rank, N3) taken relative
+    to each layer's reference tap (relative tap 0, always kept).
+
+    Outside window mode, and with a window of 2Mv >= N3 taps (which at
+    M_initial = 0 covers every tap), every layer keeps its Mv - 1 strongest
+    other taps.  In window mode each layer greedily takes the strongest
+    taps whose signed span fits the window; layer 0's picks fix M_initial
+    for the one i15 field, and a later layer whose picks would need another
+    M_initial is refit among ``enhanced.tap_choices`` at layer 0's,
+    exact energy ties toward the window start.
+    """
+    rank, mv, n3 = rel_energy.shape[0], config.mv, config.n3
     if mv == 1:
-        return ref, (0,), 0
+        return np.zeros((rank, 1), dtype=int), 0
     if not config.window_mode or 2 * mv >= n3:
-        # a window of 2Mv >= N3 taps at M_initial = 0 covers every tap
-        rest = np.sort(np.argsort(rel_energy[1:])[::-1][:mv - 1] + 1)
-        return ref, (0,) + tuple(int(t) for t in rest), 0
+        rest = np.argsort(rel_energy[:, 1:], axis=1)[:, ::-1][:, :mv - 1] + 1
+        return np.hstack([np.zeros((rank, 1), dtype=int),
+                          np.sort(rest, axis=1)]), 0
     # signed relative position; the window [M_init, M_init + 2Mv - 1] must
     # cover every pick and contain 0
     signed = {}
@@ -396,30 +405,26 @@ def _pick_taps(ref_metric: np.ndarray, energy: np.ndarray, config):
         s = rel if rel <= 2 * mv - 1 else rel - n3
         if -2 * mv + 1 <= s <= 2 * mv - 1:
             signed[rel] = s
-    order = sorted(signed, key=lambda rel: -rel_energy[rel])
-    chosen: list[int] = []
-    lo = hi = 0
-    for rel in order:
-        if len(chosen) == mv - 1:
-            break
-        s = signed[rel]
-        new_lo, new_hi = min(lo, s), max(hi, s)
-        if new_hi - new_lo <= 2 * mv - 2:
-            chosen.append(rel)
-            lo, hi = new_lo, new_hi
-    m_init = min(0, lo)
-    choices = enhanced.tap_choices(config, m_init)
-    return ref, (0,) + tuple(sorted(chosen, key=choices.index)), m_init
-
-
-def _refit_window(ref: int, energy: np.ndarray, config, m_init: int):
-    """Best companion taps among ``enhanced.tap_choices`` at M_init, ties
-    toward the window start M_init."""
-    rel_energy = np.roll(energy, -ref)
-    choices = enhanced.tap_choices(config, m_init)
-    picks = sorted(choices, key=lambda rel: (-rel_energy[rel],
-                                             (rel - m_init) % config.n3))
-    return (0,) + tuple(sorted(picks[:config.mv - 1], key=choices.index))
+    taps, m_first = [], None
+    for energy in rel_energy.tolist():
+        chosen: list[int] = []
+        lo = hi = 0
+        for rel in sorted(signed, key=lambda rel: -energy[rel]):
+            if len(chosen) == mv - 1:
+                break
+            s = signed[rel]
+            if max(hi, s) - min(lo, s) <= 2 * mv - 2:
+                chosen.append(rel)
+                lo, hi = min(lo, s), max(hi, s)
+        # lo <= 0 is the M_initial these picks need; layer 0's is the report's
+        if m_first is None:
+            m_first = lo
+        choices = enhanced.tap_choices(config, m_first)
+        if lo != m_first:
+            chosen = sorted(choices, key=lambda rel: (
+                -energy[rel], (rel - m_first) % n3))[:mv - 1]
+        taps.append([0] + sorted(chosen, key=choices.index))
+    return np.array(taps), m_first
 
 
 def _search_channel(channel, n_ports, n4=1, n3=None, subbands=1):
@@ -485,54 +490,43 @@ def _chosen(best):
 
 
 def _finish(config, targets, i11, i12, basis):
-    """Shift, tap and coefficient selection for a fixed beam set; returns
-    the report with each layer's taps, and shifts (None for Rel-16), as
-    the report's i16 and i110 decode to.
+    """Shift, tap and coefficient selection for a fixed beam set, every
+    layer in one array pass; returns the report with each layer's taps
+    (rank, Mv), and shifts (rank, Q) (None for Rel-16), as the report's i16
+    and i110 decode to.
 
     Works on the (2L, Mv, Q) grid of Rel-18; Rel-16 is the case of one slot
     interval and one shift.
     """
-    n3 = config.n3
+    n3, rank = config.n3, config.rank
     proj = _beam_projections(targets, basis, enhanced.spatial_gain(config))
     n4 = proj.shape[1]                                  # (rank, N4, M, 2L)
     # 2-D DFT: frequency units -> taps, intervals -> shifts
     spectrum = np.fft.fft(proj, axis=2) / n3
     spectrum = np.fft.fft(spectrum, axis=1) / n4        # (rank, N4, N3, 2L)
-    m_first = None
-    i16, i110, coefs, taps, shifts = [], [], [], [], []
-    for layer in range(config.rank):
-        if n4 > 1:
-            shift_energy = (np.abs(spectrum[layer]) ** 2).sum(axis=(1, 2))
-            second = 1 + int(np.argmax(shift_energy[1:]))
-            shifts.append((0, second))
-            i110.append(second - 1)
-        else:
-            shifts.append((0,))
-        sub = spectrum[layer][list(shifts[-1])]           # (Q, N3, 2L)
-        tap_energy = (np.abs(sub) ** 2).sum(axis=(0, 2))
-        tap_peak = np.abs(sub).max(axis=(0, 2))
-        ref, rels, m_init = _pick_taps(tap_peak, tap_energy, config)
-        if m_first is None:
-            m_first = m_init
-        elif m_init != m_first:
-            # one i15 field serves the whole report: refit later layers
-            # inside the window fixed by the first layer (M_init is 0
-            # outside window mode)
-            m_init = m_first
-            rels = _refit_window(ref, tap_energy, config, m_init)
-        idx, i15 = enhanced.encode_taps(config, rels, m_init)
-        i16.append(idx)
-        taps.append(rels)
-        abs_taps = [(ref + rel) % n3 for rel in rels]
-        # coefficient tensor (2L, Mv, Q): tap index then shift index
-        coefs.append(np.stack([s[abs_taps].T for s in sub], axis=-1))
-    i18, *arrays = _quantize_layers(config, coefs)
+    rows = np.arange(rank)[:, None]
+    shifts = np.zeros((rank, 1), dtype=int)
+    if n4 > 1:
+        # beside shift 0, each layer's strongest other shift
+        energy = (np.abs(spectrum) ** 2).sum(axis=(2, 3))[:, 1:]
+        shifts = np.hstack([shifts, 1 + energy.argmax(axis=1)[:, None]])
+    sub = spectrum[rows, shifts]                        # (rank, Q, N3, 2L)
+    mag = np.abs(sub)
+    tap_energy = (mag ** 2).sum(axis=(1, 3))
+    # the reference tap: the strongest coefficient's, taps re-counted from it
+    ref = mag.max(axis=(1, 3)).round(12).argmax(axis=1)
+    at = (ref[:, None] + np.arange(n3)) % n3
+    taps, m_init = _pick_taps(tap_energy[rows, at], config)
+    i16, i15 = zip(*(enhanced.encode_taps(config, rels, m_init)
+                     for rels in taps.tolist()))
+    # coefficient grid (rank, 2L, Mv, Q): tap index then shift index
+    coefs = np.take_along_axis(sub, at[rows, taps][:, None, :, None], axis=2)
+    i18, *arrays = _quantize_layers(config, coefs.transpose(0, 3, 2, 1))
     if len(config.coef_shape) == 4:
-        return type2_r18.R18Pmi(i11, i12, i15, tuple(i16), i18,
-                                tuple(i110) if n4 > 1 else None,
-                                *arrays), taps, shifts
-    return (type2_r16.R16Pmi(i11, i12, i15, tuple(i16), i18, *arrays), taps,
-            None)
+        i110 = tuple((shifts[:, 1] - 1).tolist()) if n4 > 1 else None
+        return (type2_r18.R18Pmi(i11, i12, i15[0], i16, i18, i110, *arrays),
+                taps, shifts)
+    return type2_r16.R16Pmi(i11, i12, i15[0], i16, i18, *arrays), taps, None
 
 
 def search_r17(channel: ChannelRealization, config: type2_r17.R17Config
@@ -558,8 +552,7 @@ def search_r17(channel: ChannelRealization, config: type2_r17.R17Config
         tap_energy = (np.abs(spectrum) ** 2).sum(axis=(0, 2))[:config.window]
         i16 = int(np.argmax(tap_energy[1:]))
         taps = (0, i16 + 1)
-    coefs = [spectrum[layer][list(taps)].T[..., None]    # (K1, M, 1)
-             for layer in range(config.rank)]
+    coefs = spectrum[:, list(taps)].transpose(0, 2, 1)[..., None]
     pmi = type2_r17.R17Pmi(i12, i16, *_quantize_layers(config, coefs))
     return _chosen(_choose([_candidate(config, basis, pmi,
                                        [taps] * config.rank)], targets))

@@ -309,6 +309,7 @@ def tap_choices(config, m_init: int = 0) -> list[int]:
 
 def decode_taps(config, pmi, layer: int) -> tuple[int, ...]:
     """Tap indices n3^(0..Mv-1); n3^(0) = 0 is the (remapped) strongest tap."""
+    check_index("layer", layer, config.rank)
     choices = tap_choices(config, m_initial(config, pmi))
     i16 = pmi.i16[layer]
     if not 0 <= i16 < config.i16_count:
@@ -334,15 +335,6 @@ def encode_taps(config, taps, m_init: int = 0) -> tuple[int, int | None]:
     if not config.window_mode:
         return i16, None
     return i16, 0 if m_init == 0 else m_init + 2 * mv
-
-
-def remap_taps(taps, f_star: int, n3: int) -> tuple[int, ...]:
-    """Renumber taps so the strongest (position f_star) becomes tap 0 at f=0."""
-    mv = len(taps)
-    out = [0] * mv
-    for f, t in enumerate(taps):
-        out[(f - f_star) % mv] = (t - taps[f_star]) % n3
-    return tuple(out)
 
 
 def draw_taps(config, rng: np.random.Generator):
@@ -468,6 +460,8 @@ def layer_coefficients(config, pmi, layer: int | slice = slice(None)
     """Complex coefficient grid (K, Mv[, Q]) of one layer, or (rank, K,
     Mv[, Q]) of every layer by default: p1 * p2 * phi, zeros where
     unreported."""
+    if not isinstance(layer, slice):
+        check_index("layer", layer, config.rank)
     p1 = WB_AMPS[pmi.k1[layer]]          # ([rank,] 2)
     p2 = SB_AMPS[pmi.k2[layer]]          # ([rank,] K, Mv[, Q])
     phi = np.exp(2j * np.pi * pmi.c[layer] / N_PSK16)
@@ -532,12 +526,18 @@ def basis_stage(config, v: np.ndarray, ct: np.ndarray,
     return np.ascontiguousarray(np.moveaxis(normed, (0, 1), (-1, -2)))
 
 
+def check_index(name: str, value, count: int) -> None:
+    """Reject ``value`` unless it is an integer index into ``count`` items
+    (a layer, subband, frequency unit or slot interval), naming it."""
+    if not (is_index(value) and 0 <= value < count):
+        raise DomainError(f"{name} {value} outside [0, {count})")
+
+
 def check_point(config, t: int, iota: int | None = None) -> None:
     """Range-check a frequency unit (and slot interval)."""
-    if not 0 <= t < config.n3:
-        raise DomainError(f"frequency unit {t} outside [0, {config.n3})")
-    if iota is not None and not 0 <= iota < config.n4:
-        raise DomainError(f"slot interval {iota} outside [0, {config.n4})")
+    check_index("frequency unit", t, config.n3)
+    if iota is not None:
+        check_index("slot interval", iota, config.n4)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .enhanced import (  # noqa: F401 (PORT_SELECTION: a variant name)
     beam_fields,
     beam_grid_indices,
     check_beams,
+    check_index,
     draw_beams,
     grid_coordinates,
     selected_beams,
@@ -186,8 +187,11 @@ def _coefficients(config: T2R15Config, pmi: T2R15Pmi,
 
 def layer_coefficients(config: T2R15Config, pmi: T2R15Pmi, layer: int,
                        subband: int) -> np.ndarray:
-    """Complex combination weights p1*p2*phi for one layer and subband (2L,)."""
-    _, alphabet = reporting_mask(config, pmi.k1, pmi.i13)
+    """Complex combination weights p1*p2*phi for one layer and subband (2L,)
+    of a report that passes ``validate``."""
+    _, alphabet = validate(config, pmi)
+    check_index("layer", layer, config.rank)
+    check_index("subband", subband, config.subband_count)
     return _coefficients(config, pmi, alphabet)[subband, layer]
 
 
@@ -224,9 +228,7 @@ def reconstruct_all(config: T2R15Config, pmi: T2R15Pmi) -> np.ndarray:
 def reconstruct(config: T2R15Config, pmi: T2R15Pmi, subband: int = 0) -> np.ndarray:
     """Precoding matrix (P, rank) for one subband: its slice of
     ``reconstruct_all``."""
-    if not 0 <= subband < config.subband_count:
-        raise DomainError(
-            f"subband {subband} outside [0, {config.subband_count})")
+    check_index("subband", subband, config.subband_count)
     return reconstruct_all(config, pmi)[subband]
 
 
@@ -351,15 +353,11 @@ def random_valid_pmi(config: T2R15Config, rng: np.random.Generator,
 
 def _subband_targets(channel: np.ndarray, n_sb: int, rank: int) -> np.ndarray:
     """Per-subband dominant eigenvectors of H^H H, shape (rank, n_sb, P)."""
-    m, _, p = channel.shape
-    edges = np.linspace(0, m, n_sb + 1).astype(int)
-    targets = np.empty((rank, n_sb, p), dtype=complex)
-    for sb in range(n_sb):
-        h = channel[edges[sb]:edges[sb + 1]]
-        cov = np.einsum("mrp,mrq->pq", h.conj(), h)
-        _, vecs = np.linalg.eigh(cov)
-        targets[:, sb] = vecs[:, ::-1][:, :rank].T
-    return targets
+    edges = np.linspace(0, channel.shape[0], n_sb + 1).astype(int)
+    covs = [np.einsum("mrp,mrq->pq", h.conj(), h)
+            for h in np.split(channel, edges[1:-1])]
+    _, vecs = np.linalg.eigh(np.array(covs))          # (n_sb, P, P)
+    return np.ascontiguousarray(vecs[..., ::-1][..., :rank].transpose(2, 0, 1))
 
 
 def search_t2_r15(channel: np.ndarray, config: T2R15Config,

@@ -101,6 +101,7 @@ class R18Pmi:
 
 def decode_shifts(config: R18Config, pmi: R18Pmi, layer: int) -> tuple[int, ...]:
     """Doppler shift indices n4^(tau); the reference shift is always 0."""
+    enhanced.check_index("layer", layer, config.rank)
     if config.n4 == 1:
         if pmi.i110 is not None:
             raise FormatError("i_1,10 must be absent when N4 = 1")

@@ -29,6 +29,8 @@ from nrpmi.combinadics import decode_combination, encode_combination
 from nrpmi.errors import BudgetError, DegenerateReportError, DomainError
 from nrpmi.type1 import Type1Config, search_type1
 
+from test_search_oracle import finish_oracle
+
 GEOM = ArrayGeometry(4, 2, 4, 4)
 
 
@@ -344,31 +346,27 @@ def test_search_skips_a_tied_degenerate_candidate(monkeypatch):
 
 @pytest.mark.parametrize("n3", [20, 21, 24, 30, 36])
 @pytest.mark.parametrize("rank", [1, 2])
-def test_search_r16_window_covering_every_tap(monkeypatch, n3, rank):
+def test_search_r16_window_covering_every_tap(n3, rank):
     # paramCombination 6 with R = 1: Mv = ceil(N3/2), so the i15 window of
-    # 2Mv taps at M_initial = 0 already covers all N3 taps
+    # 2Mv taps at M_initial = 0 already covers all N3 taps; the report and
+    # its taps are the per-layer finish's on the chosen beams
     cfg = type2_r16.R16Config(param_combination=6, r=1, n3=n3, rank=rank,
                               geom=GEOM)
     assert cfg.window_mode and 2 * cfg.mv >= n3
-    picks = []
-
-    def recording(*args):
-        picked = pick_taps(*args)
-        picks.append(picked[1])
-        return picked
-
-    pick_taps = channel_sim._pick_taps
-    monkeypatch.setattr(channel_sim, "_pick_taps", recording)
     model = ChannelModel(n_paths=4, n_subcarriers=n3, seed=n3)
     for trial in range(3):
-        picks.clear()
-        found = search_r16(draw_channel(model, GEOM, nr=2, trial=trial), cfg)
+        ch = draw_channel(model, GEOM, nr=2, trial=trial)
+        found = search_r16(ch, cfg)
         assert found.i15 == 0
         ws = type2_r16.reconstruct_all(cfg, found)
         np.testing.assert_allclose(np.linalg.norm(ws, axis=-2),
                                    1 / np.sqrt(rank), atol=1e-9)
+        expected, taps, _ = finish_oracle(
+            cfg, channel_sim._targets(ch.h, rank), found.i11, found.i12,
+            enhanced.selected_beams(cfg, found))
+        assert cli.pmi_to_fields(found) == cli.pmi_to_fields(expected)
         assert [enhanced.decode_taps(cfg, found, layer)
-                for layer in range(rank)] == picks[-rank:]
+                for layer in range(rank)] == [tuple(t) for t in taps.tolist()]
 
 
 def test_search_r16_flat_channel_taps():
@@ -651,7 +649,7 @@ def test_budget_rule_is_one_for_draw_and_search():
     cfg = type2_r16.R16Config(param_combination=1, r=1, n3=4, rank=3,
                               geom=GEOM)
     assert 2 * cfg.k0 < cfg.rank
-    coefs = list(np.ones((cfg.rank, 2 * cfg.l, cfg.mv, 1), dtype=complex))
+    coefs = np.ones((cfg.rank, 2 * cfg.l, cfg.mv, 1), dtype=complex)
     message = "budget cannot host one coefficient per layer"
     with pytest.raises(BudgetError, match=message):
         enhanced.draw_coefficients(cfg, np.random.default_rng(0))

@@ -1,16 +1,20 @@
 """Oracle tests for the Type II searches' candidate stage.
 
 The searches fit each tied candidate from the basis, taps and shifts they
-already hold, skip the fit when one candidate remains, and quantize every
-layer of a candidate in one array pass.  The reference copies below are the
-earlier forms: a candidate loop that fits every candidate through its
-release's ``reconstruct_all``, and a quantizer that works one layer at a
-time, trimming the budget with a loop over positions.  Every report must
-match them bit for bit, except where the reference overruns the 2*K0
+already hold, skip the fit when one candidate remains, and finish and
+quantize every layer of a candidate in one array pass.  The reference
+copies below are the earlier forms: a candidate loop that fits every
+candidate through its release's ``reconstruct_all``, a finish that picks
+each layer's shifts and taps in turn (refitting a later layer's taps into
+layer 0's window), and a quantizer that works one layer at a time,
+trimming the budget with a loop over positions.  Every report must match
+them bit for bit, except where the reference quantizer overruns the 2*K0
 budget at ranks 3-4 (it keeps nothing back for the later layers' strongest
 coefficients): there the search must return a report within the budget
 rule, ``enhanced.layer_cap``.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -117,6 +121,96 @@ def quantize_layers_oracle(config, coefs):
     return tuple(i18), bitmap, k1, k2, c
 
 
+def pick_taps_oracle(ref_metric, energy, config):
+    """Reference tap (strongest coefficient) plus the best representable
+    companions by energy; returns (ref, relative taps in decode order,
+    M_init)."""
+    mv, n3 = config.mv, config.n3
+    ref = int(np.argmax(np.round(ref_metric, 12)))
+    rel_energy = np.roll(energy, -ref)
+    if mv == 1:
+        return ref, (0,), 0
+    if not config.window_mode or 2 * mv >= n3:
+        # a window of 2Mv >= N3 taps at M_initial = 0 covers every tap
+        rest = np.sort(np.argsort(rel_energy[1:])[::-1][:mv - 1] + 1)
+        return ref, (0,) + tuple(int(t) for t in rest), 0
+    # signed relative position; the window [M_init, M_init + 2Mv - 1] must
+    # cover every pick and contain 0
+    signed = {}
+    for rel in range(1, n3):
+        s = rel if rel <= 2 * mv - 1 else rel - n3
+        if -2 * mv + 1 <= s <= 2 * mv - 1:
+            signed[rel] = s
+    order = sorted(signed, key=lambda rel: -rel_energy[rel])
+    chosen = []
+    lo = hi = 0
+    for rel in order:
+        if len(chosen) == mv - 1:
+            break
+        s = signed[rel]
+        new_lo, new_hi = min(lo, s), max(hi, s)
+        if new_hi - new_lo <= 2 * mv - 2:
+            chosen.append(rel)
+            lo, hi = new_lo, new_hi
+    m_init = min(0, lo)
+    choices = enhanced.tap_choices(config, m_init)
+    return ref, (0,) + tuple(sorted(chosen, key=choices.index)), m_init
+
+
+def refit_window_oracle(ref, energy, config, m_init):
+    """Best companion taps among ``enhanced.tap_choices`` at M_init, ties
+    toward the window start M_init."""
+    rel_energy = np.roll(energy, -ref)
+    choices = enhanced.tap_choices(config, m_init)
+    picks = sorted(choices, key=lambda rel: (-rel_energy[rel],
+                                             (rel - m_init) % config.n3))
+    return (0,) + tuple(sorted(picks[:config.mv - 1], key=choices.index))
+
+
+def finish_oracle(config, targets, i11, i12, basis,
+                  quantize=channel_sim._quantize_layers):
+    """``channel_sim._finish`` one layer at a time, each layer's grid
+    quantized by ``quantize``; taps (rank, Mv) and shifts (rank, Q) as
+    int arrays."""
+    n3 = config.n3
+    proj = channel_sim._beam_projections(targets, basis,
+                                         enhanced.spatial_gain(config))
+    n4 = proj.shape[1]
+    spectrum = np.fft.fft(proj, axis=2) / n3
+    spectrum = np.fft.fft(spectrum, axis=1) / n4
+    m_first = None
+    i16, i110, coefs, taps, shifts = [], [], [], [], []
+    for layer in range(config.rank):
+        if n4 > 1:
+            shift_energy = (np.abs(spectrum[layer]) ** 2).sum(axis=(1, 2))
+            second = 1 + int(np.argmax(shift_energy[1:]))
+            shifts.append((0, second))
+            i110.append(second - 1)
+        else:
+            shifts.append((0,))
+        sub = spectrum[layer][list(shifts[-1])]           # (Q, N3, 2L)
+        tap_energy = (np.abs(sub) ** 2).sum(axis=(0, 2))
+        tap_peak = np.abs(sub).max(axis=(0, 2))
+        ref, rels, m_init = pick_taps_oracle(tap_peak, tap_energy, config)
+        if m_first is None:
+            m_first = m_init
+        elif m_init != m_first:
+            m_init = m_first
+            rels = refit_window_oracle(ref, tap_energy, config, m_init)
+        idx, i15 = enhanced.encode_taps(config, rels, m_init)
+        i16.append(idx)
+        taps.append(rels)
+        abs_taps = [(ref + rel) % n3 for rel in rels]
+        coefs.append(np.stack([s[abs_taps].T for s in sub], axis=-1))
+    i18, *arrays = quantize(config, np.stack(coefs))
+    taps = np.array(taps)
+    if len(config.coef_shape) == 4:
+        return type2_r18.R18Pmi(i11, i12, i15, tuple(i16), i18,
+                                tuple(i110) if n4 > 1 else None,
+                                *arrays), taps, np.array(shifts)
+    return type2_r16.R16Pmi(i11, i12, i15, tuple(i16), i18, *arrays), taps, None
+
+
 def search_groups_oracle(config, scan, targets, finish, reconstruct_all,
                          caps=None):
     """The candidate loop that fits every candidate report through
@@ -146,19 +240,17 @@ def search_groups_oracle(config, scan, targets, finish, reconstruct_all,
     return best
 
 
-def enhanced_oracle(monkeypatch, channel, config):
+def enhanced_oracle(channel, config):
     """The regular Rel-16/Rel-18 search through the reference copies."""
     h = channel.h if isinstance(config, type2_r18.R18Config) else channel.h[:1]
     targets = channel_sim._targets(h, config.rank)
     release = (type2_r18 if isinstance(config, type2_r18.R18Config)
                else type2_r16)
-    with monkeypatch.context() as m:
-        m.setattr(channel_sim, "_quantize_layers", quantize_layers_oracle)
-        best = search_groups_oracle(
-            config, targets, targets,
-            lambda q, i12, beams, _: channel_sim._finish(
-                config, targets, q, i12, beams)[0],
-            release.reconstruct_all)
+    best = search_groups_oracle(
+        config, targets, targets,
+        lambda q, i12, beams, _: finish_oracle(
+            config, targets, q, i12, beams, quantize_layers_oracle)[0],
+        release.reconstruct_all)
     if best is None:
         raise DegenerateReportError("every candidate report is degenerate")
     return best
@@ -254,11 +346,11 @@ def test_quantizer_matches_the_per_layer_oracle(config):
             # a few magnitudes on the axes: exact ties in the budget
             # trim's order
             axes = np.array([1, 1j, -1, -1j])[rng.integers(4, size=size)]
-            coefs = list(rng.integers(1, 4, size=size) / 4 * axes)
+            coefs = rng.integers(1, 4, size=size) / 4 * axes
         else:
             mags = np.abs(rng.standard_normal(size))
             mags *= rng.random(size) > trial % 3 / 4
-            coefs = list(mags * np.exp(2j * np.pi * rng.random(size)))
+            coefs = mags * np.exp(2j * np.pi * rng.random(size))
         found = outcome(channel_sim._quantize_layers, config, coefs)
         expected = outcome(quantize_layers_oracle, config, coefs)
         if isinstance(expected[0], type):
@@ -291,19 +383,167 @@ def test_quantizer_trims_the_total_budget():
     mags = rng.uniform(0.5, 1.0, size=(3, 8, 2, 1))
     mags[0, 5:] = 0.0
     mags[0, :, 1] = 0.0
-    coefs = list(mags * np.exp(2j * np.pi * rng.random(mags.shape)))
+    coefs = mags * np.exp(2j * np.pi * rng.random(mags.shape))
     _, bitmap, *_ = channel_sim._quantize_layers(config, coefs)
     assert bitmap.reshape(3, -1).sum(axis=1).tolist() == [5, 12, 7]
     assert np.array_equal(bitmap, quantize_layers_oracle(config, coefs)[1])
     # a dense first layer takes K0, and the second keeps one coefficient
     # back for the third layer's reference
     mags[0] = 1.0
-    coefs = list(mags * np.exp(2j * np.pi * rng.random(mags.shape)))
+    coefs = mags * np.exp(2j * np.pi * rng.random(mags.shape))
     _, bitmap, *_ = channel_sim._quantize_layers(config, coefs)
     assert bitmap.reshape(3, -1).sum(axis=1).tolist() == [12, 11, 1]
     expected = quantize_layers_oracle(config, coefs)[1]
     assert expected.reshape(3, -1).sum(axis=1).tolist() == [12, 12, 1]
     assert np.array_equal(bitmap[0], expected[0])
+
+
+# ---------------------------------------------------------------------------
+# the finish
+
+def finish_configs():
+    # Rel-16 with N3 <= 19, with a window of 2Mv < N3 taps (N3 > 19), and
+    # with 2Mv >= N3 (paramCombination 6, R = 1)
+    for combo, r, n3, ranks in ((2, 2, 9, (1, 2)), (4, 1, 18, (1, 2)),
+                                (1, 1, 8, (3,)), (6, 1, 13, (4,)),
+                                (4, 1, 24, (1, 2)), (1, 1, 30, (3,)),
+                                (3, 1, 36, (4,)), (6, 1, 20, (1,)),
+                                (6, 1, 24, (2,)), (6, 1, 36, (3,)),
+                                (6, 1, 21, (4,))):
+        for rank in ranks:
+            yield type2_r16.R16Config(param_combination=combo, r=r, n3=n3,
+                                      rank=rank, geom=GEOM)
+    for n4, combo, n3, rank in ((1, 2, 12, 1), (1, 6, 24, 3), (2, 4, 12, 2),
+                                (2, 1, 8, 4), (4, 2, 12, 1), (4, 5, 24, 3),
+                                (8, 7, 12, 2), (8, 3, 12, 4)):
+        yield type2_r18.R18Config(geom=GEOM, param_combination=combo, r=1,
+                                  n3=n3, n4=n4, rank=rank)
+
+
+def finish_channels(config, seed):
+    """Drawn channels, then frequency-flat ones and ones of planted integer
+    taps (and shifts) of equal power, which give exact energy ties."""
+    n3, n4 = config.n3, getattr(config, "n4", 1)
+    model = channel_sim.ChannelModel(n_paths=6, delay_spread=1e-6,
+                                     doppler_max=200.0,
+                                     subcarrier_spacing=180e3,
+                                     n_subcarriers=n3, seed=seed)
+    for trial in range(4):
+        yield channel_sim.draw_channel(model, GEOM, 4, trial=trial, n4=n4).h
+    rng = np.random.default_rng(seed)
+    shape = (4, GEOM.n_ports)
+    for _ in range(2):
+        a = rng.integers(-2, 3, size=shape) + 1j * rng.integers(-2, 3, size=shape)
+        yield np.broadcast_to(a, (n4, n3) + shape).copy()
+    t, n = np.arange(n3)[:, None, None], np.arange(n4)[:, None, None, None]
+    for shared in (True, False):
+        # one antenna vector on every planted tap ties their peaks up to
+        # rounding, which the reference tap's 1e-12 rule must settle
+        a = rng.choice([1, -1, 1j, -1j], size=shape)
+        h = np.zeros((n4, n3) + shape, dtype=complex)
+        for tap, shift in rng.integers((n3, n4), size=(3, 2)):
+            if not shared:
+                a = rng.choice([1, -1, 1j, -1j], size=shape)
+            h += np.exp(2j * np.pi * (tap * t / n3 + shift * n / n4)) * a
+        yield h
+
+
+def finish_outcome(finish, config, targets, q, i12, basis):
+    try:
+        return finish(config, targets, q, i12, basis)
+    except CodebookError as exc:
+        return type(exc), str(exc)
+
+
+def assert_finish_matches_the_oracle(config):
+    """Every tied group's candidate on ``finish_channels``: the same report,
+    taps and shifts as the per-layer finish, bit for bit and dtype for
+    dtype."""
+    g, l, n = config.geom, config.l, config.geom.n1 * config.geom.n2
+    count = 0
+    for h in finish_channels(config, config.n3 + config.rank):
+        targets = channel_sim._targets(h, config.rank)
+        energy = channel_sim._group_energy(targets, g)
+        for q in channel_sim._tied_groups(energy, l):
+            flats = np.sort(channel_sim._pick_beams(l, energy[q], np.ones(n)))
+            args = (config, targets, q, encode_combination(flats.tolist(), n, l),
+                    orthogonal_groups(g)[q][:, flats])
+            found = finish_outcome(channel_sim._finish, *args)
+            expected = finish_outcome(finish_oracle, *args)
+            count += 1
+            if isinstance(expected[0], type):
+                assert found == expected
+                continue
+            assert_same_report(found[0], expected[0])
+            for got, value in zip(found[1:], expected[1:]):
+                if value is None:
+                    assert got is None
+                else:
+                    assert got.dtype == value.dtype
+                    assert np.array_equal(got, value)
+    assert count >= 8
+
+
+@pytest.mark.parametrize("config", list(finish_configs()),
+                         ids=lambda c: f"{type(c).__name__}-n3{c.n3}"
+                         f"-n4{getattr(c, 'n4', 1)}-rank{c.rank}")
+def test_finish_matches_the_per_layer_oracle(config):
+    assert_finish_matches_the_oracle(config)
+
+
+def pick_layers_oracle(rel_energy, config):
+    """The per-layer finish's taps and M_initial for tap energies
+    (rank, N3) already taken relative to each layer's reference tap."""
+    peak = np.eye(config.n3)[0]           # the reference at tap 0
+    taps, m_first = [], None
+    for energy in rel_energy:
+        ref, rels, m_init = pick_taps_oracle(peak, energy, config)
+        if m_first is None:
+            m_first = m_init
+        elif m_init != m_first:
+            m_init = m_first
+            rels = refit_window_oracle(ref, energy, config, m_init)
+        taps.append(rels)
+    return np.array(taps), m_first
+
+
+@pytest.mark.parametrize("config", [
+    type2_r16.R16Config(param_combination=combo, r=1, n3=n3, rank=rank,
+                        geom=GEOM)
+    for combo, n3, rank in ((4, 18, 2), (6, 13, 4), (4, 24, 2), (1, 30, 3),
+                            (3, 36, 4), (6, 21, 4), (6, 20, 2))],
+    ids=lambda c: f"pc{c.param_combination}-n3{c.n3}-rank{c.rank}")
+def test_pick_taps_keeps_every_tie_rule(config):
+    # energies of 0, 1 or 2 on every tap: exact ties in the argsort, the
+    # greedy window order and the refit's M_initial tie key
+    rng = np.random.default_rng(config.n3)
+    for _ in range(300):
+        rel_energy = rng.integers(0, 3, size=(config.rank, config.n3)) * 1.0
+        taps, m_init = channel_sim._pick_taps(rel_energy, config)
+        expected, m_first = pick_layers_oracle(rel_energy, config)
+        assert m_init == m_first
+        assert taps.dtype == expected.dtype
+        assert np.array_equal(taps, expected)
+
+
+def test_finish_sweep_reaches_every_tap_rule(monkeypatch):
+    # the sweep covers both tap rules and a window of 2Mv >= N3, and its
+    # window configs refit some later layer into layer 0's window
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return refit(*args)
+
+    refit = refit_window_oracle
+    monkeypatch.setattr(sys.modules[__name__], "refit_window_oracle", counting)
+    configs = list(finish_configs())
+    kinds = {(c.window_mode, 2 * c.mv >= c.n3) for c in configs}
+    assert kinds >= {(False, False), (True, False), (True, True)}
+    for config in configs:
+        if config.window_mode and 2 * config.mv < config.n3 and config.rank > 1:
+            assert_finish_matches_the_oracle(config)
+    assert calls
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +597,7 @@ def enhanced_search(channel, config):
 
 @pytest.mark.parametrize("config", list(enhanced_cases()),
                          ids=lambda c: f"{type(c).__name__}-rank{c.rank}")
-def test_enhanced_search_matches_the_reconstruct_all_oracle(monkeypatch,
-                                                            config):
+def test_enhanced_search_matches_the_reconstruct_all_oracle(config):
     # few, short paths: sparse grids that leave ranks 3-4 within budget
     n4 = getattr(config, "n4", 1)
     model = channel_sim.ChannelModel(n_paths=3, delay_spread=1e-7,
@@ -368,7 +607,7 @@ def test_enhanced_search_matches_the_reconstruct_all_oracle(monkeypatch,
     for trial in range(6):
         ch = channel_sim.draw_channel(model, GEOM, 4, trial=trial, n4=n4)
         found = outcome(enhanced_search, ch, config)
-        expected = outcome(enhanced_oracle, monkeypatch, ch, config)
+        expected = outcome(enhanced_oracle, ch, config)
         if isinstance(expected, tuple) and expected[0] is BudgetError:
             # the oracle overran 2*K0: the search stays within the budget
             assert_within_budget(config, found, RELEASES[type(config)])
@@ -384,7 +623,7 @@ LINK_R18 = type2_r18.R18Config(geom=GEOM, param_combination=2, r=1, n3=12,
 
 @pytest.mark.parametrize("config, trial", [(LINK_R16, 11), (LINK_R18, 4)],
                          ids=["r16", "r18"])
-def test_four_way_tie_matches_the_oracle(monkeypatch, config, trial):
+def test_four_way_tie_matches_the_oracle(config, trial):
     model = channel_sim.ChannelModel(seed=7, **LINK_MODEL)
     ch = channel_sim.draw_channel(model, GEOM, 2, trial=trial, n4=4)
     ch = channel_sim.ChannelRealization(
@@ -393,7 +632,7 @@ def test_four_way_tie_matches_the_oracle(monkeypatch, config, trial):
     energy = channel_sim._group_energy(targets, GEOM)
     assert len(channel_sim._tied_groups(energy, config.l)) == 4
     assert_same_report(enhanced_search(ch, config),
-                       enhanced_oracle(monkeypatch, ch, config))
+                       enhanced_oracle(ch, config))
 
 
 RELEASES = {type2_r15.T2R15Config: type2_r15, type2_r16.R16Config: type2_r16,

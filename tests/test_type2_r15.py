@@ -285,6 +285,28 @@ def test_subband_outside_the_report_is_rejected(subband):
         reconstruct(cfg, pmi, subband)
 
 
+@pytest.mark.parametrize("layer, subband, name", [
+    (0, 2, "subband 2"), (0, -1, "subband -1"), (1, 0, "layer 1"),
+    (-1, 0, "layer -1")])
+def test_layer_coefficients_rejects_an_index_outside_the_report(layer, subband,
+                                                                name):
+    # a rank-1, two-subband report: no layer 1, no subband 2, and -1 is not
+    # a way to name the last one
+    cfg = simple_config(subband_count=2)
+    pmi = random_valid_pmi(cfg, np.random.default_rng(0))
+    with pytest.raises(DomainError, match=f"{name} outside"):
+        layer_coefficients(cfg, pmi, layer, subband)
+
+
+def test_layer_coefficients_validates_the_report():
+    cfg = simple_config(subband_count=2)
+    pmi = random_valid_pmi(cfg, np.random.default_rng(0))
+    k1 = np.array(pmi.k1)
+    k1[0, 0] = 9
+    with pytest.raises(DomainError, match="k1 outside"):
+        layer_coefficients(cfg, replace(pmi, k1=k1), 0, 0)
+
+
 def test_subset_restriction_decode():
     caps = subset_restriction("1" * 11 if False else format(1819, "011b"),
                               "1" * (8 * 8), GEOM)

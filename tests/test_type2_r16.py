@@ -10,7 +10,7 @@ from nrpmi.enhanced import (
     decode_taps,
     encode_strongest,
     encode_taps,
-    remap_taps,
+    layer_coefficients,
     strongest,
     tap_choices,
 )
@@ -183,12 +183,14 @@ def test_encode_taps_rejects_a_tap_outside_the_window():
         encode_taps(make_config(n3=8), (0, 8))
 
 
-def test_remap():
-    assert remap_taps((0, 3, 7), 0, 18) == (0, 3, 7)
-    assert remap_taps((2, 5), 1, 18) == (0, 15)
-    # position rotation with f*=1, Mv=3: tap 4 becomes position 0/value 0,
-    # tap 9 position 1/value 5, tap 0 position 2/value 14
-    assert remap_taps((0, 4, 9), 1, 18) == (0, 5, 14)
+@pytest.mark.parametrize("layer", [1, -1])
+@pytest.mark.parametrize("accessor", [decode_taps, layer_coefficients])
+def test_per_layer_accessors_reject_a_layer_outside_the_report(accessor,
+                                                                layer):
+    cfg = make_config()
+    pmi = random_valid_pmi(cfg, np.random.default_rng(0))
+    with pytest.raises(DomainError, match=f"layer {layer} outside"):
+        accessor(cfg, pmi, layer)
 
 
 def test_single_coefficient_is_one_beam():

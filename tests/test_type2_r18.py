@@ -42,6 +42,15 @@ def test_k0_formula():
     assert cfg.m1 == 5 and cfg.k0 == 20
 
 
+@pytest.mark.parametrize("n4", [1, 4])
+@pytest.mark.parametrize("layer", [1, -1])
+def test_decode_shifts_rejects_a_layer_outside_the_report(n4, layer):
+    cfg = make_config(n4=n4)
+    pmi = random_valid_pmi(cfg, np.random.default_rng(0))
+    with pytest.raises(DomainError, match=f"layer {layer} outside"):
+        decode_shifts(cfg, pmi, layer)
+
+
 def test_decode_shifts():
     cfg = make_config(n4=4)
     pmi = random_valid_pmi(cfg, np.random.default_rng(0))
