@@ -30,8 +30,9 @@ def user_rates(channels, beamformers, noise_powers) -> np.ndarray:
 
     Raises ``DomainError`` naming the bad argument when there is no user,
     the beamformer count differs from the user count, an array is neither
-    2-D nor 3-D, the subcarrier counts or Nt disagree, or ``noise_powers``
-    has the wrong length or a value that is not positive and finite.
+    2-D nor 3-D, the subcarrier counts or Nt disagree, an array holds a
+    non-finite or non-numeric entry, or ``noise_powers`` has the wrong
+    length or a value that is not positive and finite.
 
     Each user's subcarriers are solved as one stack; their log-dets are
     added to the rate one by one in subcarrier order, so the result is bit
@@ -43,51 +44,58 @@ def user_rates(channels, beamformers, noise_powers) -> np.ndarray:
     if len(beamformers) != k_users:
         raise DomainError(f"beamformers must hold one block per user, "
                           f"{len(beamformers)} for {k_users} users")
-    try:
-        noise = np.broadcast_to(np.asarray(noise_powers, dtype=float),
-                                (k_users,))
-    except ValueError:
+    noise = np.asarray(noise_powers, dtype=float)
+    if noise.shape not in ((), (1,), (k_users,)):
         raise DomainError(f"noise_powers must be a scalar or {k_users} "
-                          f"values, one per user") from None
-    if not (np.isfinite(noise) & (noise > 0)).all():
+                          f"values, one per user")
+    noise = noise.reshape(-1).tolist()
+    noise *= k_users // len(noise)  # a scalar serves every user
+    if not all(math.isfinite(n) and n > 0 for n in noise):
         raise DomainError(f"noise_powers must be positive and finite, "
-                          f"got {noise.tolist()}")
-    # (name, array, axis of Nt) for every channel, then every beamformer
-    arrays = [(f"channels[{k}]", np.asarray(h), -1)
-              for k, h in enumerate(channels)]
-    arrays += [(f"beamformers[{k}]", np.asarray(w), -2)
-               for k, w in enumerate(beamformers)]
+                          f"got {noise}")
+    # every channel, then every beamformer; a channel holds Nt on its last
+    # axis, a beamformer on its second last
+    arrays = [np.asarray(a) for a in (*channels, *beamformers)]
+
+    def name(i):
+        return (f"channels[{i}]" if i < k_users
+                else f"beamformers[{i - k_users}]")
+
     m_carriers = nt = None
-    for name, a, nt_axis in arrays:
+    for i, a in enumerate(arrays):
         if a.ndim not in (2, 3):
-            raise DomainError(f"{name} must be 2-D or 3-D, not {a.ndim}-D")
+            raise DomainError(f"{name(i)} must be 2-D or 3-D, not {a.ndim}-D")
+        a_nt = a.shape[-1 if i < k_users else -2]
         if nt is None:
-            nt = a.shape[nt_axis]
-        elif a.shape[nt_axis] != nt:
-            raise DomainError(f"{name} has Nt = {a.shape[nt_axis]}, "
+            nt = a_nt
+        elif a_nt != nt:
+            raise DomainError(f"{name(i)} has Nt = {a_nt}, "
                               f"channels[0] has {nt}")
         if a.ndim == 3 and m_carriers is None:
-            m_carriers, m_name = a.shape[0], name
+            m_carriers, m_first = a.shape[0], i
         elif a.ndim == 3 and a.shape[0] != m_carriers:
-            raise DomainError(f"{name} has {a.shape[0]} subcarriers, "
-                              f"{m_name} has {m_carriers}")
+            raise DomainError(f"{name(i)} has {a.shape[0]} subcarriers, "
+                              f"{name(m_first)} has {m_carriers}")
+    for i, a in enumerate(arrays):
+        if a.dtype.kind not in "biufc" or not np.isfinite(a).all():
+            raise DomainError(f"{name(i)} must hold finite numbers")
     if m_carriers is None:
         m_carriers = 1
-    stacks = [np.broadcast_to(a, (m_carriers,) + a.shape[-2:])
-              for _, a, _ in arrays]
+    stacks = [a if a.ndim == 3 else np.broadcast_to(a, (m_carriers,) + a.shape)
+              for a in arrays]
     hs, ws = stacks[:k_users], stacks[k_users:]
     rates = np.zeros(k_users)
     for k in range(k_users):
         nr = hs[k].shape[1]
-        cov = np.broadcast_to(noise[k] * np.eye(nr, dtype=complex),
-                              (m_carriers, nr, nr))
+        eye = np.eye(nr, dtype=complex)
+        cov = noise[k] * eye  # + and solve broadcast it over the subcarriers
         for i in range(k_users):
             if i != k:
                 g = hs[k] @ ws[i]
                 cov = cov + g @ g.conj().swapaxes(1, 2)
         g = hs[k] @ ws[k]
         sig = g @ g.conj().swapaxes(1, 2)
-        _, logdets = np.linalg.slogdet(np.eye(nr) + np.linalg.solve(cov, sig))
+        _, logdets = np.linalg.slogdet(eye + np.linalg.solve(cov, sig))
         rate = 0.0
         for logdet in (logdets / math.log(2)).tolist():
             rate += logdet  # subcarrier order: np.sum would change the bits

@@ -520,7 +520,8 @@ def _finish(config, targets, i11, i12, basis):
     i16, i15 = zip(*(enhanced.encode_taps(config, rels, m_init)
                      for rels in taps.tolist()))
     # coefficient grid (rank, 2L, Mv, Q): tap index then shift index
-    coefs = np.take_along_axis(sub, at[rows, taps][:, None, :, None], axis=2)
+    coefs = sub[rows[:, :, None], np.arange(shifts.shape[1])[:, None],
+                at[rows, taps][:, None, :]]
     i18, *arrays = _quantize_layers(config, coefs.transpose(0, 3, 2, 1))
     if len(config.coef_shape) == 4:
         i110 = tuple((shifts[:, 1] - 1).tolist()) if n4 > 1 else None

@@ -81,14 +81,17 @@ def decode_combination(index: int, n: int, k: int) -> tuple[int, ...]:
     out = []
     s = 0
     for i in range(k):
-        # Largest x* with index - s >= C(x*, k - i); scan from the top so the
-        # first hit wins.
-        for x_star in range(n - 1 - i, k - 2 - i, -1):
-            e = binomial(x_star, k - i)
-            if index - s >= e:
-                s += e
-                out.append(n - 1 - x_star)
-                break
+        # Largest x* with index - s >= C(x*, m), m = k - i: scan down from
+        # the top, C(x - 1, m) = C(x, m) (x - m) / x, until the first hit
+        # (C(m - 1, m) = 0 always is one).
+        m = k - i
+        x_star = n - 1 - i
+        e = math.comb(x_star, m)
+        while index - s < e:
+            e = e * (x_star - m) // x_star
+            x_star -= 1
+        s += e
+        out.append(n - 1 - x_star)
     return tuple(out)
 
 

@@ -21,6 +21,8 @@ The spatial-basis part (``SpatialConfig``, ``selected_beams``,
 whose beam selection the enhanced releases inherit.
 """
 
+import collections
+import functools
 import itertools
 import math
 
@@ -60,6 +62,7 @@ TAP_AXIS, SHIFT_AXIS = 1, 2
 N_PSK16 = 16
 WB_AMPS = np.array([0.0] + [qt.amp_r16_wideband(k) for k in range(1, 16)])
 SB_AMPS = np.array([qt.amp_r16_subband(k) for k in range(8)])
+PSK16 = qt.PSK[N_PSK16]
 
 
 class derived:
@@ -376,8 +379,12 @@ def strongest(config, pmi, layer: int) -> tuple[int, int]:
     """Decode i_1,8 into (i*, s*): the beam and the tap (Rel-17) or the
     shift (Rel-16/18, s* = 0 without a shift axis) of the strongest
     coefficient."""
-    i18 = pmi.i18[layer]
-    plane = _plane(config, pmi.bitmap[layer])
+    return _star(config, pmi.bitmap[layer], pmi.i18[layer])
+
+
+def _star(config, bitmap_layer: np.ndarray, i18: int) -> tuple[int, int]:
+    """``strongest`` of one layer, its bitmap and its i_1,8 given."""
+    plane = _plane(config, bitmap_layer)
     if _prefix_coded(config):
         col = np.flatnonzero(plane.T)
         if not 0 <= i18 < col.size:
@@ -400,49 +407,76 @@ def encode_strongest(config, bitmap_layer: np.ndarray, i_star: int,
 # ---------------------------------------------------------------------------
 # validation, coefficients, synthesis
 
-def validate_budget(config, pmi, layer_fields) -> None:
+def report_arrays(pmi, fields) -> list[np.ndarray]:
+    """The report's coefficient arrays named in ``fields``, (name, shape)
+    pairs, each read once as an array.  FormatError names the first of
+    another shape, then the first that is not an integer array (bool and
+    float arrays are not).  An unsigned array is read as int64, so a value
+    beyond int64 turns negative and fails its range check."""
+    arrays = []
+    for name, shape in fields:
+        try:
+            a = np.asarray(getattr(pmi, name))
+        except ValueError:  # a ragged nested list
+            a = None
+        if a is None or a.shape != shape:
+            raise FormatError(f"{name} must have shape {shape}")
+        arrays.append(a)
+    for (name, _), a in zip(fields, arrays):
+        if a.dtype.kind not in "iu":
+            raise FormatError(f"{name} must be an integer array, not {a.dtype}")
+    return [a.astype(np.int64) if a.dtype.kind == "u" else a for a in arrays]
+
+
+# the arrays of a report that passed validate_budget, as report_arrays read
+# them; layer_coefficients and synthesize take them in place of the report
+Coefficients = collections.namedtuple("Coefficients", "bitmap k1 k2 c")
+
+
+def validate_budget(config, pmi, layer_fields) -> Coefficients:
     """Reject a report whose per-layer fields (named by ``layer_fields``)
     or coefficient arrays are malformed, out of range, inconsistent with
-    the strongest coefficient, or over the nonzero-coefficient budget."""
+    the strongest coefficient, or over the nonzero-coefficient budget;
+    return its ``Coefficients``."""
     rank = config.rank
     for name in layer_fields:  # "i16" is i_1,6, ..., "i110" is i_1,10
         if not is_indices(getattr(pmi, name), rank):
             raise FormatError(f"i_1,{name[2:]} must hold one index per layer")
     shape = config.coef_shape
-    for name in ("bitmap", "k2", "c"):
-        if np.shape(getattr(pmi, name)) != shape:
-            raise FormatError(f"{name} must have shape {shape}")
-    if np.shape(pmi.k1) != (rank, 2):
-        raise FormatError(f"k1 must have shape ({rank}, 2)")
-    on = pmi.bitmap == 1
-    off = pmi.bitmap == 0
-    if not (on | off).all():
+    bitmap, k2, c, k1 = report_arrays(pmi, (
+        ("bitmap", shape), ("k2", shape), ("c", shape), ("k1", (rank, 2))))
+    if np.count_nonzero(bitmap >> 1):
         raise FormatError("bitmap entries must be 0 or 1")
     k0 = config.k0
-    k_nz = on.reshape(rank, -1).sum(axis=1)
-    if (k_nz > k0).any():
-        layer = int(np.argmax(k_nz > k0))
-        raise BudgetError(f"layer {layer}: K_NZ={k_nz[layer]} exceeds K0={k0}")
-    if k_nz.sum() > 2 * k0:
-        raise BudgetError(f"total K_NZ={k_nz.sum()} exceeds 2*K0={2 * k0}")
-    if ((pmi.k1 < 1) | (pmi.k1 > 15)).any():
+    k_nz = bitmap.reshape(rank, -1).sum(axis=1).tolist()
+    for layer, count in enumerate(k_nz):
+        if count > k0:
+            raise BudgetError(f"layer {layer}: K_NZ={count} exceeds K0={k0}")
+    if sum(k_nz) > 2 * k0:
+        raise BudgetError(f"total K_NZ={sum(k_nz)} exceeds 2*K0={2 * k0}")
+    k1_rows = k1.tolist()
+    if not all(1 <= v <= 15 for row in k1_rows for v in row):
         raise DomainError("k1 outside [1, 15]")
-    if (on & ((pmi.k2 < 0) | (pmi.k2 > 7))).any():
-        raise DomainError("k2 outside [0, 7]")
-    if (on & ((pmi.c < 0) | (pmi.c >= N_PSK16))).any():
-        raise DomainError(f"phase index outside [0, {N_PSK16})")
-    if (off & ((pmi.k2 != 0) | (pmi.c != 0))).any():
+    # one pass: a reported k2 in [0, 8) and c in [0, 16) shift to 0 by 3 and
+    # 4 bits, an unreported one must be 0 already
+    if np.count_nonzero((k2 >> 3 * bitmap) | (c >> 4 * bitmap)):
+        on = bitmap == 1
+        if (on & ((k2 < 0) | (k2 > 7))).any():
+            raise DomainError("k2 outside [0, 7]")
+        if (on & ((c < 0) | (c >= N_PSK16))).any():
+            raise DomainError(f"phase index outside [0, {N_PSK16})")
         raise ConsistencyError("unreported coefficients must be zero")
-    bitmap, k2, c = grid(pmi.bitmap), grid(pmi.k2), grid(pmi.c)
-    for layer in range(rank):
-        i_star, s_star = strongest(config, pmi, layer)
+    g_bitmap, g_k2, g_c = grid(bitmap), grid(k2), grid(c)
+    for layer, i18 in enumerate(pmi.i18):
+        i_star, s_star = _star(config, bitmap[layer], i18)
         cell = (layer,) + strongest_cell(config, i_star, s_star)
-        if not bitmap[cell]:
+        if not g_bitmap[cell]:
             raise ConsistencyError("strongest coefficient must be reported")
-        if k2[cell] != 7 or c[cell] != 0:
+        if g_k2[cell] != 7 or g_c[cell] != 0:
             raise ConsistencyError("strongest coefficient must carry k2=7, c=0")
-        if pmi.k1[layer, i_star // config.l] != 15:
+        if k1_rows[layer][i_star // config.l] != 15:
             raise ConsistencyError("strongest polarization must carry k1=15")
+    return Coefficients(bitmap, k1, k2, c)
 
 
 def layer_cap(config, layer: int, left: int) -> int:
@@ -459,22 +493,33 @@ def layer_coefficients(config, pmi, layer: int | slice = slice(None)
                        ) -> np.ndarray:
     """Complex coefficient grid (K, Mv[, Q]) of one layer, or (rank, K,
     Mv[, Q]) of every layer by default: p1 * p2 * phi, zeros where
-    unreported."""
+    unreported.  ``pmi`` is a valid report or its ``Coefficients``."""
     if not isinstance(layer, slice):
         check_index("layer", layer, config.rank)
     p1 = WB_AMPS[pmi.k1[layer]]          # ([rank,] 2)
     p2 = SB_AMPS[pmi.k2[layer]]          # ([rank,] K, Mv[, Q])
-    phi = np.exp(2j * np.pi * pmi.c[layer] / N_PSK16)
+    phi = PSK16[pmi.c[layer]]
     pol = np.repeat(p1, config.l, axis=-1)
     pol = pol.reshape(pol.shape + (1,) * (p2.ndim - pol.ndim))
     return pol * p2 * phi * pmi.bitmap[layer]
 
 
+@functools.cache
+def _dft_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices t (n, 1) and the table exp(2j pi t k / n) as [t, k] for
+    every k < 2n, which holds every tap and shift a report decodes to;
+    built once per n with the expression of the columns it serves."""
+    t = np.arange(n)[:, None]
+    table = np.exp(2j * np.pi * (t * np.arange(2 * n)) / n)
+    table.flags.writeable = False
+    return t, table
+
+
 def _dft(n: int, indices) -> np.ndarray:
     """DFT columns exp(2j pi t k / n) for each layer's indices k: (rank, n,
     K) for ``indices`` (rank, K)."""
-    return np.exp(2j * np.pi * (np.arange(n)[:, None]
-                                * np.asarray(indices)[:, None, :]) / n)
+    t, table = _dft_table(n)
+    return table[t, np.asarray(indices)[:, None, :]]
 
 
 def synthesize(config, pmi, v: np.ndarray, taps, shifts=None) -> np.ndarray:
@@ -515,15 +560,15 @@ def basis_stage(config, v: np.ndarray, ct: np.ndarray,
     """Precoders from the spatial basis ``v`` (P/2, L) and ``tap_stage``'s
     ``ct`` and ``gamma``: each polarization's beams, normalized per point
     and layer."""
-    l, gain = config.l, spatial_gain(config)
+    gain, points = spatial_gain(config), ct.shape[2:]
+    halves = ct.reshape(len(ct), 2, config.l, *points)  # (rank, 2, L, ...)
     if ct.ndim == 3:
-        halves = [v @ ct[:, :l], v @ ct[:, l:]]
+        w = v @ halves
     else:
-        halves = [np.einsum("pl,kltn->kptn", v, ct[:, :l]),
-                  np.einsum("pl,kltn->kptn", v, ct[:, l:])]
-    normed = (np.concatenate(halves, axis=1) / np.sqrt(gain * gamma)[:, None]
-              / np.sqrt(config.rank))                  # (rank, P, N3[, N4])
-    return np.ascontiguousarray(np.moveaxis(normed, (0, 1), (-1, -2)))
+        w = np.einsum("pl,kqltn->kqptn", v, halves)
+    normed = (w.reshape(len(ct), -1, *points) / np.sqrt(gain * gamma)[:, None]
+              / math.sqrt(config.rank))                # (rank, P, N3[, N4])
+    return np.ascontiguousarray(normed.transpose(*range(2, normed.ndim), 1, 0))
 
 
 def check_index(name: str, value, count: int) -> None:
@@ -608,15 +653,17 @@ def serialize(config, pmi, head, tail=()) -> str:
     width) pairs.
     """
     rank = config.rank
-    bitmap, k2, c = grid(pmi.bitmap), grid(pmi.k2), grid(pmi.c)
-    stars = [strongest(config, pmi, layer) for layer in range(rank)]
+    bitmap, k2, c = (grid(np.asarray(a)) for a in (pmi.bitmap, pmi.k2, pmi.c))
+    k1 = np.asarray(pmi.k1)
+    stars = [_star(config, bitmap[layer], i18)
+             for layer, i18 in enumerate(pmi.i18)]
     i18_width = clog2(_plane(config, bitmap[0]).size)
     out = [field_bits(v, w) for v, w in head]
     out += ["".join(str(int(b)) for b in bitmap[layer].transpose(1, 2, 0).flat)
             for layer in range(rank)]
     out += [field_bits(i18, i18_width) for i18 in pmi.i18]
     out += [field_bits(v, w) for v, w in tail]
-    out += [field_bits(int(pmi.k1[layer, 1 - i // config.l]), 4)
+    out += [field_bits(int(k1[layer, 1 - i // config.l]), 4)
             for layer, (i, _) in enumerate(stars)]
     for values, width in ((k2, 3), (c, 4)):
         for layer, star in enumerate(stars):

@@ -75,3 +75,6 @@ def max_amp_restriction(two_bits: int) -> float:
 
 R15_WB_AMPS = np.array([amp_r15_wideband(k) for k in range(8)])
 R15_SB_AMPS = np.array([amp_r15_subband(k) for k in range(2)])
+# every N-PSK phase exp(2j pi c / N) as PSK[N][c], built once with the
+# expression that computing them per report used
+PSK = {n: np.exp(2j * np.pi * np.arange(n) / n) for n in PHASE_ALPHABETS}

@@ -7,6 +7,7 @@ and all layers; only the combination weights differ.
 """
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,6 +33,7 @@ from .enhanced import (  # noqa: F401 (PORT_SELECTION: a variant name)
     check_index,
     draw_beams,
     grid_coordinates,
+    report_arrays,
     selected_beams,
     selected_flats,
     spatial_gain,
@@ -101,25 +103,23 @@ def reporting_mask(config: T2R15Config, k1, i13) -> tuple[np.ndarray, np.ndarray
     amplitude, ties toward the lowest beam index, strongest excluded) carry
     subband amplitude and an N_PSK phase; the remaining nonzero ones carry a
     QPSK phase only (alphabet 4); zero-amplitude positions and the
-    strongest carry nothing (alphabet 0).
+    strongest carry nothing (alphabet 0).  Without subband amplitudes every
+    nonzero one but the strongest carries an N_PSK phase.
     """
-    k1 = np.asarray(k1)
-    rank, two_l = k1.shape
-    nonzero = k1 > 0
-    others = nonzero.copy()
-    others[np.arange(rank), list(i13)] = False
-    if not config.subband_amplitude:
-        return np.zeros_like(others), np.where(others, config.n_psk, 0)
-    # the (-k1, beam index) order, positions that report nothing last;
-    # its first n_fine entries carry subband amplitudes
-    order = np.argsort(np.where(others, -k1, 1), axis=1, kind="stable")
-    n_fine = np.minimum(nonzero.sum(axis=1), k2_cap(config.l)) - 1
-    k2_reported = np.zeros_like(others)
-    np.put_along_axis(k2_reported, order,
-                      np.arange(two_l) < n_fine[:, None], axis=1)
-    k2_reported &= others
-    return k2_reported, np.where(k2_reported, config.n_psk,
-                                 np.where(others, 4, 0))
+    rows = np.asarray(k1).tolist()
+    k2_reported = [[False] * len(row) for row in rows]
+    alphabet = [[0] * len(row) for row in rows]
+    for row, s, k2_row, a_row in zip(rows, i13, k2_reported, alphabet):
+        # the (-k1, beam index) order of the positions that report a phase
+        order = sorted((-v, i) for i, v in enumerate(row) if v > 0 and i != s)
+        n_fine = len(order)
+        if config.subband_amplitude:  # min(Ml, K2) - 1, Ml counting i*
+            n_fine = min(n_fine + (row[s] > 0), k2_cap(config.l)) - 1
+        for place, (_, i) in enumerate(order):
+            fine = place < n_fine
+            k2_row[i] = fine and config.subband_amplitude
+            a_row[i] = config.n_psk if fine else 4
+    return np.array(k2_reported), np.array(alphabet)
 
 
 def canonicalize(config: T2R15Config, pmi: T2R15Pmi) -> T2R15Pmi:
@@ -134,65 +134,79 @@ def canonicalize(config: T2R15Config, pmi: T2R15Pmi) -> T2R15Pmi:
     return replace(pmi, k1=k1, k2=k2, c=c)
 
 
-def validate(config: T2R15Config, pmi: T2R15Pmi) -> tuple[np.ndarray, np.ndarray]:
+# the shift that takes a phase index in [0, alphabet) to 0 (alphabet 0: c = 0)
+_PHASE_BITS = np.array([0, 0, 0, 0, 2, 0, 0, 0, 3])
+# phase of index c in alphabet a as [a, c]; alphabet 0 holds c = 0, phase 1
+_PHASES = np.zeros((9, 8), dtype=complex)
+_PHASES[0, 0], _PHASES[4, :4], _PHASES[8] = 1, qt.PSK[4], qt.PSK[8]
+
+
+def validate(config: T2R15Config, pmi: T2R15Pmi) -> tuple:
     """Reject a malformed, out-of-range or inconsistent report; return its
-    ``reporting_mask``: (k2_reported, phase alphabet), both (rank, 2L)."""
+    arrays as ``report_arrays`` read them and its ``reporting_mask``:
+    (k1, k2, c, k2_reported, alphabet)."""
     rank, two_l = config.rank, 2 * config.l
     check_beams(config, pmi)
-    if not is_indices(pmi.i13, rank):
+    i13 = pmi.i13
+    if not is_indices(i13, rank):
         raise FormatError("i_1,3 must hold one strongest-coefficient index "
                           "per layer")
-    for name, shape in (("k1", (rank, two_l)),
-                        ("k2", (rank, config.subband_count, two_l)),
-                        ("c", (rank, config.subband_count, two_l))):
-        if np.shape(getattr(pmi, name)) != shape:
-            raise FormatError(f"{name} must have shape {shape}")
-    k1, k2, c = np.asarray(pmi.k1), np.asarray(pmi.k2), np.asarray(pmi.c)
-    i13 = np.array(pmi.i13)
-    if ((i13 < 0) | (i13 >= two_l)).any():
-        raise DomainError(f"i_1,3={pmi.i13} outside [0, {two_l})")
-    if ((k1 < 0) | (k1 > 7)).any():
+    sb_shape = (rank, config.subband_count, two_l)
+    k1, k2, c = report_arrays(pmi, (("k1", (rank, two_l)), ("k2", sb_shape),
+                                    ("c", sb_shape)))
+    if not all(0 <= s < two_l for s in i13):
+        raise DomainError(f"i_1,3={i13} outside [0, {two_l})")
+    rows = k1.tolist()
+    if not all(0 <= v <= 7 for row in rows for v in row):
         raise DomainError("k1 outside [0, 7]")
+    k2_reported, alphabet = reporting_mask(config, k1, i13)
+    # one pass over k2 and c: k2 - 1 must be 0 where unreported, 0 or -1
+    # (0 after a 1-bit shift) where reported; c must shift to 0 by its
+    # alphabet's bits (none for alphabet 0, so c = 0 there)
+    rep = k2_reported[:, None]
+    if (not all(row[s] == 7 for row, s in zip(rows, i13))
+            or np.count_nonzero(((k2 - 1 + rep) >> rep)
+                                | (c >> _PHASE_BITS[alphabet][:, None]))):
+        _raise_fault(k1, k2, c, i13, rep, alphabet[:, None])
+    return k1, k2, c, k2_reported, alphabet
+
+
+def _raise_fault(k1, k2, c, i13, rep, a) -> None:
+    """Raise the first fault, in ``validate``'s order, of a report whose
+    i13 and k1 are in range and whose k2 or c fails the one-pass check."""
     if ((k2 < 0) | (k2 > 1)).any():
         raise DomainError("k2 outside [0, 1]")
-    rows = np.arange(rank)
+    rows = np.arange(len(i13))
     if (k1[rows, i13] != 7).any():
         raise ConsistencyError("strongest coefficient must carry k1=7")
     if (k2[rows, :, i13] != 1).any() or (c[rows, :, i13] != 0).any():
         raise ConsistencyError("strongest coefficient must carry k2=1, c=0")
-    k2_reported, alphabet = reporting_mask(config, k1, pmi.i13)
-    a = alphabet[:, None]
-    if (~k2_reported[:, None] & (k2 != 1)).any():
+    if (~rep & (k2 != 1)).any():
         raise ConsistencyError("k2 reported at a defaulted position")
     if ((a == 0) & (c != 0)).any():
         raise ConsistencyError("phase reported at a defaulted position")
-    if ((a > 0) & ((c < 0) | (c >= a))).any():
-        raise DomainError("phase index c outside its alphabet")
-    return k2_reported, alphabet
+    raise DomainError("phase index c outside its alphabet")
 
 
-def _coefficients(config: T2R15Config, pmi: T2R15Pmi,
-                  alphabet: np.ndarray) -> np.ndarray:
+def _coefficients(config: T2R15Config, k1: np.ndarray, k2: np.ndarray,
+                  c: np.ndarray, alphabet: np.ndarray) -> np.ndarray:
     """Complex combination weights p1*p2*phi of every subband and layer,
     (subbands, rank, 2L)."""
-    a = np.where(alphabet > 0, alphabet, config.n_psk)
-    k2 = np.asarray(pmi.k2).swapaxes(0, 1)
-    p1 = qt.R15_WB_AMPS[pmi.k1]
+    k2 = k2.swapaxes(0, 1)
+    p1 = qt.R15_WB_AMPS[k1]
     p2 = (qt.R15_SB_AMPS[k2] if config.subband_amplitude
           else np.ones(k2.shape))
-    c = np.asarray(pmi.c).swapaxes(0, 1)
-    phi = np.exp(2j * np.pi * (c % a) / a)
-    return p1 * p2 * phi
+    return p1 * p2 * _PHASES[alphabet, c.swapaxes(0, 1)]
 
 
 def layer_coefficients(config: T2R15Config, pmi: T2R15Pmi, layer: int,
                        subband: int) -> np.ndarray:
     """Complex combination weights p1*p2*phi for one layer and subband (2L,)
     of a report that passes ``validate``."""
-    _, alphabet = validate(config, pmi)
+    k1, k2, c, _, alphabet = validate(config, pmi)
     check_index("layer", layer, config.rank)
     check_index("subband", subband, config.subband_count)
-    return _coefficients(config, pmi, alphabet)[subband, layer]
+    return _coefficients(config, k1, k2, c, alphabet)[subband, layer]
 
 
 def _beta(config: T2R15Config, coef: np.ndarray) -> np.ndarray:
@@ -210,19 +224,19 @@ def _precoders(config: T2R15Config, v: np.ndarray,
                coef: np.ndarray) -> np.ndarray:
     """Precoding matrices (..., P, rank) of weights (..., rank, 2L) on the
     beams ``v``, every subband and layer in one pass."""
-    l = config.l
     beta = _beta(config, coef)
-    w = np.concatenate([np.matmul(v, coef[..., :l, None]),
-                        np.matmul(v, coef[..., l:, None])], axis=-2)[..., 0]
-    w = w / np.sqrt(beta)[..., None] / np.sqrt(config.rank)  # (..., rank, P)
+    # each polarization's weights on the beams: (..., rank, 2, P/2, 1)
+    w = v @ coef.reshape(*coef.shape[:-1], 2, config.l, 1)
+    w = (w.reshape(*coef.shape[:-1], -1) / np.sqrt(beta)[..., None]
+         / math.sqrt(config.rank))                              # (..., rank, P)
     return np.ascontiguousarray(np.swapaxes(w, -1, -2))
 
 
 def reconstruct_all(config: T2R15Config, pmi: T2R15Pmi) -> np.ndarray:
     """Precoders for every subband, shape (subbands, P, rank)."""
-    _, alphabet = validate(config, pmi)
+    k1, k2, c, _, alphabet = validate(config, pmi)
     return _precoders(config, selected_beams(config, pmi),
-                      _coefficients(config, pmi, alphabet))
+                      _coefficients(config, k1, k2, c, alphabet))
 
 
 def reconstruct(config: T2R15Config, pmi: T2R15Pmi, subband: int = 0) -> np.ndarray:
@@ -237,19 +251,17 @@ def serialize_pmi(config: T2R15Config, pmi: T2R15Pmi) -> str:
     the k1 of every beam but the strongest; then per layer the reported
     phases and (with subband amplitudes) k2 of every subband.
     Rejects what ``reconstruct_all`` rejects."""
-    k2_reported, alphabet = validate(config, pmi)
+    k1, k2, c, k2_reported, alphabet = validate(config, pmi)
     two_l = 2 * config.l
-    k1 = np.asarray(pmi.k1)
     out = [field_bits(v, w) for v, w in beam_fields(config, pmi)]
     for layer, s in enumerate(pmi.i13):
         out += [field_bits(s, clog2(two_l)),
                 array_bits(np.delete(k1[layer], s), 3)]
     for layer, a in enumerate(alphabet):
-        out.append(array_bits(np.asarray(pmi.c)[layer][:, a > 0],
+        out.append(array_bits(c[layer][:, a > 0],
                               np.log2(a[a > 0]).astype(int)))
         if config.subband_amplitude:
-            out.append(array_bits(
-                np.asarray(pmi.k2)[layer][:, k2_reported[layer]], 1))
+            out.append(array_bits(k2[layer][:, k2_reported[layer]], 1))
     return "".join(out)
 
 
@@ -395,7 +407,7 @@ def _candidate(config: T2R15Config, targets: np.ndarray, i11, i12,
     if quantized is None:
         return None
     pmi, alphabet = quantized
-    weights = _coefficients(config, pmi, alphabet)
+    weights = _coefficients(config, pmi.k1, pmi.k2, pmi.c, alphabet)
     try:
         _beta(config, weights)
     except DegenerateReportError:

@@ -99,19 +99,20 @@ class R16Pmi:
     c: np.ndarray
 
 
-def validate_budget(config: R16Config, pmi: R16Pmi) -> None:
-    """Enforce the nonzero-coefficient budget, ranges and consistency."""
+def validate_budget(config: R16Config, pmi: R16Pmi) -> enhanced.Coefficients:
+    """Enforce the nonzero-coefficient budget, ranges and consistency;
+    return the report's ``enhanced.Coefficients``."""
     enhanced.check_beams(config, pmi)
-    enhanced.validate_budget(config, pmi, ("i16", "i18"))
+    return enhanced.validate_budget(config, pmi, ("i16", "i18"))
 
 
 def reconstruct_all(config: R16Config, pmi: R16Pmi) -> np.ndarray:
     """Precoders for every frequency unit, shape (N3, P, rank)."""
-    validate_budget(config, pmi)
+    coefficients = validate_budget(config, pmi)
     taps = [enhanced.decode_taps(config, pmi, layer)
             for layer in range(config.rank)]
-    return enhanced.synthesize(config, pmi, enhanced.selected_beams(config, pmi),
-                               taps)
+    return enhanced.synthesize(config, coefficients,
+                               enhanced.selected_beams(config, pmi), taps)
 
 
 def reconstruct(config: R16Config, pmi: R16Pmi, t: int) -> np.ndarray:

@@ -152,17 +152,18 @@ def decode_tap_offset(config: R17Config, pmi: R17Pmi) -> tuple[int, ...]:
     return (0, pmi.i16 + 1)
 
 
-def validate_budget(config: R17Config, pmi: R17Pmi) -> None:
-    """Enforce the nonzero-coefficient budget, ranges and consistency."""
-    enhanced.validate_budget(config, pmi, ("i18",))
+def validate_budget(config: R17Config, pmi: R17Pmi) -> enhanced.Coefficients:
+    """Enforce the nonzero-coefficient budget, ranges and consistency;
+    return the report's ``enhanced.Coefficients``."""
+    return enhanced.validate_budget(config, pmi, ("i18",))
 
 
 def reconstruct_all(config: R17Config, pmi: R17Pmi) -> np.ndarray:
     """Precoders for every frequency unit, shape (N3, P, rank)."""
-    validate_budget(config, pmi)
+    coefficients = validate_budget(config, pmi)
     v = enhanced.port_beams(config.p_csirs, decode_ports(config, pmi))
     taps = decode_tap_offset(config, pmi)
-    return enhanced.synthesize(config, pmi, v, [taps] * config.rank)
+    return enhanced.synthesize(config, coefficients, v, [taps] * config.rank)
 
 
 def reconstruct(config: R17Config, pmi: R17Pmi, t: int) -> np.ndarray:

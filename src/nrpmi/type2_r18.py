@@ -114,21 +114,22 @@ def decode_shifts(config: R18Config, pmi: R18Pmi, layer: int) -> tuple[int, ...]
     return (0, i110 + 1)
 
 
-def validate_budget(config: R18Config, pmi: R18Pmi) -> None:
-    """Enforce the nonzero-coefficient budget, ranges and consistency."""
+def validate_budget(config: R18Config, pmi: R18Pmi) -> enhanced.Coefficients:
+    """Enforce the nonzero-coefficient budget, ranges and consistency;
+    return the report's ``enhanced.Coefficients``."""
     enhanced.check_beams(config, pmi)
-    enhanced.validate_budget(config, pmi, ("i16", "i18") + (
+    return enhanced.validate_budget(config, pmi, ("i16", "i18") + (
         ("i110",) if config.n4 > 1 else ()))
 
 
 def reconstruct_all(config: R18Config, pmi: R18Pmi) -> np.ndarray:
     """Precoders for every (t, iota), shape (N3, N4, P, rank)."""
-    validate_budget(config, pmi)
+    coefficients = validate_budget(config, pmi)
     layers = range(config.rank)
     taps = [enhanced.decode_taps(config, pmi, layer) for layer in layers]
     shifts = [decode_shifts(config, pmi, layer) for layer in layers]
-    return enhanced.synthesize(config, pmi, enhanced.selected_beams(config, pmi),
-                               taps, shifts)
+    return enhanced.synthesize(config, coefficients,
+                               enhanced.selected_beams(config, pmi), taps, shifts)
 
 
 def reconstruct(config: R18Config, pmi: R18Pmi, t: int, iota: int) -> np.ndarray:

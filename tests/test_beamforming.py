@@ -119,6 +119,30 @@ def test_malformed_rate_inputs_name_the_bad_argument(channels, beamformers,
         user_rates(channels, beamformers, noise)
 
 
+@pytest.mark.parametrize("target, named", [
+    ("channel", "channels[1]"),
+    ("beamformer", "beamformers[0]"),
+])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf,
+                                   complex(0, np.nan)])
+def test_non_finite_rate_inputs_name_the_bad_argument(target, named, value):
+    # a NaN or inf entry used to come back as a nan rate after numpy's
+    # slogdet warning
+    rng = np.random.default_rng(14)
+    channels = [crandn(rng, 3, 2, 4), crandn(rng, 2, 4)]
+    beamformers = [crandn(rng, 3, 4, 1), crandn(rng, 4, 2)]
+    (channels[1] if target == "channel" else beamformers[0])[0, 0] = value
+    with pytest.raises(DomainError,
+                       match=re.escape(f"{named} must hold finite numbers")):
+        user_rates(channels, beamformers, 1.0)
+
+
+def test_non_numeric_rate_input_names_the_bad_argument():
+    with pytest.raises(DomainError,
+                       match=re.escape("channels[0] must hold finite numbers")):
+        user_rates([np.array([["a", "b"]])], [np.ones((2, 1))], 1.0)
+
+
 def test_su_svd_and_mrt():
     h = np.diag([2.0, 1.0]).astype(complex)
     w = su_beamformer("svd", h, n_streams=1)
