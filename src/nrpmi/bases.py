@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .combinadics import check_int_fields
 from .errors import DomainError
 
 # Supported (N1, N2) -> (O1, O2), cf. TS 38.214 tables 5.2.2.2.1-2 / 5.2.2.2.2-1
@@ -43,6 +44,7 @@ class ArrayGeometry:
     o2: int
 
     def __post_init__(self):
+        check_int_fields(self, "n1", "n2", "o1", "o2")
         expected = SUPPORTED_GEOMETRIES.get((self.n1, self.n2))
         if expected is None or expected != (self.o1, self.o2):
             raise DomainError(

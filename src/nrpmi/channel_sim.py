@@ -20,7 +20,7 @@ import numpy as np
 
 from . import enhanced, type2_r16, type2_r17, type2_r18
 from .bases import ArrayGeometry, orthogonal_groups
-from .combinadics import encode_combination, is_index
+from .combinadics import check_int, encode_combination
 from .errors import DegenerateReportError, DomainError
 from .quantization import R15_WB_AMPS, quantize_nearest, quantize_phase
 
@@ -38,17 +38,12 @@ class ChannelModel:
     seed: int = 0
 
     def __post_init__(self):
-        _check_int("n_paths", self.n_paths, 1)
-        _check_int("n_subcarriers", self.n_subcarriers, 1)
-        _check_int("seed", self.seed, 0)
+        check_int("n_paths", self.n_paths, 1)
+        check_int("n_subcarriers", self.n_subcarriers, 1)
+        check_int("seed", self.seed, 0)
         for name in ("delay_spread", "doppler_max", "subcarrier_spacing",
                      "cross_pol"):
             _check_real(name, getattr(self, name))
-
-
-def _check_int(name: str, value, low: int) -> None:
-    if not (is_index(value) and value >= low):
-        raise DomainError(f"{name}={value!r} must be an integer >= {low}")
 
 
 def _check_real(name: str, value) -> None:
@@ -60,9 +55,9 @@ def _check_real(name: str, value) -> None:
 def _check_draw(nr, trial, n4, interval_duration) -> None:
     """Reject draw_channel arguments that would give an empty or
     meaningless channel, naming the bad one."""
-    _check_int("nr", nr, 1)
-    _check_int("n4", n4, 1)
-    _check_int("trial", trial, 0)
+    check_int("nr", nr, 1)
+    check_int("n4", n4, 1)
+    check_int("trial", trial, 0)
     _check_real("interval_duration", interval_duration)
 
 
@@ -164,9 +159,6 @@ def effective_channel(h1: np.ndarray, h2: np.ndarray, f: np.ndarray) -> np.ndarr
 
 def _rx_directions(h: np.ndarray, rank: int) -> np.ndarray:
     """Dominant wideband receive directions as rows, shape (rank, Nr)."""
-    nr = h.shape[-2]
-    if rank > nr:
-        raise DomainError(f"rank {rank} exceeds {nr} receive antennas")
     cov = np.einsum("nmrp,nmsp->rs", h, h.conj())
     _, vecs = np.linalg.eigh(cov)
     return vecs[:, ::-1][:, :rank].T
@@ -427,10 +419,11 @@ def _pick_taps(rel_energy: np.ndarray, config):
     return np.array(taps), m_first
 
 
-def _search_channel(channel, n_ports, n4=1, n3=None, subbands=1):
+def _search_channel(channel, n_ports, n4=1, n3=None, subbands=1, rank=1):
     """A search's channel, an array or ``ChannelRealization``, as (N4, M, Nr,
     P); (M, Nr, P) is one interval.  DomainError names a bad shape, P, N4,
-    M (not N3, or below the subbands), non-finite entry or all-zero channel."""
+    M (not N3, or below the subbands), a rank above Nr, non-finite entry or
+    all-zero channel."""
     h = np.asarray(getattr(channel, "h", channel))
     h = h[None] if h.ndim == 3 else h
     if h.ndim != 4 or h.shape[0] != n4 or h.shape[-1] != n_ports:
@@ -439,6 +432,8 @@ def _search_channel(channel, n_ports, n4=1, n3=None, subbands=1):
         raise DomainError(f"M={h.shape[1]} subcarriers, N3={n3} frequency units")
     if h.shape[1] < subbands:
         raise DomainError(f"M={h.shape[1]} subcarriers < {subbands} subbands")
+    if rank > h.shape[2]:
+        raise DomainError(f"rank {rank} exceeds {h.shape[2]} receive antennas")
     if h.dtype.kind not in "iufc" or not np.isfinite(h).all():
         raise DomainError("channel has a non-finite or non-numeric entry")
     if not h.any():
@@ -449,14 +444,16 @@ def _search_channel(channel, n_ports, n4=1, n3=None, subbands=1):
 def search_r16(channel: ChannelRealization, config: type2_r16.R16Config
                ) -> type2_r16.R16Pmi:
     """UE-side Enhanced Type II report selection."""
-    h = _search_channel(channel, config.n_ports, n3=config.n3)
+    h = _search_channel(channel, config.n_ports, n3=config.n3,
+                        rank=config.rank)
     return _search_enhanced(config, _targets(h, config.rank))
 
 
 def search_r18(channel: ChannelRealization, config: type2_r18.R18Config
                ) -> type2_r18.R18Pmi:
     """UE-side predicted-PMI report over N4 slot intervals."""
-    h = _search_channel(channel, config.n_ports, config.n4, config.n3)
+    h = _search_channel(channel, config.n_ports, config.n4, config.n3,
+                        rank=config.rank)
     return _search_enhanced(config, _targets(h, config.rank))
 
 
@@ -533,7 +530,8 @@ def _finish(config, targets, i11, i12, basis):
 def search_r17(channel: ChannelRealization, config: type2_r17.R17Config
                ) -> type2_r17.R17Pmi:
     """UE-side Further Enhanced port-selection report (beam-domain channel)."""
-    h = _search_channel(channel, config.p_csirs, n3=config.n3)
+    h = _search_channel(channel, config.p_csirs, n3=config.n3,
+                        rank=config.rank)
     targets = _targets(h, config.rank)
     half = config.p_csirs // 2
     energy = (np.abs(targets) ** 2).sum(axis=(0, 1, 2))

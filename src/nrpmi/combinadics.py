@@ -29,20 +29,27 @@ def is_indices(value, count: int) -> bool:
             and all(map(is_index, value)))
 
 
+def check_int(name: str, value, low: int | None = None) -> None:
+    """Reject ``value`` unless it is an integer (``is_index``: no float or
+    bool) of at least ``low``, naming it."""
+    if not (is_index(value) and (low is None or value >= low)):
+        raise DomainError(f"{name}={value!r} must be an integer"
+                          + ("" if low is None else f" >= {low}"))
+
+
+def check_int_fields(config, *names: str) -> None:
+    """``check_int`` on each named field of ``config`` that is set."""
+    for name in names:
+        value = getattr(config, name)
+        if value is not None:
+            check_int(name, value)
+
+
 def clog2(x: int) -> int:
     """Bit width ceil(log2(x)) of a field taking x values (0 for one value)."""
     if x < 1:
         raise DomainError(f"cannot take log2 of {x}")
     return math.ceil(math.log2(x)) if x > 1 else 0
-
-
-def field_bits(value: int, width: int) -> str:
-    """``value`` as ``width`` bits, MSB first."""
-    if width == 0:
-        return ""
-    if not 0 <= value < (1 << width):
-        raise FormatError(f"value {value} does not fit in {width} bits")
-    return format(value, f"0{width}b")
 
 
 def array_bits(values, widths) -> str:
@@ -58,6 +65,24 @@ def array_bits(values, widths) -> str:
     bits = (values[:, None] >> np.arange(top - 1, -1, -1)) & 1
     keep = np.arange(top) >= top - widths[:, None]
     return (bits[keep] + ord("0")).astype(np.uint8).tobytes().decode()
+
+
+def read_bits(bits, count: int, name: str) -> np.ndarray:
+    """The ``count`` bits of ``bits``, in the order given, as an int array:
+    a string of 0/1 characters or a flat sequence of integers or bools
+    each 0 or 1.  DomainError names ``name`` for anything else."""
+    try:
+        a = np.asarray([*map("01".find, bits)] if isinstance(bits, str)
+                       else bits)
+    except ValueError:  # a ragged nested sequence
+        a = np.array(None)
+    if (a.ndim != 1 or (a.size and a.dtype.kind not in "biu")
+            or ((a != 0) & (a != 1)).any()):
+        raise DomainError(f"{name} must be a string of 0/1 characters or a "
+                          "flat sequence of 0/1 integers")
+    if a.size != count:
+        raise DomainError(f"{name} needs {count} bits, got {a.size}")
+    return a.astype(int)
 
 
 def binomial(x: int, y: int) -> int:

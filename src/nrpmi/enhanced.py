@@ -35,11 +35,11 @@ from .bases import (
     port_selection_basis,
 )
 from .combinadics import (
+    array_bits,
     binomial,
     clog2,
     decode_combination,
     encode_combination,
-    field_bits,
     is_index,
     is_indices,
     split_beam_index,
@@ -349,10 +349,10 @@ def draw_taps(config, rng: np.random.Generator):
                       for _ in range(config.rank))
 
 
-def tap_fields(config, pmi) -> list[tuple[int, int]]:
-    """(value, bit width) of i15 (window mode only) and each layer's i16."""
+def tap_fields(config, pmi) -> list[tuple]:
+    """(values, bit width) of i15 (window mode only) and the layers' i16."""
     head = [(pmi.i15, clog2(2 * config.mv))] if config.window_mode else []
-    return head + [(i16, clog2(config.i16_count)) for i16 in pmi.i16]
+    return head + [(pmi.i16, clog2(config.i16_count))]
 
 
 # ---------------------------------------------------------------------------
@@ -649,26 +649,18 @@ def serialize(config, pmi, head, tail=()) -> str:
     ``tail`` fields, then i2: the weaker polarization's k1 per layer and
     the k2, then c, of every reported coefficient but the strongest.
 
-    ``head`` and ``tail`` are the release's other i1 fields as (value, bit
-    width) pairs.
+    ``head`` and ``tail`` are the release's other i1 fields as (values, bit
+    width) segments.
     """
-    rank = config.rank
     bitmap, k2, c = (grid(np.asarray(a)) for a in (pmi.bitmap, pmi.k2, pmi.c))
-    k1 = np.asarray(pmi.k1)
-    stars = [_star(config, bitmap[layer], i18)
-             for layer, i18 in enumerate(pmi.i18)]
-    i18_width = clog2(_plane(config, bitmap[0]).size)
-    out = [field_bits(v, w) for v, w in head]
-    out += ["".join(str(int(b)) for b in bitmap[layer].transpose(1, 2, 0).flat)
-            for layer in range(rank)]
-    out += [field_bits(i18, i18_width) for i18 in pmi.i18]
-    out += [field_bits(v, w) for v, w in tail]
-    out += [field_bits(int(k1[layer, 1 - i // config.l]), 4)
-            for layer, (i, _) in enumerate(stars)]
-    for values, width in ((k2, 3), (c, 4)):
-        for layer, star in enumerate(stars):
-            skip = strongest_cell(config, *star)
-            out += [field_bits(int(values[layer][cell]), width)
-                    for cell in zip(*np.nonzero(bitmap[layer]))
-                    if cell != skip]
-    return "".join(out)
+    rows = np.arange(config.rank)
+    i_star, s_star = np.array([_star(config, bitmap[layer], i18)
+                               for layer, i18 in enumerate(pmi.i18)]).T
+    # reported, and not the strongest cell
+    others = bitmap == 1
+    others[(rows,) + strongest_cell(config, i_star, s_star)] = False
+    segments = [*head, (bitmap.transpose(0, 2, 3, 1), 1),
+                (pmi.i18, clog2(_plane(config, bitmap[0]).size)), *tail,
+                (np.asarray(pmi.k1)[rows, 1 - i_star // config.l], 4),
+                (k2[others], 3), (c[others], 4)]
+    return "".join(array_bits(v, w) for v, w in segments)

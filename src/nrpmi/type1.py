@@ -14,7 +14,8 @@ import numpy as np
 
 from .bases import ArrayGeometry, beam_grid
 from .channel_sim import _first_best, _search_channel
-from .combinadics import is_index, is_indices
+from .combinadics import check_int_fields, is_index, is_indices, read_bits
+from .enhanced import check_index
 from .errors import DomainError, RestrictionError
 
 
@@ -34,14 +35,6 @@ def _offset_table(geom: ArrayGeometry) -> list[tuple[int, int]]:
     raise DomainError(f"no i_1,3 offset regime for (N1,N2)=({n1},{n2})")
 
 
-def k_offsets(i13: int, geom: ArrayGeometry) -> tuple[int, int]:
-    """Beam-index offsets (k1, k2) of the second layer relative to the first."""
-    table = _offset_table(geom)
-    if not 0 <= i13 < len(table):
-        raise DomainError(f"i_1,3={i13} invalid for (N1,N2)=({geom.n1},{geom.n2})")
-    return table[i13]
-
-
 def i13_range(geom: ArrayGeometry) -> int:
     return len(_offset_table(geom))
 
@@ -54,6 +47,7 @@ class Type1Config:
     subband_count: int = 1
 
     def __post_init__(self):
+        check_int_fields(self, "mode", "rank", "subband_count")
         if self.mode not in (1, 2):
             raise DomainError(f"codebook mode {self.mode} not in {{1, 2}}")
         if self.mode == 2 and self.geom.n2 == 1:
@@ -149,9 +143,7 @@ def build_precoder(config: Type1Config, pmi: Type1Pmi, subband: int = 0,
                    restriction: np.ndarray | None = None) -> np.ndarray:
     """The (P, rank) precoder of one subband: a writable copy of its
     codeword in the cached stack."""
-    if not 0 <= subband < config.subband_count:
-        raise DomainError(
-            f"subband {subband} outside [0, {config.subband_count})")
+    check_index("subband", subband, config.subband_count)
     book, row = _lookup(config, pmi)
     i2 = pmi.i2[subband]
     if restriction is not None:
@@ -175,10 +167,9 @@ def random_valid_pmi(config: Type1Config, rng: np.random.Generator) -> Type1Pmi:
 
 
 def _restriction_bits(bit_sequence, geom: ArrayGeometry) -> np.ndarray:
-    seq = np.asarray(bit_sequence)
-    if seq.size != geom.beams_h * geom.beams_v:
-        raise DomainError(f"restriction needs {geom.beams_h * geom.beams_v} bits")
-    return seq
+    """The N1*O1*N2*O2 bits of a beam restriction (``read_bits``), as bools."""
+    return read_bits(bit_sequence, geom.beams_h * geom.beams_v,
+                     "beam restriction").astype(bool)
 
 
 def _beam_bit(geom: ArrayGeometry, l: int, m: int) -> int:
@@ -193,10 +184,8 @@ def check_beam_restriction(bit_sequence: np.ndarray, geom: ArrayGeometry,
 
 def check_rank_restriction(r_bits, rank: int) -> bool:
     """r_bits[i] = 0 prohibits reporting precoders with i+1 layers."""
-    bits = list(r_bits)
-    if len(bits) != 8:
-        raise DomainError("rank restriction requires 8 bits r0..r7")
-    if not 1 <= rank <= 8:
+    bits = read_bits(r_bits, 8, "rank restriction r0..r7")
+    if not (is_index(rank) and 1 <= rank <= 8):
         raise DomainError(f"rank {rank} outside [1, 8]")
     return bool(bits[rank - 1])
 
@@ -264,7 +253,7 @@ def search_type1(channel: np.ndarray, config: Type1Config,
     (geometry, mode, rank) and kept.
     """
     h = _search_channel(channel, config.geom.n_ports,
-                        subbands=config.subband_count)[0]
+                        subbands=config.subband_count, rank=config.rank)[0]
     if not (isinstance(noise_power, Real) and 0 < noise_power < np.inf):
         raise DomainError(f"noise_power={noise_power!r} must be positive "
                           "and finite")
@@ -276,8 +265,8 @@ def search_type1(channel: np.ndarray, config: Type1Config,
     n_groups, n_i2 = book.beam_bits.shape[:2]
     allowed = np.ones((n_groups, n_i2), dtype=bool)
     if restriction is not None:
-        bits = _restriction_bits(restriction, config.geom).ravel().astype(bool)
-        allowed = bits[book.beam_bits].all(axis=2)
+        allowed = _restriction_bits(restriction, config.geom)[
+            book.beam_bits].all(axis=2)
 
     n_sb = config.subband_count
     edges = np.linspace(0, h.shape[0], n_sb + 1).astype(int)

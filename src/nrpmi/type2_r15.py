@@ -18,10 +18,11 @@ from .channel_sim import _beam_projections, _search_channel, _search_groups
 from .combinadics import (
     array_bits,
     binomial,
+    check_int_fields,
     clog2,
     decode_group_restriction,
-    field_bits,
     is_indices,
+    read_bits,
 )
 from .enhanced import (  # noqa: F401 (PORT_SELECTION: a variant name)
     PORT_SELECTION,
@@ -65,6 +66,8 @@ class T2R15Config(SpatialConfig):
     d: int | None = None
 
     def __post_init__(self):
+        check_int_fields(self, "l", "n_psk", "rank", "subband_count",
+                         "p_csirs", "d")
         if self.l not in (2, 3, 4):
             raise DomainError(f"numberOfBeams L={self.l} not in {{2,3,4}}")
         if self.n_psk not in (4, 8):
@@ -253,16 +256,16 @@ def serialize_pmi(config: T2R15Config, pmi: T2R15Pmi) -> str:
     Rejects what ``reconstruct_all`` rejects."""
     k1, k2, c, k2_reported, alphabet = validate(config, pmi)
     two_l = 2 * config.l
-    out = [field_bits(v, w) for v, w in beam_fields(config, pmi)]
-    for layer, s in enumerate(pmi.i13):
-        out += [field_bits(s, clog2(two_l)),
-                array_bits(np.delete(k1[layer], s), 3)]
+    others = np.ones(k1.shape, dtype=bool)
+    others[np.arange(config.rank), list(pmi.i13)] = False
+    segments = [*beam_fields(config, pmi),
+                (np.column_stack([pmi.i13, k1[others].reshape(-1, two_l - 1)]),
+                 [clog2(two_l)] + [3] * (two_l - 1))]
     for layer, a in enumerate(alphabet):
-        out.append(array_bits(c[layer][:, a > 0],
-                              np.log2(a[a > 0]).astype(int)))
+        segments.append((c[layer][:, a > 0], np.log2(a[a > 0]).astype(int)))
         if config.subband_amplitude:
-            out.append(array_bits(k2[layer][:, k2_reported[layer]], 1))
-    return "".join(out)
+            segments.append((k2[layer][:, k2_reported[layer]], 1))
+    return "".join(array_bits(v, w) for v, w in segments)
 
 
 def subset_restriction(b1_bits, b2_bits, geom: ArrayGeometry) -> np.ndarray:
@@ -272,28 +275,20 @@ def subset_restriction(b1_bits, b2_bits, geom: ArrayGeometry) -> np.ndarray:
     4 segments of B2 (2*N1*N2 bits, MSB first) carries 2 bits per beam read
     at position 2*(N1*x2 + x1).  Beams in unrestricted groups get cap 1.
     """
-    b1 = [int(b) for b in b1_bits]
-    b2 = [int(b) for b in b2_bits]
-    if len(b1) != 11:
-        raise FormatError(f"B1 must be 11 bits, got {len(b1)}")
     n1, n2 = geom.n1, geom.n2
-    if len(b2) != 8 * n1 * n2:
-        raise FormatError(f"B2 must be {8 * n1 * n2} bits, got {len(b2)}")
-    beta1 = int("".join(str(b) for b in b1), 2)
+    b1 = read_bits(b1_bits, 11, "B1")
+    b2 = read_bits(b2_bits, 8 * n1 * n2, "B2")
+    beta1 = int(b1 @ (1 << np.arange(10, -1, -1)))
     if beta1 >= binomial(geom.o1 * geom.o2, 4):
         raise FormatError(f"B1 value {beta1} is not a valid group combination")
     groups = decode_group_restriction(beta1, geom.o1, geom.o2)
+    # each segment is written MSB first, so read backwards it holds the 2
+    # bits (low, high) of beam N1*x2 + x1 at 2*(N1*x2 + x1): (4, N2, N1)
+    codes = b2.reshape(4, -1)[:, ::-1].reshape(4, n2, n1, 2) @ [1, 2]
+    amps = np.array([qt.max_amp_restriction(v) for v in range(4)])
     caps = np.ones((geom.beams_h, geom.beams_v))
-    seg_len = 2 * n1 * n2
-    for k, (_, r1, r2) in enumerate(groups):
-        seg = b2[k * seg_len:(k + 1) * seg_len]
-        for x2 in range(n2):
-            for x1 in range(n1):
-                pos = 2 * (n1 * x2 + x1)
-                # segment is written MSB first: bit j sits at index 2N1N2-1-j
-                hi = seg[seg_len - 1 - (pos + 1)]
-                lo = seg[seg_len - 1 - pos]
-                caps[n1 * r1 + x1, n2 * r2 + x2] = qt.max_amp_restriction(2 * hi + lo)
+    for (_, r1, r2), code in zip(groups, codes):
+        caps[n1 * r1:n1 * (r1 + 1), n2 * r2:n2 * (r2 + 1)] = amps[code.T]
     return caps
 
 
@@ -382,7 +377,7 @@ def search_t2_r15(channel: np.ndarray, config: T2R15Config,
     selection it is the effective (beam-domain) channel.
     """
     h = _search_channel(channel, config.n_ports,
-                        subbands=config.subband_count)[0]
+                        subbands=config.subband_count, rank=config.rank)[0]
     if caps is not None:
         caps = _check_caps(config, caps)
     targets = _subband_targets(h, config.subband_count, config.rank)

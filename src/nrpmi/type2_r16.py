@@ -14,6 +14,7 @@ import numpy as np
 
 from . import enhanced
 from .bases import ArrayGeometry
+from .combinadics import check_int_fields
 from .enhanced import PORT_SELECTION, REGULAR  # noqa: F401 (variant names)
 from .errors import DomainError
 
@@ -66,6 +67,8 @@ class R16Config(enhanced.CompressedConfig):
     PARAM_NAME = "paramCombination-r16"
 
     def __post_init__(self):
+        check_int_fields(self, "param_combination", "r", "n3", "rank",
+                         "p_csirs", "d")
         self.check_params()
         self.check_variant()
 

@@ -16,6 +16,7 @@ from . import enhanced
 from .bases import SUPPORTED_PORT_COUNTS
 from .combinadics import (
     binomial,
+    check_int_fields,
     clog2,
     decode_combination,
     encode_combination,
@@ -51,6 +52,8 @@ class R17Config:
     strongest_axis = enhanced.TAP_AXIS
 
     def __post_init__(self):
+        check_int_fields(self, "p_csirs", "param_combination", "n3",
+                         "n_threshold", "rank")
         if self.p_csirs not in SUPPORTED_PORT_COUNTS:
             raise DomainError(f"nrofPorts {self.p_csirs} unsupported")
         enhanced.check_table(self)

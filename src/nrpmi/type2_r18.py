@@ -13,7 +13,7 @@ import numpy as np
 
 from . import enhanced
 from .bases import ArrayGeometry
-from .combinadics import clog2
+from .combinadics import check_int_fields, clog2, is_index, read_bits
 from .errors import DomainError, FormatError
 
 Q_SHIFTS = 2  # frozen by the protocol
@@ -37,10 +37,8 @@ def check_ri_restriction(bits, rank: int) -> bool:
 
     ``bits`` is given MSB first (r3 r2 r1 r0), e.g. "0001" allows rank 1 only.
     """
-    seq = [int(b) for b in bits]
-    if len(seq) != 4:
-        raise DomainError("RI restriction requires 4 bits r3..r0")
-    if not 1 <= rank <= 4:
+    seq = read_bits(bits, 4, "RI restriction r3..r0")
+    if not (is_index(rank) and 1 <= rank <= 4):
         raise DomainError(f"rank {rank} outside [1, 4]")
     return bool(seq[4 - rank])
 
@@ -59,6 +57,7 @@ class R18Config(enhanced.CompressedConfig):
     variant = enhanced.REGULAR
 
     def __post_init__(self):
+        check_int_fields(self, "param_combination", "r", "n3", "n4", "rank")
         self.check_params()
         self.check_variant()
         if self.n4 not in (1, 2, 4, 8):
@@ -155,7 +154,6 @@ def serialize_pmi(config: R18Config, pmi: R18Pmi) -> str:
     ``enhanced.serialize`` with i110 per layer (N4 > 1) after i18.
     Rejects what ``reconstruct_all`` rejects."""
     reconstruct_all(config, pmi)
-    tail = ([(i110, clog2(config.n4 - 1)) for i110 in pmi.i110]
-            if config.n4 > 1 else [])
+    tail = [(pmi.i110, clog2(config.n4 - 1))] if config.n4 > 1 else []
     return enhanced.serialize(config, pmi, enhanced.beam_fields(config, pmi)
                               + enhanced.tap_fields(config, pmi), tail)

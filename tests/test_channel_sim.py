@@ -704,6 +704,21 @@ def test_every_search_rejects_a_malformed_channel(search, cfg, h, match):
         search(h, cfg)
 
 
+@pytest.mark.parametrize("search, cfg, n4", [
+    (search_type1, Type1Config(GEOM, rank=2), 1),
+    (type2_r15.search_t2_r15, _r15_config(rank=2), 1),
+    (search_r16, type2_r16.R16Config(1, 1, 8, rank=2, geom=GEOM), 1),
+    (search_r17, type2_r17.R17Config(16, 5, 8, rank=2), 1),
+    (search_r18, type2_r18.R18Config(GEOM, 1, 1, 8, 2, rank=2), 2),
+], ids=["type1", "r15", "r16", "r17", "r18"])
+def test_every_search_rejects_a_rank_above_nr(search, cfg, n4):
+    # Type I and Rel-15 returned a rank-2 report for one receive antenna
+    h = draw_channel(ChannelModel(n_subcarriers=8, seed=3), GEOM, nr=1,
+                     n4=n4).h
+    with pytest.raises(DomainError, match="rank 2 exceeds 1 receive antennas"):
+        search(h, cfg)
+
+
 def test_search_r16_reads_an_array_as_a_channel():
     h = _channel(8)
     assert (cli.pmi_to_fields(search_r16(h, R16_CFG))
@@ -720,6 +735,7 @@ def test_search_r16_reads_an_array_as_a_channel():
     (np.ones((2, 2, 16)), {"subbands": 3}, "< 3 subbands"),
     (np.full((2, 2, 16), np.inf), {}, "non-finite"),
     (np.zeros((2, 2, 16)), {}, "all zero"),
+    (np.ones((2, 1, 16)), {"rank": 2}, "rank 2 exceeds 1 receive antennas"),
 ])
 def test_search_channel_names_the_problem(h, kw, match):
     with pytest.raises(DomainError, match=match):

@@ -8,6 +8,7 @@ from nrpmi.errors import DomainError, RestrictionError
 from nrpmi.type1 import (
     _codebook,
     _codeword_rates,
+    _offset_table,
     _subband_rate,
     Type1Config,
     Type1Pmi,
@@ -15,7 +16,6 @@ from nrpmi.type1 import (
     check_beam_restriction,
     check_rank_restriction,
     i13_range,
-    k_offsets,
     random_valid_pmi,
     search_type1,
 )
@@ -29,21 +29,21 @@ def all_pmis(config):
             yield Type1Pmi(i11, i12, (i2,) * config.subband_count, i13)
 
 
-def test_k_offsets_regimes():
+def test_offset_table_regimes():
     g42 = ArrayGeometry(4, 2, 4, 4)   # N1 > N2 > 1
-    assert k_offsets(1, g42) == (4, 0)
-    assert k_offsets(3, g42) == (8, 0)
+    assert _offset_table(g42)[1] == (4, 0)
+    assert _offset_table(g42)[3] == (8, 0)
     g22 = ArrayGeometry(2, 2, 4, 4)   # N1 = N2
-    assert k_offsets(2, g22) == (0, 4)
-    assert k_offsets(3, g22) == (4, 4)
+    assert _offset_table(g22)[2] == (0, 4)
+    assert _offset_table(g22)[3] == (4, 4)
     g41 = ArrayGeometry(4, 1, 4, 1)   # N1 > 2, N2 = 1
-    assert k_offsets(2, g41) == (8, 0)
-    assert k_offsets(3, g41) == (12, 0)
+    assert _offset_table(g41)[2] == (8, 0)
+    assert _offset_table(g41)[3] == (12, 0)
     g21 = ArrayGeometry(2, 1, 4, 1)   # reduced regime: two offsets only
     assert i13_range(g21) == 2
-    assert k_offsets(1, g21) == (4, 0)
+    assert _offset_table(g21)[1] == (4, 0)
     with pytest.raises(DomainError):
-        k_offsets(2, g21)
+        Type1Pmi(0, 0, (0,), 2).validate(Type1Config(g21, rank=2))
 
 
 def test_mode2_requires_n2():
@@ -186,7 +186,7 @@ def oracle_codeword(config, pmi, subband=0):
     p = g.n_ports
     if config.rank == 1:
         return (np.concatenate([v, phi * v]) / np.sqrt(p)).reshape(p, 1)
-    k1, k2 = k_offsets(pmi.i13, g)
+    k1, k2 = _offset_table(g)[pmi.i13]
     vp = dft_beam(g, (l + k1) % g.beams_h, (m + k2) % g.beams_v)
     w1 = np.concatenate([v, phi * v])
     w2 = np.concatenate([vp, -phi * vp])
@@ -322,6 +322,55 @@ def test_subband_outside_the_report_is_rejected(subband):
     pmi = random_valid_pmi(cfg, np.random.default_rng(0))
     with pytest.raises(DomainError, match=f"subband {subband} outside"):
         build_precoder(cfg, pmi, subband)
+
+
+@pytest.mark.parametrize("subband", [0.5, True, np.float64(1.0)])
+def test_subband_that_is_no_integer_is_rejected(subband):
+    # 0.5 raised a bare TypeError and True was read as subband 1
+    cfg = Type1Config(ArrayGeometry(4, 2, 4, 4), subband_count=2)
+    pmi = random_valid_pmi(cfg, np.random.default_rng(0))
+    with pytest.raises(DomainError, match=r"subband .* outside \[0, 2\)"):
+        build_precoder(cfg, pmi, subband)
+
+
+def test_rank_restriction_reads_a_bit_string():
+    # "0" was read as a set bit: every rank of "00000000" was allowed
+    assert not check_rank_restriction("00000000", 1)
+    assert check_rank_restriction("01000000", 2)
+    assert not check_rank_restriction("01000000", 1)
+    with pytest.raises(DomainError, match="rank restriction"):
+        check_rank_restriction("0000000", 1)
+    with pytest.raises(DomainError, match="rank restriction"):
+        check_rank_restriction([2, 1, 1, 1, 1, 1, 1, 1], 1)
+    # a rank that is no integer indexed the bits with a bare error
+    for rank in (1.5, 2.0, True):
+        with pytest.raises(DomainError, match=f"rank {rank} outside"):
+            check_rank_restriction("11111111", rank)
+
+
+def test_beam_restriction_reads_a_bit_string():
+    cfg = Type1Config(ArrayGeometry(2, 1, 4, 1))
+    h = np.ones((1, 2, 4), dtype=complex)
+    # a string of 0/1 characters is a bit string
+    assert check_beam_restriction("01111111", cfg.geom, 1, 0)
+    assert not check_beam_restriction("01111111", cfg.geom, 0, 0)
+    with pytest.raises(RestrictionError):
+        search_type1(h, cfg, restriction="00000000")
+    with pytest.raises(RestrictionError):
+        build_precoder(cfg, Type1Pmi(0, 0, (0,)), restriction="01111111")
+    # an array of "0" strings was read as all bits set
+    with pytest.raises(DomainError, match="beam restriction"):
+        search_type1(h, cfg, restriction=np.array(["0"] * 8))
+
+
+def test_beam_restriction_rejects_a_2d_array():
+    # search_type1 flattened it; check_beam_restriction raised IndexError
+    cfg = Type1Config(ArrayGeometry(2, 1, 4, 1))
+    bits = np.ones((2, 4), dtype=int)
+    with pytest.raises(DomainError, match="beam restriction"):
+        check_beam_restriction(bits, cfg.geom, 1, 0)
+    with pytest.raises(DomainError, match="beam restriction"):
+        search_type1(np.ones((1, 2, 4), dtype=complex), cfg, restriction=bits)
 
 
 

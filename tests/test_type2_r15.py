@@ -340,6 +340,28 @@ def test_subset_restriction_group_mapping():
         subset_restriction(format(1820, "011b"), "1" * 64, GEOM)
 
 
+@pytest.mark.parametrize("b1, b2, match", [
+    ("1" * 10, "1" * 64, "B1 needs 11 bits, got 10"),
+    (format(1819, "011b"), "1" * 63, "B2 needs 64 bits, got 63"),
+    (format(1819, "011b"), "2" + "1" * 63, "B2 must be a string of 0/1"),
+    ("0000000000x", "1" * 64, "B1 must be a string of 0/1"),
+    ([0.5] * 11, "1" * 64, "B1 must be a string of 0/1"),
+], ids=["B1-short", "B2-short", "B2-entry-2", "B1-entry-x", "B1-floats"])
+def test_subset_restriction_names_a_malformed_sequence(b1, b2, match):
+    # a wrong length was a FormatError, a "2" was read as bits 10
+    with pytest.raises(DomainError, match=match):
+        subset_restriction(b1, b2, GEOM)
+
+
+def test_subset_restriction_reads_every_bit_form():
+    b2 = ("1" * 15 + "0") + "1" * 48
+    caps = subset_restriction(format(1819, "011b"), b2, GEOM)
+    as_lists = subset_restriction([int(b) for b in format(1819, "011b")],
+                                  np.array([int(b) for b in b2]), GEOM)
+    assert np.array_equal(caps, as_lists)
+    assert caps[0, 0] == pytest.approx(np.sqrt(0.5))   # bits 10
+
+
 def plant_channel(cfg, pmi, n_sub=None, scales=None):
     """Rank-r channel whose per-subband right singular vectors are the
     planted precoder columns."""

@@ -96,6 +96,19 @@ def test_ri_restriction():
         check_ri_restriction("111", 1)
 
 
+@pytest.mark.parametrize("bits", ["0201", [0, 2, 0, 1], "01 1", [1, 1, 0.5, 1]])
+def test_ri_restriction_names_an_entry_other_than_0_or_1(bits):
+    # "2" was read as a set bit
+    with pytest.raises(DomainError, match="RI restriction"):
+        check_ri_restriction(bits, 3)
+
+
+@pytest.mark.parametrize("rank", [1.5, 2.0, True])
+def test_ri_restriction_names_a_rank_that_is_no_integer(rank):
+    with pytest.raises(DomainError, match=f"rank {rank} outside"):
+        check_ri_restriction("1111", rank)
+
+
 def test_degenerates_to_r16_when_n4_1():
     # same coefficient grid -> exactly equal reconstructions
     cfg18 = make_config(param_combination=2, n3=8, n4=1, rank=2)
