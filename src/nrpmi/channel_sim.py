@@ -12,6 +12,7 @@ keep the strongest taps (shifts), and quantize the surviving coefficients
 under the nonzero-coefficient budget.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from numbers import Real
@@ -23,6 +24,9 @@ from .bases import ArrayGeometry, orthogonal_groups
 from .combinadics import check_int, encode_combination
 from .errors import DegenerateReportError, DomainError
 from .quantization import R15_WB_AMPS, quantize_nearest, quantize_phase
+
+# the Rel-16 wideband amplitudes k1 = 1..15 as Python floats
+_WB_AMPS = enhanced.WB_AMPS[1:].tolist()
 
 
 @dataclass(frozen=True)
@@ -185,15 +189,36 @@ def _beam_projections(targets: np.ndarray, basis: np.ndarray,
     return np.concatenate([b1, b2], axis=-1)
 
 
+@functools.cache
+def _group_tables(geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """The conjugated groups (O1, O2, N1*N2, N1*N2) that the scan multiplies
+    by, and every group's beams as oversampled grid coordinates, an (l, m)
+    pair of (O1, O2, N1*N2) index arrays; built once per geometry,
+    read-only."""
+    conj = orthogonal_groups(geom).conj()
+    q = np.indices((geom.o1, geom.o2))[..., None]
+    l, m = enhanced.grid_coordinates(geom, q, np.arange(geom.n1 * geom.n2))
+    for table in (conj, l, m):
+        table.flags.writeable = False
+    return conj, (l, m)
+
+
 def _group_energy(targets: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
     """The group scan: the energy of targets (..., P) on every beam of every
     orthogonal group, both polarization halves summed, (O1, O2, N1*N2).
 
     The beams of a group are orthogonal, so its best L beams capture its L
-    largest energies.
+    largest energies.  One product per group keeps the shapes BLAS sees;
+    the products land row-major, (rows, O1, O2, N1*N2), so the sum over
+    rows, in row order as before, runs over long contiguous rows.
     """
-    rows = targets.reshape(-1, geom.n1 * geom.n2)
-    return (np.abs(rows @ orthogonal_groups(geom).conj()) ** 2).sum(axis=-2)
+    n = geom.n1 * geom.n2
+    rows = targets.reshape(-1, n)
+    products = np.empty((len(rows), geom.o1, geom.o2, n), dtype=complex)
+    np.matmul(rows, _group_tables(geom)[0], out=products.transpose(1, 2, 0, 3))
+    energy = np.abs(products)
+    energy *= energy
+    return np.add.reduce(energy, axis=0)
 
 
 def _group_scores(energy: np.ndarray, l: int) -> np.ndarray:
@@ -209,8 +234,8 @@ def _tied_groups(energy: np.ndarray, l: int) -> list[tuple[int, int]]:
     groups, so ties are real; every tied group gets a full evaluation.
     """
     score = _group_scores(energy, l)
-    return [(int(q1), int(q2))
-            for q1, q2 in np.argwhere(score >= score.max() * (1 - 1e-9))]
+    tied = np.flatnonzero(score >= score.max() * (1 - 1e-9)).tolist()
+    return [divmod(q, score.shape[1]) for q in tied]
 
 
 def _fit(unit: np.ndarray, ws: np.ndarray) -> float:
@@ -249,14 +274,17 @@ def _choose(candidates, targets):
     return None if best is None else best[0]
 
 
-def _pick_beams(l: int, energy: np.ndarray, beam_cap: np.ndarray) -> np.ndarray:
+def _pick_beams(l: int, energy: np.ndarray, beam_cap: np.ndarray) -> list[int]:
     """Beam rule: the L beams of highest energy, ties toward the lowest
     index, zero caps last.  The strongest coefficient needs a cap-free beam:
-    when no pick has one, the best cap-free beam replaces the weakest."""
-    order = np.argsort(-np.where(beam_cap == 0, -1.0, energy), kind="stable")
-    free = order[beam_cap[order] == 1]
-    if (beam_cap[order[:l]] < 1).all() and free.size:
-        return np.append(order[:l - 1], free[0])
+    when no pick has one, the best cap-free beam replaces the weakest.
+    Runs on Python floats (the same doubles) and a stable sort."""
+    caps = beam_cap.tolist()
+    value = [-1.0 if cap == 0 else e for cap, e in zip(caps, energy.tolist())]
+    order = sorted(range(len(value)), key=lambda i: -value[i])
+    free = [i for i in order if caps[i] == 1]
+    if free and all(caps[i] < 1 for i in order[:l]):
+        return order[:l - 1] + free[:1]
     return order[:l]
 
 
@@ -275,14 +303,14 @@ def _search_groups(config, scan, targets, finish, caps=None):
     g, l = config.geom, config.l
     n = g.n1 * g.n2
     energy = _group_energy(scan, g)
-    flat = np.arange(n)
+    grid_l, grid_m = _group_tables(g)[1]
     if caps is None:
         caps = np.ones((g.beams_h, g.beams_v))
 
     def candidate(q):
-        beam_cap = caps[enhanced.grid_coordinates(g, q, flat)]
-        flats = np.sort(_pick_beams(l, energy[q], beam_cap))
-        return finish(q, encode_combination(flats.tolist(), n, l),
+        beam_cap = caps[grid_l[q], grid_m[q]]
+        flats = sorted(_pick_beams(l, energy[q], beam_cap))
+        return finish(q, encode_combination(flats, n, l),
                       orthogonal_groups(g)[q][:, flats], beam_cap[flats])
 
     return _choose(map(candidate, _tied_groups(energy, l)), targets)
@@ -308,65 +336,75 @@ def _quantize_layers(config, coefs):
     strongest one is the reference: the grid is turned by its phase and
     scaled by its magnitude.  Budget: each layer reports at most
     ``enhanced.layer_cap`` coefficients, the reference first, then by
-    magnitude.
+    magnitude.  The per-layer scalar steps (the reference cell, the weaker
+    polarization's k1, the limits, i18) run on Python floats, which are
+    the same IEEE doubles.
     """
     rank, l = config.rank, config.l
     rows = np.arange(rank)
-    cells = coefs.shape[2] * coefs.shape[3]
+    q = coefs.shape[3]
+    cells = coefs.shape[2] * q
     tail = coefs.reshape(rank, 2 * l, cells)
     mag = np.abs(tail)
     # the reference: the first largest coefficient, in (K, Mv*Q) order, of
-    # the columns that may hold the strongest one
-    cols = np.arange(cells).reshape(coefs.shape[2:])[
-        enhanced.strongest_cell(config, 0, slice(None))[1:]]
-    i_star, s_star = np.divmod(
-        mag[:, :, cols].round(12).reshape(rank, -1).argmax(axis=1),
-        cols.size)                 # beam, and position along the free axis
-    star = i_star * cells + cols[s_star]                 # flat (K, Mv*Q) cell
+    # the slots that may hold the strongest one: any tap at shift 0, every
+    # q-th cell (Rel-17), or any shift at tap 0, the first q cells
+    if config.strongest_axis == enhanced.TAP_AXIS:
+        slots, step = slice(None, None, q), q
+    else:
+        slots, step = slice(q), 1
+    slot_mag = mag[:, :, slots].round(12).reshape(rank, -1)
+    n_slots = slot_mag.shape[1] // (2 * l)
+    # beam i*, and position s* along the free axis, of each layer
+    stars = [divmod(p, n_slots) for p in slot_mag.argmax(axis=1).tolist()]
+    star = [i * cells + s * step for i, s in stars]   # flat (K, Mv*Q) cell
     ref = tail.reshape(rank, -1)[rows, star]
     scale = mag.reshape(rank, -1)[rows, star]
     if not scale.all():
         raise DomainError("no usable coefficient at the reference tap")
     tail = tail * np.exp(-1j * np.angle(ref))[:, None, None]
     mag = np.abs(tail) / scale[:, None, None]
-    p_star = i_star // l
-    k1 = np.ones((rank, 2), dtype=int)
-    k1[rows, p_star] = 15
-    other = 1 - p_star
-    other_max = mag.reshape(rank, 2, -1).max(axis=2)[rows, other]
-    # a zero maximum is nearest the smallest amplitude, k1 = 1
-    k1[rows, other] = quantize_nearest(np.minimum(other_max, 1.0),
-                                       enhanced.WB_AMPS[1:]) + 1
+    # k1: 15 on the reference's polarization; the other's largest amplitude
+    # to the nearest entry of the table (first on ties), a zero maximum to
+    # the smallest, k1 = 1
+    pol_max = mag.reshape(rank, 2, -1).max(axis=2).tolist()
+    k1 = []
+    for (i, _), peaks in zip(stars, pol_max):
+        value = min(peaks[1 - i // l], 1.0)
+        k = 1 + min(range(15), key=lambda j: abs(value - _WB_AMPS[j]))
+        k1.append([15, k] if i < l else [k, 15])
+    k1 = np.array(k1)
     ratio = mag / np.repeat(enhanced.WB_AMPS[k1], l, axis=1)[:, :, None]
     k2 = quantize_nearest(np.minimum(ratio, 1.0), enhanced.SB_AMPS)
     keep = (ratio >= enhanced.SB_AMPS[0] / 2).reshape(rank, -1)
     keep[rows, star] = True
-    # budget: each layer's limit, from what the earlier layers report
-    kept, left = keep.sum(axis=1), 2 * config.k0
-    limit = np.empty(rank, dtype=int)
-    for layer, count in enumerate(kept.tolist()):
-        limit[layer] = enhanced.layer_cap(config, layer, left)
-        left -= min(count, limit[layer])
-    over = np.flatnonzero(kept > limit)
-    if over.size:
-        # a layer over its limit keeps the reference and the limit - 1
-        # largest other kept cells
-        at = over[:, None]
-        order = np.argsort(mag.reshape(rank, -1)[over], axis=1)[:, ::-1]
-        ranked = keep[at, order] & (order != star[at])
-        ranked &= np.cumsum(ranked, axis=1) < limit[at]
-        keep[at, order] = ranked
-        keep[over, star[over]] = True
-    phases = quantize_phase(np.angle(tail), enhanced.N_PSK16).reshape(rank, -1)
-    k2 = np.where(keep, k2.reshape(rank, -1), 0)
-    c = np.where(keep, phases, 0)
-    k2[rows, star] = 7
-    c[rows, star] = 0
+    # budget: each layer's cap, from what the earlier layers report; a
+    # layer over its cap keeps the reference and the cap - 1 largest other
+    # kept cells, in the reversed argsort order
+    left = 2 * config.k0
+    for layer, count in enumerate(keep.sum(axis=1).tolist()):
+        cap = enhanced.layer_cap(config, layer, left)
+        left -= min(count, cap)
+        if count <= cap:
+            continue
+        was_kept, chosen = keep[layer].tolist(), [star[layer]]
+        for cell in np.argsort(mag[layer].reshape(-1))[::-1].tolist():
+            if len(chosen) == cap:
+                break
+            if was_kept[cell] and cell != star[layer]:
+                chosen.append(cell)
+        keep[layer] = False
+        keep[layer, chosen] = True
     shape = config.coef_shape
+    k2 = k2.reshape(rank, -1)
+    k2 *= keep
+    k2[rows, star] = 7
+    c = quantize_phase(np.angle(tail), enhanced.N_PSK16).reshape(rank, -1)
+    c *= keep
+    c[rows, star] = 0
     bitmap = keep.astype(np.int8).reshape(shape)
     i18 = tuple(enhanced.encode_strongest(config, bitmap[layer], i, s)
-                for layer, (i, s) in enumerate(zip(i_star.tolist(),
-                                                   s_star.tolist())))
+                for layer, (i, s) in enumerate(stars))
     return i18, bitmap, k1, k2.reshape(shape), c.reshape(shape)
 
 
@@ -390,33 +428,39 @@ def _pick_taps(rel_energy: np.ndarray, config):
         rest = np.argsort(rel_energy[:, 1:], axis=1)[:, ::-1][:, :mv - 1] + 1
         return np.hstack([np.zeros((rank, 1), dtype=int),
                           np.sort(rest, axis=1)]), 0
-    # signed relative position; the window [M_init, M_init + 2Mv - 1] must
-    # cover every pick and contain 0
-    signed = {}
-    for rel in range(1, n3):
-        s = rel if rel <= 2 * mv - 1 else rel - n3
-        if -2 * mv + 1 <= s <= 2 * mv - 1:
-            signed[rel] = s
+    signed = _signed_positions(mv, n3)
     taps, m_first = [], None
     for energy in rel_energy.tolist():
         chosen: list[int] = []
         lo = hi = 0
-        for rel in sorted(signed, key=lambda rel: -energy[rel]):
+        for rel, s in sorted(signed, key=lambda pair: -energy[pair[0]]):
             if len(chosen) == mv - 1:
                 break
-            s = signed[rel]
             if max(hi, s) - min(lo, s) <= 2 * mv - 2:
                 chosen.append(rel)
                 lo, hi = min(lo, s), max(hi, s)
         # lo <= 0 is the M_initial these picks need; layer 0's is the report's
         if m_first is None:
             m_first = lo
-        choices = enhanced.tap_choices(config, m_first)
+        choices, position = enhanced.tap_positions(config, m_first)
         if lo != m_first:
             chosen = sorted(choices, key=lambda rel: (
                 -energy[rel], (rel - m_first) % n3))[:mv - 1]
-        taps.append([0] + sorted(chosen, key=choices.index))
+        taps.append([0] + sorted(chosen, key=position.__getitem__))
     return np.array(taps), m_first
+
+
+@functools.cache
+def _signed_positions(mv: int, n3: int) -> tuple[tuple[int, int], ...]:
+    """Window mode's (relative tap, signed position) pairs, relative taps
+    ascending: every tap whose signed distance from the reference tap fits
+    a window [M_init, M_init + 2Mv - 1] that contains 0."""
+    pairs = []
+    for rel in range(1, n3):
+        s = rel if rel <= 2 * mv - 1 else rel - n3
+        if -2 * mv + 1 <= s <= 2 * mv - 1:
+            pairs.append((rel, s))
+    return tuple(pairs)
 
 
 def _search_channel(channel, n_ports, n4=1, n3=None, subbands=1, rank=1):
@@ -498,12 +542,15 @@ def _finish(config, targets, i11, i12, basis):
     n3, rank = config.n3, config.rank
     proj = _beam_projections(targets, basis, enhanced.spatial_gain(config))
     n4 = proj.shape[1]                                  # (rank, N4, M, 2L)
-    # 2-D DFT: frequency units -> taps, intervals -> shifts
-    spectrum = np.fft.fft(proj, axis=2) / n3
-    spectrum = np.fft.fft(spectrum, axis=1) / n4        # (rank, N4, N3, 2L)
+    # 2-D DFT: frequency units -> taps, intervals -> shifts.  At N4 = 1 the
+    # interval DFT and / N4 are the identity up to the sign of an exact-zero
+    # real or imaginary part, which moves np.angle only between pi and -pi
+    # or 0 and -0, the same phase index either way
+    spectrum = np.fft.fft(proj, axis=2) / n3            # (rank, N4, N3, 2L)
     rows = np.arange(rank)[:, None]
     shifts = np.zeros((rank, 1), dtype=int)
     if n4 > 1:
+        spectrum = np.fft.fft(spectrum, axis=1) / n4
         # beside shift 0, each layer's strongest other shift
         energy = (np.abs(spectrum) ** 2).sum(axis=(2, 3))[:, 1:]
         shifts = np.hstack([shifts, 1 + energy.argmax(axis=1)[:, None]])
@@ -537,8 +584,7 @@ def search_r17(channel: ChannelRealization, config: type2_r17.R17Config
     energy = (np.abs(targets) ** 2).sum(axis=(0, 1, 2))
     per_port = energy[:half] + energy[half:]
     # the searches' beam rule; alpha = 1 (L = P/2) keeps every port
-    ports = tuple(np.sort(_pick_beams(config.l, per_port,
-                                      np.ones(half))).tolist())
+    ports = tuple(sorted(_pick_beams(config.l, per_port, np.ones(half))))
     i12 = type2_r17.encode_ports(config, ports)
     basis = enhanced.port_beams(config.p_csirs, ports)
     proj = _beam_projections(targets, basis, 1.0)[:, 0]   # (rank, M, K1)

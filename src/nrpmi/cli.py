@@ -51,6 +51,12 @@ class Release:
         """(config, report) -> bit string; None for Type I."""
         return getattr(self.module, "serialize_pmi", None)
 
+    @property
+    def random_report(self) -> Callable | None:
+        """(config, rng) -> (report, precoders), for the releases whose
+        draw reconstructs its report to redraw a degenerate one; else None."""
+        return getattr(self.module, "random_report", None)
+
 
 _PORTS = {"variant": PORT_SELECTION, "d": 1}
 RELEASES = {
@@ -150,14 +156,31 @@ def build_release_config(release: str, cfg: dict):
                                      ("variant", "geom")))
 
 
-def sample_pmi(release: str, config, rng):
-    return _release(release).module.random_valid_pmi(config, rng)
+class Sample(typing.NamedTuple):
+    """A random valid report and, where its draw built them (Rel-16 to
+    Rel-18), its precoders as ``reconstruct_all`` gives them; else None."""
+
+    pmi: object
+    precoders: np.ndarray | None
+
+
+def sample_pmi(release: str, config, rng) -> Sample:
+    rel = _release(release)
+    if rel.random_report is not None:
+        return Sample(*rel.random_report(config, rng))
+    return Sample(rel.module.random_valid_pmi(config, rng), None)
 
 
 def expected_precoders(release: str, config, pmi) -> np.ndarray:
     """Precoders indexed (t, iota, port, layer); t is the subband or the
-    frequency unit, and only Rel-18 has more than one slot interval."""
-    ws = _release(release).module.reconstruct_all(config, pmi)
+    frequency unit, and only Rel-18 has more than one slot interval.
+    ``pmi`` is a report, or a ``Sample`` whose precoders, when it holds
+    them, are not built again."""
+    ws = None
+    if isinstance(pmi, Sample):
+        pmi, ws = pmi
+    if ws is None:
+        ws = _release(release).module.reconstruct_all(config, pmi)
     return ws if ws.ndim == 4 else ws[:, None]
 
 
@@ -190,12 +213,12 @@ def cmd_gen_vectors(args) -> int:
     rng = np.random.default_rng(args.seed)
     with open(args.out, "w") as fh:
         for _ in range(args.samples):
-            pmi = sample_pmi(args.release, config, rng)
-            ws = expected_precoders(args.release, config, pmi)
+            sample = sample_pmi(args.release, config, rng)
+            ws = expected_precoders(args.release, config, sample)
             record = {
                 "release": args.release,
                 "config": cfg_dict,
-                "pmi": pmi_to_fields(pmi),
+                "pmi": pmi_to_fields(sample.pmi),
                 "expected": np.stack([ws.real, ws.imag], -1).tolist(),
                 "tolerance": VECTOR_TOLERANCE,
             }

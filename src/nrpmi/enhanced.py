@@ -25,6 +25,7 @@ import collections
 import functools
 import itertools
 import math
+import types
 
 import numpy as np
 
@@ -310,10 +311,23 @@ def tap_choices(config, m_init: int = 0) -> list[int]:
             for n in range(1, 2 * mv)]
 
 
+@functools.cache
+def tap_positions(config, m_init: int):
+    """``tap_choices`` at ``m_init`` as a tuple and a read-only map of each
+    tap to its first position there, the rule of ``choices.index`` (the
+    wrap of 2Mv > N3 repeats some taps); built once per config and
+    M_initial."""
+    choices = tuple(tap_choices(config, m_init))
+    first = {}
+    for i, tap in enumerate(choices):
+        first.setdefault(tap, i)
+    return choices, types.MappingProxyType(first)
+
+
 def decode_taps(config, pmi, layer: int) -> tuple[int, ...]:
     """Tap indices n3^(0..Mv-1); n3^(0) = 0 is the (remapped) strongest tap."""
     check_index("layer", layer, config.rank)
-    choices = tap_choices(config, m_initial(config, pmi))
+    choices = tap_positions(config, m_initial(config, pmi))[0]
     i16 = pmi.i16[layer]
     if not 0 <= i16 < config.i16_count:
         raise FormatError(f"i_1,6={i16} outside [0, {config.i16_count})")
@@ -328,12 +342,19 @@ def encode_taps(config, taps, m_init: int = 0) -> tuple[int, int | None]:
     taps = list(taps)
     if len(taps) != mv or taps[0] != 0:
         raise DomainError(f"need {mv} taps starting at 0, got {taps}")
-    choices = tap_choices(config, m_init)
-    outside = [t for t in taps[1:] if t not in choices]
+    choices, position = tap_positions(config, m_init)
+
+    def is_outside(tap) -> bool:
+        try:
+            return tap not in position
+        except TypeError:   # unhashable, so no tap of the window
+            return True
+
+    outside = [t for t in taps[1:] if is_outside(t)]
     if outside:
         raise DomainError(f"tap {outside[0]} outside the taps i_1,6 can pick "
                           f"at M_initial={m_init}")
-    i16 = encode_combination(sorted(map(choices.index, taps[1:])),
+    i16 = encode_combination(sorted(map(position.__getitem__, taps[1:])),
                              len(choices), mv - 1)
     if not config.window_mode:
         return i16, None
@@ -629,14 +650,15 @@ def draw_coefficients(config, rng: np.random.Generator):
 
 def redraw(config, draw, reconstruct_all):
     """Call ``draw()`` until its report is not degenerate (its coefficients
-    cancel at no frequency unit, which would leave the precoder undefined)."""
+    cancel at no frequency unit, which would leave the precoder undefined);
+    returns the report and the precoders ``reconstruct_all`` built to
+    check it."""
     for _ in range(100):
         pmi = draw()
         try:
-            reconstruct_all(config, pmi)
+            return pmi, reconstruct_all(config, pmi)
         except DegenerateReportError:
             continue
-        return pmi
     raise DegenerateReportError("could not draw a non-degenerate report")
 
 

@@ -172,14 +172,19 @@ def _restriction_bits(bit_sequence, geom: ArrayGeometry) -> np.ndarray:
                      "beam restriction").astype(bool)
 
 
-def _beam_bit(geom: ArrayGeometry, l: int, m: int) -> int:
-    return geom.beams_v * (l % geom.beams_h) + (m % geom.beams_v)
+def _beam_bit(geom: ArrayGeometry, l, m):
+    """The restriction bit of beam (l, m), l and m inside the grid."""
+    return geom.beams_v * l + m
 
 
 def check_beam_restriction(bit_sequence: np.ndarray, geom: ArrayGeometry,
                            l: int, m: int) -> bool:
-    """Beam (l, m) is allowed iff bit N2*O2*l + m of the sequence is set."""
-    return bool(_restriction_bits(bit_sequence, geom)[_beam_bit(geom, l, m)])
+    """Beam (l, m) is allowed iff bit N2*O2*l + m of the sequence is set;
+    DomainError names an l or m outside the N1*O1 x N2*O2 grid."""
+    bits = _restriction_bits(bit_sequence, geom)
+    check_index("l", l, geom.beams_h)
+    check_index("m", m, geom.beams_v)
+    return bool(bits[_beam_bit(geom, l, m)])
 
 
 def check_rank_restriction(r_bits, rank: int) -> bool:

@@ -358,13 +358,17 @@ def random_valid_pmi(config: T2R15Config, rng: np.random.Generator,
     return canonicalize(config, T2R15Pmi(i11, i12, i13, k1, k2, c))
 
 
-def _subband_targets(channel: np.ndarray, n_sb: int, rank: int) -> np.ndarray:
-    """Per-subband dominant eigenvectors of H^H H, shape (rank, n_sb, P)."""
+def _subband_targets(channel: np.ndarray, n_sb: int, rank: int):
+    """Dominant eigenvectors of H^H H per subband, (rank, n_sb, P), and over
+    the whole band, (rank, 1, P), from one stacked eigh."""
     edges = np.linspace(0, channel.shape[0], n_sb + 1).astype(int)
     covs = [np.einsum("mrp,mrq->pq", h.conj(), h)
             for h in np.split(channel, edges[1:-1])]
-    _, vecs = np.linalg.eigh(np.array(covs))          # (n_sb, P, P)
-    return np.ascontiguousarray(vecs[..., ::-1][..., :rank].transpose(2, 0, 1))
+    covs.append(np.einsum("mrp,mrq->pq", channel.conj(), channel))
+    _, vecs = np.linalg.eigh(np.array(covs))          # (n_sb + 1, P, P)
+    top = vecs[..., ::-1][..., :rank].transpose(2, 0, 1)
+    return (np.ascontiguousarray(top[:, :-1]),
+            np.ascontiguousarray(top[:, -1:]))
 
 
 def search_t2_r15(channel: np.ndarray, config: T2R15Config,
@@ -380,8 +384,7 @@ def search_t2_r15(channel: np.ndarray, config: T2R15Config,
                         subbands=config.subband_count, rank=config.rank)[0]
     if caps is not None:
         caps = _check_caps(config, caps)
-    targets = _subband_targets(h, config.subband_count, config.rank)
-    wide = _subband_targets(h, 1, config.rank)  # (rank, 1, P)
+    targets, wide = _subband_targets(h, config.subband_count, config.rank)
 
     # the fit reads one slot interval: (rank, 1, subbands, P)
     best = _search_groups(config, wide, targets[:, None],
@@ -415,17 +418,20 @@ def _quantize_report(config: T2R15Config, coef: np.ndarray, i11, i12,
     """Quantize every layer's (subband, 2L) weights against the reference,
     the coefficient of largest RMS magnitude, under the caps of the L beams;
     returns the report and its phase alphabet (``reporting_mask``), or None
-    when the caps leave no admissible reference."""
-    max_k = np.tile(_max_k(beam_caps), 2)
-    rows = np.arange(config.rank)
-    mag = np.abs(coef)                                # (rank, n_sb, 2L)
-    rms = np.round(np.sqrt((mag ** 2).mean(axis=1)), 12)
+    when the caps leave no admissible reference.  The admissible beams and
+    each layer's reference are picked on Python values, the same IEEE
+    doubles and comparisons as the array form."""
+    max_k = _max_k(beam_caps).tolist() * 2
     # the strongest coefficient carries an implicit amplitude of 1, so it
     # must sit on an unrestricted beam
-    admissible = np.flatnonzero(max_k == 7)
-    if admissible.size == 0:
+    admissible = [i for i, k in enumerate(max_k) if k == 7]
+    if not admissible:
         return None
-    i13 = admissible[rms[:, admissible].argmax(axis=1)]
+    rows = np.arange(config.rank)
+    mag = np.abs(coef)                                # (rank, n_sb, 2L)
+    rms = np.round(np.sqrt((mag ** 2).mean(axis=1)), 12).tolist()
+    # the first admissible position of largest RMS magnitude
+    i13 = [max(admissible, key=row.__getitem__) for row in rms]
     ref = mag[rows, :, i13]                           # (rank, n_sb)
     # a layer with a zero reference keeps the strongest position only
     degenerate = ~(ref > 0).all(axis=1)
@@ -433,18 +439,18 @@ def _quantize_report(config: T2R15Config, coef: np.ndarray, i11, i12,
         ratio = mag / ref[:, :, None]
         p1_hat = ratio.max(axis=1)                    # per-position wideband amp
         k1 = np.minimum(qt.quantize_nearest(p1_hat, qt.R15_WB_AMPS), max_k)
-        k2 = np.ones(coef.shape, dtype=int)
-        if config.subband_amplitude:
-            p2_hat = np.where(p1_hat[:, None] > 0, ratio / p1_hat[:, None], 1.0)
-            k2 = qt.quantize_nearest(np.nan_to_num(p2_hat, nan=1.0),
-                                     qt.R15_SB_AMPS)
+        # where p1_hat is 0 or not finite, k1 is 0 (or the layer is
+        # degenerate), so k2 there is never reported
+        k2 = (qt.quantize_nearest(ratio / p1_hat[:, None], qt.R15_SB_AMPS)
+              if config.subband_amplitude else np.ones(coef.shape, dtype=int))
     k1[degenerate] = 0
     k1[rows, i13] = 7
     k2[degenerate] = 1
-    rel = np.angle(coef) - np.angle(coef[rows, :, i13])[:, :, None]
+    phase = np.angle(coef)
+    rel = phase - phase[rows, :, i13][:, :, None]
     k2_reported, alphabet = reporting_mask(config, k1, i13)
     a = alphabet[:, None]
     # unreported fields hold their defaults, as ``canonicalize`` sets them
     k2 = np.where(k2_reported[:, None], k2, 1)
     c = np.where(a > 0, qt.quantize_phase(rel, np.maximum(a, 1)), 0)
-    return T2R15Pmi(i11, i12, tuple(i13.tolist()), k1, k2, c), alphabet
+    return T2R15Pmi(i11, i12, tuple(i13), k1, k2, c), alphabet

@@ -124,8 +124,9 @@ def reconstruct(config: R16Config, pmi: R16Pmi, t: int) -> np.ndarray:
     return reconstruct_all(config, pmi)[t]
 
 
-def random_valid_pmi(config: R16Config, rng: np.random.Generator) -> R16Pmi:
-    """Draw a random internally consistent report.
+def random_report(config: R16Config, rng: np.random.Generator):
+    """A random internally consistent report and its precoders
+    (``reconstruct_all``).
 
     Redraws the rare reports whose coefficients cancel exactly at some
     frequency unit (zero gamma), which would make the precoder undefined.
@@ -133,6 +134,11 @@ def random_valid_pmi(config: R16Config, rng: np.random.Generator) -> R16Pmi:
     return enhanced.redraw(config, lambda: R16Pmi(
         *enhanced.draw_beams(config, rng), *enhanced.draw_taps(config, rng),
         *enhanced.draw_coefficients(config, rng)), reconstruct_all)
+
+
+def random_valid_pmi(config: R16Config, rng: np.random.Generator) -> R16Pmi:
+    """Draw a random internally consistent report: ``random_report``'s."""
+    return random_report(config, rng)[0]
 
 
 def serialize_pmi(config: R16Config, pmi: R16Pmi) -> str:

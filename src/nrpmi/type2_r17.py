@@ -174,8 +174,9 @@ def reconstruct(config: R17Config, pmi: R17Pmi, t: int) -> np.ndarray:
     return reconstruct_all(config, pmi)[t]
 
 
-def random_valid_pmi(config: R17Config, rng: np.random.Generator) -> R17Pmi:
-    """Draw a random internally consistent report."""
+def random_report(config: R17Config, rng: np.random.Generator):
+    """A random internally consistent report, redrawn while degenerate, and
+    its precoders (``reconstruct_all``)."""
     def draw():
         i12 = (None if config.alpha == 1.0
                else int(rng.integers(binomial(config.p_csirs // 2, config.l))))
@@ -183,6 +184,11 @@ def random_valid_pmi(config: R17Config, rng: np.random.Generator) -> R17Pmi:
                else None)
         return R17Pmi(i12, i16, *enhanced.draw_coefficients(config, rng))
     return enhanced.redraw(config, draw, reconstruct_all)
+
+
+def random_valid_pmi(config: R17Config, rng: np.random.Generator) -> R17Pmi:
+    """Draw a random internally consistent report: ``random_report``'s."""
+    return random_report(config, rng)[0]
 
 
 def serialize_pmi(config: R17Config, pmi: R17Pmi) -> str:

@@ -137,8 +137,9 @@ def reconstruct(config: R18Config, pmi: R18Pmi, t: int, iota: int) -> np.ndarray
     return reconstruct_all(config, pmi)[t, iota]
 
 
-def random_valid_pmi(config: R18Config, rng: np.random.Generator) -> R18Pmi:
-    """Draw a random internally consistent report."""
+def random_report(config: R18Config, rng: np.random.Generator):
+    """A random internally consistent report, redrawn while degenerate, and
+    its precoders (``reconstruct_all``)."""
     def draw():
         beams = enhanced.draw_beams(config, rng)
         taps = enhanced.draw_taps(config, rng)
@@ -147,6 +148,11 @@ def random_valid_pmi(config: R18Config, rng: np.random.Generator) -> R18Pmi:
         i18, *coefficients = enhanced.draw_coefficients(config, rng)
         return R18Pmi(*beams, *taps, i18, i110, *coefficients)
     return enhanced.redraw(config, draw, reconstruct_all)
+
+
+def random_valid_pmi(config: R18Config, rng: np.random.Generator) -> R18Pmi:
+    """Draw a random internally consistent report: ``random_report``'s."""
+    return random_report(config, rng)[0]
 
 
 def serialize_pmi(config: R18Config, pmi: R18Pmi) -> str:

@@ -529,7 +529,10 @@ def test_expected_precoders_stack_the_per_point_calls(release, rank):
               "r18": type2_r18}.get(release)
     rng = np.random.default_rng(rank)
     for _ in range(3):
-        pmi = cli.sample_pmi(release, config, rng)
+        sample = cli.sample_pmi(release, config, rng)
+        pmi = sample.pmi
+        # a Rel-16 to Rel-18 draw hands on the precoders it built
+        assert (sample.precoders is not None) == (module is not None)
         if release == "r15-type1":
             points = [[type1.build_precoder(config, pmi, sb)]
                       for sb in range(config.subband_count)]
@@ -544,6 +547,8 @@ def test_expected_precoders_stack_the_per_point_calls(release, rank):
             points = [[module.reconstruct(config, pmi, t)]
                       for t in range(config.n3)]
         assert np.array_equal(cli.expected_precoders(release, config, pmi),
+                              np.array(points))
+        assert np.array_equal(cli.expected_precoders(release, config, sample),
                               np.array(points))
 
 

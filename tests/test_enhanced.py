@@ -43,7 +43,7 @@ def sample(name, seed=0):
     config = cli.build_release_config(release, CONFIGS[name])
     rng = np.random.default_rng(seed)
     while True:
-        pmi = cli.sample_pmi(release, config, rng)
+        pmi = cli.sample_pmi(release, config, rng).pmi
         i_star, s_star = enhanced.strongest(config, pmi, 0)
         star = enhanced.strongest_cell(config, i_star, s_star)
         cells = [tuple(int(i) for i in cell) for cell in
@@ -115,7 +115,7 @@ def test_i15_and_i16_checked_even_when_unused():
     with pytest.raises(FormatError):
         cli.expected_precoders("r16", config, dataclasses.replace(pmi, i15=0))
     config = cli.build_release_config("r16", {**CONFIGS["r16"], "n3": 4})
-    pmi = cli.sample_pmi("r16", config, np.random.default_rng(0))
+    pmi = cli.sample_pmi("r16", config, np.random.default_rng(0)).pmi
     assert config.mv == 1 and pmi.i16 == (0, 0)
     with pytest.raises(FormatError):
         cli.expected_precoders("r16", config,
@@ -175,7 +175,7 @@ def test_malformed_reports_raise_codebook_errors(data):
     accepts and rejects the same reports."""
     release, config, mutable = data.draw(st.sampled_from(FUZZ))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
-    pmi = cli.sample_pmi(release, config, rng)
+    pmi = cli.sample_pmi(release, config, rng).pmi
     field = data.draw(st.sampled_from([f for f in mutable if hasattr(pmi, f)]))
     value = getattr(pmi, field)
     new = data.draw(st.integers(-64, 64))
@@ -217,7 +217,7 @@ def test_malformed_reports_raise_codebook_errors(data):
 def test_out_of_range_i11_does_not_serialize_as_another_report(
         release, cfg, i11, alias):
     config = cli.build_release_config(release, cfg)
-    pmi = cli.sample_pmi(release, config, np.random.default_rng(0))
+    pmi = cli.sample_pmi(release, config, np.random.default_rng(0)).pmi
     serialize = cli.RELEASES[release].serialize
     serialize(config, dataclasses.replace(pmi, i11=alias))
     with pytest.raises(DomainError):
@@ -230,7 +230,7 @@ def test_out_of_range_i11_does_not_serialize_as_another_report(
 ])
 def test_port_block_past_half_names_i11(release, cfg):
     config = cli.build_release_config(release, cfg)
-    pmi = cli.sample_pmi(release, config, np.random.default_rng(0))
+    pmi = cli.sample_pmi(release, config, np.random.default_rng(0)).pmi
     blocks = (config.p_csirs // 2 - config.l) // config.d + 1
     cli.expected_precoders(release, config,
                            dataclasses.replace(pmi, i11=blocks - 1))
@@ -256,7 +256,7 @@ def test_port_selection_rejects_an_unsupported_port_count(release, cfg,
 def test_reconstruction_names_i11_outside_the_oversampling(release, i11):
     # O1 = O2 = 4: each group offset lies in [0, 4), as for Rel-15
     config = cli.build_release_config(release, CONFIGS[release])
-    pmi = cli.sample_pmi(release, config, np.random.default_rng(0))
+    pmi = cli.sample_pmi(release, config, np.random.default_rng(0)).pmi
     with pytest.raises(DomainError, match="i_1,1"):
         cli.expected_precoders(release, config,
                                dataclasses.replace(pmi, i11=i11))

@@ -101,7 +101,7 @@ def test_serialize_pmi_golden(case):
     config = cli.build_release_config(release, cfg)
     rng = np.random.default_rng(case)
     serialize = cli.RELEASES[release].serialize
-    reports = [serialize(config, cli.sample_pmi(release, config, rng))
+    reports = [serialize(config, cli.sample_pmi(release, config, rng).pmi)
                for _ in range(8)]
     digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
     assert digest == SERIALIZE_SHA256[case]

@@ -6,8 +6,10 @@ quantize every layer of a candidate in one array pass.  The reference
 copies below are the earlier forms: a candidate loop that fits every
 candidate through its release's ``reconstruct_all``, a finish that picks
 each layer's shifts and taps in turn (refitting a later layer's taps into
-layer 0's window), and a quantizer that works one layer at a time,
-trimming the budget with a loop over positions.  Every report must match
+layer 0's window), a quantizer that works one layer at a time, trimming
+the budget with a loop over positions, a group scan that sums a broadcast
+product over the groups, and a tap encoder that looks every tap up with
+``list.index``.  Every report must match
 them bit for bit, except where the reference quantizer overruns the 2*K0
 budget at ranks 3-4 (it keeps nothing back for the later layers' strongest
 coefficients): there the search must return a report within the budget
@@ -15,6 +17,7 @@ rule, ``enhanced.layer_cap``.
 """
 
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from nrpmi import (
     type2_r17,
     type2_r18,
 )
-from nrpmi.bases import ArrayGeometry, orthogonal_groups
+from nrpmi.bases import SUPPORTED_GEOMETRIES, ArrayGeometry, orthogonal_groups
 from nrpmi.combinadics import encode_combination
 from nrpmi.errors import (
     BudgetError,
@@ -45,6 +48,21 @@ LINK_MODEL = dict(n_paths=6, delay_spread=1e-6, doppler_max=200.0,
 
 # ---------------------------------------------------------------------------
 # reference copies
+
+def group_energy_oracle(targets, geom):
+    """The group scan as one broadcast product over the groups, (O1, O2,
+    rows, N1*N2), summed over the rows."""
+    rows = targets.reshape(-1, geom.n1 * geom.n2)
+    return (np.abs(rows @ orthogonal_groups(geom).conj()) ** 2).sum(axis=-2)
+
+
+def encode_taps_oracle(config, taps, m_init):
+    """i16 of taps (0, ...) at ``m_init``, each tap's position looked up in
+    ``tap_choices`` with ``list.index`` (its first occurrence)."""
+    choices = enhanced.tap_choices(config, m_init)
+    return encode_combination(sorted(map(choices.index, taps[1:])),
+                              len(choices), config.mv - 1)
+
 
 def quantize_grid_oracle(coef, l, k0, budget_left, star_slots):
     """One layer's grid (K, ...), the budget trimmed position by position."""
@@ -256,11 +274,21 @@ def enhanced_oracle(channel, config):
     return best
 
 
+def subband_targets_oracle(channel, n_sb, rank):
+    """Per-subband dominant eigenvectors of H^H H, shape (rank, n_sb, P),
+    one eigh per call."""
+    edges = np.linspace(0, channel.shape[0], n_sb + 1).astype(int)
+    covs = [np.einsum("mrp,mrq->pq", h.conj(), h)
+            for h in np.split(channel, edges[1:-1])]
+    _, vecs = np.linalg.eigh(np.array(covs))          # (n_sb, P, P)
+    return np.ascontiguousarray(vecs[..., ::-1][..., :rank].transpose(2, 0, 1))
+
+
 def r15_oracle(h, config, caps=None):
     """The regular Rel-15 search through the reference loop, each report
     passed through ``canonicalize``."""
-    targets = type2_r15._subband_targets(h, config.subband_count, config.rank)
-    wide = type2_r15._subband_targets(h, 1, config.rank)
+    targets = subband_targets_oracle(h, config.subband_count, config.rank)
+    wide = subband_targets_oracle(h, 1, config.rank)
     gain = enhanced.spatial_gain(config)
 
     def finish(q, i12, beams, beam_caps):
@@ -317,6 +345,69 @@ def assert_same_outcome(found, expected):
         assert found == expected
     else:
         assert_same_report(found, expected)
+
+
+# ---------------------------------------------------------------------------
+# the group scan and the tap map
+
+@pytest.mark.parametrize("n1, n2", list(SUPPORTED_GEOMETRIES))
+def test_group_scan_matches_the_broadcast_oracle(n1, n2):
+    # one product per group, summed over rows in row order: bit for bit on
+    # every geometry, 1 to 400 rows (N1N2 = 2 and 6 are where a single
+    # product over all groups rounds differently)
+    geom = ArrayGeometry.from_antennas(n1, n2)
+    n, p = n1 * n2, geom.n_ports
+    rng = np.random.default_rng(n1 * 100 + n2)
+    shapes = [(n,), (p,), (1, 1, 3, p), (2, 1, 5, p), (2, 1, 18, p),
+              (2, 4, 12, p), (3, 2, 7, p), (4, 1, 50, p)]
+    for shape in shapes:
+        for _ in range(10):
+            targets = (rng.standard_normal(shape)
+                       + 1j * rng.standard_normal(shape))
+            if rng.random() < 0.3:
+                targets[..., rng.integers(shape[-1])] = 0
+            found = channel_sim._group_energy(targets, geom)
+            expected = group_energy_oracle(targets, geom)
+            assert found.shape == expected.shape == (geom.o1, geom.o2, n)
+            assert np.array_equal(found, expected)
+
+
+def tap_map_configs():
+    # the wrap of 2Mv = N3 + 1 (paramCombination 6, R = 1, odd N3 > 19),
+    # which repeats a tap, and windows of 2Mv < N3
+    yield type2_r16.R16Config(param_combination=6, r=1, n3=21, geom=GEOM)
+    yield type2_r16.R16Config(param_combination=4, r=1, n3=24, geom=GEOM)
+    yield type2_r16.R16Config(param_combination=1, r=2, n3=36, geom=GEOM)
+    yield type2_r18.R18Config(geom=GEOM, param_combination=3, r=1, n3=30,
+                              n4=4)
+
+
+@pytest.mark.parametrize("config", list(tap_map_configs()),
+                         ids=lambda c: f"n3{c.n3}-mv{c.mv}")
+def test_tap_map_keeps_the_first_occurrence_rule(config):
+    mv = config.mv
+    rng = np.random.default_rng(config.n3)
+    repeats = 0
+    for i15 in range(2 * mv):              # every M_initial of the window
+        m_init = 0 if i15 == 0 else i15 - 2 * mv
+        count = config.i16_count
+        i16s = (range(count) if count <= 1000
+                else rng.integers(count, size=300).tolist())
+        for i16 in i16s:
+            taps = enhanced.decode_taps(
+                config, SimpleNamespace(i15=i15, i16=(i16,)), 0)
+            expected = outcome(encode_taps_oracle, config, taps, m_init)
+            found = outcome(enhanced.encode_taps, config, taps, m_init)
+            if isinstance(expected, tuple):
+                # a tap set that repeats a tap: the same error
+                repeats += 1
+                assert found == expected
+                continue
+            assert found == (expected, i15)
+            assert enhanced.decode_taps(
+                config, SimpleNamespace(i15=i15, i16=(expected,)), 0) == taps
+    # only the wrap repeats taps
+    assert (repeats > 0) == (2 * mv > config.n3)
 
 
 # ---------------------------------------------------------------------------

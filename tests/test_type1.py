@@ -363,6 +363,18 @@ def test_beam_restriction_reads_a_bit_string():
         search_type1(h, cfg, restriction=np.array(["0"] * 8))
 
 
+@pytest.mark.parametrize("l, m, name", [(8, 0, "l"), (-8, 0, "l"),
+                                        (-1, 0, "l"), (0, 5, "m"),
+                                        (0, 1, "m"), (0, -1, "m")])
+def test_beam_restriction_names_a_beam_outside_the_grid(l, m, name):
+    # a 2x1 array has an 8 x 1 beam grid; (8, 0), (-8, 0) and (0, 5) used
+    # to wrap onto beam (0, 0) and read its bit
+    geom = ArrayGeometry(2, 1, 4, 1)
+    value = m if name == "m" else l
+    with pytest.raises(DomainError, match=rf"^{name} {value} outside"):
+        check_beam_restriction("01111111", geom, l, m)
+
+
 def test_beam_restriction_rejects_a_2d_array():
     # search_type1 flattened it; check_beam_restriction raised IndexError
     cfg = Type1Config(ArrayGeometry(2, 1, 4, 1))

@@ -181,6 +181,9 @@ def test_encode_taps_rejects_a_tap_outside_the_window():
         encode_taps(cfg, (0, 4, 19))
     with pytest.raises(DomainError, match="tap 8 outside"):
         encode_taps(make_config(n3=8), (0, 8))
+    # an unhashable entry is no tap either, not a TypeError
+    with pytest.raises(DomainError, match=r"tap \[4\] outside"):
+        encode_taps(cfg, (0, 1, [4]))
 
 
 @pytest.mark.parametrize("layer", [1, -1])
