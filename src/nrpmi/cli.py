@@ -206,23 +206,49 @@ def fields_to_pmi(release: str, fields: dict):
     return pmi_type(**_read_fields(pmi_type, fields, "report", {}))
 
 
+@functools.cache
+def _nested_template(shape: tuple) -> str:
+    """The text ``json.dumps`` gives a nested list of this shape, with a
+    ``%s`` in place of each entry."""
+    text = "%s"
+    for n in reversed(shape):
+        text = "[" + ", ".join([text] * n) + "]"
+    return text
+
+
+# the text json.dumps gives a non-finite float other than NaN
+_NON_FINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+def json_floats(a: np.ndarray) -> str:
+    """``json.dumps(a.tolist())`` for a float64 array, formatting each
+    distinct value once.  Values are told apart by their bits, so -0.0 and
+    0.0 keep their own text."""
+    flat = np.ascontiguousarray(a, dtype=np.float64).reshape(-1)
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    texts = [repr(x) if math.isfinite(x) else _NON_FINITE.get(x, "NaN")
+             for x in bits.view(np.float64).tolist()]
+    return _nested_template(a.shape) % tuple(
+        map(texts.__getitem__, inverse.tolist()))
+
+
 def cmd_gen_vectors(args) -> int:
     with open(args.config) as fh:
         cfg_dict = json.load(fh)
     config = build_release_config(args.release, cfg_dict)
     rng = np.random.default_rng(args.seed)
+    # each record is the json.dumps text of {"release", "config", "pmi",
+    # "expected", "tolerance"}; the parts every record shares are written once
+    head = (f'{{"release": {json.dumps(args.release)}, '
+            f'"config": {json.dumps(cfg_dict)}, "pmi": ')
+    tail = f', "tolerance": {json.dumps(VECTOR_TOLERANCE)}}}\n'
     with open(args.out, "w") as fh:
         for _ in range(args.samples):
             sample = sample_pmi(args.release, config, rng)
             ws = expected_precoders(args.release, config, sample)
-            record = {
-                "release": args.release,
-                "config": cfg_dict,
-                "pmi": pmi_to_fields(sample.pmi),
-                "expected": np.stack([ws.real, ws.imag], -1).tolist(),
-                "tolerance": VECTOR_TOLERANCE,
-            }
-            fh.write(json.dumps(record) + "\n")
+            expected = json_floats(np.stack([ws.real, ws.imag], -1))
+            fh.write(f'{head}{json.dumps(pmi_to_fields(sample.pmi))}, '
+                     f'"expected": {expected}{tail}')
     print(f"wrote {args.samples} records to {args.out}")
     return 0
 
@@ -240,13 +266,20 @@ def cmd_validate(args) -> int:
                 config = build_release_config(release, record["config"])
                 pmi = fields_to_pmi(release, record["pmi"])
                 expected = np.asarray(record["expected"])
+                if expected.dtype.kind not in "iuf":
+                    raise ValueError("expected must hold numbers, got "
+                                     f"{expected.dtype}")
                 expected = expected[..., 0] + 1j * expected[..., 1]
                 if not np.isfinite(expected).all():
                     raise ValueError("expected holds a non-finite entry")
-                tolerance = float(record["tolerance"])
-                if not (math.isfinite(tolerance) and tolerance >= 0):
-                    raise ValueError(f"tolerance {record['tolerance']!r} must "
-                                     "be a finite number >= 0")
+                # a JSON number, never true or a string; an int of any
+                # size is finite and is compared as it is
+                tolerance = record["tolerance"]
+                finite = type(tolerance) is int or (
+                    type(tolerance) is float and math.isfinite(tolerance))
+                if not (finite and tolerance >= 0):
+                    raise ValueError(f"tolerance {tolerance!r} must be a "
+                                     "finite number >= 0")
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 print(f"line {line_no}: malformed record: {exc}",
                       file=sys.stderr)
@@ -344,7 +377,10 @@ def floats(text: str) -> list[float]:
     return [float(s) for s in text.split(",")]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once.  Each subcommand looks its ``cmd_*``
+    function up when it runs, so a wrapped one is seen."""
     parser = argparse.ArgumentParser(
         prog="nrpmi",
         description="5G NR PMI codebook conformance vectors and simulations")
@@ -358,30 +394,30 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", **seed)
     gen.add_argument("--samples", type=_integer(1), default=10)
     gen.add_argument("--out", required=True)
-    gen.set_defaults(func=cmd_gen_vectors)
+    gen.set_defaults(func=lambda a: cmd_gen_vectors(a))
 
     val = sub.add_parser("validate", help="check a vector file")
     val.add_argument("vectors")
-    val.set_defaults(func=cmd_validate)
+    val.set_defaults(func=lambda a: cmd_validate(a))
 
     ovh = sub.add_parser("overhead", help="feedback bit accounting CSV")
     ovh.add_argument("--release", choices=overhead.RELEASES)
     ovh.add_argument("--out", required=True)
-    ovh.set_defaults(func=cmd_overhead)
+    ovh.set_defaults(func=lambda a: cmd_overhead(a))
 
     sim = sub.add_parser("simulate", help="Type I/II spectral efficiency CSV")
     sim.add_argument("--snr", type=floats, default="-10,0,10,20")
     sim.add_argument("--trials", default=500, **trials)
     sim.add_argument("--seed", **seed)
     sim.add_argument("--out", required=True)
-    sim.set_defaults(func=cmd_simulate)
+    sim.set_defaults(func=lambda a: cmd_simulate(a))
 
     base = sub.add_parser("baselines", help="multi-user beamforming CSV")
     base.add_argument("--snr", type=floats, default="0,10,20")
     base.add_argument("--trials", default=100, **trials)
     base.add_argument("--seed", **seed)
     base.add_argument("--out", required=True)
-    base.set_defaults(func=cmd_baselines)
+    base.set_defaults(func=lambda a: cmd_baselines(a))
     return parser
 
 

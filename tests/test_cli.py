@@ -251,6 +251,54 @@ def test_validate_rejects_a_non_finite_record(tmp_path, capsys, field, value,
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("tolerance", True, "tolerance True must be a finite number >= 0"),
+    ("tolerance", "0.5", "tolerance '0.5' must be a finite number >= 0"),
+    ("tolerance", None, "tolerance None must be a finite number >= 0"),
+    ("expected", True, "expected must hold numbers, got bool"),
+    ("expected", "0.5", "expected must hold numbers, got <U3"),
+], ids=["true-tolerance", "string-tolerance", "null-tolerance",
+        "bool-expected", "string-expected"])
+def test_validate_rejects_a_non_number(tmp_path, capsys, field, value,
+                                       message):
+    # a tolerance is a JSON number and expected holds numbers: true or
+    # "0.5" is no number, even where float() or numpy would read it as one
+    config = write_config(tmp_path, R16_CONFIG)
+    out = str(tmp_path / "vectors.jsonl")
+    main(["gen-vectors", "--release", "r16", "--config", config,
+          "--seed", "1", "--samples", "1", "--out", out])
+    record = json.loads(open(out).read())
+    if field == "tolerance":
+        record["tolerance"] = value
+    else:
+        record["expected"] = np.full(np.shape(record["expected"]),
+                                     value).tolist()
+    bad = tmp_path / "non_number.jsonl"
+    bad.write_text(json.dumps(record) + "\n")
+    capsys.readouterr()
+    assert main(["validate", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"line 1: malformed record: {message}\n"
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("tolerance", [0, 1, 10**400],
+                         ids=["0", "1", "10**400"])
+def test_validate_takes_an_integer_tolerance(tmp_path, capsys, tolerance):
+    # an int of any size is a finite number; 10**400 has no float
+    config = write_config(tmp_path, R16_CONFIG)
+    out = str(tmp_path / "vectors.jsonl")
+    main(["gen-vectors", "--release", "r16", "--config", config,
+          "--seed", "1", "--samples", "1", "--out", out])
+    record = json.loads(open(out).read())
+    record["tolerance"] = tolerance
+    edited = tmp_path / "int_tolerance.jsonl"
+    edited.write_text(json.dumps(record) + "\n")
+    capsys.readouterr()
+    assert main(["validate", str(edited)]) == 0
+    assert "1/1 records passed" in capsys.readouterr().out
+
+
 def test_validate_malformed_record(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"release": "r16"}\n')
@@ -385,6 +433,43 @@ def test_bad_arguments_exit_code(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "usage:" in err or err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_main_runs_two_subcommands_in_turn(tmp_path, capsys):
+    # the parser is built once and serves every call
+    config = write_config(tmp_path, R16_CONFIG)
+    out = str(tmp_path / "vectors.jsonl")
+    assert main(["overhead", "--out", str(tmp_path / "overhead.csv")]) == 0
+    assert main(["gen-vectors", "--release", "r16", "--config", config,
+                 "--seed", "2", "--samples", "2", "--out", out]) == 0
+    assert main(["validate", out]) == 0
+    captured = capsys.readouterr().out
+    assert "wrote 2 records" in captured
+    assert "2/2 records passed" in captured
+
+
+def test_main_runs_a_command_replaced_after_the_first_call(tmp_path,
+                                                          monkeypatch):
+    from nrpmi import cli
+
+    path = str(tmp_path / "vectors.jsonl")
+    assert main(["validate", path]) == 2      # builds the parser
+    seen = []
+    monkeypatch.setattr(cli, "cmd_validate",
+                        lambda args: seen.append(args.vectors) or 7)
+    assert main(["validate", path]) == 7
+    assert seen == [path]
+
+
+def test_usage_error_after_a_good_call_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "overhead.csv")
+    assert main(["overhead", "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["overhead", "--release", "bogus", "--out", out]) == 2
+    assert main(["validate"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("usage:") == 2
+    assert main(["overhead", "--out", out]) == 0
 
 
 def test_byte_identical_outputs(tmp_path):
