@@ -105,10 +105,16 @@ def user_rates(channels, beamformers, noise_powers) -> np.ndarray:
 
 def normalize_power(w: np.ndarray, pt: float) -> np.ndarray:
     """Scale so trace(W W^H) = pt."""
-    power = float(np.sum(np.abs(w) ** 2))
+    return normalize_blocks([w], pt)[0]
+
+
+def normalize_blocks(blocks, pt: float) -> list[np.ndarray]:
+    """Scale every user's block by one factor so their total power is pt."""
+    power = sum(np.sum(np.abs(w) ** 2) for w in blocks)
     if power == 0:
         raise DomainError("cannot normalize an all-zero beamformer")
-    return w * math.sqrt(pt / power)
+    scale = math.sqrt(pt / power)
+    return [w * scale for w in blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +131,11 @@ def su_beamformer(scheme: str, h: np.ndarray, n_streams: int | None = None,
         return vh.conj().T[:, :n_streams or min(h.shape)]
     if scheme == "mrt":
         return h.conj().T
-    if scheme == "zf":
-        return h.conj().T @ _inv_or_raise(h @ h.conj().T)
-    if scheme == "rzf":
-        if xi is None:
+    if scheme in ("zf", "rzf", "mmse"):
+        if scheme == "rzf" and xi is None:
             raise DomainError("rzf requires a regularization factor xi")
-        return h.conj().T @ np.linalg.inv(
-            h @ h.conj().T + xi * np.eye(h.shape[0]))
-    if scheme == "mmse":
-        return h.conj().T @ np.linalg.inv(
-            h @ h.conj().T + (noise_power / pt) * np.eye(h.shape[0]))
+        return mu_beamformer(scheme, [h], xi=xi, pt=pt,
+                             noise_power=noise_power)[0]
     if scheme == "gmd":
         _, _, p = gmd(h)
         return p[:, :n_streams or p.shape[1]]
@@ -300,15 +301,10 @@ def wmmse_beamformer(channels, pt: float = 1.0, noise_power=1.0,
     total = math.sqrt(sum(np.sum(np.abs(w) ** 2) for w in w_blocks))
     w_blocks = [w * math.sqrt(pt) / total for w in w_blocks]
 
-    def normalized(blocks):
-        power = sum(np.sum(np.abs(w) ** 2) for w in blocks)
-        scale = math.sqrt(pt / power)
-        return [w * scale for w in blocks]
-
     def wsr(blocks):
         return float(np.dot(chi, user_rates(channels, blocks, noise)))
 
-    history = [wsr(normalized(w_blocks))]
+    history = [wsr(normalize_blocks(w_blocks, pt))]
     for _ in range(n_iter):
         w_full = np.hstack(w_blocks)
         gram = w_full @ w_full.conj().T
@@ -334,10 +330,10 @@ def wmmse_beamformer(channels, pt: float = 1.0, noise_power=1.0,
         m_inv = np.linalg.inv(m)
         w_blocks = [chi[k] * m_inv @ channels[k].conj().T
                     @ combiners[k] @ weights[k] for k in range(k_users)]
-        history.append(wsr(normalized(w_blocks)))
+        history.append(wsr(normalize_blocks(w_blocks, pt)))
         if abs(history[-1] - history[-2]) < tol:
             break
-    return normalized(w_blocks), history
+    return normalize_blocks(w_blocks, pt), history
 
 
 # ---------------------------------------------------------------------------

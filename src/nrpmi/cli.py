@@ -27,7 +27,7 @@ import numpy as np
 
 from . import channel_sim, overhead, type1, type2_r15, type2_r16, type2_r17, type2_r18
 from .bases import ArrayGeometry
-from .beamforming import mu_beamformer, user_rates
+from .beamforming import mu_beamformer, normalize_blocks, user_rates
 from .enhanced import PORT_SELECTION, REGULAR
 from .errors import CodebookError, FormatError
 
@@ -349,10 +349,8 @@ def cmd_baselines(args) -> int:
                         "wmmse", channels, pt=pt, noise_power=noise,
                         n_iter=40, rng=np.random.default_rng([args.seed, trial, 1]))
                 else:
-                    blocks = mu_beamformer(scheme, channels, xi=noise / pt,
-                                           pt=pt)
-                    power = sum(np.sum(np.abs(w) ** 2) for w in blocks)
-                    blocks = [w * np.sqrt(pt / power) for w in blocks]
+                    blocks = normalize_blocks(mu_beamformer(
+                        scheme, channels, xi=noise / pt, pt=pt), pt)
                 sums[scheme].append(user_rates(channels, blocks, noise).sum())
         for scheme in schemes:
             vals = np.asarray(sums[scheme])

@@ -8,8 +8,9 @@ wideband amplitude per polarization.  The strongest coefficient is the
 normalization reference (k1 = 15, k2 = 7, c = 0) and i_1,8 locates it.
 
 Rel-16 and Rel-17 reports store the grid without its shift axis (Q = 1);
-``grid`` restores it.  A release module decodes its own index fields into
-the spatial basis, the taps and the shifts, and ``synthesize`` combines
+``grid`` restores it.  A release module decodes its index fields, each
+read through ``index_field``, into the spatial basis, the taps and the
+shifts, and ``synthesize`` combines
 them in two stages: ``tap_stage`` (coefficients to frequency units, and the
 degeneracy check) and ``basis_stage`` (onto the beams).  Two synthesis
 kernels keep every release bit-exact with its own arithmetic: a
@@ -258,7 +259,11 @@ def selected_flats(config, pmi) -> tuple[int, ...]:
 
 
 def beam_grid_indices(config, pmi) -> list[tuple[int, int]]:
-    """Oversampled grid coordinates (l, m) of the L regular beams."""
+    """Oversampled grid coordinates (l, m) of the L regular beams of a
+    report whose i11 and i12 pass ``check_beams``."""
+    if config.variant != REGULAR:
+        raise DomainError("beam grid indices apply to the regular variant")
+    check_beams(config, pmi)
     l, m = grid_coordinates(config.geom, pmi.i11, selected_flats(config, pmi))
     return list(zip(l.tolist(), m.tolist()))
 
@@ -290,14 +295,10 @@ def beam_fields(config, pmi) -> list[tuple[int, int]]:
 # two-level tap indication: i15 (window start) and i16 (taps per layer)
 
 def m_initial(config, pmi) -> int:
-    """Window start M_initial decoded from i15; 0 unless N3 > 19."""
-    if not config.window_mode:
-        if pmi.i15 is not None:
-            raise FormatError("i_1,5 must be absent when N3 <= 19")
-        return 0
-    if not (is_index(pmi.i15) and 0 <= pmi.i15 < 2 * config.mv):
-        raise FormatError(f"i_1,5={pmi.i15} outside [0, {2 * config.mv})")
-    return 0 if pmi.i15 == 0 else pmi.i15 - 2 * config.mv
+    """Window start M_initial decoded from i15 (absent unless N3 > 19)."""
+    i15 = index_field(config, pmi, "i15",
+                      2 * config.mv if config.window_mode else None)
+    return 0 if not i15 else i15 - 2 * config.mv
 
 
 def tap_choices(config, m_init: int = 0) -> list[int]:
@@ -326,11 +327,8 @@ def tap_positions(config, m_init: int):
 
 def decode_taps(config, pmi, layer: int) -> tuple[int, ...]:
     """Tap indices n3^(0..Mv-1); n3^(0) = 0 is the (remapped) strongest tap."""
-    check_index("layer", layer, config.rank)
     choices = tap_positions(config, m_initial(config, pmi))[0]
-    i16 = pmi.i16[layer]
-    if not 0 <= i16 < config.i16_count:
-        raise FormatError(f"i_1,6={i16} outside [0, {config.i16_count})")
+    i16 = index_field(config, pmi, "i16", config.i16_count, layer)
     return (0,) + tuple(choices[t] for t in decode_combination(
         i16, len(choices), config.mv - 1))
 
@@ -400,7 +398,10 @@ def strongest(config, pmi, layer: int) -> tuple[int, int]:
     """Decode i_1,8 into (i*, s*): the beam and the tap (Rel-17) or the
     shift (Rel-16/18, s* = 0 without a shift axis) of the strongest
     coefficient."""
-    return _star(config, pmi.bitmap[layer], pmi.i18[layer])
+    bitmap, = report_arrays(pmi, (("bitmap", config.coef_shape),))
+    i18 = index_field(config, pmi, "i18", _plane(config, bitmap[0]).size,
+                      layer)
+    return _star(config, bitmap[layer], i18)
 
 
 def _star(config, bitmap_layer: np.ndarray, i18: int) -> tuple[int, int]:
@@ -418,11 +419,19 @@ def _star(config, bitmap_layer: np.ndarray, i18: int) -> tuple[int, int]:
 
 def encode_strongest(config, bitmap_layer: np.ndarray, i_star: int,
                      s_star: int = 0) -> int:
-    """i_1,8 for one layer whose strongest coefficient is (i*, s*)."""
-    flat = bitmap_layer.shape[0] * s_star + i_star
+    """i_1,8 for one layer whose strongest coefficient is (i*, s*); a cell
+    off the layer's plane, or (rank 1 with the strongest tap pinned) one
+    the bitmap does not report, raises DomainError."""
+    sizes = bitmap_layer.shape + (1,)  # (K, Mv[, Q], 1)
+    check_index("i*", i_star, sizes[0])
+    check_index("s*", s_star, sizes[config.strongest_axis])
+    flat = sizes[0] * s_star + i_star
     if not _prefix_coded(config):
         return int(flat)
-    return int(_plane(config, bitmap_layer).T.reshape(-1)[:flat + 1].sum()) - 1
+    plane = _plane(config, bitmap_layer)
+    if not plane[i_star, s_star]:
+        raise DomainError(f"(i*, s*)=({i_star}, {s_star}) is not reported")
+    return int(plane.T.reshape(-1)[:flat + 1].sum()) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +606,28 @@ def check_index(name: str, value, count: int) -> None:
     (a layer, subband, frequency unit or slot interval), naming it."""
     if not (is_index(value) and 0 <= value < count):
         raise DomainError(f"{name} {value} outside [0, {count})")
+
+
+def index_field(config, pmi, name: str, count: int | None,
+                layer: int | None = None) -> int | None:
+    """The one reader of index field ``name`` ("i15" is i_1,5), or of its
+    entry for ``layer``: None where ``count`` is None, else an integer (no
+    bool or float) in [0, count).  Raises DomainError for a layer outside
+    [0, rank), then FormatError naming the field."""
+    if layer is not None:
+        check_index("layer", layer, config.rank)
+    value = getattr(pmi, name)
+    if count is None:
+        if value is not None:
+            raise FormatError(f"i_1,{name[2:]} must be absent")
+        return None
+    if layer is not None:
+        if not is_indices(value, config.rank):
+            raise FormatError(f"i_1,{name[2:]} must hold one index per layer")
+        value = value[layer]
+    if not (is_index(value) and 0 <= value < count):
+        raise FormatError(f"i_1,{name[2:]}={value} outside [0, {count})")
+    return value
 
 
 def check_point(config, t: int, iota: int | None = None) -> None:

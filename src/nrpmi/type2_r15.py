@@ -98,6 +98,15 @@ class T2R15Pmi:
     c: np.ndarray
 
 
+def check_i13(config: T2R15Config, i13) -> None:
+    """Reject an i13 that is not one index in [0, 2L) per layer."""
+    if not is_indices(i13, config.rank):
+        raise FormatError("i_1,3 must hold one strongest-coefficient index "
+                          "per layer")
+    if not all(0 <= s < 2 * config.l for s in i13):
+        raise DomainError(f"i_1,3={i13} outside [0, {2 * config.l})")
+
+
 def reporting_mask(config: T2R15Config, k1, i13) -> tuple[np.ndarray, np.ndarray]:
     """Apply the reporting reduction rules to every layer at once.
 
@@ -107,8 +116,10 @@ def reporting_mask(config: T2R15Config, k1, i13) -> tuple[np.ndarray, np.ndarray
     subband amplitude and an N_PSK phase; the remaining nonzero ones carry a
     QPSK phase only (alphabet 4); zero-amplitude positions and the
     strongest carry nothing (alphabet 0).  Without subband amplitudes every
-    nonzero one but the strongest carries an N_PSK phase.
+    nonzero one but the strongest carries an N_PSK phase.  Raises as
+    ``check_i13`` for a malformed i13.
     """
+    check_i13(config, i13)
     rows = np.asarray(k1).tolist()
     k2_reported = [[False] * len(row) for row in rows]
     alphabet = [[0] * len(row) for row in rows]
@@ -127,6 +138,7 @@ def reporting_mask(config: T2R15Config, k1, i13) -> tuple[np.ndarray, np.ndarray
 
 def canonicalize(config: T2R15Config, pmi: T2R15Pmi) -> T2R15Pmi:
     """Force every unreported field to its default value."""
+    check_i13(config, pmi.i13)
     k1 = np.array(pmi.k1, dtype=int)
     k1[np.arange(config.rank), list(pmi.i13)] = 7
     k2_reported, alphabet = reporting_mask(config, k1, pmi.i13)
@@ -157,8 +169,7 @@ def validate(config: T2R15Config, pmi: T2R15Pmi) -> tuple:
     sb_shape = (rank, config.subband_count, two_l)
     k1, k2, c = report_arrays(pmi, (("k1", (rank, two_l)), ("k2", sb_shape),
                                     ("c", sb_shape)))
-    if not all(0 <= s < two_l for s in i13):
-        raise DomainError(f"i_1,3={i13} outside [0, {two_l})")
+    check_i13(config, i13)
     rows = k1.tolist()
     if not all(0 <= v <= 7 for row in rows for v in row):
         raise DomainError("k1 outside [0, 7]")
@@ -315,9 +326,14 @@ def _beam_caps(config: T2R15Config, pmi: T2R15Pmi, caps) -> np.ndarray:
 
 
 def check_restriction(config: T2R15Config, pmi: T2R15Pmi, caps: np.ndarray) -> None:
-    """Raise if any reported wideband amplitude exceeds its beam cap."""
+    """Raise if any reported wideband amplitude exceeds its beam cap, after
+    rejecting a malformed i11, i12 or k1 as ``validate`` does."""
+    check_beams(config, pmi)
+    k1, = report_arrays(pmi, (("k1", (config.rank, 2 * config.l)),))
+    if not ((k1 >= 0) & (k1 <= 7)).all():
+        raise DomainError("k1 outside [0, 7]")
     cap = _beam_caps(config, pmi, caps)
-    amp = qt.R15_WB_AMPS[pmi.k1]
+    amp = qt.R15_WB_AMPS[k1]
     over = amp > cap + 1e-12
     if over.any():
         layer, i = np.argwhere(over)[0]
@@ -431,7 +447,7 @@ def _quantize_report(config: T2R15Config, coef: np.ndarray, i11, i12,
     mag = np.abs(coef)                                # (rank, n_sb, 2L)
     rms = np.round(np.sqrt((mag ** 2).mean(axis=1)), 12).tolist()
     # the first admissible position of largest RMS magnitude
-    i13 = [max(admissible, key=row.__getitem__) for row in rms]
+    i13 = tuple(max(admissible, key=row.__getitem__) for row in rms)
     ref = mag[rows, :, i13]                           # (rank, n_sb)
     # a layer with a zero reference keeps the strongest position only
     degenerate = ~(ref > 0).all(axis=1)
@@ -453,4 +469,4 @@ def _quantize_report(config: T2R15Config, coef: np.ndarray, i11, i12,
     # unreported fields hold their defaults, as ``canonicalize`` sets them
     k2 = np.where(k2_reported[:, None], k2, 1)
     c = np.where(a > 0, qt.quantize_phase(rel, np.maximum(a, 1)), 0)
-    return T2R15Pmi(i11, i12, tuple(i13), k1, k2, c), alphabet
+    return T2R15Pmi(i11, i12, i13, k1, k2, c), alphabet

@@ -20,9 +20,8 @@ from .combinadics import (
     clog2,
     decode_combination,
     encode_combination,
-    is_index,
 )
-from .errors import DomainError, FormatError
+from .errors import DomainError
 
 # paraCombination-r17 -> (M, alpha, beta)
 PARAM_COMBINATIONS: dict[int, tuple[int, float, float]] = {
@@ -122,14 +121,10 @@ class R17Pmi:
 def decode_ports(config: R17Config, pmi: R17Pmi) -> tuple[int, ...]:
     """The L selected ports per polarization, strictly increasing."""
     half = config.p_csirs // 2
-    if config.alpha == 1.0:
-        if pmi.i12 is not None:
-            raise FormatError("i_1,2 must be absent when alpha = 1")
-        return tuple(range(config.l))
-    count = binomial(half, config.l)
-    if not (is_index(pmi.i12) and 0 <= pmi.i12 < count):
-        raise FormatError(f"i_1,2={pmi.i12} outside [0, {count})")
-    return decode_combination(pmi.i12, half, config.l)
+    i12 = enhanced.index_field(config, pmi, "i12", (
+        binomial(half, config.l) if config.alpha < 1.0 else None))
+    return (tuple(range(config.l)) if i12 is None
+            else decode_combination(i12, half, config.l))
 
 
 def encode_ports(config: R17Config, ports) -> int | None:
@@ -142,17 +137,9 @@ def encode_ports(config: R17Config, ports) -> int | None:
 
 def decode_tap_offset(config: R17Config, pmi: R17Pmi) -> tuple[int, ...]:
     """Tap indices n3^(0..M-1); tap 0 is the reciprocity-aligned reference."""
-    if config.m == 1:
-        if pmi.i16 is not None:
-            raise FormatError("i_1,6 must be absent when M = 1")
-        return (0,)
-    if not config.i16_reported:
-        if pmi.i16 is not None:
-            raise FormatError("i_1,6 must be absent when the window is 2")
-        return (0, 1)
-    if not (is_index(pmi.i16) and 0 <= pmi.i16 < config.window - 1):
-        raise FormatError(f"i_1,6={pmi.i16} outside [0, {config.window - 1})")
-    return (0, pmi.i16 + 1)
+    i16 = enhanced.index_field(config, pmi, "i16", (
+        config.window - 1 if config.i16_reported else None))
+    return tuple(range(config.m)) if i16 is None else (0, i16 + 1)
 
 
 def validate_budget(config: R17Config, pmi: R17Pmi) -> enhanced.Coefficients:

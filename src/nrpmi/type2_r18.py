@@ -14,7 +14,7 @@ import numpy as np
 from . import enhanced
 from .bases import ArrayGeometry
 from .combinadics import check_int_fields, clog2, is_index, read_bits
-from .errors import DomainError, FormatError
+from .errors import DomainError
 
 Q_SHIFTS = 2  # frozen by the protocol
 
@@ -100,17 +100,9 @@ class R18Pmi:
 
 def decode_shifts(config: R18Config, pmi: R18Pmi, layer: int) -> tuple[int, ...]:
     """Doppler shift indices n4^(tau); the reference shift is always 0."""
-    enhanced.check_index("layer", layer, config.rank)
-    if config.n4 == 1:
-        if pmi.i110 is not None:
-            raise FormatError("i_1,10 must be absent when N4 = 1")
-        return (0,)
-    if pmi.i110 is None:
-        raise FormatError("i_1,10 required when N4 > 1")
-    i110 = pmi.i110[layer]
-    if not 0 <= i110 <= config.n4 - 2:
-        raise FormatError(f"i_1,10={i110} outside [0, {config.n4 - 2}]")
-    return (0, i110 + 1)
+    i110 = enhanced.index_field(config, pmi, "i110", (
+        config.n4 - 1 if config.n4 > 1 else None), layer)
+    return (0,) if i110 is None else (0, i110 + 1)
 
 
 def validate_budget(config: R18Config, pmi: R18Pmi) -> enhanced.Coefficients:

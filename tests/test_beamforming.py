@@ -10,6 +10,7 @@ from nrpmi.beamforming import (
     gmd,
     harmonic_mean_allocation,
     mu_beamformer,
+    normalize_blocks,
     normalize_power,
     qos_power_allocation,
     su_beamformer,
@@ -174,6 +175,33 @@ def test_rzf_limits():
     w_mmse = su_beamformer("mmse", h, pt=4.0, noise_power=2.0)
     np.testing.assert_allclose(w_mmse, su_beamformer("rzf", h, xi=0.5),
                                atol=1e-12)
+
+
+def su_linear_ref(scheme, h, xi, pt, noise_power):
+    # the SU closed forms before SU ZF, RZF and MMSE became MU with one user
+    if scheme == "zf":
+        return h.conj().T @ np.linalg.inv(h @ h.conj().T)
+    reg = xi if scheme == "rzf" else noise_power / pt
+    return h.conj().T @ np.linalg.inv(h @ h.conj().T
+                                      + reg * np.eye(h.shape[0]))
+
+
+@pytest.mark.parametrize("scheme", ["zf", "rzf", "mmse"])
+def test_su_linear_schemes_are_the_one_user_mu_forms(scheme):
+    rng = np.random.default_rng(20)
+    for trial in range(200):
+        nr = int(rng.integers(1, 4))
+        h = crandn(rng, nr, int(rng.integers(nr, 9)))
+        if trial % 2:
+            h = np.asfortranarray(h)
+        xi, pt, noise = rng.uniform(0.01, 2, size=3).tolist()
+        w = su_beamformer(scheme, h, xi=xi, pt=pt, noise_power=noise)
+        mu = mu_beamformer(scheme, [h], xi=xi, pt=pt, noise_power=noise)[0]
+        ref = su_linear_ref(scheme, h, xi, pt, noise)
+        assert w.shape == ref.shape
+        assert w.tobytes() == mu.tobytes() == ref.tobytes()
+    with pytest.raises(DomainError, match="xi"):
+        su_beamformer("rzf", h)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (4, 4), (4, 6)])
@@ -352,3 +380,18 @@ def test_normalize_power():
     assert abs(np.sum(np.abs(wn) ** 2) - 3.0) < 1e-12
     with pytest.raises(DomainError):
         normalize_power(np.zeros((2, 2)), 1.0)
+    # the form it had before it scaled a list of one block
+    assert wn.tobytes() == (w * math.sqrt(
+        3.0 / float(np.sum(np.abs(w) ** 2)))).tobytes()
+
+
+def test_normalize_blocks_scales_every_block_by_one_factor():
+    rng = np.random.default_rng(13)
+    blocks = [crandn(rng, 4, 2), crandn(rng, 4, 1), crandn(rng, 4, 3)]
+    scaled = normalize_blocks(blocks, 5.0)
+    assert abs(sum(np.sum(np.abs(w) ** 2) for w in scaled) - 5.0) < 1e-12
+    ratios = [w / b for w, b in zip(scaled, blocks)]
+    np.testing.assert_allclose(np.concatenate(ratios, axis=1),
+                               ratios[0][0, 0], rtol=1e-15)
+    with pytest.raises(DomainError):
+        normalize_blocks([np.zeros((2, 1)), np.zeros((2, 2))], 1.0)
