@@ -14,6 +14,7 @@ under the nonzero-coefficient budget.
 
 import functools
 import math
+import types
 from dataclasses import dataclass
 from numbers import Real
 
@@ -318,12 +319,13 @@ def _search_groups(config, scan, targets, finish, caps=None):
 
 def _pick_port_block(targets: np.ndarray, p_csirs: int, l: int,
                      d: int) -> int:
-    """Port-selection i11: the block of L ports, starting at a multiple of
-    d, that carries the most energy of targets (..., P) in both halves."""
-    half = p_csirs // 2
-    per_port = (np.abs(targets.reshape(-1, half)) ** 2).sum(axis=0)
-    starts = np.arange(0, half - l + 1, d)
-    return int(np.argmax(per_port[starts[:, None] + np.arange(l)].sum(axis=1)))
+    """Port-selection i11: the port block (``enhanced.block_ports``) that
+    carries the most energy of targets (..., P) in both halves."""
+    blocks = types.SimpleNamespace(p_csirs=p_csirs, l=l, d=d)
+    ports = [enhanced.block_ports(blocks, i11)
+             for i11 in range(enhanced.port_blocks(blocks))]
+    per_port = (np.abs(targets.reshape(-1, p_csirs // 2)) ** 2).sum(axis=0)
+    return int(np.argmax(per_port[np.array(ports)].sum(axis=1)))
 
 
 def _quantize_layers(config, coefs):

@@ -230,10 +230,15 @@ def check_beams(config, pmi) -> None:
         raise FormatError("i_1,2 must be absent for port selection")
 
 
-def port_block(config, i11: int) -> np.ndarray:
-    """Port block i11: the L ports from i11 * d, as a (P/2, L) matrix."""
+def block_ports(config, i11: int) -> range:
+    """The L ports of port block i11, from i11 * d."""
     start = i11 * config.d
-    return port_beams(config.p_csirs, range(start, start + config.l))
+    return range(start, start + config.l)
+
+
+def port_block(config, i11: int) -> np.ndarray:
+    """Port block i11 (``block_ports``) as a (P/2, L) matrix."""
+    return port_beams(config.p_csirs, block_ports(config, i11))
 
 
 def selected_beams(config, pmi) -> np.ndarray:
@@ -298,7 +303,7 @@ def m_initial(config, pmi) -> int:
     """Window start M_initial decoded from i15 (absent unless N3 > 19)."""
     i15 = index_field(config, pmi, "i15",
                       2 * config.mv if config.window_mode else None)
-    return 0 if not i15 else i15 - 2 * config.mv
+    return 0 if not i15 else int(i15) - 2 * config.mv  # no uint8 wrap
 
 
 def tap_choices(config, m_init: int = 0) -> list[int]:
@@ -325,12 +330,13 @@ def tap_positions(config, m_init: int):
     return choices, types.MappingProxyType(first)
 
 
-def decode_taps(config, pmi, layer: int) -> tuple[int, ...]:
-    """Tap indices n3^(0..Mv-1); n3^(0) = 0 is the (remapped) strongest tap."""
+def decode_taps(config, pmi) -> list[tuple[int, ...]]:
+    """Each layer's tap indices n3^(0..Mv-1); n3^(0) = 0 is the (remapped)
+    strongest tap."""
     choices = tap_positions(config, m_initial(config, pmi))[0]
-    i16 = index_field(config, pmi, "i16", config.i16_count, layer)
-    return (0,) + tuple(choices[t] for t in decode_combination(
-        i16, len(choices), config.mv - 1))
+    i16 = index_field(config, pmi, "i16", config.i16_count, per_layer=True)
+    return [(0,) + tuple(choices[t] for t in decode_combination(
+        v, len(choices), config.mv - 1)) for v in i16]
 
 
 def encode_taps(config, taps, m_init: int = 0) -> tuple[int, int | None]:
@@ -394,14 +400,14 @@ def _prefix_coded(config) -> bool:
     return config.rank == 1 and config.strongest_axis == SHIFT_AXIS
 
 
-def strongest(config, pmi, layer: int) -> tuple[int, int]:
-    """Decode i_1,8 into (i*, s*): the beam and the tap (Rel-17) or the
-    shift (Rel-16/18, s* = 0 without a shift axis) of the strongest
-    coefficient."""
+def strongest(config, pmi) -> list[tuple[int, int]]:
+    """Decode each layer's i_1,8 into (i*, s*): the beam and the tap
+    (Rel-17) or the shift (Rel-16/18, s* = 0 without a shift axis) of the
+    strongest coefficient."""
     bitmap, = report_arrays(pmi, (("bitmap", config.coef_shape),))
     i18 = index_field(config, pmi, "i18", _plane(config, bitmap[0]).size,
-                      layer)
-    return _star(config, bitmap[layer], i18)
+                      per_layer=True)
+    return [_star(config, b, i) for b, i in zip(bitmap, i18)]
 
 
 def _star(config, bitmap_layer: np.ndarray, i18: int) -> tuple[int, int]:
@@ -519,19 +525,15 @@ def layer_cap(config, layer: int, left: int) -> int:
     return cap
 
 
-def layer_coefficients(config, pmi, layer: int | slice = slice(None)
-                       ) -> np.ndarray:
-    """Complex coefficient grid (K, Mv[, Q]) of one layer, or (rank, K,
-    Mv[, Q]) of every layer by default: p1 * p2 * phi, zeros where
-    unreported.  ``pmi`` is a valid report or its ``Coefficients``."""
-    if not isinstance(layer, slice):
-        check_index("layer", layer, config.rank)
-    p1 = WB_AMPS[pmi.k1[layer]]          # ([rank,] 2)
-    p2 = SB_AMPS[pmi.k2[layer]]          # ([rank,] K, Mv[, Q])
-    phi = PSK16[pmi.c[layer]]
+def layer_coefficients(config, pmi) -> np.ndarray:
+    """Complex coefficient grids (rank, K, Mv[, Q]) of every layer: p1 * p2
+    * phi, zeros where unreported.  ``pmi`` is a valid report or its
+    ``Coefficients``."""
+    p1 = WB_AMPS[pmi.k1]                 # (rank, 2)
+    p2 = SB_AMPS[pmi.k2]                 # (rank, K, Mv[, Q])
     pol = np.repeat(p1, config.l, axis=-1)
     pol = pol.reshape(pol.shape + (1,) * (p2.ndim - pol.ndim))
-    return pol * p2 * phi * pmi.bitmap[layer]
+    return pol * p2 * PSK16[pmi.c] * pmi.bitmap
 
 
 @functools.cache
@@ -603,30 +605,28 @@ def basis_stage(config, v: np.ndarray, ct: np.ndarray,
 
 def check_index(name: str, value, count: int) -> None:
     """Reject ``value`` unless it is an integer index into ``count`` items
-    (a layer, subband, frequency unit or slot interval), naming it."""
+    (a subband, frequency unit, slot interval or grid cell), naming it."""
     if not (is_index(value) and 0 <= value < count):
         raise DomainError(f"{name} {value} outside [0, {count})")
 
 
 def index_field(config, pmi, name: str, count: int | None,
-                layer: int | None = None) -> int | None:
-    """The one reader of index field ``name`` ("i15" is i_1,5), or of its
-    entry for ``layer``: None where ``count`` is None, else an integer (no
-    bool or float) in [0, count).  Raises DomainError for a layer outside
-    [0, rank), then FormatError naming the field."""
-    if layer is not None:
-        check_index("layer", layer, config.rank)
+                per_layer: bool = False):
+    """The one reader of index field ``name`` ("i15" is i_1,5): None where
+    ``count`` is None, else an integer (no bool or float) in [0, count),
+    or for a ``per_layer`` field a tuple of one such integer per layer.
+    Raises FormatError naming the field, and the first bad entry of a
+    per-layer field."""
     value = getattr(pmi, name)
     if count is None:
         if value is not None:
             raise FormatError(f"i_1,{name[2:]} must be absent")
         return None
-    if layer is not None:
-        if not is_indices(value, config.rank):
-            raise FormatError(f"i_1,{name[2:]} must hold one index per layer")
-        value = value[layer]
-    if not (is_index(value) and 0 <= value < count):
-        raise FormatError(f"i_1,{name[2:]}={value} outside [0, {count})")
+    if per_layer and not is_indices(value, config.rank):
+        raise FormatError(f"i_1,{name[2:]} must hold one index per layer")
+    for v in value if per_layer else (value,):
+        if not (is_index(v) and 0 <= v < count):
+            raise FormatError(f"i_1,{name[2:]}={v} outside [0, {count})")
     return value
 
 

@@ -107,6 +107,15 @@ def check_i13(config: T2R15Config, i13) -> None:
         raise DomainError(f"i_1,3={i13} outside [0, {2 * config.l})")
 
 
+def _arrays(config: T2R15Config, pmi: T2R15Pmi, names=("k1", "k2", "c")):
+    """The report's arrays named in ``names`` as ``report_arrays`` reads
+    them: k1 of shape (rank, 2L), k2 and c of shape (rank, subbands, 2L)."""
+    k1_shape = (config.rank, 2 * config.l)
+    sb_shape = (config.rank, config.subband_count, 2 * config.l)
+    return report_arrays(pmi, [(name, k1_shape if name == "k1" else sb_shape)
+                               for name in names])
+
+
 def reporting_mask(config: T2R15Config, k1, i13) -> tuple[np.ndarray, np.ndarray]:
     """Apply the reporting reduction rules to every layer at once.
 
@@ -117,10 +126,16 @@ def reporting_mask(config: T2R15Config, k1, i13) -> tuple[np.ndarray, np.ndarray
     QPSK phase only (alphabet 4); zero-amplitude positions and the
     strongest carry nothing (alphabet 0).  Without subband amplitudes every
     nonzero one but the strongest carries an N_PSK phase.  Raises as
-    ``check_i13`` for a malformed i13.
+    ``check_i13`` for a malformed i13, then FormatError for a k1 that is
+    not a (rank, 2L) integer array.
     """
     check_i13(config, i13)
-    rows = np.asarray(k1).tolist()
+    k1, = _arrays(config, T2R15Pmi(None, None, i13, k1, None, None), ("k1",))
+    return _mask(config, k1.tolist(), i13)
+
+
+def _mask(config: T2R15Config, rows: list, i13) -> tuple[np.ndarray, np.ndarray]:
+    """``reporting_mask`` of checked k1 ``rows`` (Python lists) and i13."""
     k2_reported = [[False] * len(row) for row in rows]
     alphabet = [[0] * len(row) for row in rows]
     for row, s, k2_row, a_row in zip(rows, i13, k2_reported, alphabet):
@@ -139,12 +154,11 @@ def reporting_mask(config: T2R15Config, k1, i13) -> tuple[np.ndarray, np.ndarray
 def canonicalize(config: T2R15Config, pmi: T2R15Pmi) -> T2R15Pmi:
     """Force every unreported field to its default value."""
     check_i13(config, pmi.i13)
-    k1 = np.array(pmi.k1, dtype=int)
+    k1, k2, c = (a.astype(int) for a in _arrays(config, pmi))
     k1[np.arange(config.rank), list(pmi.i13)] = 7
-    k2_reported, alphabet = reporting_mask(config, k1, pmi.i13)
+    k2_reported, alphabet = _mask(config, k1.tolist(), pmi.i13)
     a = alphabet[:, None]
-    k2 = np.where(k2_reported[:, None], np.asarray(pmi.k2, dtype=int), 1)
-    c = np.asarray(pmi.c, dtype=int)
+    k2 = np.where(k2_reported[:, None], k2, 1)
     c = np.where(a == 0, 0, np.where(a == 4, c % 4, c))
     return replace(pmi, k1=k1, k2=k2, c=c)
 
@@ -160,20 +174,17 @@ def validate(config: T2R15Config, pmi: T2R15Pmi) -> tuple:
     """Reject a malformed, out-of-range or inconsistent report; return its
     arrays as ``report_arrays`` read them and its ``reporting_mask``:
     (k1, k2, c, k2_reported, alphabet)."""
-    rank, two_l = config.rank, 2 * config.l
     check_beams(config, pmi)
     i13 = pmi.i13
-    if not is_indices(i13, rank):
+    if not is_indices(i13, config.rank):
         raise FormatError("i_1,3 must hold one strongest-coefficient index "
                           "per layer")
-    sb_shape = (rank, config.subband_count, two_l)
-    k1, k2, c = report_arrays(pmi, (("k1", (rank, two_l)), ("k2", sb_shape),
-                                    ("c", sb_shape)))
+    k1, k2, c = _arrays(config, pmi)
     check_i13(config, i13)
     rows = k1.tolist()
     if not all(0 <= v <= 7 for row in rows for v in row):
         raise DomainError("k1 outside [0, 7]")
-    k2_reported, alphabet = reporting_mask(config, k1, i13)
+    k2_reported, alphabet = _mask(config, rows, i13)
     # one pass over k2 and c: k2 - 1 must be 0 where unreported, 0 or -1
     # (0 after a 1-bit shift) where reported; c must shift to 0 by its
     # alphabet's bits (none for alphabet 0, so c = 0 there)
@@ -213,14 +224,11 @@ def _coefficients(config: T2R15Config, k1: np.ndarray, k2: np.ndarray,
     return p1 * p2 * _PHASES[alphabet, c.swapaxes(0, 1)]
 
 
-def layer_coefficients(config: T2R15Config, pmi: T2R15Pmi, layer: int,
-                       subband: int) -> np.ndarray:
-    """Complex combination weights p1*p2*phi for one layer and subband (2L,)
-    of a report that passes ``validate``."""
+def layer_coefficients(config: T2R15Config, pmi: T2R15Pmi) -> np.ndarray:
+    """Complex combination weights p1*p2*phi of every subband and layer,
+    (subbands, rank, 2L), of a report that passes ``validate``."""
     k1, k2, c, _, alphabet = validate(config, pmi)
-    check_index("layer", layer, config.rank)
-    check_index("subband", subband, config.subband_count)
-    return _coefficients(config, k1, k2, c, alphabet)[subband, layer]
+    return _coefficients(config, k1, k2, c, alphabet)
 
 
 def _beta(config: T2R15Config, coef: np.ndarray) -> np.ndarray:
@@ -329,7 +337,7 @@ def check_restriction(config: T2R15Config, pmi: T2R15Pmi, caps: np.ndarray) -> N
     """Raise if any reported wideband amplitude exceeds its beam cap, after
     rejecting a malformed i11, i12 or k1 as ``validate`` does."""
     check_beams(config, pmi)
-    k1, = report_arrays(pmi, (("k1", (config.rank, 2 * config.l)),))
+    k1, = _arrays(config, pmi, ("k1",))
     if not ((k1 >= 0) & (k1 <= 7)).all():
         raise DomainError("k1 outside [0, 7]")
     cap = _beam_caps(config, pmi, caps)
@@ -464,7 +472,7 @@ def _quantize_report(config: T2R15Config, coef: np.ndarray, i11, i12,
     k2[degenerate] = 1
     phase = np.angle(coef)
     rel = phase - phase[rows, :, i13][:, :, None]
-    k2_reported, alphabet = reporting_mask(config, k1, i13)
+    k2_reported, alphabet = _mask(config, k1.tolist(), i13)
     a = alphabet[:, None]
     # unreported fields hold their defaults, as ``canonicalize`` sets them
     k2 = np.where(k2_reported[:, None], k2, 1)

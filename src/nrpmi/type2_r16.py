@@ -112,10 +112,9 @@ def validate_budget(config: R16Config, pmi: R16Pmi) -> enhanced.Coefficients:
 def reconstruct_all(config: R16Config, pmi: R16Pmi) -> np.ndarray:
     """Precoders for every frequency unit, shape (N3, P, rank)."""
     coefficients = validate_budget(config, pmi)
-    taps = [enhanced.decode_taps(config, pmi, layer)
-            for layer in range(config.rank)]
     return enhanced.synthesize(config, coefficients,
-                               enhanced.selected_beams(config, pmi), taps)
+                               enhanced.selected_beams(config, pmi),
+                               enhanced.decode_taps(config, pmi))
 
 
 def reconstruct(config: R16Config, pmi: R16Pmi, t: int) -> np.ndarray:

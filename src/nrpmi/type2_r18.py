@@ -98,11 +98,13 @@ class R18Pmi:
     c: np.ndarray
 
 
-def decode_shifts(config: R18Config, pmi: R18Pmi, layer: int) -> tuple[int, ...]:
-    """Doppler shift indices n4^(tau); the reference shift is always 0."""
+def decode_shifts(config: R18Config, pmi: R18Pmi) -> list[tuple[int, ...]]:
+    """Each layer's Doppler shift indices n4^(tau); the reference shift is
+    always 0."""
     i110 = enhanced.index_field(config, pmi, "i110", (
-        config.n4 - 1 if config.n4 > 1 else None), layer)
-    return (0,) if i110 is None else (0, i110 + 1)
+        config.n4 - 1 if config.n4 > 1 else None), per_layer=True)
+    return ([(0,)] * config.rank if i110 is None
+            else [(0, v + 1) for v in i110])
 
 
 def validate_budget(config: R18Config, pmi: R18Pmi) -> enhanced.Coefficients:
@@ -116,11 +118,10 @@ def validate_budget(config: R18Config, pmi: R18Pmi) -> enhanced.Coefficients:
 def reconstruct_all(config: R18Config, pmi: R18Pmi) -> np.ndarray:
     """Precoders for every (t, iota), shape (N3, N4, P, rank)."""
     coefficients = validate_budget(config, pmi)
-    layers = range(config.rank)
-    taps = [enhanced.decode_taps(config, pmi, layer) for layer in layers]
-    shifts = [decode_shifts(config, pmi, layer) for layer in layers]
     return enhanced.synthesize(config, coefficients,
-                               enhanced.selected_beams(config, pmi), taps, shifts)
+                               enhanced.selected_beams(config, pmi),
+                               enhanced.decode_taps(config, pmi),
+                               decode_shifts(config, pmi))
 
 
 def reconstruct(config: R18Config, pmi: R18Pmi, t: int, iota: int) -> np.ndarray:

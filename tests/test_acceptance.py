@@ -219,7 +219,7 @@ def test_06_compact_model_equivalence():
         eff = compact.spatial_effective_regular(GEOM, *pmi.i11, beams)
         full = compact.spatial_full_regular(GEOM, *pmi.i11)
         for sb in range(2):
-            w_c = type2_r15.layer_coefficients(cfg15, pmi, 0, sb)
+            w_c = type2_r15.layer_coefficients(cfg15, pmi)[sb, 0]
             wa = compact.compact_r15(eff, w_c)
             wb = compact.compact_r15(
                 full, compact.embed_sparse(w_c, beams, half))
@@ -233,10 +233,10 @@ def test_06_compact_model_equivalence():
     for _ in range(n):
         pmi = type2_r16.random_valid_pmi(cfg16, rng)
         beams = decode_combination(pmi.i12, half, cfg16.l)
-        taps = enhanced.decode_taps(cfg16, pmi, 0)
+        taps = enhanced.decode_taps(cfg16, pmi)[0]
         eff_s = compact.spatial_effective_regular(GEOM, *pmi.i11, beams)
         eff_f = compact.frequency_effective(cfg16.n3, taps)
-        w_c = enhanced.layer_coefficients(cfg16, pmi, 0)
+        w_c = enhanced.layer_coefficients(cfg16, pmi)[0]
         wa = compact.compact_r16(eff_s, w_c, eff_f)
         wb = compact.compact_r16(
             compact.spatial_full_regular(GEOM, *pmi.i11),
@@ -255,7 +255,7 @@ def test_06_compact_model_equivalence():
         taps = type2_r17.decode_tap_offset(cfg17, pmi)
         eff_s = compact.spatial_effective_ps(cfg17.p_csirs, ports)
         eff_f = compact.frequency_effective(cfg17.n3, taps)
-        w_c = enhanced.layer_coefficients(cfg17, pmi, 0)
+        w_c = enhanced.layer_coefficients(cfg17, pmi)[0]
         wa = compact.compact_r16(eff_s, w_c, eff_f)
         wb = compact.compact_r16(
             compact.spatial_full_ps(cfg17.p_csirs),
@@ -272,12 +272,12 @@ def test_06_compact_model_equivalence():
     for _ in range(n):
         pmi = type2_r18.random_valid_pmi(cfg18, rng)
         beams = decode_combination(pmi.i12, half, cfg18.l)
-        taps = enhanced.decode_taps(cfg18, pmi, 0)
-        shifts = type2_r18.decode_shifts(cfg18, pmi, 0)
+        taps = enhanced.decode_taps(cfg18, pmi)[0]
+        shifts = type2_r18.decode_shifts(cfg18, pmi)[0]
         eff_s = compact.spatial_effective_regular(GEOM, *pmi.i11, beams)
         eff_f = compact.frequency_effective(cfg18.n3, taps)
         eff_t = compact.temporal_effective(cfg18.n4, shifts)
-        core = enhanced.layer_coefficients(cfg18, pmi, 0)
+        core = enhanced.layer_coefficients(cfg18, pmi)[0]
         wa = compact.compact_r18_tucker(core, eff_s, eff_f, eff_t)
         sparse = compact.embed_sparse(core, beams, half, (taps, cfg18.n3),
                                       (shifts, cfg18.n4))

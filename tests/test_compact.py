@@ -143,7 +143,7 @@ def test_protocol_equivalence_r15():
         eff = spatial_effective_regular(GEOM, *pmi.i11, beams)
         for sb in range(cfg.subband_count):
             w_proto = type2_r15.reconstruct(cfg, pmi, sb)[:, 0]
-            w_c = type2_r15.layer_coefficients(cfg, pmi, 0, sb)
+            w_c = type2_r15.layer_coefficients(cfg, pmi)[sb, 0]
             w_cmp = compact_r15(eff, w_c)
             np.testing.assert_allclose(normalized(w_cmp), normalized(w_proto),
                                        atol=1e-9)
@@ -156,10 +156,10 @@ def test_protocol_equivalence_r16():
     for _ in range(20):
         pmi = type2_r16.random_valid_pmi(cfg, rng)
         beams = decode_combination(pmi.i12, half, cfg.l)
-        taps = enhanced.decode_taps(cfg, pmi, 0)
+        taps = enhanced.decode_taps(cfg, pmi)[0]
         eff_s = spatial_effective_regular(GEOM, *pmi.i11, beams)
         eff_f = frequency_effective(cfg.n3, taps)
-        w_c = enhanced.layer_coefficients(cfg, pmi, 0)
+        w_c = enhanced.layer_coefficients(cfg, pmi)[0]
         w_cmp = compact_r16(eff_s, w_c, eff_f)
         w_proto = type2_r16.reconstruct_all(cfg, pmi)
         for t in range(cfg.n3):
@@ -177,7 +177,7 @@ def test_protocol_equivalence_r17():
         taps = type2_r17.decode_tap_offset(cfg, pmi)
         eff_s = spatial_effective_ps(cfg.p_csirs, ports)
         eff_f = frequency_effective(cfg.n3, taps)
-        w_c = enhanced.layer_coefficients(cfg, pmi, 0)
+        w_c = enhanced.layer_coefficients(cfg, pmi)[0]
         w_cmp = compact_r16(eff_s, w_c, eff_f)
         w_proto = type2_r17.reconstruct_all(cfg, pmi)
         for t in range(cfg.n3):
@@ -198,12 +198,12 @@ def test_protocol_equivalence_r18_tucker():
     for _ in range(20):
         pmi = type2_r18.random_valid_pmi(cfg, rng)
         beams = decode_combination(pmi.i12, half, cfg.l)
-        taps = enhanced.decode_taps(cfg, pmi, 0)
-        shifts = type2_r18.decode_shifts(cfg, pmi, 0)
+        taps = enhanced.decode_taps(cfg, pmi)[0]
+        shifts = type2_r18.decode_shifts(cfg, pmi)[0]
         eff_s = spatial_effective_regular(GEOM, *pmi.i11, beams)
         eff_f = frequency_effective(cfg.n3, taps)
         eff_t = temporal_effective(cfg.n4, shifts)
-        core = enhanced.layer_coefficients(cfg, pmi, 0)[:, :, :len(shifts)]
+        core = enhanced.layer_coefficients(cfg, pmi)[0][:, :, :len(shifts)]
         w_cmp = compact_r18_tucker(core, eff_s, eff_f, eff_t)
         w_proto = type2_r18.reconstruct_all(cfg, pmi)
         for t in range(cfg.n3):

@@ -44,7 +44,7 @@ def sample(name, seed=0):
     rng = np.random.default_rng(seed)
     while True:
         pmi = cli.sample_pmi(release, config, rng).pmi
-        i_star, s_star = enhanced.strongest(config, pmi, 0)
+        i_star, s_star = enhanced.strongest(config, pmi)[0]
         star = enhanced.strongest_cell(config, i_star, s_star)
         cells = [tuple(int(i) for i in cell) for cell in
                  zip(*np.nonzero(enhanced.grid(pmi.bitmap)[0]))
@@ -66,7 +66,7 @@ def _weak_k1(value):
     """Set the k1 of the polarization without the strongest coefficient."""
     def mutate(config, pmi, cell):
         k1 = np.array(pmi.k1)
-        i_star, _ = enhanced.strongest(config, pmi, 0)
+        i_star, _ = enhanced.strongest(config, pmi)[0]
         k1[0, 1 - i_star // config.l] = value
         return dataclasses.replace(pmi, k1=k1)
     return mutate
@@ -305,8 +305,8 @@ def synthesis_inputs(release, config, pmi):
                                 type2_r17.decode_ports(config, pmi))
         return v, [type2_r17.decode_tap_offset(config, pmi)] * config.rank, \
             None
-    taps = [enhanced.decode_taps(config, pmi, layer) for layer in layers]
-    shifts = ([type2_r18.decode_shifts(config, pmi, layer) for layer in layers]
+    taps = [enhanced.decode_taps(config, pmi)[layer] for layer in layers]
+    shifts = ([type2_r18.decode_shifts(config, pmi)[layer] for layer in layers]
               if release == "r18" else None)
     return enhanced.selected_beams(config, pmi), taps, shifts
 

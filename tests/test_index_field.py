@@ -50,8 +50,8 @@ def test_index_field_reads_a_field_and_one_layer_of_it():
     pmi = report(R18, type2_r18)
     assert enhanced.index_field(R18, pmi, "i12", 2 ** 40) == pmi.i12
     for layer in range(R18.rank):
-        assert enhanced.index_field(R18, pmi, "i110", 3, layer) == \
-            pmi.i110[layer]
+        assert enhanced.index_field(R18, pmi, "i110", 3, per_layer=True)[
+            layer] == pmi.i110[layer]
     assert enhanced.index_field(R18, pmi, "i15", None) is None
 
 
@@ -69,16 +69,13 @@ def test_index_field_reads_a_field_and_one_layer_of_it():
     ("i12", True, 5, None, FormatError, r"^i_1,2=True outside \[0, 5\)$"),
     ("i12", 2.0, 5, None, FormatError, r"^i_1,2=2.0 outside \[0, 5\)$"),
     ("i12", (2,), 5, None, FormatError, r"^i_1,2=\(2,\) outside \[0, 5\)$"),
-    # the layer is checked first, even where the field is malformed
-    ("i110", None, 3, 2, DomainError, r"^layer 2 outside \[0, 2\)$"),
-    ("i110", (0, 0), 3, -1, DomainError, r"^layer -1 outside \[0, 2\)$"),
-    ("i110", (0, 0), 3, 1.0, DomainError, r"^layer 1.0 outside \[0, 2\)$"),
 ])
 def test_index_field_names_the_field_it_rejects(name, value, count, layer,
                                                 error, match):
     pmi = replace(report(R18, type2_r18), **{name: value})
     with pytest.raises(error, match=match):
-        enhanced.index_field(R18, pmi, name, count, layer)
+        enhanced.index_field(R18, pmi, name, count,
+                             per_layer=layer is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -90,16 +87,16 @@ def test_decode_shifts_rejects_a_malformed_i110(i110):
     # TypeError
     pmi = replace(report(R18_RANK1, type2_r18), i110=i110)
     with pytest.raises(FormatError, match=r"^i_1,10"):
-        type2_r18.decode_shifts(R18_RANK1, pmi, 0)
+        type2_r18.decode_shifts(R18_RANK1, pmi)[0]
 
 
 def test_decode_shifts_reads_i110_only_when_n4_exceeds_1():
     pmi = report(R18_N4_1, type2_r18)
-    assert type2_r18.decode_shifts(R18_N4_1, pmi, 1) == (0,)
+    assert type2_r18.decode_shifts(R18_N4_1, pmi)[1] == (0,)
     with pytest.raises(FormatError, match=r"^i_1,10 must be absent$"):
-        type2_r18.decode_shifts(R18_N4_1, replace(pmi, i110=(0, 0)), 0)
+        type2_r18.decode_shifts(R18_N4_1, replace(pmi, i110=(0, 0)))[0]
     pmi = report(R18, type2_r18)
-    assert type2_r18.decode_shifts(R18, pmi, 1) == (0, pmi.i110[1] + 1)
+    assert type2_r18.decode_shifts(R18, pmi)[1] == (0, pmi.i110[1] + 1)
 
 
 @pytest.mark.parametrize("i16", [(1.0, 0), 3, (), (0,), (True, 0)])
@@ -107,7 +104,7 @@ def test_decode_taps_rejects_a_malformed_i16(i16):
     # (1.0,) decoded as tap index 1; 3 raised TypeError and () IndexError
     pmi = replace(report(R16, type2_r16), i16=i16)
     with pytest.raises(FormatError, match=r"^i_1,6"):
-        enhanced.decode_taps(R16, pmi, 0)
+        enhanced.decode_taps(R16, pmi)[0]
 
 
 def test_m_initial_reads_i15_in_window_mode_only():
@@ -122,19 +119,11 @@ def test_m_initial_reads_i15_in_window_mode_only():
         enhanced.m_initial(R16, replace(report(R16, type2_r16), i15=0))
 
 
-@pytest.mark.parametrize("layer", [2, -1, 1.0, True])
-def test_strongest_rejects_a_layer_outside_the_rank(layer):
-    # layer 2 raised IndexError and layer -1 read the last layer
-    pmi = report(R16, type2_r16)
-    with pytest.raises(DomainError, match=r"^layer"):
-        enhanced.strongest(R16, pmi, layer)
-
-
 @pytest.mark.parametrize("i18", [(1.5, 0), (0,), None, (True, 0), (-1, 0)])
 def test_strongest_rejects_a_malformed_i18(i18):
     pmi = replace(report(R16, type2_r16), i18=i18)
     with pytest.raises(FormatError, match=r"^i_1,8"):
-        enhanced.strongest(R16, pmi, 0)
+        enhanced.strongest(R16, pmi)[0]
 
 
 def test_strongest_reads_the_bitmap_as_validate_budget_does():
@@ -143,9 +132,9 @@ def test_strongest_reads_the_bitmap_as_validate_budget_does():
     pmi = report(R16, type2_r16)
     for bitmap in (pmi.bitmap[:1], pmi.bitmap[:, :-1], pmi.bitmap.tolist()[:1]):
         with pytest.raises(FormatError, match=r"^bitmap must have shape"):
-            enhanced.strongest(R16, replace(pmi, bitmap=bitmap), 1)
+            enhanced.strongest(R16, replace(pmi, bitmap=bitmap))[1]
     with pytest.raises(FormatError, match=r"^bitmap must be an integer"):
-        enhanced.strongest(R16, replace(pmi, bitmap=pmi.bitmap * 1.0), 0)
+        enhanced.strongest(R16, replace(pmi, bitmap=pmi.bitmap * 1.0))[0]
 
 
 def test_r17_i12_is_absent_when_alpha_is_1():
@@ -224,10 +213,60 @@ def test_canonicalize_and_reporting_mask_check_i13(i13, error):
         type2_r15.reporting_mask(R15, pmi.k1, i13)
 
 
+R15_RANK2 = type2_r15.T2R15Config(l=2, rank=2, subband_count=2, geom=GEOM)
+
+
+def test_canonicalize_rejects_a_k1_of_another_shape():
+    # a (1, 4) k1 raised a bare IndexError
+    pmi = report(R15_RANK2, type2_r15)
+    with pytest.raises(FormatError, match=r"^k1 must have shape \(2, 4\)$"):
+        type2_r15.canonicalize(R15_RANK2, replace(pmi, k1=pmi.k1[:1]))
+
+
+@pytest.mark.parametrize("field, change", [("k1", 1.5), ("c", 0.4)])
+def test_canonicalize_rejects_a_float_array(field, change):
+    # k1 * 1.5 and c + 0.4 were truncated to integers
+    pmi = report(R15_RANK2, type2_r15)
+    a = getattr(pmi, field)
+    bad = a * change if field == "k1" else a + change
+    with pytest.raises(FormatError, match=f"^{field} must be an integer array"):
+        type2_r15.canonicalize(R15_RANK2, replace(pmi, **{field: bad}))
+
+
+def test_canonicalize_rejects_a_k2_of_another_shape():
+    # a (2, 1, 4) k2 came back as it was, and a (2, 2, 4, 1) one was
+    # broadcast to (2, 2, 4, 4)
+    pmi = report(R15_RANK2, type2_r15)
+    for k2 in (pmi.k2[:, :1], pmi.k2[..., None]):
+        with pytest.raises(FormatError, match=r"^k2 must have shape"):
+            type2_r15.canonicalize(R15_RANK2, replace(pmi, k2=k2))
+
+
+def test_reporting_mask_rejects_a_k1_it_cannot_read():
+    # a (1, 4) k1 gave a (1, 4) mask and a (2, 2) k1 a (2, 2) mask, both
+    # for a rank-2, L = 2 config; a float k1 was read as it was
+    pmi = report(R15_RANK2, type2_r15)
+    for k1 in (pmi.k1[:1], pmi.k1[:, :2]):
+        with pytest.raises(FormatError, match=r"^k1 must have shape"):
+            type2_r15.reporting_mask(R15_RANK2, k1, pmi.i13)
+    with pytest.raises(FormatError, match=r"^k1 must be an integer array"):
+        type2_r15.reporting_mask(R15_RANK2, pmi.k1 * 1.0, pmi.i13)
+    found = type2_r15.reporting_mask(R15_RANK2, pmi.k1, pmi.i13)
+    assert [a.shape for a in found] == [(2, 4), (2, 4)]
+
+
+def test_m_initial_reads_a_numpy_unsigned_i15_without_wrapping():
+    # np.uint8(1) - 2Mv wrapped to 256 + 1 - 2Mv
+    pmi = report(R16_WINDOW, type2_r16)
+    mv = R16_WINDOW.mv
+    assert enhanced.m_initial(R16_WINDOW, replace(pmi, i15=np.uint8(1))) == \
+        1 - 2 * mv
+
+
 def test_encode_strongest_rejects_a_cell_off_the_plane():
     # (99, 0) and (0, 5) gave i18 values past the plane of a rank-2 layer
     pmi = report(R16, type2_r16)
-    i_star, s_star = enhanced.strongest(R16, pmi, 0)
+    i_star, s_star = enhanced.strongest(R16, pmi)[0]
     assert enhanced.encode_strongest(R16, pmi.bitmap[0], i_star,
                                      s_star) == pmi.i18[0]
     for cell in ((99, 0), (0, 5), (-1, 0), (0, -1), (1.0, 0)):
@@ -252,18 +291,18 @@ def test_encode_strongest_rejects_an_unreported_cell_when_prefix_coded():
 # ---------------------------------------------------------------------------
 # fuzz: every reader returns or raises a CodebookError
 
-def _readers(config, pmi, layer):
+def _readers(config, pmi):
     """The public readers of ``config``'s index fields, as thunks."""
     if isinstance(config, type2_r17.R17Config):
         return [lambda: type2_r17.decode_ports(config, pmi),
                 lambda: type2_r17.decode_tap_offset(config, pmi),
-                lambda: enhanced.strongest(config, pmi, layer)]
+                lambda: enhanced.strongest(config, pmi)]
     readers = [lambda: enhanced.m_initial(config, pmi),
-               lambda: enhanced.decode_taps(config, pmi, layer),
-               lambda: enhanced.strongest(config, pmi, layer),
+               lambda: enhanced.decode_taps(config, pmi),
+               lambda: enhanced.strongest(config, pmi),
                lambda: enhanced.beam_grid_indices(config, pmi)]
     if isinstance(config, type2_r18.R18Config):
-        readers.append(lambda: type2_r18.decode_shifts(config, pmi, layer))
+        readers.append(lambda: type2_r18.decode_shifts(config, pmi))
     return readers
 
 
@@ -291,10 +330,8 @@ def test_every_reader_returns_or_raises_a_codebook_error(name, data):
                           "bitmap") if hasattr(pmi, f)]
     field = data.draw(st.sampled_from(fields))
     value = data.draw(VALUES)
-    layer = data.draw(st.one_of(st.integers(-1, config.rank),
-                                st.sampled_from([1.0, True, None])))
     bad = replace(pmi, **{field: value})
-    for read in _readers(config, bad, layer):
+    for read in _readers(config, bad):
         try:
             read()
         except CodebookError:

@@ -293,7 +293,7 @@ def reconstruct_all_r18_ref(config, pmi):
         ("i110",) if config.n4 > 1 else ()))
     layers = range(config.rank)
     taps = [decode_taps_ref(config, pmi, layer) for layer in layers]
-    shifts = [type2_r18.decode_shifts(config, pmi, layer) for layer in layers]
+    shifts = [type2_r18.decode_shifts(config, pmi)[layer] for layer in layers]
     return synthesize_ref(config, pmi, selected_beams_ref(config, pmi),
                           taps, shifts)
 

@@ -395,7 +395,7 @@ def test_tap_map_keeps_the_first_occurrence_rule(config):
                 else rng.integers(count, size=300).tolist())
         for i16 in i16s:
             taps = enhanced.decode_taps(
-                config, SimpleNamespace(i15=i15, i16=(i16,)), 0)
+                config, SimpleNamespace(i15=i15, i16=(i16,)))[0]
             expected = outcome(encode_taps_oracle, config, taps, m_init)
             found = outcome(enhanced.encode_taps, config, taps, m_init)
             if isinstance(expected, tuple):
@@ -405,7 +405,7 @@ def test_tap_map_keeps_the_first_occurrence_rule(config):
                 continue
             assert found == (expected, i15)
             assert enhanced.decode_taps(
-                config, SimpleNamespace(i15=i15, i16=(expected,)), 0) == taps
+                config, SimpleNamespace(i15=i15, i16=(expected,)))[0] == taps
     # only the wrap repeats taps
     assert (repeats > 0) == (2 * mv > config.n3)
 

@@ -88,7 +88,7 @@ def test_subband_amplitude_disabled_forces_unit_p2():
     rng = np.random.default_rng(1)
     pmi = random_valid_pmi(cfg, rng)
     assert np.all(pmi.k2 == 1)
-    a = layer_coefficients(cfg, pmi, 0, 0)
+    a = layer_coefficients(cfg, pmi)[0, 0]
     p1 = np.array([amp_r15_wideband(k) for k in pmi.k1[0]])
     np.testing.assert_allclose(np.abs(a), p1, atol=1e-12)
 
@@ -252,7 +252,7 @@ def test_reconstruction_matches_the_per_subband_oracle_bit_for_bit(
             pmi = random_valid_pmi(cfg, rng)
             v = selected_beams(cfg, pmi)
             expected = [precoder_oracle(cfg, v, np.array(
-                [layer_coefficients(cfg, pmi, layer, sb)
+                [layer_coefficients(cfg, pmi)[sb, layer]
                  for layer in range(rank)])) for sb in range(n_sb)]
             assert same_bits(reconstruct_all(cfg, pmi), np.stack(expected))
             sb = int(rng.integers(n_sb))
@@ -285,26 +285,13 @@ def test_subband_outside_the_report_is_rejected(subband):
         reconstruct(cfg, pmi, subband)
 
 
-@pytest.mark.parametrize("layer, subband, name", [
-    (0, 2, "subband 2"), (0, -1, "subband -1"), (1, 0, "layer 1"),
-    (-1, 0, "layer -1")])
-def test_layer_coefficients_rejects_an_index_outside_the_report(layer, subband,
-                                                                name):
-    # a rank-1, two-subband report: no layer 1, no subband 2, and -1 is not
-    # a way to name the last one
-    cfg = simple_config(subband_count=2)
-    pmi = random_valid_pmi(cfg, np.random.default_rng(0))
-    with pytest.raises(DomainError, match=f"{name} outside"):
-        layer_coefficients(cfg, pmi, layer, subband)
-
-
 def test_layer_coefficients_validates_the_report():
     cfg = simple_config(subband_count=2)
     pmi = random_valid_pmi(cfg, np.random.default_rng(0))
     k1 = np.array(pmi.k1)
     k1[0, 0] = 9
     with pytest.raises(DomainError, match="k1 outside"):
-        layer_coefficients(cfg, replace(pmi, k1=k1), 0, 0)
+        layer_coefficients(cfg, replace(pmi, k1=k1))[0, 0]
 
 
 def test_subset_restriction_decode():

@@ -10,7 +10,6 @@ from nrpmi.enhanced import (
     decode_taps,
     encode_strongest,
     encode_taps,
-    layer_coefficients,
     strongest,
     tap_choices,
 )
@@ -93,7 +92,7 @@ def test_tap_decode_mv1():
     cfg1 = make_config(param_combination=1, n3=4)  # Mv=1
     assert cfg1.mv == 1
     pmi = minimal_pmi(cfg1)
-    assert decode_taps(cfg1, pmi, 0) == (0,)
+    assert decode_taps(cfg1, pmi)[0] == (0,)
 
 
 def brute_force_tap_sets(config):
@@ -125,7 +124,7 @@ def test_tap_roundtrip_bijective(n3, combo, r):
             pmi = minimal_pmi(cfg)
             pmi = R16Pmi(pmi.i11, pmi.i12, None, (i16,), pmi.i18,
                          pmi.bitmap, pmi.k1, pmi.k2, pmi.c)
-            taps = decode_taps(cfg, pmi, 0)
+            taps = decode_taps(cfg, pmi)[0]
             assert taps[0] == 0 and len(set(taps)) == mv
             assert encode_taps(cfg, taps)[0] == i16
             seen.add(taps)
@@ -138,7 +137,7 @@ def test_tap_roundtrip_bijective(n3, combo, r):
                 pmi = minimal_pmi(cfg)
                 pmi = R16Pmi(pmi.i11, pmi.i12, i15, (i16,), pmi.i18,
                              pmi.bitmap, pmi.k1, pmi.k2, pmi.c)
-                taps = decode_taps(cfg, pmi, 0)
+                taps = decode_taps(cfg, pmi)[0]
                 assert taps[0] == 0 and len(set(taps)) == mv
                 got_i16, got_i15 = encode_taps(cfg, taps, m_init)
                 assert (got_i16, got_i15) == (i16, i15)
@@ -156,7 +155,7 @@ def test_window_adjustment_example():
     pmi = minimal_pmi(cfg)
     pmi = R16Pmi(pmi.i11, pmi.i12, 1, (0,), pmi.i18,
                  pmi.bitmap, pmi.k1, pmi.k2, pmi.c)
-    taps = decode_taps(cfg, pmi, 0)
+    taps = decode_taps(cfg, pmi)[0]
     assert taps[0] == 0
     # M_initial = 1 - 10 = -9: every decoded raw tap 1..9 > 0 wraps up
     assert all(t == 0 or t >= 27 for t in taps)
@@ -184,16 +183,6 @@ def test_encode_taps_rejects_a_tap_outside_the_window():
     # an unhashable entry is no tap either, not a TypeError
     with pytest.raises(DomainError, match=r"tap \[4\] outside"):
         encode_taps(cfg, (0, 1, [4]))
-
-
-@pytest.mark.parametrize("layer", [1, -1])
-@pytest.mark.parametrize("accessor", [decode_taps, layer_coefficients])
-def test_per_layer_accessors_reject_a_layer_outside_the_report(accessor,
-                                                                layer):
-    cfg = make_config()
-    pmi = random_valid_pmi(cfg, np.random.default_rng(0))
-    with pytest.raises(DomainError, match=f"layer {layer} outside"):
-        accessor(cfg, pmi, layer)
 
 
 def test_single_coefficient_is_one_beam():
@@ -235,7 +224,7 @@ def test_strongest_indicator_branches():
     cfg = make_config(rank=2)
     pmi = minimal_pmi(cfg, i_star=3)
     assert pmi.i18 == (3, 3)
-    assert strongest(cfg, pmi, 0) == (3, 0)
+    assert strongest(cfg, pmi)[0] == (3, 0)
     # rank 1: prefix count over the tap-0 bitmap column
     cfg1 = make_config(rank=1)
     pmi1 = minimal_pmi(cfg1, i_star=2)
@@ -245,7 +234,7 @@ def test_strongest_indicator_branches():
     pmi1 = R16Pmi(pmi1.i11, pmi1.i12, pmi1.i15, pmi1.i16, (1,),
                   bitmap, pmi1.k1,
                   _with(pmi1.k2, (0, 0, 0), 3), _with(pmi1.c, (0, 0, 0), 5))
-    assert strongest(cfg1, pmi1, 0) == (2, 0)
+    assert strongest(cfg1, pmi1)[0] == (2, 0)
     validate_budget(cfg1, pmi1)
 
 
@@ -283,7 +272,7 @@ def test_defaults_after_generation():
         pmi = random_valid_pmi(cfg, rng)
         validate_budget(cfg, pmi)
         for layer in range(2):
-            i_star, _ = strongest(cfg, pmi, layer)
+            i_star, _ = strongest(cfg, pmi)[layer]
             assert pmi.k1[layer, i_star // cfg.l] == 15
             assert pmi.k2[layer, i_star, 0] == 7
             assert pmi.c[layer, i_star, 0] == 0
@@ -296,7 +285,7 @@ def test_i16_out_of_range():
     bad = R16Pmi(pmi.i11, pmi.i12, pmi.i15, (binomial(7, 1),), pmi.i18,
                  pmi.bitmap, pmi.k1, pmi.k2, pmi.c)
     with pytest.raises(FormatError):
-        decode_taps(cfg, bad, 0)
+        decode_taps(cfg, bad)[0]
 
 
 @pytest.mark.parametrize("kw, match", [

@@ -125,7 +125,7 @@ def test_m1_frequency_flat():
 def test_strongest_indicator():
     cfg = make_config(param_combination=7)
     pmi = random_valid_pmi(cfg, np.random.default_rng(6))
-    i_star, f_star = strongest(cfg, pmi, 0)
+    i_star, f_star = strongest(cfg, pmi)[0]
     assert pmi.i18[0] == cfg.k1_beams * f_star + i_star
     assert pmi.bitmap[0, i_star, f_star] == 1
     assert pmi.k2[0, i_star, f_star] == 7
