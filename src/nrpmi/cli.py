@@ -51,12 +51,6 @@ class Release:
         """(config, report) -> bit string; None for Type I."""
         return getattr(self.module, "serialize_pmi", None)
 
-    @property
-    def random_report(self) -> Callable | None:
-        """(config, rng) -> (report, precoders), for the releases whose
-        draw reconstructs its report to redraw a degenerate one; else None."""
-        return getattr(self.module, "random_report", None)
-
 
 _PORTS = {"variant": PORT_SELECTION, "d": 1}
 RELEASES = {
@@ -157,30 +151,24 @@ def build_release_config(release: str, cfg: dict):
 
 
 class Sample(typing.NamedTuple):
-    """A random valid report and, where its draw built them (Rel-16 to
-    Rel-18), its precoders as ``reconstruct_all`` gives them; else None."""
+    """A random valid report and its precoders as ``reconstruct_all``
+    gives them."""
 
     pmi: object
-    precoders: np.ndarray | None
+    precoders: np.ndarray
 
 
 def sample_pmi(release: str, config, rng) -> Sample:
-    rel = _release(release)
-    if rel.random_report is not None:
-        return Sample(*rel.random_report(config, rng))
-    return Sample(rel.module.random_valid_pmi(config, rng), None)
+    return Sample(*_release(release).module.random_report(config, rng))
 
 
 def expected_precoders(release: str, config, pmi) -> np.ndarray:
     """Precoders indexed (t, iota, port, layer); t is the subband or the
     frequency unit, and only Rel-18 has more than one slot interval.
-    ``pmi`` is a report, or a ``Sample`` whose precoders, when it holds
-    them, are not built again."""
-    ws = None
-    if isinstance(pmi, Sample):
-        pmi, ws = pmi
-    if ws is None:
-        ws = _release(release).module.reconstruct_all(config, pmi)
+    ``pmi`` is a report, or a ``Sample`` whose precoders are not built
+    again."""
+    ws = (pmi.precoders if isinstance(pmi, Sample)
+          else _release(release).module.reconstruct_all(config, pmi))
     return ws if ws.ndim == 4 else ws[:, None]
 
 
@@ -269,6 +257,9 @@ def cmd_validate(args) -> int:
                 if expected.dtype.kind not in "iuf":
                     raise ValueError("expected must hold numbers, got "
                                      f"{expected.dtype}")
+                if expected.shape[-1:] != (2,):
+                    raise ValueError("expected must hold (real, imag) "
+                                     f"pairs, got shape {expected.shape}")
                 expected = expected[..., 0] + 1j * expected[..., 1]
                 if not np.isfinite(expected).all():
                     raise ValueError("expected holds a non-finite entry")
@@ -371,8 +362,11 @@ def _integer(low: int) -> Callable[[str], int]:
 
 
 def floats(text: str) -> list[float]:
-    """A comma-separated list of numbers, as ``--snr`` takes them."""
-    return [float(s) for s in text.split(",")]
+    """A comma-separated list of finite numbers, as ``--snr`` takes them."""
+    values = [float(s) for s in text.split(",")]
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"must hold finite numbers, got {text}")
+    return values
 
 
 @functools.cache

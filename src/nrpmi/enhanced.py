@@ -605,7 +605,7 @@ def basis_stage(config, v: np.ndarray, ct: np.ndarray,
 
 def check_index(name: str, value, count: int) -> None:
     """Reject ``value`` unless it is an integer index into ``count`` items
-    (a subband, frequency unit, slot interval or grid cell), naming it."""
+    (a subband, a beam or a grid cell), naming it."""
     if not (is_index(value) and 0 <= value < count):
         raise DomainError(f"{name} {value} outside [0, {count})")
 
@@ -628,13 +628,6 @@ def index_field(config, pmi, name: str, count: int | None,
         if not (is_index(v) and 0 <= v < count):
             raise FormatError(f"i_1,{name[2:]}={v} outside [0, {count})")
     return value
-
-
-def check_point(config, t: int, iota: int | None = None) -> None:
-    """Range-check a frequency unit (and slot interval)."""
-    check_index("frequency unit", t, config.n3)
-    if iota is not None:
-        check_index("slot interval", iota, config.n4)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,12 @@ def build_precoder(config: Type1Config, pmi: Type1Pmi, subband: int = 0,
     return book.precoders[row, i2].copy()
 
 
+def random_report(config: Type1Config, rng: np.random.Generator):
+    """A ``random_valid_pmi`` report and its precoders (``reconstruct_all``)."""
+    pmi = random_valid_pmi(config, rng)
+    return pmi, reconstruct_all(config, pmi)
+
+
 def random_valid_pmi(config: Type1Config, rng: np.random.Generator) -> Type1Pmi:
     """Draw a uniformly random valid report (i_1,3 first, rank 2 only)."""
     i13 = int(rng.integers(i13_range(config.geom))) if config.rank == 2 else None

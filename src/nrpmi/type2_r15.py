@@ -382,6 +382,12 @@ def random_valid_pmi(config: T2R15Config, rng: np.random.Generator,
     return canonicalize(config, T2R15Pmi(i11, i12, i13, k1, k2, c))
 
 
+def random_report(config: T2R15Config, rng: np.random.Generator):
+    """A ``random_valid_pmi`` report and its precoders (``reconstruct_all``)."""
+    pmi = random_valid_pmi(config, rng)
+    return pmi, reconstruct_all(config, pmi)
+
+
 def _subband_targets(channel: np.ndarray, n_sb: int, rank: int):
     """Dominant eigenvectors of H^H H per subband, (rank, n_sb, P), and over
     the whole band, (rank, 1, P), from one stacked eigh."""

@@ -117,12 +117,6 @@ def reconstruct_all(config: R16Config, pmi: R16Pmi) -> np.ndarray:
                                enhanced.decode_taps(config, pmi))
 
 
-def reconstruct(config: R16Config, pmi: R16Pmi, t: int) -> np.ndarray:
-    """Precoding matrix (P, rank) for frequency unit t."""
-    enhanced.check_point(config, t)
-    return reconstruct_all(config, pmi)[t]
-
-
 def random_report(config: R16Config, rng: np.random.Generator):
     """A random internally consistent report and its precoders
     (``reconstruct_all``).

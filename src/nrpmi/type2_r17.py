@@ -156,11 +156,6 @@ def reconstruct_all(config: R17Config, pmi: R17Pmi) -> np.ndarray:
     return enhanced.synthesize(config, coefficients, v, [taps] * config.rank)
 
 
-def reconstruct(config: R17Config, pmi: R17Pmi, t: int) -> np.ndarray:
-    enhanced.check_point(config, t)
-    return reconstruct_all(config, pmi)[t]
-
-
 def random_report(config: R17Config, rng: np.random.Generator):
     """A random internally consistent report, redrawn while degenerate, and
     its precoders (``reconstruct_all``)."""

@@ -124,12 +124,6 @@ def reconstruct_all(config: R18Config, pmi: R18Pmi) -> np.ndarray:
                                decode_shifts(config, pmi))
 
 
-def reconstruct(config: R18Config, pmi: R18Pmi, t: int, iota: int) -> np.ndarray:
-    """Precoding matrix (P, rank) for frequency unit t and slot interval iota."""
-    enhanced.check_point(config, t, iota)
-    return reconstruct_all(config, pmi)[t, iota]
-
-
 def random_report(config: R18Config, rng: np.random.Generator):
     """A random internally consistent report, redrawn while degenerate, and
     its precoders (``reconstruct_all``)."""

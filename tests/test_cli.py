@@ -201,7 +201,9 @@ def test_r18_config_ignores_d_slots(tmp_path, capsys):
 @pytest.mark.parametrize("mutate,code", [
     (lambda expected: 5, 2),                     # no (real, imag) pairs
     (lambda expected: expected[:1] * 3, 1),      # not broadcast: a FAIL
-], ids=["scalar", "wrong-shape"])
+    # a third number after each (real, imag) pair
+    (lambda expected: np.insert(expected, 2, 123.0, axis=-1).tolist(), 2),
+], ids=["scalar", "wrong-shape", "padded"])
 def test_validate_checks_the_expected_shape(tmp_path, capsys, mutate, code):
     config = write_config(tmp_path, R16_CONFIG)
     out = str(tmp_path / "vectors.jsonl")
@@ -423,8 +425,15 @@ def test_unsupported_port_count_exit_code(tmp_path, capsys, release, config,
     ["gen-vectors", "--release", "r16", "--config", "{dir}",
      "--out", "{out}"],
     ["validate", "{dir}"],
+    ["simulate", "--snr", "nan", "--trials", "2", "--out", "{out}"],
+    ["simulate", "--snr", "0,inf", "--trials", "2", "--out", "{out}"],
+    ["simulate", "--snr=-inf", "--trials", "2", "--out", "{out}"],
+    ["simulate", "--snr", "1e400", "--trials", "2", "--out", "{out}"],
+    ["baselines", "--snr", "nan", "--trials", "2", "--out", "{out}"],
 ], ids=["gen-seed", "gen-samples", "sim-seed", "sim-snr", "base-snr", "sim-trials-neg",
-        "sim-trials-0", "base-trials-1", "config-dir", "vectors-dir"])
+        "sim-trials-0", "base-trials-1", "config-dir", "vectors-dir",
+        "sim-snr-nan", "sim-snr-inf", "sim-snr-neg-inf", "sim-snr-overflow",
+        "base-snr-nan"])
 def test_bad_arguments_exit_code(tmp_path, capsys, argv):
     names = {"config": write_config(tmp_path, R16_CONFIG),
              "out": str(tmp_path / "out.csv"), "dir": str(tmp_path)}
@@ -433,6 +442,8 @@ def test_bad_arguments_exit_code(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "usage:" in err or err.startswith("error:")
     assert "Traceback" not in err
+    if any(arg.startswith("--snr") for arg in argv):
+        assert "argument --snr:" in err
 
 
 def test_main_runs_two_subcommands_in_turn(tmp_path, capsys):
@@ -605,19 +616,16 @@ PER_POINT_CONFIGS = {
 @pytest.mark.parametrize("release", list(PER_POINT_CONFIGS))
 def test_expected_precoders_stack_the_per_point_calls(release, rank):
     import numpy as np
-    from nrpmi import cli, type1, type2_r15, type2_r16, type2_r17, type2_r18
+    from nrpmi import cli, type1, type2_r15
 
     assert set(PER_POINT_CONFIGS) == set(cli.RELEASES)
     config = cli.build_release_config(
         release, {**PER_POINT_CONFIGS[release], "rank": rank})
-    module = {"r16": type2_r16, "r16-ps": type2_r16, "r17-ps": type2_r17,
-              "r18": type2_r18}.get(release)
+    module = cli.RELEASES[release].module
     rng = np.random.default_rng(rank)
     for _ in range(3):
         sample = cli.sample_pmi(release, config, rng)
         pmi = sample.pmi
-        # a Rel-16 to Rel-18 draw hands on the precoders it built
-        assert (sample.precoders is not None) == (module is not None)
         if release == "r15-type1":
             points = [[type1.build_precoder(config, pmi, sb)]
                       for sb in range(config.subband_count)]
@@ -625,16 +633,38 @@ def test_expected_precoders_stack_the_per_point_calls(release, rank):
             points = [[type2_r15.reconstruct(config, pmi, sb)]
                       for sb in range(config.subband_count)]
         elif release == "r18":
-            points = [[module.reconstruct(config, pmi, t, iota)
-                       for iota in range(config.n4)]
+            ws = module.reconstruct_all(config, pmi)
+            points = [[ws[t, iota] for iota in range(config.n4)]
                       for t in range(config.n3)]
         else:
-            points = [[module.reconstruct(config, pmi, t)]
-                      for t in range(config.n3)]
+            ws = module.reconstruct_all(config, pmi)
+            points = [[ws[t]] for t in range(config.n3)]
         assert np.array_equal(cli.expected_precoders(release, config, pmi),
                               np.array(points))
         assert np.array_equal(cli.expected_precoders(release, config, sample),
                               np.array(points))
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("release", list(PER_POINT_CONFIGS))
+def test_random_report_is_the_draw_and_its_reconstruction(release, rank):
+    # every release draws through its module's random_report: the report
+    # random_valid_pmi draws from the same generator state, the generator
+    # left where random_valid_pmi leaves it, and reconstruct_all's precoders
+    from nrpmi import cli
+
+    config = cli.build_release_config(
+        release, {**PER_POINT_CONFIGS[release], "rank": rank})
+    module = cli.RELEASES[release].module
+    for seed in range(3):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        pmi, ws = module.random_report(config, rng)
+        expected = module.random_valid_pmi(config, twin)
+        assert cli.pmi_to_fields(pmi) == cli.pmi_to_fields(expected)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        rebuilt = module.reconstruct_all(config, pmi)
+        assert ws.dtype == rebuilt.dtype and ws.shape == rebuilt.shape
+        assert ws.tobytes() == rebuilt.tobytes()
 
 
 def test_release_serializer_is_the_module_function():

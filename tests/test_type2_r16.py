@@ -22,7 +22,6 @@ from nrpmi.type2_r16 import (
     R16Pmi,
     derive_n3,
     random_valid_pmi,
-    reconstruct,
     reconstruct_all,
     validate_budget,
 )
@@ -188,7 +187,7 @@ def test_encode_taps_rejects_a_tap_outside_the_window():
 def test_single_coefficient_is_one_beam():
     cfg = make_config()
     pmi = minimal_pmi(cfg, i_star=0)
-    w = reconstruct(cfg, pmi, 0)
+    w = reconstruct_all(cfg, pmi)[0]
     half = cfg.n_ports // 2
     assert np.linalg.norm(w[half:, 0]) < 1e-12
     assert abs(np.linalg.norm(w[:, 0]) - 1) < 1e-12

@@ -17,7 +17,6 @@ from nrpmi.type2_r17 import (
     decode_tap_offset,
     encode_ports,
     random_valid_pmi,
-    reconstruct,
     reconstruct_all,
     validate_budget,
 )
@@ -108,7 +107,7 @@ def test_single_coefficient_single_port():
     k2[0, 2, 0] = 7
     k1 = np.array([[15, 1]])
     pmi = R17Pmi(None, None, (2,), bitmap, k1, k2, c)
-    w = reconstruct(cfg, pmi, 0)
+    w = reconstruct_all(cfg, pmi)[0]
     expected = np.zeros(8)
     expected[2] = 1.0
     np.testing.assert_allclose(np.abs(w[:, 0]), expected, atol=1e-12)

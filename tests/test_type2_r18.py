@@ -15,7 +15,6 @@ from nrpmi.type2_r18 import (
     check_ri_restriction,
     decode_shifts,
     random_valid_pmi,
-    reconstruct,
     reconstruct_all,
     validate_budget,
 )
@@ -179,17 +178,6 @@ def test_budget_violation():
         validate_budget(cfg, R18Pmi(pmi.i11, pmi.i12, pmi.i15, pmi.i16,
                                     pmi.i18, pmi.i110, bitmap, pmi.k1, k2,
                                     pmi.c))
-
-
-def test_reconstruct_single_point():
-    cfg = make_config(n4=4)
-    pmi = random_valid_pmi(cfg, np.random.default_rng(9))
-    ws = reconstruct_all(cfg, pmi)
-    np.testing.assert_allclose(reconstruct(cfg, pmi, 3, 2), ws[3, 2], atol=0)
-    with pytest.raises(DomainError):
-        reconstruct(cfg, pmi, cfg.n3, 0)
-    with pytest.raises(DomainError):
-        reconstruct(cfg, pmi, 0, cfg.n4)
 
 
 @pytest.mark.parametrize("kw, match", [
