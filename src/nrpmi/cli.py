@@ -244,6 +244,10 @@ def cmd_gen_vectors(args) -> int:
 def cmd_validate(args) -> int:
     failures = 0
     count = 0
+    # gen-vectors writes one config into every record of a file, so each
+    # distinct config is built once; the key is its decoded text, since
+    # == would take 8.0 or true for 8
+    configs = {}
     with open(args.vectors) as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
@@ -251,7 +255,11 @@ def cmd_validate(args) -> int:
             try:
                 record = json.loads(line)
                 release = record["release"]
-                config = build_release_config(release, record["config"])
+                key = release, repr(record["config"])
+                if key not in configs:
+                    configs[key] = build_release_config(release,
+                                                        record["config"])
+                config = configs[key]
                 pmi = fields_to_pmi(release, record["pmi"])
                 expected = np.asarray(record["expected"])
                 if expected.dtype.kind not in "iuf":
@@ -361,11 +369,19 @@ def _integer(low: int) -> Callable[[str], int]:
     return integer
 
 
+# beyond this many dB the linear SNR overflows, underflows to 0 or makes
+# the beamformers singular
+SNR_DB_LIMIT = 100
+
+
 def floats(text: str) -> list[float]:
-    """A comma-separated list of finite numbers, as ``--snr`` takes them."""
+    """A comma-separated list of SNRs in [-SNR_DB_LIMIT, SNR_DB_LIMIT] dB,
+    as ``--snr`` takes them."""
     values = [float(s) for s in text.split(",")]
-    if not all(map(math.isfinite, values)):
-        raise argparse.ArgumentTypeError(f"must hold finite numbers, got {text}")
+    if not all(-SNR_DB_LIMIT <= v <= SNR_DB_LIMIT for v in values):
+        raise argparse.ArgumentTypeError(
+            f"must hold numbers in [-{SNR_DB_LIMIT}, {SNR_DB_LIMIT}] dB, "
+            f"got {text}")
     return values
 
 

@@ -67,24 +67,6 @@ SB_AMPS = np.array([qt.amp_r16_subband(k) for k in range(8)])
 PSK16 = qt.PSK[N_PSK16]
 
 
-class derived:
-    """A config property computed on its first read and then kept on the
-    instance, whose ``__dict__`` shadows this descriptor (a frozen
-    dataclass included).  ``functools.cached_property`` does the same but,
-    before Python 3.12, takes a lock on that first read, which made
-    reading a config built per record slower than computing its sizes
-    each time."""
-
-    def __init__(self, fn):
-        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
-
-    def __get__(self, config, owner=None):
-        if config is None:
-            return self
-        value = config.__dict__[self.name] = self.fn(config)
-        return value
-
-
 def compute_mv(p_v: float, n3: int, r: int) -> int:
     """Number of selected delay taps Mv = ceil(p_v * N3 / R)."""
     return math.ceil(p_v * n3 / r)
@@ -156,11 +138,11 @@ class CompressedConfig(SpatialConfig):
             raise DomainError(f"{self.PARAM_NAME} {self.param_combination} "
                               "forbids rank > 2")
 
-    @derived
+    @functools.cached_property
     def l(self) -> int:
         return self.PARAMS[self.param_combination][0]
 
-    @derived
+    @functools.cached_property
     def beta(self) -> float:
         return self.PARAMS[self.param_combination][3]
 
@@ -171,20 +153,20 @@ class CompressedConfig(SpatialConfig):
             raise DomainError("rank > 2 not supported by this combination")
         return value
 
-    @derived
+    @functools.cached_property
     def mv(self) -> int:
         return compute_mv(self.p_v(), self.n3, self.r)
 
-    @derived
+    @functools.cached_property
     def m1(self) -> int:
         return compute_mv(self.p_v(1), self.n3, self.r)
 
-    @derived
+    @functools.cached_property
     def window_mode(self) -> bool:
         """True when the two-level (i15 + window) tap indication applies."""
         return self.n3 > 19
 
-    @derived
+    @functools.cached_property
     def i16_count(self) -> int:
         return binomial(len(tap_choices(self)), self.mv - 1)
 

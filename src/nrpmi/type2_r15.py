@@ -41,7 +41,6 @@ from .enhanced import (  # noqa: F401 (PORT_SELECTION: a variant name)
 )
 from .errors import (
     ConsistencyError,
-    DegenerateReportError,
     DomainError,
     FormatError,
     RestrictionError,
@@ -233,13 +232,8 @@ def layer_coefficients(config: T2R15Config, pmi: T2R15Pmi) -> np.ndarray:
 
 def _beta(config: T2R15Config, coef: np.ndarray) -> np.ndarray:
     """Each layer's squared precoder norm before normalization, (...,
-    rank) for weights (..., rank, 2L); raises DegenerateReportError when
-    one is zero."""
-    beta = spatial_gain(config) * (np.abs(coef) ** 2).sum(axis=-1)
-    if (beta == 0).any():
-        layer = np.argwhere(beta == 0)[0][-1]
-        raise DegenerateReportError(f"layer {layer} has all-zero amplitudes")
-    return beta
+    rank) for weights (..., rank, 2L)."""
+    return spatial_gain(config) * (np.abs(coef) ** 2).sum(axis=-1)
 
 
 def _precoders(config: T2R15Config, v: np.ndarray,
@@ -428,18 +422,13 @@ def _candidate(config: T2R15Config, targets: np.ndarray, i11, i12,
                beams: np.ndarray, beam_caps: np.ndarray):
     """The quantized report of ``targets`` (rank, subbands, P) on ``beams``
     as a ``_choose`` candidate, its precoders built from the beams and the
-    quantized weights; None when the caps leave no admissible reference or
-    a layer's amplitudes are all zero."""
+    quantized weights; None when the caps leave no admissible reference."""
     quantized = _quantize_report(config, _beam_projections(
         targets, beams, spatial_gain(config)), i11, i12, beam_caps)
     if quantized is None:
         return None
     pmi, alphabet = quantized
     weights = _coefficients(config, pmi.k1, pmi.k2, pmi.c, alphabet)
-    try:
-        _beta(config, weights)
-    except DegenerateReportError:
-        return None
     return pmi, lambda: _precoders(config, beams, weights)
 
 

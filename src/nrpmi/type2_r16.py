@@ -9,6 +9,7 @@ amplitude per polarization, a 3-bit amplitude and 4-bit phase per entry.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,11 +73,11 @@ class R16Config(enhanced.CompressedConfig):
         self.check_params()
         self.check_variant()
 
-    @enhanced.derived
+    @cached_property
     def k0(self) -> int:
         return math.ceil(self.beta * 2 * self.l * self.m1)
 
-    @enhanced.derived
+    @cached_property
     def coef_shape(self) -> tuple[int, int, int]:
         return (self.rank, 2 * self.l, self.mv)
 

@@ -9,6 +9,7 @@ over both polarizations.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,39 +64,39 @@ class R17Config:
             raise DomainError(
                 f"K1 = alpha * P = {k1} must be a positive even integer")
 
-    @enhanced.derived
+    @cached_property
     def m(self) -> int:
         return PARAM_COMBINATIONS[self.param_combination][0]
 
-    @enhanced.derived
+    @cached_property
     def alpha(self) -> float:
         return PARAM_COMBINATIONS[self.param_combination][1]
 
-    @enhanced.derived
+    @cached_property
     def beta(self) -> float:
         return PARAM_COMBINATIONS[self.param_combination][2]
 
-    @enhanced.derived
+    @cached_property
     def k1_beams(self) -> int:
         return int(self.alpha * self.p_csirs)
 
-    @enhanced.derived
+    @cached_property
     def l(self) -> int:
         return self.k1_beams // 2
 
-    @enhanced.derived
+    @cached_property
     def k0(self) -> int:
         return math.ceil(self.beta * self.k1_beams * self.m)
 
-    @enhanced.derived
+    @cached_property
     def window(self) -> int:
         return min(self.n_threshold, self.n3)
 
-    @enhanced.derived
+    @cached_property
     def i16_reported(self) -> bool:
         return self.m == 2 and self.window > 2
 
-    @enhanced.derived
+    @cached_property
     def coef_shape(self) -> tuple[int, int, int]:
         return (self.rank, self.k1_beams, self.m)
 

@@ -8,6 +8,7 @@ degrades exactly to the Rel-16 Enhanced Type II codebook.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,15 +64,15 @@ class R18Config(enhanced.CompressedConfig):
         if self.n4 not in (1, 2, 4, 8):
             raise DomainError(f"N4={self.n4} not in {{1, 2, 4, 8}}")
 
-    @enhanced.derived
+    @cached_property
     def q(self) -> int:
         return Q_SHIFTS if self.n4 > 1 else 1
 
-    @enhanced.derived
+    @cached_property
     def k0(self) -> int:
         return math.ceil(2 * self.beta * self.l * self.m1 * Q_SHIFTS)
 
-    @enhanced.derived
+    @cached_property
     def coef_shape(self) -> tuple[int, int, int, int]:
         return (self.rank, 2 * self.l, self.mv, self.q)
 

@@ -310,6 +310,71 @@ def test_validate_malformed_record(tmp_path):
     assert main(["validate", str(worse)]) == 2
 
 
+def vectors_of(tmp_path, *runs):
+    """The records of one gen-vectors run per (release, config, samples),
+    joined into one file."""
+    text = ""
+    for i, (release, cfg, samples) in enumerate(runs):
+        config = tmp_path / f"config{i}.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / f"part{i}.jsonl"
+        assert main(["gen-vectors", "--release", release, "--config",
+                     str(config), "--seed", str(i), "--samples", str(samples),
+                     "--out", str(out)]) == 0
+        text += out.read_text()
+    path = tmp_path / "vectors.jsonl"
+    path.write_text(text)
+    return str(path)
+
+
+def test_validate_reports_an_unknown_release_as_malformed(tmp_path, capsys):
+    path = vectors_of(tmp_path, ("r16", R16_CONFIG, 1))
+    record = json.loads(open(path).read())
+    record["release"] = "r99"
+    open(path, "w").write(json.dumps(record) + "\n")
+    capsys.readouterr()
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr().err == \
+        "line 1: malformed record: unknown release 'r99'\n"
+
+
+def test_validate_builds_each_distinct_config_once(tmp_path, capsys,
+                                                   monkeypatch):
+    from nrpmi import cli
+
+    path = vectors_of(tmp_path, ("r16", R16_CONFIG, 3), ("r18", R18_CONFIG, 2),
+                      ("r16", R16_CONFIG, 2))
+    built = []
+    build = cli.build_release_config
+
+    def counting(release, cfg):
+        built.append(release)
+        return build(release, cfg)
+
+    monkeypatch.setattr(cli, "build_release_config", counting)
+    capsys.readouterr()
+    assert main(["validate", path]) == 0
+    assert "7/7 records passed" in capsys.readouterr().out
+    assert built == ["r16", "r18"]
+
+
+@pytest.mark.parametrize("field,value", [("n3", 8.0), ("rank", True)])
+def test_validate_keys_configs_by_their_text(tmp_path, capsys, field, value):
+    # the edited config == the first record's (8.0 == 8, True == 1), but
+    # its text differs, so it is built and found malformed
+    assert R16_CONFIG[field] == value
+    path = vectors_of(tmp_path, ("r16", R16_CONFIG, 2))
+    lines = open(path).read().splitlines()
+    record = json.loads(lines[1])
+    record["config"][field] = value
+    lines[1] = json.dumps(record)
+    open(path, "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("line 2: malformed record: field " + field)
+
+
 def test_invalid_config_exit_code(tmp_path):
     config = write_config(tmp_path, {"n1": 5, "n2": 1, "o1": 4, "o2": 1,
                                      "param_combination": 2, "n3": 8})
@@ -430,10 +495,22 @@ def test_unsupported_port_count_exit_code(tmp_path, capsys, release, config,
     ["simulate", "--snr=-inf", "--trials", "2", "--out", "{out}"],
     ["simulate", "--snr", "1e400", "--trials", "2", "--out", "{out}"],
     ["baselines", "--snr", "nan", "--trials", "2", "--out", "{out}"],
+    # finite SNRs outside [-100, 100] dB, which overflowed, divided by a
+    # zero linear SNR or made the beamformers singular
+    ["simulate", "--snr", "1e300", "--trials", "2", "--out", "{out}"],
+    ["baselines", "--snr", "1e300", "--trials", "2", "--out", "{out}"],
+    ["simulate", "--snr=-4000", "--trials", "2", "--out", "{out}"],
+    ["baselines", "--snr=-4000", "--trials", "2", "--out", "{out}"],
+    ["simulate", "--snr", "250", "--trials", "3", "--out", "{out}"],
+    ["baselines", "--snr", "250", "--trials", "3", "--out", "{out}"],
+    ["simulate", "--snr", "0,101", "--trials", "2", "--out", "{out}"],
+    ["baselines", "--snr", "101", "--trials", "2", "--out", "{out}"],
 ], ids=["gen-seed", "gen-samples", "sim-seed", "sim-snr", "base-snr", "sim-trials-neg",
         "sim-trials-0", "base-trials-1", "config-dir", "vectors-dir",
         "sim-snr-nan", "sim-snr-inf", "sim-snr-neg-inf", "sim-snr-overflow",
-        "base-snr-nan"])
+        "base-snr-nan", "sim-snr-1e300", "base-snr-1e300", "sim-snr-neg-4000",
+        "base-snr-neg-4000", "sim-snr-250", "base-snr-250", "sim-snr-101",
+        "base-snr-101"])
 def test_bad_arguments_exit_code(tmp_path, capsys, argv):
     names = {"config": write_config(tmp_path, R16_CONFIG),
              "out": str(tmp_path / "out.csv"), "dir": str(tmp_path)}
@@ -444,6 +521,12 @@ def test_bad_arguments_exit_code(tmp_path, capsys, argv):
     assert "Traceback" not in err
     if any(arg.startswith("--snr") for arg in argv):
         assert "argument --snr:" in err
+
+
+def test_snr_range_is_inclusive():
+    from nrpmi.cli import floats
+
+    assert floats("-100,0,100") == [-100.0, 0.0, 100.0]
 
 
 def test_main_runs_two_subcommands_in_turn(tmp_path, capsys):

@@ -403,3 +403,16 @@ def test_search_rejects_noise_power_outside_zero_inf(noise_power):
 def test_config_rejections_name_the_field(kw, match):
     with pytest.raises(DomainError, match=match):
         Type1Config(**{"geom": ArrayGeometry(2, 2, 4, 4), **kw})
+
+
+@pytest.mark.parametrize("pmi, match", [
+    (Type1Pmi(16, 0, (0, 0)), r"i_1,1=16 outside \[0, 16\)"),
+    (Type1Pmi(0, 8, (0, 0)), r"i_1,2=8 outside \[0, 8\)"),
+    (Type1Pmi(0, 0, (0,)), "one i_2 value per subband required"),
+    (Type1Pmi(0, 0, (0, 4)), r"i_2=4 outside \[0, 4\)"),
+    (Type1Pmi(0, 0, (0, 0), 0), "i_1,3 present in a rank-1 report"),
+], ids=["i11", "i12", "i2-count", "i2", "i13-rank1"])
+def test_validate_names_the_bad_field(pmi, match):
+    cfg = Type1Config(ArrayGeometry(4, 2, 4, 4), subband_count=2)
+    with pytest.raises(DomainError, match=f"^{match}$"):
+        pmi.validate(cfg)

@@ -18,7 +18,6 @@ from nrpmi.type2_r15 import (
     REGULAR,
     T2R15Config,
     T2R15Pmi,
-    _precoders,
     beam_grid_indices,
     canonicalize,
     check_restriction,
@@ -257,16 +256,6 @@ def test_reconstruction_matches_the_per_subband_oracle_bit_for_bit(
             assert same_bits(reconstruct_all(cfg, pmi), np.stack(expected))
             sb = int(rng.integers(n_sb))
             assert same_bits(reconstruct(cfg, pmi, sb), expected[sb])
-        # zero weights of one (subband, layer): both name that layer
-        coef = rng.standard_normal((n_sb, rank, 2 * l)) + 0j
-        sb, layer = int(rng.integers(n_sb)), int(rng.integers(rank))
-        coef[sb, layer] = 0
-        with pytest.raises(DegenerateReportError) as expected_error:
-            np.stack([precoder_oracle(cfg, v, c) for c in coef])
-        with pytest.raises(DegenerateReportError) as found:
-            _precoders(cfg, v, coef)
-        assert str(found.value) == str(expected_error.value) \
-            == f"layer {layer} has all-zero amplitudes"
 
 
 def test_port_selection_block_out_of_range():
@@ -456,6 +445,26 @@ def test_cap_swap_keeps_the_strongest_picks(l):
     found = search_t2_r15(h, cfg, caps=caps)
     check_restriction(cfg, found, caps)
     assert set(beam_grid_indices(cfg, found)) == set(beams[:l - 1] + beams[l:])
+
+
+def test_check_restriction_names_the_beam_over_its_cap():
+    cfg = simple_config(l=2, rank=2, subband_count=2)
+    pmi = random_valid_pmi(cfg, np.random.default_rng(1))
+    caps = np.ones((GEOM.beams_h, GEOM.beams_v))
+    caps[beam_grid_indices(cfg, pmi)[1]] = 0.0
+    with pytest.raises(RestrictionError, match=r"^beam \(13,6\) amplitude "
+                       r"0\.7071 exceeds cap 0\.0000$"):
+        check_restriction(cfg, pmi, caps)
+
+
+def test_search_with_every_beam_capped_raises():
+    # the strongest coefficient needs a cap-free beam, and none is left
+    cfg = simple_config(l=2, rank=2, subband_count=2)
+    rng = np.random.default_rng(0)
+    h = rng.standard_normal((2, 2, 16)) + 1j * rng.standard_normal((2, 2, 16))
+    with pytest.raises(RestrictionError,
+                       match="^no admissible report under the caps$"):
+        search_t2_r15(h, cfg, caps=np.full((GEOM.beams_h, GEOM.beams_v), 0.5))
 
 
 def test_search_reports_with_zero_caps_in_the_group():
