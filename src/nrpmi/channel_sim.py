@@ -14,7 +14,6 @@ under the nonzero-coefficient budget.
 
 import functools
 import math
-import types
 from dataclasses import dataclass
 from numbers import Real
 
@@ -298,7 +297,7 @@ def _search_groups(config, scan, targets, finish, caps=None):
     port-selection config has one candidate: the port block that carries
     the most energy of ``scan``, with no i12 and no caps."""
     if config.variant != enhanced.REGULAR:
-        i11 = _pick_port_block(scan, config.p_csirs, config.l, config.d)
+        i11 = _pick_port_block(scan, config)
         return _choose([finish(i11, None, enhanced.port_block(config, i11),
                                np.ones(config.l))], targets)
     g, l = config.geom, config.l
@@ -317,14 +316,13 @@ def _search_groups(config, scan, targets, finish, caps=None):
     return _choose(map(candidate, _tied_groups(energy, l)), targets)
 
 
-def _pick_port_block(targets: np.ndarray, p_csirs: int, l: int,
-                     d: int) -> int:
-    """Port-selection i11: the port block (``enhanced.block_ports``) that
-    carries the most energy of targets (..., P) in both halves."""
-    blocks = types.SimpleNamespace(p_csirs=p_csirs, l=l, d=d)
-    ports = [enhanced.block_ports(blocks, i11)
-             for i11 in range(enhanced.port_blocks(blocks))]
-    per_port = (np.abs(targets.reshape(-1, p_csirs // 2)) ** 2).sum(axis=0)
+def _pick_port_block(targets: np.ndarray, config) -> int:
+    """Port-selection i11: the port block (``enhanced.block_ports``) of
+    ``config``'s p_csirs, l and d that carries the most energy of targets
+    (..., P) in both halves."""
+    ports = [enhanced.block_ports(config, i11)
+             for i11 in range(enhanced.port_blocks(config))]
+    per_port = (np.abs(targets.reshape(-1, config.p_csirs // 2)) ** 2).sum(axis=0)
     return int(np.argmax(per_port[np.array(ports)].sum(axis=1)))
 
 

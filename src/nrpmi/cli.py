@@ -28,7 +28,6 @@ import numpy as np
 from . import channel_sim, overhead, type1, type2_r15, type2_r16, type2_r17, type2_r18
 from .bases import ArrayGeometry
 from .beamforming import mu_beamformer, normalize_blocks, user_rates
-from .enhanced import PORT_SELECTION, REGULAR
 from .errors import CodebookError, FormatError
 
 VECTOR_TOLERANCE = 1e-9
@@ -42,8 +41,8 @@ class Release:
     module: types.ModuleType  # the codebook module
     config: type              # config dataclass, built from flat JSON keys
     pmi: type                 # report dataclass, rebuilt from its JSON fields
-    # CLI defaults of config fields; the variant (regular if absent) is
-    # fixed here, never read from a key
+    # CLI defaults of config fields; a port-selection release fixes
+    # "geom": None here, and no key sets geom
     defaults: dict = dataclasses.field(default_factory=dict)
 
     @property
@@ -52,7 +51,7 @@ class Release:
         return getattr(self.module, "serialize_pmi", None)
 
 
-_PORTS = {"variant": PORT_SELECTION, "d": 1}
+_PORTS = {"geom": None, "d": 1}
 RELEASES = {
     "r15-type1": Release(type1, type1.Type1Config, type1.Type1Pmi),
     "r15-type2": Release(type2_r15, type2_r15.T2R15Config, type2_r15.T2R15Pmi,
@@ -64,7 +63,7 @@ RELEASES = {
     "r16-ps": Release(type2_r16, type2_r16.R16Config, type2_r16.R16Pmi,
                       {**_PORTS, "r": 1}),
     "r17-ps": Release(type2_r17, type2_r17.R17Config, type2_r17.R17Pmi,
-                      {"variant": PORT_SELECTION}),
+                      {"geom": None}),
     "r18": Release(type2_r18, type2_r18.R18Config, type2_r18.R18Pmi,
                    {"r": 1, "n4": 1}),
 }
@@ -139,15 +138,15 @@ def _read_fields(cls: type, obj, what: str, defaults: dict,
 def build_release_config(release: str, cfg: dict):
     """The release's config object from a flat JSON object: each field from
     its key, typed by its annotation, else from the release's defaults.  A
-    regular array's ``geom`` comes from n1/n2/o1/o2; no key sets ``geom``
-    or ``variant``."""
+    release whose defaults hold no ``geom`` builds it from n1/n2/o1/o2; no
+    key sets ``geom``."""
     rel = _release(release)
     defaults = rel.defaults
-    if defaults.get("variant", REGULAR) == REGULAR:
+    if "geom" not in defaults:
         geom = ArrayGeometry(**_read_fields(ArrayGeometry, cfg, "config", {}))
         defaults = {**defaults, "geom": geom}
     return rel.config(**_read_fields(rel.config, cfg, "config", defaults,
-                                     ("variant", "geom")))
+                                     ("geom",)))
 
 
 class Sample(typing.NamedTuple):

@@ -72,26 +72,42 @@ def compute_mv(p_v: float, n3: int, r: int) -> int:
     return math.ceil(p_v * n3 / r)
 
 
+def check_port_count(p_csirs: int) -> None:
+    """Reject a CSI-RS port count outside ``SUPPORTED_PORT_COUNTS``."""
+    if p_csirs not in SUPPORTED_PORT_COUNTS:
+        raise DomainError(f"p_csirs={p_csirs!r} not in {SUPPORTED_PORT_COUNTS}")
+
+
 class SpatialConfig:
-    """The spatial basis of a Type II config: ``variant`` with ``geom``
-    (regular DFT beams) or with ``p_csirs`` and ``d`` (port selection)."""
+    """The spatial basis of a Type II config: DFT beams of ``geom``
+    (regular), or ``p_csirs`` ports in blocks every ``d`` (port selection).
+    A config is port selection exactly when it gives p_csirs."""
+
+    p_csirs = d = None  # a regular-only subclass has no port fields
+
+    @property
+    def variant(self) -> str:
+        return REGULAR if self.p_csirs is None else PORT_SELECTION
 
     def check_variant(self) -> None:
-        """Reject an unknown variant, a missing field of it, or more beams
-        L per polarization than it offers."""
+        """Reject a config with neither basis or fields of both, or more
+        beams L per polarization than its basis offers."""
         if self.variant == REGULAR:
             if self.geom is None:
-                raise DomainError("regular variant requires an array geometry")
+                raise DomainError("regular variant requires an array geometry;"
+                                  " port-selection variant requires p_csirs")
+            if self.d is not None:
+                raise DomainError(f"d={self.d!r} given without p_csirs")
             n = self.geom.n1 * self.geom.n2
             if self.l > n:
                 raise DomainError(f"L={self.l} exceeds the N1*N2={n} beams "
                                   "of a group")
-        elif self.variant == PORT_SELECTION:
-            if self.p_csirs is None or self.d is None:
+        else:
+            if self.geom is not None:
+                raise DomainError(f"geom given with p_csirs={self.p_csirs!r}")
+            if self.d is None:
                 raise DomainError("port-selection variant requires p_csirs and d")
-            if self.p_csirs not in SUPPORTED_PORT_COUNTS:
-                raise DomainError(f"p_csirs={self.p_csirs!r} not in "
-                                  f"{SUPPORTED_PORT_COUNTS}")
+            check_port_count(self.p_csirs)
             if self.l > self.p_csirs // 2:
                 raise DomainError(f"L={self.l} exceeds the P/2="
                                   f"{self.p_csirs // 2} ports per polarization")
@@ -99,8 +115,6 @@ class SpatialConfig:
                 raise DomainError(
                     f"portSelectionSamplingSize d={self.d} outside "
                     f"[1, min(P/2, L)={min(self.p_csirs // 2, self.l)}]")
-        else:
-            raise DomainError(f"unknown variant {self.variant!r}")
 
     @property
     def n_ports(self) -> int:

@@ -16,7 +16,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .combinadics import binomial, clog2
+from .combinadics import binomial, check_int, check_int_fields, clog2
 from .errors import DomainError
 
 # fields priced once per layer; the K_NZ-priced i24l/i25l count all layers
@@ -111,6 +111,12 @@ class OverheadConfig:
     def __post_init__(self):
         if self.release not in ROWS:
             raise DomainError(f"release {self.release!r} not in {RELEASES}")
+        check_int_fields(self, "n1n2", "o1o2", "p_csirs", "n_psk", "k2_cap",
+                         "k_nz", "k1_beams", "m_taps", "n_window")
+        for name in ("rank", "l", "d", "mv", "n3", "n4", "q", "subband_count"):
+            check_int(name, getattr(self, name), 1)
+        if self.n_psk not in (4, 8):
+            raise DomainError(f"n_psk={self.n_psk} not in {{4, 8}}")
         # K_NZ counts every layer's strongest coefficient, and i_2,4/i_2,5
         # price K_NZ - 2 entries: below max(2, rank) no report exists
         if self.k_nz < max(2, self.rank):

@@ -59,7 +59,6 @@ class T2R15Config(SpatialConfig):
     subband_amplitude: bool = True
     rank: int = 1
     subband_count: int = 1
-    variant: str = REGULAR
     geom: ArrayGeometry | None = None
     p_csirs: int | None = None
     d: int | None = None

@@ -59,7 +59,6 @@ class R16Config(enhanced.CompressedConfig):
     r: int
     n3: int
     rank: int = 1
-    variant: str = REGULAR
     geom: ArrayGeometry | None = None
     p_csirs: int | None = None
     d: int | None = None

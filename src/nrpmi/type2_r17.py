@@ -14,7 +14,6 @@ from functools import cached_property
 import numpy as np
 
 from . import enhanced
-from .bases import SUPPORTED_PORT_COUNTS
 from .combinadics import (
     binomial,
     check_int_fields,
@@ -54,8 +53,7 @@ class R17Config:
     def __post_init__(self):
         check_int_fields(self, "p_csirs", "param_combination", "n3",
                          "n_threshold", "rank")
-        if self.p_csirs not in SUPPORTED_PORT_COUNTS:
-            raise DomainError(f"nrofPorts {self.p_csirs} unsupported")
+        enhanced.check_port_count(self.p_csirs)
         enhanced.check_table(self)
         if self.n_threshold not in (2, 4):
             raise DomainError(f"tap window bound N={self.n_threshold} not in {{2,4}}")

@@ -55,7 +55,6 @@ class R18Config(enhanced.CompressedConfig):
 
     PARAMS = PARAM_COMBINATIONS
     PARAM_NAME = "paramCombination-Doppler-r18"
-    variant = enhanced.REGULAR
 
     def __post_init__(self):
         check_int_fields(self, "param_combination", "r", "n3", "n4", "rank")

@@ -125,15 +125,13 @@ def test_04_type2_normalization_1000_random():
     n = 1000
     setups = [
         ("r15", type2_r15.T2R15Config(l=3, n_psk=8, rank=2, subband_count=3,
-                                      variant=type2_r15.REGULAR, geom=GEOM)),
+                                      geom=GEOM)),
         ("r15-ps", type2_r15.T2R15Config(l=2, n_psk=4, rank=1,
                                          subband_count=2,
-                                         variant=type2_r15.PORT_SELECTION,
                                          p_csirs=16, d=2)),
         ("r16", type2_r16.R16Config(param_combination=4, r=1, n3=9, rank=2,
                                     geom=GEOM)),
         ("r16-ps", type2_r16.R16Config(param_combination=2, r=1, n3=8, rank=1,
-                                       variant=type2_r16.PORT_SELECTION,
                                        p_csirs=16, d=1)),
         ("r17", type2_r17.R17Config(p_csirs=16, param_combination=6, n3=6,
                                     n_threshold=4, rank=2)),
@@ -212,7 +210,7 @@ def test_06_compact_model_equivalence():
     half = GEOM.n1 * GEOM.n2
     # R15
     cfg15 = type2_r15.T2R15Config(l=2, n_psk=8, rank=1, subband_count=2,
-                                  variant=type2_r15.REGULAR, geom=GEOM)
+                                  geom=GEOM)
     for _ in range(n):
         pmi = type2_r15.random_valid_pmi(cfg15, rng)
         beams = decode_combination(pmi.i12, half, cfg15.l)
@@ -463,7 +461,7 @@ def test_11_plant_and_recover():
     results = {}
     # R15 Type II regular
     cfg15 = type2_r15.T2R15Config(l=2, n_psk=8, rank=1, subband_count=2,
-                                  variant=type2_r15.REGULAR, geom=GEOM)
+                                  geom=GEOM)
     rng = np.random.default_rng(41)
     hits = 0
     for _ in range(trials):

@@ -1,5 +1,6 @@
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -280,8 +281,9 @@ def test_group_scan_matches_the_per_group_loop(shape):
         for d in range(1, l + 1):
             blocks = [per_port[b:b + l].sum()
                       for b in range(0, half - l + 1, d)]
+            config = types.SimpleNamespace(p_csirs=geom.n_ports, l=l, d=d)
             assert channel_sim._pick_port_block(
-                targets, geom.n_ports, l, d) == int(np.argmax(blocks))
+                targets, config) == int(np.argmax(blocks))
 
 
 def test_tied_beams_pick_the_lowest_index_in_every_release(monkeypatch):
@@ -552,7 +554,6 @@ def test_spectral_efficiency_experiment_shape():
 
 def test_search_r16_port_selection_plant():
     cfg = type2_r16.R16Config(param_combination=1, r=1, n3=8, rank=1,
-                              variant=type2_r16.PORT_SELECTION,
                               p_csirs=16, d=2)
     rng = np.random.default_rng(23)
     ok = 0
@@ -583,13 +584,12 @@ def test_search_r16_port_selection_rejects_a_degenerate_report(trial):
     # at a frequency unit: the search raises, as the regular path does,
     # instead of returning a report reconstruct_all rejects
     cfg = type2_r16.R16Config(param_combination=1, r=1, n3=8, rank=1,
-                              variant=type2_r16.PORT_SELECTION,
                               p_csirs=16, d=1)
     model = ChannelModel(n_paths=6, delay_spread=1e-6,
                          subcarrier_spacing=180e3, n_subcarriers=8, seed=5)
     ch = draw_channel(model, GEOM, nr=2, trial=trial)
     targets = channel_sim._targets(ch.flat[None], cfg.rank)
-    i11 = channel_sim._pick_port_block(targets, cfg.p_csirs, cfg.l, cfg.d)
+    i11 = channel_sim._pick_port_block(targets, cfg)
     report, _, _ = channel_sim._finish(cfg, targets, i11, None,
                                        enhanced.port_block(cfg, i11))
     with pytest.raises(DegenerateReportError, match="zero energy"):

@@ -464,6 +464,7 @@ def test_more_beams_than_the_array_exit_code(tmp_path, capsys, release,
 @pytest.mark.parametrize("release,config", [
     ("r15-ps", {}),
     ("r16-ps", {"param_combination": 1, "n3": 8}),
+    ("r17-ps", {"param_combination": 6, "n3": 8}),
 ])
 def test_unsupported_port_count_exit_code(tmp_path, capsys, release, config,
                                           p_csirs):
@@ -474,6 +475,37 @@ def test_unsupported_port_count_exit_code(tmp_path, capsys, release, config,
     err = capsys.readouterr().err
     assert f"p_csirs={p_csirs}" in err and "Traceback" not in err
     assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-vectors", "validate"])
+@pytest.mark.parametrize("release,config,named", [
+    ("r16", {**CONFIG_DEFAULTS["r16"][0], "p_csirs": 16, "d": 1},
+     "geom given with p_csirs=16"),
+    ("r15-type2", {**ARRAY, "d": 3}, "d=3 given without p_csirs"),
+    ("r16-ps", {"param_combination": 2, "n3": 8}, "p_csirs"),
+], ids=["r16-with-ports", "r15-type2-with-d", "r16-ps-without-ports"])
+def test_config_of_both_or_neither_basis_exit_code(tmp_path, capsys, command,
+                                                   release, config, named):
+    # the variant follows from p_csirs: a regular release rejects p_csirs
+    # and d, and a port-selection release needs p_csirs
+    out = tmp_path / "out.jsonl"
+    argv = ["gen-vectors", "--release", release, "--config",
+            write_config(tmp_path, config), "--out", str(out)]
+    if command == "validate":
+        main(["gen-vectors", "--release", release, "--config",
+              write_config(tmp_path, CONFIG_DEFAULTS[release][0]),
+              "--samples", "1", "--out", str(out)])
+        record = json.loads(out.read_text())
+        record["config"] = config
+        bad = tmp_path / "malformed.jsonl"
+        bad.write_text(json.dumps(record) + "\n")
+        argv = ["validate", str(bad)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert command == "validate" or not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -636,7 +668,7 @@ def test_serialize_pmi_lengths():
     assert bits == type2_r16.serialize_pmi(cfg, pmi)
 
     cfg15 = type2_r15.T2R15Config(l=2, n_psk=8, rank=1, subband_count=2,
-                                  variant=type2_r15.REGULAR, geom=geom)
+                                  geom=geom)
     pmi15 = type2_r15.random_valid_pmi(cfg15, rng)
     k2_reported, alphabet = type2_r15.reporting_mask(cfg15, pmi15.k1,
                                                      pmi15.i13)

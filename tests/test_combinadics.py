@@ -170,8 +170,7 @@ def test_read_bits_names_a_malformed_sequence(bits, match):
     (lambda: type2_r15.T2R15Config(l=2, geom=GEOM, subband_count=2.5),
      "subband_count"),
     (lambda: type2_r15.T2R15Config(l=2.0, geom=GEOM), "l"),
-    (lambda: type2_r15.T2R15Config(l=2, variant="port-selection",
-                                   p_csirs=16, d=1.0), "d"),
+    (lambda: type2_r15.T2R15Config(l=2, p_csirs=16, d=1.0), "d"),
     (lambda: type1.Type1Config(GEOM, subband_count=1.5), "subband_count"),
     (lambda: type1.Type1Config(GEOM, rank=True), "rank"),
     (lambda: type2_r16.R16Config(2, 1, 18.0, geom=GEOM), "n3"),

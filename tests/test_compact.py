@@ -134,7 +134,7 @@ def normalized(x):
 
 def test_protocol_equivalence_r15():
     cfg = type2_r15.T2R15Config(l=2, n_psk=8, rank=1, subband_count=2,
-                                variant=type2_r15.REGULAR, geom=GEOM)
+                                geom=GEOM)
     rng = np.random.default_rng(4)
     half = GEOM.n1 * GEOM.n2
     for _ in range(20):

@@ -244,11 +244,24 @@ def test_port_block_past_half_names_i11(release, cfg):
 @pytest.mark.parametrize("release,cfg", [
     ("r15-ps", R15_CONFIGS["r15-ps"]),
     ("r16-ps", CONFIGS["r16-ps"]),
+    ("r17-ps", CONFIGS["r17-ps"]),
 ])
 def test_port_selection_rejects_an_unsupported_port_count(release, cfg,
                                                           p_csirs):
     with pytest.raises(DomainError, match="p_csirs=%d" % p_csirs):
         cli.build_release_config(release, {**cfg, "p_csirs": p_csirs})
+
+
+@pytest.mark.parametrize("release,cfg", [
+    *R15_CONFIGS.items(), *((name, CONFIGS[name])
+                            for name in ("r16", "r16-ps", "r17-ps", "r18"))])
+def test_variant_follows_from_p_csirs(release, cfg):
+    # no field sets the variant: a config is port selection exactly when
+    # it gives p_csirs
+    config = cli.build_release_config(release, cfg)
+    assert config.variant == (enhanced.PORT_SELECTION if "p_csirs" in cfg
+                              else enhanced.REGULAR)
+    assert "variant" not in {f.name for f in dataclasses.fields(config)}
 
 
 @pytest.mark.parametrize("release", ["r16", "r18"])

@@ -28,7 +28,7 @@ R16 = type2_r16.R16Config(param_combination=4, r=1, n3=18, rank=2, geom=GEOM)
 R16_WINDOW = type2_r16.R16Config(param_combination=6, r=1, n3=24, rank=1,
                                  geom=GEOM)
 R16_PS = type2_r16.R16Config(param_combination=2, r=1, n3=8, rank=2,
-                             variant=enhanced.PORT_SELECTION, p_csirs=16, d=1)
+                             p_csirs=16, d=1)
 R17 = type2_r17.R17Config(p_csirs=16, param_combination=6, n3=12,
                           n_threshold=4, rank=2)
 R17_ALPHA1 = type2_r17.R17Config(p_csirs=8, param_combination=2, n3=6)

@@ -135,8 +135,7 @@ CONFIGS = {
     "r16": lambda rank: r16(rank, param_combination=4, n3=18, geom=GEOM),
     "r16-window": lambda rank: r16(rank, param_combination=6, n3=24,
                                    geom=GEOM),
-    "r16-ps": lambda rank: r16(rank, param_combination=2, n3=8,
-                               variant=enhanced.PORT_SELECTION, p_csirs=16,
+    "r16-ps": lambda rank: r16(rank, param_combination=2, n3=8, p_csirs=16,
                                d=1),
     "r17-alpha-half": lambda rank: r17(rank, p_csirs=16, param_combination=5,
                                        n3=12, n_threshold=4),
@@ -267,8 +266,7 @@ R15_CONFIGS = {
     "r15-rank1-no-sb-amp": type2_r15.T2R15Config(
         l=2, rank=1, subband_count=3, subband_amplitude=False, geom=GEOM),
     "r15-ps": type2_r15.T2R15Config(
-        l=2, rank=2, subband_count=4, variant=type2_r15.PORT_SELECTION,
-        p_csirs=16, d=2),
+        l=2, rank=2, subband_count=4, p_csirs=16, d=2),
 }
 
 

@@ -18,3 +18,16 @@ def test_impossible_k_nz_rejected(release, rank, k_nz):
 def test_smallest_k_nz_prices_no_negative_field(rank):
     cfg = OverheadConfig(release="r16", rank=rank, k_nz=max(2, rank))
     assert all(bits >= 0 for bits in bits_i2(cfg).entries.values())
+
+
+@pytest.mark.parametrize("field,value", [
+    ("l", 2.5), ("rank", 2.0), ("rank", True), ("rank", 0), ("l", 0),
+    ("mv", 0), ("n3", 0), ("n4", 0), ("q", 0), ("subband_count", 0),
+    ("d", 0), ("p_csirs", 32.0), ("k_nz", 20.0), ("n_psk", 3),
+    ("n_psk", 8.0),
+])
+def test_malformed_field_names_the_field(field, value):
+    # a float, bool or out-of-range field used to price a wrong budget
+    # (rank=0: 556 bits, n4=0: 0 bits) or escape as a TypeError
+    with pytest.raises(DomainError, match=f"^{field}="):
+        OverheadConfig(release="r15-type2", **{field: value})

@@ -40,7 +40,7 @@ from nrpmi.combinadics import (
     is_index,
     is_indices,
 )
-from nrpmi.enhanced import N_PSK16, PORT_SELECTION, REGULAR, SB_AMPS, WB_AMPS
+from nrpmi.enhanced import N_PSK16, REGULAR, SB_AMPS, WB_AMPS
 from nrpmi.errors import (
     BudgetError,
     ConsistencyError,
@@ -385,8 +385,8 @@ READERS = {
         l=3, n_psk=4, rank=1, subband_count=3, subband_amplitude=False,
         geom=GEOM), reconstruct_all_r15_ref, R15),
     "r15-ps": (type2_r15, type2_r15.T2R15Config(
-        l=2, n_psk=4, rank=2, subband_count=2, variant=PORT_SELECTION,
-        p_csirs=16, d=2), reconstruct_all_r15_ref, R15),
+        l=2, n_psk=4, rank=2, subband_count=2, p_csirs=16, d=2),
+        reconstruct_all_r15_ref, R15),
     "r16": (type2_r16, type2_r16.R16Config(
         param_combination=4, r=1, n3=18, rank=2, geom=GEOM),
         reconstruct_all_r16_ref, ENHANCED),
@@ -397,8 +397,8 @@ READERS = {
         param_combination=5, r=2, n3=10, rank=4, geom=GEOM),
         reconstruct_all_r16_ref, ENHANCED),
     "r16-ps": (type2_r16, type2_r16.R16Config(
-        param_combination=2, r=1, n3=8, rank=2, variant=PORT_SELECTION,
-        p_csirs=16, d=1), reconstruct_all_r16_ref, ENHANCED),
+        param_combination=2, r=1, n3=8, rank=2, p_csirs=16, d=1),
+        reconstruct_all_r16_ref, ENHANCED),
     "r17": (type2_r17, type2_r17.R17Config(
         p_csirs=16, param_combination=6, n3=12, n_threshold=4, rank=2),
         reconstruct_all_r17_ref, ENHANCED),

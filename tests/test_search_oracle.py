@@ -752,7 +752,7 @@ def test_fit_from_parts_is_reconstruct_all(monkeypatch):
     r15 = type2_r15.T2R15Config(l=4, n_psk=8, rank=2, subband_count=4,
                                 geom=GEOM)
     ps = type2_r16.R16Config(param_combination=2, r=1, n3=8, rank=1,
-                             variant="port-selection", p_csirs=16, d=1)
+                             p_csirs=16, d=1)
     window = type2_r16.R16Config(param_combination=4, r=1, n3=24, rank=2,
                                  geom=GEOM)
     for trial in (4, 11, 12):
@@ -772,9 +772,9 @@ def searched_reports():
     r17 = type2_r17.R17Config(p_csirs=16, param_combination=6, n3=12,
                               n_threshold=4, rank=2)
     r16_ps = type2_r16.R16Config(param_combination=2, r=1, n3=8, rank=2,
-                                 variant="port-selection", p_csirs=16, d=2)
+                                 p_csirs=16, d=2)
     r15_ps = type2_r15.T2R15Config(l=2, rank=2, subband_count=2,
-                                   variant="port-selection", p_csirs=16, d=1)
+                                   p_csirs=16, d=1)
     for trial in range(12):
         ch = channel_sim.draw_channel(model, GEOM, 2, trial=trial, n4=4)
         one = channel_sim.ChannelRealization(h=ch.h[:1])

@@ -39,7 +39,7 @@ GEOM = ArrayGeometry(4, 2, 4, 4)
 
 def simple_config(**kw):
     base = dict(l=2, n_psk=8, subband_amplitude=True, rank=1, subband_count=1,
-                variant=REGULAR, geom=GEOM)
+                geom=GEOM)
     base.update(kw)
     return T2R15Config(**base)
 
@@ -159,7 +159,7 @@ def test_validate_rejects_inconsistent():
         reconstruct(cfg, T2R15Pmi(pmi.i11, pmi.i12, pmi.i13, bad_k1, pmi.k2, pmi.c))
 
 
-PS = {"variant": PORT_SELECTION, "geom": None, "p_csirs": 16, "d": 2}
+PS = {"geom": None, "p_csirs": 16, "d": 2}
 
 
 def _negative_phase(cfg, pmi):
@@ -204,7 +204,8 @@ def test_validate_names_i11_outside_the_oversampling(i11):
 ])
 @pytest.mark.parametrize("rank", [1, 2])
 def test_layer_norms_random(variant, extra, rank):
-    cfg = simple_config(l=3, rank=rank, subband_count=2, variant=variant, **extra)
+    cfg = simple_config(l=3, rank=rank, subband_count=2, **extra)
+    assert cfg.variant == variant
     rng = np.random.default_rng(42)
     for _ in range(50):
         pmi = random_valid_pmi(cfg, rng)
@@ -245,8 +246,8 @@ def test_reconstruction_matches_the_per_subband_oracle_bit_for_bit(
     rng = np.random.default_rng(10 * l + rank)
     for n_sb, amplitude in ((1, True), (4, False), (13, True)):
         cfg = simple_config(l=l, rank=rank, subband_count=n_sb,
-                            subband_amplitude=amplitude, variant=variant,
-                            **extra)
+                            subband_amplitude=amplitude, **extra)
+        assert cfg.variant == variant
         for _ in range(4):
             pmi = random_valid_pmi(cfg, rng)
             v = selected_beams(cfg, pmi)
@@ -259,7 +260,7 @@ def test_reconstruction_matches_the_per_subband_oracle_bit_for_bit(
 
 
 def test_port_selection_block_out_of_range():
-    cfg = simple_config(l=4, variant=PORT_SELECTION, geom=None, p_csirs=8, d=1)
+    cfg = simple_config(l=4, geom=None, p_csirs=8, d=1)
     pmi = zeros_pmi(cfg)
     pmi = canonicalize(cfg, T2R15Pmi(1, None, (0,), pmi.k1, pmi.k2, pmi.c))
     with pytest.raises(DomainError):
@@ -550,8 +551,10 @@ def test_caps_outside_zero_one_are_rejected(call, value):
     ({"rank": 3}, "rank 3"),
     ({"subband_count": 0}, "subband_count"),
     ({"geom": None}, "regular variant requires an array geometry"),
-    ({"variant": "other"}, "unknown variant 'other'"),
     ({**PS, "d": None}, "requires p_csirs and d"),
+    ({"geom": None, "d": 2}, "requires p_csirs"),
+    ({**PS, "geom": GEOM}, "geom given with p_csirs=16"),
+    ({"d": 2}, "d=2 given without p_csirs"),
     ({**PS, "l": 3, "d": 4}, "portSelectionSamplingSize d=4"),
 ])
 def test_config_rejections_name_the_field(kw, match):

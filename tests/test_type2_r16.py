@@ -30,7 +30,7 @@ GEOM = ArrayGeometry(4, 2, 4, 4)
 
 
 def make_config(**kw):
-    base = dict(param_combination=2, r=1, n3=8, rank=1, variant=REGULAR, geom=GEOM)
+    base = dict(param_combination=2, r=1, n3=8, rank=1, geom=GEOM)
     base.update(kw)
     return R16Config(**base)
 
@@ -208,8 +208,8 @@ def test_mv1_precoders_flat():
 ])
 @pytest.mark.parametrize("rank", [1, 2, 4])
 def test_layer_norms_random(variant, extra, rank):
-    cfg = make_config(param_combination=4, n3=13, rank=rank, variant=variant,
-                      **extra)
+    cfg = make_config(param_combination=4, n3=13, rank=rank, **extra)
+    assert cfg.variant == variant
     rng = np.random.default_rng(9)
     for _ in range(25):
         pmi = random_valid_pmi(cfg, rng)
@@ -295,6 +295,9 @@ def test_i16_out_of_range():
     ({"rank": 5}, "rank 5"),
     ({"param_combination": 7, "rank": 3}, "paramCombination-r16 7 forbids "
                                           "rank > 2"),
+    ({"geom": None}, "requires p_csirs"),
+    ({"p_csirs": 16, "d": 1}, "geom given with p_csirs=16"),
+    ({"d": 1}, "d=1 given without p_csirs"),
 ])
 def test_config_rejections_name_the_field(kw, match):
     with pytest.raises(DomainError, match=match):

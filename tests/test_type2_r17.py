@@ -199,7 +199,7 @@ def test_r16_subspace_equivalence():
 
 
 @pytest.mark.parametrize("kw, match", [
-    ({"p_csirs": 6}, "nrofPorts 6"),
+    ({"p_csirs": 6}, "p_csirs=6"),
     ({"param_combination": 9}, r"paraCombination-r17 9 outside \[1, 8\]"),
     ({"n_threshold": 3}, "N=3"),
     ({"n3": 2}, "N3=2"),
