@@ -34,9 +34,11 @@ def user_rates(channels, beamformers, noise_powers) -> np.ndarray:
     non-finite or non-numeric entry, or ``noise_powers`` has the wrong
     length or a value that is not positive and finite.
 
-    Each user's subcarriers are solved as one stack; their log-dets are
-    added to the rate one by one in subcarrier order, so the result is bit
-    for bit that of a per-subcarrier loop (``np.sum`` would not be).
+    A single user sees no interference, so its signal covariance is divided
+    by its noise power; with interference, each user's subcarriers are
+    solved against their covariance as one stack.  Either way the log-dets
+    are added to the rate one by one in subcarrier order, so the result is
+    bit for bit that of a per-subcarrier loop (``np.sum`` would not be).
     """
     k_users = len(channels)
     if k_users == 0:
@@ -88,14 +90,19 @@ def user_rates(channels, beamformers, noise_powers) -> np.ndarray:
     for k in range(k_users):
         nr = hs[k].shape[1]
         eye = np.eye(nr, dtype=complex)
-        cov = noise[k] * eye  # + and solve broadcast it over the subcarriers
-        for i in range(k_users):
-            if i != k:
-                g = hs[k] @ ws[i]
-                cov = cov + g @ g.conj().swapaxes(1, 2)
         g = hs[k] @ ws[k]
         sig = g @ g.conj().swapaxes(1, 2)
-        _, logdets = np.linalg.slogdet(eye + np.linalg.solve(cov, sig))
+        if k_users == 1:  # the covariance is noise * I: solve(cov) divides
+            # in complex arithmetic, as solve does, whatever sig's dtype
+            x = np.divide(sig, noise[k], dtype=complex)
+        else:
+            cov = noise[k] * eye  # + and solve broadcast it over subcarriers
+            for i in range(k_users):
+                if i != k:
+                    g = hs[k] @ ws[i]
+                    cov = cov + g @ g.conj().swapaxes(1, 2)
+            x = np.linalg.solve(cov, sig)
+        _, logdets = np.linalg.slogdet(eye + x)
         rate = 0.0
         for logdet in (logdets / math.log(2)).tolist():
             rate += logdet  # subcarrier order: np.sum would change the bits

@@ -16,6 +16,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from . import enhanced, type2_r17
 from .combinadics import binomial, check_int, check_int_fields, clog2
 from .errors import DomainError
 
@@ -111,12 +112,29 @@ class OverheadConfig:
     def __post_init__(self):
         if self.release not in ROWS:
             raise DomainError(f"release {self.release!r} not in {RELEASES}")
-        check_int_fields(self, "n1n2", "o1o2", "p_csirs", "n_psk", "k2_cap",
-                         "k_nz", "k1_beams", "m_taps", "n_window")
-        for name in ("rank", "l", "d", "mv", "n3", "n4", "q", "subband_count"):
+        check_int_fields(self, "p_csirs", "n_psk", "k_nz", "m_taps",
+                         "n_window")
+        for name in ("rank", "l", "d", "mv", "n3", "n4", "q", "subband_count",
+                     "n1n2", "o1o2", "k2_cap", "k1_beams"):
             check_int(name, getattr(self, name), 1)
-        if self.n_psk not in (4, 8):
-            raise DomainError(f"n_psk={self.n_psk} not in {{4, 8}}")
+        enhanced.check_port_count(self.p_csirs)
+        for name, allowed in (("n_psk", (4, 8)),
+                              ("m_taps", type2_r17.TAP_COUNTS),
+                              ("n_window", type2_r17.N_THRESHOLDS)):
+            if getattr(self, name) not in allowed:
+                raise DomainError(f"{name}={getattr(self, name)} not in "
+                                  f"{allowed}")
+        if self.k1_beams % 2:
+            raise DomainError(f"k1_beams={self.k1_beams} must be even")
+        # a bound between two fields holds where the release prices both
+        for name, bound, releases in (
+                ("l", "n1n2", ("r15-type2", "r16", "r18")),
+                ("mv", "n3", ("r16", "r16-ps", "r18")),
+                ("k1_beams", "p_csirs", ("r17-ps",))):
+            if self.release in releases and \
+                    getattr(self, name) > getattr(self, bound):
+                raise DomainError(f"{name}={getattr(self, name)} exceeds "
+                                  f"{bound}={getattr(self, bound)}")
         # K_NZ counts every layer's strongest coefficient, and i_2,4/i_2,5
         # price K_NZ - 2 entries: below max(2, rank) no report exists
         if self.k_nz < max(2, self.rank):

@@ -34,6 +34,8 @@ PARAM_COMBINATIONS: dict[int, tuple[int, float, float]] = {
     7: (2, 1.0, 1 / 2),
     8: (2, 1.0, 3 / 4),
 }
+TAP_COUNTS = tuple(sorted({m for m, _, _ in PARAM_COMBINATIONS.values()}))
+N_THRESHOLDS = (2, 4)  # the tap window bound N
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ class R17Config:
                          "n_threshold", "rank")
         enhanced.check_port_count(self.p_csirs)
         enhanced.check_table(self)
-        if self.n_threshold not in (2, 4):
+        if self.n_threshold not in N_THRESHOLDS:
             raise DomainError(f"tap window bound N={self.n_threshold} not in {{2,4}}")
         k1 = PARAM_COMBINATIONS[self.param_combination][1] * self.p_csirs
         if k1 != int(k1) or int(k1) % 2 or k1 <= 0:

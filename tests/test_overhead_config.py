@@ -1,7 +1,7 @@
 import pytest
 
 from nrpmi.errors import DomainError
-from nrpmi.overhead import OverheadConfig, bits_i2
+from nrpmi.overhead import OverheadConfig, bits_i2, total_bits
 
 
 @pytest.mark.parametrize("release", ["r15-type2", "r16", "r17-ps", "r18"])
@@ -31,3 +31,40 @@ def test_malformed_field_names_the_field(field, value):
     # (rank=0: 556 bits, n4=0: 0 bits) or escape as a TypeError
     with pytest.raises(DomainError, match=f"^{field}="):
         OverheadConfig(release="r15-type2", **{field: value})
+
+
+@pytest.mark.parametrize("release,fields,named", [
+    # these priced a budget: 14,644, 15,464 and 1,928 bits
+    ("r15-type2", dict(k2_cap=0), "k2_cap"),
+    ("r15-ps", dict(p_csirs=7), "p_csirs"),
+    ("r17-ps", dict(m_taps=5), "m_taps"),
+    # these raised "cannot take log2 of 0", which names no field
+    ("r16", dict(n1n2=0), "n1n2"),
+    ("r18", dict(o1o2=0), "o1o2"),
+    ("r17-ps", dict(k1_beams=0), "k1_beams"),
+    ("r17-ps", dict(m_taps=2, n_window=1), "n_window"),
+    ("r17-ps", dict(k1_beams=40, p_csirs=32), "k1_beams"),
+    ("r16", dict(mv=30, n3=18), "mv"),
+    ("r18", dict(mv=30, n3=18), "mv"),
+    ("r16-ps", dict(mv=30, n3=18), "mv"),
+    ("r15-type2", dict(l=4, n1n2=2), "l"),
+    ("r17-ps", dict(k1_beams=7, p_csirs=8), "k1_beams"),
+    ("r17-ps", dict(m_taps=3), "m_taps"),
+    ("r17-ps", dict(n_window=3), "n_window"),
+    ("r16-ps", dict(p_csirs=64), "p_csirs"),
+])
+def test_out_of_range_field_names_the_field(release, fields, named):
+    with pytest.raises(DomainError, match=f"^{named}="):
+        OverheadConfig(release=release, **fields)
+
+
+@pytest.mark.parametrize("release,fields", [
+    # a bound between two fields binds only where the release prices both
+    ("r15-ps", dict(p_csirs=8, k1_beams=16)),
+    ("r15-type2", dict(mv=30, n3=18)),
+    ("r17-ps", dict(l=4, n1n2=2)),
+    ("r17-ps", dict(p_csirs=8, k1_beams=8, m_taps=2, n_window=4)),
+    ("r16", dict(mv=18, n3=18)),
+])
+def test_fields_in_range_are_priced(release, fields):
+    assert total_bits(OverheadConfig(release=release, **fields)) > 0

@@ -22,6 +22,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nrpmi import (
     channel_sim,
@@ -756,3 +758,35 @@ def test_malformed_rate_inputs_fail_as_the_reference(channels, beamformers,
     got = outcome(user_rates, channels, beamformers, noise)
     assert got[0] is DomainError
     assert got == outcome(user_rates_ref, channels, beamformers, noise)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(nr=st.integers(1, 4), nt=st.integers(1, 8), rank=st.integers(1, 4),
+       m=st.integers(1, 64), channel_3d=st.booleans(),
+       beamformer_3d=st.booleans(), zero_column=st.booleans(),
+       noise=st.sampled_from([0.37, 7.3, 1e-9]) | st.floats(1e-12, 1e6),
+       dtype=st.sampled_from([complex, np.complex64, float, np.float32, int]),
+       seed=st.integers(0, 2**32 - 1))
+@example(nr=2, nt=4, rank=2, m=8, channel_3d=False, beamformer_3d=True,
+         zero_column=True, noise=0.37, dtype=complex, seed=0)
+@example(nr=3, nt=4, rank=2, m=8, channel_3d=True, beamformer_3d=True,
+         zero_column=False, noise=0.37, dtype=float, seed=0)
+def test_one_user_rate_matches_the_reference(nr, nt, rank, m, channel_3d,
+                                             beamformer_3d, zero_column,
+                                             noise, dtype, seed):
+    # one user sees no interference: user_rates divides by the noise power
+    # where the reference solves against noise * I.  solve works in complex
+    # arithmetic whatever the inputs hold, and a real division by the noise
+    # power would round a real signal covariance differently.
+    rng = np.random.default_rng(seed)
+    h = crandn(rng, *((m,) if channel_3d else ()), nr, nt)
+    w = crandn(rng, *((m,) if beamformer_3d else ()), nt, rank)
+    if zero_column:
+        w[..., rng.integers(rank)] = 0
+    if not np.issubdtype(dtype, np.complexfloating):
+        h, w = h.real, w.real
+    if dtype is int:
+        h, w = np.round(3 * h), np.round(3 * w)
+    h, w = h.astype(dtype), w.astype(dtype)
+    assert same_bits(user_rates([h], [w], noise),
+                     user_rates_ref([h], [w], noise))

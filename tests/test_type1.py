@@ -257,6 +257,30 @@ def test_batched_scores_match_subband_rate(n1, n2, mode, rank):
     assert not book.precoders.flags.writeable
 
 
+GEOMETRY_MODES = [(n1, n2, mode) for n1, n2 in sorted(
+    {case.values[:2] for case in SEARCH_CASES}) for mode in (1, 2)
+    if mode == 1 or n2 > 1]   # mode 2 requires N2 > 1
+
+
+@pytest.mark.parametrize("n1,n2,mode", GEOMETRY_MODES)
+def test_rank2_cophase_pairs_tie_at_i13_zero(n1, n2, mode):
+    # at i13 = 0 both layers take the same beam v, so i2 = 2j and 2j + 1
+    # are B U and B U' with B = blockdiag(v, v) and U, U' unitary: their
+    # scores are equal and only rounding tells them apart.  A search that
+    # reorders its products must break this tie by an explicit rule.
+    h = _search_case(n1, n2, mode, 2, seed=5)[2]
+    cfg = Type1Config(ArrayGeometry.from_antennas(n1, n2), mode=mode, rank=2)
+    assert cfg.i2_range % 2 == 0
+    for i11, i12 in itertools.product(range(cfg.i11_range),
+                                      range(cfg.i12_range)):
+        w = np.stack([build_precoder(cfg, Type1Pmi(i11, i12, (i2,), 0))
+                      for i2 in range(cfg.i2_range)])
+        for h_sub in (h[:2], h[2:]):
+            rates = _codeword_rates(h_sub, w, 0.5)
+            np.testing.assert_allclose(rates[0::2], rates[1::2], rtol=1e-12,
+                                       atol=0)
+
+
 @pytest.mark.xfail(strict=True, reason="the search score adds I_Nr, not I_rank, "
                    "to the rank x rank Gram matrix")
 @pytest.mark.parametrize("rank,nr", [(1, 2), (2, 1), (2, 4)])
