@@ -12,6 +12,7 @@ keep the strongest taps (shifts), and quantize the surviving coefficients
 under the nonzero-coefficient budget.
 """
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -238,15 +239,16 @@ def _tied_groups(energy: np.ndarray, l: int) -> list[tuple[int, int]]:
     return [divmod(q, score.shape[1]) for q in tied]
 
 
-def _fit(unit: np.ndarray, ws: np.ndarray) -> float:
-    """A report's fit: the summed squared correlations between unit-norm
-    targets (rank, N4, T, P) and the layers of its precoders (T, N4, P,
-    rank), where T counts subbands or frequency units.  Precoders
-    (T, P, rank) have one slot interval."""
-    if ws.ndim == 3:
-        ws = ws[:, None]
-    corr = np.einsum("lntp,tnpl->tnl", unit.conj(), ws)
-    return float((np.abs(corr) ** 2).sum())
+def _fits(unit: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """Each candidate's fit: the summed squared correlations between
+    unit-norm targets (rank, N4, T, P) and the layers of its precoders, for
+    C candidates' precoders (C, T, N4, P, rank), where T counts subbands or
+    frequency units; (C,).  Precoders (C, T, P, rank) have one slot
+    interval."""
+    if ws.ndim == 4:
+        ws = ws[:, :, None]
+    corr = np.einsum("lntp,ctnpl->ctnl", unit.conj(), ws)
+    return (np.abs(corr) ** 2).reshape(len(ws), -1).sum(axis=1)
 
 
 def _first_best(candidates, fit):
@@ -260,18 +262,19 @@ def _first_best(candidates, fit):
     return best
 
 
-def _choose(candidates, targets):
-    """The report of the best candidate, each None (skipped) or (report,
-    precoders) where ``precoders()`` builds the report's precoders from the
-    parts the search already holds.  A lone candidate is returned without a
-    fit; among several, ``_first_best`` keeps the best fit to ``targets``.
-    None when no candidate remains."""
-    found = [c for c in candidates if c is not None]
+def _choose(reports, precoders, targets):
+    """The best of T candidate reports, each None (skipped) or a report
+    whose precoders ``precoders(kept)`` builds, for the candidates at the
+    indices ``kept``, from the parts the search already holds.  A lone
+    report is returned without a fit; among several, ``_first_best`` keeps
+    the best fit to ``targets``.  None when no report remains."""
+    found = [t for t, report in enumerate(reports) if report is not None]
     if len(found) < 2:
-        return found[0][0] if found else None
+        return reports[found[0]] if found else None
     unit = targets / np.linalg.norm(targets, axis=-1, keepdims=True)
-    best = _first_best(found, lambda c: _fit(unit, c[1]()))
-    return None if best is None else best[0]
+    fits = _fits(unit, precoders(found)).tolist()
+    best = _first_best(range(len(found)), fits.__getitem__)
+    return None if best is None else reports[found[best]]
 
 
 def _pick_beams(l: int, energy: np.ndarray, beam_cap: np.ndarray) -> list[int]:
@@ -291,29 +294,33 @@ def _pick_beams(l: int, energy: np.ndarray, beam_cap: np.ndarray) -> list[int]:
 def _search_groups(config, scan, targets, finish, caps=None):
     """The spatial stage W1 of every Type II search: scan the groups with
     ``scan``, pick L beams in each tied group q (under ``caps``, an (O1N1,
-    O2N2) grid, all ones when None), ``finish(q, i12, beams, beam_caps)``
-    each pick into a candidate for ``_choose`` (None for a report the
-    codebook rejects), and keep the best fit to ``targets``.  A
-    port-selection config has one candidate: the port block that carries
-    the most energy of ``scan``, with no i12 and no caps."""
+    O2N2) grid, all ones when None), in scan order, ``finish(i11s, i12s,
+    bases, beam_caps)`` all T picks at once, their T (P/2, L) beam sets
+    and the caps of their beams, into ``_choose``'s reports (None for a
+    report the codebook rejects) and precoders, and keep the best fit to
+    ``targets``.  A port-selection config has one candidate: the port
+    block that carries the most energy of ``scan``, with no i12 and no
+    caps."""
     if config.variant != enhanced.REGULAR:
         i11 = _pick_port_block(scan, config)
-        return _choose([finish(i11, None, enhanced.port_block(config, i11),
-                               np.ones(config.l))], targets)
+        return _choose(*finish([i11], [None],
+                               [enhanced.port_block(config, i11)],
+                               [np.ones(config.l)]), targets)
     g, l = config.geom, config.l
     n = g.n1 * g.n2
     energy = _group_energy(scan, g)
     grid_l, grid_m = _group_tables(g)[1]
     if caps is None:
         caps = np.ones((g.beams_h, g.beams_v))
-
-    def candidate(q):
+    groups = _tied_groups(energy, l)
+    i12s, bases, beam_caps = [], [], []
+    for q in groups:
         beam_cap = caps[grid_l[q], grid_m[q]]
         flats = sorted(_pick_beams(l, energy[q], beam_cap))
-        return finish(q, encode_combination(flats, n, l),
-                      orthogonal_groups(g)[q][:, flats], beam_cap[flats])
-
-    return _choose(map(candidate, _tied_groups(energy, l)), targets)
+        i12s.append(encode_combination(flats, n, l))
+        bases.append(orthogonal_groups(g)[q][:, flats])
+        beam_caps.append(beam_cap[flats])
+    return _choose(*finish(groups, i12s, bases, beam_caps), targets)
 
 
 def _pick_port_block(targets: np.ndarray, config) -> int:
@@ -328,23 +335,26 @@ def _pick_port_block(targets: np.ndarray, config) -> int:
 
 def _quantize_layers(config, coefs):
     """Quantize every layer's (K, Mv, Q) coefficient grid, ``coefs`` of
-    shape (rank, K, Mv, Q), against the Rel-16 amplitude tables in one array
-    pass; returns (i18, bitmap, k1, k2, c) with arrays of
-    ``config.coef_shape``.
+    shape (rows, K, Mv, Q) for the rank layers of each of rows / rank
+    candidates, against the Rel-16 amplitude tables in one array pass;
+    returns (i18, bitmap, k1, k2, c), i18 one entry per row and arrays of
+    shape (rows,) + ``config.coef_shape[1:]``.
 
     Per layer, the largest coefficient in the slots that may hold the
     strongest one is the reference: the grid is turned by its phase and
-    scaled by its magnitude.  Budget: each layer reports at most
-    ``enhanced.layer_cap`` coefficients, the reference first, then by
-    magnitude.  The per-layer scalar steps (the reference cell, the weaker
-    polarization's k1, the limits, i18) run on Python floats, which are
-    the same IEEE doubles.
+    scaled by its magnitude.  A layer whose reference is exactly zero (a
+    channel of lower rank than the config) reports its reference alone.
+    Budget: each layer reports at most ``enhanced.layer_cap`` coefficients
+    of its candidate's 2*K0, the reference first, then by magnitude.  The
+    per-layer scalar steps (the reference cell, the weaker polarization's
+    k1, the limits, i18) run on Python floats, which are the same IEEE
+    doubles.
     """
-    rank, l = config.rank, config.l
-    rows = np.arange(rank)
+    rows_n, l = len(coefs), config.l
+    rows = np.arange(rows_n)
     q = coefs.shape[3]
     cells = coefs.shape[2] * q
-    tail = coefs.reshape(rank, 2 * l, cells)
+    tail = coefs.reshape(rows_n, 2 * l, cells)
     mag = np.abs(tail)
     # the reference: the first largest coefficient, in (K, Mv*Q) order, of
     # the slots that may hold the strongest one: any tap at shift 0, every
@@ -353,84 +363,96 @@ def _quantize_layers(config, coefs):
         slots, step = slice(None, None, q), q
     else:
         slots, step = slice(q), 1
-    slot_mag = mag[:, :, slots].round(12).reshape(rank, -1)
+    slot_mag = mag[:, :, slots].round(12).reshape(rows_n, -1)
     n_slots = slot_mag.shape[1] // (2 * l)
     # beam i*, and position s* along the free axis, of each layer
     stars = [divmod(p, n_slots) for p in slot_mag.argmax(axis=1).tolist()]
     star = [i * cells + s * step for i, s in stars]   # flat (K, Mv*Q) cell
-    ref = tail.reshape(rank, -1)[rows, star]
-    scale = mag.reshape(rank, -1)[rows, star]
+    ref = tail.reshape(rows_n, -1)[rows, star]
+    scale = mag.reshape(rows_n, -1)[rows, star]
     if not scale.all():
-        raise DomainError("no usable coefficient at the reference tap")
+        # a zero layer's grid reads as zero: its reference alone is kept,
+        # and its weaker polarization's zero maximum gives k1 = 1
+        zero = scale == 0
+        tail = np.where(zero[:, None, None], 0, tail)
+        scale = np.where(zero, 1.0, scale)
     tail = tail * np.exp(-1j * np.angle(ref))[:, None, None]
     mag = np.abs(tail) / scale[:, None, None]
     # k1: 15 on the reference's polarization; the other's largest amplitude
     # to the nearest entry of the table (first on ties), a zero maximum to
-    # the smallest, k1 = 1
-    pol_max = mag.reshape(rank, 2, -1).max(axis=2).tolist()
+    # the smallest, k1 = 1.  The table ascends by 2^(1/4), far more than the
+    # rounding of a difference, so the nearest entry is one of the two
+    # around the value's bisection point
+    pol_max = mag.reshape(rows_n, 2, -1).max(axis=2).tolist()
     k1 = []
     for (i, _), peaks in zip(stars, pol_max):
         value = min(peaks[1 - i // l], 1.0)
-        k = 1 + min(range(15), key=lambda j: abs(value - _WB_AMPS[j]))
-        k1.append([15, k] if i < l else [k, 15])
+        j = bisect.bisect_left(_WB_AMPS, value)
+        if j and value - _WB_AMPS[j - 1] <= _WB_AMPS[j] - value:
+            j -= 1
+        k1.append([15, j + 1] if i < l else [j + 1, 15])
     k1 = np.array(k1)
     ratio = mag / np.repeat(enhanced.WB_AMPS[k1], l, axis=1)[:, :, None]
     k2 = quantize_nearest(np.minimum(ratio, 1.0), enhanced.SB_AMPS)
-    keep = (ratio >= enhanced.SB_AMPS[0] / 2).reshape(rank, -1)
+    keep = (ratio >= enhanced.SB_AMPS[0] / 2).reshape(rows_n, -1)
     keep[rows, star] = True
-    # budget: each layer's cap, from what the earlier layers report; a
-    # layer over its cap keeps the reference and the cap - 1 largest other
-    # kept cells, in the reversed argsort order
-    left = 2 * config.k0
-    for layer, count in enumerate(keep.sum(axis=1).tolist()):
+    # budget: each layer's cap, from what its candidate's earlier layers
+    # report; a layer over its cap keeps the reference and the cap - 1
+    # largest other kept cells, in the reversed argsort order
+    for row, count in enumerate(keep.sum(axis=1).tolist()):
+        layer = row % config.rank
+        if layer == 0:
+            left = 2 * config.k0
         cap = enhanced.layer_cap(config, layer, left)
         left -= min(count, cap)
         if count <= cap:
             continue
-        was_kept, chosen = keep[layer].tolist(), [star[layer]]
-        for cell in np.argsort(mag[layer].reshape(-1))[::-1].tolist():
+        was_kept, chosen = keep[row].tolist(), [star[row]]
+        for cell in np.argsort(mag[row].reshape(-1))[::-1].tolist():
             if len(chosen) == cap:
                 break
-            if was_kept[cell] and cell != star[layer]:
+            if was_kept[cell] and cell != star[row]:
                 chosen.append(cell)
-        keep[layer] = False
-        keep[layer, chosen] = True
-    shape = config.coef_shape
-    k2 = k2.reshape(rank, -1)
+        keep[row] = False
+        keep[row, chosen] = True
+    shape = (rows_n,) + config.coef_shape[1:]
+    k2 = k2.reshape(rows_n, -1)
     k2 *= keep
     k2[rows, star] = 7
-    c = quantize_phase(np.angle(tail), enhanced.N_PSK16).reshape(rank, -1)
+    c = quantize_phase(np.angle(tail), enhanced.N_PSK16).reshape(rows_n, -1)
     c *= keep
     c[rows, star] = 0
     bitmap = keep.astype(np.int8).reshape(shape)
-    i18 = tuple(enhanced.encode_strongest(config, bitmap[layer], i, s)
-                for layer, (i, s) in enumerate(stars))
+    i18 = tuple(enhanced.encode_strongest(config, bitmap[row], i, s)
+                for row, (i, s) in enumerate(stars))
     return i18, bitmap, k1, k2.reshape(shape), c.reshape(shape)
 
 
 def _pick_taps(rel_energy: np.ndarray, config):
-    """Each layer's taps in decode order, (rank, Mv), and the report's
-    M_initial, from tap energies ``rel_energy`` (rank, N3) taken relative
-    to each layer's reference tap (relative tap 0, always kept).
+    """Each layer's taps in decode order, (rows, Mv), and each candidate's
+    M_initial, from tap energies ``rel_energy`` (rows, N3) of the rank
+    layers of each of rows / rank candidates, taken relative to each
+    layer's reference tap (relative tap 0, always kept).
 
     Outside window mode, and with a window of 2Mv >= N3 taps (which at
     M_initial = 0 covers every tap), every layer keeps its Mv - 1 strongest
     other taps.  In window mode each layer greedily takes the strongest
-    taps whose signed span fits the window; layer 0's picks fix M_initial
-    for the one i15 field, and a later layer whose picks would need another
-    M_initial is refit among ``enhanced.tap_choices`` at layer 0's,
-    exact energy ties toward the window start.
+    taps whose signed span fits the window; a candidate's layer 0 picks fix
+    its M_initial for the one i15 field, and a later layer whose picks
+    would need another M_initial is refit among ``enhanced.tap_choices`` at
+    layer 0's, exact energy ties toward the window start.
     """
-    rank, mv, n3 = rel_energy.shape[0], config.mv, config.n3
-    if mv == 1:
-        return np.zeros((rank, 1), dtype=int), 0
-    if not config.window_mode or 2 * mv >= n3:
+    rows_n, mv, n3 = rel_energy.shape[0], config.mv, config.n3
+    if mv == 1 or not config.window_mode or 2 * mv >= n3:
+        m_inits = [0] * (rows_n // config.rank)
+        if mv == 1:
+            return np.zeros((rows_n, 1), dtype=int), m_inits
         rest = np.argsort(rel_energy[:, 1:], axis=1)[:, ::-1][:, :mv - 1] + 1
-        return np.hstack([np.zeros((rank, 1), dtype=int),
-                          np.sort(rest, axis=1)]), 0
+        return np.hstack([np.zeros((rows_n, 1), dtype=int),
+                          np.sort(rest, axis=1)]), m_inits
     signed = _signed_positions(mv, n3)
-    taps, m_first = [], None
-    for energy in rel_energy.tolist():
+    taps, m_inits = [], []
+    for row, energy in enumerate(rel_energy.tolist()):
         chosen: list[int] = []
         lo = hi = 0
         for rel, s in sorted(signed, key=lambda pair: -energy[pair[0]]):
@@ -439,15 +461,17 @@ def _pick_taps(rel_energy: np.ndarray, config):
             if max(hi, s) - min(lo, s) <= 2 * mv - 2:
                 chosen.append(rel)
                 lo, hi = min(lo, s), max(hi, s)
-        # lo <= 0 is the M_initial these picks need; layer 0's is the report's
-        if m_first is None:
-            m_first = lo
+        # lo <= 0 is the M_initial these picks need; layer 0's is the
+        # candidate's
+        if row % config.rank == 0:
+            m_inits.append(lo)
+        m_first = m_inits[-1]
         choices, position = enhanced.tap_positions(config, m_first)
         if lo != m_first:
             chosen = sorted(choices, key=lambda rel: (
                 -energy[rel], (rel - m_first) % n3))[:mv - 1]
         taps.append([0] + sorted(chosen, key=position.__getitem__))
-    return np.array(taps), m_first
+    return np.array(taps), m_inits
 
 
 @functools.cache
@@ -503,23 +527,31 @@ def search_r18(channel: ChannelRealization, config: type2_r18.R18Config
 
 def _search_enhanced(config, targets):
     """The Rel-16/Rel-18 search: ``_finish`` on every tied group (or on the
-    one port block) through ``_search_groups``, each report checked by
-    ``_candidate``."""
+    one port block) at once through ``_search_groups``, each report checked
+    by ``_candidates``."""
     return _chosen(_search_groups(
         config, targets, targets,
-        lambda i11, i12, basis, _: _candidate(
-            config, basis, *_finish(config, targets, i11, i12, basis))))
+        lambda i11s, i12s, bases, _: _candidates(
+            config, bases, *_finish(config, targets, i11s, i12s, bases))))
 
 
-def _candidate(config, basis, pmi, taps, shifts=None):
-    """A finished report on the beams ``basis`` as a ``_choose`` candidate,
-    its precoders synthesized from the basis and the taps (and shifts) the
-    report decodes to; None when the report is degenerate."""
-    try:
-        ct, gamma = enhanced.tap_stage(config, pmi, taps, shifts)
-    except DegenerateReportError:
-        return None
-    return pmi, lambda: enhanced.basis_stage(config, basis, ct, gamma)
+def _candidates(config, bases, reports, layers, taps, shifts=None):
+    """T finished reports on the T beam sets ``bases`` as ``_choose``
+    input: one tap stage (``enhanced.tap_stage``) on the T*rank ``layers``
+    of coefficients, with their taps (and shifts), drops each degenerate
+    report (None), and the precoders of the kept candidates are synthesized
+    from their bases and that stage's output, each by the basis stage of
+    ``reconstruct_all``."""
+    ct, gamma, bad = enhanced.tap_stage(config, layers, taps, shifts)
+    rank, bad = config.rank, bad.tolist()
+
+    def precoders(kept):
+        return np.stack([enhanced.basis_stage(
+            config, bases[t], ct[t * rank:(t + 1) * rank],
+            gamma[t * rank:(t + 1) * rank]) for t in kept])
+
+    return [None if any(bad[t * rank:(t + 1) * rank]) else report
+            for t, report in enumerate(reports)], precoders
 
 
 def _chosen(best):
@@ -530,48 +562,66 @@ def _chosen(best):
     return best
 
 
-def _finish(config, targets, i11, i12, basis):
-    """Shift, tap and coefficient selection for a fixed beam set, every
-    layer in one array pass; returns the report with each layer's taps
-    (rank, Mv), and shifts (rank, Q) (None for Rel-16), as the report's i16
-    and i110 decode to.
+def _finish(config, targets, i11s, i12s, bases):
+    """Shift, tap and coefficient selection for the (P/2, L) beam sets
+    ``bases`` of T candidates (groups ``i11s``, combinations ``i12s``), every
+    layer of every candidate in one array pass; returns the T reports, the
+    ``enhanced.Coefficients`` of their T*rank layers stacked, and each
+    layer's taps (T*rank, Mv) and shifts (T*rank, Q) (None for Rel-16), as
+    the reports' i16 and i110 decode to.
 
     Works on the (2L, Mv, Q) grid of Rel-18; Rel-16 is the case of one slot
     interval and one shift.
     """
-    n3, rank = config.n3, config.rank
-    proj = _beam_projections(targets, basis, enhanced.spatial_gain(config))
-    n4 = proj.shape[1]                                  # (rank, N4, M, 2L)
+    n3, rank, count, l = config.n3, config.rank, len(bases), config.l
+    # every candidate's beams as more columns of one projection, then the
+    # rows of each candidate's layers: (T*rank, N4, M, 2L)
+    proj = _beam_projections(targets, np.concatenate(bases, axis=1),
+                             enhanced.spatial_gain(config))
+    n4 = proj.shape[1]
+    proj = proj.reshape(rank, n4, -1, 2, count, l).transpose(
+        4, 0, 1, 2, 3, 5).reshape(count * rank, n4, -1, 2 * l)
     # 2-D DFT: frequency units -> taps, intervals -> shifts.  At N4 = 1 the
     # interval DFT and / N4 are the identity up to the sign of an exact-zero
     # real or imaginary part, which moves np.angle only between pi and -pi
     # or 0 and -0, the same phase index either way
-    spectrum = np.fft.fft(proj, axis=2) / n3            # (rank, N4, N3, 2L)
-    rows = np.arange(rank)[:, None]
-    shifts = np.zeros((rank, 1), dtype=int)
+    spectrum = np.fft.fft(proj, axis=2) / n3            # (rows, N4, N3, 2L)
+    rows = np.arange(count * rank)[:, None]
+    shifts = np.zeros((count * rank, 1), dtype=int)
     if n4 > 1:
         spectrum = np.fft.fft(spectrum, axis=1) / n4
         # beside shift 0, each layer's strongest other shift
         energy = (np.abs(spectrum) ** 2).sum(axis=(2, 3))[:, 1:]
         shifts = np.hstack([shifts, 1 + energy.argmax(axis=1)[:, None]])
-    sub = spectrum[rows, shifts]                        # (rank, Q, N3, 2L)
+    sub = spectrum[rows, shifts]                        # (rows, Q, N3, 2L)
     mag = np.abs(sub)
     tap_energy = (mag ** 2).sum(axis=(1, 3))
     # the reference tap: the strongest coefficient's, taps re-counted from it
     ref = mag.max(axis=(1, 3)).round(12).argmax(axis=1)
     at = (ref[:, None] + np.arange(n3)) % n3
-    taps, m_init = _pick_taps(tap_energy[rows, at], config)
-    i16, i15 = zip(*(enhanced.encode_taps(config, rels, m_init)
-                     for rels in taps.tolist()))
-    # coefficient grid (rank, 2L, Mv, Q): tap index then shift index
+    taps, m_inits = _pick_taps(tap_energy[rows, at], config)
+    i16, i15 = zip(*(enhanced.encode_taps(config, rels, m_inits[row // rank])
+                     for row, rels in enumerate(taps.tolist())))
+    # coefficient grid (rows, 2L, Mv, Q): tap index then shift index
     coefs = sub[rows[:, :, None], np.arange(shifts.shape[1])[:, None],
                 at[rows, taps][:, None, :]]
     i18, *arrays = _quantize_layers(config, coefs.transpose(0, 3, 2, 1))
-    if len(config.coef_shape) == 4:
-        i110 = tuple((shifts[:, 1] - 1).tolist()) if n4 > 1 else None
-        return (type2_r18.R18Pmi(i11, i12, i15[0], i16, i18, i110, *arrays),
-                taps, shifts)
-    return type2_r16.R16Pmi(i11, i12, i15[0], i16, i18, *arrays), taps, None
+    bitmap, k1, k2, c = arrays
+    rel16 = len(config.coef_shape) == 3
+    i110 = (shifts[:, 1] - 1).tolist() if n4 > 1 else None
+    reports = []
+    for t in range(count):
+        a, b = t * rank, (t + 1) * rank
+        fields = (i11s[t], i12s[t], i15[a], i16[a:b], i18[a:b])
+        if rel16:
+            reports.append(type2_r16.R16Pmi(*fields, bitmap[a:b], k1[a:b],
+                                            k2[a:b], c[a:b]))
+        else:
+            reports.append(type2_r18.R18Pmi(
+                *fields, None if i110 is None else tuple(i110[a:b]),
+                bitmap[a:b], k1[a:b], k2[a:b], c[a:b]))
+    return (reports, enhanced.Coefficients(*arrays), taps,
+            None if rel16 else shifts)
 
 
 def search_r17(channel: ChannelRealization, config: type2_r17.R17Config
@@ -599,8 +649,8 @@ def search_r17(channel: ChannelRealization, config: type2_r17.R17Config
         taps = (0, i16 + 1)
     coefs = spectrum[:, list(taps)].transpose(0, 2, 1)[..., None]
     pmi = type2_r17.R17Pmi(i12, i16, *_quantize_layers(config, coefs))
-    return _chosen(_choose([_candidate(config, basis, pmi,
-                                       [taps] * config.rank)], targets))
+    return _chosen(_choose(*_candidates(config, [basis], [pmi], pmi,
+                                        [taps] * config.rank), targets))
 
 
 # ---------------------------------------------------------------------------

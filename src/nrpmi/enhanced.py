@@ -12,7 +12,7 @@ Rel-16 and Rel-17 reports store the grid without its shift axis (Q = 1);
 read through ``index_field``, into the spatial basis, the taps and the
 shifts, and ``synthesize`` combines
 them in two stages: ``tap_stage`` (coefficients to frequency units, and the
-degeneracy check) and ``basis_stage`` (onto the beams).  Two synthesis
+degeneracy flags) and ``basis_stage`` (onto the beams).  Two synthesis
 kernels keep every release bit-exact with its own arithmetic: a
 space-frequency product for reports without a shift axis and a Tucker
 contraction for Rel-18 (N4 = 1 included).
@@ -78,6 +78,13 @@ def check_port_count(p_csirs: int) -> None:
         raise DomainError(f"p_csirs={p_csirs!r} not in {SUPPORTED_PORT_COUNTS}")
 
 
+def port_bounds(p_csirs: int, l: int) -> tuple[int, int]:
+    """Port selection's upper bounds at P = ``p_csirs`` ports and L = ``l``
+    beams: L of at most P/2 ports per polarization, and the sampling size
+    d of at most min(P/2, L)."""
+    return p_csirs // 2, min(p_csirs // 2, l)
+
+
 class SpatialConfig:
     """The spatial basis of a Type II config: DFT beams of ``geom``
     (regular), or ``p_csirs`` ports in blocks every ``d`` (port selection).
@@ -108,13 +115,13 @@ class SpatialConfig:
             if self.d is None:
                 raise DomainError("port-selection variant requires p_csirs and d")
             check_port_count(self.p_csirs)
-            if self.l > self.p_csirs // 2:
-                raise DomainError(f"L={self.l} exceeds the P/2="
-                                  f"{self.p_csirs // 2} ports per polarization")
-            if not 1 <= self.d <= min(self.p_csirs // 2, self.l):
-                raise DomainError(
-                    f"portSelectionSamplingSize d={self.d} outside "
-                    f"[1, min(P/2, L)={min(self.p_csirs // 2, self.l)}]")
+            max_l, max_d = port_bounds(self.p_csirs, self.l)
+            if self.l > max_l:
+                raise DomainError(f"L={self.l} exceeds the P/2={max_l} ports "
+                                  "per polarization")
+            if not 1 <= self.d <= max_d:
+                raise DomainError(f"portSelectionSamplingSize d={self.d} "
+                                  f"outside [1, min(P/2, L)={max_d}]")
 
     @property
     def n_ports(self) -> int:
@@ -553,34 +560,38 @@ def _dft(n: int, indices) -> np.ndarray:
 def synthesize(config, pmi, v: np.ndarray, taps, shifts=None) -> np.ndarray:
     """Precoders from the spatial basis ``v`` (P/2, L) and each layer's taps
     (and shifts), all layers in one pass: ``tap_stage``, then
-    ``basis_stage``.
+    ``basis_stage``.  Raises DegenerateReportError when a layer has no
+    energy at some point, which leaves its precoder undefined.
 
     Returns (N3, P, rank), or (N3, N4, P, rank) when shifts are given (the
     report has a shift axis).
     """
-    return basis_stage(config, v, *tap_stage(config, pmi, taps, shifts))
-
-
-def tap_stage(config, pmi, taps, shifts=None):
-    """The report's coefficients carried to every frequency unit (and slot
-    interval): ``ct`` (rank, K, N3[, N4]) and each layer's energy ``gamma``
-    (rank, N3[, N4]).  Raises DegenerateReportError when a layer has no
-    energy at some point, which leaves its precoder undefined."""
-    coef = layer_coefficients(config, pmi)                 # (rank, K, Mv[, Q])
-    y = _dft(config.n3, taps)                              # (rank, N3, Mv)
-    if shifts is None:
-        ct = coef @ y.swapaxes(1, 2)                       # (rank, K, N3)
-    else:
-        z = _dft(config.n4, shifts)                        # (rank, N4, Q)
-        ct = np.einsum("kifq,ktf,knq->kitn", coef, y, z)   # (rank, K, N3, N4)
-    gamma = (np.abs(ct) ** 2).sum(axis=1)                  # (rank, N3[, N4])
-    points = tuple(range(1, gamma.ndim))
-    bad = (gamma <= 1e-12 * gamma.max(axis=points, keepdims=True)).any(
-        axis=points)
+    ct, gamma, bad = tap_stage(config, pmi, taps, shifts)
     if bad.any():
         raise DegenerateReportError(f"layer {int(np.argmax(bad))} has zero "
                                     "energy at some frequency unit")
-    return ct, gamma
+    return basis_stage(config, v, ct, gamma)
+
+
+def tap_stage(config, pmi, taps, shifts=None):
+    """Coefficients carried to every frequency unit (and slot interval):
+    ``ct`` (layers, K, N3[, N4]), each layer's energy ``gamma`` (layers,
+    N3[, N4]) and its degeneracy flag, True where the layer has no energy
+    at some point.  ``pmi`` holds the coefficient arrays of one report, or
+    (in a search) of several candidates' layers stacked, with one row of
+    ``taps`` (and ``shifts``) per layer."""
+    coef = layer_coefficients(config, pmi)                 # (rows, K, Mv[, Q])
+    y = _dft(config.n3, taps)                              # (rows, N3, Mv)
+    if shifts is None:
+        ct = coef @ y.swapaxes(1, 2)                       # (rows, K, N3)
+    else:
+        z = _dft(config.n4, shifts)                        # (rows, N4, Q)
+        ct = np.einsum("kifq,ktf,knq->kitn", coef, y, z)   # (rows, K, N3, N4)
+    gamma = (np.abs(ct) ** 2).sum(axis=1)                  # (rows, N3[, N4])
+    points = tuple(range(1, gamma.ndim))
+    bad = (gamma <= 1e-12 * gamma.max(axis=points, keepdims=True)).any(
+        axis=points)
+    return ct, gamma, bad
 
 
 def basis_stage(config, v: np.ndarray, ct: np.ndarray,

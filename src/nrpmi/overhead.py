@@ -16,7 +16,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from . import enhanced, type2_r17
+from . import enhanced, type2_r17, type2_r18
 from .combinadics import binomial, check_int, check_int_fields, clog2
 from .errors import DomainError
 
@@ -135,6 +135,22 @@ class OverheadConfig:
                     getattr(self, name) > getattr(self, bound):
                 raise DomainError(f"{name}={getattr(self, name)} exceeds "
                                   f"{bound}={getattr(self, bound)}")
+        # the codebooks' own bounds: port selection's L and d, Rel-18's N4
+        # and the Q shifts it implies
+        if self.release in ("r15-ps", "r16-ps"):
+            max_l, max_d = enhanced.port_bounds(self.p_csirs, self.l)
+            if self.l > max_l:
+                raise DomainError(f"l={self.l} exceeds P/2={max_l}")
+            if self.d > max_d:
+                raise DomainError(f"d={self.d} exceeds min(P/2, L)={max_d}")
+        if self.release == "r18":
+            if self.n4 not in type2_r18.N4_VALUES:
+                raise DomainError(f"n4={self.n4} not in "
+                                  f"{type2_r18.N4_VALUES}")
+            q = type2_r18.shift_count(self.n4)
+            if self.q != q:
+                raise DomainError(f"q={self.q} is not the {q} shift(s) of "
+                                  f"n4={self.n4}")
         # K_NZ counts every layer's strongest coefficient, and i_2,4/i_2,5
         # price K_NZ - 2 entries: below max(2, rank) no report exists
         if self.k_nz < max(2, self.rank):

@@ -411,52 +411,76 @@ def search_t2_r15(channel: np.ndarray, config: T2R15Config,
 
     # the fit reads one slot interval: (rank, 1, subbands, P)
     best = _search_groups(config, wide, targets[:, None],
-                          functools.partial(_candidate, config, targets), caps)
+                          functools.partial(_candidates, config, targets), caps)
     if best is None:
         raise RestrictionError("no admissible report under the caps")
     return best
 
 
-def _candidate(config: T2R15Config, targets: np.ndarray, i11, i12,
-               beams: np.ndarray, beam_caps: np.ndarray):
-    """The quantized report of ``targets`` (rank, subbands, P) on ``beams``
-    as a ``_choose`` candidate, its precoders built from the beams and the
-    quantized weights; None when the caps leave no admissible reference."""
-    quantized = _quantize_report(config, _beam_projections(
-        targets, beams, spatial_gain(config)), i11, i12, beam_caps)
-    if quantized is None:
-        return None
-    pmi, alphabet = quantized
-    weights = _coefficients(config, pmi.k1, pmi.k2, pmi.c, alphabet)
-    return pmi, lambda: _precoders(config, beams, weights)
-
-
-def _quantize_report(config: T2R15Config, coef: np.ndarray, i11, i12,
-                     beam_caps: np.ndarray):
-    """Quantize every layer's (subband, 2L) weights against the reference,
-    the coefficient of largest RMS magnitude, under the caps of the L beams;
-    returns the report and its phase alphabet (``reporting_mask``), or None
-    when the caps leave no admissible reference.  The admissible beams and
-    each layer's reference are picked on Python values, the same IEEE
-    doubles and comparisons as the array form."""
-    max_k = _max_k(beam_caps).tolist() * 2
+def _candidates(config: T2R15Config, targets: np.ndarray, i11s, i12s,
+                bases: list, beam_caps: list):
+    """The quantized reports of ``targets`` (rank, subbands, P) on the T
+    (P/2, L) beam sets ``bases``, under the T caps ``beam_caps`` of their
+    beams, as ``_choose`` input: None where the caps leave no admissible
+    reference, and the precoders of the kept candidates built from their
+    beams and quantized weights."""
     # the strongest coefficient carries an implicit amplitude of 1, so it
     # must sit on an unrestricted beam
-    admissible = [i for i, k in enumerate(max_k) if k == 7]
-    if not admissible:
-        return None
-    rows = np.arange(config.rank)
-    mag = np.abs(coef)                                # (rank, n_sb, 2L)
-    rms = np.round(np.sqrt((mag ** 2).mean(axis=1)), 12).tolist()
+    max_k = _max_k(np.array(beam_caps)).tolist()
+    kept = [t for t, row in enumerate(max_k) if 7 in row]
+    reports = [None] * len(bases)
+    if not kept:
+        return reports, None
+    rank, l = config.rank, config.l
+    # the kept candidates' beams as more columns of one projection, then
+    # the rows of each candidate's layers: (T'*rank, subbands, 2L)
+    coef = _beam_projections(targets, np.concatenate(
+        [bases[t] for t in kept], axis=1), spatial_gain(config))
+    coef = coef.reshape(rank, -1, 2, len(kept), l).transpose(
+        3, 0, 1, 2, 4).reshape(len(kept) * rank, -1, 2 * l)
+    pmis, arrays = _quantize_report(config, coef, [i11s[t] for t in kept],
+                                    [i12s[t] for t in kept],
+                                    [max_k[t] * 2 for t in kept])
+    for t, pmi in zip(kept, pmis):
+        reports[t] = pmi
+    weights = _coefficients(config, *arrays)          # (subbands, T'*rank, 2L)
+
+    def precoders(chosen):
+        at = [kept.index(t) for t in chosen]
+        w = weights.reshape(len(weights), len(kept), rank, -1)[:, at]
+        v = np.stack([bases[t] for t in chosen])[:, None, None, None]
+        return _precoders(config, v, w.swapaxes(0, 1))
+
+    return reports, precoders
+
+
+def _quantize_report(config: T2R15Config, coef: np.ndarray, i11s, i12s,
+                     max_k: list):
+    """Quantize the (subband, 2L) weights of every layer of T candidates,
+    ``coef`` (T*rank, subbands, 2L), against each layer's reference: the
+    coefficient of largest RMS magnitude among the positions that admit
+    k1 = 7 under its candidate's caps, ``max_k`` (T lists of the 2L
+    ``_max_k`` values, each with such a position).  Returns the T reports
+    and their stacked k1, k2, c and phase alphabet (``reporting_mask``).
+    The admissible beams and each layer's reference are picked on Python
+    values, the same IEEE doubles and comparisons as the array form."""
+    rank = config.rank
+    admissible = [[i for i, k in enumerate(row) if k == 7] for row in max_k]
+    rows = np.arange(len(coef))
+    mag = np.abs(coef)                                # (rows, n_sb, 2L)
+    # the mean square, as ``mean`` divides the sum by the subband count
+    rms = np.round(np.sqrt((mag ** 2).sum(axis=1) / len(coef[0])), 12).tolist()
     # the first admissible position of largest RMS magnitude
-    i13 = tuple(max(admissible, key=row.__getitem__) for row in rms)
-    ref = mag[rows, :, i13]                           # (rank, n_sb)
+    i13 = [max(admissible[row // rank], key=values.__getitem__)
+           for row, values in enumerate(rms)]
+    ref = mag[rows, :, i13]                           # (rows, n_sb)
     # a layer with a zero reference keeps the strongest position only
     degenerate = ~(ref > 0).all(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = mag / ref[:, :, None]
         p1_hat = ratio.max(axis=1)                    # per-position wideband amp
-        k1 = np.minimum(qt.quantize_nearest(p1_hat, qt.R15_WB_AMPS), max_k)
+        k1 = np.minimum(qt.quantize_nearest(p1_hat, qt.R15_WB_AMPS),
+                        [max_k[row // rank] for row in range(len(coef))])
         # where p1_hat is 0 or not finite, k1 is 0 (or the layer is
         # degenerate), so k2 there is never reported
         k2 = (qt.quantize_nearest(ratio / p1_hat[:, None], qt.R15_SB_AMPS)
@@ -471,4 +495,9 @@ def _quantize_report(config: T2R15Config, coef: np.ndarray, i11, i12,
     # unreported fields hold their defaults, as ``canonicalize`` sets them
     k2 = np.where(k2_reported[:, None], k2, 1)
     c = np.where(a > 0, qt.quantize_phase(rel, np.maximum(a, 1)), 0)
-    return T2R15Pmi(i11, i12, i13, k1, k2, c), alphabet
+    reports = []
+    for t, (i11, i12) in enumerate(zip(i11s, i12s)):
+        part = slice(t * rank, (t + 1) * rank)
+        reports.append(T2R15Pmi(i11, i12, tuple(i13[part]), k1[part],
+                                k2[part], c[part]))
+    return reports, (k1, k2, c, alphabet)

@@ -18,6 +18,13 @@ from .combinadics import check_int_fields, clog2, is_index, read_bits
 from .errors import DomainError
 
 Q_SHIFTS = 2  # frozen by the protocol
+N4_VALUES = (1, 2, 4, 8)  # slot intervals a report may predict
+
+
+def shift_count(n4: int) -> int:
+    """Q, the Doppler shifts a report keeps: Q_SHIFTS, or 1 at N4 = 1."""
+    return Q_SHIFTS if n4 > 1 else 1
+
 
 # paramCombination-Doppler-r18 -> (L, p_v ranks 1-2, p_v ranks 3-4, beta)
 PARAM_COMBINATIONS: dict[int, tuple[int, float, float | None, float]] = {
@@ -60,12 +67,12 @@ class R18Config(enhanced.CompressedConfig):
         check_int_fields(self, "param_combination", "r", "n3", "n4", "rank")
         self.check_params()
         self.check_variant()
-        if self.n4 not in (1, 2, 4, 8):
+        if self.n4 not in N4_VALUES:
             raise DomainError(f"N4={self.n4} not in {{1, 2, 4, 8}}")
 
     @cached_property
     def q(self) -> int:
-        return Q_SHIFTS if self.n4 > 1 else 1
+        return shift_count(self.n4)
 
     @cached_property
     def k0(self) -> int:

@@ -319,9 +319,9 @@ def test_search_skips_a_tied_degenerate_candidate(monkeypatch):
                          subcarrier_spacing=180e3, n_subcarriers=12, seed=5)
     ch = draw_channel(model, GEOM, nr=2, trial=5)
     targets = channel_sim._targets(ch.flat[None], cfg.rank)
-    degenerate, _, _ = channel_sim._finish(
-        cfg, targets, (1, 2), encode_combination([0, 5], 8, 2),
-        orthogonal_group(GEOM, 1, 2)[:, [0, 5]])
+    (degenerate,), *_ = channel_sim._finish(
+        cfg, targets, [(1, 2)], [encode_combination([0, 5], 8, 2)],
+        [orthogonal_group(GEOM, 1, 2)[:, [0, 5]]])
     with pytest.raises(DegenerateReportError):
         type2_r16.reconstruct_all(cfg, degenerate)
     expected = search_r16(ch, cfg)
@@ -578,6 +578,42 @@ def test_search_r16_port_selection_plant():
     assert ok >= 0.9 * trials
 
 
+def rank_deficient_cases():
+    # rank 2 on two equal receive rows: layer 1's target is exactly zero
+    yield "r16", search_r16, type2_r16, type2_r16.R16Config(
+        param_combination=4, r=1, n3=18, rank=2, geom=GEOM), 1
+    yield "r17", search_r17, type2_r17, type2_r17.R17Config(
+        p_csirs=16, param_combination=6, n3=12, n_threshold=4, rank=2), 1
+    yield "r18", search_r18, type2_r18, type2_r18.R18Config(
+        geom=GEOM, param_combination=2, r=1, n3=12, n4=4, rank=2), 4
+
+
+@pytest.mark.parametrize("search, release, cfg, n4",
+                         [case[1:] for case in rank_deficient_cases()],
+                         ids=[case[0] for case in rank_deficient_cases()])
+def test_rank_deficient_channel_reports_the_zero_layer_reference(
+        search, release, cfg, n4):
+    # a layer with no usable reference reports its reference alone, as
+    # Rel-15's search reports such a layer, instead of raising
+    model = ChannelModel(n_paths=6, delay_spread=1e-6, doppler_max=200.0,
+                         subcarrier_spacing=180e3, n_subcarriers=cfg.n3,
+                         seed=7)
+    for trial in range(3):
+        h = draw_channel(model, GEOM, nr=2, trial=trial, n4=n4).h
+        h[..., 1, :] = h[..., 0, :]
+        targets = channel_sim._targets(h, cfg.rank)
+        assert not targets[1].any() and targets[0].any()
+        pmi = search(ChannelRealization(h=h), cfg)
+        ws = release.reconstruct_all(cfg, pmi)
+        assert np.allclose(np.linalg.norm(ws, axis=-2),
+                           1 / math.sqrt(cfg.rank))
+        zero = enhanced.grid(pmi.bitmap)[1]
+        assert zero.sum() == 1 and zero[0, 0, 0] == 1
+        assert pmi.k1[1].tolist() == [15, 1]
+        assert enhanced.grid(pmi.k2)[1, 0, 0, 0] == 7
+        assert not pmi.c[1].any()
+
+
 @pytest.mark.parametrize("trial", [43, 113])
 def test_search_r16_port_selection_rejects_a_degenerate_report(trial):
     # the one port-block candidate finishes into a report whose taps cancel
@@ -590,8 +626,8 @@ def test_search_r16_port_selection_rejects_a_degenerate_report(trial):
     ch = draw_channel(model, GEOM, nr=2, trial=trial)
     targets = channel_sim._targets(ch.flat[None], cfg.rank)
     i11 = channel_sim._pick_port_block(targets, cfg)
-    report, _, _ = channel_sim._finish(cfg, targets, i11, None,
-                                       enhanced.port_block(cfg, i11))
+    (report,), *_ = channel_sim._finish(cfg, targets, [i11], [None],
+                                        [enhanced.port_block(cfg, i11)])
     with pytest.raises(DegenerateReportError, match="zero energy"):
         type2_r16.reconstruct_all(cfg, report)
     with pytest.raises(DegenerateReportError,

@@ -52,6 +52,17 @@ def test_malformed_field_names_the_field(field, value):
     ("r17-ps", dict(m_taps=3), "m_taps"),
     ("r17-ps", dict(n_window=3), "n_window"),
     ("r16-ps", dict(p_csirs=64), "p_csirs"),
+    # these priced 15,460, 1,296, 980, 501 and 1,307 bits, where the
+    # codebooks need L <= P/2, 1 <= d <= min(P/2, L), N4 in {1, 2, 4, 8}
+    # and Q = 2 (1 at N4 = 1)
+    ("r15-ps", dict(l=4, p_csirs=4), "l"),
+    ("r16-ps", dict(d=99), "d"),
+    ("r16-ps", dict(d=3, l=2), "d"),
+    ("r18", dict(n4=3), "n4"),
+    ("r18", dict(q=7), "q"),
+    ("r18", dict(n4=1, q=2), "q"),
+    ("r15-ps", dict(d=5, l=4, p_csirs=8), "d"),
+    ("r16-ps", dict(l=5, p_csirs=8), "l"),
 ])
 def test_out_of_range_field_names_the_field(release, fields, named):
     with pytest.raises(DomainError, match=f"^{named}="):
@@ -65,6 +76,12 @@ def test_out_of_range_field_names_the_field(release, fields, named):
     ("r17-ps", dict(l=4, n1n2=2)),
     ("r17-ps", dict(p_csirs=8, k1_beams=8, m_taps=2, n_window=4)),
     ("r16", dict(mv=18, n3=18)),
+    # the port and Rel-18 bounds bind only on the releases that have them
+    ("r15-ps", dict(l=4, p_csirs=8, d=4)),
+    ("r16-ps", dict(l=2, p_csirs=4, d=2)),
+    ("r16", dict(l=4, p_csirs=4, d=99)),
+    ("r18", dict(n4=1, q=1)),
+    ("r16", dict(n4=3, q=7)),
 ])
 def test_fields_in_range_are_priced(release, fields):
     assert total_bits(OverheadConfig(release=release, **fields)) > 0

@@ -2,9 +2,11 @@
 
 The searches fit each tied candidate from the basis, taps and shifts they
 already hold, skip the fit when one candidate remains, and finish and
-quantize every layer of a candidate in one array pass.  The reference
-copies below are the earlier forms: a candidate loop that fits every
-candidate through its release's ``reconstruct_all``, a finish that picks
+quantize every layer of every tied candidate in one array pass, along a
+leading candidate axis; each candidate must come out as it does alone.
+The reference copies below are the earlier forms: a candidate loop that
+fits every candidate through its release's ``reconstruct_all`` (one fit
+per report), a finish that picks
 each layer's shifts and taps in turn (refitting a later layer's taps into
 layer 0's window), a quantizer that works one layer at a time, trimming
 the budget with a loop over positions, a group scan that sums a broadcast
@@ -229,28 +231,46 @@ def finish_oracle(config, targets, i11, i12, basis,
     return type2_r16.R16Pmi(i11, i12, i15, tuple(i16), i18, *arrays), taps, None
 
 
+def fit_oracle(unit, ws):
+    """One report's fit: its precoders (T, N4, P, rank), or (T, P, rank)
+    for one slot interval, against unit targets (rank, N4, T, P), summed
+    over every correlation at once."""
+    if ws.ndim == 3:
+        ws = ws[:, None]
+    corr = np.einsum("lntp,tnpl->tnl", unit.conj(), ws)
+    return float((np.abs(corr) ** 2).sum())
+
+
+def tied_picks(config, scan, caps=None):
+    """Every tied group's candidate as ``_search_groups`` picks it: (q,
+    i12, beams, beam caps)."""
+    g, l, n = config.geom, config.l, config.geom.n1 * config.geom.n2
+    energy = channel_sim._group_energy(scan, g)
+    if caps is None:
+        caps = np.ones((g.beams_h, g.beams_v))
+    flat = np.arange(n)
+    picks = []
+    for q in channel_sim._tied_groups(energy, l):
+        beam_cap = caps[g.o1 * (flat % g.n1) + q[0],
+                        g.o2 * (flat // g.n1) + q[1]]
+        flats = sorted(channel_sim._pick_beams(l, energy[q], beam_cap))
+        picks.append((q, encode_combination(flats, n, l),
+                      orthogonal_groups(g)[q][:, flats], beam_cap[flats]))
+    return picks
+
+
 def search_groups_oracle(config, scan, targets, finish, reconstruct_all,
                          caps=None):
     """The candidate loop that fits every candidate report through
     ``reconstruct_all``, skipping None and degenerate ones."""
-    g, l = config.geom, config.l
-    n = g.n1 * g.n2
-    energy = channel_sim._group_energy(scan, g)
     unit = targets / np.linalg.norm(targets, axis=-1, keepdims=True)
-    flat = np.arange(n)
-    if caps is None:
-        caps = np.ones((g.beams_h, g.beams_v))
     best, best_fit = None, -1.0
-    for q in channel_sim._tied_groups(energy, l):
-        beam_cap = caps[g.o1 * (flat % g.n1) + q[0],
-                        g.o2 * (flat // g.n1) + q[1]]
-        flats = np.sort(channel_sim._pick_beams(l, energy[q], beam_cap))
-        pmi = finish(q, encode_combination(flats.tolist(), n, l),
-                     orthogonal_groups(g)[q][:, flats], beam_cap[flats])
+    for pick in tied_picks(config, scan, caps):
+        pmi = finish(*pick)
         if pmi is None:
             continue
         try:
-            value = channel_sim._fit(unit, reconstruct_all(config, pmi))
+            value = fit_oracle(unit, reconstruct_all(config, pmi))
         except DegenerateReportError:
             continue
         if value > best_fit + 1e-12:
@@ -289,14 +309,13 @@ def r15_oracle(h, config, caps=None):
     passed through ``canonicalize``."""
     targets = subband_targets_oracle(h, config.subband_count, config.rank)
     wide = subband_targets_oracle(h, 1, config.rank)
-    gain = enhanced.spatial_gain(config)
 
     def finish(q, i12, beams, beam_caps):
-        coef = channel_sim._beam_projections(targets, beams, gain)
-        found = type2_r15._quantize_report(config, coef, q, i12, beam_caps)
+        (found,), _ = type2_r15._candidates(config, targets, [q], [i12],
+                                            [beams], [beam_caps])
         if found is None:
             return None
-        return type2_r15.canonicalize(config, found[0])
+        return type2_r15.canonicalize(config, found)
 
     best = search_groups_oracle(config, wide, targets[:, None], finish,
                                 type2_r15.reconstruct_all, caps)
@@ -425,9 +444,9 @@ def quantizer_configs():
     yield type2_r17.R17Config(p_csirs=8, param_combination=2, n3=8, rank=4)
 
 
-@pytest.mark.parametrize("config", list(quantizer_configs()),
-                         ids=lambda c: f"{type(c).__name__}-rank{c.rank}")
-def test_quantizer_matches_the_per_layer_oracle(config):
+def quantizer_trials(config):
+    """Random coefficient grids (rank, K, Mv, Q) for ``config``: some
+    sparse, some with exact ties."""
     rng = np.random.default_rng(config.rank)
     shape = config.coef_shape[1:]
     shape = shape if len(shape) == 3 else shape + (1,)
@@ -437,17 +456,27 @@ def test_quantizer_matches_the_per_layer_oracle(config):
             # a few magnitudes on the axes: exact ties in the budget
             # trim's order
             axes = np.array([1, 1j, -1, -1j])[rng.integers(4, size=size)]
-            coefs = rng.integers(1, 4, size=size) / 4 * axes
+            yield rng.integers(1, 4, size=size) / 4 * axes
         else:
             mags = np.abs(rng.standard_normal(size))
             mags *= rng.random(size) > trial % 3 / 4
-            coefs = mags * np.exp(2j * np.pi * rng.random(size))
+            yield mags * np.exp(2j * np.pi * rng.random(size))
+
+
+@pytest.mark.parametrize("config", list(quantizer_configs()),
+                         ids=lambda c: f"{type(c).__name__}-rank{c.rank}")
+def test_quantizer_matches_the_per_layer_oracle(config):
+    for coefs in quantizer_trials(config):
         found = outcome(channel_sim._quantize_layers, config, coefs)
         expected = outcome(quantize_layers_oracle, config, coefs)
         if isinstance(expected[0], type):
-            # no usable reference: the same error
-            assert found == expected
-            continue
+            # no usable reference, where the oracle raises: such a layer
+            # reports its reference alone, as a layer of one unit
+            # coefficient at its first slot does
+            assert expected == (DomainError, "no usable coefficient at the "
+                                "reference tap")
+            expected = quantize_layers_oracle(
+                config, unit_reference_layers(config, coefs))
         if int(expected[1].sum()) > 2 * config.k0:
             # the oracle's report, which reconstruct_all rejects: the same
             # references, each layer within its cap and keeping a prefix of
@@ -462,6 +491,29 @@ def test_quantizer_matches_the_per_layer_oracle(config):
         for got, value in zip(found[1:], expected[1:]):
             assert got.dtype == value.dtype
             assert np.array_equal(got, value)
+
+
+def test_quantizer_sweep_reaches_a_zero_reference():
+    # the sparse trials leave some layer of some config no usable
+    # reference, so the rule above is checked
+    assert any(
+        not np.array_equal(unit_reference_layers(config, coefs), coefs)
+        for config in quantizer_configs()
+        for coefs in quantizer_trials(config))
+
+
+def unit_reference_layers(config, coefs):
+    """``coefs`` with each layer whose slots for the strongest coefficient
+    are all zero replaced by one unit coefficient at its first slot, beam
+    0 at tap 0 and shift 0."""
+    slots = np.zeros(coefs.shape[2:], dtype=bool)
+    slots[enhanced.strongest_cell(config, 0, slice(None))[1:]] = True
+    coefs = coefs.copy()
+    for layer in coefs:
+        if not np.abs(layer[:, slots]).any():
+            layer[...] = 0
+            layer[0, 0, 0] = 1
+    return coefs
 
 
 def test_quantizer_trims_the_total_budget():
@@ -539,6 +591,14 @@ def finish_channels(config, seed):
         yield h
 
 
+def finish_one(config, targets, q, i12, basis):
+    """``channel_sim._finish`` of one candidate: its report, taps and
+    shifts."""
+    (pmi,), _, taps, shifts = channel_sim._finish(config, targets, [q], [i12],
+                                                  [basis])
+    return pmi, taps, shifts
+
+
 def finish_outcome(finish, config, targets, q, i12, basis):
     try:
         return finish(config, targets, q, i12, basis)
@@ -550,16 +610,12 @@ def assert_finish_matches_the_oracle(config):
     """Every tied group's candidate on ``finish_channels``: the same report,
     taps and shifts as the per-layer finish, bit for bit and dtype for
     dtype."""
-    g, l, n = config.geom, config.l, config.geom.n1 * config.geom.n2
     count = 0
     for h in finish_channels(config, config.n3 + config.rank):
         targets = channel_sim._targets(h, config.rank)
-        energy = channel_sim._group_energy(targets, g)
-        for q in channel_sim._tied_groups(energy, l):
-            flats = np.sort(channel_sim._pick_beams(l, energy[q], np.ones(n)))
-            args = (config, targets, q, encode_combination(flats.tolist(), n, l),
-                    orthogonal_groups(g)[q][:, flats])
-            found = finish_outcome(channel_sim._finish, *args)
+        for q, i12, basis, _ in tied_picks(config, targets):
+            args = (config, targets, q, i12, basis)
+            found = finish_outcome(finish_one, *args)
             expected = finish_outcome(finish_oracle, *args)
             count += 1
             if isinstance(expected[0], type):
@@ -610,7 +666,7 @@ def test_pick_taps_keeps_every_tie_rule(config):
     rng = np.random.default_rng(config.n3)
     for _ in range(300):
         rel_energy = rng.integers(0, 3, size=(config.rank, config.n3)) * 1.0
-        taps, m_init = channel_sim._pick_taps(rel_energy, config)
+        taps, (m_init,) = channel_sim._pick_taps(rel_energy, config)
         expected, m_first = pick_layers_oracle(rel_energy, config)
         assert m_init == m_first
         assert taps.dtype == expected.dtype
@@ -635,6 +691,149 @@ def test_finish_sweep_reaches_every_tap_rule(monkeypatch):
         if config.window_mode and 2 * config.mv < config.n3 and config.rank > 1:
             assert_finish_matches_the_oracle(config)
     assert calls
+
+
+# ---------------------------------------------------------------------------
+# the candidate axis
+
+def test_fits_match_the_one_report_oracle():
+    # the fits of C candidates in one einsum and one row-wise sum equal
+    # each report's fit summed at once, bit for bit
+    rng = np.random.default_rng(22)
+    for _ in range(300):
+        rank, t = rng.integers(1, 5), rng.integers(1, 37)
+        n4 = rng.choice([1, 2, 4])
+        p, count = rng.choice([4, 8, 16, 32]), rng.integers(1, 6)
+        targets = (rng.standard_normal((rank, n4, t, p))
+                   + 1j * rng.standard_normal((rank, n4, t, p)))
+        unit = targets / np.linalg.norm(targets, axis=-1, keepdims=True)
+        shape = (count, t, n4, p, rank)
+        ws = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if n4 == 1 and rng.random() < 0.5:
+            ws = ws[:, :, 0]
+        fits = channel_sim._fits(unit, ws)
+        assert fits.dtype == np.float64
+        assert fits.tolist() == [fit_oracle(unit, w) for w in ws]
+
+
+def candidate_batch(config, targets, picks, fit_targets):
+    """The candidates ``picks`` finished in one call: per candidate its
+    report, taps and shifts (None for Rel-15), whether it was dropped
+    (degenerate, or no admissible reference under Rel-15's caps) and its
+    fit to ``fit_targets`` (None where dropped)."""
+    i11s, i12s, bases, beam_caps = map(list, zip(*picks))
+    rank, count = config.rank, len(picks)
+    if isinstance(config, type2_r15.T2R15Config):
+        reports, precoders = type2_r15._candidates(
+            config, targets, i11s, i12s, bases, beam_caps)
+        finished, taps, shifts = reports, [None] * count, [None] * count
+    else:
+        finished, layers, all_taps, all_shifts = channel_sim._finish(
+            config, targets, i11s, i12s, bases)
+        reports, precoders = channel_sim._candidates(
+            config, bases, finished, layers, all_taps, all_shifts)
+        parts = [slice(t * rank, (t + 1) * rank) for t in range(count)]
+        taps = [all_taps[part] for part in parts]
+        shifts = [None if all_shifts is None else all_shifts[part]
+                  for part in parts]
+    kept = [t for t, pmi in enumerate(reports) if pmi is not None]
+    unit = fit_targets / np.linalg.norm(fit_targets, axis=-1, keepdims=True)
+    fits = dict(zip(kept, channel_sim._fits(unit, precoders(kept))
+                    if kept else ()))
+    return [(finished[t], taps[t], shifts[t], reports[t] is None,
+             fits.get(t)) for t in range(count)]
+
+
+def assert_batch_matches_one_at_a_time(config, targets, picks,
+                                       fit_targets=None):
+    """``candidate_batch`` of all ``picks`` equals it run on each pick
+    alone, bit for bit and dtype for dtype."""
+    fit_targets = targets if fit_targets is None else fit_targets
+    batch = candidate_batch(config, targets, picks, fit_targets)
+    for pick, found in zip(picks, batch):
+        expected, = candidate_batch(config, targets, [pick], fit_targets)
+        if expected[0] is None:
+            assert found[0] is None
+        else:
+            assert_same_report(found[0], expected[0])
+        for got, value in zip(found[1:], expected[1:]):
+            if isinstance(value, np.ndarray):
+                assert got.dtype == value.dtype
+                assert np.array_equal(got, value)
+            else:
+                assert got == value
+    return batch
+
+
+@pytest.mark.parametrize("config", list(finish_configs()),
+                         ids=lambda c: f"{type(c).__name__}-n3{c.n3}"
+                         f"-n4{getattr(c, 'n4', 1)}-rank{c.rank}")
+def test_candidate_axis_matches_one_candidate_at_a_time(config):
+    for h in finish_channels(config, config.n3 + config.rank):
+        targets = channel_sim._targets(h, config.rank)
+        assert_batch_matches_one_at_a_time(config, targets,
+                                           tied_picks(config, targets))
+
+
+def test_finish_channels_tie_groups():
+    # the sweep above batches more than one candidate in most configs
+    tied = [config for config in finish_configs()
+            if any(len(tied_picks(config, channel_sim._targets(
+                h, config.rank))) > 1
+                for h in finish_channels(config, config.n3 + config.rank))]
+    assert len(tied) > len(list(finish_configs())) / 2
+
+
+def link_t2_ties():
+    """The link-t2 pool's searches (seed 7) that tie four groups: config,
+    targets and fit targets."""
+    model = channel_sim.ChannelModel(seed=7, **LINK_MODEL)
+    r15 = type2_r15.T2R15Config(l=4, n_psk=8, rank=2, subband_count=4,
+                                geom=GEOM)
+    window = type2_r16.R16Config(param_combination=4, r=1, n3=24, rank=2,
+                                 geom=GEOM)
+    for trial in range(192):
+        h = channel_sim.draw_channel(model, GEOM, 2, trial=trial, n4=4).h
+        targets, wide = type2_r15._subband_targets(h[0], 4, r15.rank)
+        yield r15, targets, wide, targets[:, None]
+        for config in (LINK_R16, window, LINK_R18):
+            n4 = getattr(config, "n4", 1)
+            scan = channel_sim._targets(h[:n4, :config.n3], config.rank)
+            yield config, scan, scan, scan
+
+
+def test_candidate_axis_matches_on_the_link_t2_ties():
+    counts = {}
+    for config, targets, scan, fit_targets in link_t2_ties():
+        picks = tied_picks(config, scan)
+        if len(picks) == 4:
+            assert_batch_matches_one_at_a_time(config, targets, picks,
+                                               fit_targets)
+            name = (type(config).__name__, getattr(config, "n3", None))
+            counts[name] = counts.get(name, 0) + 1
+    # R15, R16, R16 window mode and R18 ties of the pool
+    assert counts == {("T2R15Config", None): 16, ("R16Config", 18): 18,
+                      ("R16Config", 24): 19, ("R18Config", 12): 31}
+
+
+def test_candidate_axis_skips_a_degenerate_first_candidate():
+    # beams (0, 5) of group (1, 2) finish into a report whose taps cancel
+    # at one frequency unit (test_channel_sim's tied degenerate candidate);
+    # batched ahead of group (1, 1), it is flagged and fitted by no one
+    cfg = type2_r16.R16Config(param_combination=1, r=1, n3=12, geom=GEOM)
+    model = channel_sim.ChannelModel(n_paths=6, delay_spread=1e-6,
+                                     subcarrier_spacing=180e3,
+                                     n_subcarriers=12, seed=5)
+    h = channel_sim.draw_channel(model, GEOM, 2, trial=5).h
+    targets = channel_sim._targets(h, cfg.rank)
+    best, = [pick for pick in tied_picks(cfg, targets) if pick[0] == (1, 1)]
+    flats = [0, 5]
+    degenerate = ((1, 2), encode_combination(flats, 8, 2),
+                  orthogonal_groups(GEOM)[1, 2][:, flats], np.ones(2))
+    batch = assert_batch_matches_one_at_a_time(cfg, targets,
+                                               [degenerate, best])
+    assert [c[3] for c in batch] == [True, False]
+    assert batch[0][4] is None and batch[1][4] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -736,16 +935,15 @@ def test_fit_from_parts_is_reconstruct_all(monkeypatch):
     seen = []
     choose = channel_sim._choose
 
-    def checking(candidates, targets):
+    def checking(reports, precoders, targets):
         # ``config`` is the configuration of the search under way
-        candidates = list(candidates)
-        for c in candidates:
-            if c is not None:
-                release = RELEASES[type(config)]
-                assert np.array_equal(c[1](), release.reconstruct_all(
-                    config, c[0]))
-                seen.append(c[0])
-        return choose(candidates, targets)
+        kept = [t for t, pmi in enumerate(reports) if pmi is not None]
+        for t, ws in zip(kept, precoders(kept) if kept else ()):
+            release = RELEASES[type(config)]
+            assert np.array_equal(ws, release.reconstruct_all(
+                config, reports[t]))
+            seen.append(reports[t])
+        return choose(reports, precoders, targets)
 
     monkeypatch.setattr(channel_sim, "_choose", checking)
     model = channel_sim.ChannelModel(seed=7, **LINK_MODEL)
