@@ -7,6 +7,7 @@ subband; mode 2 additionally folds a 4-beam group choice into i2.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from numbers import Real
 
@@ -233,8 +234,9 @@ class _Codebook:
     """Every codeword of one (geometry, mode, rank), in search scan order."""
 
     groups: tuple[tuple[int, int, int | None], ...]   # (i11, i12, i13)
-    precoders: np.ndarray   # (groups, i2_range, P, rank), read-only
+    precoders: np.ndarray   # (groups, i2_range, P, rank), a view of columns
     beam_bits: np.ndarray   # (groups, i2_range, rank) restriction bit per layer
+    columns: np.ndarray     # (P, rank * i2_range * groups), read-only
 
 
 @functools.cache
@@ -247,9 +249,71 @@ def _codebook(geom: ArrayGeometry, mode: int, rank: int) -> _Codebook:
     i11, i12, i13 = (a.reshape(-1, 1) for a in np.indices(shape))
     precoders, beam_bits = _codewords(config, i11, i12, i13,
                                       np.arange(config.i2_range))
-    precoders.flags.writeable = False
+    # one copy in the screen's layout, layer-major then i2, so that its
+    # sums and maxima run over whole rows; the stack is a view of it
+    columns = np.ascontiguousarray(precoders.transpose(2, 3, 1, 0))
+    columns.flags.writeable = False
     beam_bits.flags.writeable = False
-    return _Codebook(groups, precoders, beam_bits)
+    return _Codebook(groups, columns.transpose(3, 2, 0, 1), beam_bits,
+                     columns.reshape(geom.n_ports, -1))
+
+
+def _screen_rates(h: np.ndarray, columns: np.ndarray, rank: int,
+                  noise_power: float) -> np.ndarray:
+    """The ``_codeword_rates`` score of every codeword on every subcarrier
+    of h (M, Nr, P), from one product with the codebook's ``columns``:
+    (M, i2_range * groups).
+
+    The score adds I_Nr to the rank x rank Gram matrix G = g^H g, where
+    g = h w / sqrt(sigma), as ``_subband_rate`` does.  At rank 1 that is
+    log2(1 + Nr |g|^2); at rank 2 (Nr = 2) it is
+    log2(1 + tr G + |det g|^2).  Every term is nonnegative, so no sum
+    cancels and the log2 argument is at least 1.  The product rounds
+    differently from ``_codeword_rates``'s per-codeword products: these
+    scores only screen.  A score too large for a double is inf (or nan),
+    silently, and ``search_type1`` then keeps every group a contender.
+    """
+    m, nr = h.shape[:2]
+    # rank 1 scales g by sqrt(Nr) too, so that its score is log2(1 + |g|^2)
+    scale = math.sqrt((nr if rank == 1 else 1) / noise_power)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # g[:, r * rank + l] is entry (r, l) of every codeword's g
+        g = ((h * scale).reshape(m * nr, -1) @ columns).reshape(
+            m, nr * rank, -1)
+        power = g.real ** 2
+        power += g.imag ** 2
+        power = power.sum(axis=1)
+        if rank == 2:
+            det = g[:, 0] * g[:, 3] - g[:, 1] * g[:, 2]
+            power += det.real ** 2
+            power += det.imag ** 2
+        power += 1
+        return np.log2(power, out=power)
+
+
+def _screen_bound(h: np.ndarray, noise_power: float) -> float:
+    """Delta: a bound on |screened - exact| for one group's wideband total.
+
+    On subcarrier m both the screen and ``_codeword_rates`` take log2 det M
+    of the Hermitian M = I + g^H g / sigma, g = H_m w (rank 1 through its
+    Nr x Nr broadcast), whose eigenvalues are at least 1, so
+    ||M^-1|| <= 1.  The codeword's layers are orthogonal with norm at most
+    1, so ||M|| <= 1 + Nr ||H_m||_F^2 / sigma.  Each path computes det M
+    as the determinant of M + E: the product over P ports and the Gram
+    matrix, LU or closed form over at most Nr^2 terms give
+    ||E|| <= c1 (P + Nr^2) eps ||M||, eps the machine epsilon, and then
+    |log det(M + E) - log det M| <= Nr ||M^-1|| ||E|| / (1 - ||E||).  The
+    per-subcarrier logs, each at most Nr ||H_m||_F^2 / sigma / ln 2, are
+    summed over M subcarriers (subbands included) with a relative error
+    of at most M eps each.  Together,
+    Delta = c (P + Nr^2 + M) eps sum_m (1 + Nr ||H_m||_F^2 / sigma),
+    with c = 64 covering the constants c1, Nr, 1/ln 2 and the log2
+    evaluations with room to spare: measured errors stay below 2e-3 Delta.
+    """
+    m, nr, p = h.shape
+    energy = float(np.vdot(h, h).real)
+    return (64 * (p + nr * nr + m) * np.finfo(float).eps
+            * (m + nr * energy / noise_power))
 
 
 def search_type1(channel: np.ndarray, config: Type1Config,
@@ -258,10 +322,21 @@ def search_type1(channel: np.ndarray, config: Type1Config,
     """Exhaustive PMI scan maximizing the wideband single-user rate.
 
     ``channel`` is read by ``_search_channel`` as one interval (M, Nr, P),
-    its subcarriers split evenly over the subbands.  ``_first_best`` breaks
-    ties toward the smallest flat PMI encoding (scan order).  Every codeword
-    of the configuration is scored at once; the stack is built once per
-    (geometry, mode, rank) and kept.
+    its subcarriers split evenly over the subbands.  A group's total is the
+    sum, over the subbands, of its first best admissible i2's rate, and
+    ``_first_best`` picks the group, breaking ties toward the smallest flat
+    PMI encoding (scan order).
+
+    A screen scores every codeword of every subcarrier from one product
+    (``_screen_rates``) and totals each group the same way.  Those totals
+    lie within Delta (``_screen_bound``) of the exact ones, so only groups
+    within 2 Delta + G * 1e-12 of the best screened total, G the group
+    count, can be ``_first_best``'s pick: a group more than (G - 1) * 1e-12
+    below the best exact total never changes it, through any chain of
+    1e-12 margins.  Only those contenders are scored by ``_codeword_rates``,
+    which computes one codeword at a time, so every i2 pick and the group
+    pick are those of scoring the whole stack.  The codebook and its
+    product layout are built once per (geometry, mode, rank) and kept.
     """
     h = _search_channel(channel, config.geom.n_ports,
                         subbands=config.subband_count, rank=config.rank)[0]
@@ -271,6 +346,9 @@ def search_type1(channel: np.ndarray, config: Type1Config,
     if rank_restriction is not None and not check_rank_restriction(
             rank_restriction, config.rank):
         raise RestrictionError(f"rank {config.rank} is prohibited")
+    if config.rank == 2 and h.shape[1] != 2:
+        raise DomainError(f"the rank 2 search score is defined for Nr = 2 "
+                          f"receive antennas, not Nr = {h.shape[1]}")
 
     book = _codebook(config.geom, config.mode, config.rank)
     n_groups, n_i2 = book.beam_bits.shape[:2]
@@ -279,22 +357,36 @@ def search_type1(channel: np.ndarray, config: Type1Config,
         allowed = _restriction_bits(restriction, config.geom)[
             book.beam_bits].all(axis=2)
 
-    n_sb = config.subband_count
-    edges = np.linspace(0, h.shape[0], n_sb + 1).astype(int)
-    w = book.precoders.reshape(n_groups * n_i2, *book.precoders.shape[2:])
+    edges = np.linspace(0, h.shape[0],
+                        config.subband_count + 1).astype(int).tolist()
+    subbands = list(zip(edges, edges[1:]))
+    per_carrier = _screen_rates(h, book.columns, config.rank, noise_power)
+    scores = np.empty((len(subbands), per_carrier.shape[1]))
+    for k, (a, b) in enumerate(subbands):
+        per_carrier[a:b].sum(axis=0, out=scores[k])
     # a group with no admissible i2 in some subband totals -inf, never kept
-    total = np.zeros(n_groups)
+    screened = np.where(allowed.T, scores.reshape(-1, n_i2, n_groups),
+                        -np.inf).max(axis=1).sum(axis=0)
+    top = float(screened.max())
+    band = 2 * _screen_bound(h, noise_power) + n_groups * 1e-12
+    # an overflowed (inf or nan) screened total keeps every admissible group
+    cutoff = top - band if math.isfinite(top) else -np.inf
+    contenders = np.flatnonzero(~(screened < cutoff) & (screened != -np.inf))
+
+    w = book.precoders[contenders].reshape(-1, *book.precoders.shape[2:])
+    allowed = allowed[contenders]
+    total = np.zeros(len(contenders))
     picks = []
-    for sb in range(n_sb):
-        rates = _codeword_rates(h[edges[sb]:edges[sb + 1]], w, noise_power)
-        rates = np.where(allowed, rates.reshape(n_groups, n_i2), -np.inf)
+    for a, b in subbands:
+        rates = _codeword_rates(h[a:b], w, noise_power)
+        rates = np.where(allowed, rates.reshape(len(contenders), n_i2), -np.inf)
         # the first maximum over the admissible i2, in scan order
         pick = rates.argmax(axis=1)
-        total += rates[np.arange(n_groups), pick]
+        total += rates[np.arange(len(contenders)), pick]
         picks.append(pick)
 
-    best = _first_best(range(n_groups), total.tolist().__getitem__)
+    best = _first_best(range(len(contenders)), total.tolist().__getitem__)
     if best is None:
         raise RestrictionError("no admissible PMI under the given restriction")
-    i11, i12, i13 = book.groups[best]
+    i11, i12, i13 = book.groups[contenders[best]]
     return Type1Pmi(i11, i12, tuple(int(p[best]) for p in picks), i13)

@@ -2,13 +2,19 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrpmi.bases import ArrayGeometry, dft_beam
+from nrpmi.channel_sim import _first_best
 from nrpmi.errors import DomainError, RestrictionError
 from nrpmi.type1 import (
     _codebook,
     _codeword_rates,
     _offset_table,
+    _restriction_bits,
+    _screen_bound,
+    _screen_rates,
     _subband_rate,
     Type1Config,
     Type1Pmi,
@@ -279,6 +285,201 @@ def test_rank2_cophase_pairs_tie_at_i13_zero(n1, n2, mode):
             rates = _codeword_rates(h_sub, w, 0.5)
             np.testing.assert_allclose(rates[0::2], rates[1::2], rtol=1e-12,
                                        atol=0)
+
+
+def full_scan_oracle(channel, config, restriction=None, noise_power=1.0):
+    """The search without a screen: every codeword of every subband scored
+    by ``_codeword_rates``, each group's first best admissible i2 per
+    subband, and ``_first_best`` over every group in scan order.
+    RestrictionError when every group is restricted."""
+    book = _codebook(config.geom, config.mode, config.rank)
+    n_groups, n_i2 = book.beam_bits.shape[:2]
+    allowed = np.ones((n_groups, n_i2), dtype=bool)
+    if restriction is not None:
+        allowed = _restriction_bits(restriction, config.geom)[
+            book.beam_bits].all(axis=2)
+    edges = np.linspace(0, channel.shape[0], config.subband_count + 1).astype(int)
+    w = book.precoders.reshape(n_groups * n_i2, *book.precoders.shape[2:])
+    total = np.zeros(n_groups)
+    picks = []
+    for sb in range(config.subband_count):
+        rates = _codeword_rates(channel[edges[sb]:edges[sb + 1]], w, noise_power)
+        rates = np.where(allowed, rates.reshape(n_groups, n_i2), -np.inf)
+        pick = rates.argmax(axis=1)
+        total += rates[np.arange(n_groups), pick]
+        picks.append(pick)
+    best = _first_best(range(n_groups), total.tolist().__getitem__)
+    if best is None:
+        raise RestrictionError("no admissible PMI under the given restriction")
+    i11, i12, i13 = book.groups[best]
+    return Type1Pmi(i11, i12, tuple(int(p[best]) for p in picks), i13)
+
+
+def assert_search_matches_full_scan(h, cfg, restriction, noise_power):
+    try:
+        expected = full_scan_oracle(h, cfg, restriction, noise_power)
+    except RestrictionError:
+        with pytest.raises(RestrictionError):
+            search_type1(h, cfg, restriction=restriction,
+                         noise_power=noise_power)
+        return
+    assert search_type1(h, cfg, restriction=restriction,
+                        noise_power=noise_power) == expected
+
+
+def sweep_channels(rng, cfg, nr, m=4):
+    """Channels of M subcarriers, each scaled by 10^-3 to 10^3 and given
+    noise powers that put ||H_m||_F^2 / sigma at 1e-6 to 1e12:
+
+    - random;
+    - single-path (rank 1);
+    - one polarization only: every i2 of a group ties, and on a 2x2 array
+      every rank-2 group with i13 > 0 ties with its twin, which holds the
+      same two beams in the other order (l + 2 O1 = l mod N1 O1);
+    - one beam on both polarizations: the (v, v, i13 = 0) group leads and
+      its co-phase pairs tie;
+    - two neighbouring beams, the second stronger by a relative 1e-10 to
+      1e-6: their groups lead, apart by less than the rounding error of
+      ``_codeword_rates`` at high ||H_m||_F^2 / sigma, so the exact scorer
+      may rank the weaker one first (a band without Delta drops it).
+
+    Exact ties leave the pick to rounding in ``_codeword_rates`` and to
+    scan order, never to the screen.
+    """
+    geom, p = cfg.geom, cfg.geom.n_ports
+
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    half = np.zeros((m, nr, p // 2))
+    l, k = rng.integers(geom.beams_h), rng.integers(geom.beams_v)
+    v = dft_beam(geom, l, k).conj()
+    beam = np.zeros((nr, p), dtype=complex)
+    beam[0::2, :p // 2] = v
+    beam[1::2, p // 2:] = v
+    pair = v + (1 + 10.0 ** rng.uniform(-10, -6)) * dft_beam(
+        geom, (l + 1) % geom.beams_h, k).conj()
+    for h in (cn(m, nr, p), cn(m, nr, 1) * cn(p),
+              np.concatenate([cn(m, nr, p // 2), half], axis=-1),
+              cn(m, nr, 1) * beam,
+              cn(m, nr, 1) * np.concatenate([pair, pair])):
+        h = h * 10.0 ** rng.integers(-3, 4)
+        energy = np.vdot(h, h).real / m
+        for ratio in 10.0 ** np.arange(-6, 13, 3):
+            yield h, energy / ratio
+
+
+@pytest.mark.parametrize("n1,n2,mode", GEOMETRY_MODES)
+@RANKS
+def test_screened_search_matches_the_full_scan(n1, n2, mode, rank):
+    cfg = Type1Config(ArrayGeometry.from_antennas(n1, n2), mode=mode,
+                      rank=rank, subband_count=2)
+    rng = np.random.default_rng(17 * n1 + 5 * n2 + 3 * mode + rank)
+    n_bits = cfg.geom.beams_h * cfg.geom.beams_v
+    for nr in ((1, 2, 4) if rank == 1 else (2,)):
+        for h, noise_power in sweep_channels(rng, cfg, nr):
+            assert_search_matches_full_scan(h, cfg, None, noise_power)
+            bits = (rng.random(n_bits) < rng.choice([0.1, 0.5, 0.9])).astype(int)
+            assert_search_matches_full_scan(h, cfg, bits, noise_power)
+
+
+def group_totals(rates):
+    """Each group's total from per-subband codeword rates (S, G, i2)."""
+    return rates.max(axis=2).sum(axis=0)
+
+
+@pytest.mark.parametrize("n1,n2,mode", GEOMETRY_MODES)
+@RANKS
+def test_screen_stays_within_its_bound(n1, n2, mode, rank):
+    # the search keeps every group within 2 Delta + G * 1e-12 of the best
+    # screened total, so it needs |screened - exact| <= Delta for every
+    # group (measured errors stay below about 2e-3 Delta)
+    cfg = Type1Config(ArrayGeometry.from_antennas(n1, n2), mode=mode,
+                      rank=rank, subband_count=2)
+    book = _codebook(cfg.geom, mode, rank)
+    shape = book.beam_bits.shape[:2]
+    w = book.precoders.reshape(-1, *book.precoders.shape[2:])
+    rng = np.random.default_rng(29 * n1 + 7 * n2 + mode + rank)
+    for nr in ((1, 2, 4) if rank == 1 else (2,)):
+        for h, noise_power in sweep_channels(rng, cfg, nr):
+            exact = group_totals(np.stack(
+                [_codeword_rates(h[k:k + 2], w, noise_power).reshape(shape)
+                 for k in (0, 2)]))
+            # the screen's codewords run i2-major
+            screened = group_totals(np.add.reduceat(
+                _screen_rates(h, book.columns, rank, noise_power), [0, 2],
+                axis=0).reshape(2, *shape[::-1]).swapaxes(1, 2))
+            assert np.abs(screened - exact).max() <= _screen_bound(h, noise_power)
+
+
+@pytest.mark.parametrize("mode", [1, 2])
+def test_search_keeps_the_first_of_two_swapped_beam_groups(mode):
+    # a channel on one polarization makes each 2x2 rank-2 group with
+    # i13 > 0 tie with its twin (``sweep_channels``): their exact totals
+    # differ by rounding alone, so the earlier group must win, even where
+    # the screen rates the later one higher
+    cfg = Type1Config(ArrayGeometry(2, 2, 4, 4), mode=mode, rank=2,
+                      subband_count=2)
+    rng = np.random.default_rng(mode)
+    for _ in range(24):
+        a = rng.standard_normal((4, 2, 4)) + 1j * rng.standard_normal((4, 2, 4))
+        h = np.concatenate([a, np.zeros_like(a)], axis=-1)
+        assert_search_matches_full_scan(h, cfg, None, 0.1)
+
+
+@RANKS
+def test_screen_overflow_keeps_every_group(rank):
+    # at ||H||^2 / sigma ~ 1e290 the rank-2 screen's |det g|^2 overflows to
+    # inf (no warning); an inf screened total keeps every group, and the
+    # exact scores, which take logs, still pick
+    cfg = Type1Config(ArrayGeometry(2, 2, 4, 4), rank=rank, subband_count=2)
+    rng = np.random.default_rng(rank)
+    h = 1e140 * (rng.standard_normal((4, 2, 8)) + 1j * rng.standard_normal((4, 2, 8)))
+    assert_search_matches_full_scan(h, cfg, None, 1e-10)
+
+
+@pytest.mark.parametrize("nr", [3, 4])
+def test_rank2_search_names_rank_and_nr(nr):
+    # the rank x rank score matrix met I_Nr as a bare numpy ValueError
+    cfg = Type1Config(ArrayGeometry(2, 2, 4, 4), rank=2, subband_count=2)
+    h = np.random.default_rng(nr).standard_normal((4, nr, cfg.geom.n_ports))
+    with pytest.raises(DomainError, match=f"rank 2 .* Nr = {nr}"):
+        search_type1(h, cfg)
+
+
+@pytest.mark.parametrize("n1,n2,mode", SEARCH_CASES)
+@RANKS
+def test_codeword_rates_of_a_subset_are_bit_equal(n1, n2, mode, rank):
+    # the search scores only its contenders; each must get the bits the
+    # full stack gives it
+    _, cfg, h = _search_case(n1, n2, mode, rank, seed=13)
+    book = _codebook(cfg.geom, cfg.mode, cfg.rank)
+    w = book.precoders.reshape(-1, *book.precoders.shape[2:])
+    rng = np.random.default_rng(n1 + n2 + mode + rank)
+    for h_sub in (h[:2], h[2:], h[:1]):
+        full = _codeword_rates(h_sub, w, 0.5)
+        start = int(rng.integers(len(w) - 8))
+        for idx in ([int(rng.integers(len(w)))], [len(w) - 1],
+                    np.arange(start, start + 8),
+                    np.sort(rng.choice(len(w), 9, replace=False)),
+                    rng.choice(len(w), 9, replace=False)):
+            assert full[idx].tobytes() == _codeword_rates(h_sub, w[idx], 0.5).tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_dropping_values_far_below_the_best_keeps_the_first_best(data):
+    # values below max - (n - 1) * 1e-12 cannot change _first_best's pick,
+    # through any chain of 1e-12 margins: dropping any of them keeps it
+    steps = data.draw(st.lists(st.integers(0, 48), min_size=1, max_size=8))
+    values = [k * 0.25e-12 for k in steps]
+    floor = max(values) - (len(values) - 1) * 1e-12
+    far = [i for i, v in enumerate(values) if v < floor]
+    dropped = set(data.draw(st.lists(st.sampled_from(far), unique=True))
+                  if far else [])
+    kept = [i for i in range(len(values)) if i not in dropped]
+    pick = _first_best(kept, values.__getitem__)
+    assert pick == _first_best(range(len(values)), values.__getitem__)
 
 
 @pytest.mark.xfail(strict=True, reason="the search score adds I_Nr, not I_rank, "
