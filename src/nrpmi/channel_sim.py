@@ -52,7 +52,8 @@ class ChannelModel:
 
 
 def _check_real(name: str, value) -> None:
-    if not (isinstance(value, Real) and math.isfinite(value) and value >= 0):
+    if not (isinstance(value, Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value >= 0):
         raise DomainError(f"{name}={value!r} must be a finite nonnegative "
                           "number")
 

@@ -213,20 +213,37 @@ def _subband_rate(h_sub: np.ndarray, w: np.ndarray, noise_power: float) -> float
     return total
 
 
+def _carrier_rates(h: np.ndarray, w: np.ndarray,
+                   noise_power: float) -> np.ndarray:
+    """log2 det(I_Nr + g^H g / sigma), g = H_m W_c, of every precoder in the
+    (C, P, rank) stack ``w`` on every subcarrier of h (M, Nr, P): (M, C).
+
+    One broadcast product, one stacked Gram matrix and one stacked
+    ``slogdet``: each (Nr, P) @ (P, rank) slice, each Gram matrix and each
+    determinant is the operation ``_subband_rate`` performs on it, in the
+    same operand order, so every score matches it to the bit (``einsum``
+    would not).
+    """
+    g = np.matmul(h[:, None], w)                        # (M, C, Nr, rank)
+    m = np.eye(g.shape[-2]) + np.matmul(g.conj().swapaxes(-1, -2), g) / noise_power
+    sign, logdet = np.linalg.slogdet(m)
+    return logdet / np.log(2)
+
+
+def _row_sum(rates: np.ndarray) -> np.ndarray:
+    """The rows of ``rates`` added in order, from zeros, as
+    ``_subband_rate`` adds its subcarriers."""
+    total = np.zeros(rates.shape[1])
+    for row in rates:
+        total += row
+    return total
+
+
 def _codeword_rates(h_sub: np.ndarray, w: np.ndarray,
                     noise_power: float) -> np.ndarray:
-    """``_subband_rate`` of every precoder in the (C, P, rank) stack ``w``.
-
-    The operations and their operand order are those of ``_subband_rate``,
-    so every score matches it to the bit (``einsum`` would not).
-    """
-    total = np.zeros(w.shape[0])
-    for h in h_sub:
-        g = np.matmul(h, w)
-        m = np.eye(g.shape[1]) + np.matmul(g.conj().swapaxes(1, 2), g) / noise_power
-        sign, logdet = np.linalg.slogdet(m)
-        total += logdet / np.log(2)
-    return total
+    """``_subband_rate`` of every precoder in the (C, P, rank) stack ``w``:
+    ``_carrier_rates`` summed over the subcarriers, to the bit."""
+    return _row_sum(_carrier_rates(h_sub, w, noise_power))
 
 
 @dataclass(frozen=True)
@@ -269,7 +286,7 @@ def _screen_rates(h: np.ndarray, columns: np.ndarray, rank: int,
     log2(1 + Nr |g|^2); at rank 2 (Nr = 2) it is
     log2(1 + tr G + |det g|^2).  Every term is nonnegative, so no sum
     cancels and the log2 argument is at least 1.  The product rounds
-    differently from ``_codeword_rates``'s per-codeword products: these
+    differently from ``_carrier_rates``'s per-codeword products: these
     scores only screen.  A score too large for a double is inf (or nan),
     silently, and ``search_type1`` then keeps every group a contender.
     """
@@ -289,6 +306,9 @@ def _screen_rates(h: np.ndarray, columns: np.ndarray, rank: int,
             power += det.imag ** 2
         power += 1
         return np.log2(power, out=power)
+
+
+_EPS = np.finfo(float).eps
 
 
 def _screen_bound(h: np.ndarray, noise_power: float) -> float:
@@ -312,8 +332,14 @@ def _screen_bound(h: np.ndarray, noise_power: float) -> float:
     """
     m, nr, p = h.shape
     energy = float(np.vdot(h, h).real)
-    return (64 * (p + nr * nr + m) * np.finfo(float).eps
-            * (m + nr * energy / noise_power))
+    return 64 * (p + nr * nr + m) * _EPS * (m + nr * energy / noise_power)
+
+
+@functools.cache
+def _subband_edges(m: int, subbands: int) -> tuple[tuple[int, int], ...]:
+    """(first, end) subcarrier of every subband: M split evenly."""
+    edges = np.linspace(0, m, subbands + 1).astype(int).tolist()
+    return tuple(zip(edges, edges[1:]))
 
 
 def search_type1(channel: np.ndarray, config: Type1Config,
@@ -333,14 +359,19 @@ def search_type1(channel: np.ndarray, config: Type1Config,
     within 2 Delta + G * 1e-12 of the best screened total, G the group
     count, can be ``_first_best``'s pick: a group more than (G - 1) * 1e-12
     below the best exact total never changes it, through any chain of
-    1e-12 margins.  Only those contenders are scored by ``_codeword_rates``,
-    which computes one codeword at a time, so every i2 pick and the group
-    pick are those of scoring the whole stack.  The codebook and its
-    product layout are built once per (geometry, mode, rank) and kept.
+    1e-12 margins.  Only those contenders are scored exactly: one
+    ``_carrier_rates`` pass over all their codewords and subcarriers, each
+    subband's rows summed in subcarrier order, which gives every codeword
+    its ``_codeword_rates`` bits, so every i2 pick and the group pick are
+    those of scoring the whole stack.  An admissible contender whose exact
+    score overflows (a huge channel, or a tiny noise power) raises
+    DomainError.  The codebook and its product layout are built once per
+    (geometry, mode, rank) and kept.
     """
     h = _search_channel(channel, config.geom.n_ports,
                         subbands=config.subband_count, rank=config.rank)[0]
-    if not (isinstance(noise_power, Real) and 0 < noise_power < np.inf):
+    if not (isinstance(noise_power, Real) and not isinstance(noise_power, bool)
+            and 0 < noise_power < np.inf):
         raise DomainError(f"noise_power={noise_power!r} must be positive "
                           "and finite")
     if rank_restriction is not None and not check_rank_restriction(
@@ -352,21 +383,20 @@ def search_type1(channel: np.ndarray, config: Type1Config,
 
     book = _codebook(config.geom, config.mode, config.rank)
     n_groups, n_i2 = book.beam_bits.shape[:2]
-    allowed = np.ones((n_groups, n_i2), dtype=bool)
-    if restriction is not None:
-        allowed = _restriction_bits(restriction, config.geom)[
-            book.beam_bits].all(axis=2)
-
-    edges = np.linspace(0, h.shape[0],
-                        config.subband_count + 1).astype(int).tolist()
-    subbands = list(zip(edges, edges[1:]))
+    subbands = _subband_edges(h.shape[0], config.subband_count)
     per_carrier = _screen_rates(h, book.columns, config.rank, noise_power)
     scores = np.empty((len(subbands), per_carrier.shape[1]))
     for k, (a, b) in enumerate(subbands):
         per_carrier[a:b].sum(axis=0, out=scores[k])
-    # a group with no admissible i2 in some subband totals -inf, never kept
-    screened = np.where(allowed.T, scores.reshape(-1, n_i2, n_groups),
-                        -np.inf).max(axis=1).sum(axis=0)
+    scores = scores.reshape(-1, n_i2, n_groups)
+    allowed = None
+    if restriction is not None:
+        allowed = _restriction_bits(restriction, config.geom)[
+            book.beam_bits].all(axis=2)
+        # a group with no admissible i2 in some subband totals -inf, never
+        # kept
+        scores = np.where(allowed.T, scores, -np.inf)
+    screened = scores.max(axis=1).sum(axis=0)
     top = float(screened.max())
     band = 2 * _screen_bound(h, noise_power) + n_groups * 1e-12
     # an overflowed (inf or nan) screened total keeps every admissible group
@@ -374,15 +404,28 @@ def search_type1(channel: np.ndarray, config: Type1Config,
     contenders = np.flatnonzero(~(screened < cutoff) & (screened != -np.inf))
 
     w = book.precoders[contenders].reshape(-1, *book.precoders.shape[2:])
-    allowed = allowed[contenders]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = _carrier_rates(h, w, noise_power)
+    # nan or +inf; a -inf score (a singular score matrix) stays a score
+    overflow = ~(rates < np.inf)
+    if allowed is not None:
+        allowed = allowed[contenders]
+        overflow &= allowed.reshape(-1)
+    if overflow.any():
+        with np.errstate(over="ignore"):
+            energy = float((np.abs(h) ** 2).sum())
+        raise DomainError(
+            f"the exact PMI score overflows at noise_power={noise_power!r} "
+            f"and channel energy ||H||_F^2={energy:.3g}")
     total = np.zeros(len(contenders))
     picks = []
     for a, b in subbands:
-        rates = _codeword_rates(h[a:b], w, noise_power)
-        rates = np.where(allowed, rates.reshape(len(contenders), n_i2), -np.inf)
+        sums = _row_sum(rates[a:b]).reshape(len(contenders), n_i2)
+        if allowed is not None:
+            sums = np.where(allowed, sums, -np.inf)
         # the first maximum over the admissible i2, in scan order
-        pick = rates.argmax(axis=1)
-        total += rates[np.arange(len(contenders)), pick]
+        pick = sums.argmax(axis=1)
+        total += sums.max(axis=1)
         picks.append(pick)
 
     best = _first_best(range(len(contenders)), total.tolist().__getitem__)

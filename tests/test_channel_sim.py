@@ -148,6 +148,17 @@ def test_malformed_channel_model_names_the_field(field, value):
         ChannelModel(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["delay_spread", "doppler_max",
+                                   "subcarrier_spacing", "cross_pol"])
+@pytest.mark.parametrize("value", [True, False])
+def test_bool_is_no_real_channel_parameter(field, value):
+    with pytest.raises(DomainError, match=f"{field}={value}"):
+        ChannelModel(**{field: value})
+    if field == "delay_spread":
+        with pytest.raises(DomainError, match=f"interval_duration={value}"):
+            draw_channel(ChannelModel(), GEOM, 2, interval_duration=value)
+
+
 @pytest.mark.parametrize("kwargs, field", [
     (dict(nr=0), "nr"), (dict(nr=1.5), "nr"), (dict(n4=0), "n4"),
     (dict(trial=-1), "trial"), (dict(trial=0.5), "trial"),

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nrpmi.bases import ArrayGeometry, dft_beam
-from nrpmi.channel_sim import _first_best
+from nrpmi.channel_sim import ChannelModel, _first_best, draw_channel
 from nrpmi.errors import DomainError, RestrictionError
 from nrpmi.type1 import (
+    _carrier_rates,
     _codebook,
     _codeword_rates,
     _offset_table,
@@ -464,6 +465,85 @@ def test_codeword_rates_of_a_subset_are_bit_equal(n1, n2, mode, rank):
                     np.sort(rng.choice(len(w), 9, replace=False)),
                     rng.choice(len(w), 9, replace=False)):
             assert full[idx].tobytes() == _codeword_rates(h_sub, w[idx], 0.5).tobytes()
+
+
+def codeword_rates_oracle(h_sub, w, noise_power):
+    """``_codeword_rates`` as one pass per subcarrier: the (C, Nr, rank)
+    product, the Gram matrix with I_Nr and the slogdet of that subcarrier,
+    added to the running totals."""
+    total = np.zeros(w.shape[0])
+    for h in h_sub:
+        g = np.matmul(h, w)
+        m = np.eye(g.shape[1]) + np.matmul(g.conj().swapaxes(1, 2), g) / noise_power
+        sign, logdet = np.linalg.slogdet(m)
+        total += logdet / np.log(2)
+    return total
+
+
+@pytest.mark.parametrize("n1,n2,mode", SEARCH_CASES)
+@RANKS
+def test_carrier_rates_sum_to_the_oracle(n1, n2, mode, rank):
+    # the search sums each subband's rows of one _carrier_rates pass: that
+    # must give every codeword the per-subcarrier loop's bits, on stacks of
+    # any size and order, over the sweep's noise range
+    cfg = Type1Config(ArrayGeometry.from_antennas(n1, n2), mode=mode, rank=rank)
+    book = _codebook(cfg.geom, mode, rank)
+    w = book.precoders.reshape(-1, *book.precoders.shape[2:])
+    rng = np.random.default_rng(31 * n1 + 11 * n2 + mode + rank)
+    for nr in ((1, 2, 3, 4) if rank == 1 else (2,)):
+        for m in range(1, 8):
+            for k, (h, noise_power) in enumerate(sweep_channels(rng, cfg, nr, m)):
+                # the whole stack once per channel, then random subsets
+                idx = (np.arange(len(w)) if k % 7 == 0 else rng.choice(
+                    len(w), int(rng.integers(1, 33)), replace=False))
+                expected = codeword_rates_oracle(h, w[idx], noise_power)
+                rates = _carrier_rates(h, w[idx], noise_power)
+                assert rates.shape == (m, len(idx))
+                total = np.zeros(len(idx))
+                for row in rates:
+                    total += row
+                assert total.tobytes() == expected.tobytes()
+                assert _codeword_rates(h, w[idx], noise_power).tobytes() == \
+                    expected.tobytes()
+
+
+@pytest.mark.parametrize("n1,n2,mode", SEARCH_CASES)
+@RANKS
+def test_restriction_of_all_ones_is_no_restriction(n1, n2, mode, rank):
+    geom = ArrayGeometry.from_antennas(n1, n2)
+    cfg = Type1Config(geom, mode=mode, rank=rank, subband_count=2)
+    model = ChannelModel(seed=n1 + n2 + mode, n_subcarriers=4)
+    ones = np.ones(geom.beams_h * geom.beams_v, dtype=int)
+    for trial in range(3):
+        h = draw_channel(model, geom, 2, trial=trial).flat
+        for noise_power in (1e-3, 0.1, 10.0):
+            assert search_type1(h, cfg, restriction=ones,
+                                noise_power=noise_power) == \
+                search_type1(h, cfg, noise_power=noise_power)
+
+
+@pytest.mark.parametrize("scale, noise_power", [(1e154, 1.0), (1e160, 1.0),
+                                                (1.0, 1e-310)])
+@RANKS
+def test_search_names_an_exact_score_that_overflows(scale, noise_power, rank):
+    # a finite channel and an admissible noise power whose exact scores
+    # overflow to nan: all of them (x1e160, noise 1e-310), once refused as
+    # "no admissible PMI" with no restriction given, or some of them
+    # (x1e154), once skipped silently
+    geom = ArrayGeometry.from_antennas(4, 2)
+    cfg = Type1Config(geom, rank=rank, subband_count=2)
+    model = ChannelModel(seed=1, n_paths=6, subcarrier_spacing=180e3,
+                         n_subcarriers=4)
+    h = draw_channel(model, geom, 2, trial=0).flat * scale
+    with pytest.raises(DomainError, match="noise_power=.* channel energy"):
+        search_type1(h, cfg, noise_power=noise_power)
+
+
+def test_search_rejects_a_bool_noise_power():
+    cfg = Type1Config(ArrayGeometry(2, 1, 4, 1))
+    h = np.ones((1, 2, 4), dtype=complex)
+    with pytest.raises(DomainError, match="noise_power=True"):
+        search_type1(h, cfg, noise_power=True)
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
