@@ -1,9 +1,12 @@
 """Random multipath OFDM MIMO channels and UE-side codebook search.
 
-The channel model is a clustered geometric model (non-normative): each path
-has a complex gain, a continuous transmit direction on the oversampled beam
-grid, a delay, and a Doppler shift.  The second polarization reuses the path
-geometry with independent phases scaled by a cross-coupling factor.
+The channel model (non-normative) adds independent paths: no clusters, no
+angle spread and no line-of-sight path.  Each path draws its own transmit
+direction, uniform over the whole oversampled beam grid, its own delay,
+uniform in [0, delay_spread], its own Doppler shift, uniform in
+[-doppler_max, doppler_max], a random unit-norm receive signature and a
+complex Gaussian gain.  The second polarization reuses the path geometry
+with a gain of cross_pol times the first's magnitude and a uniform phase.
 
 The release searches follow one recipe: project the per-unit channels onto
 wideband receive directions, select beams/ports by projected energy, DFT
@@ -32,7 +35,10 @@ _WB_AMPS = enhanced.WB_AMPS[1:].tolist()
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Clustered geometric multipath model over the logical antenna array."""
+    """Multipath model over the logical antenna array: ``n_paths``
+    independent paths, each with a uniform transmit direction on the beam
+    grid, a uniform delay and Doppler shift and a Gaussian gain (see the
+    module docstring); no clusters and no angle spread."""
 
     n_paths: int = 4
     delay_spread: float = 1e-6        # seconds
@@ -191,36 +197,128 @@ def _beam_projections(targets: np.ndarray, basis: np.ndarray,
     return np.concatenate([b1, b2], axis=-1)
 
 
+@dataclass(frozen=True)
+class _GroupTables:
+    """One geometry's orthogonal groups in the layouts the group scan reads;
+    built once per geometry, read-only."""
+
+    conj: np.ndarray        # (O1*O2, N1*N2, N1*N2) conjugated groups
+    columns: np.ndarray     # (N1*N2, O1*O2*N1*N2) the same beams, side by side
+    beam_norm: float        # max ||g_b||^2 over the beams
+    grid: tuple[np.ndarray, np.ndarray]   # (l, m), each (O1, O2, N1*N2)
+
+
 @functools.cache
-def _group_tables(geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """The conjugated groups (O1, O2, N1*N2, N1*N2) that the scan multiplies
-    by, and every group's beams as oversampled grid coordinates, an (l, m)
-    pair of (O1, O2, N1*N2) index arrays; built once per geometry,
-    read-only."""
-    conj = orthogonal_groups(geom).conj()
+def _group_tables(geom: ArrayGeometry) -> _GroupTables:
+    n = geom.n1 * geom.n2
+    conj = orthogonal_groups(geom).conj().reshape(-1, n, n)
+    columns = np.ascontiguousarray(conj.transpose(1, 0, 2)).reshape(n, -1)
     q = np.indices((geom.o1, geom.o2))[..., None]
-    l, m = enhanced.grid_coordinates(geom, q, np.arange(geom.n1 * geom.n2))
-    for table in (conj, l, m):
+    l, m = enhanced.grid_coordinates(geom, q, np.arange(n))
+    for table in (conj, columns, l, m):
         table.flags.writeable = False
-    return conj, (l, m)
+    beam_norm = float((np.abs(columns) ** 2).sum(axis=0).max())
+    return _GroupTables(conj, columns, beam_norm, (l, m))
+
+
+def _exact_energy(rows: np.ndarray, conj: np.ndarray) -> np.ndarray:
+    """The exact scan kernel: the energy of rows (rows, N1*N2) on every beam
+    of the K conjugated groups ``conj`` (K, N1*N2, N1*N2), (K, N1*N2).
+
+    One product per group keeps the shapes BLAS sees; the products land
+    row-major, (rows, K, N1*N2), so the sum over rows, in row order, runs
+    over long contiguous rows.  A group's energies depend only on its own
+    product and sum, so they are the same bits whichever groups ride along.
+    """
+    products = np.empty((len(rows), len(conj), conj.shape[-1]),
+                        dtype=complex)
+    np.matmul(rows, conj, out=products.transpose(1, 0, 2))
+    energy = np.abs(products)
+    energy *= energy
+    return np.add.reduce(energy, axis=0)
 
 
 def _group_energy(targets: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
     """The group scan: the energy of targets (..., P) on every beam of every
-    orthogonal group, both polarization halves summed, (O1, O2, N1*N2).
+    orthogonal group, both polarization halves summed, (O1, O2, N1*N2): the
+    exact kernel over every group.
 
     The beams of a group are orthogonal, so its best L beams capture its L
-    largest energies.  One product per group keeps the shapes BLAS sees;
-    the products land row-major, (rows, O1, O2, N1*N2), so the sum over
-    rows, in row order as before, runs over long contiguous rows.
+    largest energies.
+    """
+    n = geom.n1 * geom.n2
+    return _exact_energy(targets.reshape(-1, n),
+                         _group_tables(geom).conj).reshape(geom.o1, geom.o2, n)
+
+
+def _screen_energy(rows: np.ndarray, tables: _GroupTables) -> np.ndarray:
+    """The screened energy of rows R (rows, N1*N2) on every beam of every
+    group, (O1*O2*N1*N2,): v^H C v for each conjugated beam v of the
+    ``columns``, from one Hermitian C = R^H R and one product C @ columns.
+    It rounds differently from the exact scan: these energies only screen.
+    An energy too large for a double is inf (or nan); ``_contender_energy``
+    runs it with overflow warnings off."""
+    cv = rows.conj().T @ rows @ tables.columns
+    cv *= tables.columns.conj()
+    return cv.real.sum(axis=0)
+
+
+_EPS = np.finfo(float).eps
+
+
+def _screen_bound(rows: np.ndarray, tables: _GroupTables) -> float:
+    """Delta: a bound on |screened - exact| for every beam energy.
+
+    Write the beam's column as v and R's rows as r.  The exact scan rounds
+    each product r v within gamma_N |r| |v| (gamma_k about k eps, eps the
+    machine epsilon, N = N1*N2), squares it and adds the rows in order, so
+    its energy lies within (2N + rows + 3) eps sum_r (|r| |v|)^2 of
+    v^H R^H R v, up to the complex-arithmetic constants.  The screen rounds
+    C = R^H R within gamma_rows |R|^H |R| entrywise, then C v and the dot
+    with v within gamma_N each, so its energy lies within
+    (rows + 2N) eps |v|^T |R|^H |R| |v| of it, up to the same constants.
+    By Cauchy-Schwarz, row by row, sum_r (|r| |v|)^2 <= ||R||_F^2 ||v||^2.
+    Together,
+    Delta = c (rows + 2 N1N2) eps ||R||_F^2 max_b ||g_b||^2,
+    with c = 16 covering the constants of complex products and sums and
+    the rounding of the group scores and of the contender cutoff with room
+    to spare: measured errors stay below 2e-2 Delta.  A group's score sums
+    L energies, so it lies within L Delta.
+    """
+    frob = float(np.vdot(rows, rows).real)     # nan when it overflows
+    return (16 * (len(rows) + 2 * rows.shape[1]) * _EPS * frob
+            * tables.beam_norm)
+
+
+def _contender_energy(targets: np.ndarray, geom: ArrayGeometry,
+                      l: int) -> np.ndarray:
+    """The group scan the searches read: ``_group_energy``'s energies, to
+    the bit, on every contender group, and -inf on every other group,
+    (O1, O2, N1*N2).
+
+    A screen (``_screen_energy``) gives every beam's energy within Delta
+    (``_screen_bound``) of the exact one, so every group's screened score
+    within L Delta of its exact one.  The best exact score is then at
+    least best - L Delta, best the highest screened score, and every group
+    ``_tied_groups`` keeps scores at least (best - L Delta)(1 - 1e-9)
+    exactly and so at least (best - L Delta)(1 - 1e-9) - L Delta screened.
+    Those groups are the contenders, and only they are scanned exactly.
+    The best group is among them, so ``_tied_groups`` finds the same tie
+    set on these energies as on the full scan's.  A screen, ||R||_F^2 or
+    Delta that overflows makes every group a contender.
     """
     n = geom.n1 * geom.n2
     rows = targets.reshape(-1, n)
-    products = np.empty((len(rows), geom.o1, geom.o2, n), dtype=complex)
-    np.matmul(rows, _group_tables(geom)[0], out=products.transpose(1, 2, 0, 3))
-    energy = np.abs(products)
-    energy *= energy
-    return np.add.reduce(energy, axis=0)
+    tables = _group_tables(geom)
+    band = l * _screen_bound(rows, tables)
+    with np.errstate(over="ignore", invalid="ignore"):
+        score = _group_scores(_screen_energy(rows, tables).reshape(-1, n), l)
+        cutoff = (score.max() - band) * (1 - 1e-9) - band
+    contenders = (np.flatnonzero(score >= cutoff) if math.isfinite(cutoff)
+                  else np.arange(len(score)))
+    energy = np.full((len(score), n), -np.inf)
+    energy[contenders] = _exact_energy(rows, tables.conj[contenders])
+    return energy.reshape(geom.o1, geom.o2, n)
 
 
 def _group_scores(energy: np.ndarray, l: int) -> np.ndarray:
@@ -294,7 +392,8 @@ def _pick_beams(l: int, energy: np.ndarray, beam_cap: np.ndarray) -> list[int]:
 
 def _search_groups(config, scan, targets, finish, caps=None):
     """The spatial stage W1 of every Type II search: scan the groups with
-    ``scan``, pick L beams in each tied group q (under ``caps``, an (O1N1,
+    ``scan`` (``_contender_energy``, exact on every group that can tie),
+    pick L beams in each tied group q (under ``caps``, an (O1N1,
     O2N2) grid, all ones when None), in scan order, ``finish(i11s, i12s,
     bases, beam_caps)`` all T picks at once, their T (P/2, L) beam sets
     and the caps of their beams, into ``_choose``'s reports (None for a
@@ -309,8 +408,8 @@ def _search_groups(config, scan, targets, finish, caps=None):
                                [np.ones(config.l)]), targets)
     g, l = config.geom, config.l
     n = g.n1 * g.n2
-    energy = _group_energy(scan, g)
-    grid_l, grid_m = _group_tables(g)[1]
+    energy = _contender_energy(scan, g, l)
+    grid_l, grid_m = _group_tables(g).grid
     if caps is None:
         caps = np.ones((g.beams_h, g.beams_v))
     groups = _tied_groups(energy, l)
@@ -510,19 +609,39 @@ def _search_channel(channel, n_ports, n4=1, n3=None, subbands=1, rank=1):
     return h
 
 
+def _type2_channel(channel, n_ports, n4=1, n3=None, subbands=1, rank=1):
+    """``_search_channel`` for the Type II searches, which also raises
+    DomainError naming a channel energy ||H||_F^2 that overflows a double:
+    their covariances, targets and scan energies would overflow too."""
+    h = _search_channel(channel, n_ports, n4, n3, subbands, rank)
+    if not math.isfinite(np.vdot(h, h).real):   # nan or inf on overflow
+        with np.errstate(over="ignore"):
+            energy = float((np.abs(h) ** 2).sum())
+        raise DomainError(f"channel energy ||H||_F^2={energy:.3g} overflows "
+                          "a double")
+    return h
+
+
+@functools.cache
+def _subband_edges(m: int, subbands: int) -> tuple[tuple[int, int], ...]:
+    """(first, end) subcarrier of every subband: M split evenly."""
+    edges = np.linspace(0, m, subbands + 1).astype(int).tolist()
+    return tuple(zip(edges, edges[1:]))
+
+
 def search_r16(channel: ChannelRealization, config: type2_r16.R16Config
                ) -> type2_r16.R16Pmi:
     """UE-side Enhanced Type II report selection."""
-    h = _search_channel(channel, config.n_ports, n3=config.n3,
-                        rank=config.rank)
+    h = _type2_channel(channel, config.n_ports, n3=config.n3,
+                       rank=config.rank)
     return _search_enhanced(config, _targets(h, config.rank))
 
 
 def search_r18(channel: ChannelRealization, config: type2_r18.R18Config
                ) -> type2_r18.R18Pmi:
     """UE-side predicted-PMI report over N4 slot intervals."""
-    h = _search_channel(channel, config.n_ports, config.n4, config.n3,
-                        rank=config.rank)
+    h = _type2_channel(channel, config.n_ports, config.n4, config.n3,
+                       rank=config.rank)
     return _search_enhanced(config, _targets(h, config.rank))
 
 
@@ -628,8 +747,8 @@ def _finish(config, targets, i11s, i12s, bases):
 def search_r17(channel: ChannelRealization, config: type2_r17.R17Config
                ) -> type2_r17.R17Pmi:
     """UE-side Further Enhanced port-selection report (beam-domain channel)."""
-    h = _search_channel(channel, config.p_csirs, n3=config.n3,
-                        rank=config.rank)
+    h = _type2_channel(channel, config.p_csirs, n3=config.n3,
+                       rank=config.rank)
     targets = _targets(h, config.rank)
     half = config.p_csirs // 2
     energy = (np.abs(targets) ** 2).sum(axis=(0, 1, 2))

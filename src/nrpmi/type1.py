@@ -14,7 +14,8 @@ from numbers import Real
 import numpy as np
 
 from .bases import ArrayGeometry, beam_grid
-from .channel_sim import _first_best, _search_channel
+from .channel_sim import (_EPS, _first_best, _search_channel,
+                          _subband_edges)
 from .combinadics import check_int_fields, is_index, is_indices, read_bits
 from .enhanced import check_index
 from .errors import DomainError, RestrictionError
@@ -308,9 +309,6 @@ def _screen_rates(h: np.ndarray, columns: np.ndarray, rank: int,
         return np.log2(power, out=power)
 
 
-_EPS = np.finfo(float).eps
-
-
 def _screen_bound(h: np.ndarray, noise_power: float) -> float:
     """Delta: a bound on |screened - exact| for one group's wideband total.
 
@@ -333,13 +331,6 @@ def _screen_bound(h: np.ndarray, noise_power: float) -> float:
     m, nr, p = h.shape
     energy = float(np.vdot(h, h).real)
     return 64 * (p + nr * nr + m) * _EPS * (m + nr * energy / noise_power)
-
-
-@functools.cache
-def _subband_edges(m: int, subbands: int) -> tuple[tuple[int, int], ...]:
-    """(first, end) subcarrier of every subband: M split evenly."""
-    edges = np.linspace(0, m, subbands + 1).astype(int).tolist()
-    return tuple(zip(edges, edges[1:]))
 
 
 def search_type1(channel: np.ndarray, config: Type1Config,

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import quantization as qt
 from .bases import ArrayGeometry
-from .channel_sim import _beam_projections, _search_channel, _search_groups
+from .channel_sim import (_beam_projections, _search_groups, _subband_edges,
+                          _type2_channel)
 from .combinadics import (
     array_bits,
     binomial,
@@ -384,9 +385,8 @@ def random_report(config: T2R15Config, rng: np.random.Generator):
 def _subband_targets(channel: np.ndarray, n_sb: int, rank: int):
     """Dominant eigenvectors of H^H H per subband, (rank, n_sb, P), and over
     the whole band, (rank, 1, P), from one stacked eigh."""
-    edges = np.linspace(0, channel.shape[0], n_sb + 1).astype(int)
-    covs = [np.einsum("mrp,mrq->pq", h.conj(), h)
-            for h in np.split(channel, edges[1:-1])]
+    covs = [np.einsum("mrp,mrq->pq", channel[a:b].conj(), channel[a:b])
+            for a, b in _subband_edges(channel.shape[0], n_sb)]
     covs.append(np.einsum("mrp,mrq->pq", channel.conj(), channel))
     _, vecs = np.linalg.eigh(np.array(covs))          # (n_sb + 1, P, P)
     top = vecs[..., ::-1][..., :rank].transpose(2, 0, 1)
@@ -400,11 +400,11 @@ def search_t2_r15(channel: np.ndarray, config: T2R15Config,
     energy, the L beams of highest energy in it, least-squares weights,
     quantization.
 
-    ``channel`` is read by ``_search_channel`` as (M, Nr, P); for port
+    ``channel`` is read by ``_type2_channel`` as (M, Nr, P); for port
     selection it is the effective (beam-domain) channel.
     """
-    h = _search_channel(channel, config.n_ports,
-                        subbands=config.subband_count, rank=config.rank)[0]
+    h = _type2_channel(channel, config.n_ports,
+                       subbands=config.subband_count, rank=config.rank)[0]
     if caps is not None:
         caps = _check_caps(config, caps)
     targets, wide = _subband_targets(h, config.subband_count, config.rank)

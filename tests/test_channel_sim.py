@@ -30,7 +30,7 @@ from nrpmi.combinadics import decode_combination, encode_combination
 from nrpmi.errors import BudgetError, DegenerateReportError, DomainError
 from nrpmi.type1 import Type1Config, search_type1
 
-from test_search_oracle import finish_oracle
+from test_search_oracle import LINK_MODEL, LINK_R16, LINK_R18, finish_oracle
 
 GEOM = ArrayGeometry(4, 2, 4, 4)
 
@@ -300,12 +300,12 @@ def test_group_scan_matches_the_per_group_loop(shape):
 def test_tied_beams_pick_the_lowest_index_in_every_release(monkeypatch):
     # beams 1, 2 and 3 of every group carry the same energy, the others
     # none: every group ties, and the beam rule keeps beams 1 and 2
-    def tied_energy(targets, geom):
+    def tied_energy(targets, geom, l):
         energy = np.zeros((geom.o1, geom.o2, geom.n1 * geom.n2))
         energy[..., 1:4] = 1.0
         return energy
 
-    monkeypatch.setattr(channel_sim, "_group_energy", tied_energy)
+    monkeypatch.setattr(channel_sim, "_contender_energy", tied_energy)
     model = ChannelModel(n_paths=3, seed=4, n_subcarriers=8)
     ch = draw_channel(model, GEOM, nr=2, trial=0, n4=2)
     flat = ChannelRealization(h=ch.h[:1])
@@ -749,6 +749,61 @@ R18_CFG = type2_r18.R18Config(geom=GEOM, param_combination=1, r=1, n3=8,
 def test_every_search_rejects_a_malformed_channel(search, cfg, h, match):
     with pytest.raises(DomainError, match=match):
         search(h, cfg)
+
+
+# the link-t2 benchmark's Type II searches, each on its slice of an
+# (N4 = 4, 24, 2, 16) channel draw
+LINK_SEARCHES = {
+    "r15": (type2_r15.T2R15Config(l=4, n_psk=8, rank=2, subband_count=4,
+                                  geom=GEOM),
+            lambda h, cfg: type2_r15.search_t2_r15(h[0], cfg)),
+    "r16": (LINK_R16, lambda h, cfg: search_r16(h[:1, :cfg.n3], cfg)),
+    "r17": (type2_r17.R17Config(p_csirs=16, param_combination=6, n3=12,
+                                n_threshold=4, rank=2),
+            lambda h, cfg: search_r17(h[:1, :cfg.n3], cfg)),
+    "r18": (LINK_R18, lambda h, cfg: search_r18(h[:, :cfg.n3], cfg)),
+}
+
+
+def _link_channel(trial):
+    model = ChannelModel(seed=3, **LINK_MODEL)
+    return draw_channel(model, GEOM, nr=2, trial=trial, n4=4).h
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e160, 1e300])
+@pytest.mark.parametrize("release", list(LINK_SEARCHES))
+def test_type2_search_names_an_overflowing_channel_energy(release, scale):
+    # a finite channel whose energy overflows a double: Rel-16 and Rel-18
+    # raised a bare ValueError (an empty tie set), Rel-15 a LinAlgError and
+    # Rel-17 returned a report computed from non-finite values
+    cfg, search = LINK_SEARCHES[release]
+    h = _link_channel(0) * scale
+    assert np.isfinite(h).all()
+    with pytest.raises(DomainError, match=r"energy \|\|H\|\|_F\^2=inf"):
+        search(h, cfg)
+
+
+@pytest.mark.parametrize("release", list(LINK_SEARCHES))
+def test_type2_reports_hold_at_large_channel_scales(release):
+    cfg, search = LINK_SEARCHES[release]
+    for trial in range(10):
+        h = _link_channel(trial)
+        expected = cli.pmi_to_fields(search(h, cfg))
+        for scale in (1e100, 1e150):
+            assert cli.pmi_to_fields(search(h * scale, cfg)) == expected
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the reference coefficient is picked from magnitudes rounded to 12 "
+    "absolute decimals, so reports depend on the channel's scale"))
+def test_r16_reports_hold_at_a_small_channel_scale():
+    # _finish, _quantize_layers and _quantize_report compare .round(12)
+    # magnitudes: at 1e-12, 44 of these 50 reports change
+    cfg, search = LINK_SEARCHES["r16"]
+    for trial in range(50):
+        h = _link_channel(trial)
+        assert (cli.pmi_to_fields(search(h * 1e-12, cfg))
+                == cli.pmi_to_fields(search(h, cfg)))
 
 
 @pytest.mark.parametrize("search, cfg, n4", [

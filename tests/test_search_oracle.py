@@ -11,7 +11,8 @@ each layer's shifts and taps in turn (refitting a later layer's taps into
 layer 0's window), a quantizer that works one layer at a time, trimming
 the budget with a loop over positions, a group scan that sums a broadcast
 product over the groups, and a tap encoder that looks every tap up with
-``list.index``.  Every report must match
+``list.index``; the searches' screened group scan is checked against the
+full exact scan, ``_group_energy``.  Every report must match
 them bit for bit, except where the reference quantizer overruns the 2*K0
 budget at ranks 3-4 (it keeps nothing back for the later layers' strongest
 coefficients): there the search must return a report within the budget
@@ -389,6 +390,112 @@ def test_group_scan_matches_the_broadcast_oracle(n1, n2):
             expected = group_energy_oracle(targets, geom)
             assert found.shape == expected.shape == (geom.o1, geom.o2, n)
             assert np.array_equal(found, expected)
+
+
+def screen_cases(geom, rng):
+    """Scan rows (rows, N1*N2) for the screened scan: 1 to 601 rows of
+    random, planted and zero rows at scales 1e-150 to 1e150."""
+    n = geom.n1 * geom.n2
+    beams = orthogonal_groups(geom).reshape(-1, n, n).transpose(0, 2, 1)
+    for count in (1, 2, 3, 8, 31, 96, 192, 601):
+        for scale in (1e-150, 1e-20, 1.0, 1e20, 1e150):
+            rows = (rng.standard_normal((count, n))
+                    + 1j * rng.standard_normal((count, n)))
+            kind = rng.integers(5)
+            if kind == 1:
+                # on-grid beams: a group captures them exactly
+                picks = rng.integers(len(beams) * n, size=count)
+                rows = beams.reshape(-1, n)[picks] * rows[:, :1]
+            elif kind in (2, 3):
+                # single ports: every beam of every group ties; a 1e-10
+                # perturbation leaves groups within the tie rule's 1e-9
+                ports = np.eye(n)[rng.integers(n, size=count)]
+                rows = ports * rows[:, :1] + (kind == 3) * 1e-10 * rows
+            elif kind == 4:
+                rows[rng.random(count) < 0.5] = 0
+            yield rows * scale
+
+
+@pytest.mark.parametrize("n1, n2", list(SUPPORTED_GEOMETRIES))
+def test_contender_scan_matches_the_full_scan(n1, n2):
+    # the screen keeps every group the full scan ties, with its energies to
+    # the bit, and every screened energy lies within Delta of the exact one
+    geom = ArrayGeometry.from_antennas(n1, n2)
+    n = n1 * n2
+    tables = channel_sim._group_tables(geom)
+    rng = np.random.default_rng(n1 * 10 + n2)
+    for rows in screen_cases(geom, rng):
+        full = channel_sim._group_energy(rows, geom)
+        delta = channel_sim._screen_bound(rows, tables)
+        screen = channel_sim._screen_energy(rows, tables)
+        assert (np.abs(screen - full.reshape(-1)) <= delta).all()
+        for l in (2, 3, 4, 6):
+            if l > n:
+                continue
+            energy = channel_sim._contender_energy(rows, geom, l)
+            kept = energy[..., 0] != -np.inf
+            assert energy[kept].tobytes() == full[kept].tobytes()
+            assert (channel_sim._tied_groups(energy, l)
+                    == channel_sim._tied_groups(full, l))
+
+
+def cutoff_rows(geom, l, rng):
+    """Rows (2, N1*N2), a beam of one group and t times a beam of another,
+    with t bisected to the last bit at which the second group still ties
+    the best under ``_tied_groups``; and that group."""
+    n = geom.n1 * geom.n2
+    beams = orthogonal_groups(geom).reshape(-1, n, n)
+    a, b = rng.choice(len(beams), size=2, replace=False)
+    base = np.stack([beams[a][:, rng.integers(n)],
+                     beams[b][:, rng.integers(n)] * np.exp(2j * rng.random())])
+    q = divmod(int(b), geom.o2)
+
+    def tied(t):
+        rows = base * [[1.0], [t]]
+        energy = channel_sim._group_energy(rows, geom)
+        return q in channel_sim._tied_groups(energy, l), rows
+
+    lo, hi = 0.0, 1.0
+    if not tied(hi)[0]:
+        return None, q
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return tied(hi)[1], q
+        lo, hi = (lo, mid) if tied(mid)[0] else (mid, hi)
+
+
+def test_contender_scan_keeps_a_group_at_the_tie_cutoff():
+    # a group whose exact score sits at the tie rule's cutoff, to the last
+    # bit, while its screened score may round below it: the band of L Delta
+    # around the cutoff keeps it a contender
+    rng = np.random.default_rng(5)
+    cases = 0
+    for n1, n2 in SUPPORTED_GEOMETRIES:
+        geom = ArrayGeometry.from_antennas(n1, n2)
+        for l in [l for l in (2, 4) if l <= n1 * n2]:
+            for _ in range(3):
+                rows, q = cutoff_rows(geom, l, rng)
+                if rows is None:
+                    continue
+                cases += 1
+                tied = channel_sim._tied_groups(
+                    channel_sim._contender_energy(rows, geom, l), l)
+                assert q in tied
+                assert tied == channel_sim._tied_groups(
+                    channel_sim._group_energy(rows, geom), l)
+    assert cases >= 40
+
+
+def test_overflowing_screen_keeps_every_group():
+    # rows whose energies overflow: the screen is inf, and every group is
+    # scanned exactly, as the full scan does
+    geom = ArrayGeometry.from_antennas(4, 2)
+    rows = np.full((4, 8), 1e155, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = channel_sim._group_energy(rows, geom)
+        energy = channel_sim._contender_energy(rows, geom, 2)
+    assert energy.tobytes() == full.tobytes()
 
 
 def tap_map_configs():
