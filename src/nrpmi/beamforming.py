@@ -6,7 +6,9 @@ water-filling, harmonic-mean, and QoS-targeted power allocation.  Rates are
 evaluated treating inter-user interference as noise.
 """
 
+import functools
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -19,20 +21,53 @@ MU_SCHEMES = ("zf", "rzf", "mmse", "ezf", "bd", "wmmse")
 # ---------------------------------------------------------------------------
 # rate evaluation
 
+_LOG2 = math.log(2)
+
+
+@functools.cache
+def _identity(nr: int) -> np.ndarray:
+    """The read-only complex Nr x Nr identity that every rate adds."""
+    eye = np.eye(nr, dtype=complex)
+    eye.flags.writeable = False
+    return eye
+
+
+def _noise_list(noise_powers, k_users: int) -> list[float]:
+    """``noise_powers`` as one Python float per user; DomainError names it
+    when it has the wrong length or an entry that is no real number (a
+    bool, string, bytes, complex or None)."""
+    if isinstance(noise_powers, (float, int)) and not isinstance(
+            noise_powers, bool):
+        return [float(noise_powers)] * k_users
+    entries = np.asarray(noise_powers, dtype=object)
+    if entries.shape not in ((), (1,), (k_users,)):
+        raise DomainError(f"noise_powers must be a scalar or {k_users} "
+                          f"values, one per user")
+    entries = entries.reshape(-1).tolist()
+    for n in entries:
+        if not isinstance(n, Real) or isinstance(n, bool):
+            raise DomainError(f"noise_powers must hold real numbers, "
+                              f"not {n!r}")
+    # a scalar serves every user
+    return [float(n) for n in entries] * (k_users // len(entries))
+
+
 def user_rates(channels, beamformers, noise_powers) -> np.ndarray:
     """Per-user achievable rates, summed over subcarriers.
 
     ``channels[k]`` is (Nr, Nt) or (M, Nr, Nt); ``beamformers[k]`` is
-    (Nt, v_k) or (M, Nt, v_k); ``noise_powers`` is a scalar or one value per
-    user.  Every 3-D channel and beamformer must hold the same M subcarriers;
-    a 2-D one is shared across all M (M = 1 when every array is 2-D).
-    Interference from other users' beams is treated as noise.
+    (Nt, v_k) or (M, Nt, v_k); ``noise_powers`` is a real scalar or one
+    real value per user.  Every 3-D channel and beamformer must hold the
+    same M subcarriers; a 2-D one is shared across all M (M = 1 when every
+    array is 2-D).  Interference from other users' beams is treated as
+    noise.
 
     Raises ``DomainError`` naming the bad argument when there is no user,
-    the beamformer count differs from the user count, an array is neither
-    2-D nor 3-D, the subcarrier counts or Nt disagree, an array holds a
-    non-finite or non-numeric entry, or ``noise_powers`` has the wrong
-    length or a value that is not positive and finite.
+    the beamformer count differs from the user count, ``noise_powers`` has
+    the wrong length, an entry that is no real number (a bool, string,
+    bytes, complex or None) or a value that is not positive and finite, an
+    array is neither 2-D nor 3-D, the subcarrier counts or Nt disagree, or
+    an array holds a non-finite or non-numeric entry.
 
     A single user sees no interference, so its signal covariance is divided
     by its noise power; with interference, each user's subcarriers are
@@ -46,12 +81,11 @@ def user_rates(channels, beamformers, noise_powers) -> np.ndarray:
     if len(beamformers) != k_users:
         raise DomainError(f"beamformers must hold one block per user, "
                           f"{len(beamformers)} for {k_users} users")
-    noise = np.asarray(noise_powers, dtype=float)
-    if noise.shape not in ((), (1,), (k_users,)):
-        raise DomainError(f"noise_powers must be a scalar or {k_users} "
-                          f"values, one per user")
-    noise = noise.reshape(-1).tolist()
-    noise *= k_users // len(noise)  # a scalar serves every user
+    try:
+        noise = _noise_list(noise_powers, k_users)
+    except OverflowError:   # an int beyond the largest double
+        raise DomainError(f"noise_powers must be positive and finite, "
+                          f"got {noise_powers!r}") from None
     if not all(math.isfinite(n) and n > 0 for n in noise):
         raise DomainError(f"noise_powers must be positive and finite, "
                           f"got {noise}")
@@ -86,10 +120,9 @@ def user_rates(channels, beamformers, noise_powers) -> np.ndarray:
     stacks = [a if a.ndim == 3 else np.broadcast_to(a, (m_carriers,) + a.shape)
               for a in arrays]
     hs, ws = stacks[:k_users], stacks[k_users:]
-    rates = np.zeros(k_users)
+    rates = []
     for k in range(k_users):
-        nr = hs[k].shape[1]
-        eye = np.eye(nr, dtype=complex)
+        eye = _identity(hs[k].shape[1])
         g = hs[k] @ ws[k]
         sig = g @ g.conj().swapaxes(1, 2)
         if k_users == 1:  # the covariance is noise * I: solve(cov) divides
@@ -104,10 +137,10 @@ def user_rates(channels, beamformers, noise_powers) -> np.ndarray:
             x = np.linalg.solve(cov, sig)
         _, logdets = np.linalg.slogdet(eye + x)
         rate = 0.0
-        for logdet in (logdets / math.log(2)).tolist():
+        for logdet in (logdets / _LOG2).tolist():
             rate += logdet  # subcarrier order: np.sum would change the bits
-        rates[k] = rate
-    return rates
+        rates.append(rate)
+    return np.array(rates)
 
 
 def normalize_power(w: np.ndarray, pt: float) -> np.ndarray:

@@ -117,29 +117,38 @@ def draw_channel(model: ChannelModel, geom: ArrayGeometry, nr: int,
     _check_draw(nr, trial, n4, interval_duration)
     rng = np.random.default_rng([model.seed, trial])
     n_paths, half, m = model.n_paths, geom.n_ports // 2, model.n_subcarriers
-    uniforms = np.empty((n_paths, 4))
+    # uniforms[k] holds path k's x1, x2, delay and Doppler, then its g2
+    # phase: that phase and path k + 1's first four uniforms are one run
+    # of the stream, filled by one call
+    uniforms = np.empty(5 * n_paths)
     normals = np.empty((n_paths, 2 * nr + 2))
-    phases = np.empty(n_paths)
-    for k in range(n_paths):
-        uniforms[k] = rng.random(4)
-        normals[k] = rng.standard_normal(2 * nr + 2)
-        phases[k] = rng.random()
-    low = np.array([0.0, 0.0, 0.0, -model.doppler_max])
-    high = np.array([geom.beams_h, geom.beams_v, model.delay_spread,
-                     model.doppler_max])
-    # the arithmetic of rng.uniform(low, high), for every path at once
-    x1, x2, delay, doppler = (low + (high - low) * uniforms).T
+    rng.random(out=uniforms[:4])
+    for k, row in enumerate(normals):
+        rng.standard_normal(out=row)
+        rng.random(out=uniforms[5 * k + 4:5 * k + 9])
+    uniforms = uniforms.reshape(n_paths, 5)
+    # the arithmetic of rng.uniform(low, high), for every path at once:
+    # low + (high - low) * u with low = 0, or -doppler_max for the Doppler
+    span = np.array([geom.beams_h, geom.beams_v, model.delay_spread,
+                     2 * model.doppler_max])
+    x1, x2, delay, doppler = (uniforms[:, :4] * span).T
+    doppler -= model.doppler_max
     a_rx = normals[:, :nr] + 1j * normals[:, nr:2 * nr]
-    # one norm per signature: a norm along an axis rounds differently
-    a_rx /= np.array([np.linalg.norm(r) for r in a_rx])[:, None]
+    # each signature's squared norm as np.linalg.norm takes it: a strided
+    # ddot over the real parts plus one over the imaginary parts (a ddot
+    # over contiguous rows, or a sum of squares, rounds differently)
+    square = (a_rx.real[:, None] @ a_rx.real[..., None]
+              + a_rx.imag[:, None] @ a_rx.imag[..., None])
+    a_rx /= np.sqrt(square[:, 0])
     # normalized so the expected squared Frobenius norm per unit is Nt*Nr
     gain_var = 2 * nr / ((1 + model.cross_pol**2) * n_paths)
+    scale = math.sqrt(gain_var / 2)
     # Python-scalar gains: numpy's complex loops round differently
     gains = []
-    for (re, im), phase in zip(normals[:, -2:].tolist(), phases.tolist()):
-        g1 = math.sqrt(gain_var / 2) * complex(re, im)
-        gains.append((g1, model.cross_pol * abs(g1)
-                      * np.exp(2j * np.pi * phase)))
+    for (re, im), spin in zip(normals[:, -2:].tolist(),
+                              np.exp(2j * np.pi * uniforms[:, 4])):
+        g1 = scale * complex(re, im)
+        gains.append((g1, model.cross_pol * abs(g1) * spin))
     freq_phase = np.exp(-2j * np.pi * delay[:, None]
                         * model.subcarrier_spacing * np.arange(m))
     time_phase = np.exp(2j * np.pi * doppler[:, None] * interval_duration
@@ -612,14 +621,24 @@ def _search_channel(channel, n_ports, n4=1, n3=None, subbands=1, rank=1):
 def _type2_channel(channel, n_ports, n4=1, n3=None, subbands=1, rank=1):
     """``_search_channel`` for the Type II searches, which also raises
     DomainError naming a channel energy ||H||_F^2 that overflows a double:
-    their covariances, targets and scan energies would overflow too."""
+    their covariances, targets and scan energies would overflow too.
+
+    The channel is returned scaled by the power of two 2^-e that brings its
+    largest magnitude into [1/2, 1).  A power of two scales every product,
+    sum, eigendecomposition and square root of the search exactly, so the
+    report does not depend on the channel's scale; without it, the
+    references picked from magnitudes rounded to 12 absolute decimals
+    would.  The scale is applied as two factors, so that each stays finite
+    for a subnormal channel.
+    """
     h = _search_channel(channel, n_ports, n4, n3, subbands, rank)
     if not math.isfinite(np.vdot(h, h).real):   # nan or inf on overflow
         with np.errstate(over="ignore"):
             energy = float((np.abs(h) ** 2).sum())
         raise DomainError(f"channel energy ||H||_F^2={energy:.3g} overflows "
                           "a double")
-    return h
+    e = math.frexp(float(np.abs(h).max()))[1]
+    return h * 2.0 ** -(e // 2) * 2.0 ** -(e - e // 2)
 
 
 @functools.cache

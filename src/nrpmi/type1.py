@@ -21,19 +21,20 @@ from .enhanced import check_index
 from .errors import DomainError, RestrictionError
 
 
-def _offset_table(geom: ArrayGeometry) -> list[tuple[int, int]]:
+@functools.cache
+def _offset_table(geom: ArrayGeometry) -> tuple[tuple[int, int], ...]:
     """(k1, k2) of the second layer for every i_1,3, by geometry regime
-    (TS 38.214 Tables 5.2.2.2.1-3/-4)."""
+    (TS 38.214 Tables 5.2.2.2.1-3/-4); built once per geometry."""
     n1, n2, o1, o2 = geom.n1, geom.n2, geom.o1, geom.o2
     if n1 > n2 > 1:
-        return [(0, 0), (o1, 0), (0, o2), (2 * o1, 0)]
+        return ((0, 0), (o1, 0), (0, o2), (2 * o1, 0))
     if n1 == n2:
-        return [(0, 0), (o1, 0), (0, o2), (o1, o2)]
+        return ((0, 0), (o1, 0), (0, o2), (o1, o2))
     if n1 > 2 and n2 == 1:
-        return [(0, 0), (o1, 0), (2 * o1, 0), (3 * o1, 0)]
+        return ((0, 0), (o1, 0), (2 * o1, 0), (3 * o1, 0))
     if n1 == 2 and n2 == 1:
         # only two distinct horizontal offsets exist
-        return [(0, 0), (o1, 0)]
+        return ((0, 0), (o1, 0))
     raise DomainError(f"no i_1,3 offset regime for (N1,N2)=({n1},{n2})")
 
 

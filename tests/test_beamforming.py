@@ -138,6 +138,37 @@ def test_non_finite_rate_inputs_name_the_bad_argument(target, named, value):
         user_rates(channels, beamformers, 1.0)
 
 
+@pytest.mark.parametrize("noise, message", [
+    pytest.param(True, "hold real numbers, not True", id="bool"),
+    pytest.param(np.True_, "hold real numbers, not", id="numpy-bool"),
+    pytest.param("0.5", "hold real numbers, not '0.5'", id="string"),
+    pytest.param(b"2", "hold real numbers, not b'2'", id="bytes"),
+    pytest.param(1 + 0j, "hold real numbers, not (1+0j)", id="complex"),
+    pytest.param(None, "hold real numbers, not None", id="none"),
+    pytest.param([0.5, True], "hold real numbers, not True", id="bool-entry"),
+    pytest.param([0.5, "1"], "hold real numbers, not '1'", id="string-entry"),
+    pytest.param([None, 0.5], "hold real numbers, not None", id="none-entry"),
+    pytest.param(np.array([0.5, 1.0], dtype=complex), "hold real numbers, not",
+                 id="complex-array"),
+    pytest.param(np.array([True, False]), "hold real numbers, not True",
+                 id="bool-array"),
+    pytest.param(10 ** 400, "be positive and finite", id="int-beyond-double"),
+])
+def test_noise_that_is_no_real_number_names_noise_powers(noise, message):
+    # True was read as 1.0, '0.5' as 0.5 and b'2' as 2.0; 1+0j escaped as
+    # a bare TypeError, 10**400 as an OverflowError and None as "positive
+    # and finite, got [nan]"
+    rng = np.random.default_rng(15)
+    channels = [crandn(rng, 3, 2, 4), crandn(rng, 2, 4)]
+    beamformers = [crandn(rng, 3, 4, 1), crandn(rng, 4, 2)]
+    match = re.escape(f"noise_powers must {message}")
+    with pytest.raises(DomainError, match=match):
+        user_rates(channels, beamformers, noise)
+    if np.ndim(noise) == 0:   # and as the entry of a one-user list
+        with pytest.raises(DomainError, match=match):
+            user_rates(channels[:1], beamformers[:1], [noise])
+
+
 def test_non_numeric_rate_input_names_the_bad_argument():
     with pytest.raises(DomainError,
                        match=re.escape("channels[0] must hold finite numbers")):

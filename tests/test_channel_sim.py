@@ -15,7 +15,7 @@ from nrpmi import (
     type2_r17,
     type2_r18,
 )
-from nrpmi.bases import ArrayGeometry, orthogonal_group
+from nrpmi.bases import SUPPORTED_GEOMETRIES, ArrayGeometry, orthogonal_group
 from nrpmi.channel_sim import (
     ChannelModel,
     ChannelRealization,
@@ -115,13 +115,15 @@ def same_bits(a, b):
 @pytest.mark.parametrize("doppler_max", [0.0, 200.0])
 def test_draw_matches_the_per_path_oracle_bit_for_bit(cross_pol, doppler_max):
     # cross_pol = 0 makes signed zeros in the second polarization, which
-    # only a draw that adds every path to a zero channel reproduces
+    # only a draw that adds every path to a zero channel reproduces; the
+    # cases cycle through every supported geometry, Nr = 1-4 (whose
+    # signature norms are strided ddots), 1-20 paths and N4 up to 8
     rng = np.random.default_rng(int(cross_pol * 10 + doppler_max))
-    geoms = [GEOM, ArrayGeometry(2, 1, 4, 1), ArrayGeometry(8, 1, 4, 1),
-             ArrayGeometry(4, 4, 4, 4)]
-    for case in range(12):
+    geoms = [ArrayGeometry(n1, n2, o1, o2)
+             for (n1, n2), (o1, o2) in SUPPORTED_GEOMETRIES.items()]
+    for case in range(2 * len(geoms)):
         model = ChannelModel(
-            n_paths=case % 6 + 1,
+            n_paths=(1, 20, 7, 13, 3)[case % 5],
             delay_spread=float(rng.choice([0.0, 3e-7, 1e-6])),
             doppler_max=doppler_max,
             subcarrier_spacing=float(rng.choice([15e3, 180e3])),
@@ -129,7 +131,7 @@ def test_draw_matches_the_per_path_oracle_bit_for_bit(cross_pol, doppler_max):
             seed=int(rng.integers(100)))
         geom = geoms[case % len(geoms)]
         nr = case % 4 + 1
-        n4 = int(rng.choice([1, 2, 4]))
+        n4 = (1, 8, 2)[case % 3]
         trial = int(rng.integers(50))
         assert same_bits(draw_channel(model, geom, nr, trial, n4).h,
                          draw_oracle(model, geom, nr, trial, n4))
@@ -793,17 +795,57 @@ def test_type2_reports_hold_at_large_channel_scales(release):
             assert cli.pmi_to_fields(search(h * scale, cfg)) == expected
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the reference coefficient is picked from magnitudes rounded to 12 "
-    "absolute decimals, so reports depend on the channel's scale"))
 def test_r16_reports_hold_at_a_small_channel_scale():
     # _finish, _quantize_layers and _quantize_report compare .round(12)
-    # magnitudes: at 1e-12, 44 of these 50 reports change
+    # magnitudes: at 1e-12, 44 of these 50 reports changed before the
+    # searches normalized the channel by a power of two
     cfg, search = LINK_SEARCHES["r16"]
     for trial in range(50):
         h = _link_channel(trial)
         assert (cli.pmi_to_fields(search(h * 1e-12, cfg))
                 == cli.pmi_to_fields(search(h, cfg)))
+
+
+# all five link-t2 configs: LINK_SEARCHES and the two-level tap window
+LINK_T2 = {**LINK_SEARCHES, "r16-window": (
+    type2_r16.R16Config(param_combination=4, r=1, n3=24, rank=2, geom=GEOM),
+    lambda h, cfg: search_r16(h[:1, :cfg.n3], cfg))}
+
+
+def _receive_unitary(seed):
+    """A random 2x2 unitary: the Q of a complex Gaussian matrix."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2))
+                        + 1j * rng.standard_normal((2, 2)))
+    return q
+
+
+@pytest.mark.parametrize("release", list(LINK_T2))
+def test_type2_reports_hold_under_power_of_two_scales(release):
+    # the searches normalize the channel by a power of two, so 2^k changes
+    # no step of the search and every report is a law here, not a
+    # regression pin; without it, 2^-40 changed most r16, r17 and r18
+    # reports
+    cfg, search = LINK_T2[release]
+    for trial in range(6):
+        h = _link_channel(trial)
+        expected = cli.pmi_to_fields(search(h, cfg))
+        for k in (-1000, -40, -20, -13, -1, 1, 7, 64, 255, 500):
+            assert cli.pmi_to_fields(search(h * 2.0 ** k, cfg)) == expected
+
+
+@pytest.mark.parametrize("release", list(LINK_T2))
+def test_type2_reports_hold_under_a_phase_and_a_receive_unitary(release):
+    # a global phase and a receive-side unitary leave every covariance and
+    # target unchanged in exact arithmetic; on these seeds no report moves
+    # in rounding either
+    cfg, search = LINK_T2[release]
+    for trial in range(6):
+        h = _link_channel(trial)
+        expected = cli.pmi_to_fields(search(h, cfg))
+        assert cli.pmi_to_fields(search(h * np.exp(0.7j), cfg)) == expected
+        rotated = _receive_unitary(trial) @ h
+        assert cli.pmi_to_fields(search(rotated, cfg)) == expected
 
 
 @pytest.mark.parametrize("search, cfg, n4", [

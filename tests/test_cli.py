@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,13 +47,13 @@ def test_validate_detects_perturbation(tmp_path):
     out = str(tmp_path / "vectors.jsonl")
     main(["gen-vectors", "--release", "r16", "--config", config,
           "--seed", "1", "--samples", "3", "--out", out])
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     record = json.loads(lines[1])
     # flip the low bit of the beam-combination index: a different beam set
     record["pmi"]["i12"] ^= 1
     lines[1] = json.dumps(record)
     bad = str(tmp_path / "perturbed.jsonl")
-    open(bad, "w").write("\n".join(lines) + "\n")
+    Path(bad).write_text("\n".join(lines) + "\n")
     assert main(["validate", bad]) == 1
 
 
@@ -62,7 +63,7 @@ def test_validate_detects_tap_and_shift_perturbations(tmp_path):
     out = str(tmp_path / "vectors.jsonl")
     main(["gen-vectors", "--release", "r18", "--config", config,
           "--seed", "2", "--samples", "20", "--out", out])
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     # a perturbed tap/shift only matters when it carries weight: pick records
     # whose layer-0 bitmap has energy at tap 1 / shift 1
     tap_rec = shift_rec = None
@@ -77,11 +78,11 @@ def test_validate_detects_tap_and_shift_perturbations(tmp_path):
     tap_rec = json.loads(json.dumps(tap_rec))
     tap_rec["pmi"]["i16"][0] ^= 1  # different tap combination
     bad = str(tmp_path / "taps.jsonl")
-    open(bad, "w").write(json.dumps(tap_rec) + "\n")
+    Path(bad).write_text(json.dumps(tap_rec) + "\n")
     assert main(["validate", bad]) == 1
     shift_rec["pmi"]["i110"][0] ^= 1  # different Doppler shift
     bad2 = str(tmp_path / "shift.jsonl")
-    open(bad2, "w").write(json.dumps(shift_rec) + "\n")
+    Path(bad2).write_text(json.dumps(shift_rec) + "\n")
     assert main(["validate", bad2]) == 1
 
 
@@ -90,7 +91,7 @@ def test_validate_reports_short_i16_as_failure(tmp_path, capsys):
     out = str(tmp_path / "vectors.jsonl")
     main(["gen-vectors", "--release", "r18", "--config", config,
           "--seed", "4", "--samples", "1", "--out", out])
-    record = json.loads(open(out).read())
+    record = json.loads(Path(out).read_text())
     record["pmi"]["i16"] = record["pmi"]["i16"][:1]  # rank 2, one entry
     bad = tmp_path / "short.jsonl"
     bad.write_text(json.dumps(record) + "\n")
@@ -138,7 +139,7 @@ def test_validate_reports_mistyped_field_as_malformed(tmp_path, capsys,
     out = str(tmp_path / "vectors.jsonl")
     main(["gen-vectors", "--release", release, "--config", config,
           "--seed", "4", "--samples", "1", "--out", out])
-    record = edited(json.loads(open(out).read()), field, value)
+    record = edited(json.loads(Path(out).read_text()), field, value)
     bad = tmp_path / "mistyped.jsonl"
     bad.write_text(json.dumps(record) + "\n")
     capsys.readouterr()
@@ -172,7 +173,7 @@ def test_validate_reports_malformed_beam_fields_as_failures(
     out = str(tmp_path / "vectors.jsonl")
     main(["gen-vectors", "--release", release, "--config", config,
           "--seed", "4", "--samples", "1", "--out", out])
-    record = edited(json.loads(open(out).read()), field, value)
+    record = edited(json.loads(Path(out).read_text()), field, value)
     bad = tmp_path / "beams.jsonl"
     bad.write_text(json.dumps(record) + "\n")
     capsys.readouterr()
@@ -209,7 +210,7 @@ def test_validate_checks_the_expected_shape(tmp_path, capsys, mutate, code):
     out = str(tmp_path / "vectors.jsonl")
     main(["gen-vectors", "--release", "r16", "--config", config,
           "--seed", "1", "--samples", "1", "--out", out])
-    record = json.loads(open(out).read())
+    record = json.loads(Path(out).read_text())
     record["expected"] = mutate(record["expected"])
     bad = tmp_path / "expected.jsonl"
     bad.write_text(json.dumps(record) + "\n")
@@ -235,7 +236,7 @@ def test_validate_rejects_a_non_finite_record(tmp_path, capsys, field, value,
     out = str(tmp_path / "vectors.jsonl")
     main(["gen-vectors", "--release", "r16", "--config", config,
           "--seed", "1", "--samples", "2", "--out", out])
-    good, record = (json.loads(line) for line in open(out))
+    good, record = map(json.loads, Path(out).read_text().splitlines())
     expected = np.array(record["expected"])
     if field == "tolerance":
         expected.flat[0] += 5.0         # a pass would hide this error
@@ -269,7 +270,7 @@ def test_validate_rejects_a_non_number(tmp_path, capsys, field, value,
     out = str(tmp_path / "vectors.jsonl")
     main(["gen-vectors", "--release", "r16", "--config", config,
           "--seed", "1", "--samples", "1", "--out", out])
-    record = json.loads(open(out).read())
+    record = json.loads(Path(out).read_text())
     if field == "tolerance":
         record["tolerance"] = value
     else:
@@ -292,7 +293,7 @@ def test_validate_takes_an_integer_tolerance(tmp_path, capsys, tolerance):
     out = str(tmp_path / "vectors.jsonl")
     main(["gen-vectors", "--release", "r16", "--config", config,
           "--seed", "1", "--samples", "1", "--out", out])
-    record = json.loads(open(out).read())
+    record = json.loads(Path(out).read_text())
     record["tolerance"] = tolerance
     edited = tmp_path / "int_tolerance.jsonl"
     edited.write_text(json.dumps(record) + "\n")
@@ -329,9 +330,9 @@ def vectors_of(tmp_path, *runs):
 
 def test_validate_reports_an_unknown_release_as_malformed(tmp_path, capsys):
     path = vectors_of(tmp_path, ("r16", R16_CONFIG, 1))
-    record = json.loads(open(path).read())
+    record = json.loads(Path(path).read_text())
     record["release"] = "r99"
-    open(path, "w").write(json.dumps(record) + "\n")
+    Path(path).write_text(json.dumps(record) + "\n")
     capsys.readouterr()
     assert main(["validate", path]) == 2
     assert capsys.readouterr().err == \
@@ -364,11 +365,11 @@ def test_validate_keys_configs_by_their_text(tmp_path, capsys, field, value):
     # its text differs, so it is built and found malformed
     assert R16_CONFIG[field] == value
     path = vectors_of(tmp_path, ("r16", R16_CONFIG, 2))
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     record = json.loads(lines[1])
     record["config"][field] = value
     lines[1] = json.dumps(record)
-    open(path, "w").write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["validate", path]) == 2
     err = capsys.readouterr().err
@@ -429,7 +430,7 @@ def test_malformed_config_exit_code(tmp_path, capsys, command, config, named):
         main(["gen-vectors", "--release", "r16", "--config",
               write_config(tmp_path, R16_CONFIG), "--samples", "1",
               "--out", out])
-        record = json.loads(open(out).read())
+        record = json.loads(Path(out).read_text())
         record["config"] = config
         bad = tmp_path / "malformed.jsonl"
         bad.write_text(json.dumps(record) + "\n")
@@ -611,7 +612,7 @@ def test_byte_identical_outputs(tmp_path):
 def test_overhead_csv(tmp_path):
     out = tmp_path / "overhead.csv"
     assert main(["overhead", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert set(rows[0]) == {"release", "L", "field", "bits", "total"}
     totals = {(r["release"], int(r["L"])): int(r["total"]) for r in rows}
     for l in (1, 2, 3, 4):
@@ -623,7 +624,7 @@ def test_simulate_csv(tmp_path):
     out = tmp_path / "sim.csv"
     assert main(["simulate", "--snr", "0,10", "--trials", "30",
                  "--seed", "4", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     # monotone in SNR for each scheme and geometry
     for scheme in ("type1", "type2"):
         for ant in ("4x1", "16x1"):
@@ -637,7 +638,7 @@ def test_baselines_csv(tmp_path):
     assert main(["baselines", "--snr", "15", "--trials", "25",
                  "--seed", "5", "--out", str(out)]) == 0
     rows = {r["scheme"]: float(r["mean_rate"])
-            for r in csv.DictReader(open(out))}
+            for r in csv.DictReader(out.read_text().splitlines())}
     assert rows["wmmse"] >= rows["rzf"] * 0.95
 
 
