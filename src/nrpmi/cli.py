@@ -24,6 +24,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from . import channel_sim, overhead, type1, type2_r15, type2_r16, type2_r17, type2_r18
 from .bases import ArrayGeometry
@@ -208,20 +209,109 @@ _NON_FINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
 
 
 def json_floats(a: np.ndarray) -> str:
-    """``json.dumps(a.tolist())`` for a float64 array, formatting each
-    distinct value once.  Values are told apart by their bits, so -0.0 and
-    0.0 keep their own text."""
+    """``json.dumps(a.tolist())`` for a float64 array.  orjson writes every
+    entry; its text is ``repr``'s for zero and for magnitudes in [1e-4,
+    1e16), so only the entries outside that range, and the non-finite ones
+    it writes as null, are written again as ``json.dumps`` writes them."""
     flat = np.ascontiguousarray(a, dtype=np.float64).reshape(-1)
-    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-    texts = [repr(x) if math.isfinite(x) else _NON_FINITE.get(x, "NaN")
-             for x in bits.view(np.float64).tolist()]
-    return _nested_template(a.shape) % tuple(
-        map(texts.__getitem__, inverse.tolist()))
+    if not flat.size:
+        return _nested_template(a.shape)
+    texts = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] \
+        .decode().split(",")
+    mag = np.abs(flat)
+    other = np.flatnonzero((mag != 0) & ~((mag >= 1e-4) & (mag < 1e16)))
+    for i, x in zip(other.tolist(), flat[other].tolist()):
+        texts[i] = repr(x) if math.isfinite(x) else _NON_FINITE.get(x, "NaN")
+    return _nested_template(a.shape) % tuple(texts)
+
+
+# orjson reads an integer outside [-2**63, 2**64) as a float, without
+# raising; json.loads keeps it an int
+_WIDE = 2.0 ** 63
+# json.loads recurses once per level and fails near the interpreter's
+# recursion limit, where orjson reads on; a value nested deeper than this is
+# left to json.loads
+_DEPTH = 100
+# orjson 3.8 recurses once per level with no limit of its own, and a line
+# nested deep enough overflows the native stack: the process dies (SIGSEGV)
+# without an exception.  A level takes at most about 160 bytes of stack (an
+# 8 MiB stack overflows near 52,000 nested objects or 131,000 nested lists),
+# and a line nests no deeper than it holds opening brackets, so a line with
+# more of them than this (about 1.3 MiB of stack) is left to json.loads
+_OPENS = 2 ** 13
+
+
+def _opens(line: str) -> int:
+    """The number of ``[`` and ``{`` in a line longer than ``_OPENS``: a
+    bound on how deep it nests.  UTF-8 puts no other character on the
+    bytes 0x5b and 0x7b, the only ones that read 0x7b with bit 0x20 set."""
+    raw = np.frombuffer(line.encode("utf-8", "surrogatepass"), np.uint8)
+    return int(np.count_nonzero((raw | 0x20) == 0x7B))
+
+
+def _narrow(value) -> bool:
+    """Whether a value orjson parsed is nested at most ``_DEPTH`` deep and
+    holds no float of magnitude 2**63 or more, so that ``json.loads`` gives
+    the same value."""
+    level = [value]
+    for _ in range(_DEPTH):
+        deeper = []
+        for item in level:
+            if type(item) is list:
+                deeper += item
+            elif type(item) is dict:
+                deeper += item.values()
+            elif type(item) is float and not abs(item) < _WIDE:
+                return False
+        if not deeper:
+            return True
+        level = deeper
+    return False
+
+
+def read_record(line: str) -> tuple[object, np.ndarray | None]:
+    """``json.loads(line)``, and its ``"expected"`` entry as the array
+    numpy reads from it, or None where the entry is not read here: a line
+    that is no object with that key, or an entry that numpy reads as no
+    integers or floats.
+
+    orjson parses the line, and ``json.loads`` parses it again when orjson
+    rejects it (the NaN and Infinity literals, a lone surrogate, a number
+    beyond a double) or when its value may differ: it holds a float of
+    magnitude 2**63 or more, or nests deeper than json.loads may recurse.
+    The expected block, the bulk of a record, is checked on its array, the
+    rest of the record entry by entry.  A line that may nest deeper than
+    orjson can recurse safely is read by ``json.loads`` alone."""
+    if len(line) > _OPENS and _opens(line) > _OPENS:
+        return json.loads(line), None
+    try:
+        record = orjson.loads(line)
+    except orjson.JSONDecodeError:
+        return json.loads(line), None
+    rest, expected = record, None
+    if type(record) is dict and "expected" in record:
+        try:
+            expected = np.asarray(record["expected"])
+        except ValueError:      # ragged or too deep: walked entry by entry
+            pass
+        else:
+            kind = expected.dtype.kind
+            if kind in "iu" or (kind == "f"
+                                and (np.abs(expected) < _WIDE).all()):
+                rest = [v for k, v in record.items() if k != "expected"]
+            else:
+                expected = None
+    if _narrow(rest):
+        return record, expected
+    return json.loads(line), None
 
 
 def cmd_gen_vectors(args) -> int:
     with open(args.config) as fh:
-        cfg_dict = json.load(fh)
+        try:
+            cfg_dict = json.load(fh)
+        except RecursionError as exc:
+            raise FormatError(f"config nests too deeply: {exc}") from None
     config = build_release_config(args.release, cfg_dict)
     rng = np.random.default_rng(args.seed)
     # each record is the json.dumps text of {"release", "config", "pmi",
@@ -252,7 +342,7 @@ def cmd_validate(args) -> int:
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record, expected = read_record(line)
                 release = record["release"]
                 key = release, repr(record["config"])
                 if key not in configs:
@@ -260,7 +350,8 @@ def cmd_validate(args) -> int:
                                                         record["config"])
                 config = configs[key]
                 pmi = fields_to_pmi(release, record["pmi"])
-                expected = np.asarray(record["expected"])
+                if expected is None:
+                    expected = np.asarray(record["expected"])
                 if expected.dtype.kind not in "iuf":
                     raise ValueError("expected must hold numbers, got "
                                      f"{expected.dtype}")
@@ -278,7 +369,10 @@ def cmd_validate(args) -> int:
                 if not (finite and tolerance >= 0):
                     raise ValueError(f"tolerance {tolerance!r} must be a "
                                      "finite number >= 0")
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
+            # a nesting too deep to decode or print is malformed, whichever
+            # parser or repr meets it
+            except (KeyError, IndexError, TypeError, ValueError,
+                    RecursionError) as exc:
                 print(f"line {line_no}: malformed record: {exc}",
                       file=sys.stderr)
                 return 2
@@ -436,7 +530,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (CodebookError, OSError, json.JSONDecodeError) as exc:
+    # a vector or config file that does not decode as text raises
+    # UnicodeDecodeError while it is read
+    except (CodebookError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

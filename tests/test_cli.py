@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrpmi.cli import main
 
@@ -224,10 +229,13 @@ def test_validate_checks_the_expected_shape(tmp_path, capsys, mutate, code):
     ("tolerance", float("nan"), "tolerance nan must be a finite number >= 0"),
     ("tolerance", float("inf"), "tolerance inf must be a finite number >= 0"),
     ("tolerance", -1e-9, "tolerance -1e-09 must be a finite number >= 0"),
+    # an int beyond int64 is named as written, never as a float
+    ("tolerance", -2**64,
+     "tolerance -18446744073709551616 must be a finite number >= 0"),
     ("expected", float("nan"), "expected holds a non-finite entry"),
     ("expected", float("inf"), "expected holds a non-finite entry"),
 ], ids=["nan-tolerance", "inf-tolerance", "negative-tolerance",
-        "nan-expected", "inf-expected"])
+        "minus-2**64-tolerance", "nan-expected", "inf-expected"])
 def test_validate_rejects_a_non_finite_record(tmp_path, capsys, field, value,
                                               message):
     # a record no comparison can pass or fail honestly is malformed (exit
@@ -260,8 +268,10 @@ def test_validate_rejects_a_non_finite_record(tmp_path, capsys, field, value,
     ("tolerance", None, "tolerance None must be a finite number >= 0"),
     ("expected", True, "expected must hold numbers, got bool"),
     ("expected", "0.5", "expected must hold numbers, got <U3"),
+    # integers beyond uint64 make no numeric array: never read as floats
+    ("expected", 2**64, "expected must hold numbers, got object"),
 ], ids=["true-tolerance", "string-tolerance", "null-tolerance",
-        "bool-expected", "string-expected"])
+        "bool-expected", "string-expected", "2**64-expected"])
 def test_validate_rejects_a_non_number(tmp_path, capsys, field, value,
                                        message):
     # a tolerance is a JSON number and expected holds numbers: true or
@@ -285,8 +295,8 @@ def test_validate_rejects_a_non_number(tmp_path, capsys, field, value,
     assert "Traceback" not in captured.out + captured.err
 
 
-@pytest.mark.parametrize("tolerance", [0, 1, 10**400],
-                         ids=["0", "1", "10**400"])
+@pytest.mark.parametrize("tolerance", [0, 1, 2**64, 10**400],
+                         ids=["0", "1", "2**64", "10**400"])
 def test_validate_takes_an_integer_tolerance(tmp_path, capsys, tolerance):
     # an int of any size is a finite number; 10**400 has no float
     config = write_config(tmp_path, R16_CONFIG)
@@ -309,6 +319,206 @@ def test_validate_malformed_record(tmp_path):
     worse = tmp_path / "worse.jsonl"
     worse.write_text("not json\n")
     assert main(["validate", str(worse)]) == 2
+
+
+DEEP = 100_000
+
+
+@pytest.mark.parametrize("where", ["open", "config", "ignored-key"])
+def test_validate_reports_a_too_deep_line_as_malformed(tmp_path, capsys,
+                                                       where):
+    # orjson rejects the open line, and reads the closed ones: however far
+    # the nesting is from any key validate reads, json.loads decides, and
+    # it recurses too deep
+    closed = "[" * DEEP + "]" * DEEP
+    bad = tmp_path / "deep.jsonl"
+    if where == "open":
+        text = "[" * DEEP
+    elif where == "config":
+        text = '{"release": "r16", "config": %s}' % closed
+    else:
+        main(["gen-vectors", "--release", "r16", "--config",
+              write_config(tmp_path, R16_CONFIG), "--samples", "1",
+              "--out", str(bad)])
+        text = bad.read_text().rstrip("\n")[:-1] + ', "note": %s}' % closed
+    bad.write_text(text + "\n")
+    capsys.readouterr()
+    assert main(["validate", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("line 1: malformed record: maximum "
+                                   "recursion depth exceeded")
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("text", ["[" * DEEP, "[" * DEEP + "]" * DEEP],
+                         ids=["open", "closed"])
+def test_gen_vectors_reports_a_too_deep_config(tmp_path, capsys, text):
+    config = tmp_path / "deep.json"
+    config.write_text(text)
+    capsys.readouterr()
+    assert main(["gen-vectors", "--release", "r16", "--config", str(config),
+                 "--out", str(tmp_path / "out.jsonl")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: config nests too deeply: ")
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 1_000_000 + "]" * 1_000_000,
+    '{"a": ' * 200_000 + "1" + "}" * 200_000,
+    '{"release": "r16", "config": %s}' % ('[{"": ' * 100_000 + "1"
+                                          + "}]" * 100_000),
+], ids=["lists", "objects", "mixed-under-a-key"])
+def test_validate_survives_a_line_deeper_than_the_native_stack(tmp_path,
+                                                               text):
+    # orjson 3.8 has no depth limit: each of these balanced lines overflows
+    # an 8 MiB native stack in orjson.loads and kills the process.  Run in
+    # a child so that such a crash fails this test alone
+    import nrpmi
+
+    bad = tmp_path / "deep.jsonl"
+    bad.write_text(text + "\n")
+    src = str(Path(nrpmi.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from nrpmi.cli import main; "
+         "sys.exit(main(['validate', sys.argv[1]]))", str(bad)],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert run.returncode == 2, run.stderr[-2000:]
+    assert run.stderr.startswith("line 1: malformed record: maximum "
+                                 "recursion depth exceeded")
+    assert "Traceback" not in run.stdout + run.stderr
+
+
+@pytest.mark.parametrize("command", ["gen-vectors", "validate"])
+def test_a_file_that_is_no_utf8_text_exit_code(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe" + json.dumps(R16_CONFIG).encode() + b"\n")
+    argv = (["gen-vectors", "--release", "r16", "--config", str(bad),
+             "--out", str(tmp_path / "out.jsonl")]
+            if command == "gen-vectors" else ["validate", str(bad)])
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: 'utf-8' codec can't decode")
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("value", [2**64, -2**63 - 1],
+                         ids=["2**64", "-2**63-1"])
+def test_validate_names_a_huge_index_as_written(tmp_path, capsys, value):
+    # orjson reads an int outside [-2**63, 2**64) as a float; the message
+    # is the one json.loads's value gives
+    from nrpmi import cli
+    from nrpmi.errors import FormatError
+
+    config = write_config(tmp_path, R16_CONFIG)
+    out = tmp_path / "vectors.jsonl"
+    main(["gen-vectors", "--release", "r16", "--config", config,
+          "--seed", "4", "--samples", "1", "--out", str(out)])
+    record = edited(json.loads(out.read_text()), "k1", first_nonzero(value))
+    line = json.dumps(record)
+    out.write_text(line + "\n")
+    with pytest.raises(FormatError) as want:
+        cli.fields_to_pmi("r16", json.loads(line)["pmi"])
+    assert str(value) in str(want.value)
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"line 1: malformed record: {want.value}\n"
+
+
+# JSON texts on which orjson alone rejects the line or reads another value
+# than json.loads: ints beyond int64 or uint64, floats from 2**63 up, the
+# NaN and Infinity literals, numbers beyond a double, lone surrogates;
+# and a few that neither parser reads
+_WIDE_INTS = [2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1,
+              10**30]
+NUMBERS = (st.sampled_from(
+    [str(sign * i) for i in _WIDE_INTS for sign in (1, -1)]
+    + [repr(sign * x) for x in (2.0**63, 2.0**64, 1e308, 5e-324,
+                                2.2250738585072014e-308, 0.0)
+       for sign in (1.0, -1.0)]
+    + ["1e400", "-1e400", "NaN", "Infinity", "-Infinity", "-0",
+       "0.00012345678901234567", "123456789012345678901234567e-9"])
+    | st.integers().map(str)
+    | st.floats(allow_nan=False, allow_infinity=False).map(repr))
+# raw text as well as escapes: a raw control character (tab, newline,
+# U+0001) makes a malformed string for both parsers; raw non-ASCII and a raw
+# lone surrogate (which orjson rejects) are strings
+RAW = ['"a\tb"', '"a\nb"', '"\x01"', '"\x1f"', '"\x7f"', '"\u00e9\u4e2d"',
+       '"\U0001f600"', '"\ud800"']
+STRINGS = (st.sampled_from(['"\\ud800"', '"\\udc00"', '"x\\ud83dy"',
+                            '"\\ud83d\\ude00"', '"\\u00e9"'] + RAW)
+           | st.text(max_size=4).map(json.dumps)
+           | st.text(max_size=4).map(
+               lambda s: json.dumps(s, ensure_ascii=False)))
+KEYS = st.sampled_from(['"a"', '"b"', '"expected"', '"\\ud800"',
+                        '"\\ud83d\\ude00"'] + RAW)
+LEAVES = (NUMBERS | STRINGS | st.sampled_from(["true", "false", "null"])
+          | st.sampled_from(["01", "[1,]", '"\\x"', "tru"]))
+
+
+def json_list(items):
+    return "[" + ", ".join(items) + "]"
+
+
+def json_object(pairs):
+    return "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"
+
+
+DOCUMENTS = st.recursive(
+    LEAVES, lambda kids: st.lists(kids, max_size=4).map(json_list)
+    | st.lists(st.tuples(KEYS, kids), max_size=4).map(json_object),
+    max_leaves=12)
+# an expected block of (real, imag) pairs beside other keys, some repeated
+PAIRS = st.lists(st.lists(NUMBERS, min_size=2, max_size=2).map(json_list),
+                 max_size=4).map(json_list)
+RECORDS = st.lists(st.tuples(KEYS, DOCUMENTS) | st.tuples(
+    st.just('"expected"'), PAIRS), min_size=1, max_size=4).map(json_object)
+
+
+def assert_read_as_json_loads(line):
+    from nrpmi import cli
+
+    try:
+        want = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        with pytest.raises(type(exc)) as got:
+            cli.read_record(line)
+        assert str(got.value) == str(exc)
+        return
+    record, expected = cli.read_record(line)
+    # repr tells an int from a float and -0.0 from 0.0
+    assert repr(record) == repr(want)
+    if expected is not None:
+        array = np.asarray(want["expected"])
+        assert expected.dtype == array.dtype
+        assert expected.shape == array.shape
+        assert expected.tobytes() == array.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(DOCUMENTS | RECORDS)
+def test_read_record_is_json_loads(line):
+    assert_read_as_json_loads(line)
+
+
+@pytest.mark.parametrize("line", [
+    "[" * n + "]" * n for n in (99, 100, 101, 400, 5000)] + [
+    '{"expected": [[1.0, 2.0]], "a": %s}' % ("[" * n + "]" * n)
+    for n in (98, 99, 100, 5000)] + [
+    # past 2**13 opening brackets json.loads reads the line alone: brackets
+    # in a string count too, and a long expected block is no deeper.  Each
+    # pair holds 2**13 and 2**13 + 1 of them
+    '{"a": "%s", "b": [[1]]}' % ("[{" * n) for n in (4094, 4095)] + [
+    '{"expected": %s, "b": 2}' % json.dumps([[0.5, -1e-5]] * n)
+    for n in (8190, 8191)])
+def test_read_record_is_json_loads_at_any_depth(line):
+    # json.loads reads these nestings, or recurses too deep, where orjson
+    # reads every one
+    assert_read_as_json_loads(line)
 
 
 def vectors_of(tmp_path, *runs):

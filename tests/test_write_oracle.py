@@ -1,10 +1,11 @@
 """Oracle tests for the conformance-record writer.
 
 ``cmd_gen_vectors`` writes each record's ``expected`` block with
-``cli.json_floats``, which formats each distinct value once, and writes the
-parts every record shares once per run.  The references below are the
-earlier forms, verbatim: ``json.dumps`` of the nested list, and of the
-whole record dict.  Every text must match them byte for byte.
+``cli.json_floats``, which takes orjson's text for each value and writes
+again the values whose text orjson writes otherwise than ``json.dumps``,
+and writes the parts every record shares once per run.  The references
+below are the earlier forms, verbatim: ``json.dumps`` of the nested list,
+and of the whole record dict.  Every text must match them byte for byte.
 """
 
 import json
@@ -100,3 +101,30 @@ def test_json_floats_keeps_signed_zeros_and_every_nan_apart():
         "[0.0, -0.0, NaN, NaN, NaN, 1.0, -0.0, 0.0]"
     assert cli.json_floats(np.float64(-0.0)) == "-0.0"
     assert cli.json_floats(np.zeros((2, 0, 3))) == "[[], []]"
+
+
+def switch_over_neighbours(edge: float, count: int) -> np.ndarray:
+    """``edge`` and the ``count`` doubles on either side of it, both signs:
+    consecutive positive doubles have consecutive bit patterns."""
+    bits = np.float64(edge).view(np.int64) + np.arange(-count, count + 1)
+    side = bits.view(np.float64)
+    return np.concatenate([side, -side])
+
+
+def test_json_floats_is_json_dumps_of_a_wide_seeded_array():
+    # orjson's text differs from repr for nonzero magnitudes below 1e-4 and
+    # from 1e16 on, and for the non-finite values
+    rng = np.random.default_rng(20240611)
+    nans = (rng.integers(1, 2**52, 64, dtype=np.uint64)
+            | np.uint64(0x7FF0000000000000))
+    nans[::2] |= np.uint64(1 << 63)
+    special = np.concatenate([
+        switch_over_neighbours(1e-4, 500), switch_over_neighbours(1e16, 500),
+        [0.0, -0.0, math.inf, -math.inf], nans.view(np.float64),
+        rng.integers(1, 2**52, 64, dtype=np.uint64).view(np.float64),
+        -rng.integers(1, 2**52, 64, dtype=np.uint64).view(np.float64)])
+    bits = rng.integers(0, 2**64, 10**5 - special.size, dtype=np.uint64)
+    a = np.concatenate([special, bits.view(np.float64)])
+    a = a[rng.permutation(a.size)].reshape(-1, 5, 2)
+    assert a.size == 10**5
+    assert cli.json_floats(a) == json.dumps(a.tolist())
