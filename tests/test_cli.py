@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +136,8 @@ def edited(record, field, value):
     ("r16", R16_CONFIG, "k2", first_nonzero(3.5)),
     ("r16", R16_CONFIG, "k1", first_nonzero(10**30)),
     ("r16", R16_CONFIG, "bitmap", first_nonzero(1.0)),
+    # a ragged list numpy makes no array of
+    ("r16", R16_CONFIG, "k1", [[1], [1, 2]]),
 ])
 def test_validate_reports_mistyped_field_as_malformed(tmp_path, capsys,
                                                       release, cfg, field,
@@ -403,6 +406,26 @@ def test_a_file_that_is_no_utf8_text_exit_code(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: 'utf-8' codec can't decode")
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_validate_names_the_line_that_is_no_utf8_text(tmp_path, capsys):
+    # the records before the bad byte are validated and reported, and the
+    # error names its line and its place in that line; a lone \r still
+    # ends a line
+    path = Path(vectors_of(tmp_path, ("r16", R16_CONFIG, 5)))
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["pmi"]["i12"] ^= 1
+    lines[2] = json.dumps(record)
+    path.write_bytes("\r".join(lines[:2]).encode() + b"\n"
+                     + "\n".join(lines[2:]).encode()
+                     + b'\n{"release": "r1\xff6"}\n')
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"line 3: FAIL \(.*\)\n", captured.out)
+    assert captured.err == ("error: 'utf-8' codec can't decode byte 0xff in "
+                            "position 15: invalid start byte (line 6)\n")
 
 
 @pytest.mark.parametrize("value", [2**64, -2**63 - 1],
@@ -817,6 +840,85 @@ def test_byte_identical_outputs(tmp_path):
         main(["gen-vectors", "--release", "r16", "--config", config,
               "--seed", "9", "--samples", "4", "--out", str(out)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def gen_vectors(tmp_path, out, samples):
+    return main(["gen-vectors", "--release", "r16", "--config",
+                 write_config(tmp_path, R16_CONFIG), "--seed", "9",
+                 "--samples", str(samples), "--out", str(out)])
+
+
+@pytest.mark.parametrize("command", ["gen-vectors", "overhead"])
+def test_an_output_over_a_longer_file_is_the_fresh_output(tmp_path, command):
+    # outputs are rewritten in place and cut to the bytes written: nothing
+    # of the longer file they replace is left after them
+    def run(out, longer=False):
+        if command == "gen-vectors":
+            return gen_vectors(tmp_path, out, 5 if longer else 2)
+        return main(["overhead", "--out", str(out)]
+                    + ([] if longer else ["--release", "r16"]))
+
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert run(fresh) == 0
+    assert run(out, longer=True) == 0
+    assert out.stat().st_size > fresh.stat().st_size
+    assert run(out) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_an_output_through_a_symlink_is_written_to_its_target(tmp_path):
+    fresh, target, link = (tmp_path / n for n in ("fresh", "target", "link"))
+    assert gen_vectors(tmp_path, fresh, 2) == 0
+    target.write_bytes(b"x" * 100_000)
+    link.symlink_to(target)
+    assert gen_vectors(tmp_path, link, 2) == 0
+    assert link.is_symlink() and link.readlink() == target
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_an_output_keeps_its_mode_and_inode(tmp_path):
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert gen_vectors(tmp_path, fresh, 2) == 0
+    out.write_bytes(b"x" * 100_000)
+    out.chmod(0o600)
+    before = out.stat()
+    assert gen_vectors(tmp_path, out, 2) == 0
+    after = out.stat()
+    assert after.st_mode & 0o777 == 0o600
+    assert after.st_ino == before.st_ino
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["gen-vectors", "overhead"])
+def test_an_output_to_devnull_exit_code(tmp_path, command):
+    if command == "gen-vectors":
+        assert gen_vectors(tmp_path, os.devnull, 2) == 0
+    else:
+        assert main(["overhead", "--out", os.devnull]) == 0
+
+
+def test_an_output_cut_short_by_an_error_holds_the_records_written(
+        tmp_path, capsys, monkeypatch):
+    from nrpmi import cli
+    from nrpmi.errors import CodebookError
+
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert gen_vectors(tmp_path, fresh, 2) == 0
+    assert gen_vectors(tmp_path, out, 5) == 0
+    calls = []
+    sample = cli.sample_pmi
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise CodebookError("no third report")
+        return sample(*args)
+
+    monkeypatch.setattr(cli, "sample_pmi", failing)
+    capsys.readouterr()
+    assert gen_vectors(tmp_path, out, 5) == 2
+    assert capsys.readouterr().err == "error: no third report\n"
+    assert out.read_bytes() == fresh.read_bytes()
 
 
 def test_overhead_csv(tmp_path):
