@@ -143,11 +143,6 @@ def user_rates(channels, beamformers, noise_powers) -> np.ndarray:
     return np.array(rates)
 
 
-def normalize_power(w: np.ndarray, pt: float) -> np.ndarray:
-    """Scale so trace(W W^H) = pt."""
-    return normalize_blocks([w], pt)[0]
-
-
 def normalize_blocks(blocks, pt: float) -> list[np.ndarray]:
     """Scale every user's block by one factor so their total power is pt."""
     power = sum(np.sum(np.abs(w) ** 2) for w in blocks)

@@ -84,10 +84,6 @@ class ChannelRealization:
         return self.h[..., :self.h.shape[-1] // 2]
 
     @property
-    def h2(self) -> np.ndarray:
-        return self.h[..., self.h.shape[-1] // 2:]
-
-    @property
     def flat(self) -> np.ndarray:
         """Single-interval view (M, Nr, P); requires N4 = 1."""
         if self.h.shape[0] != 1:
@@ -162,17 +158,6 @@ def draw_channel(model: ChannelModel, geom: ArrayGeometry, nr: int,
     for term in terms:
         h += term
     return ChannelRealization(h=h.reshape(n4, m, nr, 2 * half))
-
-
-def effective_channel(h1: np.ndarray, h2: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Beam-domain channel [H1 F, H2 F] for full-connect port beamforming."""
-    h1 = np.asarray(h1)
-    h2 = np.asarray(h2)
-    f = np.asarray(f)
-    if h1.shape != h2.shape or h1.shape[-1] != f.shape[0]:
-        raise DomainError(
-            f"dimension mismatch: H halves {h1.shape}/{h2.shape}, F {f.shape}")
-    return np.concatenate([h1 @ f, h2 @ f], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -399,22 +384,19 @@ def _pick_beams(l: int, energy: np.ndarray, beam_cap: np.ndarray) -> list[int]:
     return order[:l]
 
 
-def _search_groups(config, scan, targets, finish, caps=None):
+def _spatial_picks(config, scan, caps=None):
     """The spatial stage W1 of every Type II search: scan the groups with
-    ``scan`` (``_contender_energy``, exact on every group that can tie),
-    pick L beams in each tied group q (under ``caps``, an (O1N1,
-    O2N2) grid, all ones when None), in scan order, ``finish(i11s, i12s,
-    bases, beam_caps)`` all T picks at once, their T (P/2, L) beam sets
-    and the caps of their beams, into ``_choose``'s reports (None for a
-    report the codebook rejects) and precoders, and keep the best fit to
-    ``targets``.  A port-selection config has one candidate: the port
-    block that carries the most energy of ``scan``, with no i12 and no
-    caps."""
+    ``scan`` (``_contender_energy``, exact on every group that can tie) and
+    pick L beams in each tied group q (under ``caps``, an (O1N1, O2N2)
+    grid, all ones when None), in scan order.  Returns the T candidates as
+    (i11s, i12s, bases, beam_caps): their groups, combinations, (P/2, L)
+    beam sets and the caps of their beams.  A port-selection config has one
+    candidate: the port block that carries the most energy of ``scan``,
+    with no i12 and no caps."""
     if config.variant != enhanced.REGULAR:
         i11 = _pick_port_block(scan, config)
-        return _choose(*finish([i11], [None],
-                               [enhanced.port_block(config, i11)],
-                               [np.ones(config.l)]), targets)
+        return ([i11], [None], [enhanced.port_block(config, i11)],
+                [np.ones(config.l)])
     g, l = config.geom, config.l
     n = g.n1 * g.n2
     energy = _contender_energy(scan, g, l)
@@ -429,7 +411,7 @@ def _search_groups(config, scan, targets, finish, caps=None):
         i12s.append(encode_combination(flats, n, l))
         bases.append(orthogonal_groups(g)[q][:, flats])
         beam_caps.append(beam_cap[flats])
-    return _choose(*finish(groups, i12s, bases, beam_caps), targets)
+    return groups, i12s, bases, beam_caps
 
 
 def _pick_port_block(targets: np.ndarray, config) -> int:
@@ -666,12 +648,11 @@ def search_r18(channel: ChannelRealization, config: type2_r18.R18Config
 
 def _search_enhanced(config, targets):
     """The Rel-16/Rel-18 search: ``_finish`` on every tied group (or on the
-    one port block) at once through ``_search_groups``, each report checked
-    by ``_candidates``."""
-    return _chosen(_search_groups(
-        config, targets, targets,
-        lambda i11s, i12s, bases, _: _candidates(
-            config, bases, *_finish(config, targets, i11s, i12s, bases))))
+    one port block) from ``_spatial_picks`` at once, each report checked by
+    ``_candidates``, and the best fit to ``targets`` kept."""
+    i11s, i12s, bases, _ = _spatial_picks(config, targets)
+    finished = _finish(config, targets, i11s, i12s, bases)
+    return _chosen(_choose(*_candidates(config, bases, *finished), targets))
 
 
 def _candidates(config, bases, reports, layers, taps, shifts=None):

@@ -380,6 +380,9 @@ def cmd_validate(args) -> int:
                 continue
             try:
                 record, expected = read_record(line)
+                if type(record) is not dict:
+                    raise FormatError("record must be a JSON object, got "
+                                      f"{type(record).__name__}")
                 release = record["release"]
                 key = release, repr(record["config"])
                 if key not in configs:
@@ -388,7 +391,12 @@ def cmd_validate(args) -> int:
                 config = configs[key]
                 pmi = fields_to_pmi(release, record["pmi"])
                 if expected is None:
-                    expected = np.asarray(record["expected"])
+                    try:
+                        expected = np.asarray(record["expected"])
+                    except ValueError:  # ragged, or deeper than an array
+                        raise ValueError("expected must be nested lists of "
+                                         "one shape, got a ragged or too "
+                                         "deep one") from None
                 if expected.dtype.kind not in "iuf":
                     raise ValueError("expected must hold numbers, got "
                                      f"{expected.dtype}")
@@ -410,6 +418,10 @@ def cmd_validate(args) -> int:
             # parser or repr meets it
             except (KeyError, IndexError, TypeError, ValueError,
                     RecursionError) as exc:
+                # a KeyError here is a record key: every other lookup
+                # raises its own error
+                if type(exc) is KeyError:
+                    exc = f"record key {exc.args[0]!r} missing"
                 print(f"line {line_no}: malformed record: {exc}",
                       file=sys.stderr)
                 return 2

@@ -204,17 +204,6 @@ def check_rank_restriction(r_bits, rank: int) -> bool:
     return bool(bits[rank - 1])
 
 
-def _subband_rate(h_sub: np.ndarray, w: np.ndarray, noise_power: float) -> float:
-    """Single-user rate of one subband, summed over its subcarriers."""
-    total = 0.0
-    for h in h_sub:
-        g = h @ w
-        m = np.eye(g.shape[0]) + (g.conj().T @ g) / noise_power
-        sign, logdet = np.linalg.slogdet(m)
-        total += logdet / np.log(2)
-    return total
-
-
 def _carrier_rates(h: np.ndarray, w: np.ndarray,
                    noise_power: float) -> np.ndarray:
     """log2 det(I_Nr + g^H g / sigma), g = H_m W_c, of every precoder in the
@@ -222,9 +211,9 @@ def _carrier_rates(h: np.ndarray, w: np.ndarray,
 
     One broadcast product, one stacked Gram matrix and one stacked
     ``slogdet``: each (Nr, P) @ (P, rank) slice, each Gram matrix and each
-    determinant is the operation ``_subband_rate`` performs on it, in the
-    same operand order, so every score matches it to the bit (``einsum``
-    would not).
+    determinant is the one-codeword, one-subcarrier operation, in the same
+    operand order, so every score matches it to the bit (``einsum`` would
+    not).
     """
     g = np.matmul(h[:, None], w)                        # (M, C, Nr, rank)
     m = np.eye(g.shape[-2]) + np.matmul(g.conj().swapaxes(-1, -2), g) / noise_power
@@ -233,19 +222,12 @@ def _carrier_rates(h: np.ndarray, w: np.ndarray,
 
 
 def _row_sum(rates: np.ndarray) -> np.ndarray:
-    """The rows of ``rates`` added in order, from zeros, as
-    ``_subband_rate`` adds its subcarriers."""
+    """The rows of ``rates`` added in order, from zeros: a subband's
+    subcarriers, in subcarrier order."""
     total = np.zeros(rates.shape[1])
     for row in rates:
         total += row
     return total
-
-
-def _codeword_rates(h_sub: np.ndarray, w: np.ndarray,
-                    noise_power: float) -> np.ndarray:
-    """``_subband_rate`` of every precoder in the (C, P, rank) stack ``w``:
-    ``_carrier_rates`` summed over the subcarriers, to the bit."""
-    return _row_sum(_carrier_rates(h_sub, w, noise_power))
 
 
 @dataclass(frozen=True)
@@ -279,12 +261,12 @@ def _codebook(geom: ArrayGeometry, mode: int, rank: int) -> _Codebook:
 
 def _screen_rates(h: np.ndarray, columns: np.ndarray, rank: int,
                   noise_power: float) -> np.ndarray:
-    """The ``_codeword_rates`` score of every codeword on every subcarrier
+    """The ``_carrier_rates`` score of every codeword on every subcarrier
     of h (M, Nr, P), from one product with the codebook's ``columns``:
     (M, i2_range * groups).
 
     The score adds I_Nr to the rank x rank Gram matrix G = g^H g, where
-    g = h w / sqrt(sigma), as ``_subband_rate`` does.  At rank 1 that is
+    g = h w / sqrt(sigma), as ``_carrier_rates`` does.  At rank 1 that is
     log2(1 + Nr |g|^2); at rank 2 (Nr = 2) it is
     log2(1 + tr G + |det g|^2).  Every term is nonnegative, so no sum
     cancels and the log2 argument is at least 1.  The product rounds
@@ -313,7 +295,7 @@ def _screen_rates(h: np.ndarray, columns: np.ndarray, rank: int,
 def _screen_bound(h: np.ndarray, noise_power: float) -> float:
     """Delta: a bound on |screened - exact| for one group's wideband total.
 
-    On subcarrier m both the screen and ``_codeword_rates`` take log2 det M
+    On subcarrier m both the screen and ``_carrier_rates`` take log2 det M
     of the Hermitian M = I + g^H g / sigma, g = H_m w (rank 1 through its
     Nr x Nr broadcast), whose eigenvalues are at least 1, so
     ||M^-1|| <= 1.  The codeword's layers are orthogonal with norm at most
@@ -353,11 +335,11 @@ def search_type1(channel: np.ndarray, config: Type1Config,
     below the best exact total never changes it, through any chain of
     1e-12 margins.  Only those contenders are scored exactly: one
     ``_carrier_rates`` pass over all their codewords and subcarriers, each
-    subband's rows summed in subcarrier order, which gives every codeword
-    its ``_codeword_rates`` bits, so every i2 pick and the group pick are
-    those of scoring the whole stack.  An admissible contender whose exact
-    score overflows (a huge channel, or a tiny noise power) raises
-    DomainError.  The codebook and its product layout are built once per
+    subband's rows summed in subcarrier order.  That exact score gives
+    every codeword the bits it has when the whole stack is scored, so
+    every i2 pick and the group pick are those of the full scan.  An
+    admissible contender whose exact score overflows (a huge channel, or
+    a tiny noise power) raises DomainError.  The codebook and its product layout are built once per
     (geometry, mode, rank) and kept.
     """
     h = _search_channel(channel, config.geom.n_ports,

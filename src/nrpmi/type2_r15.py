@@ -6,7 +6,6 @@ wideband amplitude, subband amplitude, and subband phase per coefficient
 and all layers; only the combination weights differ.
 """
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -14,8 +13,8 @@ import numpy as np
 
 from . import quantization as qt
 from .bases import ArrayGeometry
-from .channel_sim import (_beam_projections, _search_groups, _subband_edges,
-                          _type2_channel)
+from .channel_sim import (_beam_projections, _choose, _spatial_picks,
+                          _subband_edges, _type2_channel)
 from .combinadics import (
     array_bits,
     binomial,
@@ -25,8 +24,7 @@ from .combinadics import (
     is_indices,
     read_bits,
 )
-from .enhanced import (  # noqa: F401 (PORT_SELECTION: a variant name)
-    PORT_SELECTION,
+from .enhanced import (
     REGULAR,
     SpatialConfig,
     beam_fields,
@@ -410,8 +408,9 @@ def search_t2_r15(channel: np.ndarray, config: T2R15Config,
     targets, wide = _subband_targets(h, config.subband_count, config.rank)
 
     # the fit reads one slot interval: (rank, 1, subbands, P)
-    best = _search_groups(config, wide, targets[:, None],
-                          functools.partial(_candidates, config, targets), caps)
+    best = _choose(*_candidates(config, targets,
+                                *_spatial_picks(config, wide, caps)),
+                   targets[:, None])
     if best is None:
         raise RestrictionError("no admissible report under the caps")
     return best

@@ -16,7 +16,6 @@ import numpy as np
 from . import enhanced
 from .bases import ArrayGeometry
 from .combinadics import check_int_fields
-from .enhanced import PORT_SELECTION, REGULAR  # noqa: F401 (variant names)
 from .errors import DomainError
 
 # paramCombination-r16 -> (L, p_v for ranks 1-2, p_v for ranks 3-4, beta)

@@ -11,7 +11,6 @@ from nrpmi.beamforming import (
     harmonic_mean_allocation,
     mu_beamformer,
     normalize_blocks,
-    normalize_power,
     qos_power_allocation,
     su_beamformer,
     user_rates,
@@ -407,10 +406,10 @@ def test_qos_allocation():
 def test_normalize_power():
     rng = np.random.default_rng(12)
     w = crandn(rng, 4, 2)
-    wn = normalize_power(w, 3.0)
+    wn = normalize_blocks([w], 3.0)[0]
     assert abs(np.sum(np.abs(wn) ** 2) - 3.0) < 1e-12
     with pytest.raises(DomainError):
-        normalize_power(np.zeros((2, 2)), 1.0)
+        normalize_blocks([np.zeros((2, 2))], 1.0)
     # the form it had before it scaled a list of one block
     assert wn.tobytes() == (w * math.sqrt(
         3.0 / float(np.sum(np.abs(w) ** 2)))).tobytes()

@@ -20,7 +20,6 @@ from nrpmi.channel_sim import (
     ChannelModel,
     ChannelRealization,
     draw_channel,
-    effective_channel,
     search_r16,
     search_r17,
     search_r18,
@@ -170,20 +169,6 @@ def test_malformed_draw_arguments_name_the_argument(kwargs, field):
     args = dict(nr=2, trial=0, n4=1, interval_duration=5e-4) | kwargs
     with pytest.raises(DomainError, match=field):
         draw_channel(ChannelModel(), GEOM, **args)
-
-
-def test_effective_channel():
-    rng = np.random.default_rng(0)
-    h1 = rng.standard_normal((3, 2, 8)) + 1j * rng.standard_normal((3, 2, 8))
-    h2 = rng.standard_normal((3, 2, 8)) + 1j * rng.standard_normal((3, 2, 8))
-    f = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
-    he = effective_channel(h1, h2, f)
-    assert he.shape == (3, 2, 8)
-    np.testing.assert_allclose(he[..., :4], h1 @ f)
-    f1 = f[:, :1]
-    assert effective_channel(h1, h2, f1).shape == (3, 2, 2)
-    with pytest.raises(DomainError):
-        effective_channel(h1, h2, np.zeros((5, 2)))
 
 
 def plant_r16(cfg, pmi, sigmas=None):

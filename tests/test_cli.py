@@ -324,6 +324,66 @@ def test_validate_malformed_record(tmp_path):
     assert main(["validate", str(worse)]) == 2
 
 
+@pytest.mark.parametrize("line,message", [
+    ("[1, 2]", "record must be a JSON object, got list"),
+    ('"abc"', "record must be a JSON object, got str"),
+    ("5", "record must be a JSON object, got int"),
+    ("null", "record must be a JSON object, got NoneType"),
+], ids=["list", "string", "number", "null"])
+def test_validate_names_a_record_that_is_no_object(tmp_path, capsys, line,
+                                                  message):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(line + "\n")
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err == f"line 1: malformed record: {message}\n"
+
+
+@pytest.mark.parametrize("key", ["release", "config", "pmi", "expected",
+                                 "tolerance"])
+def test_validate_names_each_missing_record_key(tmp_path, capsys, key):
+    path = vectors_of(tmp_path, ("r16", R16_CONFIG, 1))
+    record = json.loads(Path(path).read_text())
+    del record[key]
+    Path(path).write_text(json.dumps(record) + "\n")
+    capsys.readouterr()
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr().err == \
+        f"line 1: malformed record: record key {key!r} missing\n"
+
+
+@pytest.mark.parametrize("ragged", [
+    lambda expected: [[1.0, 2.0], [3.0]],
+    # one entry a bare pair where its siblings hold lists of pairs
+    lambda expected: expected[:1] + [[1.0, None]] + expected[2:],
+    # regular, but nested deeper than numpy makes arrays
+    lambda expected: json.loads("[" * 70 + "1.0" + "]" * 70),
+], ids=["ragged-block", "ragged-entry", "too-deep"])
+def test_validate_names_a_ragged_expected_block(tmp_path, capsys, ragged):
+    path = vectors_of(tmp_path, ("r16", R16_CONFIG, 1))
+    record = json.loads(Path(path).read_text())
+    record["expected"] = ragged(record["expected"])
+    Path(path).write_text(json.dumps(record) + "\n")
+    capsys.readouterr()
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr().err == (
+        "line 1: malformed record: expected must be nested lists of one "
+        "shape, got a ragged or too deep one\n")
+
+
+def test_validate_skips_blank_and_whitespace_only_lines(tmp_path, capsys):
+    path = vectors_of(tmp_path, ("r16", R16_CONFIG, 2))
+    first, second = Path(path).read_text().splitlines()
+    Path(path).write_text(first + "\n\n   \n" + second + "\n")
+    capsys.readouterr()
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr().out == "2/2 records passed\n"
+    # a file of blank lines holds no record: nothing passed, exit 1
+    blank = tmp_path / "blank.jsonl"
+    blank.write_text("\n  \n\t\n")
+    assert main(["validate", str(blank)]) == 1
+    assert capsys.readouterr().out == "0/0 records passed\n"
+
+
 DEEP = 100_000
 
 

@@ -11,12 +11,11 @@ from nrpmi.errors import DomainError, RestrictionError
 from nrpmi.type1 import (
     _carrier_rates,
     _codebook,
-    _codeword_rates,
     _offset_table,
     _restriction_bits,
+    _row_sum,
     _screen_bound,
     _screen_rates,
-    _subband_rate,
     Type1Config,
     Type1Pmi,
     build_precoder,
@@ -26,6 +25,24 @@ from nrpmi.type1 import (
     random_valid_pmi,
     search_type1,
 )
+
+
+def _subband_rate(h_sub: np.ndarray, w: np.ndarray, noise_power: float) -> float:
+    """Single-user rate of one subband, summed over its subcarriers."""
+    total = 0.0
+    for h in h_sub:
+        g = h @ w
+        m = np.eye(g.shape[0]) + (g.conj().T @ g) / noise_power
+        sign, logdet = np.linalg.slogdet(m)
+        total += logdet / np.log(2)
+    return total
+
+
+def _codeword_rates(h_sub: np.ndarray, w: np.ndarray,
+                    noise_power: float) -> np.ndarray:
+    """``_subband_rate`` of every precoder in the (C, P, rank) stack ``w``:
+    ``_carrier_rates`` summed over the subcarriers, to the bit."""
+    return _row_sum(_carrier_rates(h_sub, w, noise_power))
 
 
 def all_pmis(config):
@@ -721,3 +738,29 @@ def test_validate_names_the_bad_field(pmi, match):
     cfg = Type1Config(ArrayGeometry(4, 2, 4, 4), subband_count=2)
     with pytest.raises(DomainError, match=f"^{match}$"):
         pmi.validate(cfg)
+
+
+# the link-t1 benchmark's Type I searches: (N1, N2, rank), mode 1, two
+# subbands, two receive antennas, noise power 0.1
+LINK_T1_SHAPES = ((2, 1, 1), (4, 1, 1), (2, 2, 2), (4, 2, 1), (4, 2, 2))
+LINK_T1_MODEL = dict(n_paths=6, delay_spread=1e-6, subcarrier_spacing=180e3,
+                     n_subcarriers=4)
+
+
+@pytest.mark.parametrize("n1,n2,rank", LINK_T1_SHAPES)
+def test_reports_hold_under_power_of_two_channel_and_noise_scales(n1, n2,
+                                                                   rank):
+    # H by 2^k and sigma^2 by 4^k leave g = H w / sqrt(sigma^2), and with it
+    # every score, exact: the search needs no normalization for this law
+    geom = ArrayGeometry.from_antennas(n1, n2)
+    cfg = Type1Config(geom, mode=1, rank=rank, subband_count=2)
+    for seed in range(4):
+        model = ChannelModel(seed=seed, **LINK_T1_MODEL)
+        h = draw_channel(model, geom, nr=2, trial=seed).flat
+        expected = search_type1(h, cfg, noise_power=0.1)
+        for k in (-500, -100, -40, -7, -1, 1, 7, 40, 100, 500):
+            assert search_type1(h * 2.0 ** k, cfg,
+                                noise_power=0.1 * 4.0 ** k) == expected
+        # at 4^-1000 the noise power underflows to 0
+        with pytest.raises(DomainError, match="noise_power=0.0"):
+            search_type1(h * 2.0 ** -1000, cfg, noise_power=0.1 * 4.0 ** -1000)

@@ -5,6 +5,7 @@ import pytest
 
 from nrpmi.bases import ArrayGeometry, dft_beam, orthogonal_group
 from nrpmi.combinadics import encode_group_restriction
+from nrpmi.enhanced import PORT_SELECTION, REGULAR
 from nrpmi.errors import (
     ConsistencyError,
     DegenerateReportError,
@@ -14,8 +15,6 @@ from nrpmi.errors import (
 )
 from nrpmi.quantization import amp_r15_wideband
 from nrpmi.type2_r15 import (
-    PORT_SELECTION,
-    REGULAR,
     T2R15Config,
     T2R15Pmi,
     beam_grid_indices,

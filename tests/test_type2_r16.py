@@ -6,6 +6,8 @@ import pytest
 from nrpmi.bases import ArrayGeometry
 from nrpmi.combinadics import binomial
 from nrpmi.enhanced import (
+    PORT_SELECTION,
+    REGULAR,
     compute_mv,
     decode_taps,
     encode_strongest,
@@ -16,8 +18,6 @@ from nrpmi.enhanced import (
 from nrpmi.errors import BudgetError, ConsistencyError, DomainError, FormatError
 from nrpmi.type2_r16 import (
     PARAM_COMBINATIONS,
-    PORT_SELECTION,
-    REGULAR,
     R16Config,
     R16Pmi,
     derive_n3,
